@@ -27,7 +27,6 @@ reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -89,24 +88,6 @@ class Weight:
         if self.kind == "hat":
             return max(Fraction(0), 1 - abs(t) / 2)
         raise PreconditionError("smooth weight is not exact")
-
-    def value_float(self, t: Sequence[float]) -> float:
-        out = 1.0
-        for ti in t:
-            ti = float(ti)
-            if self.kind == "zero":
-                return 0.0
-            if self.kind == "indicator":
-                if abs(ti) > 1:
-                    return 0.0
-            elif self.kind == "hat":
-                out *= max(0.0, 1.0 - abs(ti) / 2.0)
-            else:
-                u = ti / 2.0
-                if abs(u) >= 1:
-                    return 0.0
-                out *= math.exp(-1.0 / (1.0 - u * u))
-        return out
 
 
 def weight_make(kind: str) -> Weight:

@@ -10,9 +10,7 @@ x^4+x+1 for F_16.  Two Field objects with the same (p, k) are always
 compatible.
 
 Multiplication is schoolbook convolution followed by reduction; no discrete
-logarithm tables are used.  For small fields (q <= 1024) full add/mul lookup
-tables can be built once and reused to vectorize bulk evaluation with numpy
-gathers.
+logarithm tables are used.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import numpy as np
 from .errors import Budget, InputError, PreconditionError, ensure_budget
 
 Q_CAP = 2**20
-TABLE_LIMIT = 1024
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -210,8 +207,6 @@ class Field:
                 cur = nxt
                 rows.append(list(cur))
             self._red_rows = rows
-        self._mul_table: np.ndarray | None = None
-        self._inv_table: np.ndarray | None = None
 
     def __repr__(self):
         return f"Field({self.literal()})"
@@ -306,64 +301,6 @@ class Field:
 
     def elements(self) -> range:
         return range(self.q)
-
-    # -- lookup tables (small fields only) -----------------------------------
-
-    def mul_table(self) -> np.ndarray:
-        """q x q multiplication table as int64 codes (q <= TABLE_LIMIT)."""
-        if self._mul_table is not None:
-            return self._mul_table
-        if self.q > TABLE_LIMIT:
-            raise PreconditionError(
-                "field too large for lookup tables", q=self.q, cap=TABLE_LIMIT
-            )
-        p, k, q = self.p, self.k, self.q
-        if k == 1:
-            tab = np.arange(q, dtype=np.int64)
-            tab = tab[:, None] * tab[None, :] % p
-        else:
-            codes = np.arange(q, dtype=np.int64)
-            digits = np.empty((q, k), dtype=np.int64)
-            v = codes.copy()
-            for i in range(k):
-                digits[:, i] = v % p
-                v //= p
-            conv = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
-            for i in range(k):
-                for j in range(k):
-                    conv[:, :, i + j] += digits[:, None, i] * digits[None, :, j]
-            for deg in range(2 * k - 2, k - 1, -1):
-                c = conv[:, :, deg] % p
-                row = self._red_rows[deg - k]
-                for t in range(k):
-                    if row[t]:
-                        conv[:, :, t] += c * row[t]
-                conv[:, :, deg] = 0
-            tab = np.zeros((q, q), dtype=np.int64)
-            for t in reversed(range(k)):
-                tab = tab * p + conv[:, :, t] % p
-        self._mul_table = tab
-        return tab
-
-    def add_table(self) -> np.ndarray:
-        p, k, q = self.p, self.k, self.q
-        if self.q > TABLE_LIMIT:
-            raise PreconditionError(
-                "field too large for lookup tables", q=self.q, cap=TABLE_LIMIT
-            )
-        if k == 1:
-            tab = np.arange(q, dtype=np.int64)
-            return (tab[:, None] + tab[None, :]) % p
-        codes = np.arange(q, dtype=np.int64)
-        out = np.zeros((q, q), dtype=np.int64)
-        scale = 1
-        a, b = codes.copy(), codes.copy()
-        for _ in range(k):
-            out += scale * ((a[:, None] + b[None, :]) % p)
-            a //= p
-            b //= p
-            scale *= p
-        return out
 
 
 @lru_cache(maxsize=None)

@@ -335,16 +335,6 @@ def sing_points(
     )
 
 
-def proj_points(spec: VarietySpec, budget: Budget | None = None) -> list[tuple]:
-    """Rational points of the variety, in canonical enumeration order."""
-    budget = ensure_budget(budget)
-    pts = enum_proj(spec.field, spec.n, budget)
-    on = np.ones(pts.shape[0], dtype=bool)
-    for f in spec.forms:
-        on &= values_on(f, pts) == 0
-    return [tuple(map(int, row)) for row in pts[on]]
-
-
 def affine_count(forms, fld: Field, n: int, budget: Budget | None = None) -> int:
     """Number of common zeros in F_q^n (zero forms impose nothing)."""
     budget = ensure_budget(budget)

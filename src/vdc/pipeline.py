@@ -30,8 +30,10 @@ f(v) = f(v + pi y) = 0 mod p.  A second differencing in shifts z with
 with d2f the second difference along (pi y, pz) and W4 the product of the
 four translated weights.  The ledger records every level with exact
 arithmetic for the rational weight kinds (integer numerators over powers
-of 2B) and float64 for the smooth kind, and verifies the algebraic
-identities tying the levels together:
+of 2B) and float64 for the smooth kind.  Level 2 may still run in float64
+for exact weights: when its tables could overflow int64 it does, records
+that in ``pair_exact`` (``pair.exact`` in the CLI) and adds a warning.  The
+ledger verifies the algebraic identities tying the levels together:
 
   partition            N_W(f,B,pi p q) = S + K * #{zero classes mod pi}
   square_expansion     sum_u inner(u)^2 = sum_y (congruence part of corr)
@@ -45,8 +47,9 @@ identities tying the levels together:
   refined_square_expansion  sum_{v,a} inner_{v,a}(y)^2 = sum_z (congruence
                        part of corr2(y, z))              (when level 2 runs)
 
-For exact weights the residuals must be exactly zero (asserted as integer
-identities); for the smooth weight they are checked to relative 1e-9.
+Each identity is written once, over a numeric domain.  An exact domain
+checks it with tolerance 0; a float64 domain allows
+SMOOTH_RTOL * max(1, |scale|), with scale the size of the compared terms.
 """
 
 from __future__ import annotations
@@ -62,11 +65,61 @@ from .errors import Budget, InputError, PreconditionError, ensure_budget
 from .ffield import field_make, is_prime, reduce_mod
 from .geometry import RCheckPolicy, VarietySpec, r_check, sing_points
 from .mpoly import IntPoly
-from .parallel import run_chunked
+from .parallel import pairwise_sum, run_chunked
 
 PAIR_TABLE_MAX_CELLS = 1 << 24
 PAIR_BLOCK = 1 << 21  # max pair rows materialized at once
 SMOOTH_RTOL = 1e-9
+
+
+class _Domain:
+    """The numbers one ledger level is computed in.
+
+    Exact: integer numerators over powers of den1 (the single-weight
+    denominator), Fractions once a denominator is applied, tolerance 0.
+    Float: float64 values (den1 = 1), pairwise sums, tolerance
+    SMOOTH_RTOL * max(1, |scale|).
+    """
+
+    def __init__(self, exact: bool, den1: int = 1):
+        self.exact = exact
+        self.den1 = den1
+
+    def frac(self, num, den):
+        """The scalar num / den."""
+        return Fraction(int(num), den) if self.exact else float(num) / den
+
+    def lift(self, arr: np.ndarray) -> np.ndarray:
+        """arr in a dtype whose products and sums cannot overflow."""
+        return arr.astype(object) if self.exact else np.asarray(arr, np.float64)
+
+    def scaled(self, nums: np.ndarray, den) -> np.ndarray:
+        """Numerators over den as this domain carries them: exact keeps the
+        numerators (den is applied by value), float divides now."""
+        return nums if self.exact else self.lift(nums) / den
+
+    def value(self, carried, den):
+        """The scalar behind one entry of a scaled(nums, den) array."""
+        return Fraction(int(carried), den) if self.exact else float(carried)
+
+    def total(self, vals: np.ndarray, mask: np.ndarray | None = None):
+        """Sum of vals (where mask holds); exact sums use int64 only under a
+        checked bound."""
+        if not self.exact:
+            return pairwise_sum(vals if mask is None else np.where(mask, vals, 0.0))
+        vals = vals if mask is None else vals[mask]
+        if vals.dtype == np.int64 and vals.size and (
+            int(np.abs(vals).max()) * vals.size < 2**63
+        ):
+            return int(vals.sum())
+        return sum(vals.tolist())
+
+    def fits(self, bound) -> bool:
+        """Whether sums up to bound may accumulate in int64 (float: always)."""
+        return not self.exact or bound < 2**62
+
+    def tol(self, scale) -> float:
+        return 0.0 if self.exact else SMOOTH_RTOL * max(1.0, abs(float(scale)))
 
 
 @dataclass
@@ -162,11 +215,15 @@ class PipelineLedger:
     abs2_num: np.ndarray | None = None  # sum_z |q^3 cong - FS2|, per y (objects)
     aggregate: float | None = None  # E4-style aggregate from level 2
     pair_exact: bool = True  # level 2 ran in exact integers (vs float64)
+    _inner_num: np.ndarray | None = None  # level-0 class sums (den1 scale)
+    _pair_dom: _Domain | None = None  # the domain level 2 ran in
+    _t2d_table: np.ndarray | None = None
+
+    @property
+    def _dom(self) -> _Domain:
+        return _Domain(self.exact, self.den1)
 
     # -- helpers ------------------------------------------------------------
-
-    def _den2(self):
-        return self.den1**2
 
     def _shift_digits(self, key: int) -> tuple:
         Y, n = self.shift_range, self.n
@@ -191,14 +248,10 @@ class PipelineLedger:
     def corr(self, y) -> object:
         """The pair correlation at shift y."""
         k = self.shift_key(y)
-        if self.exact:
-            p, q = self.params.p, self.params.q
-            return Fraction(
-                int(p * p * q * q * int(self.corr_num[k]) - int(self.fs_num[k])),
-                p * p * q * q * self._den2(),
-            )
-        return float(self.corr_num[k]) - float(self.fs_num[k]) / (
-            self.params.p**2 * self.params.q**2
+        D, p, q = self._dom, self.params.p, self.params.q
+        den2 = self.den1**2
+        return D.frac(self.corr_num[k], den2) - D.frac(
+            self.fs_num[k], p * p * q * q * den2
         )
 
     def shift_record(self, y) -> ShiftRecord:
@@ -206,52 +259,29 @@ class PipelineLedger:
         return self._record_at(k)
 
     def _record_at(self, k: int) -> ShiftRecord:
-        pr = self.params
+        D, pr = self._dom, self.params
         n, p, q = self.n, pr.p, pr.q
-        den2 = self._den2()
+        den2 = self.den1**2
         xc = int(self.xcount[k])
-        if self.exact:
-            fs = Fraction(int(self.fs_num[k]), den2)
-            expected = Fraction(int(self.fs_num[k]), p**n * q * q * den2)
-            corr = self.corr(self._shift_digits(k))
-            first = Fraction(int(self.sxy_num[k]), den2) - xc * expected
-            second = (
-                Fraction(int(self.ss2[k]), den2 * den2)
-                - 2 * expected * Fraction(int(self.t1_num[k]), den2)
-                + p**n * expected * expected
-            )
-            refined = (
-                Fraction(int(self.ss3[k]), den2 * den2)
-                - 2 * expected * Fraction(int(self.t0_num[k]), den2)
-                + p**n * q * expected * expected
-            )
-            defect = expected * (xc - p ** (n - 2))
-        else:
-            fs = float(self.fs_num[k])
-            expected = fs / (p**n * q * q)
-            corr = self.corr(self._shift_digits(k))
-            first = float(self.sxy_num[k]) - xc * expected
-            second = (
-                float(self.ss2[k])
-                - 2 * expected * float(self.t1_num[k])
-                + p**n * expected * expected
-            )
-            refined = (
-                float(self.ss3[k])
-                - 2 * expected * float(self.t0_num[k])
-                + p**n * q * expected * expected
-            )
-            defect = expected * (xc - p ** (n - 2))
+        expected = D.frac(self.fs_num[k], p**n * q * q * den2)
         return ShiftRecord(
             y=self._shift_digits(k),
-            corr=corr,
-            fs_sum=fs,
+            corr=self.corr(self._shift_digits(k)),
+            fs_sum=D.frac(self.fs_num[k], den2),
             expected=expected,
             pair_class_count=xc,
-            first_moment=first,
-            second_moment=second,
-            refined_second_moment=refined,
-            class_defect=defect,
+            first_moment=D.frac(self.sxy_num[k], den2) - xc * expected,
+            second_moment=(
+                D.frac(self.ss2[k], den2 * den2)
+                - 2 * expected * D.frac(self.t1_num[k], den2)
+                + p**n * expected * expected
+            ),
+            refined_second_moment=(
+                D.frac(self.ss3[k], den2 * den2)
+                - 2 * expected * D.frac(self.t0_num[k], den2)
+                + p**n * q * expected * expected
+            ),
+            class_defect=expected * (xc - p ** (n - 2)),
         )
 
     def shift_records(self, limit: int | None = None):
@@ -272,14 +302,11 @@ class PipelineLedger:
             if abs(c) > Z:
                 raise InputError("second shift outside table", z=list(z), Z=Z)
             kz = kz * side + (c + Z)
-        q = self.params.q
-        if self.pair_exact:
-            cong = int(self.pair_table[ky, kz])
-            fs2 = int(self._fs2_cell(ky, kz))
-            return Fraction(q**3 * cong - fs2, q**3 * self.den1**4)
-        cong = float(self.pair_table[ky, kz])
-        fs2 = float(self._fs2_cell(ky, kz))
-        return cong - fs2 / q**3
+        D2 = self._pair_dom
+        den4 = D2.den1**4
+        return D2.frac(self.pair_table[ky, kz], den4) - D2.frac(
+            self._fs2_cell(ky, kz), self.params.q**3 * den4
+        )
 
     def _fs2_cell(self, ky: int, kz: int):
         t2d = self._t2d_table
@@ -291,8 +318,6 @@ class PipelineLedger:
             ky //= sideY
             kz //= sideZ
         return v
-
-    _t2d_table: np.ndarray | None = None
 
 
 # -- small structural helpers -------------------------------------------------
@@ -338,22 +363,15 @@ def _group_by_class(ids: np.ndarray, sel: np.ndarray, nclasses: int):
     return order, starts
 
 
-def _sq_bincount(keys: np.ndarray, vals: np.ndarray, size: int, exact: bool):
-    """Per-bin sum of squared values; exact (int64 or object) or float."""
-    if not exact:
-        out = np.zeros(size, dtype=np.float64)
-        np.add.at(out, keys, vals * vals)
-        return out
-    if vals.size == 0:
-        return np.zeros(size, dtype=np.int64)
-    if vals.dtype != object and int(vals.max()) < 2**31:
-        prods = vals * vals
-        if int(prods.sum(dtype=object)) < 2**62:
-            out = np.zeros(size, dtype=np.int64)
-            np.add.at(out, keys, prods)
-            return out
-    out = np.zeros(size, dtype=object)
-    np.add.at(out, keys, vals.astype(object) ** 2)
+def _sq_bincount(keys: np.ndarray, vals: np.ndarray, size: int):
+    """Per-bin sum of squared values, in vals' dtype except that int64 lifts
+    to Python ints unless the squares provably fit."""
+    if vals.dtype == np.int64 and vals.size and not (
+        int(vals.max()) < 2**31 and int((vals * vals).sum(dtype=object)) < 2**62
+    ):
+        vals = vals.astype(object)
+    out = np.zeros(size, dtype=vals.dtype)
+    np.add.at(out, keys, vals * vals)
     return out
 
 
@@ -370,24 +388,17 @@ def _merge_sparse(parts: list, dtype):
     return uk, out
 
 
-def _exact_sum(vals: np.ndarray):
-    return int(np.sum(vals, dtype=object)) if vals.size else 0
-
-
 # -- the main construction ----------------------------------------------------
 
 
 def build_ledger(params: PipelineParams, budget: Budget | None = None) -> PipelineLedger:
     """Run both differencing levels and verify the ledger identities."""
-    from .parallel import pairwise_sum
-
     warnings = params.validate()
     budget = ensure_budget(budget)
     f, B = params.f, params.B
     pi, p, q = params.pi, params.p, params.q
     n = f.n
     w = Weight(params.weight)
-    exact = w.exact
     H = w.halfwidth(B)
     L = 2 * H + 1
     M = L**n
@@ -396,6 +407,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     w1, den = w.axis_values(B)
     den = den if den is not None else 1
     den1 = den**n
+    D = _Domain(w.exact, den1)
     axes = [np.arange(-H, H + 1, dtype=np.int64)] * n
     fpi_v = eval_on_axes(f, axes, pi)
     fp_v = eval_on_axes(f, axes, p)
@@ -408,34 +420,16 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     solpq = solq & (fp_v == 0)
     solfull = solpq & (fpi_v == 0)
 
-    def total_of(mask):
-        if exact:
-            return _exact_sum(wnum[mask])
-        return pairwise_sum(np.where(mask, wnum, 0.0))
+    box_total_num = D.total(w1) ** n
+    box_weight_total = D.frac(box_total_num, den1)
+    count_full = D.frac(D.total(wnum, solfull), den1)
+    count_pq = D.frac(D.total(wnum, solpq), den1)
+    K = D.frac(box_total_num, pi**n * p * q * den1)
 
-    if exact:
-        w1sum = int(w1.sum(dtype=object))
-        box_total_num = w1sum**n
-        box_weight_total = Fraction(box_total_num, den1)
-        count_full = Fraction(total_of(solfull), den1)
-        count_pq = Fraction(total_of(solpq), den1)
-        K = Fraction(box_total_num, pi**n * p * q * den1)
-    else:
-        w1sum = pairwise_sum(w1)
-        box_weight_total = w1sum**n
-        count_full = total_of(solfull)
-        count_pq = total_of(solpq)
-        K = box_weight_total / (pi**n * p * q)
-
-    # Accumulator dtype: int64 in the exact case unless a conservative
-    # per-bin bound (total box weight times one max weight factor) says the
-    # pair sums could overflow, in which case lift to Python ints.
-    if exact:
-        w1max = int(w1.max())
-        bin_bound = int(np.sum(w1, dtype=object)) ** n * w1max**n
-        acc_dtype = np.int64 if bin_bound < 2**62 else object
-    else:
-        acc_dtype = np.float64
+    # Accumulator dtype: the weights' own, except that exact sums lift to
+    # Python ints when a conservative per-bin bound (total box weight times
+    # one max weight factor) says the pair sums could overflow int64.
+    acc_dtype = w1.dtype if D.fits(box_total_num * w1.max().item() ** n) else object
 
     def _acc(vals):
         return vals.astype(object) if acc_dtype is object else vals
@@ -447,16 +441,9 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     zero_classes = int(np.count_nonzero(zero_mask))
     inner_num = np.zeros(pin, dtype=acc_dtype)
     np.add.at(inner_num, cls_pi[solpq], _acc(wnum[solpq]))
-    if exact:
-        S = Fraction(_exact_sum(inner_num[zero_mask]), den1) - K * zero_classes
-        Sigma = sum(
-            (Fraction(int(v), den1) - K) ** 2 for v in inner_num
-        )
-        E0 = count_pq - pin * K
-    else:
-        S = pairwise_sum(np.where(zero_mask, inner_num, 0.0)) - K * zero_classes
-        Sigma = pairwise_sum((inner_num - K) ** 2)
-        E0 = count_pq - pin * K
+    S = D.frac(D.total(inner_num, zero_mask), den1) - K * zero_classes
+    Sigma = D.total((D.lift(inner_num) - K * den1) ** 2) / den1**2
+    E0 = count_pq - pin * K
 
     # shift tables
     Y = (4 * B) // pi
@@ -465,11 +452,9 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     budget.charge(Ycells, "shift table")
     S2 = np.correlate(w1, w1, "full")  # lag c at index c + (L-1)
     lags = pi * np.arange(-Y, Y + 1, dtype=np.int64)
-    fs_axis = np.zeros(sideY, dtype=w1.dtype)
+    fs_axis = np.zeros(sideY, dtype=acc_dtype)
     inrange = np.abs(lags) <= L - 1
     fs_axis[inrange] = S2[lags[inrange] + (L - 1)]
-    if acc_dtype is object:
-        fs_axis = fs_axis.astype(object)
     fs_num = _sep_product([fs_axis] * n)
 
     # pair pass over pq-solutions: congruence part of corr(y)
@@ -557,18 +542,14 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     v2 = K2 % pn
     t1_num = np.zeros(Ycells, dtype=acc_dtype)
     np.add.at(t1_num, y2, V2)
-    ss3 = _sq_bincount(y3, V3, Ycells, exact)
-    ss2 = _sq_bincount(y2, V2, Ycells, exact)
+    ss3 = _sq_bincount(y3, V3, Ycells)
+    ss2 = _sq_bincount(y2, V2, Ycells)
 
     # X_y(F_p): pairs of zeros of f mod p at shift pi*y
     gp = eval_on_axes(f, [np.arange(p, dtype=np.int64)] * n, p)
     gz = gp == 0
     gz_nd = gz.reshape((p,) * n)  # axis n-1-i <-> coordinate i (0-based)
-    ydigits = np.empty((Ycells, n), dtype=np.int64)
-    t = np.arange(Ycells)
-    for i in range(n):
-        ydigits[:, i] = t % sideY - Y
-        t = t // sideY
+    ydigits = _coords_from_flat(np.arange(Ycells), sideY, n, Y)
     wshift = (pi * ydigits) % p
     wid = np.zeros(Ycells, dtype=np.int64)
     scale = 1
@@ -596,116 +577,10 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
         member = rolled[wid_idx[y2], v2]
         np.add.at(sxy_num, y2[member], V2[member])
 
-    # residual checks
-    residuals: dict[str, ResidualCheck] = {}
-
-    def ident(name, value, scale=1.0):
-        if exact:
-            ok = value == 0
-            residuals[name] = ResidualCheck(name, ok, value, 0.0, "identity")
-        else:
-            tol = SMOOTH_RTOL * max(1.0, abs(scale))
-            ok = abs(value) <= tol
-            residuals[name] = ResidualCheck(name, ok, value, tol, "identity")
-
-    def ineq(name, margin, scale=1.0):
-        if exact:
-            ok = margin >= 0
-            residuals[name] = ResidualCheck(name, ok, margin, 0.0, "inequality")
-        else:
-            tol = SMOOTH_RTOL * max(1.0, abs(scale))
-            ok = margin >= -tol
-            residuals[name] = ResidualCheck(name, ok, margin, tol, "inequality")
-
-    # partition: N_W(f,B,pi p q) = S + K * zero_classes
-    ident("partition", count_full - (S + K * zero_classes),
-          scale=float(count_full) if not exact else 1.0)
-
-    # square_expansion: sum_u inner^2 = sum_y congnum
-    if exact:
-        lhs = sum(int(v) ** 2 for v in inner_num)
-        ident("square_expansion", lhs - _exact_sum(congnum))
-    else:
-        lhs = pairwise_sum(inner_num * inner_num)
-        rhs = pairwise_sum(congnum)
-        ident("square_expansion", lhs - rhs, scale=max(abs(lhs), abs(rhs)))
-
-    # variance_assembly: the corr-sum and the (pq)^-2 FS-sum recombine into
-    # the plain congruence sum, so the check reads
-    #   Sigma = sum_y congnum(y) - 2 K N_W(f,B,pq) + pi^n K^2
-    if exact:
-        sum_cong = Fraction(_exact_sum(congnum), den1**2)
-        assembled = sum_cong - 2 * K * count_pq + pin * K * K
-        ident("variance_assembly", Sigma - assembled)
-    else:
-        sum_cong = pairwise_sum(congnum)
-        assembled = sum_cong - 2 * K * count_pq + pin * K * K
-        ident("variance_assembly", Sigma - assembled,
-              scale=max(abs(Sigma), abs(assembled), 1.0))
-
-    # cauchy_schwarz: S^2 <= zero_classes * Sigma
-    ineq("cauchy_schwarz", zero_classes * Sigma - S * S,
-         scale=float(zero_classes * Sigma) if not exact else 1.0)
-
-    # support_vanishing: corr(y) = 0 outside the weight support
-    dead = np.max(np.abs(pi * ydigits), axis=1) >= 4 * B
-    if exact:
-        bad = int(np.count_nonzero(congnum[dead])) + int(
-            np.count_nonzero(fs_num[dead])
-        )
-        ident("support_vanishing", bad)
-    else:
-        worst = float(np.max(np.abs(congnum[dead]))) if dead.any() else 0.0
-        worst = max(worst, float(np.max(np.abs(fs_num[dead]))) if dead.any() else 0.0)
-        ident("support_vanishing", worst)
-
-    # per_shift_defect: corr(y) - S(y) = E2(y) reduces to congnum == sxy_num
-    if exact:
-        ident("per_shift_defect",
-              int(np.max(np.abs(congnum - sxy_num))) if Ycells else 0)
-    else:
-        diff = np.max(np.abs(congnum - sxy_num)) if Ycells else 0.0
-        ident("per_shift_defect", float(diff),
-              scale=float(np.max(np.abs(congnum))) if Ycells else 1.0)
-
-    # per_shift_cauchy and refinement_monotone, as scaled integers
-    if exact:
-        fs_o = fs_num.astype(object)
-        t0_o = t0_num.astype(object)
-        t1_o = t1_num.astype(object)
-        ss2_o = ss2.astype(object)
-        ss3_o = ss3.astype(object)
-        sxy_o = sxy_num.astype(object)
-        xc_o = xcount.astype(object)
-        c1 = pn * q * q
-        snum = c1 * sxy_o - xc_o * fs_o
-        sig_scaled = pn * pn * q**4 * ss2_o - 2 * c1 * fs_o * t1_o + pn * fs_o * fs_o
-        sigp_scaled = (
-            pn * pn * q**4 * ss3_o - 2 * c1 * fs_o * t0_o + pn * q * fs_o * fs_o
-        )
-        margin1 = xc_o * sig_scaled - snum * snum
-        margin2 = sigp_scaled - sig_scaled
-        ineq("per_shift_cauchy", int(np.min(margin1)) if Ycells else 0)
-        ineq("refinement_monotone", int(np.min(margin2)) if Ycells else 0)
-    else:
-        fs_o, t0_o, t1_o = fs_num, t0_num, t1_num
-        c1 = pn * q * q
-        snum = c1 * sxy_num - xcount * fs_o
-        sig_scaled = pn * pn * q**4.0 * ss2 - 2 * c1 * fs_o * t1_o + pn * fs_o**2
-        sigp_scaled = (
-            pn * pn * q**4.0 * ss3 - 2 * c1 * fs_o * t0_o + pn * q * fs_o**2
-        )
-        sc = float(np.max(np.abs(sig_scaled))) if Ycells else 1.0
-        ineq("per_shift_cauchy",
-             float(np.min(xcount * sig_scaled - snum * snum)),
-             scale=sc * max(1.0, float(np.max(xcount, initial=1))))
-        ineq("refinement_monotone", float(np.min(sigp_scaled - sig_scaled)),
-             scale=sc)
-
     ledger = PipelineLedger(
         params=params,
         n=n,
-        exact=exact,
+        exact=D.exact,
         den1=den1,
         box_weight_total=box_weight_total,
         count_full=count_full,
@@ -724,13 +599,87 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
         ss3=ss3,
         sxy_num=sxy_num,
         xcount=xcount,
-        residuals=residuals,
+        residuals={},
         warnings=warnings,
+        _inner_num=inner_num,
     )
+    ledger.residuals = _residuals(ledger)
 
     if params.with_pair_table:
-        _build_pair_table(ledger, coords, wnum, fq_v, cls_pi, cls_p, solq, budget)
+        _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p,
+                          solq, budget)
     return ledger
+
+
+def _check(D: _Domain, name: str, kind: str, value, scale=1.0) -> ResidualCheck:
+    """An identity (|value| <= tol) or inequality (value >= -tol) in D."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    tol = D.tol(scale)
+    ok = abs(value) <= tol if kind == "identity" else value >= -tol
+    return ResidualCheck(name, ok, value, tol, kind)
+
+
+def _residuals(led: PipelineLedger) -> dict:
+    """The level-0 and per-shift identities, from the ledger's tables."""
+    D, pr, n = led._dom, led.params, led.n
+    pin, pn, q = pr.pi**n, pr.p**n, pr.q
+    K, S, Sigma = led.expected_per_class, led.first_moment, led.second_moment
+    congnum = led.corr_num
+    out: dict[str, ResidualCheck] = {}
+
+    def put(name, kind, value, scale=1.0):
+        out[name] = _check(D, name, kind, value, scale)
+
+    # partition: N_W(f,B,pi p q) = S + K * zero_classes
+    put("partition", "identity", led.count_full - (S + K * led.zero_classes),
+        led.count_full)
+
+    # square_expansion: sum_u inner^2 = sum_y congnum
+    inner = D.lift(led._inner_num)
+    lhs, cong_total = D.total(inner * inner), D.total(congnum)
+    put("square_expansion", "identity", lhs - cong_total,
+        max(abs(lhs), abs(cong_total)))
+
+    # variance_assembly: the corr-sum and the (pq)^-2 FS-sum recombine into
+    # the plain congruence sum, so the check reads
+    #   Sigma = sum_y congnum(y) - 2 K N_W(f,B,pq) + pi^n K^2
+    sum_cong = D.frac(cong_total, led.den1**2)
+    assembled = sum_cong - 2 * K * led.count_pq + pin * K * K
+    put("variance_assembly", "identity", Sigma - assembled,
+        max(abs(Sigma), abs(assembled), 1.0))
+
+    # cauchy_schwarz: S^2 <= zero_classes * Sigma
+    put("cauchy_schwarz", "inequality", led.zero_classes * Sigma - S * S,
+        led.zero_classes * Sigma)
+
+    # support_vanishing: corr(y) = 0 outside the weight support
+    Y = led.shift_range
+    ydigits = _coords_from_flat(np.arange(len(congnum)), 2 * Y + 1, n, Y)
+    dead = np.max(np.abs(pr.pi * ydigits), axis=1) >= 4 * pr.B
+    put("support_vanishing", "identity",
+        max(np.abs(congnum[dead]).max(initial=0),
+            np.abs(led.fs_num[dead]).max(initial=0)))
+
+    # per_shift_defect: corr(y) - S(y) = E2(y) reduces to congnum == sxy_num
+    put("per_shift_defect", "identity",
+        np.max(np.abs(congnum - led.sxy_num)), np.max(np.abs(congnum)))
+
+    # per_shift_cauchy and refinement_monotone, as scaled numerators
+    fs, t0, t1, ss2, ss3, sxy, xc = (
+        D.lift(a) for a in (led.fs_num, led.t0_num, led.t1_num, led.ss2,
+                            led.ss3, led.sxy_num, led.xcount)
+    )
+    c1 = pn * q * q
+    snum = c1 * sxy - xc * fs
+    sig_scaled = pn * pn * q**4 * ss2 - 2 * c1 * fs * t1 + pn * fs**2
+    sigp_scaled = pn * pn * q**4 * ss3 - 2 * c1 * fs * t0 + pn * q * fs**2
+    sc = float(np.max(np.abs(sig_scaled)))
+    put("per_shift_cauchy", "inequality", np.min(xc * sig_scaled - snum * snum),
+        sc * max(1.0, float(np.max(led.xcount, initial=1))))
+    put("refinement_monotone", "inequality", np.min(sigp_scaled - sig_scaled),
+        sc)
+    return out
 
 
 def _t2d(w1: np.ndarray, pi: int, p: int, Y: int, Z: int, L: int) -> np.ndarray:
@@ -754,7 +703,8 @@ def _t2d(w1: np.ndarray, pi: int, p: int, Y: int, Z: int, L: int) -> np.ndarray:
     return out
 
 
-def _build_pair_table(ledger, coords, wnum, fq_v, cls_pi, cls_p, solq, budget):
+def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
+                      budget):
     """Second differencing: corr2(y, z) tables and their per-y aggregates."""
     pr = ledger.params
     B, pi, p, q, n = pr.B, pr.pi, pr.p, pr.q, ledger.n
@@ -762,9 +712,7 @@ def _build_pair_table(ledger, coords, wnum, fq_v, cls_pi, cls_p, solq, budget):
     Z = (4 * B) // p
     sideZ = 2 * Z + 1
     Zcells = sideZ**n
-    w = Weight(pr.weight)
-    H = w.halfwidth(B)
-    L = 2 * H + 1
+    L = w1.size
     keep_table = Ycells * Zcells <= PAIR_TABLE_MAX_CELLS
     if not keep_table:
         ledger.warnings.append(
@@ -773,7 +721,6 @@ def _build_pair_table(ledger, coords, wnum, fq_v, cls_pi, cls_p, solq, budget):
         )
     budget.charge(Zcells * L**n, "pair-table windows")
 
-    w1, den = w.axis_values(B)
     pn = p**n
     order_q, starts_q = _group_by_class(cls_p, solq, pn)
 
@@ -781,32 +728,32 @@ def _build_pair_table(ledger, coords, wnum, fq_v, cls_pi, cls_p, solq, budget):
     # bounded by q^3 * (sum over x-pairs of their weight product) * (max
     # single pair weight) + (per-axis quadruple bound)^n; if that is too
     # large, run this level in float64 and say so.
-    lvl2_exact = ledger.exact
-    if ledger.exact:
-        w1max = int(w1.max())
-        pairsum_x = 0
-        for r in range(pn):
-            a = order_q[starts_q[r] : starts_q[r + 1]]
-            pairsum_x += int(np.sum(wnum[a], dtype=object)) ** 2
-        axis4 = w1max**3 * int(np.sum(w1, dtype=object))
-        cell_bound = q**3 * pairsum_x * w1max ** (2 * n) + axis4**n
-        if cell_bound >= 2**62 or ledger.ss3.dtype == object:
-            lvl2_exact = False
-            ledger.warnings.append(
-                "second-difference tables exceed exact integer range; "
-                "level 2 ran in float64"
-            )
-    ledger.pair_exact = lvl2_exact
-    if ledger.exact and not lvl2_exact:
-        den = den if den is not None else 1
-        w1 = w1.astype(np.float64) / den
-        wnum = wnum.astype(np.float64) / den**n
+    D = ledger._dom
+    w1max = w1.max().item()
+    pairsum_x = sum(
+        D.total(wnum[order_q[starts_q[r] : starts_q[r + 1]]]) ** 2
+        for r in range(pn)
+    )
+    axis4 = w1max**3 * D.total(w1)
+    cell_bound = q**3 * pairsum_x * w1max ** (2 * n) + axis4**n
+    if D.fits(cell_bound) and ledger.ss3.dtype != object:
+        D2 = D
+    else:
+        D2 = _Domain(False)
+        ledger.warnings.append(
+            "second-difference tables exceed exact integer range; "
+            "level 2 ran in float64"
+        )
+    ledger.pair_exact = D2.exact
+    ledger._pair_dom = D2
+    w1 = D2.scaled(w1, den)
+    wnum = D2.scaled(wnum, den**n)
+    acc_dtype = wnum.dtype
 
     t2d = _t2d(w1, pi, p, Y, Z, L)
     ledger._t2d_table = t2d
     ledger.pair_range = Z
 
-    acc_dtype = np.int64 if lvl2_exact else np.float64
     xi_list, zk_list, wx_list = [], [], []
     zstrides = sideZ ** np.arange(n, dtype=np.int64)
     total_pairs = sum(
@@ -847,12 +794,10 @@ def _build_pair_table(ledger, coords, wnum, fq_v, cls_pi, cls_p, solq, budget):
     ystrides = sideY ** np.arange(n, dtype=np.int64)
 
     qsum = np.zeros(Ycells, dtype=acc_dtype)
-    if lvl2_exact:
-        abs_total = np.zeros(Ycells, dtype=object)
-        abs_acc = np.zeros(Ycells, dtype=np.int64)
-        headroom = 2**62
-    else:
-        abs_total = np.zeros(Ycells, dtype=np.float64)
+    # sum_z |q^3 cong - FS2| per y; exact int64 sums move to Python ints
+    # (flushed) before their bound could pass 2^62
+    abs_acc = np.zeros(Ycells, dtype=acc_dtype)
+    flushed, used = 0, 0
     table = np.zeros((Ycells, Zcells), dtype=acc_dtype) if keep_table else None
     q3 = q**3
 
@@ -918,43 +863,24 @@ def _build_pair_table(ledger, coords, wnum, fq_v, cls_pi, cls_p, solq, budget):
         if table is not None:
             table[:, kz] = slab
         qsum += slab
-        if lvl2_exact:
-            fs2_max = int(fs2.max()) if fs2.size else 0
-            step_bound = q3 * (int(slab.max()) if slab.size else 0) + fs2_max
-            if step_bound >= headroom:
-                abs_total += abs_acc.astype(object)
-                abs_acc[:] = 0
-                headroom = 2**62
-            abs_acc += np.abs(q3 * slab - fs2)
-            headroom -= step_bound
-        else:
-            abs_total += np.abs(q3 * slab - fs2) / q3
-    if lvl2_exact:
-        abs_total += abs_acc.astype(object)
+        bound = q3 * slab.max().item() + fs2.max().item()
+        if not D2.fits(used + bound):
+            flushed = flushed + D2.lift(abs_acc)
+            abs_acc[:] = 0
+            used = 0
+        used += bound
+        abs_acc += D2.scaled(np.abs(q3 * slab - fs2), q3)
     ledger.qsum = qsum
-    ledger.abs2_num = abs_total
+    ledger.abs2_num = flushed + D2.lift(abs_acc)
     ledger.pair_table = table
 
     # refined_square_expansion: sum over (v, a) of squared bin sums equals
-    # the z-sum of pair congruence parts
-    if lvl2_exact:
-        diff = ledger.ss3.astype(object) - qsum.astype(object)
-        val = int(np.max(np.abs(diff))) if Ycells else 0
-        ledger.residuals["refined_square_expansion"] = ResidualCheck(
-            "refined_square_expansion", val == 0, val, 0.0, "identity"
-        )
-    else:
-        # ss3 still carries the exact-numerator scale when the rest of the
-        # ledger is exact; bring it to the real-valued scale of qsum
-        ss3_real = np.asarray(
-            [float(v) for v in ledger.ss3], dtype=np.float64
-        ) / float(ledger.den1) ** 4
-        scale = float(np.max(np.abs(ss3_real))) if Ycells else 1.0
-        val = float(np.max(np.abs(ss3_real - qsum))) if Ycells else 0.0
-        tol = SMOOTH_RTOL * max(1.0, scale)
-        ledger.residuals["refined_square_expansion"] = ResidualCheck(
-            "refined_square_expansion", val <= tol, val, tol, "identity"
-        )
+    # the z-sum of pair congruence parts (ss3 carries den1^4 numerators)
+    ss3 = D2.scaled(ledger.ss3, float(ledger.den1) ** 4)
+    ledger.residuals["refined_square_expansion"] = _check(
+        D2, "refined_square_expansion", "identity",
+        np.max(np.abs(D2.lift(ss3) - D2.lift(qsum))), np.max(np.abs(ss3)),
+    )
 
     ledger.aggregate = _aggregate_from_abs(ledger)
 
@@ -962,19 +888,15 @@ def _build_pair_table(ledger, coords, wnum, fq_v, cls_pi, cls_p, solq, budget):
 def _aggregate_from_abs(ledger) -> float:
     """pi^((n-1)/2) p^((n-2)/4) (sum_{y != 0} sqrt(sum_z |corr2|))^(1/2)."""
     pr = ledger.params
-    n = ledger.n
+    n, D2 = ledger.n, ledger._pair_dom
     Y, sideY = ledger.shift_range, 2 * ledger.shift_range + 1
     key0 = sum(Y * sideY**i for i in range(n))
-    den = pr.q**3 * ledger.den1**4
+    den = pr.q**3 * D2.den1**4
     total = 0.0
     for k in range(len(ledger.abs2_num)):
         if k == key0:
             continue
-        v = ledger.abs2_num[k]
-        # exact level 2 stores integer numerators over q^3 den1^4; the
-        # float path already stores real values
-        sz = float(Fraction(int(v), den)) if ledger.pair_exact else float(v)
-        total += math.sqrt(sz)
+        total += math.sqrt(float(D2.value(ledger.abs2_num[k], den)))
     return pr.pi ** ((n - 1) / 2) * pr.p ** ((n - 2) / 4) * math.sqrt(total)
 
 
@@ -987,29 +909,18 @@ def aggregate_bound(ledger: PipelineLedger, recompute: bool = False) -> dict:
     if recompute:
         if ledger.pair_table is None:
             raise PreconditionError("pair table was summarized; cannot recompute")
-        q3 = ledger.params.q**3
-        Ycells, Zcells = ledger.pair_table.shape
+        D2, q3, n = ledger._pair_dom, ledger.params.q**3, ledger.n
+        Ycells = ledger.pair_table.shape[0]
+        ydig = _coords_from_flat(np.arange(Ycells), 2 * ledger.shift_range + 1, n, 0)
         mism = 0
         for ky in range(Ycells):  # y-major, opposite of the build's z-major
-            row = ledger.pair_table[ky]
-            acc = 0 if ledger.pair_exact else 0.0
-            for kz in range(Zcells):
-                fs2 = ledger._fs2_cell(ky, kz)
-                if ledger.pair_exact:
-                    acc += abs(q3 * int(row[kz]) - int(fs2))
-                else:
-                    acc += abs(q3 * float(row[kz]) - float(fs2)) / q3
-            ref = (
-                int(ledger.abs2_num[ky])
-                if ledger.pair_exact
-                else float(ledger.abs2_num[ky])
-            )
-            if ledger.pair_exact:
-                if acc != ref:
-                    mism += 1
-            else:
-                if abs(acc - ref) > 1e-9 * max(1.0, abs(ref)):
-                    mism += 1
+            # FS2 over every z as one separable product of this y's rows
+            fs2 = _sep_product([ledger._t2d_table[ydig[ky, i]] for i in range(n)])
+            step = np.abs(q3 * ledger.pair_table[ky] - fs2)
+            acc = D2.total(D2.scaled(step, q3))
+            ref = ledger.abs2_num[ky]
+            if abs(acc - ref) > D2.tol(ref):
+                mism += 1
         out["recomputed_matches"] = mism == 0
         out["mismatched_rows"] = mism
     return out
@@ -1129,12 +1040,8 @@ def deviation_probe(
 
     cnt = weighted_count(forms, B, p * q, weight, budget)
     box = weighted_count([IntPoly.zero(n)], B, 1, weight, budget)
-    if cnt.exact:
-        expected = box.value / Fraction((p * q) ** r)
-        measured = float(abs(cnt.value - expected))
-    else:
-        expected = box.value / (p * q) ** r
-        measured = abs(cnt.value - expected)
+    expected = box.value / _Domain(cnt.exact).frac((p * q) ** r, 1)
+    measured = float(abs(cnt.value - expected))
 
     t1 = B ** ((n + 1) / 2) * p ** (-r / 2) * q ** ((n - r - 1) / 4)
     t2 = B ** ((n + 1) / 2) * p ** ((n - 2 * r) / 2) * q ** (-1 / 4)

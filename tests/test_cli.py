@@ -7,6 +7,7 @@ entry).
 """
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,10 @@ def test_pipeline_showcase(capsys):
     assert res["pair"]["exact"] is True
     assert res["pair"]["aggregate"] == pytest.approx(85.0050477733564)
     assert len(res["records"]) == 5
+    # the whole exact result is pinned; the smooth one is not, since its
+    # exp() values depend on the platform's libm
+    golden = Path(__file__).parent / "golden" / "pipeline_showcase_result.json"
+    assert res == json.loads(golden.read_text())
 
 
 def test_geom_sing_smooth_quartic(capsys):

@@ -4,6 +4,7 @@ The showcase instance (a cubic in three variables, B=4, moduli 2/3/5) is
 small enough to recompute every table entry directly over the integer
 box, so each assertion has an independent oracle.
 """
+import dataclasses
 import itertools
 from collections import defaultdict
 from fractions import Fraction
@@ -15,6 +16,7 @@ from vdc.errors import Budget, BudgetExceeded, InputError, PreconditionError
 from vdc.mpoly import parse_poly
 from vdc.pipeline import (
     PipelineParams,
+    _residuals,
     aggregate_bound,
     build_ledger,
     deviation_probe,
@@ -177,6 +179,31 @@ def test_indicator_weight_residuals_hold():
         PipelineParams(f=F, B=3, pi=2, p=3, q=5, weight="indicator"))
     assert led_i.exact
     assert all(rc.ok for rc in led_i.residuals.values())
+
+
+def test_exact_ledger_with_float_level2():
+    # at B=8 the level-2 int64 bound fails, so only level 2 leaves exact ints
+    led_f = build_ledger(PipelineParams(f=F, B=8, pi=3, p=5, q=37,
+                                        weight="hat", with_pair_table=True))
+    assert led_f.exact
+    assert led_f.pair_exact is False
+    assert any("level 2 ran in float64" in w for w in led_f.warnings)
+    assert len(led_f.residuals) == 9
+    bad = [rc.name for rc in led_f.residuals.values() if not rc.ok]
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("weight", ["hat", "smooth"])
+def test_residual_checks_can_fail(weight):
+    led_w = build_ledger(PipelineParams(f=F, B=3, pi=2, p=3, q=5,
+                                        weight=weight))
+    assert _residuals(led_w)["per_shift_defect"].ok
+    sxy = led_w.sxy_num.copy()
+    k = int(np.argmax(np.abs(sxy)))
+    # one unit of the exact numerator scale; a 1e-6 relative error in float
+    sxy[k] = sxy[k] + 1 if led_w.exact else sxy[k] * (1 + 1e-6)
+    bad = _residuals(dataclasses.replace(led_w, sxy_num=sxy))
+    assert not bad["per_shift_defect"].ok
 
 
 def test_worker_count_does_not_change_results():
