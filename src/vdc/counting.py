@@ -23,6 +23,10 @@ hat and smooth is |x_i| <= 2B-1.
 All enumeration is charged against a Budget before any allocation, and the
 grid order is fixed (x1 varies fastest) so float reductions are
 reproducible.
+
+Grids are evaluated by `eval_on_axes`, which only shapes the box axes for
+broadcasting; the arithmetic is the one evaluator in `ffield`.  Moduli are
+accepted in 1 <= m < 2^63 and refused with InputError outside it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Budget, InputError, PreconditionError, ensure_budget
-from .ffield import Field
+from .ffield import Field, _eval_terms
 from .geometry import VarietySpec, dim_est_affine, sing_points
 from .mpoly import IntPoly
 from .parallel import pairwise_sum
@@ -90,10 +94,6 @@ class Weight:
         raise PreconditionError("smooth weight is not exact")
 
 
-def weight_make(kind: str) -> Weight:
-    return Weight(kind)
-
-
 # -- grid evaluation ----------------------------------------------------------
 
 
@@ -103,72 +103,17 @@ def eval_on_axes(
     """Evaluate f on the cartesian product of integer axes.
 
     The returned array is flat in the order where x1 varies fastest (axis
-    for x_i is n-i, C order).  With a modulus the result is int64 residues;
-    without one the values are exact, in int64 when a coarse bound proves
-    that safe and Python objects otherwise.
+    for x_i is n-i, C order).  With a modulus 1 <= m < 2^63 the result is
+    int64 residues; without one the values are exact, in int64 when a
+    coarse bound proves that safe and Python objects otherwise.
     """
     n = f.n
     if len(axes) != n:
         raise InputError("axis count mismatch", axes=len(axes), n=n)
-    shape = tuple(len(axes[n - 1 - ax]) for ax in range(n))  # axis 0 <-> x_n
-
-    if m is not None:
-        if m < 1:
-            raise InputError("modulus must be >= 1", m=m)
-        total = np.zeros(shape, dtype=np.int64)
-        pow_cache: dict[tuple, np.ndarray] = {}
-
-        def pw(i, e):
-            key = (i, e)
-            if key not in pow_cache:
-                base = axes[i].astype(np.int64) % m
-                v = base.copy()
-                for _ in range(e - 1):
-                    v = v * base % m
-                pow_cache[key] = v
-            return pow_cache[key]
-
-        for exps, c in f.terms.items():
-            term = np.full(shape, c % m, dtype=np.int64)
-            for i, e in enumerate(exps):
-                if e:
-                    bshape = [1] * n
-                    bshape[n - 1 - i] = len(axes[i])
-                    term = term * pw(i, e).reshape(bshape) % m
-            total = (total + term) % m
-        return total.ravel()
-
-    # exact evaluation: decide dtype from a coarse bound
-    bound = 0
-    for exps, c in f.terms.items():
-        t = abs(c)
-        for i, e in enumerate(exps):
-            amax = int(np.max(np.abs(axes[i]))) if len(axes[i]) else 0
-            t *= max(1, amax) ** e
-        bound += t
-    dtype = np.int64 if bound < 2**62 else object
-    total = np.zeros(shape, dtype=dtype)
-    pow_cache = {}
-
-    def pwe(i, e):
-        key = (i, e)
-        if key not in pow_cache:
-            base = axes[i].astype(dtype)
-            v = base.copy()
-            for _ in range(e - 1):
-                v = v * base
-            pow_cache[key] = v
-        return pow_cache[key]
-
-    for exps, c in f.terms.items():
-        term = np.full(shape, c, dtype=dtype)
-        for i, e in enumerate(exps):
-            if e:
-                bshape = [1] * n
-                bshape[n - 1 - i] = len(axes[i])
-                term = term * pwe(i, e).reshape(bshape)
-        total = total + term
-    return total.ravel()
+    shape = tuple(len(ax) for ax in reversed(axes))  # axis 0 <-> x_n
+    # x_i's axis followed by i singleton axes broadcasts along axis n-1-i
+    cols = [np.asarray(ax).reshape((-1,) + (1,) * i) for i, ax in enumerate(axes)]
+    return _eval_terms(f.terms, cols, shape, m).ravel()
 
 
 def _box_axes(n: int, H: int) -> list[np.ndarray]:
@@ -212,10 +157,7 @@ def count_box(f: IntPoly, B: int, budget: Budget | None = None) -> int:
         raise InputError("B must be >= 0", B=B)
     budget = ensure_budget(budget)
     _charge_box(budget, f.n, B)
-    vals = eval_on_axes(f, _box_axes(f.n, B), None)
-    if vals.dtype == object:
-        return sum(1 for v in vals if v == 0)
-    return int(np.count_nonzero(vals == 0))
+    return int(np.count_nonzero(eval_on_axes(f, _box_axes(f.n, B), None) == 0))
 
 
 def count_box_mod(fs, B: int, m: int, budget: Budget | None = None) -> int:
@@ -226,8 +168,6 @@ def count_box_mod(fs, B: int, m: int, budget: Budget | None = None) -> int:
     fs = _as_poly_list(fs)
     if B < 0:
         raise InputError("B must be >= 0", B=B)
-    if m < 1:
-        raise InputError("modulus must be >= 1", m=m)
     if not fs:
         raise InputError("need at least one polynomial")
     n = fs[0].n
@@ -260,8 +200,6 @@ def weighted_count(
         weight = Weight(weight)
     if B < 1:
         raise InputError("B must be >= 1", B=B)
-    if m < 1:
-        raise InputError("modulus must be >= 1", m=m)
     n = fs[0].n if fs else None
     if n is None:
         raise InputError("cannot infer dimension from an empty list; pass a "

@@ -1,4 +1,5 @@
-"""Finite fields F_{p^k} in polynomial basis, and small prime utilities.
+"""Finite fields F_{p^k} in polynomial basis, small prime utilities, and
+the one array evaluator of polynomials.
 
 An element of F_{p^k} is encoded as an integer in [0, p^k): the code
 ``sum(c_i * p**i)`` stands for the coefficient vector (c_0, ..., c_{k-1})
@@ -7,10 +8,18 @@ degree k.  The modulus is canonical: among all monic irreducibles of degree
 k it is the one whose integer code (p^k plus the base-p digits of its
 non-leading coefficients) is smallest, so x^2+x+1 for F_4, x^2+1 for F_9,
 x^4+x+1 for F_16.  Two Field objects with the same (p, k) are always
-compatible.
+compatible.  This module is the only one that knows the encoding.
 
 Multiplication is schoolbook convolution followed by reduction; no discrete
 logarithm tables are used.
+
+Every array evaluation of a polynomial (``counting.eval_on_axes`` on box
+axes, ``geometry.values_on`` on rows of points) runs through
+:func:`_eval_terms`, in one of three rings: the integers (int64 under a
+checked bound, Python ints above it), Z/m for 1 <= m < 2^63 (int64
+products while (m-1)^2 < 2^63, Python-int products above; the residues
+are int64 either way), and F_{p^k} codes for k > 1.  Larger moduli are
+refused with InputError.
 """
 
 from __future__ import annotations
@@ -430,3 +439,106 @@ def reduce_mod(f, field: Field) -> FqPoly:
         if cc:
             terms[e] = cc
     return FqPoly(field, f.n, terms)
+
+
+# -- array evaluation ---------------------------------------------------------
+
+MODULUS_CAP = 2**63  # residues are int64
+
+
+def _ring(ring, terms: dict, cols: list):
+    """(lift, mul, add, finish) of the ring that `ring` names.
+
+    lift maps coordinate arrays and coefficients to ring elements, mul and
+    add combine two elements, and finish turns a sum of products into the
+    output array.  Every product is reduced; sums are reduced once, by
+    finish, within the bounds checked here.
+    """
+    if isinstance(ring, Field) and ring.k > 1:
+        # an element array is carried as its k base-p digit arrays; a
+        # product is their convolution, reduced by x^(k+j) = rows[j].  The
+        # digits are int32 while a product's (< 2k p^2) and the sums of all
+        # terms' (< len(terms) p) fit
+        p, k, rows = ring.p, ring.k, ring._red_rows
+        dtype = np.int32 if (2 * k * p + len(terms)) * p < 2**31 else np.int64
+
+        def lift(a):
+            a = np.asarray(a, dtype=np.int64)
+            return [(a // p**i % p).astype(dtype) for i in range(k)]
+
+        def mul(a, b):
+            conv = [0] * (2 * k - 1)
+            for i in range(k):
+                for j in range(k):
+                    conv[i + j] = conv[i + j] + a[i] * b[j]
+            for deg in range(2 * k - 2, k - 1, -1):
+                c = conv[deg] % p
+                for t, r in enumerate(rows[deg - k]):
+                    if r:
+                        conv[t] = conv[t] + c * r
+            return [d % p for d in conv[:k]]
+
+        def add(a, b):
+            return [x + y for x, y in zip(a, b)]
+
+        return lift, mul, add, lambda s: sum(
+            d.astype(np.int64) % p * p**i for i, d in enumerate(s))
+    if ring is None:
+        amax = [int(np.max(np.abs(col))) if col.size else 0 for col in cols]
+        bound = 0
+        for exps, c in terms.items():
+            t = abs(c)
+            for a, e in zip(amax, exps):
+                t *= max(1, a) ** e
+            bound += t
+        dtype = np.int64 if bound < 2**62 else object
+
+        def lift(a):
+            return np.asarray(a, dtype=dtype)
+
+        return lift, np.multiply, np.add, lambda s: s
+    m = ring.p if isinstance(ring, Field) else ring
+    if m < 1:
+        raise InputError("modulus must be >= 1", m=m)
+    if m >= MODULUS_CAP:
+        raise InputError("modulus must be below 2^63", m=m)
+    # products below m^2, sums of reduced terms below m * len(terms)
+    big = max((m - 1) ** 2, (m - 1) * len(terms))
+    dtype = np.int64 if big < MODULUS_CAP else object
+
+    def lift(a):
+        return np.asarray(a % m, dtype=dtype)
+
+    def mul(a, b):
+        return a * b % m
+
+    return lift, mul, np.add, lambda s: (s % m).astype(np.int64, copy=False)
+
+
+def _eval_terms(terms: dict, cols: list, shape: tuple, ring) -> np.ndarray:
+    """The array of sum_e c_e prod_i x_i^(e_i) over `terms`, of `shape`.
+
+    cols[i] holds the values of x_i shaped to broadcast against `shape`: a
+    box axis along its own dimension, or one column of a point array.
+    Power tables therefore stay the size of one coordinate, and only a
+    term's last products and the running sum reach full size.  `ring` is
+    None for Z, an int m for Z/m, or a Field (element codes in and out).
+    """
+    lift, mul, add, finish = _ring(ring, terms, cols)
+    base = [lift(c) for c in cols]
+    pows: dict[tuple, np.ndarray] = {}
+
+    def pw(i, e):
+        if (i, e) not in pows:
+            pows[i, e] = base[i] if e == 1 else mul(pw(i, e - 1), base[i])
+        return pows[i, e]
+
+    total = lift(0)
+    for exps, c in terms.items():
+        v = lift(c)
+        for i, e in enumerate(exps):
+            if e:
+                v = mul(v, pw(i, e))
+        total = add(total, v)
+    out = finish(total)
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()

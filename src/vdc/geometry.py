@@ -12,6 +12,10 @@ points, so all "dimensions" are estimates derived from point counts:
 Both are evaluated with exact integer comparisons (square both sides).
 The empty set has dimension -1 by convention.
 
+Forms are evaluated on point arrays by `values_on`, which hands the
+point columns to the one evaluator in `ffield`; it accepts every field
+that `ffield.Field` builds (q <= Q_CAP = 2^20).
+
 Singularity is the Jacobian criterion at rational points: a point on the
 variety is singular when the r x n Jacobian of the first r defining forms
 has rank < r there.  Note this marks *every* point singular when a
@@ -55,7 +59,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import Budget, InputError, PreconditionError, ensure_budget
-from .ffield import Field, FqPoly, enum_proj, field_make, reduce_mod
+from .ffield import Field, FqPoly, _eval_terms, enum_proj, field_make, reduce_mod
 from .mpoly import IntPoly
 
 MAX_WITNESSES = 16
@@ -98,94 +102,10 @@ def dim_est_affine(count: int, q: int) -> int:
     return d
 
 
-# -- vectorized F_q arithmetic on code arrays --------------------------------
-
-
-def _vec_digits(fld: Field, a: np.ndarray) -> list[np.ndarray]:
-    out = []
-    v = a.astype(np.int64, copy=True)
-    for _ in range(fld.k):
-        out.append(v % fld.p)
-        v //= fld.p
-    return out
-
-
-def _vec_encode(fld: Field, digits: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(digits[0])
-    for d in reversed(digits):
-        out = out * fld.p + d % fld.p
-    return out
-
-
-def _vec_add(fld: Field, a: np.ndarray, b) -> np.ndarray:
-    if fld.k == 1:
-        return (a + b) % fld.p
-    da, db = _vec_digits(fld, a), _vec_digits(fld, np.asarray(b, dtype=np.int64))
-    return _vec_encode(fld, [x + y for x, y in zip(da, db)])
-
-
-def _vec_mul(fld: Field, a: np.ndarray, b) -> np.ndarray:
-    if fld.k == 1:
-        return a * b % fld.p
-    p, k = fld.p, fld.k
-    da, db = _vec_digits(fld, a), _vec_digits(fld, np.asarray(b, dtype=np.int64))
-    conv = [np.zeros(np.broadcast(a, b).shape, dtype=np.int64) for _ in range(2 * k - 1)]
-    for i in range(k):
-        for j in range(k):
-            conv[i + j] = conv[i + j] + da[i] * db[j]
-    for deg in range(2 * k - 2, k - 1, -1):
-        c = conv[deg] % p
-        row = fld._red_rows[deg - k]
-        for t in range(k):
-            if row[t]:
-                conv[t] = conv[t] + c * row[t]
-    return _vec_encode(fld, [c % p for c in conv[:k]])
-
-
 def values_on(F: FqPoly, pts: np.ndarray) -> np.ndarray:
     """Evaluate F at every row of an (N, n) array of element codes."""
-    fld = F.field
-    N = pts.shape[0]
-    if fld.k == 1:
-        p = fld.p
-        out = np.zeros(N, dtype=np.int64)
-        pow_cache: dict[tuple, np.ndarray] = {}
-
-        def pw(i, e):
-            key = (i, e)
-            if key not in pow_cache:
-                if e == 1:
-                    pow_cache[key] = pts[:, i] % p
-                else:
-                    pow_cache[key] = pw(i, e - 1) * (pts[:, i] % p) % p
-            return pow_cache[key]
-
-        for exps, c in F.terms.items():
-            v = np.full(N, c % p, dtype=np.int64)
-            for i, e in enumerate(exps):
-                if e:
-                    v = v * pw(i, e) % p
-            out = (out + v) % p
-        return out
-    out = np.zeros(N, dtype=np.int64)
-    pow_cache = {}
-
-    def pwx(i, e):
-        key = (i, e)
-        if key not in pow_cache:
-            if e == 1:
-                pow_cache[key] = pts[:, i].astype(np.int64)
-            else:
-                pow_cache[key] = _vec_mul(fld, pwx(i, e - 1), pts[:, i])
-        return pow_cache[key]
-
-    for exps, c in F.terms.items():
-        v = np.full(N, c, dtype=np.int64)
-        for i, e in enumerate(exps):
-            if e:
-                v = _vec_mul(fld, v, pwx(i, e))
-        out = _vec_add(fld, out, v)
-    return out
+    cols = [pts[:, i] for i in range(F.n)]
+    return _eval_terms(F.terms, cols, (pts.shape[0],), F.field)
 
 
 def affine_grid(fld: Field, n: int, budget: Budget | None = None) -> np.ndarray:
@@ -323,18 +243,13 @@ def sing_points(
     total = int(np.count_nonzero(on))
     vpts = pts[on]
     grads = [[f.partial(i) for i in range(1, n + 1)] for f in spec.forms[:r]]
+    jac = [np.stack([values_on(g, vpts) for g in grow], axis=1) for grow in grads]
     if fld.k == 1 and r <= 3:
-        jrows = [
-            np.stack([values_on(g, vpts) for g in grow], axis=1) for grow in grads
-        ]
-        sing_mask = _minor_mask_lt_rank(fld.p, jrows, r)
+        sing_mask = _minor_mask_lt_rank(fld.p, jac, r)
     else:
-        jvals = [
-            np.stack([values_on(g, vpts) for g in grow], axis=1) for grow in grads
-        ]
         sing_mask = np.zeros(vpts.shape[0], dtype=bool)
         for m in range(vpts.shape[0]):
-            rows = [list(map(int, jv[m])) for jv in jvals]
+            rows = [list(map(int, jv[m])) for jv in jac]
             sing_mask[m] = _rank_rows(fld, rows) < r
     sing_count = int(np.count_nonzero(sing_mask))
     witnesses = [tuple(map(int, w)) for w in vpts[sing_mask][:MAX_WITNESSES]]
@@ -401,15 +316,6 @@ class _PrimeEngine:
         self.hess = hess
         self._parts = parts
         self._third: np.ndarray | None = None
-        # coefficient matrix of the first-difference form: row i holds the
-        # monomial coefficients of dF/dx_i, used for exact degeneracy tests
-        monos = sorted({e for g in parts for e in g.terms})
-        self._mono_index = {e: t for t, e in enumerate(monos)}
-        D = np.zeros((n, len(monos)), dtype=np.int64)
-        for i, g in enumerate(parts):
-            for e, c in g.terms.items():
-                D[i, self._mono_index[e]] = c
-        self._dirmat = D
 
     @property
     def third(self) -> np.ndarray:
@@ -427,11 +333,6 @@ class _PrimeEngine:
             self._third = t
         return self._third
 
-    def dir_degenerate(self, y: np.ndarray) -> bool:
-        """True when the first-difference form of direction y is the zero
-        polynomial (all monomial coefficients vanish mod p)."""
-        return not np.any(y @ self._dirmat % self.p)
-
 
 @dataclass
 class SigmaReport:
@@ -440,12 +341,10 @@ class SigmaReport:
     s        : dim estimate of Sing V(F, F_y)
     s_tilde  : dim estimate of Sing V(F_y)
     sigma    : max(s, s_tilde)
-    degenerate marks F_y == 0 as a polynomial; counts are rational-point
-    counts behind each estimate.
+    The counts are the rational-point counts behind each estimate.
     """
 
     y: tuple
-    degenerate: bool
     s: int
     s_tilde: int
     sigma: int
@@ -465,9 +364,6 @@ class SigmaSweep:
     s: np.ndarray
     s_tilde: np.ndarray
     sigma: np.ndarray
-    degenerate: np.ndarray
-    pair_count: np.ndarray
-    pair_dim: np.ndarray  # dim estimate of V(F, F_y) itself
 
 
 def _sigma_single(eng: _PrimeEngine, y: np.ndarray) -> SigmaReport:
@@ -491,7 +387,6 @@ def _sigma_single(eng: _PrimeEngine, y: np.ndarray) -> SigmaReport:
     st = dim_est(dsc, q)
     return SigmaReport(
         y=tuple(map(int, y)),
-        degenerate=eng.dir_degenerate(y),
         s=s,
         s_tilde=st,
         sigma=max(s, st),
@@ -529,10 +424,6 @@ def sigma_sweep(F, p: int | None = None, budget: Budget | None = None) -> SigmaS
     budget.charge(Ny * n * n, "direction sweep tensor cells")
     s_arr = np.empty(Ny, dtype=np.int64)
     st_arr = np.empty(Ny, dtype=np.int64)
-    deg_arr = np.zeros(Ny, dtype=bool)
-    pc_arr = np.empty(Ny, dtype=np.int64)
-    pdim_arr = np.empty(Ny, dtype=np.int64)
-    deg_arr[:] = ~np.any(Y @ eng._dirmat % p, axis=1)
     chunk = max(1, min(256, Ny))
     vmask = eng.f == 0
     for lo in range(0, Ny, chunk):
@@ -554,8 +445,6 @@ def sigma_sweep(F, p: int | None = None, budget: Budget | None = None) -> SigmaS
             yi = lo + t
             s_arr[yi] = dim_est(pair_sing, p)
             st_arr[yi] = dim_est(diff_sing_count, p)
-            pc_arr[yi] = idx.size
-            pdim_arr[yi] = dim_est(int(idx.size), p)
     return SigmaSweep(
         p=p,
         n=n,
@@ -563,9 +452,6 @@ def sigma_sweep(F, p: int | None = None, budget: Budget | None = None) -> SigmaS
         s=s_arr,
         s_tilde=st_arr,
         sigma=np.maximum(s_arr, st_arr),
-        degenerate=deg_arr,
-        pair_count=pc_arr,
-        pair_dim=pdim_arr,
     )
 
 

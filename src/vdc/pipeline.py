@@ -150,6 +150,14 @@ class PipelineParams:
             )
         if self.weight == "zero":
             raise InputError("zero weight is not meaningful here")
+        # level 1 packs (shift, class mod p, residue mod q) into one int64 key
+        n = self.f.n
+        shift_cells = (2 * (4 * self.B // self.pi) + 1) ** n
+        if shift_cells * self.p**n * self.q >= 2**63:
+            raise PreconditionError(
+                "level-1 keys would overflow int64",
+                shift_cells=shift_cells, p=self.p, q=self.q, n=n,
+            )
         warnings = []
         if not (self.pi <= self.B and self.p <= self.B and self.B < self.q / 4):
             warnings.append(
@@ -436,6 +444,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
 
     # level 0: classes mod pi
     pin = pi**n
+    budget.charge(pin, "class grid mod pi")
     gpi = eval_on_axes(f, [np.arange(pi, dtype=np.int64)] * n, pi)
     zero_mask = gpi == 0
     zero_classes = int(np.count_nonzero(zero_mask))
@@ -546,6 +555,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     ss2 = _sq_bincount(y2, V2, Ycells)
 
     # X_y(F_p): pairs of zeros of f mod p at shift pi*y
+    budget.charge(pn, "zero grid mod p")
     gp = eval_on_axes(f, [np.arange(p, dtype=np.int64)] * n, p)
     gz = gp == 0
     gz_nd = gz.reshape((p,) * n)  # axis n-1-i <-> coordinate i (0-based)
@@ -557,6 +567,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
         wid += wshift[:, i] * scale
         scale *= p
     uniq_wid, wid_idx = np.unique(wid, return_inverse=True)
+    budget.charge(uniq_wid.size * pn, "shifted zero grids mod p")
     rolled = np.empty((uniq_wid.size, pn), dtype=bool)
     for t_i, wv in enumerate(uniq_wid):
         digs = []

@@ -93,6 +93,26 @@ def test_pipeline_showcase(capsys):
     assert res == json.loads(golden.read_text())
 
 
+GEOMETRY_GOLDENS = [
+    (["geom", "sing", "--form", "x1^4+x2^4+x3^4+x4^4+x5^4", "--n", "5",
+      "--field", "7"], "geom_sing_fermat5_f7_result.json"),
+    (["geom", "sing", "--form", "x1^4+x2^4+x3^4+x4^4+x5^4", "--n", "5",
+      "--field", "3^2"], "geom_sing_fermat5_f9_result.json"),
+    (["geom", "rcheck", "--form", "x1^4+x2^4+x3^4", "--n", "3", "--p", "5"],
+     "geom_rcheck_quartic3_p5_result.json"),
+]
+
+
+@pytest.mark.parametrize("argv,golden", GEOMETRY_GOLDENS,
+                         ids=[g for _, g in GEOMETRY_GOLDENS])
+def test_geometry_showcase_golden(argv, golden, capsys):
+    """The whole result of each geometry showcase command is pinned."""
+    code, doc = run_cli(argv, capsys=capsys)
+    assert code == 0
+    path = Path(__file__).parent / "golden" / golden
+    assert doc["result"] == json.loads(path.read_text())
+
+
 def test_geom_sing_smooth_quartic(capsys):
     code, doc = run_cli(
         ["geom", "sing", "--form", "x1^4+x2^4+x3^4+x4^4+x5^4",
@@ -156,6 +176,44 @@ def test_budget_refusal_exit_code(capsys):
         capsys=capsys)
     assert code == 2
     assert doc["error"]["code"] == "budget"
+
+
+CUBIC3 = "x1^3+2*x2^3-x3^3+x1*x2*x3"
+
+
+def test_count_modulus_past_int64_products(capsys):
+    # 8589934613 = m + 4, so x1 = +-2 are the zeros mod m
+    code, doc = run_cli(
+        ["count", "--poly", "x1^2-8589934613", "--n", "1", "--B", "6",
+         "--modulus", "8589934609"], capsys=capsys)
+    assert code == 0
+    assert doc["result"]["value"] == 2
+
+
+def test_pipeline_q_past_int64_products(capsys):
+    code, doc = run_cli(
+        ["pipeline", "--poly", CUBIC3, "--n", "3", "--B", "4", "--pi", "3",
+         "--p", "5", "--q", "8589934609"], capsys=capsys)
+    assert code == 0
+    res = doc["result"]
+    # q exceeds every |f| on the box, so this is the hat-weighted count of
+    # the integer zeros, summed by brute force in Python ints
+    assert res["counts"]["count_full"] == {"num": "43", "den": "8"}
+    assert all(r["ok"] for r in res["residuals"].values())
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["count", "--poly", "x1^2-4", "--n", "1", "--B", "6",
+      "--modulus", "18446744073709551629"], "input"),
+    (["pipeline", "--poly", CUBIC3, "--n", "3", "--B", "4", "--pi", "3",
+      "--p", "5", "--q", "2305843009213693951"], "precondition"),
+    (["pipeline", "--poly", CUBIC3, "--n", "3", "--B", "4", "--pi", "3",
+      "--p", "101", "--q", "103", "--budget", "200000"], "budget"),
+], ids=["modulus-past-2^63", "level1-key-packing", "zero-grid-mod-p"])
+def test_oversized_moduli_and_grids_refuse(argv, error, capsys):
+    code, doc = run_cli(argv, capsys=capsys)
+    assert code == 2
+    assert doc["error"]["code"] == error
 
 
 def test_usage_errors_exit_64(capsys):

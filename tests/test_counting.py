@@ -1,20 +1,22 @@
 """Box counts, congruence counts, weighted counts, and the two
 finite-field count probes."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vdc.counting import (
+    Weight,
     count_box,
     count_box_mod,
     eval_on_axes,
     hooley_deligne_probe,
     trivial_bound_probe,
-    weight_make,
     weighted_count,
 )
 from vdc.errors import Budget, BudgetExceeded, InputError, PreconditionError
@@ -90,26 +92,53 @@ def test_eval_on_axes_object_lift():
     assert vals[0] == -(2**72)
 
 
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2**31, 2**62), t=st.integers(-3, 3),
+       a=st.integers(-3, 3), b=st.integers(-3, 3), c=st.integers(1, 2**62))
+def test_large_moduli_match_python_int_brute_force(m, t, a, b, c):
+    """Moduli past the int64 product range: f(a, b) = t*m, so (a, b) is a
+    zero mod m, and c*x2^3 wraps around m."""
+    f = IntPoly(2, {(2, 0): 1, (0, 3): c, (0, 0): t * m - a * a - c * b**3})
+    box = list(itertools.product(range(-3, 4), repeat=2))
+    zeros = [x for x in box if f.eval(list(x)) % m == 0]
+    assert (a, b) in zeros
+    assert count_box_mod([f], 3, m) == len(zeros)
+    w = Weight("hat")  # B = 2: support |x_i| <= 3, the same box
+    expected = sum(w.value_1d_exact(Fraction(x1, 2)) * w.value_1d_exact(Fraction(x2, 2))
+                   for x1, x2 in zeros)
+    assert weighted_count([f], 2, m, w).value == expected
+
+
+def test_moduli_past_int64_refused():
+    f = parse_poly("x1^2-4", 1)
+    for m in (2**63, 18446744073709551629):
+        with pytest.raises(InputError):
+            count_box_mod([f], 3, m)
+        with pytest.raises(InputError):
+            weighted_count([f], 3, m, "hat")
+    assert count_box_mod([f], 3, 2**63 - 25) == 2  # the largest prime below
+
+
 # -- weights -------------------------------------------------------------------
 
 
 def test_weight_kinds_and_halfwidths():
-    assert weight_make("hat").halfwidth(4) == 7
-    assert weight_make("indicator").halfwidth(4) == 4
-    assert weight_make("smooth").halfwidth(4) == 7
-    assert weight_make("zero").halfwidth(4) == -1
+    assert Weight("hat").halfwidth(4) == 7
+    assert Weight("indicator").halfwidth(4) == 4
+    assert Weight("smooth").halfwidth(4) == 7
+    assert Weight("zero").halfwidth(4) == -1
     with pytest.raises(InputError):
-        weight_make("boxcar")
+        Weight("boxcar")
 
 
 def test_hat_axis_values_are_exact():
-    vals, den = weight_make("hat").axis_values(3)
+    vals, den = Weight("hat").axis_values(3)
     assert den == 6
     assert list(vals) == [1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1]
 
 
 def test_smooth_center_value():
-    vals, den = weight_make("smooth").axis_values(5)
+    vals, den = Weight("smooth").axis_values(5)
     assert den is None
     assert abs(vals[9] - math.exp(-1.0)) < 1e-15  # center m = 0
 
@@ -126,7 +155,7 @@ def test_hat_weighted_count_oracle():
     f = parse_poly("x1^2-x2", 2)
     B, m = 2, 3
     res = weighted_count([f], B, m, "hat")
-    w = weight_make("hat")
+    w = Weight("hat")
     expected = Fraction(0)
     for x1 in range(-2 * B + 1, 2 * B):
         for x2 in range(-2 * B + 1, 2 * B):

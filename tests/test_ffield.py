@@ -1,14 +1,19 @@
 """Field arithmetic on integer-coded F_{p^k}, primality, and projective
 enumeration."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 import sympy
 
+from vdc.counting import eval_on_axes
 from vdc.errors import InputError
 from vdc.ffield import (
+    Field,
     FqPoly,
+    _eval_terms,
     enum_proj,
     field_make,
     find_irreducible,
@@ -18,7 +23,8 @@ from vdc.ffield import (
     primes_in_interval,
     reduce_mod,
 )
-from vdc.mpoly import parse_poly
+from vdc.geometry import values_on
+from vdc.mpoly import IntPoly, parse_poly
 
 
 def test_is_prime_against_sympy():
@@ -120,3 +126,80 @@ def test_reduce_mod_and_eval_consistency():
     for _ in range(50):
         pt = [rng.randrange(5) for _ in range(2)]
         assert fq.eval(pt) == f.eval(pt) % 5
+
+
+# -- the array evaluator --------------------------------------------------------
+
+# ring argument of _eval_terms, and the coordinate values drawn for it; the
+# +-2^40 coordinates push the integer bound past 2^62 (object lift)
+EVAL_RINGS = {
+    "Z-int64": (None, range(-3, 4)),
+    "Z-object": (None, (-(2**40), -2, -1, 0, 3, 2**40)),
+    "Z/12": (12, range(-5, 6)),
+    "F_7": (field_make(7), range(7)),
+    "F_4": (field_make(2, 2), range(4)),
+    "F_9": (field_make(3, 2), range(9)),
+    "F_16": (field_make(2, 4), range(16)),
+    # the largest p with k = 2 under the field cap: digit products pass 2^16
+    "F_1021^2": (field_make(1021, 2), range(1021**2)),
+}
+
+
+def _eval_forms(rng, coeff):
+    """Term dicts in three variables, including the degenerate shapes."""
+    rand = {tuple(rng.randint(0, 3) for _ in range(3)): coeff() for _ in range(6)}
+    return {
+        "random": rand,
+        "zero": {},
+        "constant": {(0, 0, 0): coeff()},
+        "omits_x2": {(2, 0, 1): coeff(), (0, 0, 3): coeff(), (1, 0, 0): coeff()},
+    }
+
+
+def _eval_layout(layout, rng, values):
+    """(source arrays, broadcast columns, output shape, points in output order)."""
+    values = list(values)
+    if layout == "axes":
+        # lengths 2, 3, 4 for x1, x2, x3 so a transposed shape shows
+        axes = [np.array(rng.sample(values, L), dtype=np.int64) for L in (2, 3, 4)]
+        cols = [ax.reshape([-1 if a == 2 - i else 1 for a in range(3)])
+                for i, ax in enumerate(axes)]
+        points = [pt[::-1] for pt in itertools.product(*reversed(axes))]
+        return axes, cols, (4, 3, 2), points
+    pts = np.array([[rng.choice(values) for _ in range(3)] for _ in range(25)],
+                   dtype=np.int64)
+    return pts, [pts[:, i] for i in range(3)], (25,), list(pts)
+
+
+@pytest.mark.parametrize("layout", ["axes", "rows"])
+@pytest.mark.parametrize("ring_id", list(EVAL_RINGS))
+def test_evaluator_matches_scalar_oracle(ring_id, layout):
+    """Every ring on both layouts against IntPoly.eval / FqPoly.eval, and the
+    two entry points against the core on their own layout."""
+    ring, values = EVAL_RINGS[ring_id]
+    rng = random.Random(f"{ring_id}/{layout}")
+    fld = ring if isinstance(ring, Field) else None
+    if fld:
+        coeff = lambda: rng.randrange(1, fld.q)  # noqa: E731
+    else:
+        coeff = lambda: rng.choice([-9, -4, -1, 1, 2, 7])  # noqa: E731
+    for name, terms in _eval_forms(rng, coeff).items():
+        src, cols, shape, points = _eval_layout(layout, rng, values)
+        out = _eval_terms(terms, cols, shape, ring)
+        assert out.shape == shape, name
+        if fld:
+            poly = FqPoly(fld, 3, terms)
+            oracle = poly.eval
+        else:
+            poly = IntPoly(3, terms)
+            oracle = poly.eval if ring is None else (lambda pt: poly.eval(pt) % ring)
+        if ring is not None:
+            assert out.dtype == np.int64, name
+        if ring_id == "Z-object" and name == "omits_x2":
+            assert out.dtype == object  # x1^2 x3 reaches 2^120
+        expected = [oracle([int(x) for x in pt]) for pt in points]
+        assert [int(v) for v in out.ravel()] == expected, name
+        if layout == "rows" and fld:
+            assert np.array_equal(values_on(poly, src), out), name
+        if layout == "axes" and not fld:
+            assert list(eval_on_axes(poly, src, ring)) == list(out.ravel()), name
