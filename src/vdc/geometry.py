@@ -45,6 +45,28 @@ prime; `prime_select` skips p and q candidates whose R1 verdict is
   coordinate points (dimension 0, equal to the bound), yet the row reads
   as a curve; x1^4+x2^4+x3^4 at p = 5 and p = 7 fails the same way.
 
+The sweeps count from the points, not from the directions.  Each
+condition tested at a point x is linear in the direction, L(x) y = 0:
+
+* s_tilde (x in Sing V(F_y)): L(x) = [grad F(x); H(x)], H the Hessian;
+* s (x on V(F), in Sing V(F, F_y)): L(x) = [a; a_i H_j - a_j H_i for
+  i < j] with a = grad F(x) and H_i the rows of H(x), since the 2x2
+  minors of [a; H(x) y] are linear in y;
+* R2 (y fixed, x on V(F, F_y), second direction z): L(x) = [H(x) y;
+  pm_ij A_l - pm_il A_j + pm_jl A_i for i < j < l] with A = third(x) . y
+  and pm the 2x2 minors of [a; H(x) y], i.e. the 3x3 minors of
+  [a; H y; A z].
+
+The count behind a direction is the number of points whose kernel
+contains it.  All L(x) are row-reduced mod p at once, full-rank points
+drop out, and the projective points of every remaining kernel are
+enumerated and counted by their enum_proj index, in chunks of bounded
+size.  The work is the number of incidences (x, y).  A collapsing
+characteristic needs no other path: for FERMAT5 at p = 3 the Hessian
+vanishes, every s and s_tilde fiber is a hyperplane and every R2 fiber
+all of P^(n-1); the worst case, N points times |P^(n-1)| directions, is
+what the sweep's budget check already prices.
+
 R0 is *certified* (no enumeration) only for diagonal forms with unit
 coefficients and exponent prime to p; everything else is an empirical scan
 over rational points of F_{p^k} for k up to a small cap, reported as
@@ -55,6 +77,7 @@ never pass silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 import numpy as np
 
@@ -87,6 +110,29 @@ def dim_est(count: int, q: int) -> int:
     while c2 > proj_space_size(d, q) * proj_space_size(d + 1, q):
         d += 1
     return d
+
+
+def _dim_est_array(counts, q: int) -> np.ndarray:
+    """dim_est of every entry of an integer array, exactly.
+
+    The estimate is the number of thresholds |P^d| * |P^(d+1)| below
+    count^2, read by searchsorted in int64; counts whose square could
+    reach 2^63 take the scalar form.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    top = int(counts.max(initial=0))
+    if counts.size and int(counts.min()) < 0:
+        raise InputError("negative count", count=int(counts.min()))
+    if top * top >= 2**63:
+        return np.array([dim_est(int(c), q) for c in counts.ravel()],
+                        dtype=np.int64).reshape(counts.shape)
+    thresholds = [proj_space_size(0, q) * proj_space_size(1, q)]
+    while thresholds[-1] < top * top:
+        d = len(thresholds)
+        thresholds.append(proj_space_size(d, q) * proj_space_size(d + 1, q))
+    thresholds[-1] = min(thresholds[-1], top * top)
+    d = np.searchsorted(np.array(thresholds, dtype=np.int64), counts * counts)
+    return np.where(counts == 0, -1, d)
 
 
 def dim_est_affine(count: int, q: int) -> int:
@@ -192,11 +238,13 @@ def _minor_mask_lt_rank(p: int, jrows: list[np.ndarray], r: int) -> np.ndarray:
     """Vectorized `rank < r` over F_p for r <= 3.
 
     jrows is a list of r arrays of shape (M, n): the Jacobian rows at M
-    points.  Returns a boolean mask of length M.
+    points, as reduced codes.  Returns a boolean mask of length M.  For
+    r = 1 the test is "every entry is the zero code", which holds over
+    every F_{p^k} (a code that is a multiple of p is a nonzero element).
     """
     M, n = jrows[0].shape
     if r == 1:
-        return ~np.any(jrows[0] % p, axis=1)
+        return ~np.any(jrows[0] != 0, axis=1)
     if r == 2:
         a, b = jrows
         ok = np.ones(M, dtype=bool)
@@ -244,7 +292,7 @@ def sing_points(
     vpts = pts[on]
     grads = [[f.partial(i) for i in range(1, n + 1)] for f in spec.forms[:r]]
     jac = [np.stack([values_on(g, vpts) for g in grow], axis=1) for grow in grads]
-    if fld.k == 1 and r <= 3:
+    if r == 1 or (fld.k == 1 and r <= 3):
         sing_mask = _minor_mask_lt_rank(fld.p, jac, r)
     else:
         sing_mask = np.zeros(vpts.shape[0], dtype=bool)
@@ -284,9 +332,10 @@ def affine_count(forms, fld: Field, n: int, budget: Budget | None = None) -> int
 class _PrimeEngine:
     """Point grid plus derivative tensors of one form over F_p (k = 1).
 
-    grad[m, i]      = dF/dx_i at point m
-    hess[m, i, j]   = d2F/dx_i dx_j
-    third[m, i, j, l] = d3F/dx_i dx_j dx_l   (built lazily)
+    grad[m, i]        = dF/dx_i at point m
+    hess[m, i, j]     = d2F/dx_i dx_j
+    third[v, i, j, l] = d3F/dx_i dx_j dx_l at point on[v] of V(F) (built
+                        lazily: only the second-difference checks read it)
 
     The directional slices used everywhere:
       first difference form of direction y:   F_y   = grad . y
@@ -304,6 +353,7 @@ class _PrimeEngine:
         self.pts = enum_proj(F.field, F.n, ensure_budget(budget))
         self.N = self.pts.shape[0]
         self.f = values_on(F, self.pts)
+        self.on = np.flatnonzero(self.f == 0)
         n = self.n
         parts = [F.partial(i) for i in range(1, n + 1)]
         self.grad = np.stack([values_on(g, self.pts) for g in parts], axis=1)
@@ -316,22 +366,87 @@ class _PrimeEngine:
         self.hess = hess
         self._parts = parts
         self._third: np.ndarray | None = None
+        # inv[a] = 1/a mod p, inv[0] = 0
+        self.inv = np.array([0] + [pow(a, -1, self.p) for a in range(1, self.p)],
+                            dtype=np.int64)
 
     @property
     def third(self) -> np.ndarray:
         if self._third is None:
             n = self.n
-            t = np.zeros((self.N, n, n, n), dtype=np.int64)
+            vpts = self.pts[self.on]
+            t = np.zeros((vpts.shape[0], n, n, n), dtype=np.int64)
             for i in range(n):
                 for j in range(i, n):
                     pij = self._parts[i].partial(j + 1)
                     for l in range(j, n):
-                        v = values_on(pij.partial(l + 1), self.pts)
+                        v = values_on(pij.partial(l + 1), vpts)
                         for perm in {(i, j, l), (i, l, j), (j, i, l),
                                      (j, l, i), (l, i, j), (l, j, i)}:
                             t[:, perm[0], perm[1], perm[2]] = v
             self._third = t
         return self._third
+
+
+_KERNEL_CHUNK = 2**20  # cap on the entries of one kernel-enumeration temporary
+
+
+def _kernel_counts(eng: _PrimeEngine, L: np.ndarray) -> np.ndarray:
+    """counts[j] = #{m : L[m] y = 0} for y = eng.pts[j], over F_p.
+
+    L is an (M, r, n) stack of matrices.  All M are brought to reduced row
+    echelon form at once, one column per step; the projective points of
+    each nonzero kernel are then enumerated (as combinations of its basis
+    by the points of P^(k-1)) and their enum_proj indices counted.  The
+    work is the number of incidences, not M times |P^(n-1)|.
+    """
+    p, n, pts = eng.p, eng.n, eng.pts
+    Ny = pts.shape[0]
+    counts = np.zeros(Ny, dtype=np.int64)
+    A = L % p
+    M, r, _ = A.shape
+    if M == 0:
+        return counts
+    rows = np.arange(M)
+    used = np.zeros((M, r), dtype=bool)
+    prow = np.full((M, n), -1, dtype=np.int64)  # row holding column c's pivot
+    for c in range(n):
+        cand = (A[:, :, c] != 0) & ~used
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        pr = A[rows, piv]
+        pr = pr * np.where(has, eng.inv[pr[:, c]], 0)[:, None] % p
+        A = (A - A[:, :, c, None] * pr[:, None, :]) % p
+        A[rows[has], piv[has]] = pr[has]
+        used[rows[has], piv[has]] = True
+        prow[has, c] = piv[has]
+    free = prow < 0
+    k = free.sum(axis=1)
+    # index of a point whose first nonzero coordinate, at `lead`, is 1:
+    # the offset of lead's block plus the base-p value of the rest
+    pw = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    base = np.concatenate(([0], np.cumsum(pw)[:-1])) - pw
+    eye = np.eye(n, dtype=np.int64)
+    for kk in np.unique(k[k > 0]):
+        sel = np.flatnonzero(k == kk)
+        # basis vector of free column f: 1 at f, -A[pivot row of c, f] at
+        # each pivot column c, 0 at the other free columns
+        P = np.take_along_axis(A[sel], np.maximum(prow[sel], 0)[:, :, None], axis=1)
+        full = np.where(free[sel][:, None, :], eye, -P.transpose(0, 2, 1) % p)
+        basis = full[free[sel]].reshape(sel.size, kk, n)
+        C = pts[Ny - proj_space_size(kk - 1, p):, n - kk:]  # P^(kk-1)
+        cc = min(C.shape[0], max(1, _KERNEL_CHUNK // n))
+        mc = max(1, _KERNEL_CHUNK // (cc * n))
+        for lo in range(0, C.shape[0], cc):
+            Cc = C[lo : lo + cc]
+            for mlo in range(0, sel.size, mc):
+                V = np.matmul(Cc, basis[mlo : mlo + mc]) % p  # (m, c, n)
+                lead = (V != 0).argmax(axis=2)
+                lv = np.take_along_axis(V, lead[:, :, None], axis=2)[:, :, 0]
+                V = V * eng.inv[lv][:, :, None] % p
+                idx = base[lead] + V @ pw
+                counts += np.bincount(idx.ravel(), minlength=Ny)
+    return counts
 
 
 @dataclass
@@ -364,6 +479,7 @@ class SigmaSweep:
     s: np.ndarray
     s_tilde: np.ndarray
     sigma: np.ndarray
+    _engine: _PrimeEngine | None = dc_field(default=None, repr=False, compare=False)
 
 
 def _sigma_single(eng: _PrimeEngine, y: np.ndarray) -> SigmaReport:
@@ -411,40 +527,28 @@ def sigma_y(F, y, p: int | None = None, budget: Budget | None = None) -> SigmaRe
 
 
 def sigma_sweep(F, p: int | None = None, budget: Budget | None = None) -> SigmaSweep:
-    """sigma_y for all y in P^(n-1)(F_p), vectorized in chunks."""
+    """sigma_y for all y in P^(n-1)(F_p), counted from the points' fibers."""
     if isinstance(F, IntPoly):
         if p is None:
             raise InputError("pass p when F is an integer polynomial")
         F = reduce_mod(F, field_make(p))
     budget = ensure_budget(budget)
     eng = _PrimeEngine(F, budget)
-    p, n, N = eng.p, eng.n, eng.N
+    p, n = eng.p, eng.n
     Y = enum_proj(F.field, n, budget)
-    Ny = Y.shape[0]
-    budget.charge(Ny * n * n, "direction sweep tensor cells")
-    s_arr = np.empty(Ny, dtype=np.int64)
-    st_arr = np.empty(Ny, dtype=np.int64)
-    chunk = max(1, min(256, Ny))
-    vmask = eng.f == 0
-    for lo in range(0, Ny, chunk):
-        Yc = Y[lo : lo + chunk]
-        GY = eng.grad @ Yc.T % p  # (N, C)
-        HY = np.tensordot(eng.hess, Yc, axes=([1], [1])) % p  # (N, n, C)
-        for t in range(Yc.shape[0]):
-            G = GY[:, t]
-            M = HY[:, :, t]
-            diff_on = G == 0
-            diff_sing_count = int(np.count_nonzero(diff_on & ~np.any(M, axis=1)))
-            pair_mask = vmask & diff_on
-            idx = np.nonzero(pair_mask)[0]
-            if idx.size:
-                sing_mask = _minor_mask_lt_rank(p, [eng.grad[idx], M[idx]], 2)
-                pair_sing = int(np.count_nonzero(sing_mask))
-            else:
-                pair_sing = 0
-            yi = lo + t
-            s_arr[yi] = dim_est(pair_sing, p)
-            st_arr[yi] = dim_est(diff_sing_count, p)
+    budget.charge(Y.shape[0] * n * n, "direction sweep tensor cells")
+    # x is in Sing V(F_y) iff [grad F(x); H(x)] y = 0
+    L = np.concatenate([eng.grad[:, None], eng.hess], axis=1)
+    diff_sing = _kernel_counts(eng, L)
+    # x on V(F) is in Sing V(F, F_y) iff a . y = 0 and rank [a; H y] < 2,
+    # i.e. the 2x2 minors (a_i H_j - a_j H_i) . y vanish
+    a, H = eng.grad[eng.on], eng.hess[eng.on]
+    i, j = np.triu_indices(n, 1)
+    L = np.concatenate([a[:, None], a[:, i, None] * H[:, j] - a[:, j, None] * H[:, i]],
+                       axis=1)
+    pair_sing = _kernel_counts(eng, L)
+    s_arr = _dim_est_array(pair_sing, p)
+    st_arr = _dim_est_array(diff_sing, p)
     return SigmaSweep(
         p=p,
         n=n,
@@ -452,7 +556,14 @@ def sigma_sweep(F, p: int | None = None, budget: Budget | None = None) -> SigmaS
         s=s_arr,
         s_tilde=st_arr,
         sigma=np.maximum(s_arr, st_arr),
+        _engine=eng,
     )
+
+
+def _at_least(values: np.ndarray, thresholds, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(count, dim_est) of the set {values >= t} for each threshold t."""
+    counts = values.size - np.searchsorted(np.sort(values), thresholds, side="left")
+    return counts, _dim_est_array(counts, q)
 
 
 @dataclass
@@ -476,7 +587,7 @@ def t_set(F, s: int, p: int | None = None, budget: Budget | None = None,
     return TSetReport(
         s=s,
         count=count,
-        dim_estimate=dim_est(count, sweep.p),
+        dim_estimate=int(_dim_est_array(count, sweep.p)),
         members=members,
         truncated=count > MAX_MEMBER_LIST,
     )
@@ -496,48 +607,32 @@ class SyzReport:
     slice_degenerate: bool  # dim of V(F, F_y, F_{y,z}) equals dim of V(F, F_y)
 
 
-def _syz_tables(eng: _PrimeEngine, y: np.ndarray, Z: np.ndarray):
-    """For one y and a batch of z: sing counts of V(F, F_y, F_{y,z}).
+def _pair_slice(eng: _PrimeEngine, y: np.ndarray):
+    """(a, b, A) on the points of V(F, F_y): grad F, H y, and third . y,
+    whose product with z is the gradient of F_{y,z}."""
+    p = eng.p
+    sel = eng.grad[eng.on] @ y % p == 0
+    rows = eng.on[sel]
+    a = eng.grad[rows]
+    b = np.tensordot(eng.hess[rows], y, axes=([1], [0])) % p
+    A = np.tensordot(eng.third[sel], y, axes=([1], [0])) % p  # (M2, n, n): j, l
+    return a, b, A
 
-    Returns (s_yz, triple_count, triple_sing, pair_count) with the first
-    three indexed by rows of Z.
+
+def _r2_counts(eng: _PrimeEngine, y: np.ndarray) -> np.ndarray:
+    """Points of Sing V(F, F_y, F_{y,z}) for every z = eng.pts[j].
+
+    x in V(F, F_y) counts for z iff L(x) z = 0, L(x) = [H y; one row per
+    3x3 minor of [a; b; A z]].  With pm the 2x2 minors of [a; b], the
+    minor on columns i < j < l is (pm_ij A_l - pm_il A_j + pm_jl A_i) . z.
     """
     p, n = eng.p, eng.n
-    G = eng.grad @ y % p
-    My = np.tensordot(eng.hess, y, axes=([1], [0])) % p  # (N, n)
-    Ay = np.tensordot(eng.third, y, axes=([1], [0])) % p  # (N, n, n): j, l
-    pair_mask = (eng.f == 0) & (G == 0)
-    idx = np.nonzero(pair_mask)[0]
-    M2 = idx.size
-    Nz = Z.shape[0]
-    triple_count = np.zeros(Nz, dtype=np.int64)
-    triple_sing = np.zeros(Nz, dtype=np.int64)
-    if M2 == 0:
-        return np.full(Nz, -1, dtype=np.int64), triple_count, triple_sing, 0
-    Hv = My[idx] @ Z.T % p  # (M2, Nz): F_{y,z} values
-    gradH = np.tensordot(Ay[idx], Z, axes=([1], [1])) % p  # (M2, n, Nz)
-    a = eng.grad[idx]  # (M2, n)
-    b = My[idx]  # (M2, n)
-    # 2x2 minors of the two z-independent rows, per column pair
-    pair_minor = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_minor[(i, j)] = a[:, i] * b[:, j] - a[:, j] * b[:, i]
-    on3 = Hv % p == 0  # (M2, Nz)
-    triple_count[:] = np.count_nonzero(on3, axis=0)
-    sing3 = on3.copy()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(j + 1, n):
-                det = (
-                    pair_minor[(i, j)][:, None] * gradH[:, l, :]
-                    - pair_minor[(i, l)][:, None] * gradH[:, j, :]
-                    + pair_minor[(j, l)][:, None] * gradH[:, i, :]
-                )
-                sing3 &= det % p == 0
-    triple_sing[:] = np.count_nonzero(sing3, axis=0)
-    s_yz = np.array([dim_est(int(c), p) for c in triple_sing], dtype=np.int64)
-    return s_yz, triple_count, triple_sing, M2
+    a, b, A = _pair_slice(eng, y)
+    pm = (a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None]) % p
+    i, j, l = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3).T
+    minors = (pm[:, i, j, None] * A[:, l] - pm[:, i, l, None] * A[:, j]
+              + pm[:, j, l, None] * A[:, i])
+    return _kernel_counts(eng, np.concatenate([b[:, None], minors], axis=1))
 
 
 def s_yz(F, y, z, p: int | None = None, budget: Budget | None = None) -> SyzReport:
@@ -547,19 +642,24 @@ def s_yz(F, y, z, p: int | None = None, budget: Budget | None = None) -> SyzRepo
             raise InputError("pass p when F is an integer polynomial")
         F = reduce_mod(F, field_make(p))
     eng = _PrimeEngine(F, budget)
-    y = np.asarray(list(y), dtype=np.int64) % eng.p
-    z = np.asarray(list(z), dtype=np.int64) % eng.p
+    p = eng.p
+    y = np.asarray(list(y), dtype=np.int64) % p
+    z = np.asarray(list(z), dtype=np.int64) % p
     if not np.any(y) or not np.any(z):
         raise PreconditionError("directions must be nonzero mod p")
-    s_arr, t_count, t_sing, pair_count = _syz_tables(eng, y, z[None, :])
-    dim_pair = dim_est(int(pair_count), eng.p)
-    dim_triple = dim_est(int(t_count[0]), eng.p)
+    a, b, A = _pair_slice(eng, y)
+    c = np.tensordot(A, z, axes=([1], [0])) % p  # gradient of F_{y,z}
+    on3 = b @ z % p == 0
+    sing = int(np.count_nonzero(_minor_mask_lt_rank(p, [a[on3], b[on3], c[on3]], 3)))
+    triple = int(np.count_nonzero(on3))
+    dim_pair = dim_est(a.shape[0], p)
+    dim_triple = dim_est(triple, p)
     return SyzReport(
         y=tuple(map(int, y)),
         z=tuple(map(int, z)),
-        s_yz=int(s_arr[0]),
-        triple_count=int(t_count[0]),
-        triple_sing_count=int(t_sing[0]),
+        s_yz=dim_est(sing, p),
+        triple_count=triple,
+        triple_sing_count=sing,
         dim_triple=dim_triple,
         dim_pair=dim_pair,
         slice_degenerate=dim_triple == dim_pair,
@@ -709,9 +809,8 @@ def r_check(
         else:
             table = []
             failures = []
-            for s in range(-1, n):
-                count = int(np.count_nonzero(sweep.sigma >= s))
-                dim = dim_est(count, p)
+            counts, dims = _at_least(sweep.sigma, np.arange(-1, n), p)
+            for s, count, dim in zip(range(-1, n), counts.tolist(), dims.tolist()):
                 bound = n - 2 - s
                 ok = dim <= bound
                 table.append((s, count, dim, bound, ok))
@@ -745,16 +844,13 @@ def r_check(
             warnings.append("R2 sweep skipped: budget")
         else:
             budget.charge(len(chosen) * per_y_cost // 4, "second-difference sweep")
-            eng = _PrimeEngine(Fq)
             failures = []
             for yi in chosen:
                 y = Yall[yi]
-                syz_arr, _, _, _ = _syz_tables(eng, y, Yall)
+                syz_arr = _dim_est_array(_r2_counts(sweep._engine, y), p)
                 sig = int(sweep.sigma[yi])
-                for s in range(-1, n):
-                    thr = sig + s + 1
-                    count = int(np.count_nonzero(syz_arr >= thr))
-                    dim = dim_est(count, p)
+                counts, dims = _at_least(syz_arr, sig + np.arange(n + 1), p)
+                for s, count, dim in zip(range(-1, n), counts.tolist(), dims.tolist()):
                     if dim > n - 2 - s:
                         failures.append(
                             (tuple(map(int, y)), s, dim, n - 2 - s, count)

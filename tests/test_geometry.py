@@ -7,24 +7,35 @@ import numpy as np
 import pytest
 
 from vdc.errors import Budget, BudgetExceeded, InputError, PreconditionError
-from vdc.ffield import field_make
+from vdc import geometry
+from vdc.ffield import FqPoly, enum_proj, field_make, reduce_mod
 from vdc.geometry import (
     RCheckPolicy,
     VarietySpec,
+    _dim_est_array,
     _minor_mask_lt_rank,
+    _PrimeEngine,
+    _r2_counts,
     _rank_rows,
+    _sigma_single,
     dim_est,
     dim_est_affine,
     proj_space_size,
     r_check,
     s_yz,
+    sigma_sweep,
     sigma_y,
     sing_points,
     t_set,
+    values_on,
 )
-from vdc.mpoly import parse_poly
+from vdc.mpoly import directional_form, hessian_form, parse_poly
 
 FERMAT5 = parse_poly("x1^4+x2^4+x3^4+x4^4+x5^4", 5)
+# non-diagonal quartics: the first has no singular point over F_7 or F_49,
+# the second is singular over F_5 (at (0:0:1:1:0))
+QUARTIC4 = parse_poly("x1^4+2*x2^4-x3^4+x4^4+3*x1*x2^3-x3^2*x4^2", 4)
+QUARTIC5 = parse_poly("x1^4-x2^4+2*x3^4+x4^4-3*x5^4+x1^2*x2^2+2*x3*x4^3", 5)
 
 
 def test_proj_space_sizes():
@@ -42,6 +53,19 @@ def test_dim_est_hits_exact_space_sizes():
     assert dim_est(1, 7) == 0
     with pytest.raises(InputError):
         dim_est(-1, 7)
+
+
+def test_dim_est_array_matches_scalar():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 6):
+            counts = np.arange(proj_space_size(n - 1, p) + 1)
+            want = [dim_est(int(c), p) for c in counts]
+            assert _dim_est_array(counts, p).tolist() == want, (p, n)
+    # squares that could reach 2^63 take the scalar form
+    big = np.array([0, 7, 3 * 10**9, 4 * 10**9, 2**40], dtype=np.int64)
+    assert _dim_est_array(big, 7).tolist() == [dim_est(int(c), 7) for c in big]
+    with pytest.raises(InputError):
+        _dim_est_array(np.array([3, -1]), 7)
 
 
 def test_dim_est_affine_thresholds():
@@ -83,6 +107,37 @@ def test_rank_paths_agree():
         mask = _minor_mask_lt_rank(73, jrows, r)
         for idx, rows in enumerate(rows_batch):
             assert mask[idx] == (_rank_rows(fld, rows) < r), rows
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_rank_one_mask_matches_gauss_over_extensions(p):
+    """The vectorized rank-1 Jacobian test reads codes, so a code that is
+    a multiple of p (a nonzero element of F_{p^2}) must count as nonzero."""
+    fld = field_make(p, 2)
+    forms = [
+        parse_poly("x1^4+x2^4+x3^4", 3),  # smooth
+        parse_poly("x1^2*x2^2+x3^4", 3),  # singular at (1:0:0), (0:1:0)
+        parse_poly("x1*x2*x3^2", 3),  # singular along lines
+    ]
+    seen_multiple_of_p = False
+    for f in forms:
+        F = reduce_mod(f, fld)
+        pts = enum_proj(fld, 3)
+        jac = np.stack([values_on(F.partial(i), pts) for i in (1, 2, 3)], axis=1)
+        seen_multiple_of_p |= bool(np.any((jac != 0) & (jac % p == 0)))
+        mask = _minor_mask_lt_rank(p, [jac], 1)
+        want = [_rank_rows(fld, [list(map(int, row))]) < 1 for row in jac]
+        assert mask.tolist() == want
+        on = values_on(F, pts) == 0
+        rep = sing_points(VarietySpec(fld, 3, (F,)))
+        assert rep.sing_points == int(np.count_nonzero(mask & on))
+    assert seen_multiple_of_p
+    # a form with a coefficient outside F_p
+    F = FqPoly(fld, 3, {(4, 0, 0): p, (0, 4, 0): 1, (0, 0, 4): 1, (2, 2, 0): 1})
+    pts = enum_proj(fld, 3)
+    jac = np.stack([values_on(F.partial(i), pts) for i in (1, 2, 3)], axis=1)
+    want = [_rank_rows(fld, [list(map(int, row))]) < 1 for row in jac]
+    assert _minor_mask_lt_rank(p, [jac], 1).tolist() == want
 
 
 def test_fermat_quintic_quartic_is_smooth_over_f7():
@@ -129,6 +184,62 @@ def test_sigma_y_fermat_axis_and_diagonal():
         sigma_y(FERMAT5, [7, 0, 0, 0, 0], p=7)  # zero mod p
 
 
+@pytest.mark.parametrize("form,p", [
+    (FERMAT5, 3), (FERMAT5, 5), (FERMAT5, 7),
+    (parse_poly("x1^4+x2^4+x3^4", 3), 5),
+    (QUARTIC4, 7), (QUARTIC5, 5),
+], ids=["fermat5-3", "fermat5-5", "fermat5-7", "fermat3-5", "quartic4-7", "quartic5-5"])
+def test_sigma_sweep_matches_per_direction_oracle(form, p):
+    sweep = sigma_sweep(form, p)
+    eng = _PrimeEngine(reduce_mod(form, field_make(p)))
+    assert np.array_equal(sweep.directions, eng.pts)
+    for j, y in enumerate(sweep.directions):
+        rep = _sigma_single(eng, y)
+        got = (sweep.s[j], sweep.s_tilde[j], sweep.sigma[j])
+        assert got == (rep.s, rep.s_tilde, rep.sigma), tuple(y)
+
+
+def test_sigma_sweep_same_in_small_chunks(monkeypatch):
+    want = sigma_sweep(QUARTIC4, 7)
+    monkeypatch.setattr(geometry, "_KERNEL_CHUNK", 7)
+    got = sigma_sweep(QUARTIC4, 7)
+    for name in ("s", "s_tilde", "sigma"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_fermat5_s_tilde_closed_form_at_p11():
+    # F_y has gradient 12 (y_i x_i^2)_i, so Sing V(F_y) is the coordinate
+    # subspace on the zeros of y when p does not divide 12
+    sweep = sigma_sweep(FERMAT5, 11)
+    zeros = np.count_nonzero(sweep.directions == 0, axis=1)
+    assert np.array_equal(sweep.s_tilde, zeros - 1)
+
+
+@pytest.mark.parametrize("form,p", [(FERMAT5, 5), (QUARTIC4, 7), (QUARTIC5, 5)],
+                         ids=["fermat5-5", "quartic4-7", "quartic5-5"])
+def test_r2_counts_match_triple_singular_scan(form, p):
+    fld = field_make(p)
+    eng = _PrimeEngine(reduce_mod(form, fld))
+    rng = random.Random(p * 100 + form.n)
+    ys = [eng.pts[0]] + [eng.pts[rng.randrange(eng.N)] for _ in range(3)]
+    checked_nonzero = 0
+    for y in ys:
+        counts = _r2_counts(eng, y)
+        hits = np.flatnonzero(counts)
+        zs = list(rng.sample(range(eng.N), 3))
+        zs += list(hits[: 2]) if hits.size else []
+        for zi in zs:
+            z = [int(c) for c in eng.pts[zi]]
+            yl = [int(c) for c in y]
+            spec = VarietySpec(fld, form.n, (form, directional_form(form, yl),
+                                             hessian_form(form, yl, z)))
+            want = sing_points(spec, expected_codim=3).sing_points
+            assert counts[zi] == want, (yl, z)
+            assert s_yz(form, yl, z, p).triple_sing_count == want
+            checked_nonzero += want > 0
+    assert checked_nonzero
+
+
 def test_t_set_monotone_in_s():
     f = parse_poly("x1^4+x2^4+x3^4", 3)
     counts = []
@@ -154,6 +265,20 @@ def test_r_check_diagonal_certification_and_failure():
     assert rep.r1.verdict == "fails"
     row = {s: (count, dim, bound) for s, count, dim, bound, _ in rep.r1.table}
     assert row[3][0] > 0  # T_3 is nonempty (the five axes)
+
+
+def test_r_check_reuses_the_sweep_engine(monkeypatch):
+    built = []
+
+    class CountingEngine(_PrimeEngine):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_PrimeEngine", CountingEngine)
+    rep = r_check(QUARTIC4, 7)
+    assert rep.r2.y_tested == 64
+    assert len(built) == 1
 
 
 def test_r_check_char_divides_exponent_fails_r0():
