@@ -13,9 +13,8 @@ The package is organised bottom-up:
     analysis     progression-averaging and transform-decay probes
     cli          the `vdc` executable
 
-Everything is deterministic for any worker count, refuses work beyond an
-explicit enumeration budget, and reports exact rationals wherever the
-weight allows.
+Everything is deterministic, refuses work beyond an explicit enumeration
+budget, and reports exact rationals wherever the weight allows.
 """
 
 __version__ = "0.1.0"

@@ -12,10 +12,10 @@ One executable, `vdc`, with a subcommand per capability:
     poly diff   difference polynomials
 
 Every run prints a single JSON document: {"schema", "run", "result"}.
-The run manifest echoes the semantic parameters (never the worker count),
-the versions in play, the seed, the budget spent, and the wall time; with
-wall_time_ms normalized, re-running a command is byte-identical for any
-worker count.
+The run manifest echoes the semantic parameters (never --workers, which
+is accepted and ignored), the versions in play, the seed, the budget
+spent, and the wall time; with wall_time_ms normalized, re-running a
+command is byte-identical.
 
 Exit codes: 0 success; 2 clean refusal (bad input, failed precondition,
 budget) with a machine-readable diagnostic on stdout; 1 internal error;
@@ -71,7 +71,7 @@ def _csv_ints(text: str) -> list[int]:
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--workers", type=int, default=1,
-                        help="thread count; results are identical for any value")
+                        help="accepted and ignored; every command runs single-threaded")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="max points enumerated before refusing")
     common.add_argument("--seed", type=int, default=0,
@@ -211,8 +211,7 @@ def _run_pipeline(args, budget):
               "weight": args.weight, "pair_table": bool(args.pair_table)}
     led = build_ledger(
         PipelineParams(f, args.B, args.pi, args.p, args.q, weight=args.weight,
-                       with_pair_table=args.pair_table,
-                       workers=max(1, args.workers)),
+                       with_pair_table=args.pair_table),
         budget=budget,
     )
     result = {

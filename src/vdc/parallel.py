@@ -1,27 +1,20 @@
-"""Deterministic chunking and summation.
+"""Deterministic summation.
 
-Outputs must be byte-identical regardless of worker count, so parallelism
-here follows one rule: workers may produce *elements* in parallel, but
-every reduction runs single-threaded over the full array in a fixed tree.
-Chunk boundaries are a function of the problem size only, never of the
-worker count.
+Float results must be byte-identical from run to run, so float sums here
+use a reduction tree that depends only on the array length.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-
-CHUNK = 1 << 14
 
 
 def pairwise_sum(arr) -> float:
     """Sum a float array by repeated adjacent pairing.
 
     The reduction tree depends only on the array length, so the result is
-    reproducible bit-for-bit across runs and worker counts (unlike np.sum,
-    whose pairing blocks may change with internal striding).
+    reproducible bit-for-bit across runs (unlike np.sum, whose pairing
+    blocks may change with internal striding).
     """
     x = np.asarray(arr, dtype=np.float64).ravel()
     while x.size > 1:
@@ -31,23 +24,3 @@ def pairwise_sum(arr) -> float:
             paired = np.concatenate([paired, x[-1:]])
         x = paired
     return float(x[0]) if x.size else 0.0
-
-
-def det_chunks(total: int, chunk: int = CHUNK) -> list[tuple[int, int]]:
-    """Fixed [lo, hi) ranges covering `total` items."""
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-
-
-def run_chunked(fn, total: int, workers: int = 1, chunk: int = CHUNK) -> list:
-    """Apply fn(lo, hi) over fixed chunks; results in chunk order.
-
-    With workers > 1 the chunks are evaluated on a thread pool, but the
-    returned list order (and therefore any subsequent reduction) is
-    identical to the sequential run.
-    """
-    ranges = det_chunks(total, chunk)
-    if workers <= 1 or len(ranges) <= 1:
-        return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]

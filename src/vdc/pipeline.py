@@ -50,6 +50,19 @@ ledger verifies the algebraic identities tying the levels together:
 Each identity is written once, over a numeric domain.  An exact domain
 checks it with tolerance 0; a float64 domain allows
 SMOOTH_RTOL * max(1, |scale|), with scale the size of the compared terms.
+
+Every pair pass is one grouped join (``_pair_join``): the points of one set
+paired with those of another inside equal groups (classes mod pi for the
+correlations and level 1, classes mod p for the x-pairs of level 2, and
+(z, class mod pi) for the pair table), emitted in (group, left, right)
+order in chunks of at most PAIR_BLOCK pairs.  Each pass supplies only a
+key and a weight per pair.  Exact sums do not depend on order; float sums
+do, so each is cut into fixed parts: the correlations per 32 consecutive
+classes mod pi, level 1 per class mod pi and block of
+LEVEL1_PART // |box class| q-solutions, the pair table per z.  A part adds
+its pairs to zero in emission order and the parts are added in order, so
+float results do not depend on the chunk size, and one code path serves
+both domains.
 """
 
 from __future__ import annotations
@@ -65,10 +78,11 @@ from .errors import Budget, InputError, PreconditionError, ensure_budget
 from .ffield import field_make, is_prime, reduce_mod
 from .geometry import RCheckPolicy, VarietySpec, r_check, sing_points
 from .mpoly import IntPoly
-from .parallel import pairwise_sum, run_chunked
+from .parallel import pairwise_sum
 
 PAIR_TABLE_MAX_CELLS = 1 << 24
-PAIR_BLOCK = 1 << 21  # max pair rows materialized at once
+PAIR_BLOCK = 1 << 18  # max pair rows materialized at once
+LEVEL1_PART = 1 << 21  # pair rows per level-1 float part, apart from PAIR_BLOCK
 SMOOTH_RTOL = 1e-9
 
 
@@ -135,7 +149,6 @@ class PipelineParams:
     q: int
     weight: str = "hat"
     with_pair_table: bool = False
-    workers: int = 1
 
     def validate(self) -> list[str]:
         if self.B < 1:
@@ -357,43 +370,124 @@ def _class_ids(coords: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _group_by_class(ids: np.ndarray, sel: np.ndarray, nclasses: int):
-    """Indices of selected points, grouped by class id.
+def _quot_code(coords: np.ndarray, m: int, side: int) -> np.ndarray:
+    """sum_i (x_i // m) side^i per box point.  For x_a, x_c in one class mod
+    m, code[c] - code[a] + side^n // 2 is the flat key (digit 0 fastest,
+    digits in [-(side // 2), side // 2]) of the shift (x_c - x_a) / m."""
+    return (coords // m) @ side ** np.arange(coords.shape[1], dtype=np.int64)
 
-    Returns (order, starts): order lists the selected flat indices sorted
-    by class; class c occupies order[starts[c]:starts[c+1]].
+
+def _pair_join(left: np.ndarray, right: np.ndarray):
+    """All pairs (i, j) with left[i] == right[j], grouped by that key.
+
+    Returns (npairs, chunks).  chunks yields (li, ri) index arrays of at most
+    PAIR_BLOCK pairs, in (key, i, j) order; npairs = sum over keys of the
+    product of the two group sizes.
     """
-    flat = np.flatnonzero(sel)
-    cls = ids[flat]
-    perm = np.argsort(cls, kind="stable")
-    order = flat[perm]
-    starts = np.searchsorted(cls[perm], np.arange(nclasses + 1))
-    return order, starts
+    lo = np.argsort(left, kind="stable")
+    ro = np.argsort(right, kind="stable")
+    rs = right[ro]
+    first = np.searchsorted(rs, left[lo], "left")  # each left row's right group
+    cnt = np.searchsorted(rs, left[lo], "right") - first
+    ends = np.cumsum(cnt)
+    starts = ends - cnt
+    npairs = int(ends[-1]) if ends.size else 0
+
+    def chunks():
+        cs = np.arange(0, npairs, PAIR_BLOCK)  # chunk c is pairs [cs, ce)
+        ce = np.minimum(cs + PAIR_BLOCK, npairs)
+        ra = np.searchsorted(ends, cs, "right")  # its left rows are [ra, rb)
+        rb = np.searchsorted(ends, ce, "left") + 1
+        for s, e, a, b in zip(*(v.tolist() for v in (cs, ce, ra, rb))):
+            c = np.minimum(ends[a:b], e) - np.maximum(starts[a:b], s)
+            li = lo[a:b].repeat(c)
+            ri = ro[(first[a:b] - starts[a:b]).repeat(c) + np.arange(s, e)]
+            yield li, ri
+
+    return npairs, chunks()
+
+
+def _fold(keys, w, dtype, parts=None):
+    """Sums of w per key, or per (key, part), each adding its rows to zero
+    in arrival order.  Returns (keys, parts or None, sums), sorted by key
+    and, within a key, in arrival order."""
+    order = np.argsort(keys, kind="stable")
+    ks = keys[order]
+    new = np.ones(ks.size, dtype=bool)
+    new[1:] = ks[1:] != ks[:-1]
+    if parts is not None:
+        parts = parts[order]
+        new[1:] |= parts[1:] != parts[:-1]
+        parts = parts[new]
+    inv = np.empty(ks.size, dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    sums = np.zeros(int(new.sum()), dtype=dtype)
+    np.add.at(sums, inv, w)
+    return ks[new], parts, sums
+
+
+def _part_sums(chunks, dtype):
+    """Per-key sums of (part, key, weight) rows that arrive in chunks whose
+    part ids never decrease.
+
+    Each (part, key) sum adds its rows to zero in arrival order, and each
+    key's total adds its part sums to zero in part order, so float totals
+    depend on the parts, not on the chunking.  Rows are held until their
+    part is complete.  Returns (sorted keys, totals).
+    """
+    done, held, cur = [], [], None
+
+    def fold_held():
+        ps, ks, ws = (np.concatenate(c) for c in zip(*held))
+        gk, _, sums = _fold(ks, ws, dtype, ps)
+        done.append((gk, sums))
+
+    for part, key, w in chunks:
+        if part[-1] != cur:  # the held rows' parts are complete
+            cut = int(np.searchsorted(part, part[-1]))
+            held.append((part[:cut], key[:cut], w[:cut]))
+            fold_held()
+            held, cur = [], part[-1]
+            part, key, w = part[cut:], key[cut:], w[cut:]
+        held.append((part, key, w))
+    if held:
+        fold_held()
+    keys = np.concatenate([np.zeros(0, dtype=np.int64)] + [k for k, _ in done])
+    sums = np.concatenate([np.zeros(0, dtype=dtype)] + [v for _, v in done])
+    keys, _, totals = _fold(keys, sums, dtype)
+    return keys, totals
+
+
+def _part_slabs(chunks, nparts: int, size: int, dtype):
+    """Dense per-part sums of (part, key, weight) rows that arrive in chunks
+    whose part ids never decrease: yields, for each part 0..nparts-1 in
+    order, the array whose entry k adds the part's key-k weights to zero in
+    arrival order."""
+    acc, cur = np.zeros(size, dtype=dtype), 0
+    for part, key, w in chunks:
+        cuts = (np.flatnonzero(part[1:] != part[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [part.size]):
+            while cur < part[lo]:
+                yield acc
+                acc, cur = np.zeros(size, dtype=dtype), cur + 1
+            np.add.at(acc, key[lo:hi], w[lo:hi])
+    for _ in range(cur, nparts):
+        yield acc
+        acc = np.zeros(size, dtype=dtype)
 
 
 def _sq_bincount(keys: np.ndarray, vals: np.ndarray, size: int):
     """Per-bin sum of squared values, in vals' dtype except that int64 lifts
     to Python ints unless the squares provably fit."""
+    # with every square below 2^62, the first prefix sum to reach 2^62 comes
+    # before any int64 wrap, so the cumsum test is exact
     if vals.dtype == np.int64 and vals.size and not (
-        int(vals.max()) < 2**31 and int((vals * vals).sum(dtype=object)) < 2**62
+        int(vals.max()) < 2**31 and int(np.cumsum(vals * vals).max()) < 2**62
     ):
         vals = vals.astype(object)
     out = np.zeros(size, dtype=vals.dtype)
     np.add.at(out, keys, vals * vals)
     return out
-
-
-def _merge_sparse(parts: list, dtype):
-    """Merge (keys, sums) pairs, combining duplicate keys."""
-    parts = [(k, v) for k, v in parts if k.size]
-    if not parts:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
-    K = np.concatenate([k for k, _ in parts])
-    V = np.concatenate([v for _, v in parts])
-    uk, inv = np.unique(K, return_inverse=True)
-    out = np.zeros(uk.size, dtype=dtype)
-    np.add.at(out, inv, V)
-    return uk, out
 
 
 # -- the main construction ----------------------------------------------------
@@ -466,80 +560,44 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     fs_axis[inrange] = S2[lags[inrange] + (L - 1)]
     fs_num = _sep_product([fs_axis] * n)
 
-    # pair pass over pq-solutions: congruence part of corr(y)
-    congnum = np.zeros(Ycells, dtype=acc_dtype)
-    order_pq, starts_pq = _group_by_class(cls_pi, solpq, pin)
-    order_box, starts_box = _group_by_class(cls_pi, np.ones(M, dtype=bool), pin)
-    order_q, starts_q = _group_by_class(cls_pi, solq, pin)
-
-    ystrides = sideY ** np.arange(n, dtype=np.int64)
-
-    def ykeys_of(a_coords, c_coords):
-        yd = (c_coords[None, :, :] - a_coords[:, None, :]) // pi + Y
-        return yd @ ystrides
-
-    npairs_corr = sum(
-        int(starts_pq[r + 1] - starts_pq[r]) ** 2 for r in range(pin)
-    )
-    npairs_lvl1 = sum(
-        int(starts_q[r + 1] - starts_q[r])
-        * int(starts_box[r + 1] - starts_box[r])
-        for r in range(pin)
-    )
+    # the two pair passes, both joins inside classes mod pi: pq-solutions
+    # with each other, and q-solutions x with the box points c = x + pi y.
+    # A pair's key splits into a left and a right term (see _quot_code).
+    a_pq, a_q = np.flatnonzero(solpq), np.flatnonzero(solq)
+    ycode = _quot_code(coords, pi, sideY)
+    npairs_corr, corr_pairs = _pair_join(cls_pi[a_pq], cls_pi[a_pq])
+    npairs_lvl1, lvl1_pairs = _pair_join(cls_pi[a_q], cls_pi)
     budget.charge(npairs_corr + npairs_lvl1, "correlation pairs")
 
-    def corr_chunk(lo, hi):
-        part = np.zeros(Ycells, dtype=acc_dtype)
-        for r in range(lo, hi):
-            a = order_pq[starts_pq[r] : starts_pq[r + 1]]
-            if a.size == 0:
-                continue
-            ca, wa = coords[a], wnum[a]
-            blk = max(1, PAIR_BLOCK // max(1, a.size))
-            for s in range(0, a.size, blk):
-                keys = ykeys_of(ca[s : s + blk], ca).ravel()
-                wts = (wa[s : s + blk, None] * wa[None, :]).ravel()
-                np.add.at(part, keys, _acc(wts))
-        return part
-
-    # chunk size fixed so float merge order cannot depend on the worker count
-    nclass_chunk = 32
-    for part in run_chunked(corr_chunk, pin, params.workers, nclass_chunk):
+    # congruence part of corr(y); float parts are runs of 32 classes
+    corr_part = cls_pi[a_pq] // 32
+    lkey, rkey, wpq = Ycells // 2 - ycode[a_pq], ycode[a_pq], wnum[a_pq]
+    congnum = np.zeros(Ycells, dtype=acc_dtype)
+    for part in _part_slabs(
+        ((corr_part[li], lkey[li] + rkey[ri], _acc(wpq[li] * wpq[ri]))
+         for li, ri in corr_pairs),
+        -(-pin // 32), Ycells, acc_dtype,
+    ):
         congnum += part
 
-    # level 1: split each shift by classes v mod p and difference residue a mod q
+    # level 1: split each shift by classes v mod p and difference residue a
+    # mod q, under the key (y, v, a).  A float part is one class mod pi and
+    # one block of LEVEL1_PART // |box class| of its q-solutions.
     pn = p**n
     pnq = pn * q
-
-    def lvl1_chunk(lo, hi):
-        parts = []
-        for r in range(lo, hi):
-            a = order_q[starts_q[r] : starts_q[r + 1]]
-            c = order_box[starts_box[r] : starts_box[r + 1]]
-            if a.size == 0 or c.size == 0:
-                continue
-            ca, cc = coords[a], coords[c]
-            wa, wc = wnum[a], wnum[c]
-            va = cls_p[a]
-            fc = fq_v[c]
-            blk = max(1, PAIR_BLOCK // max(1, c.size))
-            for s in range(0, a.size, blk):
-                ab = slice(s, min(s + blk, a.size))
-                keys = (
-                    (ykeys_of(ca[ab], cc) * pn + va[ab, None]) * q + fc[None, :]
-                ).ravel()
-                wts = (wa[ab, None] * wc[None, :]).ravel()
-                uk, inv = np.unique(keys, return_inverse=True)
-                sums = np.zeros(uk.size, dtype=acc_dtype)
-                np.add.at(sums, inv, _acc(wts))
-                parts.append((uk, sums))
-        return parts
-
-    all_parts = []
-    for plist in run_chunked(lvl1_chunk, pin, params.workers, nclass_chunk):
-        all_parts.extend(plist)
-    K3, V3 = _merge_sparse(all_parts, acc_dtype)
-    del all_parts
+    qcls = cls_pi[a_q]
+    srt = np.argsort(qcls, kind="stable")
+    rank = np.empty_like(srt)  # of each q-solution within its class
+    rank[srt] = np.arange(srt.size) - np.searchsorted(qcls[srt], qcls[srt])
+    blk = np.maximum(1, LEVEL1_PART // np.bincount(cls_pi, minlength=pin)[qcls])
+    lvl1_part = qcls * (a_q.size + 1) + rank // blk
+    lkey = ((Ycells // 2 - ycode[a_q]) * pn + cls_p[a_q]) * q
+    rkey, wq = ycode * pnq + fq_v, wnum[a_q]
+    K3, V3 = _part_sums(
+        ((lvl1_part[li], lkey[li] + rkey[ri], _acc(wq[li] * wnum[ri]))
+         for li, ri in lvl1_pairs),
+        acc_dtype,
+    )
 
     y3 = K3 // pnq
     t0_num = np.zeros(Ycells, dtype=acc_dtype)
@@ -719,7 +777,7 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
     """Second differencing: corr2(y, z) tables and their per-y aggregates."""
     pr = ledger.params
     B, pi, p, q, n = pr.B, pr.pi, pr.p, pr.q, ledger.n
-    Y, sideY, Ycells = ledger.shift_range, 2 * ledger.shift_range + 1, len(ledger.corr_num)
+    Y, Ycells = ledger.shift_range, len(ledger.corr_num)
     Z = (4 * B) // p
     sideZ = 2 * Z + 1
     Zcells = sideZ**n
@@ -733,7 +791,7 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
     budget.charge(Zcells * L**n, "pair-table windows")
 
     pn = p**n
-    order_q, starts_q = _group_by_class(cls_p, solq, pn)
+    a_q = np.flatnonzero(solq)
 
     # Decide whether level 2 fits in int64.  Every accumulated quantity is
     # bounded by q^3 * (sum over x-pairs of their weight product) * (max
@@ -741,10 +799,9 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
     # large, run this level in float64 and say so.
     D = ledger._dom
     w1max = w1.max().item()
-    pairsum_x = sum(
-        D.total(wnum[order_q[starts_q[r] : starts_q[r + 1]]]) ** 2
-        for r in range(pn)
-    )
+    xtot = D.lift(np.zeros(pn, dtype=wnum.dtype))  # weight per class mod p
+    np.add.at(xtot, cls_p[a_q], D.lift(wnum[a_q]))
+    pairsum_x = D.total(xtot * xtot)
     axis4 = w1max**3 * D.total(w1)
     cell_bound = q**3 * pairsum_x * w1max ** (2 * n) + axis4**n
     if D.fits(cell_bound) and ledger.ss3.dtype != object:
@@ -765,45 +822,43 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
     ledger._t2d_table = t2d
     ledger.pair_range = Z
 
-    xi_list, zk_list, wx_list = [], [], []
-    zstrides = sideZ ** np.arange(n, dtype=np.int64)
-    total_pairs = sum(
-        int(starts_q[r + 1] - starts_q[r]) ** 2 for r in range(pn)
-    )
-    budget.charge(total_pairs, "second-difference pairs")
-    for r in range(pn):
-        a = order_q[starts_q[r] : starts_q[r + 1]]
-        if a.size == 0:
-            continue
-        ca, wa = coords[a], wnum[a]
-        blk = max(1, PAIR_BLOCK // max(1, a.size))
-        for s in range(0, a.size, blk):
-            ab = slice(s, min(s + blk, a.size))
-            zd = (ca[None, :, :] - ca[ab][:, None, :]) // p + Z
-            zk = (zd @ zstrides).ravel()
-            wx = (wa[ab][:, None] * wa[None, :]).ravel()
-            xi = np.broadcast_to(a[ab][:, None], (ca[ab].shape[0], a.size)).ravel()
-            xi_list.append(xi)
-            zk_list.append(zk)
-            wx_list.append(wx)
-    if xi_list:
-        xi_all = np.concatenate(xi_list)
-        zk_all = np.concatenate(zk_list)
-        wx_all = np.concatenate(wx_list)
-        perm = np.argsort(zk_all, kind="stable")
-        xi_all, zk_all, wx_all = xi_all[perm], zk_all[perm], wx_all[perm]
-        zk_bounds = np.searchsorted(zk_all, np.arange(Zcells + 1))
-    else:
-        xi_all = np.zeros(0, dtype=np.int64)
-        wx_all = np.zeros(0, dtype=acc_dtype)
-        zk_bounds = np.zeros(Zcells + 1, dtype=np.int64)
+    # x-pairs: q-solutions paired inside classes mod p, ordered by shift z
+    npairs_x, x_pairs = _pair_join(cls_p[a_q], cls_p[a_q])
+    budget.charge(npairs_x, "second-difference pairs")
+    zcode, wq = _quot_code(coords[a_q], p, sideZ), wnum[a_q]
+    xi, zk, wx = [a_q[:0]], [a_q[:0]], [wnum[:0]]
+    for li, ri in x_pairs:
+        xi.append(a_q[li])
+        zk.append(zcode[ri] - zcode[li] + Zcells // 2)
+        wx.append(wq[li] * wq[ri])
+    perm = np.argsort(np.concatenate(zk), kind="stable")
+    xi, zk, wx = (np.concatenate(v)[perm] for v in (xi, zk, wx))
+    zk_bounds = np.searchsorted(zk, np.arange(Zcells + 1))
 
     fq_nd = fq_v.reshape((L,) * n)  # axis n-1-i <-> coordinate i
     w_nd = wnum.reshape((L,) * n)
     idx_nd = np.arange(L**n).reshape((L,) * n)
-    pin = pi**n
-    ystrides = sideY ** np.arange(n, dtype=np.int64)
+    zdigits = _coords_from_flat(np.arange(Zcells), sideZ, n, Z)
+    ycode = _quot_code(coords, pi, 2 * Y + 1)
 
+    def window(kz):
+        """Box points u with u + p z also in the box and f(u) = f(u + p z)
+        mod q, with their nonzero weight products."""
+        src, dst = [], []
+        for s in (p * zdigits[kz]).tolist():
+            lo, hi = max(0, -s), L - max(0, s)
+            if lo >= hi:
+                return a_q[:0], wnum[:0]
+            src.append(slice(lo, hi))
+            dst.append(slice(lo + s, hi + s))
+        # axes are reversed relative to coordinates
+        src_t, dst_t = tuple(reversed(src)), tuple(reversed(dst))
+        cond = fq_nd[src_t] == fq_nd[dst_t]
+        wu = (w_nd[src_t] * w_nd[dst_t])[cond]
+        live = wu > 0  # weights are nonnegative in every kind
+        return idx_nd[src_t][cond][live], wu[live]
+
+    pin = pi**n
     qsum = np.zeros(Ycells, dtype=acc_dtype)
     # sum_z |q^3 cong - FS2| per y; exact int64 sums move to Python ints
     # (flushed) before their bound could pass 2^62
@@ -812,65 +867,25 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
     table = np.zeros((Ycells, Zcells), dtype=acc_dtype) if keep_table else None
     q3 = q**3
 
-    for kz in range(Zcells):
-        zd = []
-        t = kz
-        for _ in range(n):
-            zd.append(t % sideZ - Z)
-            t //= sideZ
-        shift = [p * c for c in zd]
-        # window of u with u and u+shift both in the box
-        src = []
-        dst = []
-        ok = True
-        for i in range(n):
-            s = shift[i]
-            ax_lo, ax_hi = max(0, -s), L - max(0, s)
-            if ax_lo >= ax_hi:
-                ok = False
-                break
-            src.append(slice(ax_lo, ax_hi))
-            dst.append(slice(ax_lo + s, ax_hi + s))
-        slab = np.zeros(Ycells, dtype=acc_dtype)
-        if ok:
-            # axes are reversed relative to coordinates
-            src_t = tuple(reversed(src))
-            dst_t = tuple(reversed(dst))
-            cond = fq_nd[src_t] == fq_nd[dst_t]
-            u_flat = idx_nd[src_t][cond]
-            wu = (w_nd[src_t] * w_nd[dst_t])[cond]
-            live = wu > 0  # weights are nonnegative in every kind
-            u_flat, wu = u_flat[live], wu[live]
-            lo, hi = int(zk_bounds[kz]), int(zk_bounds[kz + 1])
-            if hi > lo and u_flat.size:
-                xs = xi_all[lo:hi]
-                wxs = wx_all[lo:hi]
-                ucls = cls_pi[u_flat]
-                xcls = cls_pi[xs]
-                u_ord = np.argsort(ucls, kind="stable")
-                x_ord = np.argsort(xcls, kind="stable")
-                u_srt, wu_srt = u_flat[u_ord], wu[u_ord]
-                x_srt, wx_srt = xs[x_ord], wxs[x_ord]
-                ub = np.searchsorted(ucls[u_ord], np.arange(pin + 1))
-                xb = np.searchsorted(xcls[x_ord], np.arange(pin + 1))
-                for r in range(pin):
-                    us = slice(int(ub[r]), int(ub[r + 1]))
-                    xsr = slice(int(xb[r]), int(xb[r + 1]))
-                    if ub[r + 1] == ub[r] or xb[r + 1] == xb[r]:
-                        continue
-                    cx = coords[x_srt[xsr]]
-                    cu = coords[u_srt[us]]
-                    yd = (cu[None, :, :] - cx[:, None, :]) // pi + Y
-                    keys = (yd @ ystrides).ravel()
-                    wts = (wx_srt[xsr][:, None] * wu_srt[us][None, :]).ravel()
-                    np.add.at(slab, keys, wts)
-        # FS2 slab for this z
-        cols = []
-        t = kz
-        for _ in range(n):
-            cols.append(t2d[:, t % sideZ])
-            t //= sideZ
-        fs2 = _sep_product(cols)
+    def slab_rows():
+        """(z, y key, weight) rows of the x-pairs of each z joined with the
+        window of z inside classes mod pi, for batches of z."""
+        zbatch = max(1, PAIR_BLOCK // L**n)
+        for z0 in range(0, Zcells, zbatch):
+            wins = [window(kz) for kz in range(z0, min(z0 + zbatch, Zcells))]
+            u = np.concatenate([w[0] for w in wins])
+            wu = np.concatenate([w[1] for w in wins])
+            uz = np.repeat(np.arange(z0, z0 + len(wins)), [w[0].size for w in wins])
+            lo, hi = zk_bounds[z0], zk_bounds[z0 + len(wins)]
+            xs, xz, wxs = xi[lo:hi], zk[lo:hi], wx[lo:hi]
+            xkey = Ycells // 2 - ycode[xs]
+            _, pairs = _pair_join(xz * pin + cls_pi[xs], uz * pin + cls_pi[u])
+            for li, ri in pairs:
+                yield xz[li], xkey[li] + ycode[u[ri]], wxs[li] * wu[ri]
+
+    slabs = _part_slabs(slab_rows(), Zcells, Ycells, acc_dtype)
+    for kz, slab in enumerate(slabs):
+        fs2 = _sep_product([t2d[:, c] for c in zdigits[kz] + Z])
         if table is not None:
             table[:, kz] = slab
         qsum += slab

@@ -93,6 +93,19 @@ def test_pipeline_showcase(capsys):
     assert res == json.loads(golden.read_text())
 
 
+def test_pipeline_float_level2_golden(capsys):
+    """Exact weights with a float64 level 2: the golden pins the order of
+    the pair table's float sums (qsum, the per-y sums behind the aggregate)."""
+    code, doc = run_cli(
+        ["pipeline", "--poly", "x1^3+x2^3+x3^3-x1*x2*x3", "--n", "3",
+         "--B", "6", "--pi", "5", "--p", "3", "--q", "29",
+         "--pair-table"], capsys=capsys)
+    assert code == 0
+    assert doc["result"]["pair"]["exact"] is False
+    golden = Path(__file__).parent / "golden" / "pipeline_pi5_float_level2_result.json"
+    assert doc["result"] == json.loads(golden.read_text())
+
+
 GEOMETRY_GOLDENS = [
     (["geom", "sing", "--form", "x1^4+x2^4+x3^4+x4^4+x5^4", "--n", "5",
       "--field", "7"], "geom_sing_fermat5_f7_result.json"),

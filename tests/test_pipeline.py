@@ -6,12 +6,15 @@ box, so each assertion has an independent oracle.
 """
 import dataclasses
 import itertools
+import json
+import math
 from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from vdc import cli, pipeline
 from vdc.errors import Budget, BudgetExceeded, InputError, PreconditionError
 from vdc.mpoly import parse_poly
 from vdc.pipeline import (
@@ -206,15 +209,143 @@ def test_residual_checks_can_fail(weight):
     assert not bad["per_shift_defect"].ok
 
 
-def test_worker_count_does_not_change_results():
-    kw = dict(f=F, B=B, pi=PI, p=P, q=Q, weight="smooth",
-              with_pair_table=True)
-    led1 = build_ledger(PipelineParams(**kw, workers=1))
-    led4 = build_ledger(PipelineParams(**kw, workers=4))
-    assert np.array_equal(led1.corr_num, led4.corr_num)
-    assert np.array_equal(led1.fs_num, led4.fs_num)
-    assert np.array_equal(led1.pair_table, led4.pair_table)
-    assert led1.aggregate == led4.aggregate
+# the README showcase, and an instance with pi^n = 125 classes (four groups
+# of 32 in the correlation pass) whose hat run takes float64 level 2
+CHUNK_CASES = {
+    "showcase": dict(f=F, B=B, pi=PI, p=P, q=Q),
+    "pi5": dict(f=F, B=6, pi=5, p=3, q=29),
+}
+CHUNKED_ARRAYS = ("corr_num", "t0_num", "t1_num", "ss2", "ss3", "sxy_num",
+                  "pair_table", "qsum", "abs2_num")
+
+
+@pytest.fixture(scope="module")
+def default_ledgers():
+    return {
+        (case, weight): build_ledger(PipelineParams(
+            **kw, weight=weight, with_pair_table=True))
+        for case, kw in CHUNK_CASES.items() for weight in ("hat", "smooth")
+    }
+
+
+# the showcase joins ~1.9M pairs, so PAIR_BLOCK = 1 and 7 there take ~45 s
+# and ~6 s per build; the smallest blocks run on the pi5 case only
+@pytest.mark.parametrize("weight", ["hat", "smooth"])
+@pytest.mark.parametrize("case, block", [
+    ("showcase", 64), ("pi5", 1), ("pi5", 7), ("pi5", 64),
+])
+def test_pair_block_does_not_change_results(default_ledgers, monkeypatch,
+                                            case, block, weight):
+    ref = default_ledgers[(case, weight)]
+    monkeypatch.setattr(pipeline, "PAIR_BLOCK", block)
+    led = build_ledger(PipelineParams(**CHUNK_CASES[case], weight=weight,
+                                      with_pair_table=True))
+    for name in CHUNKED_ARRAYS:
+        assert np.array_equal(getattr(led, name), getattr(ref, name)), name
+    assert led.aggregate == ref.aggregate
+    assert led.pair_exact == ref.pair_exact == (case == "showcase"
+                                                and weight == "hat")
+
+
+class RecordingBudget(Budget):
+    def __init__(self):
+        super().__init__()
+        self.charges = defaultdict(int)
+
+    def charge(self, amount, what="points"):
+        super().charge(amount, what)
+        self.charges[what] += int(amount)
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
+    emitted = []
+    join = pipeline._pair_join
+
+    def counting_join(left, right):
+        npairs, chunks = join(left, right)
+        emitted.append(0)
+        slot = len(emitted) - 1
+
+        def counted():
+            for li, ri in chunks:
+                emitted[slot] += li.size
+                yield li, ri
+        return npairs, counted()
+
+    monkeypatch.setattr(pipeline, "_pair_join", counting_join)
+    budget = RecordingBudget()
+    build_ledger(PipelineParams(**CHUNK_CASES[case], with_pair_table=True),
+                 budget)
+    # joins in call order: correlation, level 1, x-pairs, then the z batches
+    corr, lvl1, xpairs = emitted[:3]
+    assert budget.charges["correlation pairs"] == corr + lvl1
+    assert budget.charges["second-difference pairs"] == xpairs
+
+
+def test_showcase_budget_used(capsys):
+    code = cli.dispatch(["pipeline", "--poly", "x1^3+x2^3+x3^3-x1*x2*x3",
+                         "--n", "3", "--B", "4", "--pi", "2", "--p", "3",
+                         "--q", "5", "--pair-table"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["run"]["budget"]["used"] == 4982227
+
+
+def test_tables_match_brute_force_across_class_groups():
+    # pi^n = 125 classes mod pi, so the correlation pass spans four groups
+    b, pi, p, q = 4, 5, 3, 7
+    led = build_ledger(PipelineParams(f=F, B=b, pi=pi, p=p, q=q, weight="hat",
+                                      with_pair_table=True))
+    assert led.exact and led.pair_exact
+    h = 2 * b - 1
+    box = list(itertools.product(range(-h, h + 1), repeat=N))
+    fv = {x: fval(x) for x in box}
+    wnum = {x: math.prod(2 * b - abs(c) for c in x) for x in box}
+    sols_q = [x for x in box if fv[x] % q == 0]
+    classes = list(itertools.product(range(p), repeat=N))
+    zero_p = {v for v in classes if fval(v) % p == 0}
+
+    def add(x, s):
+        return tuple(x[i] + s[i] for i in range(N))
+
+    Y = led.shift_range
+    for y in itertools.product(range(-Y, Y + 1), repeat=N):
+        k = led.shift_key(y)
+        sy = tuple(pi * c for c in y)
+        corr, inner = 0, defaultdict(int)
+        for x in sols_q:
+            c = add(x, sy)
+            if c not in fv:
+                continue
+            inner[(tuple(t % p for t in x), fv[c] % q)] += wnum[x] * wnum[c]
+            if fv[x] % (p * q) == 0 and fv[c] % (p * q) == 0:
+                corr += wnum[x] * wnum[c]
+        xy = {v for v in zero_p if tuple(t % p for t in add(v, sy)) in zero_p}
+        at0 = {v: s for (v, a), s in inner.items() if a == 0}
+        assert led.corr_num[k] == corr, y
+        assert led.t0_num[k] == sum(inner.values()), y
+        assert led.t1_num[k] == sum(at0.values()), y
+        assert led.ss3[k] == sum(s * s for s in inner.values()), y
+        assert led.ss2[k] == sum(s * s for s in at0.values()), y
+        assert led.sxy_num[k] == sum(s for v, s in at0.items() if v in xy), y
+
+    den = Fraction(1, (2 * b) ** (4 * N))
+    for yy, zz in [((1, 0, 0), (1, 0, 0)), ((0, 1, -1), (-1, 2, 0)),
+                   ((1, 1, 1), (0, 0, 0)), ((0, 0, 0), (1, -1, 2)),
+                   ((-1, 0, 1), (2, 1, -2))]:
+        sy = tuple(pi * c for c in yy)
+        sz = tuple(p * c for c in zz)
+        cong = full = 0
+        for x in box:
+            x1, x2, x3 = add(x, sy), add(x, sz), add(add(x, sy), sz)
+            if not all(t in fv for t in (x1, x2, x3)):
+                continue
+            w4 = wnum[x] * wnum[x1] * wnum[x2] * wnum[x3]
+            full += w4
+            if (fv[x] % q == 0 and fv[x2] % q == 0
+                    and (fv[x3] - fv[x1]) % q == 0):
+                cong += w4
+        assert led.corr2(yy, zz) == (cong - Fraction(full, q**3)) * den, (yy, zz)
 
 
 def test_params_validation():
