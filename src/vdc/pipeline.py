@@ -52,17 +52,19 @@ checks it with tolerance 0; a float64 domain allows
 SMOOTH_RTOL * max(1, |scale|), with scale the size of the compared terms.
 
 Every pair pass is one grouped join (``_pair_join``): the points of one set
-paired with those of another inside equal groups (classes mod pi for the
-correlations and level 1, classes mod p for the x-pairs of level 2, and
-(z, class mod pi) for the pair table), emitted in (group, left, right)
-order in chunks of at most PAIR_BLOCK pairs.  Each pass supplies only a
-key and a weight per pair.  Exact sums do not depend on order; float sums
-do, so each is cut into fixed parts: the correlations per 32 consecutive
-classes mod pi, level 1 per class mod pi and block of
-LEVEL1_PART // |box class| q-solutions, the pair table per z.  A part adds
-its pairs to zero in emission order and the parts are added in order, so
-float results do not depend on the chunk size, and one code path serves
-both domains.
+paired with those of another inside equal groups, emitted in (group, left,
+right) order in chunks of at most PAIR_BLOCK pairs.  The correlations and
+level 1 group by class mod pi.  Level 2 joins the box points once, by
+(class mod p, f mod q): its pairs (u, u + p z) carry the second shift z, and
+those with q | f(u) are the x-pairs (x, x + p z).  The pair table then joins
+the x-pairs with the box-point pairs by (z, class mod pi), which puts
+x + pi y = u.  Each pass supplies only a key and a weight per pair.  Exact
+sums do not depend on order; float sums do, so each is cut into fixed parts:
+the correlations per 32 consecutive classes mod pi, level 1 per class mod pi
+and block of LEVEL1_PART // |box class| q-solutions, the pair table per z.
+A part adds its pairs to zero in emission order and the parts are added in
+order, so float results do not depend on the chunk size, and one code path
+serves both domains.
 """
 
 from __future__ import annotations
@@ -109,12 +111,8 @@ class _Domain:
 
     def scaled(self, nums: np.ndarray, den) -> np.ndarray:
         """Numerators over den as this domain carries them: exact keeps the
-        numerators (den is applied by value), float divides now."""
+        numerators (den is applied when read), float divides now."""
         return nums if self.exact else self.lift(nums) / den
-
-    def value(self, carried, den):
-        """The scalar behind one entry of a scaled(nums, den) array."""
-        return Fraction(int(carried), den) if self.exact else float(carried)
 
     def total(self, vals: np.ndarray, mask: np.ndarray | None = None):
         """Sum of vals (where mask holds); exact sums use int64 only under a
@@ -822,43 +820,36 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
     ledger._t2d_table = t2d
     ledger.pair_range = Z
 
-    # x-pairs: q-solutions paired inside classes mod p, ordered by shift z
-    npairs_x, x_pairs = _pair_join(cls_p[a_q], cls_p[a_q])
-    budget.charge(npairs_x, "second-difference pairs")
-    zcode, wq = _quot_code(coords[a_q], p, sideZ), wnum[a_q]
-    xi, zk, wx = [a_q[:0]], [a_q[:0]], [wnum[:0]]
-    for li, ri in x_pairs:
-        xi.append(a_q[li])
-        zk.append(zcode[ri] - zcode[li] + Zcells // 2)
-        wx.append(wq[li] * wq[ri])
-    perm = np.argsort(np.concatenate(zk), kind="stable")
-    xi, zk, wx = (np.concatenate(v)[perm] for v in (xi, zk, wx))
-    zk_bounds = np.searchsorted(zk, np.arange(Zcells + 1))
+    # box-point pairs: live points a and c = a + p z with f(a) = f(c) mod q,
+    # from one join on (class mod p, f mod q).  Its rows with q | f(a) are
+    # the x-pairs; all its rows are the u-side pairs (u, u + p z).
+    live = np.flatnonzero(wnum > 0)  # weights are nonnegative in every kind
+    key = cls_p[live] * q + fq_v[live]
+    _, box_pairs = _pair_join(key, key)
+    pa, pc = [live[:0]], [live[:0]]
+    for li, ri in box_pairs:
+        pa.append(live[li])
+        pc.append(live[ri])
+    pa, pc = np.concatenate(pa), np.concatenate(pc)
+    zcode = _quot_code(coords, p, sideZ)
+    pz = zcode[pc] - zcode[pa] + Zcells // 2
+    pw = wnum[pa] * wnum[pc]
 
-    fq_nd = fq_v.reshape((L,) * n)  # axis n-1-i <-> coordinate i
-    w_nd = wnum.reshape((L,) * n)
-    idx_nd = np.arange(L**n).reshape((L,) * n)
+    isx = fq_v[pa] == 0
+    xi, zk, wx = pa[isx], pz[isx], pw[isx]
+    budget.charge(xi.size, "second-difference pairs")
+
+    # x-pairs (x, x + p z) joined with box-point pairs (u, u + p z) of the
+    # same z inside classes mod pi, so u = x + pi y; one slab part per z.
+    # One x meets each y at most once, so float sums follow the x order only.
+    pin = pi**n
     zdigits = _coords_from_flat(np.arange(Zcells), sideZ, n, Z)
     ycode = _quot_code(coords, pi, 2 * Y + 1)
+    xkey = Ycells // 2 - ycode[xi]
+    _, pairs = _pair_join(zk * pin + cls_pi[xi], pz * pin + cls_pi[pa])
+    rows = ((zk[li], xkey[li] + ycode[pa[ri]], wx[li] * pw[ri])
+            for li, ri in pairs)
 
-    def window(kz):
-        """Box points u with u + p z also in the box and f(u) = f(u + p z)
-        mod q, with their nonzero weight products."""
-        src, dst = [], []
-        for s in (p * zdigits[kz]).tolist():
-            lo, hi = max(0, -s), L - max(0, s)
-            if lo >= hi:
-                return a_q[:0], wnum[:0]
-            src.append(slice(lo, hi))
-            dst.append(slice(lo + s, hi + s))
-        # axes are reversed relative to coordinates
-        src_t, dst_t = tuple(reversed(src)), tuple(reversed(dst))
-        cond = fq_nd[src_t] == fq_nd[dst_t]
-        wu = (w_nd[src_t] * w_nd[dst_t])[cond]
-        live = wu > 0  # weights are nonnegative in every kind
-        return idx_nd[src_t][cond][live], wu[live]
-
-    pin = pi**n
     qsum = np.zeros(Ycells, dtype=acc_dtype)
     # sum_z |q^3 cong - FS2| per y; exact int64 sums move to Python ints
     # (flushed) before their bound could pass 2^62
@@ -867,23 +858,7 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
     table = np.zeros((Ycells, Zcells), dtype=acc_dtype) if keep_table else None
     q3 = q**3
 
-    def slab_rows():
-        """(z, y key, weight) rows of the x-pairs of each z joined with the
-        window of z inside classes mod pi, for batches of z."""
-        zbatch = max(1, PAIR_BLOCK // L**n)
-        for z0 in range(0, Zcells, zbatch):
-            wins = [window(kz) for kz in range(z0, min(z0 + zbatch, Zcells))]
-            u = np.concatenate([w[0] for w in wins])
-            wu = np.concatenate([w[1] for w in wins])
-            uz = np.repeat(np.arange(z0, z0 + len(wins)), [w[0].size for w in wins])
-            lo, hi = zk_bounds[z0], zk_bounds[z0 + len(wins)]
-            xs, xz, wxs = xi[lo:hi], zk[lo:hi], wx[lo:hi]
-            xkey = Ycells // 2 - ycode[xs]
-            _, pairs = _pair_join(xz * pin + cls_pi[xs], uz * pin + cls_pi[u])
-            for li, ri in pairs:
-                yield xz[li], xkey[li] + ycode[u[ri]], wxs[li] * wu[ri]
-
-    slabs = _part_slabs(slab_rows(), Zcells, Ycells, acc_dtype)
+    slabs = _part_slabs(rows, Zcells, Ycells, acc_dtype)
     for kz, slab in enumerate(slabs):
         fs2 = _sep_product([t2d[:, c] for c in zdigits[kz] + Z])
         if table is not None:
@@ -913,16 +888,13 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
 
 def _aggregate_from_abs(ledger) -> float:
     """pi^((n-1)/2) p^((n-2)/4) (sum_{y != 0} sqrt(sum_z |corr2|))^(1/2)."""
-    pr = ledger.params
-    n, D2 = ledger.n, ledger._pair_dom
-    Y, sideY = ledger.shift_range, 2 * ledger.shift_range + 1
-    key0 = sum(Y * sideY**i for i in range(n))
-    den = pr.q**3 * D2.den1**4
-    total = 0.0
-    for k in range(len(ledger.abs2_num)):
-        if k == key0:
-            continue
-        total += math.sqrt(float(D2.value(ledger.abs2_num[k], den)))
+    pr, n, D2 = ledger.params, ledger.n, ledger._pair_dom
+    abs2 = ledger.abs2_num
+    # exact cells hold Python ints: int / int rounds correctly, as float(Fraction)
+    vals = abs2 / (pr.q**3 * D2.den1**4) if D2.exact else abs2
+    roots = np.delete(np.sqrt(vals.astype(np.float64)), len(abs2) // 2)  # y = 0
+    # cumsum adds left to right, as a loop does (np.sum would add pairwise)
+    total = np.cumsum(np.concatenate([[0.0], roots]))[-1]
     return pr.pi ** ((n - 1) / 2) * pr.p ** ((n - 2) / 4) * math.sqrt(total)
 
 

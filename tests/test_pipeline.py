@@ -275,12 +275,114 @@ def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
 
     monkeypatch.setattr(pipeline, "_pair_join", counting_join)
     budget = RecordingBudget()
-    build_ledger(PipelineParams(**CHUNK_CASES[case], with_pair_table=True),
-                 budget)
-    # joins in call order: correlation, level 1, x-pairs, then the z batches
-    corr, lvl1, xpairs = emitted[:3]
-    assert budget.charges["correlation pairs"] == corr + lvl1
-    assert budget.charges["second-difference pairs"] == xpairs
+    kw = CHUNK_CASES[case]
+    build_ledger(PipelineParams(**kw, with_pair_table=True), budget)
+
+    # class histograms of the hat box: n_box, n_q, n_pq per class mod pi,
+    # and the q-solutions per class mod p
+    pi, p, q, h = kw["pi"], kw["p"], kw["q"], 2 * kw["B"] - 1
+    n_box, n_q, n_pq, n_qp = (defaultdict(int) for _ in range(4))
+    for x in itertools.product(range(-h, h + 1), repeat=N):
+        u, fx = tuple(c % pi for c in x), fval(x)
+        n_box[u] += 1
+        if fx % q == 0:
+            n_q[u] += 1
+            n_qp[tuple(c % p for c in x)] += 1
+        if fx % (p * q) == 0:
+            n_pq[u] += 1
+    corr = (sum(c * c for c in n_pq.values())
+            + sum(c * n_box[u] for u, c in n_q.items()))
+    assert budget.charges["correlation pairs"] == corr
+    # the first two joins are the correlation pass and level 1
+    assert emitted[0] + emitted[1] == corr
+    assert budget.charges["second-difference pairs"] == sum(
+        c * c for c in n_qp.values())
+
+
+@pytest.mark.parametrize("weight", ["hat", "indicator"])
+def test_pair_table_matches_brute_force(weight):
+    b, pi, p, q = 3, 2, 3, 5
+    led = build_ledger(PipelineParams(f=F, B=b, pi=pi, p=p, q=q, weight=weight,
+                                      with_pair_table=True))
+    assert led.pair_exact
+    h = 2 * b - 1 if weight == "hat" else b
+    Y, Z = led.shift_range, led.pair_range
+    assert p * Z >= 2 * h + 1  # some z windows are empty
+    fq = {x: fval(x) % q
+          for x in itertools.product(range(-h, h + 1), repeat=N)}
+    wnum = {x: math.prod(2 * b - abs(c) for c in x) if weight == "hat" else 1
+            for x in fq}
+
+    def key(t, R):
+        return sum((c + R) * (2 * R + 1) ** i for i, c in enumerate(t))
+
+    def steps(x, m, R):
+        """Shifts t, |t_i| <= R, with x + m t in the box."""
+        return itertools.product(*[
+            [t for t in range(-R, R + 1) if abs(c + m * t) <= h] for c in x])
+
+    # every quadruple (x, x + pi y, x + p z, x + pi y + p z) in the box
+    expect = defaultdict(int)
+    for x in (x for x in fq if fq[x] == 0):
+        for z in steps(x, p, Z):
+            x2 = tuple(x[i] + p * z[i] for i in range(N))
+            if fq[x2]:
+                continue
+            for y in steps(x, pi, Y):
+                x1 = tuple(x[i] + pi * y[i] for i in range(N))
+                x3 = tuple(x1[i] + p * z[i] for i in range(N))
+                if x3 in fq and fq[x3] == fq[x1]:
+                    expect[key(y, Y), key(z, Z)] += (
+                        wnum[x] * wnum[x1] * wnum[x2] * wnum[x3])
+    assert expect[key((0,) * N, Y), key((0,) * N, Z)] > 0
+    got = {(int(ky), int(kz)): int(led.pair_table[ky, kz])
+           for ky, kz in np.argwhere(led.pair_table != 0)}
+    assert got == expect
+
+
+@pytest.mark.parametrize("weight", ["hat", "smooth"])
+def test_summarized_pair_table_keeps_aggregates(default_ledgers, monkeypatch,
+                                                weight):
+    ref = default_ledgers[("showcase", weight)]
+    monkeypatch.setattr(pipeline, "PAIR_TABLE_MAX_CELLS",
+                        ref.pair_table.size - 1)
+    led = build_ledger(PipelineParams(**CHUNK_CASES["showcase"], weight=weight,
+                                      with_pair_table=True))
+    assert any("pair table summarized" in w for w in led.warnings)
+    assert led.pair_table is None
+    for name in ("qsum", "abs2_num"):
+        assert np.array_equal(getattr(led, name), getattr(ref, name)), name
+    assert led.aggregate == ref.aggregate
+    assert led.pair_exact == ref.pair_exact
+    assert ({k: (rc.ok, rc.value) for k, rc in led.residuals.items()}
+            == {k: (rc.ok, rc.value) for k, rc in ref.residuals.items()})
+    with pytest.raises(PreconditionError):
+        aggregate_bound(led, recompute=True)
+
+
+def aggregate_loop(led):
+    """The level-2 aggregate summed cell by cell in Python floats."""
+    pr, n, D2 = led.params, led.n, led._pair_dom
+    Y, sideY = led.shift_range, 2 * led.shift_range + 1
+    key0 = sum(Y * sideY**i for i in range(n))
+    den = pr.q**3 * D2.den1**4
+    total = 0.0
+    for k, c in enumerate(led.abs2_num):
+        if k != key0:
+            v = Fraction(int(c), den) if D2.exact else c  # float: already scaled
+            total += math.sqrt(float(v))
+    return pr.pi ** ((n - 1) / 2) * pr.p ** ((n - 2) / 4) * math.sqrt(total)
+
+
+@pytest.mark.parametrize("case, weight", [
+    ("showcase", "hat"), ("showcase", "smooth"), ("showcase", "indicator"),
+    ("pi5", "hat"),
+])
+def test_aggregate_matches_scalar_loop(default_ledgers, case, weight):
+    led = default_ledgers.get((case, weight)) or build_ledger(PipelineParams(
+        **CHUNK_CASES[case], weight=weight, with_pair_table=True))
+    assert led.pair_exact == (case == "showcase" and weight != "smooth")
+    assert led.aggregate == pipeline._aggregate_from_abs(led) == aggregate_loop(led)
 
 
 def test_showcase_budget_used(capsys):
