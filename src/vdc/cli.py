@@ -42,7 +42,7 @@ from .asymptotics import (
     prime_select,
     thm_exponent,
 )
-from .counting import count_box, count_box_mod, weighted_count
+from .counting import count_box_mod, weighted_count
 from .errors import DEFAULT_BUDGET, Budget, VdcError
 from .ffield import parse_field
 from .geometry import RCheckPolicy, VarietySpec, r_check, sing_points
@@ -89,7 +89,8 @@ def _build_parser() -> _Parser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--B", type=int, required=True)
     c.add_argument("--modulus", type=int, default=None,
-                   help="count x with every polynomial divisible by this")
+                   help="count x with every polynomial divisible by this "
+                        "(default: with every polynomial zero)")
     c.add_argument("--weight", choices=("smooth", "hat", "indicator"),
                    default=None, help="weight each point by W(x/B)")
 
@@ -172,16 +173,10 @@ def _run_count(args, budget):
     params = {"poly": [format_poly(f) for f in fs], "n": args.n, "B": args.B,
               "modulus": args.modulus, "weight": args.weight}
     if args.weight is not None:
-        res = weighted_count(fs, args.B, args.modulus or 1, args.weight, budget)
+        res = weighted_count(fs, args.B, args.modulus, args.weight, budget)
         return params, {"value": res.value, "exact": res.exact,
                         "points_scanned": res.points_scanned}
-    if args.modulus is not None:
-        value = count_box_mod(fs, args.B, args.modulus, budget)
-    elif len(fs) == 1:
-        value = count_box(fs[0], args.B, budget)
-    else:
-        value = count_box_mod(fs, args.B, 1, budget)
-    return params, {"value": value}
+    return params, {"value": count_box_mod(fs, args.B, args.modulus, budget)}
 
 
 def _run_geom_sing(args, budget):

@@ -2,10 +2,10 @@
 finite-field count probes.
 
 Boxes are sup-norm balls |x_i| <= B around the origin in Z^n.  Counts come
-in three flavors:
+in two flavors:
 
-* plain zero counts of an integer polynomial over the box (exact);
-* counts of x with every listed polynomial divisible by a modulus m;
+* counts of x with every listed polynomial divisible by a modulus m, or,
+  with m = None, with every listed polynomial zero (exact);
 * weighted counts sum W(x/B) over those x, for a weight W supported in
   [-2, 2]^n.
 
@@ -151,17 +151,9 @@ class CountResult:
     exact: bool
 
 
-def count_box(f: IntPoly, B: int, budget: Budget | None = None) -> int:
-    """Exact number of zeros of f in the box |x_i| <= B."""
-    if B < 0:
-        raise InputError("B must be >= 0", B=B)
-    budget = ensure_budget(budget)
-    _charge_box(budget, f.n, B)
-    return int(np.count_nonzero(eval_on_axes(f, _box_axes(f.n, B), None) == 0))
-
-
-def count_box_mod(fs, B: int, m: int, budget: Budget | None = None) -> int:
-    """Number of box points where every polynomial is divisible by m.
+def count_box_mod(fs, B: int, m: int | None, budget: Budget | None = None) -> int:
+    """Number of box points where every polynomial is divisible by m, or,
+    with m = None, where every polynomial is zero.
 
     m = 1 counts the whole box; duplicate polynomials are harmless.
     """
@@ -184,11 +176,12 @@ def count_box_mod(fs, B: int, m: int, budget: Budget | None = None) -> int:
 def weighted_count(
     fs,
     B: int,
-    m: int,
+    m: int | None,
     weight: Weight | str,
     budget: Budget | None = None,
 ) -> CountResult:
-    """Sum of W(x/B) over box points with every polynomial divisible by m.
+    """Sum of W(x/B) over box points with every polynomial divisible by m
+    (every polynomial zero when m is None).
 
     `fs` may contain the zero polynomial (which imposes nothing), so the
     full weighted box sum is the weighted count of the zero polynomial.

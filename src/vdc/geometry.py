@@ -87,6 +87,7 @@ from .mpoly import IntPoly
 
 MAX_WITNESSES = 16
 MAX_MEMBER_LIST = 10000
+R0_EXTENSION_CAP = 2  # the R0 search scans F_{p^k} for k = 1..cap
 
 
 # -- dimension heuristics ----------------------------------------------------
@@ -673,7 +674,6 @@ def s_yz(F, y, z, p: int | None = None, budget: Budget | None = None) -> SyzRepo
 class RCheckPolicy:
     """Tunables for r_check; defaults favor exactness on small inputs."""
 
-    extension_cap: int = 2  # scan F_{p^k} for k = 1..cap in the R0 search
     r2_samples: int = 64
     r2_exhaustive_limit: int = 130  # sweep all y when |P^(n-1)| is at most this
     seed: int = 0
@@ -768,7 +768,7 @@ def r_check(
                       "diagonal form with unit coefficients and exponent prime to p")
     else:
         witness = None
-        for k in range(1, policy.extension_cap + 1):
+        for k in range(1, R0_EXTENSION_CAP + 1):
             if budget.would_exceed(p ** (k * n)):
                 break
             ext = field_make(p, k)

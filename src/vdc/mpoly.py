@@ -95,9 +95,6 @@ class IntPoly:
         """Terms in canonical (graded-lex descending) order."""
         return sorted(self.terms.items(), key=lambda t: _glex_key(t[0]), reverse=True)
 
-    def max_abs_coeff(self) -> int:
-        return max((abs(c) for c in self.terms.values()), default=0)
-
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other) -> bool:

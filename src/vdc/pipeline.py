@@ -244,25 +244,8 @@ class PipelineLedger:
 
     # -- helpers ------------------------------------------------------------
 
-    def _shift_digits(self, key: int) -> tuple:
-        Y, n = self.shift_range, self.n
-        side = 2 * Y + 1
-        out = []
-        for _ in range(n):
-            out.append(key % side - Y)
-            key //= side
-        return tuple(out)
-
     def shift_key(self, y) -> int:
-        Y, n = self.shift_range, self.n
-        side = 2 * Y + 1
-        key = 0
-        for i in reversed(range(n)):
-            c = int(y[i])
-            if abs(c) > Y:
-                raise InputError("shift outside table", y=list(y), Y=Y)
-            key = key * side + (c + Y)
-        return key
+        return _table_key(y, self.shift_range, self.n, "shift")
 
     def corr(self, y) -> object:
         """The pair correlation at shift y."""
@@ -279,13 +262,14 @@ class PipelineLedger:
 
     def _record_at(self, k: int) -> ShiftRecord:
         D, pr = self._dom, self.params
-        n, p, q = self.n, pr.p, pr.q
+        n, p, q, Y = self.n, pr.p, pr.q, self.shift_range
         den2 = self.den1**2
         xc = int(self.xcount[k])
         expected = D.frac(self.fs_num[k], p**n * q * q * den2)
+        y = tuple(_digits(k, 2 * Y + 1, n, Y).tolist())
         return ShiftRecord(
-            y=self._shift_digits(k),
-            corr=self.corr(self._shift_digits(k)),
+            y=y,
+            corr=self.corr(y),
             fs_sum=D.frac(self.fs_num[k], den2),
             expected=expected,
             pair_class_count=xc,
@@ -312,31 +296,17 @@ class PipelineLedger:
         """The two-level correlation at (y, z); needs the pair table."""
         if self.pair_table is None:
             raise PreconditionError("pair table was not built")
+        Y, Z, n = self.shift_range, self.pair_range, self.n
         ky = self.shift_key(y)
-        Z, n = self.pair_range, self.n
-        side = 2 * Z + 1
-        kz = 0
-        for i in reversed(range(n)):
-            c = int(z[i])
-            if abs(c) > Z:
-                raise InputError("second shift outside table", z=list(z), Z=Z)
-            kz = kz * side + (c + Z)
+        kz = _table_key(z, Z, n, "second shift")
+        # FS2(y, z) = prod_i T(pi y_i, p z_i), in digit order as _sep_product
+        fs2 = math.prod(self._t2d_table[
+            _digits(ky, 2 * Y + 1, n), _digits(kz, 2 * Z + 1, n)].tolist())
         D2 = self._pair_dom
         den4 = D2.den1**4
         return D2.frac(self.pair_table[ky, kz], den4) - D2.frac(
-            self._fs2_cell(ky, kz), self.params.q**3 * den4
+            fs2, self.params.q**3 * den4
         )
-
-    def _fs2_cell(self, ky: int, kz: int):
-        t2d = self._t2d_table
-        Y, Z, n = self.shift_range, self.pair_range, self.n
-        sideY, sideZ = 2 * Y + 1, 2 * Z + 1
-        v = 1
-        for _ in range(n):
-            v = v * t2d[ky % sideY, kz % sideZ]
-            ky //= sideY
-            kz //= sideZ
-        return v
 
 
 # -- small structural helpers -------------------------------------------------
@@ -350,29 +320,28 @@ def _sep_product(arrs: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _coords_from_flat(idx: np.ndarray, L: int, n: int, H: int) -> np.ndarray:
-    out = np.empty((idx.size, n), dtype=np.int64)
-    t = idx.astype(np.int64, copy=True)
+def _digits(keys, side: int, n: int, offset: int = 0) -> np.ndarray:
+    """The n base-side digits of flat keys, digit 0 first, each minus offset:
+    shape (n,) for a scalar key, (len(keys), n) for an array of keys."""
+    t = np.array(keys, dtype=np.int64)
+    out = np.empty(t.shape + (n,), dtype=np.int64)
     for i in range(n):
-        out[:, i] = t % L - H
-        t //= L
+        out[..., i] = t % side - offset
+        t //= side
     return out
 
 
-def _class_ids(coords: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros(coords.shape[0], dtype=np.int64)
-    scale = 1
-    for i in range(coords.shape[1]):
-        out += (coords[:, i] % m) * scale
-        scale *= m
-    return out
+def _flat(digits: np.ndarray, side: int):
+    """The flat key sum_i digits[..., i] side^i, inverse of _digits."""
+    return digits @ side ** np.arange(digits.shape[-1], dtype=np.int64)
 
 
-def _quot_code(coords: np.ndarray, m: int, side: int) -> np.ndarray:
-    """sum_i (x_i // m) side^i per box point.  For x_a, x_c in one class mod
-    m, code[c] - code[a] + side^n // 2 is the flat key (digit 0 fastest,
-    digits in [-(side // 2), side // 2]) of the shift (x_c - x_a) / m."""
-    return (coords // m) @ side ** np.arange(coords.shape[1], dtype=np.int64)
+def _table_key(v, R: int, n: int, what: str) -> int:
+    """Flat key of the shift v in a table over |v_i| <= R."""
+    d = np.asarray(v)
+    if d.shape != (n,) or np.abs(d).max() > R:
+        raise InputError(f"{what} outside table", shift=d.tolist(), n=n, R=R)
+    return int(_flat(d.astype(np.int64) + R, 2 * R + 1))
 
 
 def _pair_join(left: np.ndarray, right: np.ndarray):
@@ -513,9 +482,9 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     fp_v = eval_on_axes(f, axes, p)
     fq_v = eval_on_axes(f, axes, q)
     wnum = _sep_product([w1] * n)
-    coords = _coords_from_flat(np.arange(M), L, n, H)
-    cls_pi = _class_ids(coords, pi)
-    cls_p = _class_ids(coords, p)
+    coords = _digits(np.arange(M), L, n, H)
+    cls_pi = _flat(coords % pi, pi)
+    cls_p = _flat(coords % p, p)
     solq = fq_v == 0
     solpq = solq & (fp_v == 0)
     solfull = solpq & (fpi_v == 0)
@@ -560,9 +529,11 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
 
     # the two pair passes, both joins inside classes mod pi: pq-solutions
     # with each other, and q-solutions x with the box points c = x + pi y.
-    # A pair's key splits into a left and a right term (see _quot_code).
+    # A pair's key splits into a left and a right term: for x_a, x_c in one
+    # class mod pi, ycode[c] - ycode[a] + Ycells // 2 is the flat key of the
+    # shift (x_c - x_a) / pi, whose digits lie in [-Y, Y].
     a_pq, a_q = np.flatnonzero(solpq), np.flatnonzero(solq)
-    ycode = _quot_code(coords, pi, sideY)
+    ycode = _flat(coords // pi, sideY)
     npairs_corr, corr_pairs = _pair_join(cls_pi[a_pq], cls_pi[a_pq])
     npairs_lvl1, lvl1_pairs = _pair_join(cls_pi[a_q], cls_pi)
     budget.charge(npairs_corr + npairs_lvl1, "correlation pairs")
@@ -615,26 +586,12 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     gp = eval_on_axes(f, [np.arange(p, dtype=np.int64)] * n, p)
     gz = gp == 0
     gz_nd = gz.reshape((p,) * n)  # axis n-1-i <-> coordinate i (0-based)
-    ydigits = _coords_from_flat(np.arange(Ycells), sideY, n, Y)
-    wshift = (pi * ydigits) % p
-    wid = np.zeros(Ycells, dtype=np.int64)
-    scale = 1
-    for i in range(n):
-        wid += wshift[:, i] * scale
-        scale *= p
+    wid = _flat(pi * _digits(np.arange(Ycells), sideY, n, Y) % p, p)
     uniq_wid, wid_idx = np.unique(wid, return_inverse=True)
     budget.charge(uniq_wid.size * pn, "shifted zero grids mod p")
     rolled = np.empty((uniq_wid.size, pn), dtype=bool)
-    for t_i, wv in enumerate(uniq_wid):
-        digs = []
-        vv = int(wv)
-        for _ in range(n):
-            digs.append(vv % p)
-            vv //= p
-        r = gz_nd
-        for i, s in enumerate(digs):
-            if s:
-                r = np.roll(r, -s, axis=n - 1 - i)
+    for t_i, d in enumerate(_digits(uniq_wid, p, n)):
+        r = np.roll(gz_nd, tuple(-d[::-1]), axis=tuple(range(n)))
         rolled[t_i] = r.ravel() & gz
     xcount_by_wid = rolled.sum(axis=1)
     xcount = xcount_by_wid[wid_idx].astype(np.int64)
@@ -722,7 +679,7 @@ def _residuals(led: PipelineLedger) -> dict:
 
     # support_vanishing: corr(y) = 0 outside the weight support
     Y = led.shift_range
-    ydigits = _coords_from_flat(np.arange(len(congnum)), 2 * Y + 1, n, Y)
+    ydigits = _digits(np.arange(len(congnum)), 2 * Y + 1, n, Y)
     dead = np.max(np.abs(pr.pi * ydigits), axis=1) >= 4 * pr.B
     put("support_vanishing", "identity",
         max(np.abs(congnum[dead]).max(initial=0),
@@ -831,7 +788,7 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
         pa.append(live[li])
         pc.append(live[ri])
     pa, pc = np.concatenate(pa), np.concatenate(pc)
-    zcode = _quot_code(coords, p, sideZ)
+    zcode = _flat(coords // p, sideZ)  # keys z as ycode keys y
     pz = zcode[pc] - zcode[pa] + Zcells // 2
     pw = wnum[pa] * wnum[pc]
 
@@ -843,8 +800,8 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
     # same z inside classes mod pi, so u = x + pi y; one slab part per z.
     # One x meets each y at most once, so float sums follow the x order only.
     pin = pi**n
-    zdigits = _coords_from_flat(np.arange(Zcells), sideZ, n, Z)
-    ycode = _quot_code(coords, pi, 2 * Y + 1)
+    zdigits = _digits(np.arange(Zcells), sideZ, n)
+    ycode = _flat(coords // pi, 2 * Y + 1)
     xkey = Ycells // 2 - ycode[xi]
     _, pairs = _pair_join(zk * pin + cls_pi[xi], pz * pin + cls_pi[pa])
     rows = ((zk[li], xkey[li] + ycode[pa[ri]], wx[li] * pw[ri])
@@ -860,7 +817,7 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
 
     slabs = _part_slabs(rows, Zcells, Ycells, acc_dtype)
     for kz, slab in enumerate(slabs):
-        fs2 = _sep_product([t2d[:, c] for c in zdigits[kz] + Z])
+        fs2 = _sep_product([t2d[:, c] for c in zdigits[kz]])
         if table is not None:
             table[:, kz] = slab
         qsum += slab
@@ -909,7 +866,7 @@ def aggregate_bound(ledger: PipelineLedger, recompute: bool = False) -> dict:
             raise PreconditionError("pair table was summarized; cannot recompute")
         D2, q3, n = ledger._pair_dom, ledger.params.q**3, ledger.n
         Ycells = ledger.pair_table.shape[0]
-        ydig = _coords_from_flat(np.arange(Ycells), 2 * ledger.shift_range + 1, n, 0)
+        ydig = _digits(np.arange(Ycells), 2 * ledger.shift_range + 1, n)
         mism = 0
         for ky in range(Ycells):  # y-major, opposite of the build's z-major
             # FS2 over every z as one separable product of this y's rows

@@ -5,13 +5,17 @@ exit codes, and byte-for-byte determinism across worker counts (after
 normalizing the wall-clock field, which is the only nondeterministic
 entry).
 """
+import itertools
 import json
 import re
+import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import vdc.cli as cli
+from vdc.mpoly import parse_poly
 
 
 def run_cli(argv, tmp_path=None, capsys=None):
@@ -41,6 +45,44 @@ def test_count_golden(capsys):
     assert "workers" not in run["params"]
     assert set(run["versions"]) == {"vdc", "python", "numpy"}
     assert run["budget"]["used"] <= run["budget"]["limit"]
+
+
+def _brute_count(polys, n, B, weight):
+    """Sum over |x_i| <= H of the weight of x, where every polynomial is 0;
+    weight None counts the points of |x_i| <= B."""
+    fs = [parse_poly(s, n) for s in polys]
+    H = B if weight is None else 2 * B - 1
+    total = Fraction(0)
+    for x in itertools.product(range(-H, H + 1), repeat=n):
+        if all(f.eval(list(x)) == 0 for f in fs):
+            w = Fraction(1)
+            if weight == "hat":
+                for c in x:
+                    w *= Fraction(2 * B - abs(c), 2 * B)
+            total += w
+    return total
+
+
+@pytest.mark.parametrize("polys,n,B,weight", [
+    (["x1^4+x2^4+x3^4"], 3, 6, "hat"),  # the README showcase
+    (["x1", "x2"], 2, 1, None),
+    (["x1^2-x2^2"], 2, 3, "hat"),
+    (["x1^2-x2^2", "x1-x2+x3"], 3, 2, None),
+], ids=["readme-hat", "two-linear", "cone-hat", "two-polys"])
+def test_count_without_modulus_counts_common_zeros(polys, n, B, weight, capsys):
+    argv = ["count", "--n", str(n), "--B", str(B)]
+    for s in polys:
+        argv += ["--poly", s]
+    if weight:
+        argv += ["--weight", weight]
+    code, doc = run_cli(argv, capsys=capsys)
+    assert code == 0
+    expect = _brute_count(polys, n, B, weight)
+    value = doc["result"]["value"]
+    if weight:
+        assert Fraction(int(value["num"]), int(value["den"])) == expect
+    else:
+        assert value == expect
 
 
 def test_poly_diff_golden(capsys):
@@ -274,3 +316,18 @@ def test_emit_writes_file(tmp_path, capsys):
     assert code == 0
     assert out.read_text() == printed
     json.loads(printed)
+
+
+def _readme_commands():
+    """The argv of every `vdc ...` line in the README's CLI block."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("vdc ")]
+
+
+def test_readme_commands(capsys):
+    cmds = _readme_commands()
+    assert len(cmds) >= 10
+    for argv in cmds:
+        assert run_bytes(argv, capsys) == run_bytes(argv, capsys), argv

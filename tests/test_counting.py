@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from vdc.counting import (
     Weight,
-    count_box,
     count_box_mod,
     eval_on_axes,
     hooley_deligne_probe,
@@ -47,7 +46,7 @@ def test_count_box_small_oracle():
         from tests.test_mpoly import rand_poly
         f = rand_poly(rng, n, 3, coeff=4)
         B = rng.randint(0, 3)
-        assert count_box(f, B) == brute_count(f, B)
+        assert count_box_mod([f], B, None) == brute_count(f, B)
 
 
 def test_count_box_mod_oracle():
@@ -63,7 +62,7 @@ def test_count_box_mod_oracle():
 
 def test_count_golden_diagonal_quartic():
     f = parse_poly("x1^4+x2^4-2*x3^4", 3)
-    assert count_box(f, 1) == 9
+    assert count_box_mod([f], 1, None) == 9
 
 
 def test_eval_on_axes_matches_pointwise():

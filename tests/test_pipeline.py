@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from vdc import cli, pipeline
+from vdc.counting import Weight
 from vdc.errors import Budget, BudgetExceeded, InputError, PreconditionError
 from vdc.mpoly import parse_poly
 from vdc.pipeline import (
@@ -154,10 +155,18 @@ def test_aggregate_recompute_matches(led):
 
 
 def test_shift_outside_table_rejected(led):
-    with pytest.raises(InputError):
-        led.corr((led.shift_range + 1, 0, 0))
-    with pytest.raises(InputError):
-        led.shift_record((0, -led.shift_range - 1, 0))
+    Y, Z = led.shift_range, led.pair_range
+    bad = [(Y + 1, 0, 0), (0, -Y - 1, 0), (0, 0, 2**70), (1, 0), (1, 0, 0, 5), ()]
+    for y in bad:
+        with pytest.raises(InputError):
+            led.corr(y)
+        with pytest.raises(InputError):
+            led.shift_record(y)
+        with pytest.raises(InputError):
+            led.corr2(y, (0, 0, 0))
+    for z in [(Z + 1, 0, 0), (0, 0, -Z - 1), (1, 0), (1, 0, 0, 5)]:
+        with pytest.raises(InputError):
+            led.corr2((0, 0, 0), z)
 
 
 def test_corr2_requires_pair_table():
@@ -383,6 +392,79 @@ def test_aggregate_matches_scalar_loop(default_ledgers, case, weight):
         **CHUNK_CASES[case], weight=weight, with_pair_table=True))
     assert led.pair_exact == (case == "showcase" and weight != "smooth")
     assert led.aggregate == pipeline._aggregate_from_abs(led) == aggregate_loop(led)
+
+
+def level2_loop(led):
+    """pair_table, qsum and abs2_num of a float level 2, added term by term.
+
+    Cell (y, z) adds w(x) w(x + p z) * w(u) w(u + p z), u = x + pi y, to 0.0
+    over the x-pairs (x, x + p z) ordered by (class mod pi, class mod p, box
+    index of x), box index with x1 fastest; x + p z is fixed by x.  qsum and
+    abs2_num add each y's cells in z order (elementwise across y).
+    """
+    pr, n = led.params, led.n
+    pi, p, q = pr.pi, pr.p, pr.q
+    Y, Z = led.shift_range, led.pair_range
+    w1, _ = Weight(pr.weight).axis_values(pr.B)
+    h = (w1.size - 1) // 2
+    pts = [x[::-1] for x in itertools.product(range(-h, h + 1), repeat=n)]
+    index = {x: i for i, x in enumerate(pts)}
+    w = {x: math.prod(float(w1[c + h]) for c in x) for x in pts}
+    fq = {x: pr.f.eval(list(x)) % q for x in pts}
+
+    def key(t, R):
+        return sum((c + R) * (2 * R + 1) ** i for i, c in enumerate(t))
+
+    def cls(x, m):
+        return sum((c % m) * m**i for i, c in enumerate(x))
+
+    # box-point pairs (u, u + p z): both live, equal class mod p and f mod q.
+    # Grouped by (z, class mod pi); those with q | f(u) are the x-pairs.
+    Ycells, Zcells = (2 * Y + 1) ** n, (2 * Z + 1) ** n
+    groups = defaultdict(list)
+    for x in pts:
+        if w[x] > 0:
+            groups[cls(x, p), fq[x]].append(x)
+    upairs, xpairs = defaultdict(list), defaultdict(list)
+    for (_, r), g in groups.items():
+        for u, c in itertools.product(g, g):
+            z = tuple((b - a) // p for a, b in zip(u, c))
+            upairs[z, cls(u, pi)].append((u, w[u] * w[c]))
+            if r == 0:
+                xpairs[z].append((u, w[u] * w[c]))
+    table = np.zeros((Ycells, Zcells))
+    # for u = x mod pi, u - x = pi y has y_i = u_i // pi - x_i // pi
+    code = {x: key([c // pi for c in x], Y) for x in pts}
+    for z, xs in xpairs.items():
+        cells = defaultdict(float)
+        xs.sort(key=lambda t: (cls(t[0], pi), cls(t[0], p), index[t[0]]))
+        for x, wx in xs:
+            for u, wu in upairs[z, cls(x, pi)]:
+                cells[code[u] - code[x] + Ycells // 2] += wx * wu
+        for ky, v in cells.items():
+            table[ky, key(z, Z)] = v
+
+    q3, t2d = q**3, led._t2d_table
+    ydig = np.array([t[::-1] for t in itertools.product(range(2 * Y + 1), repeat=n)])
+    qsum, abs2 = np.zeros(Ycells), np.zeros(Ycells)
+    for kz, zd in enumerate(t[::-1] for t in
+                            itertools.product(range(2 * Z + 1), repeat=n)):
+        fs2 = np.ones(Ycells)
+        for i in range(n):
+            fs2 = fs2 * t2d[ydig[:, i], zd[i]]
+        qsum = qsum + table[:, kz]
+        abs2 = abs2 + np.abs(q3 * table[:, kz] - fs2) / q3
+    return table, qsum, abs2
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_float_level2_matches_scalar_loop(default_ledgers, case):
+    led = default_ledgers[(case, "smooth")]
+    assert not led.pair_exact
+    table, qsum, abs2 = level2_loop(led)
+    assert np.array_equal(led.pair_table, table)
+    assert np.array_equal(led.qsum, qsum)
+    assert np.array_equal(led.abs2_num, abs2)
 
 
 def test_showcase_budget_used(capsys):
