@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--weight", choices=("smooth", "hat", "indicator"),
                    default=None, help="weight each point by W(x/B)")
 
-    g = sub.add_parser("geom", parents=[common], help="finite-field geometry")
+    g = sub.add_parser("geom", help="finite-field geometry")
     gs = g.add_subparsers(dest="geom_cmd", required=True, parser_class=_Parser)
     g1 = gs.add_parser("sing", parents=[common],
                        help="singular locus of V(forms) in P^(n-1)(F_q)")
@@ -153,7 +153,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--decay-grid", type=_csv_ints, default=None,
                    help="also tabulate transform decay on these frequencies")
 
-    y = sub.add_parser("poly", parents=[common], help="polynomial operators")
+    y = sub.add_parser("poly", help="polynomial operators")
     ys = y.add_subparsers(dest="poly_cmd", required=True, parser_class=_Parser)
     y1 = ys.add_parser("diff", parents=[common],
                        help="difference polynomial f(x+y) - f(x)")

@@ -38,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Budget, InputError, PreconditionError, ensure_budget
-from .ffield import Field, _eval_terms
-from .geometry import VarietySpec, dim_est_affine, sing_points
+from .ffield import Field, _eval_terms, reduce_mod
+from .geometry import VarietySpec, affine_count, dim_est_affine, sing_points
 from .mpoly import IntPoly
 from .parallel import pairwise_sum
 
@@ -265,15 +265,11 @@ def trivial_bound_probe(
         raise PreconditionError("box probe needs a prime field", field=fld.literal())
     n = fs[0].n
     budget = ensure_budget(budget)
-    from .ffield import reduce_mod
-
     for f in fs:
         if reduce_mod(f, fld).is_zero():
             raise PreconditionError(
                 "form vanishes identically mod q", q=fld.q
             )
-    from .geometry import affine_count
-
     fq_count = affine_count(fs, fld, n, budget)
     dim = dim_est_affine(fq_count, fld.q)
     rows = []
@@ -350,8 +346,6 @@ def hooley_deligne_probe(
             "leading forms do not cut the expected dimension",
             dim=rep.dim_est_variety, expected=n - 1 - r,
         )
-    from .geometry import affine_count
-
     count = affine_count(fs, fld, n, budget)
     main = fld.q ** (n - r)
     error = count - main

@@ -86,8 +86,8 @@ from .ffield import Field, FqPoly, _eval_terms, enum_proj, field_make, reduce_mo
 from .mpoly import IntPoly
 
 MAX_WITNESSES = 16
-MAX_MEMBER_LIST = 10000
 R0_EXTENSION_CAP = 2  # the R0 search scans F_{p^k} for k = 1..cap
+R2_EXHAUSTIVE_LIMIT = 130  # R2 tests every y when |P^(n-1)| is at most this
 
 
 # -- dimension heuristics ----------------------------------------------------
@@ -167,12 +167,11 @@ def affine_grid(fld: Field, n: int, budget: Budget | None = None) -> np.ndarray:
 
 @dataclass
 class VarietySpec:
-    """r forms cutting a closed subscheme of P^(n-1) (or A^n) over F_q."""
+    """r homogeneous forms cutting a closed subscheme of P^(n-1) over F_q."""
 
     field: Field
     n: int
     forms: tuple
-    projective: bool = True
 
     def __post_init__(self):
         forms = []
@@ -184,12 +183,8 @@ class VarietySpec:
             if f.n != self.n:
                 raise InputError("form has wrong variable count", n=self.n)
             forms.append(f)
-        if self.projective:
-            for f in forms:
-                if not f.is_homogeneous():
-                    raise PreconditionError(
-                        "projective variety needs homogeneous forms"
-                    )
+        if not all(f.is_homogeneous() for f in forms):
+            raise PreconditionError("projective variety needs homogeneous forms")
         self.forms = tuple(forms)
 
 
@@ -278,8 +273,6 @@ def sing_points(
     The Jacobian uses the first `expected_codim` forms (default: all of
     them); membership in the variety uses all forms.
     """
-    if not spec.projective:
-        raise PreconditionError("sing_points expects a projective spec")
     budget = ensure_budget(budget)
     fld, n = spec.field, spec.n
     r = expected_codim if expected_codim is not None else len(spec.forms)
@@ -528,7 +521,10 @@ def sigma_y(F, y, p: int | None = None, budget: Budget | None = None) -> SigmaRe
 
 
 def sigma_sweep(F, p: int | None = None, budget: Budget | None = None) -> SigmaSweep:
-    """sigma_y for all y in P^(n-1)(F_p), counted from the points' fibers."""
+    """sigma_y for all y in P^(n-1)(F_p), counted from the points' fibers.
+
+    The directions are the engine's points, in enum_proj order.
+    """
     if isinstance(F, IntPoly):
         if p is None:
             raise InputError("pass p when F is an integer polynomial")
@@ -536,8 +532,7 @@ def sigma_sweep(F, p: int | None = None, budget: Budget | None = None) -> SigmaS
     budget = ensure_budget(budget)
     eng = _PrimeEngine(F, budget)
     p, n = eng.p, eng.n
-    Y = enum_proj(F.field, n, budget)
-    budget.charge(Y.shape[0] * n * n, "direction sweep tensor cells")
+    budget.charge(eng.N * n * n, "direction sweep tensor cells")
     # x is in Sing V(F_y) iff [grad F(x); H(x)] y = 0
     L = np.concatenate([eng.grad[:, None], eng.hess], axis=1)
     diff_sing = _kernel_counts(eng, L)
@@ -553,7 +548,7 @@ def sigma_sweep(F, p: int | None = None, budget: Budget | None = None) -> SigmaS
     return SigmaSweep(
         p=p,
         n=n,
-        directions=Y,
+        directions=eng.pts,
         s=s_arr,
         s_tilde=st_arr,
         sigma=np.maximum(s_arr, st_arr),
@@ -561,74 +556,33 @@ def sigma_sweep(F, p: int | None = None, budget: Budget | None = None) -> SigmaS
     )
 
 
-def _at_least(values: np.ndarray, thresholds, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(count, dim_est) of the set {values >= t} for each threshold t."""
-    counts = values.size - np.searchsorted(np.sort(values), thresholds, side="left")
-    return counts, _dim_est_array(counts, q)
+def _t_rows(values: np.ndarray, base: int, n: int, q: int) -> list[tuple]:
+    """Rows (s, count, dim, bound, ok) for s = -1..n-1.
 
-
-@dataclass
-class TSetReport:
-    """The locus T_s of directions with sigma_y >= s."""
-
-    s: int
-    count: int
-    dim_estimate: int
-    members: list
-    truncated: bool
-
-
-def t_set(F, s: int, p: int | None = None, budget: Budget | None = None,
-          sweep: SigmaSweep | None = None) -> TSetReport:
-    if sweep is None:
-        sweep = sigma_sweep(F, p, budget)
-    mask = sweep.sigma >= s
-    count = int(np.count_nonzero(mask))
-    members = [tuple(map(int, row)) for row in sweep.directions[mask][:MAX_MEMBER_LIST]]
-    return TSetReport(
-        s=s,
-        count=count,
-        dim_estimate=int(_dim_est_array(count, sweep.p)),
-        members=members,
-        truncated=count > MAX_MEMBER_LIST,
-    )
-
-
-@dataclass
-class SyzReport:
-    """Second-difference degeneracy of one (y, z) pair."""
-
-    y: tuple
-    z: tuple
-    s_yz: int
-    triple_count: int
-    triple_sing_count: int
-    dim_triple: int
-    dim_pair: int
-    slice_degenerate: bool  # dim of V(F, F_y, F_{y,z}) equals dim of V(F, F_y)
-
-
-def _pair_slice(eng: _PrimeEngine, y: np.ndarray):
-    """(a, b, A) on the points of V(F, F_y): grad F, H y, and third . y,
-    whose product with z is the gradient of F_{y,z}."""
-    p = eng.p
-    sel = eng.grad[eng.on] @ y % p == 0
-    rows = eng.on[sel]
-    a = eng.grad[rows]
-    b = np.tensordot(eng.hess[rows], y, axes=([1], [0])) % p
-    A = np.tensordot(eng.third[sel], y, axes=([1], [0])) % p  # (M2, n, n): j, l
-    return a, b, A
+    count is the number of values >= base + 1 + s, dim its dim_est, bound
+    n - 2 - s and ok whether dim <= bound.  R1 reads T_s from sigma_y with
+    base -1; R2 reads s(y, z) with base sigma_y.
+    """
+    counts = values.size - np.searchsorted(np.sort(values), base + np.arange(n + 1))
+    dims = _dim_est_array(counts, q).tolist()
+    return [(s, c, d, n - 2 - s, d <= n - 2 - s)
+            for s, c, d in zip(range(-1, n), counts.tolist(), dims)]
 
 
 def _r2_counts(eng: _PrimeEngine, y: np.ndarray) -> np.ndarray:
     """Points of Sing V(F, F_y, F_{y,z}) for every z = eng.pts[j].
 
-    x in V(F, F_y) counts for z iff L(x) z = 0, L(x) = [H y; one row per
-    3x3 minor of [a; b; A z]].  With pm the 2x2 minors of [a; b], the
-    minor on columns i < j < l is (pm_ij A_l - pm_il A_j + pm_jl A_i) . z.
+    On the points x of V(F, F_y) let a = grad F, b = H y and A = third . y,
+    so that A z is the gradient of F_{y,z}.  x counts for z iff L(x) z = 0,
+    L(x) = [b; one row per 3x3 minor of [a; b; A z]].  With pm the 2x2
+    minors of [a; b], the minor on columns i < j < l is
+    (pm_ij A_l - pm_il A_j + pm_jl A_i) . z.
     """
     p, n = eng.p, eng.n
-    a, b, A = _pair_slice(eng, y)
+    sel = eng.grad[eng.on] @ y % p == 0
+    a = eng.grad[eng.on[sel]]
+    b = np.tensordot(eng.hess[eng.on[sel]], y, axes=([1], [0])) % p
+    A = np.tensordot(eng.third[sel], y, axes=([1], [0])) % p  # (M, n, n): j, l
     pm = (a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None]) % p
     i, j, l = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3).T
     minors = (pm[:, i, j, None] * A[:, l] - pm[:, i, l, None] * A[:, j]
@@ -636,47 +590,20 @@ def _r2_counts(eng: _PrimeEngine, y: np.ndarray) -> np.ndarray:
     return _kernel_counts(eng, np.concatenate([b[:, None], minors], axis=1))
 
 
-def s_yz(F, y, z, p: int | None = None, budget: Budget | None = None) -> SyzReport:
-    """Degeneracy report for one (y, z) pair (prime fields)."""
-    if isinstance(F, IntPoly):
-        if p is None:
-            raise InputError("pass p when F is an integer polynomial")
-        F = reduce_mod(F, field_make(p))
-    eng = _PrimeEngine(F, budget)
-    p = eng.p
-    y = np.asarray(list(y), dtype=np.int64) % p
-    z = np.asarray(list(z), dtype=np.int64) % p
-    if not np.any(y) or not np.any(z):
-        raise PreconditionError("directions must be nonzero mod p")
-    a, b, A = _pair_slice(eng, y)
-    c = np.tensordot(A, z, axes=([1], [0])) % p  # gradient of F_{y,z}
-    on3 = b @ z % p == 0
-    sing = int(np.count_nonzero(_minor_mask_lt_rank(p, [a[on3], b[on3], c[on3]], 3)))
-    triple = int(np.count_nonzero(on3))
-    dim_pair = dim_est(a.shape[0], p)
-    dim_triple = dim_est(triple, p)
-    return SyzReport(
-        y=tuple(map(int, y)),
-        z=tuple(map(int, z)),
-        s_yz=dim_est(sing, p),
-        triple_count=triple,
-        triple_sing_count=sing,
-        dim_triple=dim_triple,
-        dim_pair=dim_pair,
-        slice_degenerate=dim_triple == dim_pair,
-    )
-
-
 # -- R-property checks --------------------------------------------------------
 
 
 @dataclass
 class RCheckPolicy:
-    """Tunables for r_check; defaults favor exactness on small inputs."""
+    """Tunables for r_check: once |P^(n-1)| passes R2_EXHAUSTIVE_LIMIT, R2
+    tests r2_samples directions drawn with this seed."""
 
     r2_samples: int = 64
-    r2_exhaustive_limit: int = 130  # sweep all y when |P^(n-1)| is at most this
     seed: int = 0
+
+    def __post_init__(self):
+        if self.r2_samples < 1:
+            raise InputError("r2_samples must be >= 1", r2_samples=self.r2_samples)
 
 
 @dataclass
@@ -742,6 +669,9 @@ def r_check(
     `which` restricts the work to the named checks; the others come back
     with verdict "not_requested".
     """
+    bad = set(which) - {"r0", "r1", "r2"}
+    if bad:
+        raise InputError("unknown checks requested", which=sorted(bad))
     policy = policy or RCheckPolicy()
     budget = ensure_budget(budget)
     fld = field_make(p)
@@ -754,13 +684,9 @@ def r_check(
                        R2Result("fails", note="zero form"), ["form is zero mod p"])
     if not Fq.is_homogeneous():
         raise PreconditionError("r_check needs a homogeneous form")
-    bad = set(which) - {"r0", "r1", "r2"}
-    if bad:
-        raise InputError("unknown checks requested", which=sorted(bad))
 
     # R0
     scanned = []
-    r0 = None
     if "r0" not in which:
         r0 = R0Result("not_requested", [])
     elif _is_unit_diagonal(Fq):
@@ -772,11 +698,8 @@ def r_check(
             if budget.would_exceed(p ** (k * n)):
                 break
             ext = field_make(p, k)
-            rep = sing_points(
-                VarietySpec(ext, n, (reduce_mod(F, ext) if isinstance(F, IntPoly)
-                                     else FqPoly(ext, n, Fq.terms),)),
-                budget=budget,
-            )
+            rep = sing_points(VarietySpec(ext, n, (FqPoly(ext, n, Fq.terms),)),
+                              budget=budget)
             scanned.append(k)
             if rep.sing_points:
                 witness = (rep.witnesses[0], k)
@@ -790,33 +713,23 @@ def r_check(
             warnings.append("R0 scan skipped: budget")
 
     # R1 (the direction sweep also feeds R2, so it runs when either is wanted)
-    Ny = proj_space_size(n - 1, p)
-    N = Ny
     if "r1" not in which and "r2" not in which:
         return RReport(p, n, r0, R1Result("not_requested"),
                        R2Result("not_requested"), warnings)
-    if budget.would_exceed(Ny * N + Ny * n * n + p**n):
-        sweep = None
+    Ny = proj_space_size(n - 1, p)
+    sweep = None
+    r1 = R1Result("not_requested")
+    if budget.would_exceed(Ny * Ny + Ny * n * n + p**n):
         if "r1" in which:
             r1 = R1Result("skipped_budget", note=f"sweep of {Ny} directions over budget")
             warnings.append("R1 sweep skipped: budget")
-        else:
-            r1 = R1Result("not_requested")
     else:
         sweep = sigma_sweep(Fq, budget=budget)
-        if "r1" not in which:
-            r1 = R1Result("not_requested")
-        else:
-            table = []
-            failures = []
-            counts, dims = _at_least(sweep.sigma, np.arange(-1, n), p)
-            for s, count, dim in zip(range(-1, n), counts.tolist(), dims.tolist()):
-                bound = n - 2 - s
-                ok = dim <= bound
-                table.append((s, count, dim, bound, ok))
-                if not ok:
-                    bad = sweep.directions[np.asarray(sweep.sigma >= s)][:MAX_WITNESSES]
-                    failures.append((s, [tuple(map(int, b)) for b in bad[:4]]))
+        if "r1" in which:
+            table = _t_rows(sweep.sigma, -1, n, p)
+            failures = [(s, [tuple(map(int, y))
+                             for y in sweep.directions[sweep.sigma >= s][:4]])
+                        for s, _, _, _, ok in table if not ok]
             r1 = R1Result("fails" if failures else "holds_empirically", table, failures)
 
     # R2
@@ -826,35 +739,27 @@ def r_check(
         r2 = R2Result("skipped_budget", note="no direction sweep available")
         warnings.append("R2 skipped: budget")
     else:
-        Yall = sweep.directions
-        if Yall.shape[0] <= policy.r2_exhaustive_limit:
-            chosen = np.arange(Yall.shape[0])
-            sampled = False
-        else:
+        sampled = Ny > R2_EXHAUSTIVE_LIMIT
+        if sampled:
             rng = np.random.default_rng(policy.seed)
-            chosen = np.sort(
-                rng.choice(Yall.shape[0], size=min(policy.r2_samples, Yall.shape[0]),
-                           replace=False)
-            )
-            sampled = True
-        per_y_cost = Yall.shape[0] * max(1, N // max(1, p)) * n
-        if budget.would_exceed(len(chosen) * per_y_cost // 4):
+            chosen = np.sort(rng.choice(Ny, size=min(policy.r2_samples, Ny),
+                                        replace=False))
+        else:
+            chosen = np.arange(Ny)
+        cost = len(chosen) * Ny * max(1, Ny // p) * n // 4
+        if budget.would_exceed(cost):
             r2 = R2Result("skipped_budget", sampled=sampled,
                           note="second-difference sweep over budget")
             warnings.append("R2 sweep skipped: budget")
         else:
-            budget.charge(len(chosen) * per_y_cost // 4, "second-difference sweep")
+            budget.charge(cost, "second-difference sweep")
             failures = []
             for yi in chosen:
-                y = Yall[yi]
-                syz_arr = _dim_est_array(_r2_counts(sweep._engine, y), p)
-                sig = int(sweep.sigma[yi])
-                counts, dims = _at_least(syz_arr, sig + np.arange(n + 1), p)
-                for s, count, dim in zip(range(-1, n), counts.tolist(), dims.tolist()):
-                    if dim > n - 2 - s:
-                        failures.append(
-                            (tuple(map(int, y)), s, dim, n - 2 - s, count)
-                        )
+                y = sweep.directions[yi]
+                syz = _dim_est_array(_r2_counts(sweep._engine, y), p)
+                failures += [(tuple(map(int, y)), s, dim, bound, count)
+                             for s, count, dim, bound, ok
+                             in _t_rows(syz, int(sweep.sigma[yi]), n, p) if not ok]
             r2 = R2Result(
                 "fails" if failures else "holds_empirically",
                 sampled=sampled,

@@ -78,7 +78,7 @@ import numpy as np
 from .counting import Weight, eval_on_axes, weighted_count
 from .errors import Budget, InputError, PreconditionError, ensure_budget
 from .ffield import field_make, is_prime, reduce_mod
-from .geometry import RCheckPolicy, VarietySpec, r_check, sing_points
+from .geometry import VarietySpec, r_check, sing_points
 from .mpoly import IntPoly
 from .parallel import pairwise_sum
 
@@ -915,7 +915,6 @@ def deviation_probe(
     p: int,
     q: int,
     weight: str = "hat",
-    policy: RCheckPolicy | None = None,
     budget: Budget | None = None,
 ) -> DeviationReport:
     """Compare |N_W(f, B, pq) - (pq)^(-r) N_W(0, B, 1)| with the bound
@@ -967,7 +966,7 @@ def deviation_probe(
                 "a form vanishes identically mod a probe prime", prime=m
             )
         if r == 1:
-            rep = r_check(forms[0], m, policy, budget)
+            rep = r_check(forms[0], m, budget=budget, which=("r0",))
             verdict = rep.r0.verdict
             if verdict == "fails":
                 raise PreconditionError(

@@ -281,6 +281,38 @@ def test_usage_errors_exit_64(capsys):
         capsys.readouterr()
 
 
+def test_common_flags_before_a_nested_subcommand_exit_64(capsys):
+    rcheck = ["rcheck", "--form", "x1^4+x2^4+x3^4", "--n", "3", "--p", "5"]
+    diff = ["diff", "--poly", "x1^3", "--n", "1", "--y", "1"]
+    for argv in (["geom", "--budget", "10"] + rcheck, ["poly", "--seed", "7"] + diff):
+        with pytest.raises(SystemExit) as ei:
+            cli.dispatch(argv)
+        assert ei.value.code == 64, argv
+        capsys.readouterr()
+    # after the leaf subcommand the same flags take effect
+    code, doc = run_cli(["geom"] + rcheck + ["--budget", "10"], capsys=capsys)
+    assert code == 0
+    assert doc["run"]["budget"]["limit"] == 10
+    assert doc["result"]["r1"]["verdict"] == "skipped_budget"
+    code, doc = run_cli(["poly"] + diff + ["--seed", "7"], capsys=capsys)
+    assert code == 0
+    assert doc["run"]["seed"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["geom", "rcheck", "--form", "x1^4+x2^4+x3^4", "--n", "3", "--p", "5",
+     "--r2-samples", "0"],
+    ["geom", "rcheck", "--form", "x1^4+x2^4+x3^4", "--n", "3", "--p", "5",
+     "--r2-samples", "-1"],
+    ["geom", "rcheck", "--form", "5*x1^4+5*x2^4", "--n", "2", "--p", "5",
+     "--checks", "r9"],
+], ids=["r2-samples-0", "r2-samples-negative", "unknown-check-zero-form"])
+def test_rcheck_bad_options_refuse(argv, capsys):
+    code, doc = run_cli(argv, capsys=capsys)
+    assert code == 2
+    assert doc["error"]["code"] == "input"
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def boom(args, budget):
         raise RuntimeError("synthetic")

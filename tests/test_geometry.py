@@ -22,11 +22,9 @@ from vdc.geometry import (
     dim_est_affine,
     proj_space_size,
     r_check,
-    s_yz,
     sigma_sweep,
     sigma_y,
     sing_points,
-    t_set,
     values_on,
 )
 from vdc.mpoly import directional_form, hessian_form, parse_poly
@@ -235,25 +233,19 @@ def test_r2_counts_match_triple_singular_scan(form, p):
                                              hessian_form(form, yl, z)))
             want = sing_points(spec, expected_codim=3).sing_points
             assert counts[zi] == want, (yl, z)
-            assert s_yz(form, yl, z, p).triple_sing_count == want
             checked_nonzero += want > 0
     assert checked_nonzero
 
 
 def test_t_set_monotone_in_s():
     f = parse_poly("x1^4+x2^4+x3^4", 3)
-    counts = []
-    for s in range(-1, 3):
-        rep = t_set(f, s, p=5)
-        counts.append(rep.count)
+    table = r_check(f, 5, which=("r1",)).r1.table
+    assert [row[0] for row in table] == [-1, 0, 1, 2]
+    counts = [count for _, count, _, _, _ in table]
     assert counts[0] == proj_space_size(2, 5)  # sigma >= -1 is everything
     assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-
-def test_s_yz_symmetric_cases():
-    f = parse_poly("x1^4+x2^4+x3^4+x4^4", 4)
-    rep = s_yz(f, [1, 0, 0, 0], [0, 1, 0, 0], p=5)
-    assert rep.s_yz >= -1
+    sweep = sigma_sweep(f, 5)
+    assert counts == [int(np.count_nonzero(sweep.sigma >= s)) for s in range(-1, 3)]
 
 
 def test_r_check_diagonal_certification_and_failure():
@@ -279,6 +271,19 @@ def test_r_check_reuses_the_sweep_engine(monkeypatch):
     rep = r_check(QUARTIC4, 7)
     assert rep.r2.y_tested == 64
     assert len(built) == 1
+
+
+def test_r_check_enumerates_the_sweep_points_once(monkeypatch):
+    calls = []
+
+    def counting_enum(fld, n, budget=None):
+        calls.append(fld.q)
+        return enum_proj(fld, n, budget)
+
+    monkeypatch.setattr(geometry, "enum_proj", counting_enum)
+    rep = r_check(QUARTIC4, 7, which=("r1", "r2"))
+    assert rep.r2.y_tested == 64
+    assert calls == [7]
 
 
 def test_r_check_char_divides_exponent_fails_r0():
@@ -308,6 +313,15 @@ def test_r_check_zero_form():
     f = parse_poly("5*x1^4+5*x2^4", 2)
     rep = r_check(f, 5)
     assert rep.r0.verdict == rep.r1.verdict == rep.r2.verdict == "fails"
+    with pytest.raises(InputError):
+        r_check(f, 5, which=("r9",))
+
+
+def test_r2_samples_must_be_positive():
+    for bad in (0, -3):
+        with pytest.raises(InputError):
+            RCheckPolicy(r2_samples=bad)
+    assert RCheckPolicy(r2_samples=1).r2_samples == 1
 
 
 def test_r_check_budget_refusal_is_explicit():
@@ -325,9 +339,10 @@ def test_budget_stops_enumeration_before_work():
                     budget=Budget(5))
 
 
-def test_r2_sampling_is_deterministic():
+def test_r2_sampling_is_deterministic(monkeypatch):
+    monkeypatch.setattr(geometry, "R2_EXHAUSTIVE_LIMIT", 4)
     f = parse_poly("x1^4+x2^4+x3^4+2*x1*x2*x3^2", 3)
-    pol = RCheckPolicy(r2_samples=8, r2_exhaustive_limit=4, seed=9)
+    pol = RCheckPolicy(r2_samples=8, seed=9)
     a = r_check(f, 5, pol)
     b = r_check(f, 5, pol)
     assert a.r2.sampled and b.r2.sampled

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vdc import cli, pipeline
+from vdc import cli, geometry, pipeline
 from vdc.counting import Weight
 from vdc.errors import Budget, BudgetExceeded, InputError, PreconditionError
 from vdc.mpoly import parse_poly
@@ -558,6 +558,20 @@ def test_deviation_probe_within_bound():
     rep = deviation_probe(g, B=8, p=5, q=37)
     assert rep.within
     assert rep.measured <= rep.bound
+
+
+def test_deviation_probe_runs_no_direction_sweep(monkeypatch):
+    g = parse_poly("x1^3 + x2^3 + x3^3 + x1*x2*x3", 3)
+    want = deviation_probe(g, B=8, p=5, q=37)
+    # the probe reads only R0, and R0 does not depend on the other checks
+    assert want.geometry == {str(m): geometry.r_check(g, m).r0.verdict
+                             for m in (5, 37)}
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("deviation_probe reads only the R0 verdict")
+
+    monkeypatch.setattr(geometry, "sigma_sweep", no_sweep)
+    assert deviation_probe(g, B=8, p=5, q=37) == want
 
 
 def test_deviation_probe_rejects_bad_inputs():
