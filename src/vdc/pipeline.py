@@ -64,7 +64,14 @@ the correlations per 32 consecutive classes mod pi, level 1 per class mod pi
 and block of LEVEL1_PART // |box class| q-solutions, the pair table per z.
 A part adds its pairs to zero in emission order and the parts are added in
 order, so float results do not depend on the chunk size, and one code path
-serves both domains.
+serves both domains up to level 2's cell sums.
+
+Level 2's per-y sum of |q^3 c(y, z) - FS2(y, z)| over all z, with c the
+congruence part and FS2 = prod_i T(pi y_i, p z_i) >= 0 its full sum, is
+summed two ways.  The exact domain sums only the cells the join fills: an
+empty cell adds FS2, so the sum is prod_i R(y_i) + sum over filled cells of
+(|q^3 c - FS2| - FS2), with R(y_i) = sum_{z_i} T(pi y_i, p z_i).  The float
+domain's sum order is pinned, so it still sums every cell, z by z.
 """
 
 from __future__ import annotations
@@ -86,6 +93,7 @@ PAIR_TABLE_MAX_CELLS = 1 << 24
 PAIR_BLOCK = 1 << 18  # max pair rows materialized at once
 LEVEL1_PART = 1 << 21  # pair rows per level-1 float part, apart from PAIR_BLOCK
 SMOOTH_RTOL = 1e-9
+LEVEL2_INT64_LIMIT = 1 << 62  # exact level-2 cell terms and per-y sums in int64
 
 
 class _Domain:
@@ -344,6 +352,17 @@ def _table_key(v, R: int, n: int, what: str) -> int:
     return int(_flat(d.astype(np.int64) + R, 2 * R + 1))
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable").  Nonnegative int64 keys that leave
+    room pack with their index into one int64 (key * size + index), whose
+    plain sort is several times faster and breaks ties by index."""
+    size = keys.size
+    if (keys.dtype == np.int64 and size and int(keys.min()) >= 0
+            and (int(keys.max()) + 1) * size <= 2**63):
+        return np.sort(keys * size + np.arange(size)) % size
+    return np.argsort(keys, kind="stable")
+
+
 def _pair_join(left: np.ndarray, right: np.ndarray):
     """All pairs (i, j) with left[i] == right[j], grouped by that key.
 
@@ -351,8 +370,8 @@ def _pair_join(left: np.ndarray, right: np.ndarray):
     PAIR_BLOCK pairs, in (key, i, j) order; npairs = sum over keys of the
     product of the two group sizes.
     """
-    lo = np.argsort(left, kind="stable")
-    ro = np.argsort(right, kind="stable")
+    lo = _stable_order(left)
+    ro = _stable_order(right)
     rs = right[ro]
     first = np.searchsorted(rs, left[lo], "left")  # each left row's right group
     cnt = np.searchsorted(rs, left[lo], "right") - first
@@ -378,7 +397,7 @@ def _fold(keys, w, dtype, parts=None):
     """Sums of w per key, or per (key, part), each adding its rows to zero
     in arrival order.  Returns (keys, parts or None, sums), sorted by key
     and, within a key, in arrival order."""
-    order = np.argsort(keys, kind="stable")
+    order = _stable_order(keys)
     ks = keys[order]
     new = np.ones(ks.size, dtype=bool)
     new[1:] = ks[1:] != ks[:-1]
@@ -445,11 +464,13 @@ def _part_slabs(chunks, nparts: int, size: int, dtype):
 
 def _sq_bincount(keys: np.ndarray, vals: np.ndarray, size: int):
     """Per-bin sum of squared values, in vals' dtype except that int64 lifts
-    to Python ints unless the squares provably fit."""
-    # with every square below 2^62, the first prefix sum to reach 2^62 comes
-    # before any int64 wrap, so the cumsum test is exact
-    if vals.dtype == np.int64 and vals.size and not (
-        int(vals.max()) < 2**31 and int(np.cumsum(vals * vals).max()) < 2**62
+    to Python ints unless every bin's sum provably fits."""
+    # below 2^31 each square is exact; a float64 bin sum of k < 2^51
+    # nonnegative terms is at least 2/3 of the true sum, so a float bin below
+    # 2^61 proves the int64 bin stays below 2^62
+    if vals.dtype == np.int64 and vals.size and (
+        int(np.abs(vals).max()) >= 2**31
+        or np.bincount(keys, vals * vals, size).max() >= 2.0**61
     ):
         vals = vals.astype(object)
     out = np.zeros(size, dtype=vals.dtype)
@@ -555,7 +576,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     pn = p**n
     pnq = pn * q
     qcls = cls_pi[a_q]
-    srt = np.argsort(qcls, kind="stable")
+    srt = _stable_order(qcls)
     rank = np.empty_like(srt)  # of each q-solution within its class
     rank[srt] = np.arange(srt.size) - np.searchsorted(qcls[srt], qcls[srt])
     blk = np.maximum(1, LEVEL1_PART // np.bincount(cls_pi, minlength=pin)[qcls])
@@ -580,6 +601,14 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     np.add.at(t1_num, y2, V2)
     ss3 = _sq_bincount(y3, V3, Ycells)
     ss2 = _sq_bincount(y2, V2, Ycells)
+    # level 2 stays exact only while the total of the level-1 squares fits
+    # int64 (with every square below 2^62, the first prefix sum to reach 2^62
+    # comes before any int64 wrap, so the cumsum test is exact)
+    if V3.dtype == np.int64 and V3.size:
+        squares_total_fits = (int(V3.max()) < 2**31
+                              and int(np.cumsum(V3 * V3).max()) < 2**62)
+    else:
+        squares_total_fits = V3.dtype != object
 
     # X_y(F_p): pairs of zeros of f mod p at shift pi*y
     budget.charge(pn, "zero grid mod p")
@@ -631,7 +660,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
 
     if params.with_pair_table:
         _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p,
-                          solq, budget)
+                          solq, squares_total_fits, budget)
     return ledger
 
 
@@ -728,7 +757,7 @@ def _t2d(w1: np.ndarray, pi: int, p: int, Y: int, Z: int, L: int) -> np.ndarray:
 
 
 def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
-                      budget):
+                      squares_total_fits, budget):
     """Second differencing: corr2(y, z) tables and their per-y aggregates."""
     pr = ledger.params
     B, pi, p, q, n = pr.B, pr.pi, pr.p, pr.q, ledger.n
@@ -759,7 +788,7 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
     pairsum_x = D.total(xtot * xtot)
     axis4 = w1max**3 * D.total(w1)
     cell_bound = q**3 * pairsum_x * w1max ** (2 * n) + axis4**n
-    if D.fits(cell_bound) and ledger.ss3.dtype != object:
+    if D.fits(cell_bound) and squares_total_fits:
         D2 = D
     else:
         D2 = _Domain(False)
@@ -797,26 +826,45 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
     budget.charge(xi.size, "second-difference pairs")
 
     # x-pairs (x, x + p z) joined with box-point pairs (u, u + p z) of the
-    # same z inside classes mod pi, so u = x + pi y; one slab part per z.
-    # One x meets each y at most once, so float sums follow the x order only.
+    # same z inside classes mod pi, so u = x + pi y.  One x meets each y at
+    # most once, so the float level 2's per-z sums follow the x order only.
     pin = pi**n
-    zdigits = _digits(np.arange(Zcells), sideZ, n)
     ycode = _flat(coords // pi, 2 * Y + 1)
     xkey = Ycells // 2 - ycode[xi]
     _, pairs = _pair_join(zk * pin + cls_pi[xi], pz * pin + cls_pi[pa])
     rows = ((zk[li], xkey[li] + ycode[pa[ri]], wx[li] * pw[ri])
             for li, ri in pairs)
+    level2 = _level2_cells if D2.exact else _level2_dense
+    ledger.pair_table, ledger.qsum, ledger.abs2_num = level2(
+        rows, t2d, n, q**3, D2, acc_dtype, keep_table)
 
-    qsum = np.zeros(Ycells, dtype=acc_dtype)
-    # sum_z |q^3 cong - FS2| per y; exact int64 sums move to Python ints
-    # (flushed) before their bound could pass 2^62
-    abs_acc = np.zeros(Ycells, dtype=acc_dtype)
+    # refined_square_expansion: sum over (v, a) of squared bin sums equals
+    # the z-sum of pair congruence parts (ss3 carries den1^4 numerators)
+    ss3 = D2.scaled(ledger.ss3, float(ledger.den1) ** 4)
+    ledger.residuals["refined_square_expansion"] = _check(
+        D2, "refined_square_expansion", "identity",
+        np.max(np.abs(D2.lift(ss3) - D2.lift(ledger.qsum))), np.max(np.abs(ss3)),
+    )
+
+    ledger.aggregate = _aggregate_from_abs(ledger)
+
+
+def _level2_dense(rows, t2d, n, q3, D2, dtype, keep_table):
+    """pair_table (or None), qsum and abs2_num of level 2, summing every cell.
+
+    Each z's slab of congruence parts and its FS2 column are added to the
+    per-y sums in z order, the order the float domain's sums are pinned to.
+    Exact int64 sums of |q^3 c - FS2| move to Python ints (flushed) before
+    their bound could pass 2^62.
+    """
+    sideY, sideZ = t2d.shape
+    Ycells, Zcells = sideY**n, sideZ**n
+    zdigits = _digits(np.arange(Zcells), sideZ, n)
+    qsum = np.zeros(Ycells, dtype=dtype)
+    abs_acc = np.zeros(Ycells, dtype=dtype)
     flushed, used = 0, 0
-    table = np.zeros((Ycells, Zcells), dtype=acc_dtype) if keep_table else None
-    q3 = q**3
-
-    slabs = _part_slabs(rows, Zcells, Ycells, acc_dtype)
-    for kz, slab in enumerate(slabs):
+    table = np.zeros((Ycells, Zcells), dtype=dtype) if keep_table else None
+    for kz, slab in enumerate(_part_slabs(rows, Zcells, Ycells, dtype)):
         fs2 = _sep_product([t2d[:, c] for c in zdigits[kz]])
         if table is not None:
             table[:, kz] = slab
@@ -828,19 +876,48 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
             used = 0
         used += bound
         abs_acc += D2.scaled(np.abs(q3 * slab - fs2), q3)
-    ledger.qsum = qsum
-    ledger.abs2_num = flushed + D2.lift(abs_acc)
-    ledger.pair_table = table
+    return table, qsum, flushed + D2.lift(abs_acc)
 
-    # refined_square_expansion: sum over (v, a) of squared bin sums equals
-    # the z-sum of pair congruence parts (ss3 carries den1^4 numerators)
-    ss3 = D2.scaled(ledger.ss3, float(ledger.den1) ** 4)
-    ledger.residuals["refined_square_expansion"] = _check(
-        D2, "refined_square_expansion", "identity",
-        np.max(np.abs(D2.lift(ss3) - D2.lift(qsum))), np.max(np.abs(ss3)),
-    )
 
-    ledger.aggregate = _aggregate_from_abs(ledger)
+def _level2_cells(rows, t2d, n, q3, D2, dtype, keep_table):
+    """pair_table (or None), qsum and abs2_num of an exact level 2, from the
+    cells the join fills.
+
+    The rows fold by cell (y, z) into the nonzero congruence parts c(y, z).
+    FS2(y, z) = prod_i T(pi y_i, p z_i) is never negative, so an empty cell
+    adds exactly FS2 to sum_z |q^3 c - FS2|, and that sum is
+    prod_i R(y_i) + sum over filled cells of (|q^3 c - FS2| - FS2), with
+    R(y_i) = sum_{z_i} T(pi y_i, p z_i) a row sum of t2d.
+    """
+    sideY, sideZ = t2d.shape
+    Ycells, Zcells = sideY**n, sideZ**n
+    folded = [_fold(ky * Zcells + kz, w, dtype) for kz, ky, w in rows]
+    keys, _, c = _fold(
+        np.concatenate([np.zeros(0, np.int64)] + [k for k, _, _ in folded]),
+        np.concatenate([np.zeros(0, dtype)] + [v for _, _, v in folded]),
+        dtype)
+    ky, kz = np.divmod(keys, Zcells)
+    # the level-2 domain's cell_bound keeps q^3 qsum[y] below 2^62
+    qsum = np.zeros(Ycells, dtype=dtype)
+    np.add.at(qsum, ky, c)
+    table = None
+    if keep_table:
+        table = np.zeros((Ycells, Zcells), dtype=dtype)
+        table[ky, kz] = c
+    rsum = _sep_product([D2.lift(t2d).sum(axis=1)] * n)  # prod_i R(y_i)
+    # a filled cell's term lies in [-FS2, q^3 c], FS2 <= prod_i R(y_i), and
+    # every factor of its FS2 is at least 1, so no partial product or
+    # partial sum passes this bound; q^3 itself must fit as well
+    bound = q3 * max(1, int(qsum.max(initial=0))) + int(rsum.max())
+    if bound >= LEVEL2_INT64_LIMIT:
+        c, t2d = D2.lift(c), D2.lift(t2d)
+    ydig, zdig = _digits(ky, sideY, n), _digits(kz, sideZ, n)
+    fs2 = t2d[ydig[:, 0], zdig[:, 0]]
+    for i in range(1, n):  # in digit order, as corr2 reads it
+        fs2 = fs2 * t2d[ydig[:, i], zdig[:, i]]
+    extra = np.zeros(Ycells, dtype=c.dtype)
+    np.add.at(extra, ky, np.abs(q3 * c - fs2) - fs2)
+    return table, qsum, rsum + extra
 
 
 def _aggregate_from_abs(ledger) -> float:

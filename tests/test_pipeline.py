@@ -467,6 +467,144 @@ def test_float_level2_matches_scalar_loop(default_ledgers, case):
     assert np.array_equal(led.abs2_num, abs2)
 
 
+F4 = parse_poly("-x1^4+2*x1^3*x2-3*x2^4-2*x3^4+x3^3*x4+2*x4^4", 4)
+# exact level 2 sums only the cells its join fills; the dense per-z loop
+# that the float level 2 keeps is its oracle.  The n = 4, B = 3 table
+# (28561 x 6561 cells) is summarized: kept, it would take 1.5 GB per build.
+EXACT_LEVEL2_CASES = {
+    "showcase-hat": dict(f=F, B=B, pi=PI, p=P, q=Q, weight="hat"),
+    "pi5-indicator": dict(f=F, B=6, pi=5, p=3, q=29, weight="indicator"),
+    "n4-hat": dict(f=F4, B=2, pi=2, p=3, q=13, weight="hat"),
+    "n4-hat-summarized": dict(f=F4, B=3, pi=2, p=3, q=13, weight="hat"),
+}
+
+
+@pytest.fixture(scope="module")
+def exact_level2_ledgers():
+    return {case: build_ledger(PipelineParams(**kw, with_pair_table=True))
+            for case, kw in EXACT_LEVEL2_CASES.items()}
+
+
+def assert_same_level2(led, ref):
+    assert (led.pair_table is None) == (ref.pair_table is None)
+    for name in ("pair_table", "qsum", "abs2_num"):
+        if getattr(ref, name) is not None:
+            assert np.array_equal(getattr(led, name), getattr(ref, name)), name
+    assert led.aggregate == ref.aggregate
+
+
+@pytest.mark.parametrize("case", EXACT_LEVEL2_CASES)
+def test_exact_level2_matches_dense_loop(exact_level2_ledgers, monkeypatch,
+                                         case):
+    led = exact_level2_ledgers[case]
+    assert led.pair_exact
+    assert (led.pair_table is None) == (case == "n4-hat-summarized")
+    monkeypatch.setattr(pipeline, "_level2_cells", pipeline._level2_dense)
+    ref = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES[case],
+                                      with_pair_table=True))
+    assert_same_level2(led, ref)
+
+
+@pytest.mark.parametrize("case", ["showcase-hat", "n4-hat"])
+def test_exact_level2_object_sums_match(exact_level2_ledgers, monkeypatch,
+                                        case):
+    monkeypatch.setattr(pipeline, "LEVEL2_INT64_LIMIT", 0)
+    led = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES[case],
+                                      with_pair_table=True))
+    assert_same_level2(led, exact_level2_ledgers[case])
+
+
+def test_level2_cells_leave_int64_past_its_bound():
+    """FS2 past 2^63 (t2d entries ~2^33, n = 2) must not wrap in int64."""
+    n, q3, sideY, sideZ = 2, 13**3, 3, 5
+    rng = np.random.default_rng(5)
+    t2d = rng.integers(2**33, 2**34, size=(sideY, sideZ))
+    kz = np.sort(rng.integers(0, sideZ**n, 40))
+    ky = rng.integers(0, sideY**n, 40)
+    w = rng.integers(1, 2**20, 40)
+    rows = [(kz[:17], ky[:17], w[:17]), (kz[17:], ky[17:], w[17:])]
+    table, qsum, abs2 = pipeline._level2_cells(
+        iter(rows), t2d, n, q3, pipeline._Domain(True), np.int64, True)
+    cells = defaultdict(int)
+    for z, y, c in zip(kz.tolist(), ky.tolist(), w.tolist()):
+        cells[y, z] += c
+    for y in range(sideY**n):
+        row = [cells[y, z] for z in range(sideZ**n)]
+        fs2 = [int(t2d[y % sideY, z % sideZ]) * int(t2d[y // sideY, z // sideZ])
+               for z in range(sideZ**n)]
+        assert table[y].tolist() == row
+        assert qsum[y] == sum(row)
+        assert abs2[y] == sum(abs(q3 * c - f) for c, f in zip(row, fs2))
+
+
+@pytest.mark.parametrize("weight", ["hat", "smooth"])
+def test_exact_level2_builds_no_product_per_z(monkeypatch, weight):
+    calls = [0]
+    sep = pipeline._sep_product
+
+    def counted(arrs):
+        calls[0] += 1
+        return sep(arrs)
+
+    monkeypatch.setattr(pipeline, "_sep_product", counted)
+    kw = dict(f=F, B=B, pi=PI, p=P, q=Q, weight=weight)
+    build_ledger(PipelineParams(**kw))
+    before = calls[0]
+    led = build_ledger(PipelineParams(**kw, with_pair_table=True))
+    level2 = calls[0] - 2 * before
+    if weight == "hat":
+        assert led.pair_exact and level2 <= 1
+    else:  # the float level 2 keeps its per-z loop, one product per z
+        assert level2 == (2 * led.pair_range + 1) ** N
+
+
+def test_level2_domain_ignores_ss3_dtype(monkeypatch):
+    """Level 2's domain follows the total of the level-1 squares, not the
+    dtype _sq_bincount picks from its per-bin bound."""
+    sq = pipeline._sq_bincount
+    monkeypatch.setattr(pipeline, "_sq_bincount",
+                        lambda *args: sq(*args).astype(object))
+    led = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES["showcase-hat"],
+                                      with_pair_table=True))
+    assert led.ss3.dtype == object
+    assert led.pair_exact
+
+
+def sq_bins_oracle(keys, vals, size):
+    out = [0] * size
+    for k, v in zip(keys.tolist(), vals.tolist()):
+        out[k] += v * v
+    return out
+
+
+@pytest.mark.parametrize("keys, vals, dtype", [
+    (range(16), [2**30] * 16, np.int64),  # total 2^64, every bin 2^60
+    ([0] * 5 + [1], [2**30] * 5 + [3], object),  # bin 0: 5 * 2^60 > 2^62
+    ([0, 1, 1], [2**31, 1, 2], object),  # a value reaches 2^31
+    ([1, 0], [-(2**31), 1], object),
+    ([2, 0, 1, 2], [7, -3, 0, 12], np.int64),
+])
+def test_sq_bincount_dtype_follows_bin_bound(keys, vals, dtype):
+    keys = np.array(keys, dtype=np.int64)
+    vals = np.array(vals, dtype=np.int64)
+    size = int(keys.max()) + 2  # one bin stays empty
+    out = pipeline._sq_bincount(keys, vals, size)
+    assert out.dtype == dtype
+    assert out.tolist() == sq_bins_oracle(keys, vals, size)
+
+
+@pytest.mark.parametrize("keys", [
+    np.random.default_rng(1).integers(0, 50, 1000),
+    np.random.default_rng(2).integers(0, 2**40, 1000),
+    np.array([2**62, 5, 2**62, 0], dtype=np.int64),  # no room to pack
+    np.array([3, -1, 3, -1], dtype=np.int64),
+    np.zeros(0, dtype=np.int64),
+])
+def test_stable_order_matches_stable_argsort(keys):
+    assert np.array_equal(pipeline._stable_order(keys),
+                          np.argsort(keys, kind="stable"))
+
+
 def test_showcase_budget_used(capsys):
     code = cli.dispatch(["pipeline", "--poly", "x1^3+x2^3+x3^3-x1*x2*x3",
                          "--n", "3", "--B", "4", "--pi", "2", "--p", "3",
