@@ -232,7 +232,7 @@ def _run_pipeline(args, budget):
         result["pair"] = {
             "range": led.pair_range,
             "aggregate": led.aggregate,
-            "exact": led.pair_exact,
+            "exact": led.exact,
         }
     return params, result
 

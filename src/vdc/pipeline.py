@@ -30,9 +30,8 @@ f(v) = f(v + pi y) = 0 mod p.  A second differencing in shifts z with
 with d2f the second difference along (pi y, pz) and W4 the product of the
 four translated weights.  The ledger records every level with exact
 arithmetic for the rational weight kinds (integer numerators over powers
-of 2B) and float64 for the smooth kind.  Level 2 may still run in float64
-for exact weights: when its tables could overflow int64 it does, records
-that in ``pair_exact`` (``pair.exact`` in the CLI) and adds a warning.  The
+of 2B) and float64 for the smooth kind, level 2 included: exact weights
+stay exact throughout, with int64 sums only under checked bounds.  The
 ledger verifies the algebraic identities tying the levels together:
 
   partition            N_W(f,B,pi p q) = S + K * #{zero classes mod pi}
@@ -241,9 +240,7 @@ class PipelineLedger:
     qsum: np.ndarray | None = None  # sum_z of pair congruence parts, per y
     abs2_num: np.ndarray | None = None  # sum_z |q^3 cong - FS2|, per y (objects)
     aggregate: float | None = None  # E4-style aggregate from level 2
-    pair_exact: bool = True  # level 2 ran in exact integers (vs float64)
     _inner_num: np.ndarray | None = None  # level-0 class sums (den1 scale)
-    _pair_dom: _Domain | None = None  # the domain level 2 ran in
     _t2d_table: np.ndarray | None = None
 
     @property
@@ -303,16 +300,15 @@ class PipelineLedger:
     def corr2(self, y, z) -> object:
         """The two-level correlation at (y, z); needs the pair table."""
         if self.pair_table is None:
-            raise PreconditionError("pair table was not built")
+            raise PreconditionError("pair table was not built or was summarized")
         Y, Z, n = self.shift_range, self.pair_range, self.n
         ky = self.shift_key(y)
         kz = _table_key(z, Z, n, "second shift")
         # FS2(y, z) = prod_i T(pi y_i, p z_i), in digit order as _sep_product
         fs2 = math.prod(self._t2d_table[
             _digits(ky, 2 * Y + 1, n), _digits(kz, 2 * Z + 1, n)].tolist())
-        D2 = self._pair_dom
-        den4 = D2.den1**4
-        return D2.frac(self.pair_table[ky, kz], den4) - D2.frac(
+        D, den4 = self._dom, self.den1**4
+        return D.frac(self.pair_table[ky, kz], den4) - D.frac(
             fs2, self.params.q**3 * den4
         )
 
@@ -601,14 +597,6 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     np.add.at(t1_num, y2, V2)
     ss3 = _sq_bincount(y3, V3, Ycells)
     ss2 = _sq_bincount(y2, V2, Ycells)
-    # level 2 stays exact only while the total of the level-1 squares fits
-    # int64 (with every square below 2^62, the first prefix sum to reach 2^62
-    # comes before any int64 wrap, so the cumsum test is exact)
-    if V3.dtype == np.int64 and V3.size:
-        squares_total_fits = (int(V3.max()) < 2**31
-                              and int(np.cumsum(V3 * V3).max()) < 2**62)
-    else:
-        squares_total_fits = V3.dtype != object
 
     # X_y(F_p): pairs of zeros of f mod p at shift pi*y
     budget.charge(pn, "zero grid mod p")
@@ -659,8 +647,8 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     ledger.residuals = _residuals(ledger)
 
     if params.with_pair_table:
-        _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p,
-                          solq, squares_total_fits, budget)
+        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, solq,
+                          budget)
     return ledger
 
 
@@ -756,8 +744,8 @@ def _t2d(w1: np.ndarray, pi: int, p: int, Y: int, Z: int, L: int) -> np.ndarray:
     return out
 
 
-def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
-                      squares_total_fits, budget):
+def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, solq,
+                      budget):
     """Second differencing: corr2(y, z) tables and their per-y aggregates."""
     pr = ledger.params
     B, pi, p, q, n = pr.B, pr.pi, pr.p, pr.q, ledger.n
@@ -774,34 +762,7 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
         )
     budget.charge(Zcells * L**n, "pair-table windows")
 
-    pn = p**n
-    a_q = np.flatnonzero(solq)
-
-    # Decide whether level 2 fits in int64.  Every accumulated quantity is
-    # bounded by q^3 * (sum over x-pairs of their weight product) * (max
-    # single pair weight) + (per-axis quadruple bound)^n; if that is too
-    # large, run this level in float64 and say so.
     D = ledger._dom
-    w1max = w1.max().item()
-    xtot = D.lift(np.zeros(pn, dtype=wnum.dtype))  # weight per class mod p
-    np.add.at(xtot, cls_p[a_q], D.lift(wnum[a_q]))
-    pairsum_x = D.total(xtot * xtot)
-    axis4 = w1max**3 * D.total(w1)
-    cell_bound = q**3 * pairsum_x * w1max ** (2 * n) + axis4**n
-    if D.fits(cell_bound) and squares_total_fits:
-        D2 = D
-    else:
-        D2 = _Domain(False)
-        ledger.warnings.append(
-            "second-difference tables exceed exact integer range; "
-            "level 2 ran in float64"
-        )
-    ledger.pair_exact = D2.exact
-    ledger._pair_dom = D2
-    w1 = D2.scaled(w1, den)
-    wnum = D2.scaled(wnum, den**n)
-    acc_dtype = wnum.dtype
-
     t2d = _t2d(w1, pi, p, Y, Z, L)
     ledger._t2d_table = t2d
     ledger.pair_range = Z
@@ -819,6 +780,8 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
     pa, pc = np.concatenate(pa), np.concatenate(pc)
     zcode = _flat(coords // p, sideZ)  # keys z as ycode keys y
     pz = zcode[pc] - zcode[pa] + Zcells // 2
+    if D.exact and wnum.max().item() ** 2 >= LEVEL2_INT64_LIMIT:
+        wnum = wnum.astype(object)  # a pair weight could pass int64
     pw = wnum[pa] * wnum[pc]
 
     isx = fq_v[pa] == 0
@@ -828,22 +791,37 @@ def _build_pair_table(ledger, coords, wnum, w1, den, fq_v, cls_pi, cls_p, solq,
     # x-pairs (x, x + p z) joined with box-point pairs (u, u + p z) of the
     # same z inside classes mod pi, so u = x + pi y.  One x meets each y at
     # most once, so the float level 2's per-z sums follow the x order only.
-    pin = pi**n
+    # The classes the box meets are numbered in order, so the group keys
+    # (z, class) stay below Zcells * L^n.
+    classes, cls = np.unique(cls_pi, return_inverse=True)
+    lgrp = zk * classes.size + cls[xi]
+    rgrp = pz * classes.size + cls[pa]
+    if D.exact:
+        # Weights are nonnegative, so no row weight, cell or qsum[y] passes
+        # the join's total weight sum over groups of (sum of wx) (sum of pw).
+        # A float sum of fewer than 2^51 nonnegative terms is at least 2/3 of
+        # the true sum; the bincounts and the dot product lose at most
+        # (2/3)^3 > 1/4, so a float total below 2^61 puts it below 2^63.
+        size = Zcells * classes.size
+        total = (np.bincount(lgrp, wx.astype(np.float64), size)
+                 @ np.bincount(rgrp, pw.astype(np.float64), size))
+        if not total < LEVEL2_INT64_LIMIT / 2:
+            wx, pw = wx.astype(object), pw.astype(object)
     ycode = _flat(coords // pi, 2 * Y + 1)
     xkey = Ycells // 2 - ycode[xi]
-    _, pairs = _pair_join(zk * pin + cls_pi[xi], pz * pin + cls_pi[pa])
+    _, pairs = _pair_join(lgrp, rgrp)
     rows = ((zk[li], xkey[li] + ycode[pa[ri]], wx[li] * pw[ri])
             for li, ri in pairs)
-    level2 = _level2_cells if D2.exact else _level2_dense
+    level2 = _level2_cells if D.exact else _level2_dense
     ledger.pair_table, ledger.qsum, ledger.abs2_num = level2(
-        rows, t2d, n, q**3, D2, acc_dtype, keep_table)
+        rows, t2d, n, q**3, D, pw.dtype, keep_table)
 
     # refined_square_expansion: sum over (v, a) of squared bin sums equals
-    # the z-sum of pair congruence parts (ss3 carries den1^4 numerators)
-    ss3 = D2.scaled(ledger.ss3, float(ledger.den1) ** 4)
+    # the z-sum of pair congruence parts (both at the den1^4 scale)
     ledger.residuals["refined_square_expansion"] = _check(
-        D2, "refined_square_expansion", "identity",
-        np.max(np.abs(D2.lift(ss3) - D2.lift(ledger.qsum))), np.max(np.abs(ss3)),
+        D, "refined_square_expansion", "identity",
+        np.max(np.abs(D.lift(ledger.ss3) - D.lift(ledger.qsum))),
+        np.max(np.abs(ledger.ss3)),
     )
 
     ledger.aggregate = _aggregate_from_abs(ledger)
@@ -896,8 +874,9 @@ def _level2_cells(rows, t2d, n, q3, D2, dtype, keep_table):
         np.concatenate([np.zeros(0, np.int64)] + [k for k, _, _ in folded]),
         np.concatenate([np.zeros(0, dtype)] + [v for _, _, v in folded]),
         dtype)
-    ky, kz = np.divmod(keys, Zcells)
-    # the level-2 domain's cell_bound keeps q^3 qsum[y] below 2^62
+    ky, kz = np.divmod(keys, Zcells)  # sorted by y
+    del folded, keys
+    # the join's total weight bounds every cell and every qsum[y] in dtype
     qsum = np.zeros(Ycells, dtype=dtype)
     np.add.at(qsum, ky, c)
     table = None
@@ -905,58 +884,40 @@ def _level2_cells(rows, t2d, n, q3, D2, dtype, keep_table):
         table = np.zeros((Ycells, Zcells), dtype=dtype)
         table[ky, kz] = c
     rsum = _sep_product([D2.lift(t2d).sum(axis=1)] * n)  # prod_i R(y_i)
-    # a filled cell's term lies in [-FS2, q^3 c], FS2 <= prod_i R(y_i), and
-    # every factor of its FS2 is at least 1, so no partial product or
-    # partial sum passes this bound; q^3 itself must fit as well
-    bound = q3 * max(1, int(qsum.max(initial=0))) + int(rsum.max())
-    if bound >= LEVEL2_INT64_LIMIT:
+    # a filled cell's term lies in [-FS2, q^3 c], and every partial product
+    # of its FS2 is at most max rsum = (max R)^n, so no step passes this
+    # bound; q^3 itself must fit as well
+    if q3 * max(1, int(c.max(initial=0))) + int(rsum.max()) >= LEVEL2_INT64_LIMIT:
         c, t2d = D2.lift(c), D2.lift(t2d)
-    ydig, zdig = _digits(ky, sideY, n), _digits(kz, sideZ, n)
-    fs2 = t2d[ydig[:, 0], zdig[:, 0]]
-    for i in range(1, n):  # in digit order, as corr2 reads it
-        fs2 = fs2 * t2d[ydig[:, i], zdig[:, i]]
-    extra = np.zeros(Ycells, dtype=c.dtype)
-    np.add.at(extra, ky, np.abs(q3 * c - fs2) - fs2)
+    fs2 = 1
+    for i in range(n):  # digit 0 first, as corr2 reads them
+        fs2 = fs2 * t2d[ky // sideY**i % sideY, kz // sideZ**i % sideZ]
+    terms = q3 * c  # |q^3 c - FS2| - FS2, in place
+    terms -= fs2
+    np.abs(terms, out=terms)
+    terms -= fs2
+    extra = np.zeros(Ycells, dtype=object)
+    if terms.size:
+        first = np.flatnonzero(np.diff(ky, prepend=-1))  # each y's first cell
+        if terms.dtype == object:
+            sums = np.add.reduceat(terms, first)
+        else:  # a y's sum may pass int64: add the 32-bit halves apart
+            sums = ((np.add.reduceat(terms >> 32, first).astype(object) << 32)
+                    + np.add.reduceat(terms & 0xFFFFFFFF, first).astype(object))
+        extra[ky[first]] = sums
     return table, qsum, rsum + extra
 
 
 def _aggregate_from_abs(ledger) -> float:
     """pi^((n-1)/2) p^((n-2)/4) (sum_{y != 0} sqrt(sum_z |corr2|))^(1/2)."""
-    pr, n, D2 = ledger.params, ledger.n, ledger._pair_dom
+    pr, n, D = ledger.params, ledger.n, ledger._dom
     abs2 = ledger.abs2_num
     # exact cells hold Python ints: int / int rounds correctly, as float(Fraction)
-    vals = abs2 / (pr.q**3 * D2.den1**4) if D2.exact else abs2
+    vals = abs2 / (pr.q**3 * D.den1**4) if D.exact else abs2
     roots = np.delete(np.sqrt(vals.astype(np.float64)), len(abs2) // 2)  # y = 0
     # cumsum adds left to right, as a loop does (np.sum would add pairwise)
     total = np.cumsum(np.concatenate([[0.0], roots]))[-1]
     return pr.pi ** ((n - 1) / 2) * pr.p ** ((n - 2) / 4) * math.sqrt(total)
-
-
-def aggregate_bound(ledger: PipelineLedger, recompute: bool = False) -> dict:
-    """The level-2 aggregate, optionally re-derived from the stored table
-    with the opposite traversal order as an independent cross-check."""
-    if ledger.abs2_num is None:
-        raise PreconditionError("ledger was built without the pair table")
-    out = {"aggregate": ledger.aggregate}
-    if recompute:
-        if ledger.pair_table is None:
-            raise PreconditionError("pair table was summarized; cannot recompute")
-        D2, q3, n = ledger._pair_dom, ledger.params.q**3, ledger.n
-        Ycells = ledger.pair_table.shape[0]
-        ydig = _digits(np.arange(Ycells), 2 * ledger.shift_range + 1, n)
-        mism = 0
-        for ky in range(Ycells):  # y-major, opposite of the build's z-major
-            # FS2 over every z as one separable product of this y's rows
-            fs2 = _sep_product([ledger._t2d_table[ydig[ky, i]] for i in range(n)])
-            step = np.abs(q3 * ledger.pair_table[ky] - fs2)
-            acc = D2.total(D2.scaled(step, q3))
-            ref = ledger.abs2_num[ky]
-            if abs(acc - ref) > D2.tol(ref):
-                mism += 1
-        out["recomputed_matches"] = mism == 0
-        out["mismatched_rows"] = mism
-    return out
-
 
 
 # -- deviation probe ------------------------------------------------------------

@@ -135,16 +135,18 @@ def test_pipeline_showcase(capsys):
     assert res == json.loads(golden.read_text())
 
 
-def test_pipeline_float_level2_golden(capsys):
-    """Exact weights with a float64 level 2: the golden pins the order of
-    the pair table's float sums (qsum, the per-y sums behind the aggregate)."""
+def test_pipeline_pi5_level2_golden(capsys):
+    """A hat run whose level 2 once ran in float64: it stays exact, and
+    refined_square_expansion holds with tolerance 0."""
     code, doc = run_cli(
         ["pipeline", "--poly", "x1^3+x2^3+x3^3-x1*x2*x3", "--n", "3",
          "--B", "6", "--pi", "5", "--p", "3", "--q", "29",
          "--pair-table"], capsys=capsys)
     assert code == 0
-    assert doc["result"]["pair"]["exact"] is False
-    golden = Path(__file__).parent / "golden" / "pipeline_pi5_float_level2_result.json"
+    assert doc["result"]["pair"]["exact"] is True
+    rc = doc["result"]["residuals"]["refined_square_expansion"]
+    assert rc["ok"] and rc["tol"] == 0
+    golden = Path(__file__).parent / "golden" / "pipeline_pi5_level2_result.json"
     assert doc["result"] == json.loads(golden.read_text())
 
 

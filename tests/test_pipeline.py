@@ -21,7 +21,6 @@ from vdc.mpoly import parse_poly
 from vdc.pipeline import (
     PipelineParams,
     _residuals,
-    aggregate_bound,
     build_ledger,
     deviation_probe,
 )
@@ -57,7 +56,6 @@ def test_all_residual_identities_hold(led):
     for rc in led.residuals.values():
         assert rc.ok, (rc.name, rc.value)
     assert led.exact
-    assert led.pair_exact
 
 
 def test_counts_match_brute_force(led):
@@ -148,10 +146,21 @@ def test_pair_correlation_matches_brute_force(led):
         assert led.corr2(yy, zz) == expect, (yy, zz)
 
 
+def abs2_recomputed(led):
+    """abs2_num recomputed y-major from the kept pair table, the opposite of
+    the build's cell or z order: each y's FS2 over every z is one separable
+    product of that y's t2d rows."""
+    D, q3, n = led._dom, led.params.q**3, led.n
+    t2d = D.lift(led._t2d_table)
+    ydig = pipeline._digits(np.arange(led.pair_table.shape[0]),
+                            2 * led.shift_range + 1, n)
+    return [D.total(D.scaled(np.abs(q3 * D.lift(row) - pipeline._sep_product(
+                [t2d[d] for d in dig])), q3))
+            for row, dig in zip(led.pair_table, ydig)]
+
+
 def test_aggregate_recompute_matches(led):
-    agg = aggregate_bound(led, recompute=True)
-    assert agg["recomputed_matches"]
-    assert agg["aggregate"] == pytest.approx(led.aggregate)
+    assert abs2_recomputed(led) == led.abs2_num.tolist()
 
 
 def test_shift_outside_table_rejected(led):
@@ -173,8 +182,6 @@ def test_corr2_requires_pair_table():
     led_np = build_ledger(PipelineParams(f=F, B=3, pi=2, p=3, q=5))
     with pytest.raises(PreconditionError):
         led_np.corr2((0, 0, 0), (0, 0, 0))
-    with pytest.raises(PreconditionError):
-        aggregate_bound(led_np)
 
 
 def test_smooth_weight_residuals_hold():
@@ -193,16 +200,15 @@ def test_indicator_weight_residuals_hold():
     assert all(rc.ok for rc in led_i.residuals.values())
 
 
-def test_exact_ledger_with_float_level2():
-    # at B=8 the level-2 int64 bound fails, so only level 2 leaves exact ints
-    led_f = build_ledger(PipelineParams(f=F, B=8, pi=3, p=5, q=37,
+def test_exact_ledger_keeps_level2_exact():
+    # at B=8 level 2's old int64 gate sent exact weights to float64
+    led_e = build_ledger(PipelineParams(f=F, B=8, pi=3, p=5, q=37,
                                         weight="hat", with_pair_table=True))
-    assert led_f.exact
-    assert led_f.pair_exact is False
-    assert any("level 2 ran in float64" in w for w in led_f.warnings)
-    assert len(led_f.residuals) == 9
-    bad = [rc.name for rc in led_f.residuals.values() if not rc.ok]
-    assert not bad, bad
+    assert led_e.exact
+    assert not any("float64" in w for w in led_e.warnings)
+    assert len(led_e.residuals) == 9
+    for rc in led_e.residuals.values():
+        assert rc.ok and rc.tol == 0, rc.name
 
 
 @pytest.mark.parametrize("weight", ["hat", "smooth"])
@@ -219,7 +225,7 @@ def test_residual_checks_can_fail(weight):
 
 
 # the README showcase, and an instance with pi^n = 125 classes (four groups
-# of 32 in the correlation pass) whose hat run takes float64 level 2
+# of 32 in the correlation pass)
 CHUNK_CASES = {
     "showcase": dict(f=F, B=B, pi=PI, p=P, q=Q),
     "pi5": dict(f=F, B=6, pi=5, p=3, q=29),
@@ -252,8 +258,7 @@ def test_pair_block_does_not_change_results(default_ledgers, monkeypatch,
     for name in CHUNKED_ARRAYS:
         assert np.array_equal(getattr(led, name), getattr(ref, name)), name
     assert led.aggregate == ref.aggregate
-    assert led.pair_exact == ref.pair_exact == (case == "showcase"
-                                                and weight == "hat")
+    assert led.exact == ref.exact == (weight == "hat")
 
 
 class RecordingBudget(Budget):
@@ -313,7 +318,7 @@ def test_pair_table_matches_brute_force(weight):
     b, pi, p, q = 3, 2, 3, 5
     led = build_ledger(PipelineParams(f=F, B=b, pi=pi, p=p, q=q, weight=weight,
                                       with_pair_table=True))
-    assert led.pair_exact
+    assert led.exact
     h = 2 * b - 1 if weight == "hat" else b
     Y, Z = led.shift_range, led.pair_range
     assert p * Z >= 2 * h + 1  # some z windows are empty
@@ -362,23 +367,22 @@ def test_summarized_pair_table_keeps_aggregates(default_ledgers, monkeypatch,
     for name in ("qsum", "abs2_num"):
         assert np.array_equal(getattr(led, name), getattr(ref, name)), name
     assert led.aggregate == ref.aggregate
-    assert led.pair_exact == ref.pair_exact
     assert ({k: (rc.ok, rc.value) for k, rc in led.residuals.items()}
             == {k: (rc.ok, rc.value) for k, rc in ref.residuals.items()})
     with pytest.raises(PreconditionError):
-        aggregate_bound(led, recompute=True)
+        led.corr2((0,) * N, (0,) * N)
 
 
 def aggregate_loop(led):
     """The level-2 aggregate summed cell by cell in Python floats."""
-    pr, n, D2 = led.params, led.n, led._pair_dom
+    pr, n, D = led.params, led.n, led._dom
     Y, sideY = led.shift_range, 2 * led.shift_range + 1
     key0 = sum(Y * sideY**i for i in range(n))
-    den = pr.q**3 * D2.den1**4
+    den = pr.q**3 * D.den1**4
     total = 0.0
     for k, c in enumerate(led.abs2_num):
         if k != key0:
-            v = Fraction(int(c), den) if D2.exact else c  # float: already scaled
+            v = Fraction(int(c), den) if D.exact else c  # float: already scaled
             total += math.sqrt(float(v))
     return pr.pi ** ((n - 1) / 2) * pr.p ** ((n - 2) / 4) * math.sqrt(total)
 
@@ -390,26 +394,31 @@ def aggregate_loop(led):
 def test_aggregate_matches_scalar_loop(default_ledgers, case, weight):
     led = default_ledgers.get((case, weight)) or build_ledger(PipelineParams(
         **CHUNK_CASES[case], weight=weight, with_pair_table=True))
-    assert led.pair_exact == (case == "showcase" and weight != "smooth")
+    assert led.exact == (weight != "smooth")
     assert led.aggregate == pipeline._aggregate_from_abs(led) == aggregate_loop(led)
 
 
 def level2_loop(led):
-    """pair_table, qsum and abs2_num of a float level 2, added term by term.
+    """pair_table, qsum and abs2_num of level 2, added term by term.
 
-    Cell (y, z) adds w(x) w(x + p z) * w(u) w(u + p z), u = x + pi y, to 0.0
+    Cell (y, z) adds w(x) w(x + p z) * w(u) w(u + p z), u = x + pi y, to 0
     over the x-pairs (x, x + p z) ordered by (class mod pi, class mod p, box
     index of x), box index with x1 fastest; x + p z is fixed by x.  qsum and
-    abs2_num add each y's cells in z order (elementwise across y).
+    abs2_num add each y's cells in z order (elementwise across y).  Exact
+    weights are integer numerators in Python ints, and abs2_num is then the
+    numerator sum_z |q^3 c - FS2|; float weights are float64, and abs2_num
+    is sum_z |q^3 c - FS2| / q^3.
     """
     pr, n = led.params, led.n
     pi, p, q = pr.pi, pr.p, pr.q
     Y, Z = led.shift_range, led.pair_range
     w1, _ = Weight(pr.weight).axis_values(pr.B)
-    h = (w1.size - 1) // 2
+    w1 = w1.tolist()  # ints for exact weights, floats for smooth
+    dtype = object if led.exact else np.float64
+    h = (len(w1) - 1) // 2
     pts = [x[::-1] for x in itertools.product(range(-h, h + 1), repeat=n)]
     index = {x: i for i, x in enumerate(pts)}
-    w = {x: math.prod(float(w1[c + h]) for c in x) for x in pts}
+    w = {x: math.prod(w1[c + h] for c in x) for x in pts}
     fq = {x: pr.f.eval(list(x)) % q for x in pts}
 
     def key(t, R):
@@ -432,11 +441,11 @@ def level2_loop(led):
             upairs[z, cls(u, pi)].append((u, w[u] * w[c]))
             if r == 0:
                 xpairs[z].append((u, w[u] * w[c]))
-    table = np.zeros((Ycells, Zcells))
+    table = np.zeros((Ycells, Zcells), dtype=dtype)
     # for u = x mod pi, u - x = pi y has y_i = u_i // pi - x_i // pi
     code = {x: key([c // pi for c in x], Y) for x in pts}
     for z, xs in xpairs.items():
-        cells = defaultdict(float)
+        cells = defaultdict(lambda: 0 * w1[0])
         xs.sort(key=lambda t: (cls(t[0], pi), cls(t[0], p), index[t[0]]))
         for x, wx in xs:
             for u, wu in upairs[z, cls(x, pi)]:
@@ -444,23 +453,24 @@ def level2_loop(led):
         for ky, v in cells.items():
             table[ky, key(z, Z)] = v
 
-    q3, t2d = q**3, led._t2d_table
+    q3, t2d = q**3, led._t2d_table.astype(dtype)
     ydig = np.array([t[::-1] for t in itertools.product(range(2 * Y + 1), repeat=n)])
-    qsum, abs2 = np.zeros(Ycells), np.zeros(Ycells)
+    qsum, abs2 = np.zeros(Ycells, dtype=dtype), np.zeros(Ycells, dtype=dtype)
     for kz, zd in enumerate(t[::-1] for t in
                             itertools.product(range(2 * Z + 1), repeat=n)):
-        fs2 = np.ones(Ycells)
+        fs2 = np.ones(Ycells, dtype=dtype)
         for i in range(n):
             fs2 = fs2 * t2d[ydig[:, i], zd[i]]
         qsum = qsum + table[:, kz]
-        abs2 = abs2 + np.abs(q3 * table[:, kz] - fs2) / q3
+        step = np.abs(q3 * table[:, kz] - fs2)
+        abs2 = abs2 + (step if led.exact else step / q3)
     return table, qsum, abs2
 
 
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_float_level2_matches_scalar_loop(default_ledgers, case):
     led = default_ledgers[(case, "smooth")]
-    assert not led.pair_exact
+    assert not led.exact
     table, qsum, abs2 = level2_loop(led)
     assert np.array_equal(led.pair_table, table)
     assert np.array_equal(led.qsum, qsum)
@@ -497,12 +507,24 @@ def assert_same_level2(led, ref):
 def test_exact_level2_matches_dense_loop(exact_level2_ledgers, monkeypatch,
                                          case):
     led = exact_level2_ledgers[case]
-    assert led.pair_exact
+    assert led.exact
     assert (led.pair_table is None) == (case == "n4-hat-summarized")
     monkeypatch.setattr(pipeline, "_level2_cells", pipeline._level2_dense)
     ref = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES[case],
                                       with_pair_table=True))
     assert_same_level2(led, ref)
+
+
+@pytest.mark.parametrize("case", ["pi5-hat", "n4-hat"])
+def test_exact_level2_matches_scalar_loop(default_ledgers, exact_level2_ledgers,
+                                          case):
+    led = (default_ledgers[("pi5", "hat")] if case == "pi5-hat"
+           else exact_level2_ledgers[case])
+    assert led.exact
+    table, qsum, abs2 = level2_loop(led)
+    assert np.array_equal(led.pair_table, table)
+    assert np.array_equal(led.qsum, qsum)
+    assert np.array_equal(led.abs2_num, abs2)
 
 
 @pytest.mark.parametrize("case", ["showcase-hat", "n4-hat"])
@@ -514,15 +536,32 @@ def test_exact_level2_object_sums_match(exact_level2_ledgers, monkeypatch,
     assert_same_level2(led, exact_level2_ledgers[case])
 
 
-def test_level2_cells_leave_int64_past_its_bound():
-    """FS2 past 2^63 (t2d entries ~2^33, n = 2) must not wrap in int64."""
-    n, q3, sideY, sideZ = 2, 13**3, 3, 5
-    rng = np.random.default_rng(5)
-    t2d = rng.integers(2**33, 2**34, size=(sideY, sideZ))
-    kz = np.sort(rng.integers(0, sideZ**n, 40))
-    ky = rng.integers(0, sideY**n, 40)
-    w = rng.integers(1, 2**20, 40)
-    rows = [(kz[:17], ky[:17], w[:17]), (kz[17:], ky[17:], w[17:])]
+def test_level2_rows_leave_int64_past_total_weight(exact_level2_ledgers,
+                                                  monkeypatch):
+    """A join whose total weight reaches half the limit feeds level 2 Python
+    ints; the showcase's pair weights (at most 2^18) stay below this limit,
+    so only the total-weight bound lifts them."""
+    dtypes = []
+    cells = pipeline._level2_cells
+
+    def spy(rows, t2d, n, q3, D, dtype, keep_table):
+        dtypes.append(dtype)
+        return cells(rows, t2d, n, q3, D, dtype, keep_table)
+
+    monkeypatch.setattr(pipeline, "_level2_cells", spy)
+    monkeypatch.setattr(pipeline, "LEVEL2_INT64_LIMIT", 2**19)
+    led = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES["showcase-hat"],
+                                      with_pair_table=True))
+    assert dtypes == [object]
+    assert_same_level2(led, exact_level2_ledgers["showcase-hat"])
+
+
+def check_level2_cells(t2d, kz, ky, w, q3):
+    """_level2_cells on the rows (kz, ky, w), in two chunks, n = 2, against
+    Python ints."""
+    n, (sideY, sideZ) = 2, t2d.shape
+    cut = w.size // 2
+    rows = [(kz[:cut], ky[:cut], w[:cut]), (kz[cut:], ky[cut:], w[cut:])]
     table, qsum, abs2 = pipeline._level2_cells(
         iter(rows), t2d, n, q3, pipeline._Domain(True), np.int64, True)
     cells = defaultdict(int)
@@ -535,6 +574,27 @@ def test_level2_cells_leave_int64_past_its_bound():
         assert table[y].tolist() == row
         assert qsum[y] == sum(row)
         assert abs2[y] == sum(abs(q3 * c - f) for c, f in zip(row, fs2))
+
+
+def test_level2_cells_leave_int64_past_its_bound():
+    """Neither FS2 past 2^63 nor a per-y sum past 2^63 of cell terms that
+    each fit int64 may wrap."""
+    q3 = 13**3
+    rng = np.random.default_rng(5)
+    # t2d entries ~2^33, so FS2 passes 2^63
+    t2d = rng.integers(2**33, 2**34, size=(3, 5))
+    kz = np.sort(rng.integers(0, 25, 40))
+    check_level2_cells(t2d, kz, rng.integers(0, 9, 40),
+                       rng.integers(1, 2**20, 40), q3)
+    # every cell filled once; on even z, q^3 c ~ 2^61.1, so each y's 13 such
+    # terms sum past 2^63; on odd z, c is small and its term is negative
+    t2d = rng.integers(1, 2**20, size=(3, 5))
+    kz, ky = np.divmod(np.arange(25 * 9), 9)
+    w = np.where(kz % 2 == 0, 2**50 + rng.integers(0, 2**20, kz.size),
+                 rng.integers(1, 100, kz.size))
+    assert q3 * int(w.max()) + int(t2d.sum(axis=1).max()) ** 2 < (
+        pipeline.LEVEL2_INT64_LIMIT)
+    check_level2_cells(t2d, kz, ky, w, q3)
 
 
 @pytest.mark.parametrize("weight", ["hat", "smooth"])
@@ -553,21 +613,37 @@ def test_exact_level2_builds_no_product_per_z(monkeypatch, weight):
     led = build_ledger(PipelineParams(**kw, with_pair_table=True))
     level2 = calls[0] - 2 * before
     if weight == "hat":
-        assert led.pair_exact and level2 <= 1
+        assert led.exact and level2 <= 1
     else:  # the float level 2 keeps its per-z loop, one product per z
         assert level2 == (2 * led.pair_range + 1) ** N
 
 
 def test_level2_domain_ignores_ss3_dtype(monkeypatch):
-    """Level 2's domain follows the total of the level-1 squares, not the
-    dtype _sq_bincount picks from its per-bin bound."""
+    """Level 2 stays exact whatever dtype _sq_bincount picks from its per-bin
+    bound."""
     sq = pipeline._sq_bincount
     monkeypatch.setattr(pipeline, "_sq_bincount",
                         lambda *args: sq(*args).astype(object))
     led = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES["showcase-hat"],
                                       with_pair_table=True))
     assert led.ss3.dtype == object
-    assert led.pair_exact
+    rc = led.residuals["refined_square_expansion"]
+    assert led.exact and rc.ok and rc.tol == 0
+
+
+def test_object_level1_keeps_level2_exact(default_ledgers, monkeypatch):
+    """Level 1 in Python ints still feeds an exact level 2, equal to the
+    int64 build's."""
+    ref = default_ledgers[("pi5", "hat")]
+    monkeypatch.setattr(pipeline._Domain, "fits", lambda self, bound: False)
+    led = build_ledger(PipelineParams(**CHUNK_CASES["pi5"], weight="hat",
+                                      with_pair_table=True))
+    assert led.corr_num.dtype == led.ss3.dtype == object
+    assert np.array_equal(led.qsum, ref.qsum)
+    assert np.array_equal(led.abs2_num, ref.abs2_num)
+    assert led.aggregate == ref.aggregate
+    rc = led.residuals["refined_square_expansion"]
+    assert rc.ok and rc.tol == 0
 
 
 def sq_bins_oracle(keys, vals, size):
@@ -618,7 +694,7 @@ def test_tables_match_brute_force_across_class_groups():
     b, pi, p, q = 4, 5, 3, 7
     led = build_ledger(PipelineParams(f=F, B=b, pi=pi, p=p, q=q, weight="hat",
                                       with_pair_table=True))
-    assert led.exact and led.pair_exact
+    assert led.exact
     h = 2 * b - 1
     box = list(itertools.product(range(-h, h + 1), repeat=N))
     fv = {x: fval(x) for x in box}
