@@ -65,12 +65,13 @@ A part adds its pairs to zero in emission order and the parts are added in
 order, so float results do not depend on the chunk size, and one code path
 serves both domains up to level 2's cell sums.
 
-Level 2's per-y sum of |q^3 c(y, z) - FS2(y, z)| over all z, with c the
-congruence part and FS2 = prod_i T(pi y_i, p z_i) >= 0 its full sum, is
-summed two ways.  The exact domain sums only the cells the join fills: an
-empty cell adds FS2, so the sum is prod_i R(y_i) + sum over filled cells of
-(|q^3 c - FS2| - FS2), with R(y_i) = sum_{z_i} T(pi y_i, p z_i).  The float
-domain's sum order is pinned, so it still sums every cell, z by z.
+Level 2 keeps only the cells (y, z) its join fills, as sorted flat keys and
+congruence parts c(y, z); corr2 reads c = 0 at every other cell.  The per-y
+sum of |q^3 c - FS2| over all z, with FS2 = prod_i T(pi y_i, p z_i) >= 0
+the full sum, is summed two ways.  The exact domain sums only the filled
+cells: an empty cell adds FS2, so the sum is prod_i R(y_i) + sum over
+filled cells of (|q^3 c - FS2| - FS2), with R(y_i) = sum_{z_i} T(pi y_i,
+p z_i).  The float domain's sum order is pinned: it sums every cell, z by z.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ from .geometry import VarietySpec, r_check, sing_points
 from .mpoly import IntPoly
 from .parallel import pairwise_sum
 
-PAIR_TABLE_MAX_CELLS = 1 << 24
 PAIR_BLOCK = 1 << 18  # max pair rows materialized at once
 LEVEL1_PART = 1 << 21  # pair rows per level-1 float part, apart from PAIR_BLOCK
 SMOOTH_RTOL = 1e-9
@@ -211,6 +211,8 @@ class ShiftRecord:
 
 @dataclass
 class PipelineLedger:
+    """The tables of one ledger run; level 2 keeps only the cells it fills."""
+
     params: PipelineParams
     n: int
     exact: bool
@@ -236,7 +238,8 @@ class PipelineLedger:
     residuals: dict
     warnings: list
     pair_range: int | None = None  # Z
-    pair_table: np.ndarray | None = None  # (Ycells, Zcells) congruence parts
+    pair_keys: np.ndarray | None = None  # filled cells, sorted ky * Zcells + kz
+    pair_num: np.ndarray | None = None  # their congruence parts (den1^4 scale)
     qsum: np.ndarray | None = None  # sum_z of pair congruence parts, per y
     abs2_num: np.ndarray | None = None  # sum_z |q^3 cong - FS2|, per y (objects)
     aggregate: float | None = None  # E4-style aggregate from level 2
@@ -298,19 +301,19 @@ class PipelineLedger:
         return [self._record_at(k) for k in range(take)]
 
     def corr2(self, y, z) -> object:
-        """The two-level correlation at (y, z); needs the pair table."""
-        if self.pair_table is None:
-            raise PreconditionError("pair table was not built or was summarized")
+        """The two-level correlation at any (y, z); needs the pair table."""
+        if self.pair_keys is None:
+            raise PreconditionError("pair table was not built")
         Y, Z, n = self.shift_range, self.pair_range, self.n
-        ky = self.shift_key(y)
-        kz = _table_key(z, Z, n, "second shift")
+        ky, kz = self.shift_key(y), _table_key(z, Z, n, "second shift")
+        k = ky * (2 * Z + 1) ** n + kz
+        i = int(np.searchsorted(self.pair_keys, k))
+        cong = self.pair_num[i] if self.pair_keys[i:i + 1].tolist() == [k] else 0
         # FS2(y, z) = prod_i T(pi y_i, p z_i), in digit order as _sep_product
         fs2 = math.prod(self._t2d_table[
             _digits(ky, 2 * Y + 1, n), _digits(kz, 2 * Z + 1, n)].tolist())
         D, den4 = self._dom, self.den1**4
-        return D.frac(self.pair_table[ky, kz], den4) - D.frac(
-            fs2, self.params.q**3 * den4
-        )
+        return D.frac(cong, den4) - D.frac(fs2, self.params.q**3 * den4)
 
 
 # -- small structural helpers -------------------------------------------------
@@ -341,11 +344,13 @@ def _flat(digits: np.ndarray, side: int):
 
 
 def _table_key(v, R: int, n: int, what: str) -> int:
-    """Flat key of the shift v in a table over |v_i| <= R."""
-    d = np.asarray(v)
-    if d.shape != (n,) or np.abs(d).max() > R:
-        raise InputError(f"{what} outside table", shift=d.tolist(), n=n, R=R)
-    return int(_flat(d.astype(np.int64) + R, 2 * R + 1))
+    """Flat key of the shift v, n integers in [-R, R], in a table over them."""
+    d = list(v) if np.iterable(v) else []
+    if len(d) != n or not all(
+            isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+            and abs(int(c)) <= R for c in d):
+        raise InputError(f"{what} not in table", shift=repr(v), n=n, R=R)
+    return int(_flat(np.array(d, dtype=np.int64) + R, 2 * R + 1))
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -647,8 +652,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     ledger.residuals = _residuals(ledger)
 
     if params.with_pair_table:
-        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, solq,
-                          budget)
+        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget)
     return ledger
 
 
@@ -744,8 +748,7 @@ def _t2d(w1: np.ndarray, pi: int, p: int, Y: int, Z: int, L: int) -> np.ndarray:
     return out
 
 
-def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, solq,
-                      budget):
+def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
     """Second differencing: corr2(y, z) tables and their per-y aggregates."""
     pr = ledger.params
     B, pi, p, q, n = pr.B, pr.pi, pr.p, pr.q, ledger.n
@@ -754,12 +757,6 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, solq,
     sideZ = 2 * Z + 1
     Zcells = sideZ**n
     L = w1.size
-    keep_table = Ycells * Zcells <= PAIR_TABLE_MAX_CELLS
-    if not keep_table:
-        ledger.warnings.append(
-            f"pair table summarized: {Ycells}x{Zcells} cells exceed "
-            f"{PAIR_TABLE_MAX_CELLS}"
-        )
     budget.charge(Zcells * L**n, "pair-table windows")
 
     D = ledger._dom
@@ -813,8 +810,8 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, solq,
     rows = ((zk[li], xkey[li] + ycode[pa[ri]], wx[li] * pw[ri])
             for li, ri in pairs)
     level2 = _level2_cells if D.exact else _level2_dense
-    ledger.pair_table, ledger.qsum, ledger.abs2_num = level2(
-        rows, t2d, n, q**3, D, pw.dtype, keep_table)
+    (ledger.pair_keys, ledger.pair_num, ledger.qsum,
+     ledger.abs2_num) = level2(rows, t2d, n, q**3, D, pw.dtype)
 
     # refined_square_expansion: sum over (v, a) of squared bin sums equals
     # the z-sum of pair congruence parts (both at the den1^4 scale)
@@ -827,13 +824,13 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, solq,
     ledger.aggregate = _aggregate_from_abs(ledger)
 
 
-def _level2_dense(rows, t2d, n, q3, D2, dtype, keep_table):
-    """pair_table (or None), qsum and abs2_num of level 2, summing every cell.
+def _level2_dense(rows, t2d, n, q3, D2, dtype):
+    """Filled cells, qsum and abs2_num of level 2, summing every cell.
 
     Each z's slab of congruence parts and its FS2 column are added to the
-    per-y sums in z order, the order the float domain's sums are pinned to.
-    Exact int64 sums of |q^3 c - FS2| move to Python ints (flushed) before
-    their bound could pass 2^62.
+    per-y sums in z order, the float domain's pinned order; the slab's
+    nonzero entries are its filled cells.  Exact int64 sums of |q^3 c - FS2|
+    move to Python ints (flushed) before their bound could pass 2^62.
     """
     sideY, sideZ = t2d.shape
     Ycells, Zcells = sideY**n, sideZ**n
@@ -841,11 +838,12 @@ def _level2_dense(rows, t2d, n, q3, D2, dtype, keep_table):
     qsum = np.zeros(Ycells, dtype=dtype)
     abs_acc = np.zeros(Ycells, dtype=dtype)
     flushed, used = 0, 0
-    table = np.zeros((Ycells, Zcells), dtype=dtype) if keep_table else None
+    keys, cells = [], []  # one entry per z; Zcells >= 1
     for kz, slab in enumerate(_part_slabs(rows, Zcells, Ycells, dtype)):
         fs2 = _sep_product([t2d[:, c] for c in zdigits[kz]])
-        if table is not None:
-            table[:, kz] = slab
+        ky = np.flatnonzero(slab != 0)  # on floats, flatnonzero is ~6x slower
+        keys.append(ky * Zcells + kz)
+        cells.append(slab[ky])
         qsum += slab
         bound = q3 * slab.max().item() + fs2.max().item()
         if not D2.fits(used + bound):
@@ -854,12 +852,14 @@ def _level2_dense(rows, t2d, n, q3, D2, dtype, keep_table):
             used = 0
         used += bound
         abs_acc += D2.scaled(np.abs(q3 * slab - fs2), q3)
-    return table, qsum, flushed + D2.lift(abs_acc)
+    keys, cells = np.concatenate(keys), np.concatenate(cells)
+    order = np.argsort(keys)
+    return keys[order], cells[order], qsum, flushed + D2.lift(abs_acc)
 
 
-def _level2_cells(rows, t2d, n, q3, D2, dtype, keep_table):
-    """pair_table (or None), qsum and abs2_num of an exact level 2, from the
-    cells the join fills.
+def _level2_cells(rows, t2d, n, q3, D2, dtype):
+    """Filled cells (sorted flat keys, congruence parts), qsum and abs2_num
+    of an exact level 2, summing only those cells.
 
     The rows fold by cell (y, z) into the nonzero congruence parts c(y, z).
     FS2(y, z) = prod_i T(pi y_i, p z_i) is never negative, so an empty cell
@@ -875,24 +875,21 @@ def _level2_cells(rows, t2d, n, q3, D2, dtype, keep_table):
         np.concatenate([np.zeros(0, dtype)] + [v for _, _, v in folded]),
         dtype)
     ky, kz = np.divmod(keys, Zcells)  # sorted by y
-    del folded, keys
+    del folded
     # the join's total weight bounds every cell and every qsum[y] in dtype
     qsum = np.zeros(Ycells, dtype=dtype)
     np.add.at(qsum, ky, c)
-    table = None
-    if keep_table:
-        table = np.zeros((Ycells, Zcells), dtype=dtype)
-        table[ky, kz] = c
     rsum = _sep_product([D2.lift(t2d).sum(axis=1)] * n)  # prod_i R(y_i)
     # a filled cell's term lies in [-FS2, q^3 c], and every partial product
     # of its FS2 is at most max rsum = (max R)^n, so no step passes this
     # bound; q^3 itself must fit as well
+    cq = c  # the parts stay in dtype; their terms may need Python ints
     if q3 * max(1, int(c.max(initial=0))) + int(rsum.max()) >= LEVEL2_INT64_LIMIT:
-        c, t2d = D2.lift(c), D2.lift(t2d)
+        cq, t2d = D2.lift(c), D2.lift(t2d)
     fs2 = 1
     for i in range(n):  # digit 0 first, as corr2 reads them
         fs2 = fs2 * t2d[ky // sideY**i % sideY, kz // sideZ**i % sideZ]
-    terms = q3 * c  # |q^3 c - FS2| - FS2, in place
+    terms = q3 * cq  # |q^3 c - FS2| - FS2, in place
     terms -= fs2
     np.abs(terms, out=terms)
     terms -= fs2
@@ -905,7 +902,7 @@ def _level2_cells(rows, t2d, n, q3, D2, dtype, keep_table):
             sums = ((np.add.reduceat(terms >> 32, first).astype(object) << 32)
                     + np.add.reduceat(terms & 0xFFFFFFFF, first).astype(object))
         extra[ky[first]] = sums
-    return table, qsum, rsum + extra
+    return keys, c, qsum, rsum + extra
 
 
 def _aggregate_from_abs(ledger) -> float:

@@ -151,8 +151,9 @@ def test_pipeline_pi5_level2_golden(capsys):
 
 
 def test_pipeline_exact_level2_summarized_golden(capsys):
-    """An n = 4 hat run whose exact level 2 is summarized (28561 x 6561
-    cells): the golden pins its qsum and abs2_num through the
+    """An n = 4 hat run whose level 2 spans 28561 x 6561 cells, once too
+    many to keep: it keeps the cells its join fills and warns of nothing.
+    The golden pins its qsum and abs2_num through the
     refined_square_expansion residual and pair.aggregate."""
     code, doc = run_cli(
         ["pipeline", "--poly=-x1^4+2*x1^3*x2-3*x2^4-2*x3^4+x3^3*x4+2*x4^4",
@@ -160,7 +161,7 @@ def test_pipeline_exact_level2_summarized_golden(capsys):
          "--weight", "hat", "--pair-table"], capsys=capsys)
     assert code == 0
     assert doc["result"]["pair"]["exact"] is True
-    assert any("pair table summarized" in w for w in doc["result"]["warnings"])
+    assert doc["result"]["warnings"] == []
     golden = (Path(__file__).parent / "golden"
               / "pipeline_n4_exact_level2_summarized_result.json")
     assert doc["result"] == json.loads(golden.read_text())

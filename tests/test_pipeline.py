@@ -146,17 +146,28 @@ def test_pair_correlation_matches_brute_force(led):
         assert led.corr2(yy, zz) == expect, (yy, zz)
 
 
+def pair_rows(led):
+    """The pair table's rows of congruence parts, y by y, from its cells."""
+    Zcells = (2 * led.pair_range + 1) ** led.n
+    ky, kz = np.divmod(led.pair_keys, Zcells)
+    for y in range(len(led.corr_num)):
+        row = np.zeros(Zcells, dtype=led.pair_num.dtype)
+        at = slice(*np.searchsorted(ky, [y, y + 1]))
+        row[kz[at]] = led.pair_num[at]
+        yield row
+
+
 def abs2_recomputed(led):
-    """abs2_num recomputed y-major from the kept pair table, the opposite of
-    the build's cell or z order: each y's FS2 over every z is one separable
-    product of that y's t2d rows."""
+    """abs2_num recomputed y-major from the pair table's cells, the opposite
+    of the build's cell or z order: each y's FS2 over every z is one
+    separable product of that y's t2d rows."""
     D, q3, n = led._dom, led.params.q**3, led.n
     t2d = D.lift(led._t2d_table)
-    ydig = pipeline._digits(np.arange(led.pair_table.shape[0]),
+    ydig = pipeline._digits(np.arange(len(led.corr_num)),
                             2 * led.shift_range + 1, n)
     return [D.total(D.scaled(np.abs(q3 * D.lift(row) - pipeline._sep_product(
                 [t2d[d] for d in dig])), q3))
-            for row, dig in zip(led.pair_table, ydig)]
+            for row, dig in zip(pair_rows(led), ydig)]
 
 
 def test_aggregate_recompute_matches(led):
@@ -165,7 +176,10 @@ def test_aggregate_recompute_matches(led):
 
 def test_shift_outside_table_rejected(led):
     Y, Z = led.shift_range, led.pair_range
-    bad = [(Y + 1, 0, 0), (0, -Y - 1, 0), (0, 0, 2**70), (1, 0), (1, 0, 0, 5), ()]
+    # non-integer entries, bools included, must not read some other cell
+    odd = [(0.5, 0, 0), (True, 0, 0), ("1", 0, 0), ((1,), 0, 0), 7, "abc"]
+    bad = [(Y + 1, 0, 0), (0, -Y - 1, 0), (0, 0, 2**70), (1, 0), (1, 0, 0, 5),
+           ()] + odd
     for y in bad:
         with pytest.raises(InputError):
             led.corr(y)
@@ -173,7 +187,7 @@ def test_shift_outside_table_rejected(led):
             led.shift_record(y)
         with pytest.raises(InputError):
             led.corr2(y, (0, 0, 0))
-    for z in [(Z + 1, 0, 0), (0, 0, -Z - 1), (1, 0), (1, 0, 0, 5)]:
+    for z in [(Z + 1, 0, 0), (0, 0, -Z - 1), (1, 0), (1, 0, 0, 5)] + odd:
         with pytest.raises(InputError):
             led.corr2((0, 0, 0), z)
 
@@ -224,14 +238,15 @@ def test_residual_checks_can_fail(weight):
     assert not bad["per_shift_defect"].ok
 
 
-# the README showcase, and an instance with pi^n = 125 classes (four groups
-# of 32 in the correlation pass)
+# the README showcase, and two instances with pi^n = 125 classes (four
+# groups of 32 in the correlation pass)
 CHUNK_CASES = {
     "showcase": dict(f=F, B=B, pi=PI, p=P, q=Q),
     "pi5": dict(f=F, B=6, pi=5, p=3, q=29),
+    "pi5-b4": dict(f=F, B=4, pi=5, p=3, q=29),
 }
 CHUNKED_ARRAYS = ("corr_num", "t0_num", "t1_num", "ss2", "ss3", "sxy_num",
-                  "pair_table", "qsum", "abs2_num")
+                  "pair_keys", "pair_num", "qsum", "abs2_num")
 
 
 @pytest.fixture(scope="module")
@@ -244,14 +259,18 @@ def default_ledgers():
 
 
 # the showcase joins ~1.9M pairs, so PAIR_BLOCK = 1 and 7 there take ~45 s
-# and ~6 s per build; the smallest blocks run on the pi5 case only
+# and ~6 s per build, and block 1 takes ~6 s on pi5; the smallest blocks run
+# on the B = 4 pi5 instance only, whose builds take under 1 s
 @pytest.mark.parametrize("weight", ["hat", "smooth"])
 @pytest.mark.parametrize("case, block", [
-    ("showcase", 64), ("pi5", 1), ("pi5", 7), ("pi5", 64),
+    ("showcase", 64), ("pi5", 64), ("pi5-b4", 1), ("pi5-b4", 7),
 ])
 def test_pair_block_does_not_change_results(default_ledgers, monkeypatch,
                                             case, block, weight):
     ref = default_ledgers[(case, weight)]
+    if case == "pi5-b4":  # more than one correlation part, some level-2 cells
+        assert -(-CHUNK_CASES[case]["pi"] ** N // 32) > 1
+        assert ref.pair_keys.size > 0
     monkeypatch.setattr(pipeline, "PAIR_BLOCK", block)
     led = build_ledger(PipelineParams(**CHUNK_CASES[case], weight=weight,
                                       with_pair_table=True))
@@ -349,28 +368,10 @@ def test_pair_table_matches_brute_force(weight):
                     expect[key(y, Y), key(z, Z)] += (
                         wnum[x] * wnum[x1] * wnum[x2] * wnum[x3])
     assert expect[key((0,) * N, Y), key((0,) * N, Z)] > 0
-    got = {(int(ky), int(kz)): int(led.pair_table[ky, kz])
-           for ky, kz in np.argwhere(led.pair_table != 0)}
-    assert got == expect
-
-
-@pytest.mark.parametrize("weight", ["hat", "smooth"])
-def test_summarized_pair_table_keeps_aggregates(default_ledgers, monkeypatch,
-                                                weight):
-    ref = default_ledgers[("showcase", weight)]
-    monkeypatch.setattr(pipeline, "PAIR_TABLE_MAX_CELLS",
-                        ref.pair_table.size - 1)
-    led = build_ledger(PipelineParams(**CHUNK_CASES["showcase"], weight=weight,
-                                      with_pair_table=True))
-    assert any("pair table summarized" in w for w in led.warnings)
-    assert led.pair_table is None
-    for name in ("qsum", "abs2_num"):
-        assert np.array_equal(getattr(led, name), getattr(ref, name)), name
-    assert led.aggregate == ref.aggregate
-    assert ({k: (rc.ok, rc.value) for k, rc in led.residuals.items()}
-            == {k: (rc.ok, rc.value) for k, rc in ref.residuals.items()})
-    with pytest.raises(PreconditionError):
-        led.corr2((0,) * N, (0,) * N)
+    Zcells = (2 * Z + 1) ** N
+    want = sorted((ky * Zcells + kz, v) for (ky, kz), v in expect.items())
+    assert np.array_equal(led.pair_keys, [k for k, _ in want])
+    assert np.array_equal(led.pair_num, [v for _, v in want])
 
 
 def aggregate_loop(led):
@@ -399,7 +400,7 @@ def test_aggregate_matches_scalar_loop(default_ledgers, case, weight):
 
 
 def level2_loop(led):
-    """pair_table, qsum and abs2_num of level 2, added term by term.
+    """The dense pair table, qsum and abs2_num of level 2, added term by term.
 
     Cell (y, z) adds w(x) w(x + p z) * w(u) w(u + p z), u = x + pi y, to 0
     over the x-pairs (x, x + p z) ordered by (class mod pi, class mod p, box
@@ -467,20 +468,29 @@ def level2_loop(led):
     return table, qsum, abs2
 
 
+def assert_cells_match(led, table):
+    """The ledger's filled level-2 cells are the nonzero entries of the
+    dense (Ycells, Zcells) table."""
+    keys = np.flatnonzero(table)
+    assert np.array_equal(led.pair_keys, keys)
+    assert np.array_equal(led.pair_num, table.ravel()[keys])
+
+
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_float_level2_matches_scalar_loop(default_ledgers, case):
     led = default_ledgers[(case, "smooth")]
     assert not led.exact
     table, qsum, abs2 = level2_loop(led)
-    assert np.array_equal(led.pair_table, table)
+    assert_cells_match(led, table)
     assert np.array_equal(led.qsum, qsum)
     assert np.array_equal(led.abs2_num, abs2)
 
 
 F4 = parse_poly("-x1^4+2*x1^3*x2-3*x2^4-2*x3^4+x3^3*x4+2*x4^4", 4)
 # exact level 2 sums only the cells its join fills; the dense per-z loop
-# that the float level 2 keeps is its oracle.  The n = 4, B = 3 table
-# (28561 x 6561 cells) is summarized: kept, it would take 1.5 GB per build.
+# that the float level 2 keeps is its oracle.  The n = 4, B = 3 table spans
+# 28561 x 6561 cells, 1.5 GB if dense, once too many to keep; its join fills
+# 196,895 of them.
 EXACT_LEVEL2_CASES = {
     "showcase-hat": dict(f=F, B=B, pi=PI, p=P, q=Q, weight="hat"),
     "pi5-indicator": dict(f=F, B=6, pi=5, p=3, q=29, weight="indicator"),
@@ -496,10 +506,8 @@ def exact_level2_ledgers():
 
 
 def assert_same_level2(led, ref):
-    assert (led.pair_table is None) == (ref.pair_table is None)
-    for name in ("pair_table", "qsum", "abs2_num"):
-        if getattr(ref, name) is not None:
-            assert np.array_equal(getattr(led, name), getattr(ref, name)), name
+    for name in ("pair_keys", "pair_num", "qsum", "abs2_num"):
+        assert np.array_equal(getattr(led, name), getattr(ref, name)), name
     assert led.aggregate == ref.aggregate
 
 
@@ -507,8 +515,7 @@ def assert_same_level2(led, ref):
 def test_exact_level2_matches_dense_loop(exact_level2_ledgers, monkeypatch,
                                          case):
     led = exact_level2_ledgers[case]
-    assert led.exact
-    assert (led.pair_table is None) == (case == "n4-hat-summarized")
+    assert led.exact and led.pair_keys.size > 0
     monkeypatch.setattr(pipeline, "_level2_cells", pipeline._level2_dense)
     ref = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES[case],
                                       with_pair_table=True))
@@ -522,7 +529,7 @@ def test_exact_level2_matches_scalar_loop(default_ledgers, exact_level2_ledgers,
            else exact_level2_ledgers[case])
     assert led.exact
     table, qsum, abs2 = level2_loop(led)
-    assert np.array_equal(led.pair_table, table)
+    assert_cells_match(led, table)
     assert np.array_equal(led.qsum, qsum)
     assert np.array_equal(led.abs2_num, abs2)
 
@@ -544,9 +551,9 @@ def test_level2_rows_leave_int64_past_total_weight(exact_level2_ledgers,
     dtypes = []
     cells = pipeline._level2_cells
 
-    def spy(rows, t2d, n, q3, D, dtype, keep_table):
+    def spy(rows, t2d, n, q3, D, dtype):
         dtypes.append(dtype)
-        return cells(rows, t2d, n, q3, D, dtype, keep_table)
+        return cells(rows, t2d, n, q3, D, dtype)
 
     monkeypatch.setattr(pipeline, "_level2_cells", spy)
     monkeypatch.setattr(pipeline, "LEVEL2_INT64_LIMIT", 2**19)
@@ -562,16 +569,18 @@ def check_level2_cells(t2d, kz, ky, w, q3):
     n, (sideY, sideZ) = 2, t2d.shape
     cut = w.size // 2
     rows = [(kz[:cut], ky[:cut], w[:cut]), (kz[cut:], ky[cut:], w[cut:])]
-    table, qsum, abs2 = pipeline._level2_cells(
-        iter(rows), t2d, n, q3, pipeline._Domain(True), np.int64, True)
+    keys, parts, qsum, abs2 = pipeline._level2_cells(
+        iter(rows), t2d, n, q3, pipeline._Domain(True), np.int64)
     cells = defaultdict(int)
     for z, y, c in zip(kz.tolist(), ky.tolist(), w.tolist()):
-        cells[y, z] += c
+        cells[y * sideZ**n + z] += c
+    assert parts.dtype == np.int64  # the terms' lift leaves the parts as built
+    assert keys.tolist() == sorted(cells)
+    assert parts.tolist() == [cells[k] for k in sorted(cells)]
     for y in range(sideY**n):
-        row = [cells[y, z] for z in range(sideZ**n)]
+        row = [cells[y * sideZ**n + z] for z in range(sideZ**n)]
         fs2 = [int(t2d[y % sideY, z % sideZ]) * int(t2d[y // sideY, z // sideZ])
                for z in range(sideZ**n)]
-        assert table[y].tolist() == row
         assert qsum[y] == sum(row)
         assert abs2[y] == sum(abs(q3 * c - f) for c, f in zip(row, fs2))
 
@@ -727,23 +736,53 @@ def test_tables_match_brute_force_across_class_groups():
         assert led.ss2[k] == sum(s * s for s in at0.values()), y
         assert led.sxy_num[k] == sum(s for v, s in at0.items() if v in xy), y
 
-    den = Fraction(1, (2 * b) ** (4 * N))
-    for yy, zz in [((1, 0, 0), (1, 0, 0)), ((0, 1, -1), (-1, 2, 0)),
-                   ((1, 1, 1), (0, 0, 0)), ((0, 0, 0), (1, -1, 2)),
-                   ((-1, 0, 1), (2, 1, -2))]:
-        sy = tuple(pi * c for c in yy)
-        sz = tuple(p * c for c in zz)
+    cells = [((1, 0, 0), (1, 0, 0)), ((0, 1, -1), (-1, 2, 0)),
+             ((1, 1, 1), (0, 0, 0)), ((0, 0, 0), (1, -1, 2)),
+             ((-1, 0, 1), (2, 1, -2))]
+    for (yy, zz), want in corr2_brute(led.params, cells).items():
+        assert led.corr2(yy, zz) == want, (yy, zz)
+
+
+def corr2_brute(params, cells):
+    """corr2 at each (y, z) of cells, summed in Python ints over every hat-box
+    quadruple (x, x + pi y, x + p z, x + pi y + p z)."""
+    f, b, pi, p, q = params.f, params.B, params.pi, params.p, params.q
+    h = 2 * b - 1
+    fq = {x: f.eval(list(x)) % q
+          for x in itertools.product(range(-h, h + 1), repeat=f.n)}
+    wnum = {x: math.prod(2 * b - abs(c) for c in x) for x in fq}
+    out = {}
+    for yy, zz in cells:
         cong = full = 0
-        for x in box:
-            x1, x2, x3 = add(x, sy), add(x, sz), add(add(x, sy), sz)
-            if not all(t in fv for t in (x1, x2, x3)):
-                continue
-            w4 = wnum[x] * wnum[x1] * wnum[x2] * wnum[x3]
-            full += w4
-            if (fv[x] % q == 0 and fv[x2] % q == 0
-                    and (fv[x3] - fv[x1]) % q == 0):
-                cong += w4
-        assert led.corr2(yy, zz) == (cong - Fraction(full, q**3)) * den, (yy, zz)
+        for x in fq:
+            x1 = tuple(c + pi * t for c, t in zip(x, yy))
+            x2 = tuple(c + p * t for c, t in zip(x, zz))
+            x3 = tuple(c + p * t for c, t in zip(x1, zz))
+            if x1 in fq and x2 in fq and x3 in fq:
+                w4 = wnum[x] * wnum[x1] * wnum[x2] * wnum[x3]
+                full += w4
+                if fq[x] == fq[x2] == 0 and fq[x3] == fq[x1]:
+                    cong += w4
+        out[yy, zz] = Fraction(q**3 * cong - full, q**3 * (2 * b) ** (4 * f.n))
+    return out
+
+
+def test_corr2_matches_brute_force_at_n4(exact_level2_ledgers):
+    """corr2 on the n = 4, B = 3 build, filled cells or not, reads the box."""
+    led = exact_level2_ledgers["n4-hat-summarized"]
+    Y, Z, o = led.shift_range, led.pair_range, (0, 0, 0, 0)
+    y = (1, 0, -1, 0)
+    empty = (y, (1, 0, 0, 0))  # no quadruple fills it; FS2 > 0
+    cells = [(o, o), (y, (0, -1, 1, 0)), (y, (2, 0, 0, 0)), empty,
+             ((Y, 0, 0, 0), o), ((0, 1, 0, 0), (0, 0, -Z, 0)),
+             ((-Y,) * 4, (-Z,) * 4), ((Y,) * 4, (Z,) * 4)]  # first, last key
+    Zcells = (2 * Z + 1) ** 4
+    kz = pipeline._table_key(empty[1], Z, 4, "second shift")
+    assert led.shift_key(empty[0]) * Zcells + kz not in led.pair_keys
+    want = corr2_brute(led.params, cells)
+    assert want[empty] < 0 < want[o, o]
+    for yz in cells:
+        assert led.corr2(*yz) == want[yz], yz
 
 
 def test_params_validation():
