@@ -60,18 +60,18 @@ the x-pairs with the box-point pairs by (z, class mod pi), which puts
 x + pi y = u.  Each pass supplies only a key and a weight per pair.  Exact
 sums do not depend on order; float sums do, so each is cut into fixed parts:
 the correlations per 32 consecutive classes mod pi, level 1 per class mod pi
-and block of LEVEL1_PART // |box class| q-solutions, the pair table per z.
-A part adds its pairs to zero in emission order and the parts are added in
-order, so float results do not depend on the chunk size, and one code path
-serves both domains up to level 2's cell sums.
+and block of LEVEL1_PART // |box class| q-solutions, level 2 per cell
+(y, z).  A part adds its pairs to zero in emission order and the parts are
+added in order, so float results do not depend on the chunk size, and one
+code path serves both domains.
 
 Level 2 keeps only the cells (y, z) its join fills, as sorted flat keys and
-congruence parts c(y, z); corr2 reads c = 0 at every other cell.  The per-y
-sum of |q^3 c - FS2| over all z, with FS2 = prod_i T(pi y_i, p z_i) >= 0
-the full sum, is summed two ways.  The exact domain sums only the filled
-cells: an empty cell adds FS2, so the sum is prod_i R(y_i) + sum over
-filled cells of (|q^3 c - FS2| - FS2), with R(y_i) = sum_{z_i} T(pi y_i,
-p z_i).  The float domain's sum order is pinned: it sums every cell, z by z.
+congruence parts c(y, z); corr2 reads c = 0 at every other cell.  qsum(y)
+adds the filled cells of y in z order.  The per-y sum of |q^3 c - FS2| over
+all z, with FS2 = prod_i T(pi y_i, p z_i) >= 0 the full sum, also visits
+only the filled cells: an empty cell adds FS2, so the sum is prod_i R(y_i)
++ sum over filled cells of (|q^3 c - FS2| - FS2), with R(y_i) =
+sum_{z_i} T(pi y_i, p z_i).
 """
 
 from __future__ import annotations
@@ -98,10 +98,11 @@ LEVEL2_INT64_LIMIT = 1 << 62  # exact level-2 cell terms and per-y sums in int64
 class _Domain:
     """The numbers one ledger level is computed in.
 
-    Exact: integer numerators over powers of den1 (the single-weight
-    denominator), Fractions once a denominator is applied, tolerance 0.
-    Float: float64 values (den1 = 1), pairwise sums, tolerance
-    SMOOTH_RTOL * max(1, |scale|).
+    Both domains keep numerators over powers of den1 (the single-weight
+    denominator) and apply a denominator only when a value is read, so
+    every table has one meaning in both.  Exact: integer numerators,
+    Fractions once read, tolerance 0.  Float: float64 numerators (den1 = 1),
+    pairwise totals, tolerance SMOOTH_RTOL * max(1, |scale|).
     """
 
     def __init__(self, exact: bool, den1: int = 1):
@@ -115,11 +116,6 @@ class _Domain:
     def lift(self, arr: np.ndarray) -> np.ndarray:
         """arr in a dtype whose products and sums cannot overflow."""
         return arr.astype(object) if self.exact else np.asarray(arr, np.float64)
-
-    def scaled(self, nums: np.ndarray, den) -> np.ndarray:
-        """Numerators over den as this domain carries them: exact keeps the
-        numerators (den is applied when read), float divides now."""
-        return nums if self.exact else self.lift(nums) / den
 
     def total(self, vals: np.ndarray, mask: np.ndarray | None = None):
         """Sum of vals (where mask holds); exact sums use int64 only under a
@@ -241,7 +237,7 @@ class PipelineLedger:
     pair_keys: np.ndarray | None = None  # filled cells, sorted ky * Zcells + kz
     pair_num: np.ndarray | None = None  # their congruence parts (den1^4 scale)
     qsum: np.ndarray | None = None  # sum_z of pair congruence parts, per y
-    abs2_num: np.ndarray | None = None  # sum_z |q^3 cong - FS2|, per y (objects)
+    abs2_num: np.ndarray | None = None  # sum_z |q^3 cong - FS2|, per y (den1^4 scale)
     aggregate: float | None = None  # E4-style aggregate from level 2
     _inner_num: np.ndarray | None = None  # level-0 class sums (den1 scale)
     _t2d_table: np.ndarray | None = None
@@ -787,7 +783,7 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
 
     # x-pairs (x, x + p z) joined with box-point pairs (u, u + p z) of the
     # same z inside classes mod pi, so u = x + pi y.  One x meets each y at
-    # most once, so the float level 2's per-z sums follow the x order only.
+    # most once, so each cell (y, z) adds its rows in x order.
     # The classes the box meets are numbered in order, so the group keys
     # (z, class) stay below Zcells * L^n.
     classes, cls = np.unique(cls_pi, return_inverse=True)
@@ -809,9 +805,8 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
     _, pairs = _pair_join(lgrp, rgrp)
     rows = ((zk[li], xkey[li] + ycode[pa[ri]], wx[li] * pw[ri])
             for li, ri in pairs)
-    level2 = _level2_cells if D.exact else _level2_dense
     (ledger.pair_keys, ledger.pair_num, ledger.qsum,
-     ledger.abs2_num) = level2(rows, t2d, n, q**3, D, pw.dtype)
+     ledger.abs2_num) = _level2_cells(rows, t2d, n, q**3, D, pw.dtype)
 
     # refined_square_expansion: sum over (v, a) of squared bin sums equals
     # the z-sum of pair congruence parts (both at the den1^4 scale)
@@ -824,58 +819,34 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
     ledger.aggregate = _aggregate_from_abs(ledger)
 
 
-def _level2_dense(rows, t2d, n, q3, D2, dtype):
-    """Filled cells, qsum and abs2_num of level 2, summing every cell.
-
-    Each z's slab of congruence parts and its FS2 column are added to the
-    per-y sums in z order, the float domain's pinned order; the slab's
-    nonzero entries are its filled cells.  Exact int64 sums of |q^3 c - FS2|
-    move to Python ints (flushed) before their bound could pass 2^62.
-    """
-    sideY, sideZ = t2d.shape
-    Ycells, Zcells = sideY**n, sideZ**n
-    zdigits = _digits(np.arange(Zcells), sideZ, n)
-    qsum = np.zeros(Ycells, dtype=dtype)
-    abs_acc = np.zeros(Ycells, dtype=dtype)
-    flushed, used = 0, 0
-    keys, cells = [], []  # one entry per z; Zcells >= 1
-    for kz, slab in enumerate(_part_slabs(rows, Zcells, Ycells, dtype)):
-        fs2 = _sep_product([t2d[:, c] for c in zdigits[kz]])
-        ky = np.flatnonzero(slab != 0)  # on floats, flatnonzero is ~6x slower
-        keys.append(ky * Zcells + kz)
-        cells.append(slab[ky])
-        qsum += slab
-        bound = q3 * slab.max().item() + fs2.max().item()
-        if not D2.fits(used + bound):
-            flushed = flushed + D2.lift(abs_acc)
-            abs_acc[:] = 0
-            used = 0
-        used += bound
-        abs_acc += D2.scaled(np.abs(q3 * slab - fs2), q3)
-    keys, cells = np.concatenate(keys), np.concatenate(cells)
-    order = np.argsort(keys)
-    return keys[order], cells[order], qsum, flushed + D2.lift(abs_acc)
-
-
 def _level2_cells(rows, t2d, n, q3, D2, dtype):
     """Filled cells (sorted flat keys, congruence parts), qsum and abs2_num
-    of an exact level 2, summing only those cells.
+    of level 2, summing only those cells.
 
-    The rows fold by cell (y, z) into the nonzero congruence parts c(y, z).
-    FS2(y, z) = prod_i T(pi y_i, p z_i) is never negative, so an empty cell
-    adds exactly FS2 to sum_z |q^3 c - FS2|, and that sum is
-    prod_i R(y_i) + sum over filled cells of (|q^3 c - FS2| - FS2), with
-    R(y_i) = sum_{z_i} T(pi y_i, p z_i) a row sum of t2d.
+    The rows arrive in z order, in chunks, and fold by cell (y, z) into the
+    congruence parts c(y, z).  The cells of a chunk's last z stay open and
+    lead the next chunk's fold, so every cell adds its rows to zero in
+    arrival order, whatever the chunk size.  FS2(y, z) = prod_i T(pi y_i,
+    p z_i) is never negative, so an empty cell adds exactly FS2 to
+    sum_z |q^3 c - FS2|, and that sum is prod_i R(y_i) + sum over filled
+    cells of (|q^3 c - FS2| - FS2), with R(y_i) = sum_{z_i} T(pi y_i, p z_i)
+    a row sum of t2d.
     """
     sideY, sideZ = t2d.shape
     Ycells, Zcells = sideY**n, sideZ**n
-    folded = [_fold(ky * Zcells + kz, w, dtype) for kz, ky, w in rows]
-    keys, _, c = _fold(
-        np.concatenate([np.zeros(0, np.int64)] + [k for k, _, _ in folded]),
-        np.concatenate([np.zeros(0, dtype)] + [v for _, _, v in folded]),
-        dtype)
-    ky, kz = np.divmod(keys, Zcells)  # sorted by y
-    del folded
+    done, open_k, open_c = [], np.zeros(0, np.int64), np.zeros(0, dtype)
+    for kz, ky, w in rows:
+        keys, _, c = _fold(np.concatenate([open_k, ky * Zcells + kz]),
+                           np.concatenate([open_c, w]), dtype)
+        last = keys % Zcells == kz[-1]
+        done.append((keys[~last], c[~last]))
+        open_k, open_c = keys[last], c[last]
+    done.append((open_k, open_c))
+    keys, c = (np.concatenate(v) for v in zip(*done))  # each cell once
+    del done
+    order = _stable_order(keys)
+    keys, c = keys[order], c[order]
+    ky, kz = np.divmod(keys, Zcells)  # sorted by y, then z
     # the join's total weight bounds every cell and every qsum[y] in dtype
     qsum = np.zeros(Ycells, dtype=dtype)
     np.add.at(qsum, ky, c)
@@ -893,10 +864,10 @@ def _level2_cells(rows, t2d, n, q3, D2, dtype):
     terms -= fs2
     np.abs(terms, out=terms)
     terms -= fs2
-    extra = np.zeros(Ycells, dtype=object)
+    extra = np.zeros(Ycells, dtype=rsum.dtype)
     if terms.size:
         first = np.flatnonzero(np.diff(ky, prepend=-1))  # each y's first cell
-        if terms.dtype == object:
+        if terms.dtype != np.int64:
             sums = np.add.reduceat(terms, first)
         else:  # a y's sum may pass int64: add the 32-bit halves apart
             sums = ((np.add.reduceat(terms >> 32, first).astype(object) << 32)
@@ -909,8 +880,8 @@ def _aggregate_from_abs(ledger) -> float:
     """pi^((n-1)/2) p^((n-2)/4) (sum_{y != 0} sqrt(sum_z |corr2|))^(1/2)."""
     pr, n, D = ledger.params, ledger.n, ledger._dom
     abs2 = ledger.abs2_num
-    # exact cells hold Python ints: int / int rounds correctly, as float(Fraction)
-    vals = abs2 / (pr.q**3 * D.den1**4) if D.exact else abs2
+    # exact sums are Python ints: int / int rounds correctly, as float(Fraction)
+    vals = abs2 / (pr.q**3 * D.den1**4)
     roots = np.delete(np.sqrt(vals.astype(np.float64)), len(abs2) // 2)  # y = 0
     # cumsum adds left to right, as a loop does (np.sum would add pairwise)
     total = np.cumsum(np.concatenate([[0.0], roots]))[-1]

@@ -150,11 +150,11 @@ def test_pipeline_pi5_level2_golden(capsys):
     assert doc["result"] == json.loads(golden.read_text())
 
 
-def test_pipeline_exact_level2_summarized_golden(capsys):
-    """An n = 4 hat run whose level 2 spans 28561 x 6561 cells, once too
-    many to keep: it keeps the cells its join fills and warns of nothing.
-    The golden pins its qsum and abs2_num through the
-    refined_square_expansion residual and pair.aggregate."""
+def test_pipeline_n4_b3_level2_golden(capsys):
+    """An n = 4 hat run whose level 2 spans 28561 x 6561 cells: it keeps
+    the cells its join fills and warns of nothing.  The golden pins its
+    qsum and abs2_num through the refined_square_expansion residual and
+    pair.aggregate."""
     code, doc = run_cli(
         ["pipeline", "--poly=-x1^4+2*x1^3*x2-3*x2^4-2*x3^4+x3^3*x4+2*x4^4",
          "--n", "4", "--B", "3", "--pi", "2", "--p", "3", "--q", "13",
@@ -163,7 +163,7 @@ def test_pipeline_exact_level2_summarized_golden(capsys):
     assert doc["result"]["pair"]["exact"] is True
     assert doc["result"]["warnings"] == []
     golden = (Path(__file__).parent / "golden"
-              / "pipeline_n4_exact_level2_summarized_result.json")
+              / "pipeline_n4_b3_level2_result.json")
     assert doc["result"] == json.loads(golden.read_text())
 
 

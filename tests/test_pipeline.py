@@ -158,15 +158,19 @@ def pair_rows(led):
 
 
 def abs2_recomputed(led):
-    """abs2_num recomputed y-major from the pair table's cells, the opposite
-    of the build's cell or z order: each y's FS2 over every z is one
-    separable product of that y's t2d rows."""
+    """An exact ledger's abs2_num recomputed y-major from its pair table's
+    cells, the opposite of the build's cell order: each y's FS2 over every z
+    is one separable product of that y's t2d rows, and every z adds its
+    term.  The terms stay int64 when none can pass it, else Python ints."""
     D, q3, n = led._dom, led.params.q**3, led.n
-    t2d = D.lift(led._t2d_table)
+    t2d = led._t2d_table
+    if (q3 * int(led.pair_num.max(initial=0))
+            + int(t2d.astype(object).sum(axis=1).max()) ** n >= 2**63):
+        t2d = t2d.astype(object)
     ydig = pipeline._digits(np.arange(len(led.corr_num)),
                             2 * led.shift_range + 1, n)
-    return [D.total(D.scaled(np.abs(q3 * D.lift(row) - pipeline._sep_product(
-                [t2d[d] for d in dig])), q3))
+    return [D.total(np.abs(q3 * row.astype(t2d.dtype) - pipeline._sep_product(
+                [t2d[d] for d in dig])))
             for row, dig in zip(pair_rows(led), ydig)]
 
 
@@ -383,8 +387,7 @@ def aggregate_loop(led):
     total = 0.0
     for k, c in enumerate(led.abs2_num):
         if k != key0:
-            v = Fraction(int(c), den) if D.exact else c  # float: already scaled
-            total += math.sqrt(float(v))
+            total += math.sqrt(float(Fraction(c) / den))
     return pr.pi ** ((n - 1) / 2) * pr.p ** ((n - 2) / 4) * math.sqrt(total)
 
 
@@ -405,10 +408,9 @@ def level2_loop(led):
     Cell (y, z) adds w(x) w(x + p z) * w(u) w(u + p z), u = x + pi y, to 0
     over the x-pairs (x, x + p z) ordered by (class mod pi, class mod p, box
     index of x), box index with x1 fastest; x + p z is fixed by x.  qsum and
-    abs2_num add each y's cells in z order (elementwise across y).  Exact
-    weights are integer numerators in Python ints, and abs2_num is then the
-    numerator sum_z |q^3 c - FS2|; float weights are float64, and abs2_num
-    is sum_z |q^3 c - FS2| / q^3.
+    abs2_num, the numerator sum_z |q^3 c - FS2|, add each y's cells in z
+    order (elementwise across y).  Exact weights are integer numerators in
+    Python ints, float weights float64.
     """
     pr, n = led.params, led.n
     pi, p, q = pr.pi, pr.p, pr.q
@@ -463,8 +465,7 @@ def level2_loop(led):
         for i in range(n):
             fs2 = fs2 * t2d[ydig[:, i], zd[i]]
         qsum = qsum + table[:, kz]
-        step = np.abs(q3 * table[:, kz] - fs2)
-        abs2 = abs2 + (step if led.exact else step / q3)
+        abs2 = abs2 + np.abs(q3 * table[:, kz] - fs2)
     return table, qsum, abs2
 
 
@@ -476,26 +477,86 @@ def assert_cells_match(led, table):
     assert np.array_equal(led.pair_num, table.ravel()[keys])
 
 
+E = 1074  # every finite float64 is an integer multiple of 2^-1074
+
+
+def fixed(v):
+    """The float v as an exact integer multiple of 2^-E."""
+    num, den = float(v).as_integer_ratio()
+    return num * (2**E // den)
+
+
+def gamma(k):
+    """gamma_k = k u / (1 - k u), u = 2^-53: the relative error bound of k
+    successive float64 roundings (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1)."""
+    return Fraction(k, 2**53 - k)
+
+
+def abs2_rounding_k(n, sideZ):
+    """Roundings one float abs2_num[y] may pass, counted generously: at most
+    n + 3 per term (q^3 c; the n - 1 products of FS2; the difference; the
+    subtraction of FS2), Zcells in the sum over its z, n sideZ in the sums
+    R(y_i) and their product, and a few to spare.  The computed value then
+    lies within gamma_k sum_z (q^3 c + FS2) of the exact sum."""
+    return sideZ**n + n * sideZ + 2 * n + 8
+
+
+def abs2_exact(led, ys):
+    """sum_z |q^3 c - FS2| and sum_z (q^3 c + FS2) at each y of ys, in exact
+    rationals of the ledger's float64 cells and t2d entries, FS2 their
+    exact product."""
+    n, q3 = led.n, led.params.q**3
+    sideY, sideZ = 2 * led.shift_range + 1, 2 * led.pair_range + 1
+    Zcells = sideZ**n
+    t2d = [[fixed(v) for v in row] for row in led._t2d_table.tolist()]
+    zdig = pipeline._digits(np.arange(Zcells), sideZ, n).tolist()
+    ky, kz = np.divmod(led.pair_keys, Zcells)
+    up, den = 2 ** (E * (n - 1)), 2 ** (E * n)  # a cell to FS2's scale
+    out = []
+    for y in ys:
+        yd = pipeline._digits(y, sideY, n).tolist()
+        at = slice(*np.searchsorted(ky, [y, y + 1]))
+        cells = dict(zip(kz[at].tolist(), led.pair_num[at].tolist()))
+        total = size = 0
+        for z, zd in enumerate(zdig):
+            fs2 = math.prod(t2d[a][b] for a, b in zip(yd, zd))
+            c = q3 * fixed(cells.get(z, 0.0)) * up
+            total += abs(c - fs2)
+            size += c + fs2
+        out.append((Fraction(total, den), Fraction(size, den)))
+    return out
+
+
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_float_level2_matches_scalar_loop(default_ledgers, case):
+    """Cells and qsum equal the term-by-term loop bit for bit; abs2_num, at
+    40 sampled shifts and y = 0, the corners and the fullest y, lies within
+    its rounding bound of the exact sum over the same float64 cells."""
     led = default_ledgers[(case, "smooth")]
     assert not led.exact
-    table, qsum, abs2 = level2_loop(led)
+    table, qsum, _ = level2_loop(led)
     assert_cells_match(led, table)
     assert np.array_equal(led.qsum, qsum)
-    assert np.array_equal(led.abs2_num, abs2)
+    Ycells, sideZ = len(led.corr_num), 2 * led.pair_range + 1
+    fullest = np.bincount(led.pair_keys // sideZ**N, minlength=Ycells).argmax()
+    ys = sorted({0, Ycells // 2, Ycells - 1, int(fullest), *np.random.default_rng(
+        0).choice(Ycells, 40, replace=False).tolist()})
+    bound = gamma(abs2_rounding_k(N, sideZ))
+    for y, (want, size) in zip(ys, abs2_exact(led, ys)):
+        assert abs(Fraction(led.abs2_num[y]) - want) <= bound * size, y
 
 
 F4 = parse_poly("-x1^4+2*x1^3*x2-3*x2^4-2*x3^4+x3^3*x4+2*x4^4", 4)
-# exact level 2 sums only the cells its join fills; the dense per-z loop
-# that the float level 2 keeps is its oracle.  The n = 4, B = 3 table spans
-# 28561 x 6561 cells, 1.5 GB if dense, once too many to keep; its join fills
-# 196,895 of them.
+# level 2 sums only the cells its join fills; its exact oracles sum every
+# (y, z): level2_loop term by term in z order, abs2_recomputed y-major, one
+# dense row of the table at a time.  The n = 4, B = 3 table spans
+# 28561 x 6561 cells, 1.5 GB if dense; its join fills 196,895 of them.
 EXACT_LEVEL2_CASES = {
     "showcase-hat": dict(f=F, B=B, pi=PI, p=P, q=Q, weight="hat"),
     "pi5-indicator": dict(f=F, B=6, pi=5, p=3, q=29, weight="indicator"),
     "n4-hat": dict(f=F4, B=2, pi=2, p=3, q=13, weight="hat"),
-    "n4-hat-summarized": dict(f=F4, B=3, pi=2, p=3, q=13, weight="hat"),
+    "n4-hat-b3": dict(f=F4, B=3, pi=2, p=3, q=13, weight="hat"),
 }
 
 
@@ -512,17 +573,16 @@ def assert_same_level2(led, ref):
 
 
 @pytest.mark.parametrize("case", EXACT_LEVEL2_CASES)
-def test_exact_level2_matches_dense_loop(exact_level2_ledgers, monkeypatch,
-                                         case):
+def test_exact_level2_matches_dense_loop(exact_level2_ledgers, case):
+    """qsum and abs2_num equal their y-major sums over the dense rows."""
     led = exact_level2_ledgers[case]
     assert led.exact and led.pair_keys.size > 0
-    monkeypatch.setattr(pipeline, "_level2_cells", pipeline._level2_dense)
-    ref = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES[case],
-                                      with_pair_table=True))
-    assert_same_level2(led, ref)
+    assert [led._dom.total(row) for row in pair_rows(led)] == led.qsum.tolist()
+    assert abs2_recomputed(led) == led.abs2_num.tolist()
 
 
-@pytest.mark.parametrize("case", ["pi5-hat", "n4-hat"])
+@pytest.mark.parametrize("case", ["pi5-hat", "showcase-hat", "pi5-indicator",
+                                  "n4-hat"])
 def test_exact_level2_matches_scalar_loop(default_ledgers, exact_level2_ledgers,
                                           case):
     led = (default_ledgers[("pi5", "hat")] if case == "pi5-hat"
@@ -563,26 +623,34 @@ def test_level2_rows_leave_int64_past_total_weight(exact_level2_ledgers,
     assert_same_level2(led, exact_level2_ledgers["showcase-hat"])
 
 
-def check_level2_cells(t2d, kz, ky, w, q3):
-    """_level2_cells on the rows (kz, ky, w), in two chunks, n = 2, against
-    Python ints."""
+def check_level2_cells(t2d, kz, ky, w, q3, cut=None):
+    """_level2_cells on the rows (kz, ky, w), n = 2, in two chunks split at
+    cut (default halfway), against sequential Python sums: each cell adds
+    its rows in row order and each qsum[y] its cells in z order, bit for
+    bit.  abs2_num equals the exact sum for int64 rows, and lies within its
+    rounding bound of the exact sum of the same values for float64 rows."""
     n, (sideY, sideZ) = 2, t2d.shape
-    cut = w.size // 2
+    Zcells, exact = sideZ**n, w.dtype == np.int64
+    cut = w.size // 2 if cut is None else cut
     rows = [(kz[:cut], ky[:cut], w[:cut]), (kz[cut:], ky[cut:], w[cut:])]
     keys, parts, qsum, abs2 = pipeline._level2_cells(
-        iter(rows), t2d, n, q3, pipeline._Domain(True), np.int64)
-    cells = defaultdict(int)
+        iter(rows), t2d, n, q3, pipeline._Domain(exact), w.dtype)
+    cells = {}
     for z, y, c in zip(kz.tolist(), ky.tolist(), w.tolist()):
-        cells[y * sideZ**n + z] += c
-    assert parts.dtype == np.int64  # the terms' lift leaves the parts as built
+        cells[y * Zcells + z] = cells.get(y * Zcells + z, 0) + c
+    assert parts.dtype == w.dtype  # the terms' lift leaves the parts as built
     assert keys.tolist() == sorted(cells)
     assert parts.tolist() == [cells[k] for k in sorted(cells)]
+    t = [[Fraction(v) for v in r] for r in t2d.tolist()]
+    slack = Fraction(0) if exact else gamma(abs2_rounding_k(n, sideZ))
     for y in range(sideY**n):
-        row = [cells[y * sideZ**n + z] for z in range(sideZ**n)]
-        fs2 = [int(t2d[y % sideY, z % sideZ]) * int(t2d[y // sideY, z // sideZ])
-               for z in range(sideZ**n)]
+        row = [cells.get(y * Zcells + z, 0) for z in range(Zcells)]
+        fs2 = [t[y % sideY][z % sideZ] * t[y // sideY][z // sideZ]
+               for z in range(Zcells)]
         assert qsum[y] == sum(row)
-        assert abs2[y] == sum(abs(q3 * c - f) for c, f in zip(row, fs2))
+        want = sum(abs(q3 * Fraction(c) - f) for c, f in zip(row, fs2))
+        size = sum(q3 * Fraction(c) + f for c, f in zip(row, fs2))
+        assert abs(Fraction(abs2[y]) - want) <= slack * size
 
 
 def test_level2_cells_leave_int64_past_its_bound():
@@ -606,6 +674,26 @@ def test_level2_cells_leave_int64_past_its_bound():
     check_level2_cells(t2d, kz, ky, w, q3)
 
 
+def test_level2_cells_carry_a_split_z():
+    """Float rows whose z = 12 runs across both chunks: its cells carry into
+    the second chunk's fold, so they keep the sequential sums' bits.  Cell
+    (y, z) = (4, 12) gets the rows 1.0 | e, e, split at the cut, with e
+    under half an ulp of 1.0: in row order both e vanish, while e + e first,
+    or 1.0 + (e + e), rounds up to 1 + 2^-52."""
+    rng = np.random.default_rng(7)
+    t2d = rng.random((3, 5))
+    kz = np.sort(rng.integers(0, 25, 400))
+    ky = rng.integers(0, 9, 400)
+    w = rng.random(400)
+    keep = ~((kz == 12) & (ky == 4))
+    at = int(np.searchsorted(kz[keep], 12))
+    e = 3 * 2.0**-55
+    kz, ky, w = (np.insert(a[keep], at, v) for a, v in (
+        (kz, [12] * 3), (ky, [4] * 3), (w, [1.0, e, e])))
+    assert kz[at + 1:].tolist().count(12) > 2  # z = 12 goes on past the cut
+    check_level2_cells(t2d, kz, ky, w, 13**3, at + 1)
+
+
 @pytest.mark.parametrize("weight", ["hat", "smooth"])
 def test_exact_level2_builds_no_product_per_z(monkeypatch, weight):
     calls = [0]
@@ -621,10 +709,7 @@ def test_exact_level2_builds_no_product_per_z(monkeypatch, weight):
     before = calls[0]
     led = build_ledger(PipelineParams(**kw, with_pair_table=True))
     level2 = calls[0] - 2 * before
-    if weight == "hat":
-        assert led.exact and level2 <= 1
-    else:  # the float level 2 keeps its per-z loop, one product per z
-        assert level2 == (2 * led.pair_range + 1) ** N
+    assert led.exact == (weight == "hat") and level2 <= 1
 
 
 def test_level2_domain_ignores_ss3_dtype(monkeypatch):
@@ -769,7 +854,7 @@ def corr2_brute(params, cells):
 
 def test_corr2_matches_brute_force_at_n4(exact_level2_ledgers):
     """corr2 on the n = 4, B = 3 build, filled cells or not, reads the box."""
-    led = exact_level2_ledgers["n4-hat-summarized"]
+    led = exact_level2_ledgers["n4-hat-b3"]
     Y, Z, o = led.shift_range, led.pair_range, (0, 0, 0, 0)
     y = (1, 0, -1, 0)
     empty = (y, (1, 0, 0, 0))  # no quadruple fills it; FS2 > 0
