@@ -65,6 +65,20 @@ and block of LEVEL1_PART // |box class| q-solutions, level 2 per cell
 added in order, so float results do not depend on the chunk size, and one
 code path serves both domains.
 
+The differencing is symmetric in the shifts, and the passes that can use it
+are triangular: a point pairs only with the points of its group at or after
+it in box order, itself once.  Inside a class mod pi box order is shift
+order, so a triangular pass emits y >= 0, and likewise z >= 0 inside a
+class mod p.  corr(-y) = corr(y) for every f, so the correlations are
+always triangular.  When every monomial of f has the degree parity of the
+first, f(-x) = +-f(x), and with an even axis weight the level-1 tables and
+corr2 are mirror images too: t(-y) = t(y) and corr2(-y, -z) = corr2(y, z)
+(``_mirrors``, checked on the input at run time).  Then level 1 and the
+level-2 box-point join are triangular as well.  Each -y entry, and each
+cell with z < 0, is a copy of its mirror; for the smooth weight the copied
+half therefore carries the y >= 0 half's rounding, not its own.  Otherwise
+level 1 and level 2 emit both halves.
+
 Level 2 keeps only the cells (y, z) its join fills, as sorted flat keys and
 congruence parts c(y, z); corr2 reads c = 0 at every other cell.  qsum(y)
 adds the filled cells of y in z order.  The per-y sum of |q^3 c - FS2| over
@@ -349,6 +363,21 @@ def _table_key(v, R: int, n: int, what: str) -> int:
     return int(_flat(np.array(d, dtype=np.int64) + R, 2 * R + 1))
 
 
+def _mirrors(f: IntPoly, w1: np.ndarray) -> bool:
+    """Whether the level-1 and level-2 tables are mirror images, t(-y) = t(y)
+    and corr2(-y, -z) = corr2(y, z): every monomial of f has the degree
+    parity of the first, so f(-x) = +-f(x), and the axis weight is even."""
+    parities = {sum(e) % 2 for e in f.terms}
+    return len(parities) <= 1 and np.array_equal(w1, w1[::-1])
+
+
+def _mirror(t: np.ndarray) -> None:
+    """Copy the y >= 0 half of a flat shift table onto its y < 0 half, in
+    place: the flat key of -y is cells - 1 - (the flat key of y)."""
+    half = t.size // 2
+    t[:half] = t[::-1][:half]
+
+
 def _stable_order(keys: np.ndarray) -> np.ndarray:
     """np.argsort(keys, kind="stable").  Nonnegative int64 keys that leave
     room pack with their index into one int64 (key * size + index), whose
@@ -360,17 +389,27 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _pair_join(left: np.ndarray, right: np.ndarray):
+def _pair_join(left: np.ndarray, right: np.ndarray, own=None):
     """All pairs (i, j) with left[i] == right[j], grouped by that key.
 
     Returns (npairs, chunks).  chunks yields (li, ri) index arrays of at most
     PAIR_BLOCK pairs, in (key, i, j) order; npairs = sum over keys of the
     product of the two group sizes.
+
+    Triangular mode: with own given, left row i is right row own[i], and it
+    pairs only with the right rows of its group at or after own[i] in index
+    order, itself included, so a group of size m on both sides emits
+    m (m + 1) / 2 pairs instead of m^2.  The left order is the same.
     """
     lo = _stable_order(left)
     ro = _stable_order(right)
     rs = right[ro]
-    first = np.searchsorted(rs, left[lo], "left")  # each left row's right group
+    if own is None:
+        first = np.searchsorted(rs, left[lo], "left")  # each left row's group
+    else:  # each left row's own place in the right order
+        at = np.empty_like(ro)
+        at[ro] = np.arange(ro.size)
+        first = at[own[lo]]
     cnt = np.searchsorted(rs, left[lo], "right") - first
     ends = np.cumsum(cnt)
     starts = ends - cnt
@@ -530,7 +569,12 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     inner_num = np.zeros(pin, dtype=acc_dtype)
     np.add.at(inner_num, cls_pi[solpq], _acc(wnum[solpq]))
     S = D.frac(D.total(inner_num, zero_mask), den1) - K * zero_classes
-    Sigma = D.total((D.lift(inner_num) - K * den1) ** 2) / den1**2
+    if D.exact:  # sum (inner - c)^2 from integer power sums, c = K den1
+        c, inner = K * den1, D.lift(inner_num)
+        Sigma = (D.total(inner * inner) - 2 * c * D.total(inner)
+                 + pin * c * c) / den1**2
+    else:
+        Sigma = D.total((D.lift(inner_num) - K * den1) ** 2) / den1**2
     E0 = count_pq - pin * K
 
     # shift tables
@@ -549,11 +593,18 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     # with each other, and q-solutions x with the box points c = x + pi y.
     # A pair's key splits into a left and a right term: for x_a, x_c in one
     # class mod pi, ycode[c] - ycode[a] + Ycells // 2 is the flat key of the
-    # shift (x_c - x_a) / pi, whose digits lie in [-Y, Y].
+    # shift (x_c - x_a) / pi, whose digits lie in [-Y, Y].  Inside a class,
+    # index order is ycode order, so a triangular pass (c at or after a)
+    # emits the shifts y >= 0 in flat-key order, y = 0 once as (a, a).
+    # The correlations are always triangular, since corr(-y) = corr(y);
+    # level 1 only when the tables mirror.
+    mirror = _mirrors(f, w1)
     a_pq, a_q = np.flatnonzero(solpq), np.flatnonzero(solq)
     ycode = _flat(coords // pi, sideY)
-    npairs_corr, corr_pairs = _pair_join(cls_pi[a_pq], cls_pi[a_pq])
-    npairs_lvl1, lvl1_pairs = _pair_join(cls_pi[a_q], cls_pi)
+    npairs_corr, corr_pairs = _pair_join(cls_pi[a_pq], cls_pi[a_pq],
+                                         np.arange(a_pq.size))
+    npairs_lvl1, lvl1_pairs = _pair_join(cls_pi[a_q], cls_pi,
+                                         a_q if mirror else None)
     budget.charge(npairs_corr + npairs_lvl1, "correlation pairs")
 
     # congruence part of corr(y); float parts are runs of 32 classes
@@ -566,6 +617,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
         -(-pin // 32), Ycells, acc_dtype,
     ):
         congnum += part
+    _mirror(congnum)
 
     # level 1: split each shift by classes v mod p and difference residue a
     # mod q, under the key (y, v, a).  A float part is one class mod pi and
@@ -618,6 +670,9 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     if K2.size:
         member = rolled[wid_idx[y2], v2]
         np.add.at(sxy_num, y2[member], V2[member])
+    if mirror:
+        for t in (t0_num, t1_num, ss2, ss3, sxy_num):
+            _mirror(t)
 
     ledger = PipelineLedger(
         params=params,
@@ -648,7 +703,8 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     ledger.residuals = _residuals(ledger)
 
     if params.with_pair_table:
-        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget)
+        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p,
+                          mirror, budget)
     return ledger
 
 
@@ -744,7 +800,8 @@ def _t2d(w1: np.ndarray, pi: int, p: int, Y: int, Z: int, L: int) -> np.ndarray:
     return out
 
 
-def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
+def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, mirror,
+                      budget):
     """Second differencing: corr2(y, z) tables and their per-y aggregates."""
     pr = ledger.params
     B, pi, p, q, n = pr.B, pr.pi, pr.p, pr.q, ledger.n
@@ -762,10 +819,13 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
 
     # box-point pairs: live points a and c = a + p z with f(a) = f(c) mod q,
     # from one join on (class mod p, f mod q).  Its rows with q | f(a) are
-    # the x-pairs; all its rows are the u-side pairs (u, u + p z).
+    # the x-pairs; all its rows are the u-side pairs (u, u + p z).  When the
+    # tables mirror, the join is triangular and keeps z >= 0: index order is
+    # zcode order inside a class mod p.  The z = 0 cells stay full, as (x, x)
+    # meets every (u, u) of its class, and _level2_cells mirrors the rest.
     live = np.flatnonzero(wnum > 0)  # weights are nonnegative in every kind
     key = cls_p[live] * q + fq_v[live]
-    _, box_pairs = _pair_join(key, key)
+    _, box_pairs = _pair_join(key, key, np.arange(live.size) if mirror else None)
     pa, pc = [live[:0]], [live[:0]]
     for li, ri in box_pairs:
         pa.append(live[li])
@@ -791,14 +851,15 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
     rgrp = pz * classes.size + cls[pa]
     if D.exact:
         # Weights are nonnegative, so no row weight, cell or qsum[y] passes
-        # the join's total weight sum over groups of (sum of wx) (sum of pw).
-        # A float sum of fewer than 2^51 nonnegative terms is at least 2/3 of
-        # the true sum; the bincounts and the dot product lose at most
-        # (2/3)^3 > 1/4, so a float total below 2^61 puts it below 2^63.
+        # the join's total weight sum over groups of (sum of wx) (sum of pw),
+        # doubled when mirrored cells join qsum[y].  A float sum of fewer
+        # than 2^51 nonnegative terms is at least 2/3 of the true sum; the
+        # bincounts and the dot product lose at most (2/3)^3 > 1/4, so a
+        # float bound below 2^61 puts it below 2^63.
         size = Zcells * classes.size
         total = (np.bincount(lgrp, wx.astype(np.float64), size)
                  @ np.bincount(rgrp, pw.astype(np.float64), size))
-        if not total < LEVEL2_INT64_LIMIT / 2:
+        if not (1 + mirror) * total < LEVEL2_INT64_LIMIT / 2:
             wx, pw = wx.astype(object), pw.astype(object)
     ycode = _flat(coords // pi, 2 * Y + 1)
     xkey = Ycells // 2 - ycode[xi]
@@ -806,7 +867,7 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
     rows = ((zk[li], xkey[li] + ycode[pa[ri]], wx[li] * pw[ri])
             for li, ri in pairs)
     (ledger.pair_keys, ledger.pair_num, ledger.qsum,
-     ledger.abs2_num) = _level2_cells(rows, t2d, n, q**3, D, pw.dtype)
+     ledger.abs2_num) = _level2_cells(rows, t2d, n, q**3, D, pw.dtype, mirror)
 
     # refined_square_expansion: sum over (v, a) of squared bin sums equals
     # the z-sum of pair congruence parts (both at the den1^4 scale)
@@ -819,18 +880,21 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
     ledger.aggregate = _aggregate_from_abs(ledger)
 
 
-def _level2_cells(rows, t2d, n, q3, D2, dtype):
+def _level2_cells(rows, t2d, n, q3, D2, dtype, mirror):
     """Filled cells (sorted flat keys, congruence parts), qsum and abs2_num
     of level 2, summing only those cells.
 
     The rows arrive in z order, in chunks, and fold by cell (y, z) into the
     congruence parts c(y, z).  The cells of a chunk's last z stay open and
     lead the next chunk's fold, so every cell adds its rows to zero in
-    arrival order, whatever the chunk size.  FS2(y, z) = prod_i T(pi y_i,
-    p z_i) is never negative, so an empty cell adds exactly FS2 to
-    sum_z |q^3 c - FS2|, and that sum is prod_i R(y_i) + sum over filled
-    cells of (|q^3 c - FS2| - FS2), with R(y_i) = sum_{z_i} T(pi y_i, p z_i)
-    a row sum of t2d.
+    arrival order, whatever the chunk size.  With mirror set the rows
+    cover z >= 0 only (a triangular box-point join), and every cell (y, z)
+    with z > 0 is copied to (-y, -z), whose flat key is Ycells Zcells - 1 -
+    key, before the sort; the z = 0 cells come full and are not copied.
+    FS2(y, z) = prod_i T(pi y_i, p z_i) is never negative, so an empty cell
+    adds exactly FS2 to sum_z |q^3 c - FS2|, and that sum is prod_i R(y_i)
+    + sum over filled cells of (|q^3 c - FS2| - FS2), with R(y_i) =
+    sum_{z_i} T(pi y_i, p z_i) a row sum of t2d.
     """
     sideY, sideZ = t2d.shape
     Ycells, Zcells = sideY**n, sideZ**n
@@ -844,6 +908,10 @@ def _level2_cells(rows, t2d, n, q3, D2, dtype):
     done.append((open_k, open_c))
     keys, c = (np.concatenate(v) for v in zip(*done))  # each cell once
     del done
+    if mirror:
+        up = keys % Zcells > Zcells // 2
+        keys = np.concatenate([keys, Ycells * Zcells - 1 - keys[up]])
+        c = np.concatenate([c, c[up]])
     order = _stable_order(keys)
     keys, c = keys[order], c[order]
     ky, kz = np.divmod(keys, Zcells)  # sorted by y, then z

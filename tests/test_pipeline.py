@@ -70,6 +70,19 @@ def test_counts_match_brute_force(led):
     assert led.expected_per_class == nw_box / (PI**N * P * Q)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(f=F, B=4, pi=5, p=3, q=29),
+    dict(f=F, B=2, pi=11, p=3, q=5),  # pi > 4B: one shift, 1331 classes
+], ids=["pi5-b4", "pi11-b2"])
+def test_second_moment_matches_class_sum(kw):
+    """Sigma from integer power sums equals the per-class Fraction sum."""
+    led = build_ledger(PipelineParams(**kw))
+    c = led.expected_per_class * led.den1
+    want = sum((Fraction(int(v)) - c) ** 2 for v in led._inner_num)
+    assert led.second_moment == want / led.den1**2
+    assert led.residuals["variance_assembly"].ok
+
+
 def test_corr_matches_brute_force(led):
     sols_pq = [x for x in BOX if fval(x) % (P * Q) == 0]
     shifts = [(0, 0, 0), (1, 0, 0), (-2, 1, 3), (3, -3, 2), (4, 4, 4),
@@ -299,8 +312,8 @@ def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
     emitted = []
     join = pipeline._pair_join
 
-    def counting_join(left, right):
-        npairs, chunks = join(left, right)
+    def counting_join(left, right, own=None):
+        npairs, chunks = join(left, right, own)
         emitted.append(0)
         slot = len(emitted) - 1
 
@@ -315,25 +328,33 @@ def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
     kw = CHUNK_CASES[case]
     build_ledger(PipelineParams(**kw, with_pair_table=True), budget)
 
-    # class histograms of the hat box: n_box, n_q, n_pq per class mod pi,
-    # and the q-solutions per class mod p
+    # F is a cubic form and the hat weight is even, so every pass is
+    # triangular: a point pairs with the points of its group at or after it
+    # in box order (x1 fastest), itself included.  Walking the box in that
+    # order, a q-solution meets the n_box[u] - before[u] points of its class
+    # mod pi from itself on; n_pq and n_qp points of one group give
+    # n (n + 1) / 2 pairs.
+    assert pipeline._mirrors(F, Weight("hat").axis_values(kw["B"])[0])
     pi, p, q, h = kw["pi"], kw["p"], kw["q"], 2 * kw["B"] - 1
-    n_box, n_q, n_pq, n_qp = (defaultdict(int) for _ in range(4))
-    for x in itertools.product(range(-h, h + 1), repeat=N):
+    box = [x[::-1] for x in itertools.product(range(-h, h + 1), repeat=N)]
+    n_box, n_pq, n_qp, before = (defaultdict(int) for _ in range(4))
+    for x in box:
+        n_box[tuple(c % pi for c in x)] += 1
+    lvl1 = 0
+    for x in box:
         u, fx = tuple(c % pi for c in x), fval(x)
-        n_box[u] += 1
         if fx % q == 0:
-            n_q[u] += 1
+            lvl1 += n_box[u] - before[u]
             n_qp[tuple(c % p for c in x)] += 1
         if fx % (p * q) == 0:
             n_pq[u] += 1
-    corr = (sum(c * c for c in n_pq.values())
-            + sum(c * n_box[u] for u, c in n_q.items()))
+        before[u] += 1
+    corr = sum(c * (c + 1) // 2 for c in n_pq.values()) + lvl1
     assert budget.charges["correlation pairs"] == corr
     # the first two joins are the correlation pass and level 1
     assert emitted[0] + emitted[1] == corr
     assert budget.charges["second-difference pairs"] == sum(
-        c * c for c in n_qp.values())
+        c * (c + 1) // 2 for c in n_qp.values())
 
 
 @pytest.mark.parametrize("weight", ["hat", "indicator"])
@@ -403,7 +424,8 @@ def test_aggregate_matches_scalar_loop(default_ledgers, case, weight):
 
 
 def level2_loop(led):
-    """The dense pair table, qsum and abs2_num of level 2, added term by term.
+    """The dense pair table, qsum and abs2_num of level 2, added term by term,
+    and the number of terms of each cell.
 
     Cell (y, z) adds w(x) w(x + p z) * w(u) w(u + p z), u = x + pi y, to 0
     over the x-pairs (x, x + p z) ordered by (class mod pi, class mod p, box
@@ -445,6 +467,7 @@ def level2_loop(led):
             if r == 0:
                 xpairs[z].append((u, w[u] * w[c]))
     table = np.zeros((Ycells, Zcells), dtype=dtype)
+    terms = np.zeros((Ycells, Zcells), dtype=np.int64)
     # for u = x mod pi, u - x = pi y has y_i = u_i // pi - x_i // pi
     code = {x: key([c // pi for c in x], Y) for x in pts}
     for z, xs in xpairs.items():
@@ -453,6 +476,7 @@ def level2_loop(led):
         for x, wx in xs:
             for u, wu in upairs[z, cls(x, pi)]:
                 cells[code[u] - code[x] + Ycells // 2] += wx * wu
+                terms[code[u] - code[x] + Ycells // 2, key(z, Z)] += 1
         for ky, v in cells.items():
             table[ky, key(z, Z)] = v
 
@@ -466,7 +490,7 @@ def level2_loop(led):
             fs2 = fs2 * t2d[ydig[:, i], zd[i]]
         qsum = qsum + table[:, kz]
         abs2 = abs2 + np.abs(q3 * table[:, kz] - fs2)
-    return table, qsum, abs2
+    return table, qsum, abs2, terms
 
 
 def assert_cells_match(led, table):
@@ -528,17 +552,40 @@ def abs2_exact(led, ys):
     return out
 
 
+def assert_close(got, want, k):
+    """Two float64 sums of the same nonnegative terms, in any order or
+    grouping that puts no term through more than k roundings: each lies
+    within gamma_k of their exact sum s, and both are at least
+    (1 - gamma_k) s, so they differ by at most gamma_2k of their sum."""
+    got, want = (np.asarray(v).tolist() for v in (got, want))
+    bound = gamma(2 * k)
+    for a, b in zip(got, want):
+        assert abs(Fraction(a) - Fraction(b)) <= bound * (Fraction(a) + Fraction(b))
+
+
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_float_level2_matches_scalar_loop(default_ledgers, case):
-    """Cells and qsum equal the term-by-term loop bit for bit; abs2_num, at
-    40 sampled shifts and y = 0, the corners and the fullest y, lies within
-    its rounding bound of the exact sum over the same float64 cells."""
+    """The computed cells, z > 0 and all of z = 0, equal the term-by-term
+    loop bit for bit; each z < 0 cell is a bit copy of its mirror (-y, -z)
+    and lies, as each qsum[y] does, within the rounding bound of the loop.
+    abs2_num, at 40 sampled shifts and y = 0, the corners and the fullest
+    y, lies within its rounding bound of the exact sum over the same float64
+    cells."""
     led = default_ledgers[(case, "smooth")]
     assert not led.exact
-    table, qsum, _ = level2_loop(led)
-    assert_cells_match(led, table)
-    assert np.array_equal(led.qsum, qsum)
+    table, qsum, _, terms = level2_loop(led)
     Ycells, sideZ = len(led.corr_num), 2 * led.pair_range + 1
+    Zcells = sideZ**N
+    keys = np.flatnonzero(table)
+    assert np.array_equal(led.pair_keys, keys)
+    num = table.ravel()[keys]
+    low = keys % Zcells < Zcells // 2  # the cells with z < 0
+    assert np.array_equal(led.pair_num[~low], num[~low])
+    mirrored = np.searchsorted(keys, Ycells * Zcells - 1 - keys[low])
+    assert np.array_equal(keys[mirrored], Ycells * Zcells - 1 - keys[low])
+    assert np.array_equal(led.pair_num[low], led.pair_num[mirrored])
+    assert_close(led.pair_num[low], num[low], int(terms.max()))
+    assert_close(led.qsum, qsum, int(terms.max()) + Zcells)
     fullest = np.bincount(led.pair_keys // sideZ**N, minlength=Ycells).argmax()
     ys = sorted({0, Ycells // 2, Ycells - 1, int(fullest), *np.random.default_rng(
         0).choice(Ycells, 40, replace=False).tolist()})
@@ -588,7 +635,7 @@ def test_exact_level2_matches_scalar_loop(default_ledgers, exact_level2_ledgers,
     led = (default_ledgers[("pi5", "hat")] if case == "pi5-hat"
            else exact_level2_ledgers[case])
     assert led.exact
-    table, qsum, abs2 = level2_loop(led)
+    table, qsum, abs2, _ = level2_loop(led)
     assert_cells_match(led, table)
     assert np.array_equal(led.qsum, qsum)
     assert np.array_equal(led.abs2_num, abs2)
@@ -611,9 +658,9 @@ def test_level2_rows_leave_int64_past_total_weight(exact_level2_ledgers,
     dtypes = []
     cells = pipeline._level2_cells
 
-    def spy(rows, t2d, n, q3, D, dtype):
+    def spy(rows, t2d, n, q3, D, dtype, mirror):
         dtypes.append(dtype)
-        return cells(rows, t2d, n, q3, D, dtype)
+        return cells(rows, t2d, n, q3, D, dtype, mirror)
 
     monkeypatch.setattr(pipeline, "_level2_cells", spy)
     monkeypatch.setattr(pipeline, "LEVEL2_INT64_LIMIT", 2**19)
@@ -634,7 +681,7 @@ def check_level2_cells(t2d, kz, ky, w, q3, cut=None):
     cut = w.size // 2 if cut is None else cut
     rows = [(kz[:cut], ky[:cut], w[:cut]), (kz[cut:], ky[cut:], w[cut:])]
     keys, parts, qsum, abs2 = pipeline._level2_cells(
-        iter(rows), t2d, n, q3, pipeline._Domain(exact), w.dtype)
+        iter(rows), t2d, n, q3, pipeline._Domain(exact), w.dtype, False)
     cells = {}
     for z, y, c in zip(kz.tolist(), ky.tolist(), w.tolist()):
         cells[y * Zcells + z] = cells.get(y * Zcells + z, 0) + c
@@ -780,22 +827,20 @@ def test_showcase_budget_used(capsys):
                          "--n", "3", "--B", "4", "--pi", "2", "--p", "3",
                          "--q", "5", "--pair-table"])
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["run"]["budget"]["used"] == 4982227
+    assert json.loads(capsys.readouterr().out)["run"]["budget"]["used"] == 4747893
 
 
-def test_tables_match_brute_force_across_class_groups():
-    # pi^n = 125 classes mod pi, so the correlation pass spans four groups
-    b, pi, p, q = 4, 5, 3, 7
-    led = build_ledger(PipelineParams(f=F, B=b, pi=pi, p=p, q=q, weight="hat",
-                                      with_pair_table=True))
-    assert led.exact
-    h = 2 * b - 1
+def assert_tables_match_brute_force(led, w1):
+    """Every level-1 table entry and corr_num, at every y, against Python-int
+    sums over the box with axis weight numerators w1."""
+    f, b, pi, p, q = (getattr(led.params, a) for a in ("f", "B", "pi", "p", "q"))
+    h = (len(w1) - 1) // 2
     box = list(itertools.product(range(-h, h + 1), repeat=N))
-    fv = {x: fval(x) for x in box}
-    wnum = {x: math.prod(2 * b - abs(c) for c in x) for x in box}
+    fv = {x: f.eval(list(x)) for x in box}
+    wnum = {x: math.prod(int(w1[c + h]) for c in x) for x in box}
     sols_q = [x for x in box if fv[x] % q == 0]
     classes = list(itertools.product(range(p), repeat=N))
-    zero_p = {v for v in classes if fval(v) % p == 0}
+    zero_p = {v for v in classes if f.eval(list(v)) % p == 0}
 
     def add(x, s):
         return tuple(x[i] + s[i] for i in range(N))
@@ -821,11 +866,92 @@ def test_tables_match_brute_force_across_class_groups():
         assert led.ss2[k] == sum(s * s for s in at0.values()), y
         assert led.sxy_num[k] == sum(s for v, s in at0.items() if v in xy), y
 
+
+def test_tables_match_brute_force_across_class_groups():
+    # pi^n = 125 classes mod pi, so the correlation pass spans four groups
+    b, pi, p, q = 4, 5, 3, 7
+    led = build_ledger(PipelineParams(f=F, B=b, pi=pi, p=p, q=q, weight="hat",
+                                      with_pair_table=True))
+    assert led.exact
+    assert_tables_match_brute_force(led, Weight("hat").axis_values(b)[0])
+
     cells = [((1, 0, 0), (1, 0, 0)), ((0, 1, -1), (-1, 2, 0)),
              ((1, 1, 1), (0, 0, 0)), ((0, 0, 0), (1, -1, 2)),
              ((-1, 0, 1), (2, 1, -2))]
     for (yy, zz), want in corr2_brute(led.params, cells).items():
         assert led.corr2(yy, zz) == want, (yy, zz)
+
+
+# monomials of degree 3, 1 and 0: f(-x) is neither f(x) nor -f(x)
+F_ODD_EVEN = parse_poly("x1^3+x2^3+x3^3-x1*x2*x3+x1+2", N)
+
+
+@pytest.mark.parametrize("case", ["parity-free", "uneven-weight"])
+def test_full_path_matches_brute_force(monkeypatch, case):
+    """Without the mirror, level 1 and level 2 emit both halves, and every
+    table still reads the box; only the correlations, symmetric for every f
+    and weight, stay triangular."""
+    f = F_ODD_EVEN
+    if case == "uneven-weight":  # a cubic form, but heavier at x_i > 0
+        f, axis_values = F, Weight.axis_values
+        monkeypatch.setattr(Weight, "axis_values", lambda self, B: (
+            axis_values(self, B)[0] + (np.arange(4 * B - 1) >= 2 * B),
+            2 * B))
+    w1 = Weight("hat").axis_values(4)[0]
+    triangular, join = [], pipeline._pair_join
+
+    def spy(left, right, own=None):
+        triangular.append(own is not None)
+        return join(left, right, own)
+
+    monkeypatch.setattr(pipeline, "_pair_join", spy)
+    led = build_ledger(PipelineParams(f=f, B=4, pi=5, p=3, q=7, weight="hat",
+                                      with_pair_table=True))
+    # correlations, level 1, box-point pairs, pair table
+    assert triangular == [True, False, False, False]
+    for name in ("t0_num", "ss3"):  # not mirror images: y and -y differ
+        t = getattr(led, name)
+        assert np.any(t != t[::-1]), name
+    assert_tables_match_brute_force(led, w1)
+    table, qsum, abs2, _ = level2_loop(led)
+    assert_cells_match(led, table)
+    assert np.array_equal(led.qsum, qsum)
+    assert np.array_equal(led.abs2_num, abs2)
+    assert all(rc.ok for rc in led.residuals.values())
+
+
+HALF_CASES = {**{(c, w): dict(**kw, weight=w) for c, kw in CHUNK_CASES.items()
+                 for w in ("hat", "smooth")},
+              ("n4-hat-b3", "hat"): EXACT_LEVEL2_CASES["n4-hat-b3"]}
+
+
+@pytest.mark.parametrize("case", HALF_CASES, ids="-".join)
+def test_half_path_equals_full_path(default_ledgers, exact_level2_ledgers,
+                                    monkeypatch, case):
+    """The mirrored tables equal the full path's: entry for entry for exact
+    weights; for smooth, bit for bit on the half the triangular passes
+    compute (y >= 0 at level 1, z >= 0 at level 2), and within rounding of
+    the full path's sums on the mirrored half."""
+    half = (exact_level2_ledgers["n4-hat-b3"] if case[0] == "n4-hat-b3"
+            else default_ledgers[case])
+    monkeypatch.setattr(pipeline, "_mirrors", lambda f, w1: False)
+    full = build_ledger(PipelineParams(**HALF_CASES[case], with_pair_table=True))
+    if half.exact:
+        for name in CHUNKED_ARRAYS:
+            assert np.array_equal(getattr(half, name), getattr(full, name)), name
+        assert half.aggregate == full.aggregate
+        return
+    Ycells, Zcells = len(half.corr_num), (2 * half.pair_range + 1) ** N
+    up = slice(Ycells // 2, None)
+    assert np.array_equal(half.corr_num, full.corr_num)
+    for name in ("t0_num", "t1_num", "ss2", "ss3", "sxy_num"):
+        h, f = getattr(half, name), getattr(full, name)
+        assert np.array_equal(h[up], f[up]), name
+        assert np.allclose(h, f, rtol=1e-12, atol=0), name
+    assert np.array_equal(half.pair_keys, full.pair_keys)
+    kept = half.pair_keys % Zcells >= Zcells // 2
+    assert np.array_equal(half.pair_num[kept], full.pair_num[kept])
+    assert np.allclose(half.pair_num, full.pair_num, rtol=1e-12, atol=0)
 
 
 def corr2_brute(params, cells):
