@@ -69,15 +69,17 @@ The differencing is symmetric in the shifts, and the passes that can use it
 are triangular: a point pairs only with the points of its group at or after
 it in box order, itself once.  Inside a class mod pi box order is shift
 order, so a triangular pass emits y >= 0, and likewise z >= 0 inside a
-class mod p.  corr(-y) = corr(y) for every f, so the correlations are
-always triangular.  When every monomial of f has the degree parity of the
-first, f(-x) = +-f(x), and with an even axis weight the level-1 tables and
-corr2 are mirror images too: t(-y) = t(y) and corr2(-y, -z) = corr2(y, z)
-(``_mirrors``, checked on the input at run time).  Then level 1 and the
-level-2 box-point join are triangular as well.  Each -y entry, and each
-cell with z < 0, is a copy of its mirror; for the smooth weight the copied
-half therefore carries the y >= 0 half's rounding, not its own.  Otherwise
-level 1 and level 2 emit both halves.
+class mod p.  Two symmetries hold for every f and weight, so the
+correlations and the level-2 box-point join are always triangular:
+corr(-y) = corr(y), as (x, x') and (x', x) are both pairs, and corr2(y, -z)
+= corr2(y, z), as swapping x with x + p z and u with u + p z keeps y, the
+weight product and q | d2f.  Level 1 is triangular when f(-x) = +-f(x)
+(every monomial of f has the degree parity of the first) and the axis
+weight is even: then t(-y) = t(y) for its tables (``_mirrors``, checked on
+the input at run time); otherwise it emits both halves.  Each -y entry,
+and each cell (y, z) with z < 0, is a copy of its mirror; for the smooth
+weight the copied half therefore carries the computed half's rounding, not
+its own.
 
 Level 2 keeps only the cells (y, z) its join fills, as sorted flat keys and
 congruence parts c(y, z); corr2 reads c = 0 at every other cell.  qsum(y)
@@ -364,9 +366,10 @@ def _table_key(v, R: int, n: int, what: str) -> int:
 
 
 def _mirrors(f: IntPoly, w1: np.ndarray) -> bool:
-    """Whether the level-1 and level-2 tables are mirror images, t(-y) = t(y)
-    and corr2(-y, -z) = corr2(y, z): every monomial of f has the degree
-    parity of the first, so f(-x) = +-f(x), and the axis weight is even."""
+    """Whether the level-1 tables are mirror images, t(-y) = t(y): every
+    monomial of f has the degree parity of the first, so f(-x) = +-f(x), and
+    the axis weight is even.  Every current weight kind is even; the weight
+    half guards a future uneven kind."""
     parities = {sum(e) % 2 for e in f.terms}
     return len(parities) <= 1 and np.array_equal(w1, w1[::-1])
 
@@ -703,8 +706,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     ledger.residuals = _residuals(ledger)
 
     if params.with_pair_table:
-        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p,
-                          mirror, budget)
+        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget)
     return ledger
 
 
@@ -800,8 +802,7 @@ def _t2d(w1: np.ndarray, pi: int, p: int, Y: int, Z: int, L: int) -> np.ndarray:
     return out
 
 
-def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, mirror,
-                      budget):
+def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
     """Second differencing: corr2(y, z) tables and their per-y aggregates."""
     pr = ledger.params
     B, pi, p, q, n = pr.B, pr.pi, pr.p, pr.q, ledger.n
@@ -819,13 +820,14 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, mirror,
 
     # box-point pairs: live points a and c = a + p z with f(a) = f(c) mod q,
     # from one join on (class mod p, f mod q).  Its rows with q | f(a) are
-    # the x-pairs; all its rows are the u-side pairs (u, u + p z).  When the
-    # tables mirror, the join is triangular and keeps z >= 0: index order is
-    # zcode order inside a class mod p.  The z = 0 cells stay full, as (x, x)
-    # meets every (u, u) of its class, and _level2_cells mirrors the rest.
+    # the x-pairs; all its rows are the u-side pairs (u, u + p z).  As
+    # corr2(y, -z) = corr2(y, z), the join is triangular and keeps z >= 0:
+    # index order is zcode order inside a class mod p.  The z = 0 cells stay
+    # full, as (x, x) meets every (u, u) of its class, and _level2_cells
+    # mirrors the rest.
     live = np.flatnonzero(wnum > 0)  # weights are nonnegative in every kind
     key = cls_p[live] * q + fq_v[live]
-    _, box_pairs = _pair_join(key, key, np.arange(live.size) if mirror else None)
+    _, box_pairs = _pair_join(key, key, np.arange(live.size))
     pa, pc = [live[:0]], [live[:0]]
     for li, ri in box_pairs:
         pa.append(live[li])
@@ -852,14 +854,14 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, mirror,
     if D.exact:
         # Weights are nonnegative, so no row weight, cell or qsum[y] passes
         # the join's total weight sum over groups of (sum of wx) (sum of pw),
-        # doubled when mirrored cells join qsum[y].  A float sum of fewer
+        # doubled as the mirrored cells join qsum[y].  A float sum of fewer
         # than 2^51 nonnegative terms is at least 2/3 of the true sum; the
         # bincounts and the dot product lose at most (2/3)^3 > 1/4, so a
         # float bound below 2^61 puts it below 2^63.
         size = Zcells * classes.size
         total = (np.bincount(lgrp, wx.astype(np.float64), size)
                  @ np.bincount(rgrp, pw.astype(np.float64), size))
-        if not (1 + mirror) * total < LEVEL2_INT64_LIMIT / 2:
+        if not 2 * total < LEVEL2_INT64_LIMIT / 2:
             wx, pw = wx.astype(object), pw.astype(object)
     ycode = _flat(coords // pi, 2 * Y + 1)
     xkey = Ycells // 2 - ycode[xi]
@@ -867,7 +869,7 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, mirror,
     rows = ((zk[li], xkey[li] + ycode[pa[ri]], wx[li] * pw[ri])
             for li, ri in pairs)
     (ledger.pair_keys, ledger.pair_num, ledger.qsum,
-     ledger.abs2_num) = _level2_cells(rows, t2d, n, q**3, D, pw.dtype, mirror)
+     ledger.abs2_num) = _level2_cells(rows, t2d, n, q**3, D, pw.dtype)
 
     # refined_square_expansion: sum over (v, a) of squared bin sums equals
     # the z-sum of pair congruence parts (both at the den1^4 scale)
@@ -880,17 +882,17 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, mirror,
     ledger.aggregate = _aggregate_from_abs(ledger)
 
 
-def _level2_cells(rows, t2d, n, q3, D2, dtype, mirror):
+def _level2_cells(rows, t2d, n, q3, D2, dtype):
     """Filled cells (sorted flat keys, congruence parts), qsum and abs2_num
     of level 2, summing only those cells.
 
     The rows arrive in z order, in chunks, and fold by cell (y, z) into the
     congruence parts c(y, z).  The cells of a chunk's last z stay open and
     lead the next chunk's fold, so every cell adds its rows to zero in
-    arrival order, whatever the chunk size.  With mirror set the rows
-    cover z >= 0 only (a triangular box-point join), and every cell (y, z)
-    with z > 0 is copied to (-y, -z), whose flat key is Ycells Zcells - 1 -
-    key, before the sort; the z = 0 cells come full and are not copied.
+    arrival order, whatever the chunk size.  The rows cover z >= 0 only (a
+    triangular box-point join), and every cell (y, z) with z > 0 is copied
+    to (y, -z), whose flat key is ky Zcells + Zcells - 1 - kz, before the
+    sort; the z = 0 cells come full and are not copied.
     FS2(y, z) = prod_i T(pi y_i, p z_i) is never negative, so an empty cell
     adds exactly FS2 to sum_z |q^3 c - FS2|, and that sum is prod_i R(y_i)
     + sum over filled cells of (|q^3 c - FS2| - FS2), with R(y_i) =
@@ -908,10 +910,10 @@ def _level2_cells(rows, t2d, n, q3, D2, dtype, mirror):
     done.append((open_k, open_c))
     keys, c = (np.concatenate(v) for v in zip(*done))  # each cell once
     del done
-    if mirror:
-        up = keys % Zcells > Zcells // 2
-        keys = np.concatenate([keys, Ycells * Zcells - 1 - keys[up]])
-        c = np.concatenate([c, c[up]])
+    ky, kz = np.divmod(keys, Zcells)
+    up = kz > Zcells // 2
+    keys = np.concatenate([keys, ky[up] * Zcells + Zcells - 1 - kz[up]])
+    c = np.concatenate([c, c[up]])
     order = _stable_order(keys)
     keys, c = keys[order], c[order]
     ky, kz = np.divmod(keys, Zcells)  # sorted by y, then z

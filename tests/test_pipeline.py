@@ -328,9 +328,10 @@ def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
     kw = CHUNK_CASES[case]
     build_ledger(PipelineParams(**kw, with_pair_table=True), budget)
 
-    # F is a cubic form and the hat weight is even, so every pass is
-    # triangular: a point pairs with the points of its group at or after it
-    # in box order (x1 fastest), itself included.  Walking the box in that
+    # The correlations and level 2 are triangular for every f, and level 1
+    # too as F is a cubic form and the hat weight is even: a point pairs
+    # with the points of its group at or after it in box order (x1
+    # fastest), itself included.  Walking the box in that
     # order, a q-solution meets the n_box[u] - before[u] points of its class
     # mod pi from itself on; n_pq and n_qp points of one group give
     # n (n + 1) / 2 pairs.
@@ -566,7 +567,7 @@ def assert_close(got, want, k):
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_float_level2_matches_scalar_loop(default_ledgers, case):
     """The computed cells, z > 0 and all of z = 0, equal the term-by-term
-    loop bit for bit; each z < 0 cell is a bit copy of its mirror (-y, -z)
+    loop bit for bit; each z < 0 cell is a bit copy of its mirror (y, -z)
     and lies, as each qsum[y] does, within the rounding bound of the loop.
     abs2_num, at 40 sampled shifts and y = 0, the corners and the fullest
     y, lies within its rounding bound of the exact sum over the same float64
@@ -581,8 +582,9 @@ def test_float_level2_matches_scalar_loop(default_ledgers, case):
     num = table.ravel()[keys]
     low = keys % Zcells < Zcells // 2  # the cells with z < 0
     assert np.array_equal(led.pair_num[~low], num[~low])
-    mirrored = np.searchsorted(keys, Ycells * Zcells - 1 - keys[low])
-    assert np.array_equal(keys[mirrored], Ycells * Zcells - 1 - keys[low])
+    ky, kz = np.divmod(keys[low], Zcells)
+    mirrored = np.searchsorted(keys, ky * Zcells + Zcells - 1 - kz)
+    assert np.array_equal(keys[mirrored], ky * Zcells + Zcells - 1 - kz)
     assert np.array_equal(led.pair_num[low], led.pair_num[mirrored])
     assert_close(led.pair_num[low], num[low], int(terms.max()))
     assert_close(led.qsum, qsum, int(terms.max()) + Zcells)
@@ -658,9 +660,9 @@ def test_level2_rows_leave_int64_past_total_weight(exact_level2_ledgers,
     dtypes = []
     cells = pipeline._level2_cells
 
-    def spy(rows, t2d, n, q3, D, dtype, mirror):
+    def spy(rows, t2d, n, q3, D, dtype):
         dtypes.append(dtype)
-        return cells(rows, t2d, n, q3, D, dtype, mirror)
+        return cells(rows, t2d, n, q3, D, dtype)
 
     monkeypatch.setattr(pipeline, "_level2_cells", spy)
     monkeypatch.setattr(pipeline, "LEVEL2_INT64_LIMIT", 2**19)
@@ -671,20 +673,24 @@ def test_level2_rows_leave_int64_past_total_weight(exact_level2_ledgers,
 
 
 def check_level2_cells(t2d, kz, ky, w, q3, cut=None):
-    """_level2_cells on the rows (kz, ky, w), n = 2, in two chunks split at
-    cut (default halfway), against sequential Python sums: each cell adds
-    its rows in row order and each qsum[y] its cells in z order, bit for
-    bit.  abs2_num equals the exact sum for int64 rows, and lies within its
+    """_level2_cells on the rows (kz, ky, w), z >= 0, n = 2, in two chunks
+    split at cut (default halfway), against sequential Python sums: each
+    cell adds its rows in row order, each cell (y, z) with z > 0 is copied
+    to (y, -z), and each qsum[y] adds its cells in z order, bit for bit.  abs2_num equals the exact sum for int64 rows, and lies within its
     rounding bound of the exact sum of the same values for float64 rows."""
     n, (sideY, sideZ) = 2, t2d.shape
     Zcells, exact = sideZ**n, w.dtype == np.int64
     cut = w.size // 2 if cut is None else cut
     rows = [(kz[:cut], ky[:cut], w[:cut]), (kz[cut:], ky[cut:], w[cut:])]
     keys, parts, qsum, abs2 = pipeline._level2_cells(
-        iter(rows), t2d, n, q3, pipeline._Domain(exact), w.dtype, False)
+        iter(rows), t2d, n, q3, pipeline._Domain(exact), w.dtype)
     cells = {}
+    assert kz.min() >= Zcells // 2
     for z, y, c in zip(kz.tolist(), ky.tolist(), w.tolist()):
         cells[y * Zcells + z] = cells.get(y * Zcells + z, 0) + c
+    for k, c in list(cells.items()):
+        if k % Zcells > Zcells // 2:
+            cells[k + Zcells - 1 - 2 * (k % Zcells)] = c
     assert parts.dtype == w.dtype  # the terms' lift leaves the parts as built
     assert keys.tolist() == sorted(cells)
     assert parts.tolist() == [cells[k] for k in sorted(cells)]
@@ -707,13 +713,14 @@ def test_level2_cells_leave_int64_past_its_bound():
     rng = np.random.default_rng(5)
     # t2d entries ~2^33, so FS2 passes 2^63
     t2d = rng.integers(2**33, 2**34, size=(3, 5))
-    kz = np.sort(rng.integers(0, 25, 40))
+    kz = np.sort(rng.integers(12, 25, 40))  # z >= 0
     check_level2_cells(t2d, kz, rng.integers(0, 9, 40),
                        rng.integers(1, 2**20, 40), q3)
-    # every cell filled once; on even z, q^3 c ~ 2^61.1, so each y's 13 such
-    # terms sum past 2^63; on odd z, c is small and its term is negative
+    # every cell filled once, z < 0 by its copy; on even z, q^3 c ~ 2^61.1,
+    # so each y's 13 such terms sum past 2^63; on odd z, c is small and its
+    # term is negative
     t2d = rng.integers(1, 2**20, size=(3, 5))
-    kz, ky = np.divmod(np.arange(25 * 9), 9)
+    kz, ky = np.divmod(np.arange(12 * 9, 25 * 9), 9)
     w = np.where(kz % 2 == 0, 2**50 + rng.integers(0, 2**20, kz.size),
                  rng.integers(1, 100, kz.size))
     assert q3 * int(w.max()) + int(t2d.sum(axis=1).max()) ** 2 < (
@@ -722,22 +729,23 @@ def test_level2_cells_leave_int64_past_its_bound():
 
 
 def test_level2_cells_carry_a_split_z():
-    """Float rows whose z = 12 runs across both chunks: its cells carry into
-    the second chunk's fold, so they keep the sequential sums' bits.  Cell
-    (y, z) = (4, 12) gets the rows 1.0 | e, e, split at the cut, with e
-    under half an ulp of 1.0: in row order both e vanish, while e + e first,
-    or 1.0 + (e + e), rounds up to 1 + 2^-52."""
+    """Float rows whose z key 18 runs across both chunks: its cells carry
+    into the second chunk's fold, so they, and their copies at key 6, keep
+    the sequential sums' bits.  Cell (y, z) = (4, 18) gets the rows
+    1.0 | e, e, split at the cut, with e under half an ulp of 1.0: in row
+    order both e vanish, while e + e first, or 1.0 + (e + e), rounds up to
+    1 + 2^-52."""
     rng = np.random.default_rng(7)
     t2d = rng.random((3, 5))
-    kz = np.sort(rng.integers(0, 25, 400))
+    kz = np.sort(rng.integers(12, 25, 400))  # z >= 0
     ky = rng.integers(0, 9, 400)
     w = rng.random(400)
-    keep = ~((kz == 12) & (ky == 4))
-    at = int(np.searchsorted(kz[keep], 12))
+    keep = ~((kz == 18) & (ky == 4))
+    at = int(np.searchsorted(kz[keep], 18))
     e = 3 * 2.0**-55
     kz, ky, w = (np.insert(a[keep], at, v) for a, v in (
-        (kz, [12] * 3), (ky, [4] * 3), (w, [1.0, e, e])))
-    assert kz[at + 1:].tolist().count(12) > 2  # z = 12 goes on past the cut
+        (kz, [18] * 3), (ky, [4] * 3), (w, [1.0, e, e])))
+    assert kz[at + 1:].tolist().count(18) > 2  # z key 18 goes on past the cut
     check_level2_cells(t2d, kz, ky, w, 13**3, at + 1)
 
 
@@ -888,9 +896,9 @@ F_ODD_EVEN = parse_poly("x1^3+x2^3+x3^3-x1*x2*x3+x1+2", N)
 
 @pytest.mark.parametrize("case", ["parity-free", "uneven-weight"])
 def test_full_path_matches_brute_force(monkeypatch, case):
-    """Without the mirror, level 1 and level 2 emit both halves, and every
-    table still reads the box; only the correlations, symmetric for every f
-    and weight, stay triangular."""
+    """Without the mirror, level 1 emits both halves, and every table still
+    reads the box; the correlations and the box-point join of level 2,
+    symmetric for every f and weight, stay triangular."""
     f = F_ODD_EVEN
     if case == "uneven-weight":  # a cubic form, but heavier at x_i > 0
         f, axis_values = F, Weight.axis_values
@@ -908,7 +916,7 @@ def test_full_path_matches_brute_force(monkeypatch, case):
     led = build_ledger(PipelineParams(f=f, B=4, pi=5, p=3, q=7, weight="hat",
                                       with_pair_table=True))
     # correlations, level 1, box-point pairs, pair table
-    assert triangular == [True, False, False, False]
+    assert triangular == [True, False, True, False]
     for name in ("t0_num", "ss3"):  # not mirror images: y and -y differ
         t = getattr(led, name)
         assert np.any(t != t[::-1]), name
@@ -928,10 +936,10 @@ HALF_CASES = {**{(c, w): dict(**kw, weight=w) for c, kw in CHUNK_CASES.items()
 @pytest.mark.parametrize("case", HALF_CASES, ids="-".join)
 def test_half_path_equals_full_path(default_ledgers, exact_level2_ledgers,
                                     monkeypatch, case):
-    """The mirrored tables equal the full path's: entry for entry for exact
-    weights; for smooth, bit for bit on the half the triangular passes
-    compute (y >= 0 at level 1, z >= 0 at level 2), and within rounding of
-    the full path's sums on the mirrored half."""
+    """The mirrored level-1 tables equal the full path's: entry for entry
+    for exact weights; for smooth, bit for bit on the half the triangular
+    pass computes, y >= 0, and within rounding of the full path's sums on
+    the mirrored half.  Level 2 does not depend on the level-1 path."""
     half = (exact_level2_ledgers["n4-hat-b3"] if case[0] == "n4-hat-b3"
             else default_ledgers[case])
     monkeypatch.setattr(pipeline, "_mirrors", lambda f, w1: False)
@@ -941,17 +949,14 @@ def test_half_path_equals_full_path(default_ledgers, exact_level2_ledgers,
             assert np.array_equal(getattr(half, name), getattr(full, name)), name
         assert half.aggregate == full.aggregate
         return
-    Ycells, Zcells = len(half.corr_num), (2 * half.pair_range + 1) ** N
-    up = slice(Ycells // 2, None)
+    up = slice(len(half.corr_num) // 2, None)
     assert np.array_equal(half.corr_num, full.corr_num)
     for name in ("t0_num", "t1_num", "ss2", "ss3", "sxy_num"):
         h, f = getattr(half, name), getattr(full, name)
         assert np.array_equal(h[up], f[up]), name
         assert np.allclose(h, f, rtol=1e-12, atol=0), name
-    assert np.array_equal(half.pair_keys, full.pair_keys)
-    kept = half.pair_keys % Zcells >= Zcells // 2
-    assert np.array_equal(half.pair_num[kept], full.pair_num[kept])
-    assert np.allclose(half.pair_num, full.pair_num, rtol=1e-12, atol=0)
+    for name in ("pair_keys", "pair_num", "qsum", "abs2_num"):
+        assert np.array_equal(getattr(half, name), getattr(full, name)), name
 
 
 def corr2_brute(params, cells):
