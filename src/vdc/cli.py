@@ -337,9 +337,9 @@ def dispatch(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     slug = _schema_slug(args)
-    budget = Budget(args.budget)
     t0 = time.monotonic()
     try:
+        budget = Budget(args.budget)
         params, result = _HANDLERS[slug](args, budget)
     except VdcError as err:
         _emit(render_json({

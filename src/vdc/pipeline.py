@@ -57,13 +57,14 @@ level 1 group by class mod pi.  Level 2 joins the box points once, by
 (class mod p, f mod q): its pairs (u, u + p z) carry the second shift z, and
 those with q | f(u) are the x-pairs (x, x + p z).  The pair table then joins
 the x-pairs with the box-point pairs by (z, class mod pi), which puts
-x + pi y = u.  Each pass supplies only a key and a weight per pair.  Exact
-sums do not depend on order; float sums do, so each is cut into fixed parts:
-the correlations per 32 consecutive classes mod pi, level 1 per class mod pi
-and block of LEVEL1_PART // |box class| q-solutions, level 2 per cell
-(y, z).  A part adds its pairs to zero in emission order and the parts are
-added in order, so float results do not depend on the chunk size, and one
-code path serves both domains.
+x + pi y = u.  Each pass supplies only a part, a key and a weight per pair,
+and one streaming fold (``_part_sums``) sums them per key.  Exact sums do
+not depend on order; float sums do, so each is cut into fixed parts: the
+correlations per 32 consecutive classes mod pi, level 1 per class mod pi,
+level 2 per second shift z, which its key (y, z) fixes, so a level-2 sum
+is one part.  A part adds its pairs to zero in emission order and the parts
+are added in order, so float results do not depend on the chunk size, and
+one code path serves both domains.
 
 The differencing is symmetric in the shifts, and the passes that can use it
 are triangular: a point pairs only with the points of its group at or after
@@ -105,8 +106,7 @@ from .geometry import VarietySpec, r_check, sing_points
 from .mpoly import IntPoly
 from .parallel import pairwise_sum
 
-PAIR_BLOCK = 1 << 18  # max pair rows materialized at once
-LEVEL1_PART = 1 << 21  # pair rows per level-1 float part, apart from PAIR_BLOCK
+PAIR_BLOCK = 1 << 18  # pair rows per chunk: the most a pass holds at once
 SMOOTH_RTOL = 1e-9
 LEVEL2_INT64_LIMIT = 1 << 62  # exact level-2 cell terms and per-y sums in int64
 
@@ -434,8 +434,8 @@ def _pair_join(left: np.ndarray, right: np.ndarray, own=None):
 
 def _fold(keys, w, dtype, parts=None):
     """Sums of w per key, or per (key, part), each adding its rows to zero
-    in arrival order.  Returns (keys, parts or None, sums), sorted by key
-    and, within a key, in arrival order."""
+    in arrival order.  Returns (keys, sums), sorted by key and, within a
+    key, in arrival order."""
     order = _stable_order(keys)
     ks = keys[order]
     new = np.ones(ks.size, dtype=bool)
@@ -443,62 +443,39 @@ def _fold(keys, w, dtype, parts=None):
     if parts is not None:
         parts = parts[order]
         new[1:] |= parts[1:] != parts[:-1]
-        parts = parts[new]
     inv = np.empty(ks.size, dtype=np.int64)
     inv[order] = np.cumsum(new) - 1
     sums = np.zeros(int(new.sum()), dtype=dtype)
     np.add.at(sums, inv, w)
-    return ks[new], parts, sums
+    return ks[new], sums
 
 
 def _part_sums(chunks, dtype):
     """Per-key sums of (part, key, weight) rows that arrive in chunks whose
-    part ids never decrease.
+    part ids are nonnegative and never decrease.
 
     Each (part, key) sum adds its rows to zero in arrival order, and each
     key's total adds its part sums to zero in part order, so float totals
-    depend on the parts, not on the chunking.  Rows are held until their
-    part is complete.  Returns (sorted keys, totals).
+    depend on the parts, not on the chunking.  Each chunk folds at once:
+    its rows before its last part, led by the open sums if their part is
+    now complete, fold by (key, part) into the finished sums; the rest fold
+    by key into the open sums, which lead the next chunk's fold.  Returns
+    (sorted keys, totals).
     """
-    done, held, cur = [], [], None
-
-    def fold_held():
-        ps, ks, ws = (np.concatenate(c) for c in zip(*held))
-        gk, _, sums = _fold(ks, ws, dtype, ps)
-        done.append((gk, sums))
-
+    done, op = [], -1  # the open sums' part
+    ok, osum = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
     for part, key, w in chunks:
-        if part[-1] != cur:  # the held rows' parts are complete
-            cut = int(np.searchsorted(part, part[-1]))
-            held.append((part[:cut], key[:cut], w[:cut]))
-            fold_held()
-            held, cur = [], part[-1]
-            part, key, w = part[cut:], key[cut:], w[cut:]
-        held.append((part, key, w))
-    if held:
-        fold_held()
-    keys = np.concatenate([np.zeros(0, dtype=np.int64)] + [k for k, _ in done])
-    sums = np.concatenate([np.zeros(0, dtype=dtype)] + [v for _, v in done])
-    keys, _, totals = _fold(keys, sums, dtype)
-    return keys, totals
-
-
-def _part_slabs(chunks, nparts: int, size: int, dtype):
-    """Dense per-part sums of (part, key, weight) rows that arrive in chunks
-    whose part ids never decrease: yields, for each part 0..nparts-1 in
-    order, the array whose entry k adds the part's key-k weights to zero in
-    arrival order."""
-    acc, cur = np.zeros(size, dtype=dtype), 0
-    for part, key, w in chunks:
-        cuts = (np.flatnonzero(part[1:] != part[:-1]) + 1).tolist()
-        for lo, hi in zip([0] + cuts, cuts + [part.size]):
-            while cur < part[lo]:
-                yield acc
-                acc, cur = np.zeros(size, dtype=dtype), cur + 1
-            np.add.at(acc, key[lo:hi], w[lo:hi])
-    for _ in range(cur, nparts):
-        yield acc
-        acc = np.zeros(size, dtype=dtype)
+        cut = int(np.searchsorted(part, part[-1]))  # [cut:] is the last part
+        if op != part[-1]:  # the open part is complete
+            done.append(_fold(np.concatenate([ok, key[:cut]]),
+                              np.concatenate([osum, w[:cut]]), dtype,
+                              np.concatenate([np.full(ok.size, op), part[:cut]])))
+            ok, osum, op = ok[:0], osum[:0], part[-1]
+        ok, osum = _fold(np.concatenate([ok, key[cut:]]),
+                         np.concatenate([osum, w[cut:]]), dtype)
+    done.append((ok, osum))
+    keys, sums = (np.concatenate(v) for v in zip(*done))
+    return _fold(keys, sums, dtype)
 
 
 def _sq_bincount(keys: np.ndarray, vals: np.ndarray, size: int):
@@ -572,12 +549,13 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     inner_num = np.zeros(pin, dtype=acc_dtype)
     np.add.at(inner_num, cls_pi[solpq], _acc(wnum[solpq]))
     S = D.frac(D.total(inner_num, zero_mask), den1) - K * zero_classes
+    inner = D.lift(inner_num)
+    inner_sq = D.total(inner * inner)  # sum_u inner(u)^2
     if D.exact:  # sum (inner - c)^2 from integer power sums, c = K den1
-        c, inner = K * den1, D.lift(inner_num)
-        Sigma = (D.total(inner * inner) - 2 * c * D.total(inner)
-                 + pin * c * c) / den1**2
+        c = K * den1
+        Sigma = (inner_sq - 2 * c * D.total(inner) + pin * c * c) / den1**2
     else:
-        Sigma = D.total((D.lift(inner_num) - K * den1) ** 2) / den1**2
+        Sigma = D.total((inner - K * den1) ** 2) / den1**2
     E0 = count_pq - pin * K
 
     # shift tables
@@ -614,29 +592,23 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     corr_part = cls_pi[a_pq] // 32
     lkey, rkey, wpq = Ycells // 2 - ycode[a_pq], ycode[a_pq], wnum[a_pq]
     congnum = np.zeros(Ycells, dtype=acc_dtype)
-    for part in _part_slabs(
+    keys, sums = _part_sums(
         ((corr_part[li], lkey[li] + rkey[ri], _acc(wpq[li] * wpq[ri]))
          for li, ri in corr_pairs),
-        -(-pin // 32), Ycells, acc_dtype,
-    ):
-        congnum += part
+        acc_dtype,
+    )
+    congnum[keys] = sums
     _mirror(congnum)
 
     # level 1: split each shift by classes v mod p and difference residue a
-    # mod q, under the key (y, v, a).  A float part is one class mod pi and
-    # one block of LEVEL1_PART // |box class| of its q-solutions.
+    # mod q, under the key (y, v, a).  A float part is one class mod pi.
     pn = p**n
     pnq = pn * q
     qcls = cls_pi[a_q]
-    srt = _stable_order(qcls)
-    rank = np.empty_like(srt)  # of each q-solution within its class
-    rank[srt] = np.arange(srt.size) - np.searchsorted(qcls[srt], qcls[srt])
-    blk = np.maximum(1, LEVEL1_PART // np.bincount(cls_pi, minlength=pin)[qcls])
-    lvl1_part = qcls * (a_q.size + 1) + rank // blk
     lkey = ((Ycells // 2 - ycode[a_q]) * pn + cls_p[a_q]) * q
     rkey, wq = ycode * pnq + fq_v, wnum[a_q]
     K3, V3 = _part_sums(
-        ((lvl1_part[li], lkey[li] + rkey[ri], _acc(wq[li] * wnum[ri]))
+        ((qcls[li], lkey[li] + rkey[ri], _acc(wq[li] * wnum[ri]))
          for li, ri in lvl1_pairs),
         acc_dtype,
     )
@@ -703,7 +675,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
         warnings=warnings,
         _inner_num=inner_num,
     )
-    ledger.residuals = _residuals(ledger)
+    ledger.residuals = _residuals(ledger, inner_sq)
 
     if params.with_pair_table:
         _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget)
@@ -719,8 +691,9 @@ def _check(D: _Domain, name: str, kind: str, value, scale=1.0) -> ResidualCheck:
     return ResidualCheck(name, ok, value, tol, kind)
 
 
-def _residuals(led: PipelineLedger) -> dict:
-    """The level-0 and per-shift identities, from the ledger's tables."""
+def _residuals(led: PipelineLedger, inner_sq) -> dict:
+    """The level-0 and per-shift identities, from the ledger's tables and
+    inner_sq = sum_u inner(u)^2 (den1^2 scale)."""
     D, pr, n = led._dom, led.params, led.n
     pin, pn, q = pr.pi**n, pr.p**n, pr.q
     K, S, Sigma = led.expected_per_class, led.first_moment, led.second_moment
@@ -735,10 +708,9 @@ def _residuals(led: PipelineLedger) -> dict:
         led.count_full)
 
     # square_expansion: sum_u inner^2 = sum_y congnum
-    inner = D.lift(led._inner_num)
-    lhs, cong_total = D.total(inner * inner), D.total(congnum)
-    put("square_expansion", "identity", lhs - cong_total,
-        max(abs(lhs), abs(cong_total)))
+    cong_total = D.total(congnum)
+    put("square_expansion", "identity", inner_sq - cong_total,
+        max(abs(inner_sq), abs(cong_total)))
 
     # variance_assembly: the corr-sum and the (pq)^-2 FS-sum recombine into
     # the plain congruence sum, so the check reads
@@ -886,13 +858,13 @@ def _level2_cells(rows, t2d, n, q3, D2, dtype):
     """Filled cells (sorted flat keys, congruence parts), qsum and abs2_num
     of level 2, summing only those cells.
 
-    The rows arrive in z order, in chunks, and fold by cell (y, z) into the
-    congruence parts c(y, z).  The cells of a chunk's last z stay open and
-    lead the next chunk's fold, so every cell adds its rows to zero in
-    arrival order, whatever the chunk size.  The rows cover z >= 0 only (a
-    triangular box-point join), and every cell (y, z) with z > 0 is copied
-    to (y, -z), whose flat key is ky Zcells + Zcells - 1 - kz, before the
-    sort; the z = 0 cells come full and are not copied.
+    The rows (kz, ky, w) arrive in z order, in chunks, and ``_part_sums``
+    folds them by cell (y, z), with z as the part, into the congruence
+    parts c(y, z): each cell adds its rows to zero in arrival order,
+    whatever the chunk size.  The rows cover z >= 0 only (a triangular
+    box-point join), and every cell (y, z) with z > 0 is copied to (y, -z),
+    whose flat key is ky Zcells + Zcells - 1 - kz, before the sort; the
+    z = 0 cells come full and are not copied.
     FS2(y, z) = prod_i T(pi y_i, p z_i) is never negative, so an empty cell
     adds exactly FS2 to sum_z |q^3 c - FS2|, and that sum is prod_i R(y_i)
     + sum over filled cells of (|q^3 c - FS2| - FS2), with R(y_i) =
@@ -900,16 +872,8 @@ def _level2_cells(rows, t2d, n, q3, D2, dtype):
     """
     sideY, sideZ = t2d.shape
     Ycells, Zcells = sideY**n, sideZ**n
-    done, open_k, open_c = [], np.zeros(0, np.int64), np.zeros(0, dtype)
-    for kz, ky, w in rows:
-        keys, _, c = _fold(np.concatenate([open_k, ky * Zcells + kz]),
-                           np.concatenate([open_c, w]), dtype)
-        last = keys % Zcells == kz[-1]
-        done.append((keys[~last], c[~last]))
-        open_k, open_c = keys[last], c[last]
-    done.append((open_k, open_c))
-    keys, c = (np.concatenate(v) for v in zip(*done))  # each cell once
-    del done
+    keys, c = _part_sums(((kz, ky * Zcells + kz, w) for kz, ky, w in rows),
+                         dtype)
     ky, kz = np.divmod(keys, Zcells)
     up = kz > Zcells // 2
     keys = np.concatenate([keys, ky[up] * Zcells + Zcells - 1 - kz[up]])

@@ -283,10 +283,16 @@ def test_pipeline_q_past_int64_products(capsys):
       "--p", "5", "--q", "2305843009213693951"], "precondition"),
     (["pipeline", "--poly", CUBIC3, "--n", "3", "--B", "4", "--pi", "3",
       "--p", "101", "--q", "103", "--budget", "200000"], "budget"),
-], ids=["modulus-past-2^63", "level1-key-packing", "zero-grid-mod-p"])
+    (["pipeline", "--poly", CUBIC3, "--n", "3", "--B", "4", "--pi", "3",
+      "--p", "5", "--q", "7", "--budget", "0"], "input"),
+    (["pipeline", "--poly", CUBIC3, "--n", "3", "--B", "4", "--pi", "3",
+      "--p", "5", "--q", "7", "--budget", "-5"], "input"),
+], ids=["modulus-past-2^63", "level1-key-packing", "zero-grid-mod-p",
+        "budget-0", "budget-negative"])
 def test_oversized_moduli_and_grids_refuse(argv, error, capsys):
     code, doc = run_cli(argv, capsys=capsys)
     assert code == 2
+    assert doc["schema"] == "vdc/error/v1"
     assert doc["error"]["code"] == error
 
 

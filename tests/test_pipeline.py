@@ -246,12 +246,14 @@ def test_exact_ledger_keeps_level2_exact():
 def test_residual_checks_can_fail(weight):
     led_w = build_ledger(PipelineParams(f=F, B=3, pi=2, p=3, q=5,
                                         weight=weight))
-    assert _residuals(led_w)["per_shift_defect"].ok
+    inner = led_w._dom.lift(led_w._inner_num)
+    inner_sq = led_w._dom.total(inner * inner)
+    assert _residuals(led_w, inner_sq)["per_shift_defect"].ok
     sxy = led_w.sxy_num.copy()
     k = int(np.argmax(np.abs(sxy)))
     # one unit of the exact numerator scale; a 1e-6 relative error in float
     sxy[k] = sxy[k] + 1 if led_w.exact else sxy[k] * (1 + 1e-6)
-    bad = _residuals(dataclasses.replace(led_w, sxy_num=sxy))
+    bad = _residuals(dataclasses.replace(led_w, sxy_num=sxy), inner_sq)
     assert not bad["per_shift_defect"].ok
 
 
@@ -747,6 +749,67 @@ def test_level2_cells_carry_a_split_z():
         (kz, [18] * 3), (ky, [4] * 3), (w, [1.0, e, e])))
     assert kz[at + 1:].tolist().count(18) > 2  # z key 18 goes on past the cut
     check_level2_cells(t2d, kz, ky, w, 13**3, at + 1)
+
+
+def part_sums_oracle(part, key, w):
+    """Sequential per-key totals: each (part, key) adds its rows to zero in
+    arrival order, then each key adds its part sums in part order."""
+    cells = {}
+    for p, k, v in zip(part.tolist(), key.tolist(), w.tolist()):
+        cells[p, k] = cells.get((p, k), 0) + v
+    totals = {}
+    for p, k in sorted(cells):
+        totals[k] = totals.get(k, 0) + cells[p, k]
+    return sorted(totals), [totals[k] for k in sorted(totals)]
+
+
+def part_sums_rows(dtype):
+    """Rows in 6 parts; part 2 holds 24 rows.  Four keys get 1.0 and then
+    e, e, with e under half an ulp of 1.0, so only the right order gives
+    each total: key 3 as part 1's last row and part 2's first rows (1.0 +
+    (e + e) = 1 + 2^-52; a fold that runs parts 1 and 2 together gives
+    1.0), key 6 likewise in parts 4 and 5, the last, key 5 inside part 2
+    (1.0 in arrival order; with the open sum added last, 1 + 2^-52), key 2
+    in parts 0, 3 and 4 (1.0 in part order; in reverse, 1 + 2^-52)."""
+    rng = np.random.default_rng(11)
+    part = np.repeat(np.arange(6), [5, 6, 24, 1, 7, 9])
+    key = rng.choice([0, 1, 4], part.size)
+    e = 3 * 2.0**-55
+    if dtype is np.float64:
+        w = np.where(rng.random(part.size) < 0.5, e, 1.0 + rng.random(part.size))
+    elif dtype is np.int64:
+        w = rng.integers(-2**40, 2**40, part.size)
+    else:
+        w = np.array([3**45 * int(v) for v in rng.integers(-99, 99, part.size)],
+                     dtype=object)
+    for k, rows in ((3, [10, 11, 12]), (6, [41, 47, 50]), (5, [15, 21, 22]),
+                    (2, [0, 35, 36])):
+        key[rows] = k
+        if dtype is np.float64:
+            w[rows] = [1.0, e, e]
+    return part, key, w.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
+@pytest.mark.parametrize("cuts", [
+    [13, 20, 27],  # part 2 (rows 11..34) runs across four chunks
+    [11, 35, 36],  # each chunk ends where a part ends
+    [3, 11, 40, 41],  # a chunk of parts 0-1, one of parts 2-4, more of 4
+    list(range(1, 52)),  # one row per chunk
+], ids=["part-spans-chunks", "chunk-ends-at-part", "parts-in-a-chunk",
+        "one-row-chunks"])
+def test_part_sums_matches_sequential_oracle(dtype, cuts):
+    part, key, w = part_sums_rows(dtype)
+    bounds = [0] + cuts + [part.size]
+    chunks = [(part[a:b], key[a:b], w[a:b]) for a, b in zip(bounds, bounds[1:])]
+    keys, totals = pipeline._part_sums(iter(chunks), w.dtype)
+    want_keys, want = part_sums_oracle(part, key, w)
+    assert keys.dtype == np.int64 and totals.dtype == w.dtype
+    assert keys.tolist() == want_keys
+    assert totals.tolist() == want
+    if dtype is np.float64:  # the planted keys
+        assert [want[want_keys.index(k)] for k in (3, 6, 5, 2)] == [
+            1 + 2.0**-52, 1 + 2.0**-52, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("weight", ["hat", "smooth"])
