@@ -37,7 +37,11 @@ Method notes:
 * transforms use composite Simpson on [-2, 2] with a frequency-scaled
   panel count, accepted only when two successive refinements agree and
   reported after Richardson extrapolation; disagreement after two
-  refinement levels is an error, never a silent value.
+  refinement levels is an error, never a silent value.  The levels nest
+  (4096 * 2^j panels): a table keeps w1 (counting.smooth_profile) on the
+  finest grid it has reached and views coarser levels in it; w1, cos and
+  sin run on t >= 0 and are mirrored, cos and sin once per frequency, at
+  its second level; the budget is still charged per level.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import Weight
+from .counting import Weight, smooth_profile
 from .errors import Budget, InputError, PreconditionError, ensure_budget
 
 DERIV_GRID_STEP = Fraction(1, 256)
@@ -67,16 +71,6 @@ def _smooth_weight(phi) -> Weight:
             "derivative-bound probes need the smooth weight", kind=w.kind
         )
     return w
-
-
-def _profile(t: np.ndarray) -> np.ndarray:
-    """The 1-d smooth profile exp(-1/(1-(t/2)^2)) on (-2, 2), vectorized."""
-    u = np.asarray(t, dtype=np.float64) / 2.0
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
 
 
 # -- derivative bounds ---------------------------------------------------------
@@ -98,11 +92,8 @@ def derivative_bounds(orders: int) -> list[float]:
             f"{MAX_DERIV_ORDER}", orders=orders,
         )
     h = float(DERIV_GRID_STEP)
-    half = h / 2.0
-    # samples at m * h/2 covering [-2, 2] plus stencil margin
-    margin = orders  # offsets reach +-(orders) half-steps
-    m = np.arange(-1024 - margin, 1025 + margin)
-    g = _profile(m * half)
+    # samples at m * h/2 covering [-2, 2], plus the stencil's +-orders
+    g = smooth_profile(1024 + orders, 512)
     bounds = []
     for j in range(orders + 1):
         if j == 0:
@@ -186,14 +177,16 @@ def poisson_probe(
 
     H = w.halfwidth(B)
     budget.charge(n * (2 * H + 1) + (k + 1) * (2048 + 2 * k), "probe grids")
-    mvals = np.arange(-H, H + 1, dtype=np.int64)
-    vals = _profile(mvals / float(B))
+    vals = w.axis_values(B)[0]
     s1_axis = float(np.sum(vals))
     # inner sum over y for fixed x runs over the class x mod a: accumulate
-    # each class once (identical to the direct double sum, linear cost)
-    residues = np.mod(mvals, a)
+    # each class once (identical to the direct double sum, linear cost);
+    # the residues of -H..H repeat those of -H..-H+a-1
+    pattern = np.arange(-H, -H + a, dtype=np.int64) % a
+    reps = -(-vals.size // a)
+    residues = np.tile(pattern, reps)[:vals.size]
     class_sums = np.bincount(residues, weights=vals, minlength=a)
-    lhs_axis = float(np.sum(vals * class_sums[residues]))
+    lhs_axis = float(np.sum(vals * np.tile(class_sums[pattern], reps)[:vals.size]))
 
     lhs = lhs_axis**n
     main = float(a) ** (-n) * s1_axis ** (2 * n)
@@ -237,13 +230,32 @@ class FourierDecayReport:
     warnings: list = dc_field(default_factory=list)
 
 
-def _simpson(fvals: np.ndarray, h: float) -> float:
-    acc = fvals[0] + fvals[-1] + 4.0 * np.sum(fvals[1:-1:2]) \
-        + 2.0 * np.sum(fvals[2:-1:2])
-    return float(acc * h / 3.0)
+def _factors(xi: float, N: int, grid: list) -> tuple:
+    """(w1, cos, sin) of 2 pi xi t on the N-panel grid, a view of `grid`'s
+    (nodes, w1) at the finest N so far.  cos and sin run on t >= 0, mirrored:
+    angle(-t) = -angle(t) exactly, and libm's cos is even and sin odd."""
+    if not grid or grid[0].size <= N:
+        grid[:] = np.linspace(-2.0, 2.0, N + 1), smooth_profile(N // 2, N // 4)
+    step, h = (grid[0].size - 1) // N, N // 2
+    t, f = grid[0][::step], grid[1][::step]
+    ang = 2.0 * math.pi * xi * t[h:]
+    c, s = np.empty(N + 1), np.empty(N + 1)
+    np.cos(ang, out=c[h:])
+    np.sin(ang, out=s[h:])
+    c[:h], s[:h] = c[:h:-1], -s[:h:-1]
+    return f, c, s
 
 
-def _transform_at(xi: float, budget: Budget) -> tuple[float, float, int]:
+def _simpson(factors: tuple, step: int) -> tuple[float, float]:
+    """Composite Simpson sums of w1*cos and w1*sin over every step-th node."""
+    f, c, s = (v[::step] for v in factors)
+    h = 4.0 / (f.size - 1)
+    acc = [g[0] + g[-1] + 4.0 * np.sum(g[1:-1:2]) + 2.0 * np.sum(g[2:-1:2])
+           for g in (f * c, f * s)]
+    return float(acc[0] * h / 3.0), float(acc[1] * h / 3.0)
+
+
+def _transform_at(xi: float, budget: Budget, grid: list) -> tuple[float, float, int]:
     """(real part, imaginary part, panels) of the profile transform at xi.
 
     Composite Simpson on [-2, 2], panel count scaled with the frequency,
@@ -252,19 +264,16 @@ def _transform_at(xi: float, budget: Budget) -> tuple[float, float, int]:
     """
     scale = max(1.0, abs(xi) / 16.0)
     panels = QUAD_BASE_PANELS * (1 << max(0, math.ceil(math.log2(scale))))
-
-    def level(N: int) -> tuple[float, float]:
-        budget.charge(N + 1, "quadrature points")
-        t = np.linspace(-2.0, 2.0, N + 1)
-        f = _profile(t)
-        ang = 2.0 * math.pi * xi * t
-        h = 4.0 / N
-        return _simpson(f * np.cos(ang), h), _simpson(f * np.sin(ang), h)
-
-    prev = level(panels)
+    budget.charge(panels + 1, "quadrature points")
+    budget.charge(2 * panels + 1, "quadrature points")
+    factors = _factors(xi, 2 * panels, grid)
+    prev = _simpson(factors, 2)
     for attempt in range(2):
         panels *= 2
-        cur = level(panels)
+        if attempt:
+            budget.charge(panels + 1, "quadrature points")
+            factors = _factors(xi, panels, grid)
+        cur = _simpson(factors, 1)
         rich_re = (16.0 * cur[0] - prev[0]) / 15.0
         rich_im = (16.0 * cur[1] - prev[1]) / 15.0
         tol = max(QUAD_ATOL, QUAD_RTOL * abs(cur[0]))
@@ -309,8 +318,9 @@ def fourier_decay_probe(
 
     rows = []
     max_imag = 0.0
+    nodes: list = []  # the finest (nodes, w1) grid so far, see _factors
     for xi in grid:
-        re, im, panels = _transform_at(xi, budget)
+        re, im, panels = _transform_at(xi, budget, nodes)
         mag = math.hypot(re, im)
         rows.append(FourierRow(
             xi=xi, magnitude=mag, product=mag * abs(xi) ** k,
@@ -318,7 +328,7 @@ def fourier_decay_probe(
         ))
         max_imag = max(max_imag, abs(im))
 
-    l1, l1_im, _ = _transform_at(0.0, budget)
+    l1, l1_im, _ = _transform_at(0.0, budget, nodes)
     warnings = []
     if max_imag > 1e-10:
         warnings.append(

@@ -46,6 +46,18 @@ from .parallel import pairwise_sum
 WEIGHT_KINDS = ("indicator", "hat", "smooth", "zero")
 
 
+def smooth_profile(K: int, D: int) -> np.ndarray:
+    """The smooth w1(k/D) for k = -K..K, 0 where 1 - (k/2D)^2 <= 0.  exp runs
+    on k >= 0 only; the mirror image is exact, as u*u ignores u's sign."""
+    u = np.arange(K + 1, dtype=np.float64) / (2.0 * D)
+    np.subtract(1.0, u * u, out=u)  # in place: fresh arrays cost page faults
+    out = np.empty(2 * K + 1)
+    with np.errstate(divide="ignore"):
+        np.exp(np.divide(-1.0, np.maximum(u, 0.0, out=u), out=u), out=out[K:])
+    out[:K] = out[:K:-1]
+    return out
+
+
 class Weight:
     """A separable box weight; see the module docstring for the kinds."""
 
@@ -74,15 +86,13 @@ class Weight:
         denominator for exact kinds, (float64 array, None) for smooth.
         """
         H = self.halfwidth(B)
-        m = np.arange(-H, H + 1, dtype=np.int64)
         if self.kind == "zero":
             return np.zeros(0, dtype=np.int64), 1
         if self.kind == "indicator":
-            return np.ones(m.size, dtype=np.int64), 1
-        if self.kind == "hat":
-            return 2 * B - np.abs(m), 2 * B
-        u = m.astype(np.float64) / (2.0 * B)
-        return np.exp(-1.0 / (1.0 - u * u)), None
+            return np.ones(2 * H + 1, dtype=np.int64), 1
+        if self.kind == "smooth":
+            return smooth_profile(H, B), None
+        return 2 * B - np.abs(np.arange(-H, H + 1, dtype=np.int64)), 2 * B
 
     def value_1d_exact(self, t: Fraction) -> Fraction:
         if self.kind == "zero":

@@ -187,6 +187,27 @@ def test_geometry_showcase_golden(argv, golden, capsys):
     assert doc["result"] == json.loads(path.read_text())
 
 
+POISSON_GOLDENS = [
+    (["poisson", "--B", "64", "--a", "4", "--k", "2", "--decay-grid", "1,2,4"],
+     "poisson_readme_result.json"),
+    (["poisson", "--n", "2", "--B", "1000", "--a", "7", "--k", "3",
+      "--decay-grid", "1,3,5,17,33,100,1000"], "poisson_n2_result.json"),
+]
+
+
+@pytest.mark.parametrize("argv,golden", POISSON_GOLDENS,
+                         ids=[g for _, g in POISSON_GOLDENS])
+def test_poisson_golden(argv, golden, capsys):
+    """The whole result of the README poisson command and of an n = 2 run
+    with an odd B and frequencies that are not powers of two is pinned.
+    Its floats come from exp, cos and sin, so the goldens hold for the
+    libm they were recorded with."""
+    code, doc = run_cli(argv, capsys=capsys)
+    assert code == 0
+    path = Path(__file__).parent / "golden" / golden
+    assert doc["result"] == json.loads(path.read_text())
+
+
 def test_geom_sing_smooth_quartic(capsys):
     code, doc = run_cli(
         ["geom", "sing", "--form", "x1^4+x2^4+x3^4+x4^4+x5^4",

@@ -15,6 +15,7 @@ from vdc.counting import (
     count_box_mod,
     eval_on_axes,
     hooley_deligne_probe,
+    smooth_profile,
     trivial_bound_probe,
     weighted_count,
 )
@@ -171,6 +172,51 @@ def test_smooth_weighted_count_is_float_and_positive():
     res = weighted_count([f], 3, 5, "smooth")
     assert isinstance(res.value, float) and res.value > 0
     assert not res.exact
+
+
+def _smooth_1d(t):
+    u = t / 2.0
+    return math.exp(-1.0 / (1.0 - u * u)) if abs(u) < 1 else 0.0
+
+
+@pytest.mark.parametrize("poly,n,B,m", [("x1^2+x2^2", 2, 3, 5),
+                                        ("x1^4+x2^4-2*x3^4+x1*x2", 3, 3, 7)])
+def test_smooth_weighted_count_matches_scalar_oracle(poly, n, B, m):
+    f = parse_poly(poly, n)
+    H = 2 * B - 1
+    terms = [math.prod(_smooth_1d(c / B) for c in x)
+             for x in itertools.product(range(-H, H + 1), repeat=n)
+             if f.eval(list(x)) % m == 0]
+    ref = math.fsum(terms)
+    res = weighted_count([f], B, m, "smooth")
+    assert len(terms) > 1
+    assert abs(res.value - ref) <= 1e-12 * ref
+
+
+def test_smooth_axis_values_match_masked_formula_bit_for_bit():
+    """The mirrored profile equals the masked exp(-1/(1-(t/2)^2)) at t = m/B
+    and the unmasked form at u = m/2B, in every bit."""
+    for B in list(range(1, 201)) + [2**20]:
+        vals, den = Weight("smooth").axis_values(B)
+        H = 2 * B - 1
+        m = np.arange(-H, H + 1, dtype=np.int64)
+        u = (m / float(B)) / 2.0
+        masked = np.zeros_like(u)
+        inside = np.abs(u) < 1.0
+        masked[inside] = np.exp(-1.0 / (1.0 - u[inside] * u[inside]))
+        w = m.astype(np.float64) / (2.0 * B)
+        unmasked = np.exp(-1.0 / (1.0 - w * w))
+        assert den is None
+        assert vals.tobytes() == masked.tobytes() == unmasked.tobytes(), B
+
+
+def test_smooth_profile_vanishes_off_support():
+    # w1(k/D) on a grid reaching past t = +-2: exactly 0 at and beyond the
+    # ends, the scalar profile inside
+    vals = smooth_profile(13, 4)
+    ref = [_smooth_1d(k / 4) for k in range(-13, 14)]
+    assert list(vals) == pytest.approx(ref, rel=1e-15, abs=0)
+    assert not vals[:6].any() and not vals[-6:].any()
 
 
 def test_zero_weight_empty_support():
