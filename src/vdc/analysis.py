@@ -110,21 +110,11 @@ def derivative_bounds(orders: int) -> list[float]:
 
 
 def _partial_bound(bounds: list[float], n: int, k: int) -> float:
-    """Max over multi-indices of total order k of prod_i |w1^(a_i)|_sup."""
+    """Max over multi-indices of total order k of prod_i |w1^(a_i)|_sup,
+    for n = 1 or 2 (poisson_probe refuses larger n)."""
     if n == 1:
         return bounds[k]
-    best = 0.0
-    # n is small (<= 2 in practice); enumerate compositions recursively
-    def rec(rem_coords: int, rem_order: int, acc: float) -> None:
-        nonlocal best
-        if rem_coords == 1:
-            best = max(best, acc * bounds[rem_order])
-            return
-        for j in range(rem_order + 1):
-            rec(rem_coords - 1, rem_order - j, acc * bounds[j])
-
-    rec(n, k, 1.0)
-    return best
+    return max(bounds[j] * bounds[k - j] for j in range(k + 1))
 
 
 # -- progression-averaged double sum -------------------------------------------
@@ -277,12 +267,13 @@ def _transform_at(xi: float, budget: Budget, grid: list) -> tuple[float, float, 
         rich_re = (16.0 * cur[0] - prev[0]) / 15.0
         rich_im = (16.0 * cur[1] - prev[1]) / 15.0
         tol = max(QUAD_ATOL, QUAD_RTOL * abs(cur[0]))
-        if abs(cur[0] - prev[0]) <= tol and abs(cur[1] - prev[1]) <= tol:
+        delta = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
+        if delta <= tol:
             return rich_re, -rich_im, panels
         prev = cur
     raise PreconditionError(
         "quadrature did not converge after two refinement levels",
-        xi=xi, last_delta=abs(cur[0] - prev[0]),
+        xi=xi, last_delta=delta,
     )
 
 

@@ -33,8 +33,6 @@ from .ffield import primes_in_interval
 from .geometry import RCheckPolicy, r_check
 from .mpoly import IntPoly
 
-_OK_VERDICTS = frozenset({"certified", "holds_empirically"})
-
 
 def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)

@@ -17,12 +17,18 @@ Weights are separable, W(t) = prod_i w1(t_i), with three kinds:
 * "smooth": w1(t) = exp(-1/(1-(t/2)^2)) for |t| < 2, the standard C^infty
   bump (w1(0) = 1/e); evaluated in float64.
 
-plus a "zero" weight (empty support) used in tests.  Integer support of
-hat and smooth is |x_i| <= 2B-1.
+Integer support of hat and smooth is |x_i| <= 2B-1.
 
-All enumeration is charged against a Budget before any allocation, and the
-grid order is fixed (x1 varies fastest) so float reductions are
-reproducible.
+Every weighted box sum, here and in the pipeline ledger, is formed by the
+rule of this module.  The weight of a point is the separable product
+``_sep_product``, w(x_n) (... (w(x_2) w(x_1))), over the box in the order
+where x1 varies fastest.  Its sum is taken in a numeric domain
+(``_Domain``): exact kinds sum integer numerators, in int64 only under a
+checked bound and in Python ints beyond it; the smooth kind sums float64 by
+``pairwise_sum``, whose reduction tree depends only on the array length,
+so float results are reproducible bit for bit.
+
+All enumeration is charged against a Budget before any allocation.
 
 Grids are evaluated by `eval_on_axes`, which only shapes the box axes for
 broadcasting; the arithmetic is the one evaluator in `ffield`.  Moduli are
@@ -41,9 +47,9 @@ from .errors import Budget, InputError, PreconditionError, ensure_budget
 from .ffield import Field, _eval_terms, reduce_mod
 from .geometry import VarietySpec, affine_count, dim_est_affine, sing_points
 from .mpoly import IntPoly
-from .parallel import pairwise_sum
 
-WEIGHT_KINDS = ("indicator", "hat", "smooth", "zero")
+WEIGHT_KINDS = ("indicator", "hat", "smooth")
+SMOOTH_RTOL = 1e-9
 
 
 def smooth_profile(K: int, D: int) -> np.ndarray:
@@ -69,15 +75,11 @@ class Weight:
     @property
     def exact(self) -> bool:
         """Whether weighted sums are exact rationals."""
-        return self.kind in ("indicator", "hat", "zero")
+        return self.kind != "smooth"
 
     def halfwidth(self, B: int) -> int:
-        """Largest |x_i| with (possibly) nonzero weight; -1 if empty."""
-        if self.kind == "zero":
-            return -1
-        if self.kind == "indicator":
-            return B
-        return 2 * B - 1
+        """Largest |x_i| with (possibly) nonzero weight."""
+        return B if self.kind == "indicator" else 2 * B - 1
 
     def axis_values(self, B: int):
         """Per-coordinate weights over offsets -H..H.
@@ -86,8 +88,6 @@ class Weight:
         denominator for exact kinds, (float64 array, None) for smooth.
         """
         H = self.halfwidth(B)
-        if self.kind == "zero":
-            return np.zeros(0, dtype=np.int64), 1
         if self.kind == "indicator":
             return np.ones(2 * H + 1, dtype=np.int64), 1
         if self.kind == "smooth":
@@ -95,13 +95,81 @@ class Weight:
         return 2 * B - np.abs(np.arange(-H, H + 1, dtype=np.int64)), 2 * B
 
     def value_1d_exact(self, t: Fraction) -> Fraction:
-        if self.kind == "zero":
-            return Fraction(0)
         if self.kind == "indicator":
             return Fraction(1) if abs(t) <= 1 else Fraction(0)
         if self.kind == "hat":
             return max(Fraction(0), 1 - abs(t) / 2)
         raise PreconditionError("smooth weight is not exact")
+
+
+# -- weighted box sums ----------------------------------------------------------
+
+
+def pairwise_sum(arr) -> float:
+    """Sum a float array by repeated adjacent pairing.
+
+    The reduction tree depends only on the array length, so the result is
+    reproducible bit-for-bit across runs (unlike np.sum, whose pairing
+    blocks may change with internal striding).
+    """
+    x = np.asarray(arr, dtype=np.float64).ravel()
+    while x.size > 1:
+        m = x.size // 2
+        paired = x[: 2 * m : 2] + x[1 : 2 * m : 2]
+        if x.size % 2:
+            paired = np.concatenate([paired, x[-1:]])
+        x = paired
+    return float(x[0]) if x.size else 0.0
+
+
+def _sep_product(arrs: list[np.ndarray]) -> np.ndarray:
+    """Flattened outer product with the first array's index fastest."""
+    out = arrs[0]
+    for a in arrs[1:]:
+        out = (a[:, None] * out[None, :]).ravel()
+    return out
+
+
+class _Domain:
+    """The numbers a weighted sum is computed in.
+
+    Both domains keep numerators over powers of den1 (the single-weight
+    denominator) and apply a denominator only when a value is read, so
+    every table has one meaning in both.  Exact: integer numerators,
+    Fractions once read, tolerance 0.  Float: float64 numerators (den1 = 1),
+    pairwise totals, tolerance SMOOTH_RTOL * max(1, |scale|).
+    """
+
+    def __init__(self, exact: bool, den1: int = 1):
+        self.exact = exact
+        self.den1 = den1
+
+    def frac(self, num, den):
+        """The scalar num / den."""
+        return Fraction(int(num), den) if self.exact else float(num) / den
+
+    def lift(self, arr: np.ndarray) -> np.ndarray:
+        """arr in a dtype whose products and sums cannot overflow."""
+        return arr.astype(object) if self.exact else np.asarray(arr, np.float64)
+
+    def total(self, vals: np.ndarray, mask: np.ndarray | None = None):
+        """Sum of vals (where mask holds); exact sums use int64 only under a
+        checked bound."""
+        if not self.exact:
+            return pairwise_sum(vals if mask is None else np.where(mask, vals, 0.0))
+        vals = vals if mask is None else vals[mask]
+        if vals.dtype == np.int64 and vals.size and (
+            int(np.abs(vals).max()) * vals.size < 2**63
+        ):
+            return int(vals.sum())
+        return sum(vals.tolist())
+
+    def fits(self, bound) -> bool:
+        """Whether sums up to bound may accumulate in int64 (float: always)."""
+        return not self.exact or bound < 2**62
+
+    def tol(self, scale) -> float:
+        return 0.0 if self.exact else SMOOTH_RTOL * max(1.0, abs(float(scale)))
 
 
 # -- grid evaluation ----------------------------------------------------------
@@ -126,13 +194,19 @@ def eval_on_axes(
     return _eval_terms(f.terms, cols, shape, m).ravel()
 
 
-def _box_axes(n: int, H: int) -> list[np.ndarray]:
-    ax = np.arange(-H, H + 1, dtype=np.int64)
-    return [ax] * n
-
-
-def _charge_box(budget: Budget, n: int, H: int) -> None:
+def _box_mask(fs: list[IntPoly], H: int, m: int | None, budget: Budget) -> np.ndarray:
+    """Flat mask over the box |x_i| <= H (x1 fastest) of the points where
+    every polynomial is divisible by m (zero when m is None).  Polynomials
+    of mixed arity are refused before the box is charged."""
+    n = fs[0].n
+    if any(f.n != n for f in fs):
+        raise InputError("mixed variable counts")
     budget.charge((2 * H + 1) ** n, "box points")
+    axes = [np.arange(-H, H + 1, dtype=np.int64)] * n
+    mask = np.ones((2 * H + 1) ** n, dtype=bool)
+    for f in fs:
+        mask &= eval_on_axes(f, axes, m) == 0
+    return mask
 
 
 def _as_poly_list(fs) -> list[IntPoly]:
@@ -172,15 +246,7 @@ def count_box_mod(fs, B: int, m: int | None, budget: Budget | None = None) -> in
         raise InputError("B must be >= 0", B=B)
     if not fs:
         raise InputError("need at least one polynomial")
-    n = fs[0].n
-    budget = ensure_budget(budget)
-    _charge_box(budget, n, B)
-    mask = np.ones((2 * B + 1) ** n, dtype=bool)
-    for f in fs:
-        if f.n != n:
-            raise InputError("mixed variable counts")
-        mask &= eval_on_axes(f, _box_axes(n, B), m) == 0
-    return int(np.count_nonzero(mask))
+    return int(np.count_nonzero(_box_mask(fs, B, m, ensure_budget(budget))))
 
 
 def weighted_count(
@@ -203,40 +269,18 @@ def weighted_count(
         weight = Weight(weight)
     if B < 1:
         raise InputError("B must be >= 1", B=B)
-    n = fs[0].n if fs else None
-    if n is None:
+    if not fs:
         raise InputError("cannot infer dimension from an empty list; pass a "
                          "zero polynomial of the right arity")
-    for f in fs:
-        if f.n != n:
-            raise InputError("mixed variable counts")
-    H = weight.halfwidth(B)
-    if H < 0:
-        return CountResult(Fraction(0), n, B, m, weight.kind, 0, True)
-    budget = ensure_budget(budget)
-    _charge_box(budget, n, H)
-    npts = (2 * H + 1) ** n
-    mask = np.ones(npts, dtype=bool)
-    for f in fs:
-        mask &= eval_on_axes(f, _box_axes(n, H), m) == 0
+    n = fs[0].n
+    mask = _box_mask(fs, weight.halfwidth(B), m, ensure_budget(budget))
     vals, den = weight.axis_values(B)
-    if weight.exact:
-        # all axes share the same value vector, so the outer-product order
-        # does not matter; lift to objects if the per-point product could
-        # overflow int64
-        if den**n >= 2**62:
-            vals = vals.astype(object)
-        w = np.ones(1, dtype=vals.dtype)
-        for _ in range(n):
-            w = (w[:, None] * vals[None, :]).ravel()
-        num = int(np.sum(w[mask], dtype=object))
-        value = Fraction(num, den**n)
-        return CountResult(value, n, B, m, weight.kind, npts, True)
-    w = np.ones(1, dtype=np.float64)
-    for _ in range(n):
-        w = (w[:, None] * vals[None, :]).ravel()
-    value = pairwise_sum(np.where(mask, w, 0.0))
-    return CountResult(value, n, B, m, weight.kind, npts, False)
+    den = den or 1
+    if den**n >= 2**62:  # a point's weight could overflow int64
+        vals = vals.astype(object)
+    D = _Domain(weight.exact)
+    value = D.frac(D.total(_sep_product([vals] * n), mask), den**n)
+    return CountResult(value, n, B, m, weight.kind, mask.size, D.exact)
 
 
 # -- finite-field probes ------------------------------------------------------

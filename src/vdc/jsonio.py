@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import Weight
 from .ffield import Field, FqPoly
 from .mpoly import IntPoly, format_poly
 
@@ -53,8 +52,6 @@ def to_jsonable(obj):
                 "terms": [[list(e), int(c)] for e, c in sorted(obj.terms.items())]}
     if isinstance(obj, Field):
         return obj.literal()
-    if isinstance(obj, Weight):
-        return obj.kind
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name))

@@ -273,20 +273,14 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-def parse_poly(
-    text: str,
-    n: int,
-    *,
-    max_degree: int = MAX_DEGREE,
-    max_nvars: int = MAX_NVARS,
-) -> IntPoly:
+def parse_poly(text: str, n: int) -> IntPoly:
     """Parse polynomial text with variables x1..xn.
 
     Enforces the variable-count and total-degree caps; raises InputError
     with a position hint on malformed input.
     """
-    if n > max_nvars:
-        raise InputError("too many variables", n=n, cap=max_nvars)
+    if n > MAX_NVARS:
+        raise InputError("too many variables", n=n, cap=MAX_NVARS)
     tokens = _tokenize(text)
     if not tokens:
         raise InputError("empty polynomial text")
@@ -312,11 +306,7 @@ def parse_poly(
             if kind == "int":
                 if saw_factor and not expect_factor:
                     raise InputError("unexpected integer in term", index=i)
-                if saw_factor:
-                    # integer after '*': treat as constant factor
-                    coeff *= int(val)
-                else:
-                    coeff *= int(val)
+                coeff *= int(val)
                 saw_factor = True
                 expect_factor = False
                 i += 1
@@ -343,9 +333,9 @@ def parse_poly(
             raise InputError("unexpected token in term", token=val, index=i)
         if not saw_factor:
             raise InputError("empty term in polynomial", index=i)
-        if sum(exps) > max_degree:
+        if sum(exps) > MAX_DEGREE:
             raise InputError(
-                "term degree exceeds cap", degree=sum(exps), cap=max_degree
+                "term degree exceeds cap", degree=sum(exps), cap=MAX_DEGREE
             )
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff

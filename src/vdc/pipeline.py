@@ -46,8 +46,10 @@ ledger verifies the algebraic identities tying the levels together:
   refined_square_expansion  sum_{v,a} inner_{v,a}(y)^2 = sum_z (congruence
                        part of corr2(y, z))              (when level 2 runs)
 
-Each identity is written once, over a numeric domain.  An exact domain
-checks it with tolerance 0; a float64 domain allows
+Each identity is written once, over a numeric domain.  The domain, the
+separable weight product and the pairwise float sum are those of
+`counting`, which forms every weighted box sum by one rule.  An exact
+domain checks an identity with tolerance 0; a float64 domain allows
 SMOOTH_RTOL * max(1, |scale|), with scale the size of the compared terms.
 
 Every pair pass is one grouped join (``_pair_join``): the points of one set
@@ -95,62 +97,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .counting import Weight, eval_on_axes, weighted_count
+from .counting import Weight, _Domain, _sep_product, eval_on_axes, weighted_count
 from .errors import Budget, InputError, PreconditionError, ensure_budget
 from .ffield import field_make, is_prime, reduce_mod
 from .geometry import VarietySpec, r_check, sing_points
 from .mpoly import IntPoly
-from .parallel import pairwise_sum
 
 PAIR_BLOCK = 1 << 18  # pair rows per chunk: the most a pass holds at once
-SMOOTH_RTOL = 1e-9
 LEVEL2_INT64_LIMIT = 1 << 62  # exact level-2 cell terms and per-y sums in int64
-
-
-class _Domain:
-    """The numbers one ledger level is computed in.
-
-    Both domains keep numerators over powers of den1 (the single-weight
-    denominator) and apply a denominator only when a value is read, so
-    every table has one meaning in both.  Exact: integer numerators,
-    Fractions once read, tolerance 0.  Float: float64 numerators (den1 = 1),
-    pairwise totals, tolerance SMOOTH_RTOL * max(1, |scale|).
-    """
-
-    def __init__(self, exact: bool, den1: int = 1):
-        self.exact = exact
-        self.den1 = den1
-
-    def frac(self, num, den):
-        """The scalar num / den."""
-        return Fraction(int(num), den) if self.exact else float(num) / den
-
-    def lift(self, arr: np.ndarray) -> np.ndarray:
-        """arr in a dtype whose products and sums cannot overflow."""
-        return arr.astype(object) if self.exact else np.asarray(arr, np.float64)
-
-    def total(self, vals: np.ndarray, mask: np.ndarray | None = None):
-        """Sum of vals (where mask holds); exact sums use int64 only under a
-        checked bound."""
-        if not self.exact:
-            return pairwise_sum(vals if mask is None else np.where(mask, vals, 0.0))
-        vals = vals if mask is None else vals[mask]
-        if vals.dtype == np.int64 and vals.size and (
-            int(np.abs(vals).max()) * vals.size < 2**63
-        ):
-            return int(vals.sum())
-        return sum(vals.tolist())
-
-    def fits(self, bound) -> bool:
-        """Whether sums up to bound may accumulate in int64 (float: always)."""
-        return not self.exact or bound < 2**62
-
-    def tol(self, scale) -> float:
-        return 0.0 if self.exact else SMOOTH_RTOL * max(1.0, abs(float(scale)))
 
 
 @dataclass
@@ -178,8 +135,7 @@ class PipelineParams:
                 "primes must be pairwise distinct",
                 primes=[self.pi, self.p, self.q],
             )
-        if self.weight == "zero":
-            raise InputError("zero weight is not meaningful here")
+        Weight(self.weight)  # refuses unknown kinds
         # level 1 packs (shift, class mod p, residue mod q) into one int64 key
         n = self.f.n
         shift_cells = (2 * (4 * self.B // self.pi) + 1) ** n
@@ -329,14 +285,6 @@ class PipelineLedger:
 
 
 # -- small structural helpers -------------------------------------------------
-
-
-def _sep_product(arrs: list[np.ndarray]) -> np.ndarray:
-    """Flattened outer product with the first array's index fastest."""
-    out = arrs[0]
-    for a in arrs[1:]:
-        out = (a[:, None] * out[None, :]).ravel()
-    return out
 
 
 def _digits(keys, side: int, n: int, offset: int = 0) -> np.ndarray:

@@ -198,13 +198,14 @@ def slow_transform(xi, budget):
         panels *= 2
         cur = level(panels)
         tol = max(analysis.QUAD_ATOL, analysis.QUAD_RTOL * abs(cur[0]))
-        if abs(cur[0] - prev[0]) <= tol and abs(cur[1] - prev[1]) <= tol:
+        delta = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
+        if delta <= tol:
             return ((16.0 * cur[0] - prev[0]) / 15.0,
                     -(16.0 * cur[1] - prev[1]) / 15.0, panels)
         prev = cur
     raise PreconditionError(
         "quadrature did not converge after two refinement levels",
-        xi=xi, last_delta=abs(cur[0] - prev[0]),
+        xi=xi, last_delta=delta,
     )
 
 
@@ -287,6 +288,7 @@ def test_third_level_and_refusal_match_slow_path(monkeypatch):
         slow_decay(2, [1, 2, 3, 5, 8], slow)
     assert err.value.to_json() == ref.value.to_json()
     assert err.value.details["xi"] == 8.0
+    assert err.value.details["last_delta"] > 0
     assert fast.used == slow.used
 
 

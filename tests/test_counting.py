@@ -126,7 +126,6 @@ def test_weight_kinds_and_halfwidths():
     assert Weight("hat").halfwidth(4) == 7
     assert Weight("indicator").halfwidth(4) == 4
     assert Weight("smooth").halfwidth(4) == 7
-    assert Weight("zero").halfwidth(4) == -1
     with pytest.raises(InputError):
         Weight("boxcar")
 
@@ -180,7 +179,8 @@ def _smooth_1d(t):
 
 
 @pytest.mark.parametrize("poly,n,B,m", [("x1^2+x2^2", 2, 3, 5),
-                                        ("x1^4+x2^4-2*x3^4+x1*x2", 3, 3, 7)])
+                                        ("x1^4+x2^4-2*x3^4+x1*x2", 3, 3, 7),
+                                        ("x1^4+x2^4-x3^4-2*x4^4+x1*x3", 4, 3, 5)])
 def test_smooth_weighted_count_matches_scalar_oracle(poly, n, B, m):
     f = parse_poly(poly, n)
     H = 2 * B - 1
@@ -219,9 +219,45 @@ def test_smooth_profile_vanishes_off_support():
     assert not vals[:6].any() and not vals[-6:].any()
 
 
-def test_zero_weight_empty_support():
-    res = weighted_count([parse_poly("x1", 1)], 3, 1, "zero")
-    assert res.value == Fraction(0)
+def _brute_weighted(fs, B, m, kind):
+    """Sum of W(x/B) over the weight's box, every f zero (m = None) or
+    divisible by m: Fractions for exact kinds, math.fsum for smooth."""
+    w, n = Weight(kind), fs[0].n
+    H = w.halfwidth(B)
+    terms = []
+    for x in itertools.product(range(-H, H + 1), repeat=n):
+        vals = [f.eval(list(x)) for f in fs]
+        if all(v == 0 if m is None else v % m == 0 for v in vals):
+            if kind == "smooth":
+                terms.append(math.prod(_smooth_1d(c / B) for c in x))
+            else:
+                terms.append(math.prod(w.value_1d_exact(Fraction(c, B))
+                                       for c in x))
+    return (math.fsum(terms) if kind == "smooth" else sum(terms)), len(terms)
+
+
+@pytest.mark.parametrize("m", [None, 7])
+@pytest.mark.parametrize("kind", ["hat", "indicator", "smooth"])
+def test_two_polynomial_weighted_count_matches_brute_force(kind, m):
+    fs = [parse_poly("x1^2-x2^2", 3), parse_poly("x1*x3-x2*x3+x3^2", 3)]
+    ref, hits = _brute_weighted(fs, 3, m, kind)
+    res = weighted_count(fs, 3, m, kind)
+    assert hits > 1
+    if kind == "smooth":
+        assert isinstance(res.value, float) and not res.exact
+        assert abs(res.value - ref) <= 1e-12 * ref
+    else:
+        assert res.value == ref and res.exact
+
+
+def test_mixed_arity_refused_before_charging():
+    fs = [parse_poly("x1^2-x2", 2), parse_poly("x1-x3", 3)]
+    for count in (lambda b: count_box_mod(fs, 40, 7, b),
+                  lambda b: weighted_count(fs, 40, 7, "hat", b)):
+        budget = Budget(10)
+        with pytest.raises(InputError):
+            count(budget)
+        assert budget.used == 0
 
 
 def test_weighted_count_budget_refusal():
