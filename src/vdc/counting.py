@@ -28,6 +28,15 @@ checked bound and in Python ints beyond it; the smooth kind sums float64 by
 ``pairwise_sum``, whose reduction tree depends only on the array length,
 so float results are reproducible bit for bit.
 
+The box counts factor this rule over f's variable blocks (``_box_sum``).
+Two variables are joined when a monomial uses both; the box splits into
+two sub-boxes along these components, the smaller one is reduced to its
+weight sums per vector of values, and the larger one is scanned against
+them, so a diagonal form costs about the square root of its box.  With
+one component nothing splits and the sum is the whole-box rule above, bit
+for bit; with a split, smooth sums may move in their last bits.  The
+pipeline ledger still sums whole boxes.
+
 All enumeration is charged against a Budget before any allocation.
 
 Grids are evaluated by `eval_on_axes`, which only shapes the box axes for
@@ -44,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Budget, InputError, PreconditionError, ensure_budget
-from .ffield import Field, _eval_terms, reduce_mod
+from .ffield import MODULUS_CAP, Field, _eval_terms, reduce_mod
 from .geometry import VarietySpec, affine_count, dim_est_affine, sing_points
 from .mpoly import IntPoly
 
@@ -194,19 +203,126 @@ def eval_on_axes(
     return _eval_terms(f.terms, cols, shape, m).ravel()
 
 
-def _box_mask(fs: list[IntPoly], H: int, m: int | None, budget: Budget) -> np.ndarray:
-    """Flat mask over the box |x_i| <= H (x1 fastest) of the points where
-    every polynomial is divisible by m (zero when m is None).  Polynomials
-    of mixed arity are refused before the box is charged."""
+def _charge_box(fs: list[IntPoly], H: int, m: int | None, budget: Budget) -> None:
+    """Charge the box |x_i| <= H.  Polynomials of mixed arity and moduli
+    outside 1 <= m < 2^63 are refused before the box is charged."""
     n = fs[0].n
     if any(f.n != n for f in fs):
         raise InputError("mixed variable counts")
+    if m is not None and m < 1:
+        raise InputError("modulus must be >= 1", m=m)
+    if m is not None and m >= MODULUS_CAP:
+        raise InputError("modulus must be below 2^63", m=m)
     budget.charge((2 * H + 1) ** n, "box points")
-    axes = [np.arange(-H, H + 1, dtype=np.int64)] * n
-    mask = np.ones((2 * H + 1) ** n, dtype=bool)
+
+
+def _side_a(fs: list[IntPoly], n: int) -> list[int]:
+    """The variables (0-based, ascending) of the smaller side of the box.
+
+    Two variables are joined when one monomial of any polynomial uses
+    both; side A is a union of the connected components with as many
+    variables as possible up to n/2, so cells(A) <= cells(S)."""
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
     for f in fs:
-        mask &= eval_on_axes(f, axes, m) == 0
-    return mask
+        for exps in f.terms:
+            used = [find(i) for i, e in enumerate(exps) if e]
+            for r in used[1:]:
+                root[r] = used[0]
+    comps: dict[int, list[int]] = {}
+    for i in range(n):
+        comps.setdefault(find(i), []).append(i)
+    reach = {0: []}  # variable count -> the first union of components found
+    for comp in comps.values():
+        for size, vs in list(reach.items()):
+            reach.setdefault(size + len(comp), vs + comp)
+    return sorted(reach[max(s for s in reach if 2 * s <= n)])
+
+
+def _key_codes(keys: np.ndarray):
+    """(codes, order, starts) for the columns of an (r, N) int64 key array:
+    codes 0, 1, ... of the distinct columns in sorted key order, a stable
+    order sorting the columns, and each code's first place in that order."""
+    order = np.lexsort(keys)
+    ks = keys[:, order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ks[:, 1:] != ks[:, :-1]).any(axis=0)
+    codes = np.empty(order.size, dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    return codes, order, np.flatnonzero(new)
+
+
+def _box_sum(fs: list[IntPoly], H: int, m: int | None, vals=None):
+    """Sum of prod_i vals[x_i + H] over the points x of the box |x_i| <= H
+    where every polynomial is divisible by m (zero when m is None), or
+    their number when vals is None: a Python int for exact vals, a float
+    for float64 vals.
+
+    The box splits along the polynomials' variable blocks (``_side_a``):
+    each f_j = f_j,A(x_A) + f_j,S(x_S), with the constant term on S.  The
+    points of A are reduced to one weight sum per key, the vector of their
+    values f_j,A; a point of S is a hit for the key whose negation (mod m)
+    equals its values f_j,S, and adds that key's sum times its own weight.
+    With one key (one component: A empty, key 0 of weight 1) the hit test
+    is f_j,S == 0, the whole-box mask.  Exact values past int64 (m None)
+    keep the whole box.
+    """
+    n = fs[0].n
+    exact = vals is None or vals.dtype != np.float64
+    D = _Domain(exact)
+    axis = np.arange(-H, H + 1, dtype=np.int64)
+    A = _side_a(fs, n)
+    # eval_on_axes' coarse bound on |f|: below 2^62 both sides' values and
+    # their negations are int64
+    if m is None and any(sum(abs(c) * max(1, H) ** sum(e) for e, c in f.terms.items())
+                         >= 2**62 for f in fs):
+        A = []
+
+    def side(vs, on_a):  # each polynomial's terms on side A (or S), over vs
+        return [IntPoly(len(vs), {tuple(e[i] for i in vs): c
+                                  for e, c in f.terms.items()
+                                  if any(e[i] for i in A) == on_a}) for f in fs]
+
+    def neg(k):
+        return -k if m is None else -k % m
+
+    if A:
+        kA = np.stack([eval_on_axes(g, [axis] * len(A), m) for g in side(A, True)])
+        wA = (np.ones(kA.shape[1], dtype=np.int64) if vals is None
+              else _sep_product([vals] * len(A)))
+        if wA.dtype == np.int64 and int(wA.max()) * wA.size >= 2**63:
+            wA = wA.astype(object)
+        _, order, starts = _key_codes(kA)
+        keys, sums = kA[:, order[starts]], np.add.reduceat(wA[order], starts)
+    else:
+        keys = np.zeros((len(fs), 1), dtype=np.int64)
+        sums = np.ones(1, dtype=np.int64 if vals is None else vals.dtype)
+    S = [i for i in range(n) if i not in A]
+    fS = side(S, False)
+    if keys.shape[1] == 1:
+        mask = np.ones((2 * H + 1) ** len(S), dtype=bool)
+        for g, t in zip(fS, neg(keys[:, 0]).tolist()):
+            mask &= eval_on_axes(g, [axis] * len(S), m) == t
+        lead = int(sums[0]) if exact else float(sums[0])
+        if vals is None:
+            return lead * int(np.count_nonzero(mask))
+        return lead * D.total(_sep_product([vals] * len(S)), mask)
+    kS = np.stack([eval_on_axes(g, [axis] * len(S), m) for g in fS])
+    codes, _, _ = _key_codes(np.concatenate([neg(keys), kS], axis=1))
+    table = np.zeros(int(codes.max()) + 1, dtype=sums.dtype)
+    table[codes[: keys.shape[1]]] = sums
+    per = table[codes[keys.shape[1]:]]  # each point of S: its A partners' sum
+    if vals is None:
+        return int(per.sum())
+    wS = _sep_product([vals] * len(S))
+    if per.dtype == np.int64 and int(sums.max()) * int(wS.max()) >= 2**63:
+        per = per.astype(object)
+    return D.total(per * wS)
 
 
 def _as_poly_list(fs) -> list[IntPoly]:
@@ -246,7 +362,8 @@ def count_box_mod(fs, B: int, m: int | None, budget: Budget | None = None) -> in
         raise InputError("B must be >= 0", B=B)
     if not fs:
         raise InputError("need at least one polynomial")
-    return int(np.count_nonzero(_box_mask(fs, B, m, ensure_budget(budget))))
+    _charge_box(fs, B, m, ensure_budget(budget))
+    return _box_sum(fs, B, m)
 
 
 def weighted_count(
@@ -272,15 +389,15 @@ def weighted_count(
     if not fs:
         raise InputError("cannot infer dimension from an empty list; pass a "
                          "zero polynomial of the right arity")
-    n = fs[0].n
-    mask = _box_mask(fs, weight.halfwidth(B), m, ensure_budget(budget))
+    n, H = fs[0].n, weight.halfwidth(B)
+    _charge_box(fs, H, m, ensure_budget(budget))
     vals, den = weight.axis_values(B)
     den = den or 1
     if den**n >= 2**62:  # a point's weight could overflow int64
         vals = vals.astype(object)
     D = _Domain(weight.exact)
-    value = D.frac(D.total(_sep_product([vals] * n), mask), den**n)
-    return CountResult(value, n, B, m, weight.kind, mask.size, D.exact)
+    value = D.frac(_box_sum(fs, H, m, vals), den**n)
+    return CountResult(value, n, B, m, weight.kind, (2 * H + 1) ** n, D.exact)
 
 
 # -- finite-field probes ------------------------------------------------------

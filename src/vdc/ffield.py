@@ -512,7 +512,8 @@ def _ring(ring, terms: dict, cols: list):
     def mul(a, b):
         return a * b % m
 
-    return lift, mul, np.add, lambda s: (s % m).astype(np.int64, copy=False)
+    # np.asarray: on a 0-d object sum (no terms) `%` returns a Python int
+    return lift, mul, np.add, lambda s: np.asarray(s % m).astype(np.int64, copy=False)
 
 
 def _eval_terms(terms: dict, cols: list, shape: tuple, ring) -> np.ndarray:

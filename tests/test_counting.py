@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from vdc.counting import (
     Weight,
+    _Domain,
+    _sep_product,
     count_box_mod,
     eval_on_axes,
     hooley_deligne_probe,
@@ -258,6 +260,78 @@ def test_mixed_arity_refused_before_charging():
         with pytest.raises(InputError):
             count(budget)
         assert budget.used == 0
+
+
+def test_bad_modulus_refused_before_charging():
+    f = parse_poly("x1^2-x2", 2)
+    for m in (0, 2**63):
+        for count in (lambda b: count_box_mod([f], 40, m, b),
+                      lambda b: weighted_count([f], 40, m, "hat", b)):
+            budget = Budget(10**6)
+            with pytest.raises(InputError):
+                count(budget)
+            assert budget.used == 0
+
+
+def _whole_box_sum(fs, B, m, kind=None):
+    """The whole-box rule: every polynomial on all (2H+1)^n points, one
+    mask, and the n-fold weight product summed under it (the count of the
+    mask when kind is None)."""
+    n = fs[0].n
+    H = B if kind is None else Weight(kind).halfwidth(B)
+    axes = [np.arange(-H, H + 1, dtype=np.int64)] * n
+    mask = np.ones((2 * H + 1) ** n, dtype=bool)
+    for f in fs:
+        mask &= eval_on_axes(f, axes, m) == 0
+    if kind is None:
+        return int(np.count_nonzero(mask))
+    vals, den = Weight(kind).axis_values(B)
+    den = den or 1
+    if den**n >= 2**62:
+        vals = vals.astype(object)
+    D = _Domain(kind != "smooth")
+    return D.frac(D.total(_sep_product([vals] * n), mask), den**n)
+
+
+@st.composite
+def _block_polys(draw):
+    """(fs, joined): one or two polynomials whose monomials each lie in one
+    block of their own partition of the variables, with constant terms and
+    unused variables; joined adds x1*...*xn to the first, so its variables
+    form one component."""
+    n = draw(st.integers(1, 4))
+    fs = []
+    for _ in range(draw(st.integers(1, 2))):
+        block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        terms = {(0,) * n: draw(st.sampled_from([0, 0, 1, -2]))}
+        for _ in range(draw(st.integers(1, 4))):
+            b = draw(st.sampled_from(block))
+            e = tuple(draw(st.integers(0, 3)) if block[i] == b else 0
+                      for i in range(n))
+            terms[e] = terms.get(e, 0) + draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        fs.append(IntPoly(n, terms))
+    joined = draw(st.booleans())
+    if joined:
+        fs[0] = fs[0] + IntPoly(n, {(1,) * n: 1})
+    return fs, joined
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_block_polys(), B=st.integers(0, 3),
+       m=st.sampled_from([7, 12, 3_100_000_019, None, 1]),
+       kind=st.sampled_from(["indicator", "hat", "smooth"]))
+def test_split_box_sums_match_whole_box(case, B, m, kind):
+    """The sums split along variable blocks equal the whole-box rule: exact
+    kinds exactly, smooth within 1e-14 and, on one component, bit for bit."""
+    fs, joined = case
+    assert count_box_mod(fs, B, m) == _whole_box_sum(fs, B, m)
+    if B == 0:
+        return
+    got, want = weighted_count(fs, B, m, kind).value, _whole_box_sum(fs, B, m, kind)
+    if kind != "smooth" or joined or fs[0].n == 1:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_weighted_count_budget_refusal():
