@@ -10,8 +10,10 @@ non-leading coefficients) is smallest, so x^2+x+1 for F_4, x^2+1 for F_9,
 x^4+x+1 for F_16.  Two Field objects with the same (p, k) are always
 compatible.  This module is the only one that knows the encoding.
 
-Multiplication is schoolbook convolution followed by reduction; no discrete
-logarithm tables are used.
+Scalar multiplication is schoolbook convolution followed by reduction.
+The array evaluator multiplies in F_{p^k}, k > 1, by discrete logarithms
+instead: each field builds its log, exp and digit tables once, on first
+use, from the same convolution run on digit arrays.
 
 Every array evaluation of a polynomial (``counting.eval_on_axes`` on box
 axes, ``geometry.values_on`` on rows of points) runs through
@@ -24,7 +26,8 @@ refused with InputError.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 import numpy as np
@@ -138,6 +141,21 @@ def _psub(a: list[int], b: list[int], p: int) -> list[int]:
     return _pstrip([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
+def _prime_divisors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, ascending (trial division)."""
+    out = []
+    t = 2
+    while t * t <= m:
+        if m % t == 0:
+            out.append(t)
+            while m % t == 0:
+                m //= t
+        t += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
     """Rabin's test for a monic polynomial over F_p."""
     k = len(coeffs) - 1
@@ -146,18 +164,7 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
     x = [0, 1]
     if _psub(_ppow_xq(k, coeffs, p), x, p):
         return False
-    kk = k
-    prime_divs = []
-    t = 2
-    while t * t <= kk:
-        if kk % t == 0:
-            prime_divs.append(t)
-            while kk % t == 0:
-                kk //= t
-        t += 1
-    if kk > 1:
-        prime_divs.append(kk)
-    for t in prime_divs:
+    for t in _prime_divisors(k):
         diff = _psub(_ppow_xq(k // t, coeffs, p), x, p)
         if not diff:
             return False
@@ -311,6 +318,85 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
+    # -- digit arrays and log tables (the array evaluator, k > 1) -----------
+
+    def _digits(self, a) -> np.ndarray:
+        """Base-p digits of codes, along a new last axis of length k."""
+        return np.asarray(a, dtype=np.int64)[..., None] // self.p ** np.arange(self.k) % self.p
+
+    def _digit_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of digit arrays (..., k): convolution, then x^(k+j)
+        replaced by its reduction rows[j]."""
+        p, k, rows = self.p, self.k, np.array(self._red_rows, dtype=np.int64)
+        a, b = np.broadcast_arrays(a, b)
+        conv = np.zeros(a.shape[:-1] + (2 * k - 1,), dtype=np.int64)
+        for i in range(k):
+            conv[..., i : i + k] += a[..., i, None] * b
+        for deg in range(2 * k - 2, k - 1, -1):
+            conv[..., :k] += conv[..., deg, None] % p * rows[deg - k]
+        return conv[..., :k] % p
+
+    def _digit_powers(self, g: np.ndarray, count: int) -> np.ndarray:
+        """g^0, ..., g^(count-1) as a (count, k) digit array, by doubling."""
+        out, step = self._digits([1]), g
+        while len(out) < count:
+            out = np.concatenate([out, self._digit_mul(out, step)])
+            step = self._digit_mul(step, step)
+        return out[:count]
+
+    def _generator(self) -> np.ndarray:
+        """Digits of the smallest code g with g^((q-1)/r) != 1 for every
+        prime r dividing q - 1, i.e. a generator of the unit group.  The
+        search starts at p: the codes below it form the prime field, whose
+        units have order dividing p - 1 < q - 1 (k > 1)."""
+        q, one, rs = self.q, self._digits(1), _prime_divisors(self.q - 1)
+        for lo in range(self.p, q, 256):
+            cand = self._digits(np.arange(lo, min(lo + 256, q)))
+            ok = np.ones(len(cand), dtype=bool)
+            for r in rs:
+                e, base, acc = (q - 1) // r, cand, one
+                while e:
+                    if e & 1:
+                        acc = self._digit_mul(acc, base)
+                    e >>= 1
+                    base = self._digit_mul(base, base)
+                ok &= (acc != one).any(axis=-1)
+            if ok.any():
+                return cand[ok.argmax()]
+        raise PreconditionError("no generator found", field=self.literal())  # pragma: no cover
+
+    @cached_property
+    def _log_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log, exp, digits) to the base of a generator g, built once.
+
+        log[a] is the l in [0, q-1) with g^l = a, and -1 for a = 0; exp[l]
+        is the code of g^l.  Row l of the (q, k) array digits holds the
+        base-p digits of g^l, and row q-1 those of 0.  They are filled by
+        baby-step/giant-step: with m about sqrt(q), g^(jm+i) is the baby
+        step g^i times the giant step g^(jm), and multiplying by a giant
+        step is a k x k matrix over F_p, so a block of giant steps is one
+        matrix product.
+        """
+        p, q, k = self.p, self.q, self.k
+        m = math.isqrt(q - 2) + 1  # m * m >= q - 1
+        g = self._generator()
+        baby = self._digit_powers(g, m)
+        giant = self._digit_powers(self._digit_mul(baby[-1], g), -(-(q - 1) // m))
+        # row t of mats[j] is giant[j] * x^t
+        mats = self._digit_mul(giant[:, None], np.eye(k, dtype=np.int64))
+        block = max(1, 2**20 // (m * k))  # giant steps per product
+        digits = np.zeros((q, k), dtype=np.min_scalar_type(p - 1))
+        exp = np.empty(q - 1, dtype=np.int64)
+        pw = p ** np.arange(k)
+        for j in range(0, len(giant), block):
+            lo = j * m
+            d = (np.matmul(baby, mats[j : j + block]) % p).reshape(-1, k)[: q - 1 - lo]
+            digits[lo : lo + len(d)] = d
+            exp[lo : lo + len(d)] = d @ pw
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        return log, exp, digits
+
 
 @lru_cache(maxsize=None)
 def field_make(p: int, k: int = 1) -> Field:
@@ -447,42 +533,33 @@ MODULUS_CAP = 2**63  # residues are int64
 
 
 def _ring(ring, terms: dict, cols: list):
-    """(lift, mul, add, finish) of the ring that `ring` names.
+    """(zero, term, finish) of the ring that `ring` names.
 
-    lift maps coordinate arrays and coefficients to ring elements, mul and
-    add combine two elements, and finish turns a sum of products into the
-    output array.  Every product is reduced; sums are reduced once, by
-    finish, within the bounds checked here.
+    term(c, exps) is c * prod_i x_i^(e_i) over the columns as the ring
+    carries it, the terms are summed from zero with `+`, and finish turns
+    the sum into the output array.  Every product is reduced; sums are
+    reduced once, by finish, within the bounds checked here.
     """
     if isinstance(ring, Field) and ring.k > 1:
-        # an element array is carried as its k base-p digit arrays; a
-        # product is their convolution, reduced by x^(k+j) = rows[j].  The
-        # digits are int32 while a product's (< 2k p^2) and the sums of all
-        # terms' (< len(terms) p) fit
-        p, k, rows = ring.p, ring.k, ring._red_rows
-        dtype = np.int32 if (2 * k * p + len(terms)) * p < 2**31 else np.int64
+        # a column is carried as its logs to base g (-1 for the zero code).
+        # A term is one gather of base-p digits: of g^(log c + sum e_i
+        # log x_i mod q-1), or of 0 (row q-1) where a coordinate it uses is
+        # 0.  Digit sums stay below len(terms) * p until finish reduces them
+        log, _, digits = ring._log_tables
+        q1 = ring.q - 1
+        logs = [log[c] for c in cols]
+        zeros = [lc < 0 for lc in logs]
 
-        def lift(a):
-            a = np.asarray(a, dtype=np.int64)
-            return [(a // p**i % p).astype(dtype) for i in range(k)]
+        def term(c, exps):
+            s, z = log[c], False
+            for i, e in enumerate(exps):
+                if e:
+                    s = s + e % q1 * logs[i]
+                    z = z | zeros[i]
+            return digits[np.where(z, q1, s % q1)]
 
-        def mul(a, b):
-            conv = [0] * (2 * k - 1)
-            for i in range(k):
-                for j in range(k):
-                    conv[i + j] = conv[i + j] + a[i] * b[j]
-            for deg in range(2 * k - 2, k - 1, -1):
-                c = conv[deg] % p
-                for t, r in enumerate(rows[deg - k]):
-                    if r:
-                        conv[t] = conv[t] + c * r
-            return [d % p for d in conv[:k]]
-
-        def add(a, b):
-            return [x + y for x, y in zip(a, b)]
-
-        return lift, mul, add, lambda s: sum(
-            d.astype(np.int64) % p * p**i for i, d in enumerate(s))
+        pw = ring.p ** np.arange(ring.k)
+        return np.zeros(ring.k, dtype=np.int64), term, lambda s: (s % ring.p) @ pw
     if ring is None:
         amax = [int(np.max(np.abs(col))) if col.size else 0 for col in cols]
         bound = 0
@@ -496,7 +573,7 @@ def _ring(ring, terms: dict, cols: list):
         def lift(a):
             return np.asarray(a, dtype=dtype)
 
-        return lift, np.multiply, np.add, lambda s: s
+        return lift(0), _power_term(lift, np.multiply, cols), lambda s: s
     m = ring.p if isinstance(ring, Field) else ring
     if m < 1:
         raise InputError("modulus must be >= 1", m=m)
@@ -513,19 +590,12 @@ def _ring(ring, terms: dict, cols: list):
         return a * b % m
 
     # np.asarray: on a 0-d object sum (no terms) `%` returns a Python int
-    return lift, mul, np.add, lambda s: np.asarray(s % m).astype(np.int64, copy=False)
+    return lift(0), _power_term(lift, mul, cols), lambda s: np.asarray(s % m).astype(
+        np.int64, copy=False)
 
 
-def _eval_terms(terms: dict, cols: list, shape: tuple, ring) -> np.ndarray:
-    """The array of sum_e c_e prod_i x_i^(e_i) over `terms`, of `shape`.
-
-    cols[i] holds the values of x_i shaped to broadcast against `shape`: a
-    box axis along its own dimension, or one column of a point array.
-    Power tables therefore stay the size of one coordinate, and only a
-    term's last products and the running sum reach full size.  `ring` is
-    None for Z, an int m for Z/m, or a Field (element codes in and out).
-    """
-    lift, mul, add, finish = _ring(ring, terms, cols)
+def _power_term(lift, mul, cols):
+    """term(c, exps) as lift(c) times cached powers of the lifted columns."""
     base = [lift(c) for c in cols]
     pows: dict[tuple, np.ndarray] = {}
 
@@ -534,12 +604,28 @@ def _eval_terms(terms: dict, cols: list, shape: tuple, ring) -> np.ndarray:
             pows[i, e] = base[i] if e == 1 else mul(pw(i, e - 1), base[i])
         return pows[i, e]
 
-    total = lift(0)
-    for exps, c in terms.items():
+    def term(c, exps):
         v = lift(c)
         for i, e in enumerate(exps):
             if e:
                 v = mul(v, pw(i, e))
-        total = add(total, v)
+        return v
+
+    return term
+
+
+def _eval_terms(terms: dict, cols: list, shape: tuple, ring) -> np.ndarray:
+    """The array of sum_e c_e prod_i x_i^(e_i) over `terms`, of `shape`.
+
+    cols[i] holds the values of x_i shaped to broadcast against `shape`: a
+    box axis along its own dimension, or one column of a point array.
+    Power tables and logs therefore stay the size of one coordinate, and
+    only a term's last products and the running sum reach full size.
+    `ring` is None for Z, an int m for Z/m, or a Field (element codes in
+    and out).
+    """
+    total, term, finish = _ring(ring, terms, cols)
+    for exps, c in terms.items():
+        total = total + term(c, exps)
     out = finish(total)
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()

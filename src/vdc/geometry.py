@@ -14,7 +14,9 @@ The empty set has dimension -1 by convention.
 
 Forms are evaluated on point arrays by `values_on`, which hands the
 point columns to the one evaluator in `ffield`; it accepts every field
-that `ffield.Field` builds (q <= Q_CAP = 2^20).
+that `ffield.Field` builds (q <= Q_CAP = 2^20).  Over F_{p^k}, k > 1, a
+term there is one table gather at a sum of discrete logarithms, so the R0
+scans over F_{p^2} cost a few array passes per term.
 
 Singularity is the Jacobian criterion at rational points: a point on the
 variety is singular when the r x n Jacobian of the first r defining forms
@@ -61,7 +63,9 @@ The count behind a direction is the number of points whose kernel
 contains it.  All L(x) are row-reduced mod p at once, full-rank points
 drop out, and the projective points of every remaining kernel are
 enumerated and counted by their enum_proj index, in chunks of bounded
-size.  The work is the number of incidences (x, y).  A collapsing
+size.  The work is the number of incidences (x, y).  R2 stacks the L(x)
+of many first directions y and counts them in one pass per block of y,
+each row tagged with its y.  A collapsing
 characteristic needs no other path: for FERMAT5 at p = 3 the Hessian
 vanishes, every s and s_tilde fiber is a hyperplane and every R2 fiber
 all of P^(n-1); the worst case, N points times |P^(n-1)| directions, is
@@ -385,22 +389,26 @@ class _PrimeEngine:
 _KERNEL_CHUNK = 2**20  # cap on the entries of one kernel-enumeration temporary
 
 
-def _kernel_counts(eng: _PrimeEngine, L: np.ndarray) -> np.ndarray:
-    """counts[j] = #{m : L[m] y = 0} for y = eng.pts[j], over F_p.
+def _kernel_counts(eng: _PrimeEngine, L: np.ndarray, group: np.ndarray | None = None,
+                   groups: int = 1) -> np.ndarray:
+    """counts[g, j] = #{m in group g : L[m] y = 0} for y = eng.pts[j], over F_p.
 
-    L is an (M, r, n) stack of matrices.  All M are brought to reduced row
-    echelon form at once, one column per step; the projective points of
-    each nonzero kernel are then enumerated (as combinations of its basis
-    by the points of P^(k-1)) and their enum_proj indices counted.  The
-    work is the number of incidences, not M times |P^(n-1)|.
+    L is an (M, r, n) stack of matrices and group[m] in [0, groups) the
+    group of L[m] (all 0 when not given).  All M are brought to reduced
+    row echelon form at once, one column per step; the projective points
+    of each nonzero kernel are then enumerated (as combinations of its
+    basis by the points of P^(k-1)) and their enum_proj indices counted
+    per group.  The work is the number of incidences, not M times
+    |P^(n-1)|.
     """
     p, n, pts = eng.p, eng.n, eng.pts
     Ny = pts.shape[0]
-    counts = np.zeros(Ny, dtype=np.int64)
+    counts = np.zeros(groups * Ny, dtype=np.int64)
     A = L % p
     M, r, _ = A.shape
     if M == 0:
-        return counts
+        return counts.reshape(groups, Ny)
+    offset = (np.zeros(M, dtype=np.int64) if group is None else group) * Ny
     rows = np.arange(M)
     used = np.zeros((M, r), dtype=bool)
     prow = np.full((M, n), -1, dtype=np.int64)  # row holding column c's pivot
@@ -438,9 +446,9 @@ def _kernel_counts(eng: _PrimeEngine, L: np.ndarray) -> np.ndarray:
                 lead = (V != 0).argmax(axis=2)
                 lv = np.take_along_axis(V, lead[:, :, None], axis=2)[:, :, 0]
                 V = V * eng.inv[lv][:, :, None] % p
-                idx = base[lead] + V @ pw
-                counts += np.bincount(idx.ravel(), minlength=Ny)
-    return counts
+                idx = offset[sel[mlo : mlo + mc], None] + base[lead] + V @ pw
+                counts += np.bincount(idx.ravel(), minlength=groups * Ny)
+    return counts.reshape(groups, Ny)
 
 
 @dataclass
@@ -535,14 +543,14 @@ def sigma_sweep(F, p: int | None = None, budget: Budget | None = None) -> SigmaS
     budget.charge(eng.N * n * n, "direction sweep tensor cells")
     # x is in Sing V(F_y) iff [grad F(x); H(x)] y = 0
     L = np.concatenate([eng.grad[:, None], eng.hess], axis=1)
-    diff_sing = _kernel_counts(eng, L)
+    diff_sing = _kernel_counts(eng, L)[0]
     # x on V(F) is in Sing V(F, F_y) iff a . y = 0 and rank [a; H y] < 2,
     # i.e. the 2x2 minors (a_i H_j - a_j H_i) . y vanish
     a, H = eng.grad[eng.on], eng.hess[eng.on]
     i, j = np.triu_indices(n, 1)
     L = np.concatenate([a[:, None], a[:, i, None] * H[:, j] - a[:, j, None] * H[:, i]],
                        axis=1)
-    pair_sing = _kernel_counts(eng, L)
+    pair_sing = _kernel_counts(eng, L)[0]
     s_arr = _dim_est_array(pair_sing, p)
     st_arr = _dim_est_array(diff_sing, p)
     return SigmaSweep(
@@ -569,25 +577,39 @@ def _t_rows(values: np.ndarray, base: int, n: int, q: int) -> list[tuple]:
             for s, c, d in zip(range(-1, n), counts.tolist(), dims)]
 
 
-def _r2_counts(eng: _PrimeEngine, y: np.ndarray) -> np.ndarray:
-    """Points of Sing V(F, F_y, F_{y,z}) for every z = eng.pts[j].
+def _r2_counts(eng: _PrimeEngine, ys: np.ndarray) -> np.ndarray:
+    """Points of Sing V(F, F_y, F_{y,z}) for every z = eng.pts[j], per y.
 
-    On the points x of V(F, F_y) let a = grad F, b = H y and A = third . y,
-    so that A z is the gradient of F_{y,z}.  x counts for z iff L(x) z = 0,
-    L(x) = [b; one row per 3x3 minor of [a; b; A z]].  With pm the 2x2
-    minors of [a; b], the minor on columns i < j < l is
-    (pm_ij A_l - pm_il A_j + pm_jl A_i) . z.
+    ys is one direction (n,) or a stack (Y, n); the counts have shape
+    ys.shape[:-1] + (Ny,).  On the points x of V(F, F_y) let a = grad F,
+    b = H y and A = third . y, so that A z is the gradient of F_{y,z}.  x
+    counts for z iff L(x) z = 0, L(x) = [b; one row per 3x3 minor of [a;
+    b; A z]].  With pm the 2x2 minors of [a; b], the minor on columns
+    i < j < l is (pm_ij A_l - pm_il A_j + pm_jl A_i) . z.  The rows of all
+    y in a block go to one kernel count, grouped by y; a block holds as
+    many y as keep its largest temporaries within _KERNEL_CHUNK entries.
     """
-    p, n = eng.p, eng.n
-    sel = eng.grad[eng.on] @ y % p == 0
-    a = eng.grad[eng.on[sel]]
-    b = np.tensordot(eng.hess[eng.on[sel]], y, axes=([1], [0])) % p
-    A = np.tensordot(eng.third[sel], y, axes=([1], [0])) % p  # (M, n, n): j, l
-    pm = (a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None]) % p
+    p, n, Ny = eng.p, eng.n, eng.N
+    ys = np.asarray(ys)
+    stack = ys.reshape(-1, n)
     i, j, l = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3).T
-    minors = (pm[:, i, j, None] * A[:, l] - pm[:, i, l, None] * A[:, j]
-              + pm[:, j, l, None] * A[:, i])
-    return _kernel_counts(eng, np.concatenate([b[:, None], minors], axis=1))
+    on_dir = eng.grad[eng.on] @ stack.T % p == 0  # (|V(F)|, Y): x on V(F_y)
+    per_y = max(1, eng.on.size) * n * max(1 + i.size, n * n)
+    block = max(1, _KERNEL_CHUNK // per_y)
+    counts = np.zeros((stack.shape[0], Ny), dtype=np.int64)
+    for lo in range(0, stack.shape[0], block):
+        v, g = np.nonzero(on_dir[:, lo : lo + block])  # rows: point v of V(F), y = lo + g
+        y = stack[lo + g]
+        R = v.size
+        a = eng.grad[eng.on[v]]
+        b = (eng.hess[eng.on[v]] @ y[:, :, None])[:, :, 0] % p
+        A = (y[:, None, :] @ eng.third[v].reshape(R, n, n * n)).reshape(R, n, n) % p
+        pm = (a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None]) % p
+        minors = (pm[:, i, j, None] * A[:, l] - pm[:, i, l, None] * A[:, j]
+                  + pm[:, j, l, None] * A[:, i])
+        L = np.concatenate([b[:, None], minors], axis=1)
+        counts[lo : lo + block] = _kernel_counts(eng, L, g, min(block, stack.shape[0] - lo))
+    return counts.reshape(ys.shape[:-1] + (Ny,))
 
 
 # -- R-property checks --------------------------------------------------------
@@ -666,12 +688,14 @@ def r_check(
 ) -> RReport:
     """Empirical R0/R1/R2 classification of a form mod p.
 
-    `which` restricts the work to the named checks; the others come back
-    with verdict "not_requested".
+    `which` restricts the work to the named checks, at least one; the
+    others come back with verdict "not_requested".
     """
     bad = set(which) - {"r0", "r1", "r2"}
     if bad:
         raise InputError("unknown checks requested", which=sorted(bad))
+    if not which:
+        raise InputError("no checks requested")
     policy = policy or RCheckPolicy()
     budget = ensure_budget(budget)
     fld = field_make(p)
@@ -753,13 +777,12 @@ def r_check(
             warnings.append("R2 sweep skipped: budget")
         else:
             budget.charge(cost, "second-difference sweep")
+            syz = _dim_est_array(_r2_counts(sweep._engine, sweep.directions[chosen]), p)
             failures = []
-            for yi in chosen:
-                y = sweep.directions[yi]
-                syz = _dim_est_array(_r2_counts(sweep._engine, y), p)
-                failures += [(tuple(map(int, y)), s, dim, bound, count)
+            for yi, row in zip(chosen, syz):
+                failures += [(tuple(map(int, sweep.directions[yi])), s, dim, bound, count)
                              for s, count, dim, bound, ok
-                             in _t_rows(syz, int(sweep.sigma[yi]), n, p) if not ok]
+                             in _t_rows(row, int(sweep.sigma[yi]), n, p) if not ok]
             r2 = R2Result(
                 "fails" if failures else "holds_empirically",
                 sampled=sampled,

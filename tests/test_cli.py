@@ -352,7 +352,12 @@ def test_common_flags_before_a_nested_subcommand_exit_64(capsys):
      "--r2-samples", "-1"],
     ["geom", "rcheck", "--form", "5*x1^4+5*x2^4", "--n", "2", "--p", "5",
      "--checks", "r9"],
-], ids=["r2-samples-0", "r2-samples-negative", "unknown-check-zero-form"])
+    ["geom", "rcheck", "--form", "x1^4+x2^4+x3^4", "--n", "3", "--p", "5",
+     "--checks", ""],
+    ["geom", "rcheck", "--form", "x1^4+x2^4+x3^4", "--n", "3", "--p", "5",
+     "--checks", ","],
+], ids=["r2-samples-0", "r2-samples-negative", "unknown-check-zero-form", "no-checks",
+        "no-checks-comma"])
 def test_rcheck_bad_options_refuse(argv, capsys):
     code, doc = run_cli(argv, capsys=capsys)
     assert code == 2

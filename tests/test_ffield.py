@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from vdc.counting import eval_on_axes
 from vdc.errors import InputError
@@ -203,3 +204,103 @@ def test_evaluator_matches_scalar_oracle(ring_id, layout):
             assert np.array_equal(values_on(poly, src), out), name
         if layout == "axes" and not fld:
             assert list(eval_on_axes(poly, src, ring)) == list(out.ravel()), name
+
+
+# -- discrete-log tables against the digit-convolution ring -------------------
+
+LOG_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (1021, 2), (2, 20)]
+
+
+@pytest.mark.parametrize("p,k", LOG_FIELDS, ids=[f"F_{p}^{k}" for p, k in LOG_FIELDS])
+def test_log_tables_invert_each_other(p, k):
+    fld = field_make(p, k)
+    log, exp, digits = fld._log_tables
+    codes = np.arange(1, fld.q)
+    assert np.array_equal(exp[log[codes]], codes)
+    assert log[0] < 0
+    assert np.array_equal(digits[-1], np.zeros(k))
+    assert np.array_equal(digits[:-1].astype(np.int64) @ p ** np.arange(k), exp)
+    g, steps = int(exp[1]), min(5, fld.q - 2)
+    assert [fld.mul(int(e), g) for e in exp[:steps]] == [int(e) for e in exp[1 : steps + 1]]
+
+
+def _digit_ring(fld, terms):
+    """The evaluator's F_{p^k} ring before log tables: (lift, mul, add,
+    finish) on lists of k base-p digit arrays, products by convolution."""
+    p, k, rows = fld.p, fld.k, fld._red_rows
+    dtype = np.int32 if (2 * k * p + len(terms)) * p < 2**31 else np.int64
+
+    def lift(a):
+        a = np.asarray(a, dtype=np.int64)
+        return [(a // p**i % p).astype(dtype) for i in range(k)]
+
+    def mul(a, b):
+        conv = [0] * (2 * k - 1)
+        for i in range(k):
+            for j in range(k):
+                conv[i + j] = conv[i + j] + a[i] * b[j]
+        for deg in range(2 * k - 2, k - 1, -1):
+            c = conv[deg] % p
+            for t, r in enumerate(rows[deg - k]):
+                if r:
+                    conv[t] = conv[t] + c * r
+        return [d % p for d in conv[:k]]
+
+    def add(a, b):
+        return [x + y for x, y in zip(a, b)]
+
+    return lift, mul, add, lambda s: sum(
+        d.astype(np.int64) % p * p**i for i, d in enumerate(s))
+
+
+def _digit_eval(fld, terms, cols, shape):
+    """_eval_terms over the digit ring; powers by squaring, so that
+    exponents past q - 1 stay cheap."""
+    lift, mul, add, finish = _digit_ring(fld, terms)
+
+    def power(a, e):
+        r = lift(1)
+        while e:
+            if e & 1:
+                r = mul(r, a)
+            e >>= 1
+            a = mul(a, a)
+        return r
+
+    base = [lift(c) for c in cols]
+    total = lift(0)
+    for exps, c in terms.items():
+        v = lift(c)
+        for i, e in enumerate(exps):
+            if e:
+                v = mul(v, power(base[i], e))
+        total = add(total, v)
+    return np.broadcast_to(finish(total), shape)
+
+
+@st.composite
+def _field_forms(draw):
+    fld = field_make(*draw(st.sampled_from(LOG_FIELDS)))
+    q, n = fld.q, draw(st.integers(1, 3))
+    exps = st.one_of(st.integers(0, 4), st.sampled_from([q - 2, q - 1, q, 2 * q - 1]))
+    terms = draw(st.dictionaries(st.tuples(*[exps] * n), st.integers(1, q - 1),
+                                 max_size=5))
+    code = st.one_of(st.just(0), st.just(1), st.integers(0, q - 1))
+    pts = draw(st.lists(st.tuples(*[code] * n), min_size=1, max_size=6))
+    return fld, n, terms, np.array(pts, dtype=np.int64), draw(st.integers(1, q - 1))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_field_forms())
+def test_log_evaluator_matches_digit_ring_and_scalar_eval(case):
+    """values_on over F_{p^k} against FqPoly.eval and the digit ring, on the
+    drawn form, the zero form and a constant; coordinates include 0 and
+    exponents reach past q - 1."""
+    fld, n, terms, pts, c = case
+    cols = [pts[:, i] for i in range(n)]
+    for form in (terms, {}, {(0,) * n: c}):
+        poly = FqPoly(fld, n, form)
+        got = values_on(poly, pts)
+        assert got.dtype == np.int64 and got.shape == (len(pts),)
+        assert got.tolist() == [poly.eval([int(x) for x in pt]) for pt in pts]
+        assert got.tolist() == _digit_eval(fld, form, cols, got.shape).tolist()

@@ -2,6 +2,7 @@
 admissibility checks."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -237,6 +238,54 @@ def test_r2_counts_match_triple_singular_scan(form, p):
     assert checked_nonzero
 
 
+def _r2_counts_one_y(eng, y):
+    """_r2_counts for a single direction, as it was before directions were
+    stacked: the points of V(F, F_y) and one kernel count."""
+    p, n = eng.p, eng.n
+    sel = eng.grad[eng.on] @ y % p == 0
+    a = eng.grad[eng.on[sel]]
+    b = np.tensordot(eng.hess[eng.on[sel]], y, axes=([1], [0])) % p
+    A = np.tensordot(eng.third[sel], y, axes=([1], [0])) % p
+    pm = (a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None]) % p
+    i, j, l = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3).T
+    minors = (pm[:, i, j, None] * A[:, l] - pm[:, i, l, None] * A[:, j]
+              + pm[:, j, l, None] * A[:, i])
+    return geometry._kernel_counts(eng, np.concatenate([b[:, None], minors], axis=1))[0]
+
+
+@pytest.mark.parametrize("form,p", [
+    (FERMAT5, 3), (QUARTIC4, 5), (parse_poly("x1^4+x2^4+x3^4", 3), 7),
+], ids=["fermat5-3-every-fiber-P4", "quartic4-5-nonsingular", "fermat3-7-empty-directions"])
+def test_r2_counts_stacked_match_one_direction_at_a_time(form, p, monkeypatch):
+    eng = _PrimeEngine(reduce_mod(form, field_make(p)))
+    rng = random.Random(p)
+    ys = eng.pts[sorted(rng.sample(range(eng.N), min(eng.N, 40)))]
+    empty = ~np.any(eng.grad[eng.on] @ ys.T % p == 0, axis=0)
+    want = np.array([_r2_counts_one_y(eng, y) for y in ys])
+    if form is FERMAT5:
+        # p divides d - 1: every point of V(F, F_y) counts for every z
+        assert np.array_equal(want, np.repeat(want[:, :1], eng.N, axis=1))
+        assert want.min() > 0
+    if form.n == 3:
+        assert empty.any() and not want[empty].any()
+    calls = []
+
+    def counting_kernel(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    kernel = geometry._kernel_counts
+    monkeypatch.setattr(geometry, "_kernel_counts", counting_kernel)
+    assert np.array_equal(_r2_counts(eng, ys), want)
+    assert len(calls) == 1
+    # a block's largest temporary is the third-derivative tensor on the
+    # points of V(F), |V(F)| n^3 entries per direction (n <= 8): three per block
+    monkeypatch.setattr(geometry, "_KERNEL_CHUNK", 3 * eng.on.size * form.n**3)
+    calls.clear()
+    assert np.array_equal(_r2_counts(eng, ys), want)
+    assert len(calls) == -(-len(ys) // 3)
+
+
 def test_t_set_monotone_in_s():
     f = parse_poly("x1^4+x2^4+x3^4", 3)
     table = r_check(f, 5, which=("r1",)).r1.table
@@ -307,6 +356,8 @@ def test_r_check_which_subsets():
     assert rep.r2.verdict in ("holds_empirically", "fails")
     with pytest.raises(InputError):
         r_check(f, 5, which=("r0", "r9"))
+    with pytest.raises(InputError):
+        r_check(f, 5, which=())
 
 
 def test_r_check_zero_form():
