@@ -597,12 +597,13 @@ def _ring(ring, terms: dict, cols: list):
 def _power_term(lift, mul, cols):
     """term(c, exps) as lift(c) times cached powers of the lifted columns."""
     base = [lift(c) for c in cols]
-    pows: dict[tuple, np.ndarray] = {}
+    pows = [[b] for b in base]  # pows[i][e - 1] = x_i^e, built x^e = x^(e-1) x
 
     def pw(i, e):
-        if (i, e) not in pows:
-            pows[i, e] = base[i] if e == 1 else mul(pw(i, e - 1), base[i])
-        return pows[i, e]
+        chain = pows[i]
+        while len(chain) < e:
+            chain.append(mul(chain[-1], base[i]))
+        return chain[e - 1]
 
     def term(c, exps):
         v = lift(c)

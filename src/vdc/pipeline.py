@@ -52,21 +52,24 @@ separable weight product and the pairwise float sum are those of
 domain checks an identity with tolerance 0; a float64 domain allows
 SMOOTH_RTOL * max(1, |scale|), with scale the size of the compared terms.
 
-Every pair pass is one grouped join (``_pair_join``): the points of one set
-paired with those of another inside equal groups, emitted in (group, left,
-right) order in chunks of at most PAIR_BLOCK pairs.  The correlations and
-level 1 group by class mod pi.  Level 2 joins the box points once, by
+The correlations and level 2 are grouped joins (``_pair_join``): the points
+of one set paired with those of another inside equal groups, emitted in
+(group, left, right) order in chunks of at most PAIR_BLOCK pairs.  The
+correlations group by class mod pi.  Level 2 joins the box points once, by
 (class mod p, f mod q): its pairs (u, u + p z) carry the second shift z, and
 those with q | f(u) are the x-pairs (x, x + p z).  The pair table then joins
 the x-pairs with the box-point pairs by (z, class mod pi), which puts
-x + pi y = u.  Each pass supplies only a part, a key and a weight per pair,
+x + pi y = u.  Each join supplies only a part, a key and a weight per pair,
 and one streaming fold (``_part_sums``) sums them per key.  Exact sums do
 not depend on order; float sums do, so each is cut into fixed parts: the
-correlations per 32 consecutive classes mod pi, level 1 per class mod pi,
-level 2 per second shift z, which its key (y, z) fixes, so a level-2 sum
-is one part.  A part adds its pairs to zero in emission order and the parts
-are added in order, so float results do not depend on the chunk size, and
-one code path serves both domains.
+correlations per 32 consecutive classes mod pi, level 2 per second shift z,
+which its key (y, z) fixes, so a level-2 sum is one part.  A part adds its
+pairs to zero in emission order and the parts are added in order, so float
+results do not depend on the chunk size, and one code path serves both
+domains.  Level 1 folds nothing (``_level1``): its keys are, shift by
+shift, the box classes (class mod p, f mod q) of the right points, so it
+scatters its rows into a dense block of box classes times shifts, in a
+fixed row order, and reads the sums back per row.
 
 The differencing is symmetric in the shifts, and the passes that can use it
 are triangular: a point pairs only with the points of its group at or after
@@ -107,7 +110,7 @@ from .geometry import VarietySpec, r_check, sing_points
 from .mpoly import IntPoly
 
 PAIR_BLOCK = 1 << 18  # pair rows per chunk: the most a pass holds at once
-LEVEL2_INT64_LIMIT = 1 << 62  # exact level-2 cell terms and per-y sums in int64
+INT64_LIMIT = 1 << 62  # exact level-1 squares and level-2 terms in int64
 
 
 @dataclass
@@ -136,14 +139,13 @@ class PipelineParams:
                 primes=[self.pi, self.p, self.q],
             )
         Weight(self.weight)  # refuses unknown kinds
-        # level 1 packs (shift, class mod p, residue mod q) into one int64 key
+        # level 2 keys its cells (y, z) as ky * Zcells + kz in one int64
         n = self.f.n
-        shift_cells = (2 * (4 * self.B // self.pi) + 1) ** n
-        if shift_cells * self.p**n * self.q >= 2**63:
+        cells = ((2 * (4 * self.B // self.pi) + 1)
+                 * (2 * (4 * self.B // self.p) + 1)) ** n
+        if self.with_pair_table and cells >= 2**63:
             raise PreconditionError(
-                "level-1 keys would overflow int64",
-                shift_cells=shift_cells, p=self.p, q=self.q, n=n,
-            )
+                "pair-table keys would overflow int64", cells=cells, n=n)
         warnings = []
         if not (self.pi <= self.B and self.p <= self.B and self.B < self.q / 4):
             warnings.append(
@@ -340,6 +342,17 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+def _runs(starts, ends, first, s: int, e: int):
+    """Rows [s, e) of runs laid end to end: run i holds rows [starts[i],
+    ends[i]) and reads the items first[i], first[i] + 1, ...  Returns the
+    slice of runs these rows meet, each one's row count among them, and each
+    row's item: a per-run array t gives the rows' values t[runs].repeat(c)."""
+    a = int(np.searchsorted(ends, s, "right"))
+    b = int(np.searchsorted(ends, e, "left")) + 1
+    c = np.minimum(ends[a:b], e) - np.maximum(starts[a:b], s)
+    return slice(a, b), c, (first[a:b] - starts[a:b]).repeat(c) + np.arange(s, e)
+
+
 def _pair_join(left: np.ndarray, right: np.ndarray, own=None):
     """All pairs (i, j) with left[i] == right[j], grouped by that key.
 
@@ -367,15 +380,10 @@ def _pair_join(left: np.ndarray, right: np.ndarray, own=None):
     npairs = int(ends[-1]) if ends.size else 0
 
     def chunks():
-        cs = np.arange(0, npairs, PAIR_BLOCK)  # chunk c is pairs [cs, ce)
-        ce = np.minimum(cs + PAIR_BLOCK, npairs)
-        ra = np.searchsorted(ends, cs, "right")  # its left rows are [ra, rb)
-        rb = np.searchsorted(ends, ce, "left") + 1
-        for s, e, a, b in zip(*(v.tolist() for v in (cs, ce, ra, rb))):
-            c = np.minimum(ends[a:b], e) - np.maximum(starts[a:b], s)
-            li = lo[a:b].repeat(c)
-            ri = ro[(first[a:b] - starts[a:b]).repeat(c) + np.arange(s, e)]
-            yield li, ri
+        for s in range(0, npairs, PAIR_BLOCK):
+            runs, c, item = _runs(starts, ends, first, s,
+                                  min(s + PAIR_BLOCK, npairs))
+            yield lo[runs].repeat(c), ro[item]
 
     return npairs, chunks()
 
@@ -426,19 +434,130 @@ def _part_sums(chunks, dtype):
     return _fold(keys, sums, dtype)
 
 
-def _sq_bincount(keys: np.ndarray, vals: np.ndarray, size: int):
-    """Per-bin sum of squared values, in vals' dtype except that int64 lifts
-    to Python ints unless every bin's sum provably fits."""
-    # below 2^31 each square is exact; a float64 bin sum of k < 2^51
-    # nonnegative terms is at least 2/3 of the true sum, so a float bin below
-    # 2^61 proves the int64 bin stays below 2^62
-    if vals.dtype == np.int64 and vals.size and (
-        int(np.abs(vals).max()) >= 2**31
-        or np.bincount(keys, vals * vals, size).max() >= 2.0**61
+def _sq_bincount(keys: np.ndarray, w: np.ndarray, v: np.ndarray, size: int):
+    """Per-bin sums of w * v over rows with |w| <= |v| and w * v >= 0, in
+    v's dtype except that int64 lifts to Python ints unless every bin
+    provably stays below INT64_LIMIT."""
+    # then |v|^2 < INT64_LIMIT makes each product exact; a float64 bin sum
+    # of k < 2^51 nonnegative terms is at least 2/3 of the true sum, so a
+    # float bin below INT64_LIMIT / 2 proves the int64 bin stays below
+    if v.dtype == np.int64 and v.size and (
+        int(np.abs(v).max()) ** 2 >= INT64_LIMIT
+        or np.bincount(keys, w * v, size).max() >= INT64_LIMIT / 2
     ):
-        vals = vals.astype(object)
-    out = np.zeros(size, dtype=vals.dtype)
-    np.add.at(out, keys, vals * vals)
+        w, v = w.astype(object), v.astype(object)
+    out = np.zeros(size, dtype=v.dtype)
+    np.add.at(out, keys, w * v)
+    return out
+
+
+class _SqSums:
+    """Per-bin sums of w * v over rows that arrive in chunks, as in
+    ``_sq_bincount``.
+
+    Float and Python-int rows add to their bins in arrival order.  An int64
+    chunk is binned by ``_sq_bincount``; its int64 bins, below INT64_LIMIT
+    <= 2^62, carry into 32-bit halves, so no total wraps, and its
+    Python-int bins join a Python-int total."""
+
+    def __init__(self, size: int, dtype):
+        self.lo = np.zeros(size, dtype=dtype)
+        self.hi = np.zeros(size, dtype=np.int64) if dtype == np.int64 else None
+        self.big = None
+
+    def add(self, keys, w, v) -> None:
+        if self.hi is None:
+            np.add.at(self.lo, keys, w * v)
+            return
+        bins = _sq_bincount(keys, w, v, self.lo.size)
+        if bins.dtype == object:
+            self.big = bins if self.big is None else self.big + bins
+        else:
+            self.hi += bins >> 32
+            self.lo += bins & 0xFFFFFFFF
+
+    def total(self) -> np.ndarray:
+        """The sums: int64 if every one is provably below INT64_LIMIT."""
+        if self.hi is None:
+            return self.lo
+        if self.big is None and (
+                self.hi * 2.0**32 + self.lo).max(initial=0) < INT64_LIMIT / 2:
+            return (self.hi << 32) + self.lo
+        out = (self.hi.astype(object) << 32) + self.lo.astype(object)
+        return out if self.big is None else out + self.big
+
+
+def _classes_per_block(ywidth: int) -> int:
+    """Box classes per level-1 block of ywidth shifts each: as many as fit
+    in 4 * PAIR_BLOCK cells, and at least one."""
+    return max(1, 4 * PAIR_BLOCK // ywidth)
+
+
+def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, cls_p,
+            Ycells: int, mirror: bool, member):
+    """The level-1 tables (t0, t1, ss2, ss3, sxy) over the shifts.
+
+    The rows are (c, x): box point c and a q-solution x of its class mod pi,
+    c = x + pi y.  The box points c come in ``order``, sorted by their box
+    class ``group[c]``; c reads the xcnt[i] solutions xs[xfirst[i]:] (i its
+    place in order).  A dense block of whole box classes times the shifts
+    holds the class sums V(y, b); each block first scatters its rows into V
+    and then reads V back at each row.  ``member(y, v)`` says whether v mod p
+    is a point of X_y.  A block holds at most 4 * PAIR_BLOCK cells, or one
+    box class, and the rows stream in chunks of PAIR_BLOCK.
+    """
+    dtype = wnum.dtype
+    ylo = Ycells // 2 if mirror else 0  # the mirrored pass emits y >= 0
+    ywidth = Ycells - ylo
+    ends = np.cumsum(xcnt)
+    starts = ends - xcnt
+    cg, cw, ca0 = group[order], wnum[order], fq_v[order] == 0
+    cy = ycode[order] + (Ycells // 2 - ylo)  # y = cy - xy, less ylo
+    xy, xw, xv = ycode[xs], wnum[xs], cls_p[xs]
+    per = _classes_per_block(ywidth)
+    nclass = int(cg[-1]) + 1
+    V = np.zeros(min(per, nclass) * ywidth, dtype=dtype)
+    t0, t1, sxy = (np.zeros(ywidth, dtype=dtype) for _ in range(3))
+    ss2, ss3 = _SqSums(ywidth, dtype), _SqSums(ywidth, dtype)
+
+    def rows(s, e, g0):
+        runs, c, item = _runs(starts, ends, xfirst, s, e)
+        y = cy[runs].repeat(c) - xy[item]
+        cell = ((cg[runs] - g0) * ywidth).repeat(c) + y
+        return y, cell, cw[runs].repeat(c) * xw[item], ca0[runs].repeat(c), item
+
+    bounds = np.searchsorted(cg, np.arange(0, nclass + per, per))
+    for g0, (ra, rb) in zip(range(0, nclass, per), zip(bounds, bounds[1:])):
+        s0, e0 = int(starts[ra]), int(ends[rb - 1])
+        spans = [(s, min(s + PAIR_BLOCK, e0)) for s in range(s0, e0, PAIR_BLOCK)]
+        for s, e in spans:
+            held = rows(s, e, g0)
+            np.add.at(V, held[1], held[2])
+        for s, e in spans:
+            y, cell, w, a0, item = held if len(spans) == 1 else rows(s, e, g0)
+            v = V[cell]
+            np.add.at(t0, y, w)
+            ss3.add(y, w, v)
+            # a0: q | f(c), so the difference residue a is 0
+            y, w, v, item = y[a0], w[a0], v[a0], item[a0]
+            np.add.at(t1, y, w)
+            ss2.add(y, w, v)
+            m = member(y + ylo, xv[item])
+            np.add.at(sxy, y[m], w[m])
+        # zero the touched cells; a block of several chunks, whose cells
+        # would take another pass over its rows, is cleared whole instead
+        if len(spans) == 1:
+            V[held[1]] = 0
+        elif spans:
+            V[:] = 0
+
+    out = []
+    for t in (t0, t1, ss2.total(), ss3.total(), sxy):
+        full = np.zeros(Ycells, dtype=t.dtype)
+        full[ylo:] = t
+        if mirror:
+            _mirror(full)
+        out.append(full)
     return out
 
 
@@ -518,23 +637,50 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     fs_axis[inrange] = S2[lags[inrange] + (L - 1)]
     fs_num = _sep_product([fs_axis] * n)
 
-    # the two pair passes, both joins inside classes mod pi: pq-solutions
-    # with each other, and q-solutions x with the box points c = x + pi y.
-    # A pair's key splits into a left and a right term: for x_a, x_c in one
-    # class mod pi, ycode[c] - ycode[a] + Ycells // 2 is the flat key of the
-    # shift (x_c - x_a) / pi, whose digits lie in [-Y, Y].  Inside a class,
-    # index order is ycode order, so a triangular pass (c at or after a)
-    # emits the shifts y >= 0 in flat-key order, y = 0 once as (a, a).
-    # The correlations are always triangular, since corr(-y) = corr(y);
-    # level 1 only when the tables mirror.
+    # the two pair passes, both inside classes mod pi: pq-solutions with each
+    # other, and q-solutions x with the box points c = x + pi y.  For x_a,
+    # x_c in one class mod pi, ycode[c] - ycode[a] + Ycells // 2 is the flat
+    # key of the shift (x_c - x_a) / pi, whose digits lie in [-Y, Y].
+    # Inside a class, index order is ycode order, so a triangular pass (c at
+    # or after a) emits the shifts y >= 0, y = 0 once as (a, a).  The
+    # correlations are always triangular, since corr(-y) = corr(y); level 1
+    # only when the tables mirror.
     mirror = _mirrors(f, w1)
-    a_pq, a_q = np.flatnonzero(solpq), np.flatnonzero(solq)
+    a_pq = np.flatnonzero(solpq)
     ycode = _flat(coords // pi, sideY)
     npairs_corr, corr_pairs = _pair_join(cls_pi[a_pq], cls_pi[a_pq],
                                          np.arange(a_pq.size))
-    npairs_lvl1, lvl1_pairs = _pair_join(cls_pi[a_q], cls_pi,
-                                         a_q if mirror else None)
-    budget.charge(npairs_corr + npairs_lvl1, "correlation pairs")
+    # Level 1 splits each shift y by the class v mod p of x and the
+    # difference residue a = f(c) mod q, under the key (y, v, a).  For a
+    # fixed y, (y, v, a) is in bijection with (y, b), where b = (c mod p,
+    # f(c) mod q) is the box class of c, because v = (c - pi y) mod p.  So
+    # the rows (c, x) run in (b, c, x) order: b numbered in order among the
+    # classes the box meets, x over the q-solutions of c's class mod pi, at
+    # or before c when the tables mirror.  The sums V(y, b) of the weight
+    # products w = W(x) W(c) are the class sums of the key (y, v, a), and
+    # the tables follow from the rows alone, as sum_k V_k^2 = sum_rows w V_k
+    # for the rows' keys k:
+    #   t0(y) = sum_{v,a} V,      ss3(y) = sum_{v,a} V^2,
+    #   t1(y) = sum_v V(a = 0),   ss2(y) = sum_v V(a = 0)^2,
+    #   sxy(y) = sum of V(a = 0) over the v in X_y.
+    # A float table therefore adds its rows in (b, c, x) order, whatever
+    # the chunk size.
+    border = np.lexsort((fq_v, cls_p))  # box points by (b, index)
+    newb = np.ones(M, dtype=bool)
+    newb[1:] = ((cls_p[border][1:] != cls_p[border][:-1])
+                | (fq_v[border][1:] != fq_v[border][:-1]))
+    bclass = np.empty(M, dtype=np.int64)
+    bclass[border] = np.cumsum(newb) - 1
+    by_pi = _stable_order(cls_pi)  # box points by (class mod pi, index)
+    xs = by_pi[solq[by_pi]]  # the q-solutions, in that order
+    xfirst = np.searchsorted(cls_pi[xs], cls_pi)
+    if mirror:  # the q-solutions of c's class up to c itself
+        xend = np.empty(M, dtype=np.int64)
+        xend[by_pi] = np.cumsum(solq[by_pi])
+    else:
+        xend = np.searchsorted(cls_pi[xs], cls_pi, "right")
+    xcnt = (xend - xfirst)[border]
+    budget.charge(npairs_corr + int(xcnt.sum()), "correlation pairs")
 
     # congruence part of corr(y); float parts are runs of 32 classes
     corr_part = cls_pi[a_pq] // 32
@@ -548,33 +694,8 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     congnum[keys] = sums
     _mirror(congnum)
 
-    # level 1: split each shift by classes v mod p and difference residue a
-    # mod q, under the key (y, v, a).  A float part is one class mod pi.
-    pn = p**n
-    pnq = pn * q
-    qcls = cls_pi[a_q]
-    lkey = ((Ycells // 2 - ycode[a_q]) * pn + cls_p[a_q]) * q
-    rkey, wq = ycode * pnq + fq_v, wnum[a_q]
-    K3, V3 = _part_sums(
-        ((qcls[li], lkey[li] + rkey[ri], _acc(wq[li] * wnum[ri]))
-         for li, ri in lvl1_pairs),
-        acc_dtype,
-    )
-
-    y3 = K3 // pnq
-    t0_num = np.zeros(Ycells, dtype=acc_dtype)
-    np.add.at(t0_num, y3, V3)
-    amask = K3 % q == 0
-    K2 = K3[amask] // q
-    V2 = V3[amask]
-    y2 = K2 // pn
-    v2 = K2 % pn
-    t1_num = np.zeros(Ycells, dtype=acc_dtype)
-    np.add.at(t1_num, y2, V2)
-    ss3 = _sq_bincount(y3, V3, Ycells)
-    ss2 = _sq_bincount(y2, V2, Ycells)
-
     # X_y(F_p): pairs of zeros of f mod p at shift pi*y
+    pn = p**n
     budget.charge(pn, "zero grid mod p")
     gp = eval_on_axes(f, [np.arange(p, dtype=np.int64)] * n, p)
     gz = gp == 0
@@ -586,16 +707,11 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     for t_i, d in enumerate(_digits(uniq_wid, p, n)):
         r = np.roll(gz_nd, tuple(-d[::-1]), axis=tuple(range(n)))
         rolled[t_i] = r.ravel() & gz
-    xcount_by_wid = rolled.sum(axis=1)
-    xcount = xcount_by_wid[wid_idx].astype(np.int64)
+    xcount = rolled.sum(axis=1)[wid_idx].astype(np.int64)
 
-    sxy_num = np.zeros(Ycells, dtype=acc_dtype)
-    if K2.size:
-        member = rolled[wid_idx[y2], v2]
-        np.add.at(sxy_num, y2[member], V2[member])
-    if mirror:
-        for t in (t0_num, t1_num, ss2, ss3, sxy_num):
-            _mirror(t)
+    t0_num, t1_num, ss2, ss3, sxy_num = _level1(
+        border, bclass, xfirst[border], xcnt, xs, ycode, _acc(wnum), fq_v,
+        cls_p, Ycells, mirror, lambda y, v: rolled[wid_idx[y], v])
 
     ledger = PipelineLedger(
         params=params,
@@ -626,7 +742,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     ledger.residuals = _residuals(ledger, inner_sq)
 
     if params.with_pair_table:
-        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget)
+        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, budget)
     return ledger
 
 
@@ -722,7 +838,7 @@ def _t2d(w1: np.ndarray, pi: int, p: int, Y: int, Z: int, L: int) -> np.ndarray:
     return out
 
 
-def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
+def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, budget):
     """Second differencing: corr2(y, z) tables and their per-y aggregates."""
     pr = ledger.params
     B, pi, p, q, n = pr.B, pr.pi, pr.p, pr.q, ledger.n
@@ -739,14 +855,14 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
     ledger.pair_range = Z
 
     # box-point pairs: live points a and c = a + p z with f(a) = f(c) mod q,
-    # from one join on (class mod p, f mod q).  Its rows with q | f(a) are
-    # the x-pairs; all its rows are the u-side pairs (u, u + p z).  As
-    # corr2(y, -z) = corr2(y, z), the join is triangular and keeps z >= 0:
-    # index order is zcode order inside a class mod p.  The z = 0 cells stay
-    # full, as (x, x) meets every (u, u) of its class, and _level2_cells
-    # mirrors the rest.
+    # from one join on the box class (class mod p, f mod q), numbered as in
+    # level 1.  Its rows with q | f(a) are the x-pairs; all its rows are the
+    # u-side pairs (u, u + p z).  As corr2(y, -z) = corr2(y, z), the join is
+    # triangular and keeps z >= 0: index order is zcode order inside a class
+    # mod p.  The z = 0 cells stay full, as (x, x) meets every (u, u) of its
+    # class, and _level2_cells mirrors the rest.
     live = np.flatnonzero(wnum > 0)  # weights are nonnegative in every kind
-    key = cls_p[live] * q + fq_v[live]
+    key = bclass[live]
     _, box_pairs = _pair_join(key, key, np.arange(live.size))
     pa, pc = [live[:0]], [live[:0]]
     for li, ri in box_pairs:
@@ -755,7 +871,7 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
     pa, pc = np.concatenate(pa), np.concatenate(pc)
     zcode = _flat(coords // p, sideZ)  # keys z as ycode keys y
     pz = zcode[pc] - zcode[pa] + Zcells // 2
-    if D.exact and wnum.max().item() ** 2 >= LEVEL2_INT64_LIMIT:
+    if D.exact and wnum.max().item() ** 2 >= INT64_LIMIT:
         wnum = wnum.astype(object)  # a pair weight could pass int64
     pw = wnum[pa] * wnum[pc]
 
@@ -781,7 +897,7 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, cls_p, budget):
         size = Zcells * classes.size
         total = (np.bincount(lgrp, wx.astype(np.float64), size)
                  @ np.bincount(rgrp, pw.astype(np.float64), size))
-        if not 2 * total < LEVEL2_INT64_LIMIT / 2:
+        if not 2 * total < INT64_LIMIT / 2:
             wx, pw = wx.astype(object), pw.astype(object)
     ycode = _flat(coords // pi, 2 * Y + 1)
     xkey = Ycells // 2 - ycode[xi]
@@ -837,7 +953,7 @@ def _level2_cells(rows, t2d, n, q3, D2, dtype):
     # of its FS2 is at most max rsum = (max R)^n, so no step passes this
     # bound; q^3 itself must fit as well
     cq = c  # the parts stay in dtype; their terms may need Python ints
-    if q3 * max(1, int(c.max(initial=0))) + int(rsum.max()) >= LEVEL2_INT64_LIMIT:
+    if q3 * max(1, int(c.max(initial=0))) + int(rsum.max()) >= INT64_LIMIT:
         cq, t2d = D2.lift(c), D2.lift(t2d)
     fs2 = 1
     for i in range(n):  # digit 0 first, as corr2 reads them

@@ -297,18 +297,35 @@ def test_pipeline_q_past_int64_products(capsys):
     assert all(r["ok"] for r in res["residuals"].values())
 
 
+def test_pipeline_q_near_2_61_runs(capsys):
+    """p^n q = 125 (2^61 - 1) once keyed level 1 past int64, and the
+    command was refused; level 1 now keys by box class, and level 2 with
+    it."""
+    code, doc = run_cli(
+        ["pipeline", "--poly", CUBIC3, "--n", "3", "--B", "4", "--pi", "3",
+         "--p", "5", "--q", "2305843009213693951", "--pair-table"],
+        capsys=capsys)
+    assert code == 0
+    res = doc["result"]
+    # q exceeds every |f| on the box: the count of the integer zeros again
+    assert res["counts"]["count_full"] == {"num": "43", "den": "8"}
+    assert all(r["ok"] for r in res["residuals"].values())
+    assert res["pair"]["exact"] is True
+
+
 @pytest.mark.parametrize("argv,error", [
     (["count", "--poly", "x1^2-4", "--n", "1", "--B", "6",
       "--modulus", "18446744073709551629"], "input"),
-    (["pipeline", "--poly", CUBIC3, "--n", "3", "--B", "4", "--pi", "3",
-      "--p", "5", "--q", "2305843009213693951"], "precondition"),
+    # ((2*4+1) * (2*2+1))^12 = 45^12 pair-table cells >= 2^63
+    (["pipeline", "--poly", CUBIC3, "--n", "12", "--B", "2", "--pi", "2",
+      "--p", "3", "--q", "5", "--pair-table"], "precondition"),
     (["pipeline", "--poly", CUBIC3, "--n", "3", "--B", "4", "--pi", "3",
       "--p", "101", "--q", "103", "--budget", "200000"], "budget"),
     (["pipeline", "--poly", CUBIC3, "--n", "3", "--B", "4", "--pi", "3",
       "--p", "5", "--q", "7", "--budget", "0"], "input"),
     (["pipeline", "--poly", CUBIC3, "--n", "3", "--B", "4", "--pi", "3",
       "--p", "5", "--q", "7", "--budget", "-5"], "input"),
-], ids=["modulus-past-2^63", "level1-key-packing", "zero-grid-mod-p",
+], ids=["modulus-past-2^63", "pair-key-packing", "zero-grid-mod-p",
         "budget-0", "budget-negative"])
 def test_oversized_moduli_and_grids_refuse(argv, error, capsys):
     code, doc = run_cli(argv, capsys=capsys)

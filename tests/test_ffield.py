@@ -206,6 +206,14 @@ def test_evaluator_matches_scalar_oracle(ring_id, layout):
             assert list(eval_on_axes(poly, src, ring)) == list(out.ravel()), name
 
 
+@pytest.mark.parametrize("ring", [7, None], ids=["Z/7", "Z"])
+def test_eval_terms_takes_exponents_past_the_recursion_limit(ring):
+    """x^1200 is built by a loop of 1199 products, not by recursion."""
+    out = _eval_terms({(1200,): 1}, [np.arange(5)], (5,), ring)
+    want = [x**1200 if ring is None else pow(x, 1200, ring) for x in range(5)]
+    assert [int(v) for v in out] == want
+
+
 # -- discrete-log tables against the digit-convolution ring -------------------
 
 LOG_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (1021, 2), (2, 20)]

@@ -13,11 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vdc import cli, geometry, pipeline
-from vdc.counting import Weight
+from vdc.counting import Weight, _sep_product, eval_on_axes
 from vdc.errors import Budget, BudgetExceeded, InputError, PreconditionError
-from vdc.mpoly import parse_poly
+from vdc.mpoly import IntPoly, parse_poly
 from vdc.pipeline import (
     PipelineParams,
     _residuals,
@@ -309,6 +310,32 @@ class RecordingBudget(Budget):
         self.charges[what] += int(amount)
 
 
+def spy_level1(monkeypatch):
+    """Record each _level1 call's mirror flag and the rows its spans emit:
+    a block that streams in several chunks generates them twice, once to
+    scatter and once to gather, so rows are counted per distinct span."""
+    calls, inside = [], [False]
+    level1, runs = pipeline._level1, pipeline._runs
+
+    def spied_level1(*args):
+        calls.append({"mirror": args[10], "spans": {}})
+        inside[0] = True
+        try:
+            return level1(*args)
+        finally:
+            inside[0] = False
+
+    def spied_runs(starts, ends, first, s, e):
+        out = runs(starts, ends, first, s, e)
+        if inside[0]:
+            calls[-1]["spans"][s, e] = out[2].size
+        return out
+
+    monkeypatch.setattr(pipeline, "_level1", spied_level1)
+    monkeypatch.setattr(pipeline, "_runs", spied_runs)
+    return calls
+
+
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
     emitted = []
@@ -326,6 +353,7 @@ def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
         return npairs, counted()
 
     monkeypatch.setattr(pipeline, "_pair_join", counting_join)
+    level1 = spy_level1(monkeypatch)
     budget = RecordingBudget()
     kw = CHUNK_CASES[case]
     build_ledger(PipelineParams(**kw, with_pair_table=True), budget)
@@ -354,8 +382,11 @@ def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
         before[u] += 1
     corr = sum(c * (c + 1) // 2 for c in n_pq.values()) + lvl1
     assert budget.charges["correlation pairs"] == corr
-    # the first two joins are the correlation pass and level 1
-    assert emitted[0] + emitted[1] == corr
+    # the first join is the correlation pass; level 1 emits the rest
+    [lvl1_call] = level1
+    assert lvl1_call["mirror"]
+    assert sum(lvl1_call["spans"].values()) == lvl1
+    assert emitted[0] + lvl1 == corr
     assert budget.charges["second-difference pairs"] == sum(
         c * (c + 1) // 2 for c in n_qp.values())
 
@@ -648,7 +679,7 @@ def test_exact_level2_matches_scalar_loop(default_ledgers, exact_level2_ledgers,
 @pytest.mark.parametrize("case", ["showcase-hat", "n4-hat"])
 def test_exact_level2_object_sums_match(exact_level2_ledgers, monkeypatch,
                                         case):
-    monkeypatch.setattr(pipeline, "LEVEL2_INT64_LIMIT", 0)
+    monkeypatch.setattr(pipeline, "INT64_LIMIT", 0)
     led = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES[case],
                                       with_pair_table=True))
     assert_same_level2(led, exact_level2_ledgers[case])
@@ -667,7 +698,7 @@ def test_level2_rows_leave_int64_past_total_weight(exact_level2_ledgers,
         return cells(rows, t2d, n, q3, D, dtype)
 
     monkeypatch.setattr(pipeline, "_level2_cells", spy)
-    monkeypatch.setattr(pipeline, "LEVEL2_INT64_LIMIT", 2**19)
+    monkeypatch.setattr(pipeline, "INT64_LIMIT", 2**19)
     led = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES["showcase-hat"],
                                       with_pair_table=True))
     assert dtypes == [object]
@@ -726,7 +757,7 @@ def test_level2_cells_leave_int64_past_its_bound():
     w = np.where(kz % 2 == 0, 2**50 + rng.integers(0, 2**20, kz.size),
                  rng.integers(1, 100, kz.size))
     assert q3 * int(w.max()) + int(t2d.sum(axis=1).max()) ** 2 < (
-        pipeline.LEVEL2_INT64_LIMIT)
+        pipeline.INT64_LIMIT)
     check_level2_cells(t2d, kz, ky, w, q3)
 
 
@@ -876,7 +907,7 @@ def test_sq_bincount_dtype_follows_bin_bound(keys, vals, dtype):
     keys = np.array(keys, dtype=np.int64)
     vals = np.array(vals, dtype=np.int64)
     size = int(keys.max()) + 2  # one bin stays empty
-    out = pipeline._sq_bincount(keys, vals, size)
+    out = pipeline._sq_bincount(keys, vals, vals, size)
     assert out.dtype == dtype
     assert out.tolist() == sq_bins_oracle(keys, vals, size)
 
@@ -976,10 +1007,22 @@ def test_full_path_matches_brute_force(monkeypatch, case):
         return join(left, right, own)
 
     monkeypatch.setattr(pipeline, "_pair_join", spy)
+    level1 = spy_level1(monkeypatch)
     led = build_ledger(PipelineParams(f=f, B=4, pi=5, p=3, q=7, weight="hat",
                                       with_pair_table=True))
-    # correlations, level 1, box-point pairs, pair table
-    assert triangular == [True, False, True, False]
+    # correlations, box-point pairs, pair table
+    assert triangular == [True, True, False]
+    # level 1 pairs every q-solution with every box point of its class
+    [lvl1_call] = level1
+    h = 2 * 4 - 1
+    n_box, n_q = defaultdict(int), defaultdict(int)
+    for x in itertools.product(range(-h, h + 1), repeat=N):
+        u = tuple(c % 5 for c in x)
+        n_box[u] += 1
+        n_q[u] += f.eval(list(x)) % 7 == 0
+    assert not lvl1_call["mirror"]
+    assert sum(lvl1_call["spans"].values()) == sum(
+        n_q[u] * n_box[u] for u in n_box)
     for name in ("t0_num", "ss3"):  # not mirror images: y and -y differ
         t = getattr(led, name)
         assert np.any(t != t[::-1]), name
@@ -989,6 +1032,135 @@ def test_full_path_matches_brute_force(monkeypatch, case):
     assert np.array_equal(led.qsum, qsum)
     assert np.array_equal(led.abs2_num, abs2)
     assert all(rc.ok for rc in led.residuals.values())
+
+
+def level1_oracle(params):
+    """The level-1 tables (t0, t1, ss2, ss3, sxy) and the row count, as the
+    key fold computed them: the rows of the join of the q-solutions with
+    the box points by class mod pi fold per key (y, v, a), with a float part
+    per class mod pi, and the tables reduce the key sums V: t0 and t1 add V
+    over every key and over a = 0, ss3 and ss2 add V^2 likewise, and sxy
+    adds V over the keys with a = 0 and v in X_y.  Exact weights sum in
+    Python ints."""
+    f, b, pi, p, q = (getattr(params, a) for a in ("f", "B", "pi", "p", "q"))
+    n, w = f.n, Weight(params.weight)
+    h = w.halfwidth(b)
+    w1 = w.axis_values(b)[0]
+    m = (2 * h + 1) ** n
+    coords = pipeline._digits(np.arange(m), 2 * h + 1, n, h)
+    fq_v = eval_on_axes(f, [np.arange(-h, h + 1)] * n, q)
+    wnum = _sep_product([w1] * n)
+    if w.exact:
+        wnum = wnum.astype(object)
+    cls_pi = pipeline._flat(coords % pi, pi)
+    cls_p = pipeline._flat(coords % p, p)
+    y_range = 4 * b // pi
+    side = 2 * y_range + 1
+    ycells = side**n
+    ycode = pipeline._flat(coords // pi, side)
+    mirror = pipeline._mirrors(f, w1)
+    a_q = np.flatnonzero(fq_v == 0)
+    rows, pairs = pipeline._pair_join(cls_pi[a_q], cls_pi,
+                                      a_q if mirror else None)
+    pn = p**n
+    lkey = ((ycells // 2 - ycode[a_q]) * pn + cls_p[a_q]) * q
+    rkey = ycode * pn * q + fq_v
+    k3, v3 = pipeline._part_sums(
+        ((cls_pi[a_q][li], lkey[li] + rkey[ri], wnum[a_q][li] * wnum[ri])
+         for li, ri in pairs), wnum.dtype)
+    y3 = k3 // (pn * q)
+    amask = k3 % q == 0
+    k2, v2 = k3[amask] // q, v3[amask]
+    y2, c2 = k2 // pn, k2 % pn
+    gz = eval_on_axes(f, [np.arange(p)] * n, p) == 0
+    ydig = pipeline._digits(y2, side, n, y_range)
+    shifted = pipeline._flat((pipeline._digits(c2, p, n) + pi * ydig) % p, p)
+    member = gz[c2] & gz[shifted]
+    out = []
+    for keys, vals in ((y3, v3), (y2, v2), (y2, v2 * v2), (y3, v3 * v3),
+                       (y2[member], v2[member])):
+        t = np.zeros(ycells, dtype=wnum.dtype)
+        np.add.at(t, keys, vals)
+        if mirror:
+            pipeline._mirror(t)
+        out.append(t)
+    return out, rows
+
+
+LEVEL1_TABLES = ("t0_num", "t1_num", "ss2", "ss3", "sxy_num")
+
+
+def assert_level1_matches(led, want, rows):
+    """Exact tables equal the oracle's; smooth ones lie within the rounding
+    of either summation order: both add nonnegative terms, each total
+    passing at most 2 rows + 3 roundings."""
+    for name, t in zip(LEVEL1_TABLES, want):
+        got = getattr(led, name)
+        if led.exact:
+            assert np.array_equal(got, t), name
+        else:
+            bound = 2 * float(gamma(2 * rows + 3)) * np.maximum(got, t)
+            assert np.all(np.abs(got - t) <= bound), name
+
+
+@st.composite
+def level1_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    b = draw(st.integers(1, 4 if n == 2 else 3))
+    pi, p, q = draw(st.permutations([2, 3, 5, 7, 11, 13, 17]))[:3]
+    monomials = [e for e in itertools.product(range(4), repeat=n)
+                 if sum(e) == 3]
+    terms = {e: c for e in monomials
+             if (c := draw(st.integers(-3, 3)))} or {monomials[0]: 1}
+    if draw(st.booleans()):  # parity-free: f(-x) is neither f(x) nor -f(x)
+        terms[(1,) + (0,) * (n - 1)] = 1
+        terms[(0,) * n] = 2
+    weight = draw(st.sampled_from(["hat", "indicator", "smooth"]))
+    block = draw(st.sampled_from([1, 7, None] if n == 2 else [7, None]))
+    return (PipelineParams(f=IntPoly(n, terms), B=b, pi=pi, p=p, q=q,
+                           weight=weight), block, draw(st.booleans()))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(level1_cases())
+def test_level1_matches_key_fold(case):
+    """The scatter pass of level 1 against the key fold, over mirror and
+    parity-free f, pi past 4B (one shift), every weight kind, PAIR_BLOCK 1,
+    7 and default, and blocks of one box class."""
+    params, block, one_class = case
+    want, rows = level1_oracle(params)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(pipeline, "PAIR_BLOCK", block)
+        if one_class:
+            mp.setattr(pipeline, "_classes_per_block", lambda ywidth: 1)
+        led = build_ledger(params)
+    assert_level1_matches(led, want, rows)
+
+
+def test_level1_python_int_bins_match_key_fold(monkeypatch):
+    """Past the int64 bound, chunk bins lift to Python ints and the totals
+    leave int64, and they still equal the key fold's Python-int sums; with
+    chunks of 64 rows some chunks stay in int64 and some lift."""
+    params = PipelineParams(f=F, B=B, pi=PI, p=P, q=Q, weight="hat")
+    want, rows = level1_oracle(params)
+    limit = 2**32  # ss3 reaches 5.3e12; the median chunk's largest bin 3.3e8
+    assert want[3].max() >= limit
+    dtypes, sq = [], pipeline._sq_bincount
+
+    def spy(*args):
+        out = sq(*args)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(pipeline, "INT64_LIMIT", limit)
+    monkeypatch.setattr(pipeline, "PAIR_BLOCK", 64)  # ~3,400 level-1 chunks
+    monkeypatch.setattr(pipeline, "_sq_bincount", spy)
+    led = build_ledger(params)
+    assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
+    assert led.ss2.dtype == led.ss3.dtype == object
+    assert_level1_matches(led, want, rows)
 
 
 HALF_CASES = {**{(c, w): dict(**kw, weight=w) for c, kw in CHUNK_CASES.items()
