@@ -59,17 +59,19 @@ correlations group by class mod pi.  Level 2 joins the box points once, by
 (class mod p, f mod q): its pairs (u, u + p z) carry the second shift z, and
 those with q | f(u) are the x-pairs (x, x + p z).  The pair table then joins
 the x-pairs with the box-point pairs by (z, class mod pi), which puts
-x + pi y = u.  Each join supplies only a part, a key and a weight per pair,
-and one streaming fold (``_part_sums``) sums them per key.  Exact sums do
-not depend on order; float sums do, so each is cut into fixed parts: the
-correlations per 32 consecutive classes mod pi, level 2 per second shift z,
-which its key (y, z) fixes, so a level-2 sum is one part.  A part adds its
-pairs to zero in emission order and the parts are added in order, so float
-results do not depend on the chunk size, and one code path serves both
-domains.  Level 1 folds nothing (``_level1``): its keys are, shift by
-shift, the box classes (class mod p, f mod q) of the right points, so it
-scatters its rows into a dense block of box classes times shifts, in a
-fixed row order, and reads the sums back per row.
+x + pi y = u.  Each join supplies a part, a key and a weight per pair, and
+``_cell_sums`` adds them per cell (part, key) in a dense block of
+consecutive parts times all keys, at most 4 * PAIR_BLOCK cells or one part,
+harvesting the cells a per-cell flag marks once the rows pass the block; no
+row is sorted by key.  Float sums depend on order, so the parts are fixed:
+the correlations per 32 consecutive classes mod pi, each shift adding its
+part sums in part order (``_corr_sums``), and level 2 per second shift z, so
+that each cell (y, z) is one part.  A cell adds its rows to zero in arrival
+order, so float results do not depend on the chunk size, and one code path
+serves both domains.  Level 1 (``_level1``) keys its sums, shift by shift,
+by the box classes (class mod p, f mod q) of the right points: it scatters
+its rows into a dense block of box classes times shifts, in a fixed row
+order, and reads the sums back per row.
 
 The differencing is symmetric in the shifts, and the passes that can use it
 are triangular: a point pairs only with the points of its group at or after
@@ -98,6 +100,7 @@ sum_{z_i} T(pi y_i, p z_i).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -388,50 +391,54 @@ def _pair_join(left: np.ndarray, right: np.ndarray, own=None):
     return npairs, chunks()
 
 
-def _fold(keys, w, dtype, parts=None):
-    """Sums of w per key, or per (key, part), each adding its rows to zero
-    in arrival order.  Returns (keys, sums), sorted by key and, within a
-    key, in arrival order."""
-    order = _stable_order(keys)
-    ks = keys[order]
-    new = np.ones(ks.size, dtype=bool)
-    new[1:] = ks[1:] != ks[:-1]
-    if parts is not None:
-        parts = parts[order]
-        new[1:] |= parts[1:] != parts[:-1]
-    inv = np.empty(ks.size, dtype=np.int64)
-    inv[order] = np.cumsum(new) - 1
-    sums = np.zeros(int(new.sum()), dtype=dtype)
-    np.add.at(sums, inv, w)
-    return ks[new], sums
+def _per_block(width: int) -> int:
+    """The lines of width cells in one dense block: as many as fit in
+    4 * PAIR_BLOCK cells, and at least one."""
+    return max(1, 4 * PAIR_BLOCK // width)
 
 
-def _part_sums(chunks, dtype):
-    """Per-key sums of (part, key, weight) rows that arrive in chunks whose
-    part ids are nonnegative and never decrease.
+def _cell_sums(rows, width: int, height: int, dtype):
+    """Per-cell sums of rows (cell, w), cell = h width + k with k < width
+    and h < height never decreasing: the touched cells, in order, and their
+    sums, each adding its rows to zero in arrival order in a dense block of
+    consecutive h times all k, at most 4 * PAIR_BLOCK cells or one h.  Once
+    the rows pass a block, the cells its per-cell flag marks are harvested
+    and zeroed: the flag, not the value, says a cell was touched, as a
+    float sum can underflow to 0.0."""
+    per = _per_block(width)  # h values per block
+    span = per * width  # block b holds the cells [b span, (b + 1) span)
+    blk = np.zeros(min(per, height) * width, dtype=dtype)
+    hit = np.zeros(blk.size, dtype=bool)
 
-    Each (part, key) sum adds its rows to zero in arrival order, and each
-    key's total adds its part sums to zero in part order, so float totals
-    depend on the parts, not on the chunking.  Each chunk folds at once:
-    its rows before its last part, led by the open sums if their part is
-    now complete, fold by (key, part) into the finished sums; the rest fold
-    by key into the open sums, which lead the next chunk's fold.  Returns
-    (sorted keys, totals).
-    """
-    done, op = [], -1  # the open sums' part
-    ok, osum = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
-    for part, key, w in chunks:
-        cut = int(np.searchsorted(part, part[-1]))  # [cut:] is the last part
-        if op != part[-1]:  # the open part is complete
-            done.append(_fold(np.concatenate([ok, key[:cut]]),
-                              np.concatenate([osum, w[:cut]]), dtype,
-                              np.concatenate([np.full(ok.size, op), part[:cut]])))
-            ok, osum, op = ok[:0], osum[:0], part[-1]
-        ok, osum = _fold(np.concatenate([ok, key[cut:]]),
-                         np.concatenate([osum, w[cut:]]), dtype)
-    done.append((ok, osum))
-    keys, sums = (np.concatenate(v) for v in zip(*done))
-    return _fold(keys, sums, dtype)
+    def pieces():  # each chunk cut where its block changes
+        for cell, w in rows:
+            b = cell // span
+            cut = (np.flatnonzero(b[1:] != b[:-1]) + 1).tolist()
+            for s, e in zip([0, *cut], [*cut, b.size]):
+                yield int(b[s]), cell[s:e] - b[s] * span, w[s:e]
+
+    cells, sums = [np.zeros(0, dtype=np.int64)], [blk[:0]]
+    for b, group in itertools.groupby(pieces(), key=lambda t: t[0]):
+        for _, at, w in group:
+            np.add.at(blk, at, w)
+            hit[at] = True
+        i = np.flatnonzero(hit)
+        cells.append(i + b * span)
+        sums.append(blk[i])
+        blk[i] = 0
+        hit[i] = False
+    return np.concatenate(cells), np.concatenate(sums)
+
+
+def _corr_sums(rows, size: int, parts: int, dtype) -> np.ndarray:
+    """Per-key sums over keys [0, size) of rows (part, key, w), part ids in
+    [0, parts) and never decreasing: each (part, key) adds its rows to zero
+    in arrival order, and each key adds its part sums to zero in part order."""
+    cells, sums = _cell_sums(((part * size + key, w) for part, key, w in rows),
+                             size, parts, dtype)
+    total = np.zeros(size, dtype=dtype)
+    np.add.at(total, cells % size, sums)
+    return total
 
 
 def _sq_bincount(keys: np.ndarray, w: np.ndarray, v: np.ndarray, size: int):
@@ -487,12 +494,6 @@ class _SqSums:
         return out if self.big is None else out + self.big
 
 
-def _classes_per_block(ywidth: int) -> int:
-    """Box classes per level-1 block of ywidth shifts each: as many as fit
-    in 4 * PAIR_BLOCK cells, and at least one."""
-    return max(1, 4 * PAIR_BLOCK // ywidth)
-
-
 def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, cls_p,
             Ycells: int, mirror: bool, member):
     """The level-1 tables (t0, t1, ss2, ss3, sxy) over the shifts.
@@ -514,7 +515,7 @@ def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, cls_p,
     cg, cw, ca0 = group[order], wnum[order], fq_v[order] == 0
     cy = ycode[order] + (Ycells // 2 - ylo)  # y = cy - xy, less ylo
     xy, xw, xv = ycode[xs], wnum[xs], cls_p[xs]
-    per = _classes_per_block(ywidth)
+    per = _per_block(ywidth)
     nclass = int(cg[-1]) + 1
     V = np.zeros(min(per, nclass) * ywidth, dtype=dtype)
     t0, t1, sxy = (np.zeros(ywidth, dtype=dtype) for _ in range(3))
@@ -685,13 +686,9 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     # congruence part of corr(y); float parts are runs of 32 classes
     corr_part = cls_pi[a_pq] // 32
     lkey, rkey, wpq = Ycells // 2 - ycode[a_pq], ycode[a_pq], wnum[a_pq]
-    congnum = np.zeros(Ycells, dtype=acc_dtype)
-    keys, sums = _part_sums(
-        ((corr_part[li], lkey[li] + rkey[ri], _acc(wpq[li] * wpq[ri]))
-         for li, ri in corr_pairs),
-        acc_dtype,
-    )
-    congnum[keys] = sums
+    rows = ((corr_part[li], lkey[li] + rkey[ri], _acc(wpq[li] * wpq[ri]))
+            for li, ri in corr_pairs)
+    congnum = _corr_sums(rows, Ycells, -(-pin // 32), acc_dtype)
     _mirror(congnum)
 
     # X_y(F_p): pairs of zeros of f mod p at shift pi*y
@@ -742,7 +739,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     ledger.residuals = _residuals(ledger, inner_sq)
 
     if params.with_pair_table:
-        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, budget)
+        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, budget)
     return ledger
 
 
@@ -838,21 +835,39 @@ def _t2d(w1: np.ndarray, pi: int, p: int, Y: int, Z: int, L: int) -> np.ndarray:
     return out
 
 
-def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, budget):
+def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, budget):
     """Second differencing: corr2(y, z) tables and their per-y aggregates."""
     pr = ledger.params
     B, pi, p, q, n = pr.B, pr.pi, pr.p, pr.q, ledger.n
-    Y, Ycells = ledger.shift_range, len(ledger.corr_num)
-    Z = (4 * B) // p
-    sideZ = 2 * Z + 1
-    Zcells = sideZ**n
-    L = w1.size
-    budget.charge(Zcells * L**n, "pair-table windows")
+    Y, Z, L = ledger.shift_range, (4 * B) // p, w1.size
+    budget.charge((2 * Z + 1) ** n * L**n, "pair-table windows")
 
     D = ledger._dom
     t2d = _t2d(w1, pi, p, Y, Z, L)
     ledger._t2d_table = t2d
     ledger.pair_range = Z
+    cells = _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget)
+    (ledger.pair_keys, ledger.pair_num, ledger.qsum,
+     ledger.abs2_num) = _level2_cells(*cells, t2d, n, q**3, D)
+
+    # refined_square_expansion: sum over (v, a) of squared bin sums equals
+    # the z-sum of pair congruence parts (both at the den1^4 scale)
+    ledger.residuals["refined_square_expansion"] = _check(
+        D, "refined_square_expansion", "identity",
+        np.max(np.abs(D.lift(ledger.ss3) - D.lift(ledger.qsum))),
+        np.max(np.abs(ledger.ss3)),
+    )
+
+    ledger.aggregate = _aggregate_from_abs(ledger)
+
+
+def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget):
+    """The level-2 cells (y, z), z >= 0, that the joins fill, and their
+    congruence parts, as ``_level2_cells`` reads them; the joins' arrays,
+    which live only here, are freed before it sorts the cells."""
+    n, D, Ycells = ledger.n, ledger._dom, len(ledger.corr_num)
+    sideZ = 2 * ledger.pair_range + 1
+    Zcells = sideZ**n
 
     # box-point pairs: live points a and c = a + p z with f(a) = f(c) mod q,
     # from one join on the box class (class mod p, f mod q), numbered as in
@@ -863,13 +878,13 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, budget):
     # class, and _level2_cells mirrors the rest.
     live = np.flatnonzero(wnum > 0)  # weights are nonnegative in every kind
     key = bclass[live]
-    _, box_pairs = _pair_join(key, key, np.arange(live.size))
-    pa, pc = [live[:0]], [live[:0]]
+    npairs, box_pairs = _pair_join(key, key, np.arange(live.size))
+    pa, pc = np.empty(npairs, dtype=np.int64), np.empty(npairs, dtype=np.int64)
+    s = 0
     for li, ri in box_pairs:
-        pa.append(live[li])
-        pc.append(live[ri])
-    pa, pc = np.concatenate(pa), np.concatenate(pc)
-    zcode = _flat(coords // p, sideZ)  # keys z as ycode keys y
+        pa[s:s + li.size], pc[s:s + li.size] = live[li], live[ri]
+        s += li.size
+    zcode = _flat(coords // ledger.params.p, sideZ)  # keys z as ycode keys y
     pz = zcode[pc] - zcode[pa] + Zcells // 2
     if D.exact and wnum.max().item() ** 2 >= INT64_LIMIT:
         wnum = wnum.astype(object)  # a pair weight could pass int64
@@ -899,60 +914,45 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, budget):
                  @ np.bincount(rgrp, pw.astype(np.float64), size))
         if not 2 * total < INT64_LIMIT / 2:
             wx, pw = wx.astype(object), pw.astype(object)
-    ycode = _flat(coords // pi, 2 * Y + 1)
-    xkey = Ycells // 2 - ycode[xi]
+    # a row's cell (kz - Zcells // 2) Ycells + ky, with ky = Ycells // 2
+    # - ycode[x] + ycode[u] the flat key of y, splits into an x and a u part
+    xcell = (zk - Zcells // 2) * Ycells + Ycells // 2 - ycode[xi]
+    ucell = ycode[pa]
     _, pairs = _pair_join(lgrp, rgrp)
-    rows = ((zk[li], xkey[li] + ycode[pa[ri]], wx[li] * pw[ri])
-            for li, ri in pairs)
-    (ledger.pair_keys, ledger.pair_num, ledger.qsum,
-     ledger.abs2_num) = _level2_cells(rows, t2d, n, q**3, D, pw.dtype)
-
-    # refined_square_expansion: sum over (v, a) of squared bin sums equals
-    # the z-sum of pair congruence parts (both at the den1^4 scale)
-    ledger.residuals["refined_square_expansion"] = _check(
-        D, "refined_square_expansion", "identity",
-        np.max(np.abs(D.lift(ledger.ss3) - D.lift(ledger.qsum))),
-        np.max(np.abs(ledger.ss3)),
-    )
-
-    ledger.aggregate = _aggregate_from_abs(ledger)
+    rows = ((xcell[li] + ucell[ri], wx[li] * pw[ri]) for li, ri in pairs)
+    return _cell_sums(rows, Ycells, Zcells - Zcells // 2, pw.dtype)
 
 
-def _level2_cells(rows, t2d, n, q3, D2, dtype):
+def _level2_cells(cells, c, t2d, n, q3, D2):
     """Filled cells (sorted flat keys, congruence parts), qsum and abs2_num
-    of level 2, summing only those cells.
+    of level 2, from the cells h Ycells + ky, with kz = Zcells // 2 + h, that
+    the triangular join fills (z >= 0) and their congruence parts.
 
-    The rows (kz, ky, w) arrive in z order, in chunks, and ``_part_sums``
-    folds them by cell (y, z), with z as the part, into the congruence
-    parts c(y, z): each cell adds its rows to zero in arrival order,
-    whatever the chunk size.  The rows cover z >= 0 only (a triangular
-    box-point join), and every cell (y, z) with z > 0 is copied to (y, -z),
-    whose flat key is ky Zcells + Zcells - 1 - kz, before the sort; the
-    z = 0 cells come full and are not copied.
-    FS2(y, z) = prod_i T(pi y_i, p z_i) is never negative, so an empty cell
-    adds exactly FS2 to sum_z |q^3 c - FS2|, and that sum is prod_i R(y_i)
-    + sum over filled cells of (|q^3 c - FS2| - FS2), with R(y_i) =
-    sum_{z_i} T(pi y_i, p z_i) a row sum of t2d.
+    Each cell with z > 0 is copied to (y, -z), whose flat key is ky Zcells
+    + Zcells - 1 - kz, and all are sorted once by key; the z = 0 cells come
+    full and are not copied.  FS2(y, z) = prod_i T(pi y_i, p z_i) is never
+    negative, so an empty cell adds exactly FS2 to sum_z |q^3 c - FS2|, and
+    that sum is prod_i R(y_i) + sum over filled cells of (|q^3 c - FS2| -
+    FS2), with R(y_i) = sum_{z_i} T(pi y_i, p z_i) a row sum of t2d.
     """
     sideY, sideZ = t2d.shape
     Ycells, Zcells = sideY**n, sideZ**n
-    keys, c = _part_sums(((kz, ky * Zcells + kz, w) for kz, ky, w in rows),
-                         dtype)
-    ky, kz = np.divmod(keys, Zcells)
-    up = kz > Zcells // 2
-    keys = np.concatenate([keys, ky[up] * Zcells + Zcells - 1 - kz[up]])
+    h, ky = np.divmod(cells, Ycells)
+    up = h > 0
+    keys = np.concatenate([ky * Zcells + Zcells // 2 + h,
+                           (ky * Zcells + Zcells // 2 - h)[up]])
     c = np.concatenate([c, c[up]])
     order = _stable_order(keys)
     keys, c = keys[order], c[order]
     ky, kz = np.divmod(keys, Zcells)  # sorted by y, then z
-    # the join's total weight bounds every cell and every qsum[y] in dtype
-    qsum = np.zeros(Ycells, dtype=dtype)
+    # the join's total weight bounds every cell and every qsum[y] in c's dtype
+    qsum = np.zeros(Ycells, dtype=c.dtype)
     np.add.at(qsum, ky, c)
     rsum = _sep_product([D2.lift(t2d).sum(axis=1)] * n)  # prod_i R(y_i)
     # a filled cell's term lies in [-FS2, q^3 c], and every partial product
     # of its FS2 is at most max rsum = (max R)^n, so no step passes this
     # bound; q^3 itself must fit as well
-    cq = c  # the parts stay in dtype; their terms may need Python ints
+    cq = c  # the parts keep their dtype; their terms may need Python ints
     if q3 * max(1, int(c.max(initial=0))) + int(rsum.max()) >= INT64_LIMIT:
         cq, t2d = D2.lift(c), D2.lift(t2d)
     fs2 = 1
@@ -963,14 +963,13 @@ def _level2_cells(rows, t2d, n, q3, D2, dtype):
     np.abs(terms, out=terms)
     terms -= fs2
     extra = np.zeros(Ycells, dtype=rsum.dtype)
-    if terms.size:
-        first = np.flatnonzero(np.diff(ky, prepend=-1))  # each y's first cell
-        if terms.dtype != np.int64:
-            sums = np.add.reduceat(terms, first)
-        else:  # a y's sum may pass int64: add the 32-bit halves apart
-            sums = ((np.add.reduceat(terms >> 32, first).astype(object) << 32)
-                    + np.add.reduceat(terms & 0xFFFFFFFF, first).astype(object))
-        extra[ky[first]] = sums
+    first = np.flatnonzero(np.diff(ky, prepend=-1))  # each y's first cell
+    if terms.dtype != np.int64:
+        sums = np.add.reduceat(terms, first)
+    else:  # a y's sum may pass int64: add the 32-bit halves apart
+        sums = ((np.add.reduceat(terms >> 32, first).astype(object) << 32)
+                + np.add.reduceat(terms & 0xFFFFFFFF, first).astype(object))
+    extra[ky[first]] = sums
     return keys, c, qsum, rsum + extra
 
 

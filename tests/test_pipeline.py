@@ -22,6 +22,7 @@ from vdc.mpoly import IntPoly, parse_poly
 from vdc.pipeline import (
     PipelineParams,
     _residuals,
+    _stable_order,
     build_ledger,
     deviation_probe,
 )
@@ -691,11 +692,11 @@ def test_level2_rows_leave_int64_past_total_weight(exact_level2_ledgers,
     ints; the showcase's pair weights (at most 2^18) stay below this limit,
     so only the total-weight bound lifts them."""
     dtypes = []
-    cells = pipeline._level2_cells
+    level2 = pipeline._level2_cells
 
-    def spy(rows, t2d, n, q3, D, dtype):
-        dtypes.append(dtype)
-        return cells(rows, t2d, n, q3, D, dtype)
+    def spy(cells, c, *args):
+        dtypes.append(c.dtype)
+        return level2(cells, c, *args)
 
     monkeypatch.setattr(pipeline, "_level2_cells", spy)
     monkeypatch.setattr(pipeline, "INT64_LIMIT", 2**19)
@@ -706,17 +707,21 @@ def test_level2_rows_leave_int64_past_total_weight(exact_level2_ledgers,
 
 
 def check_level2_cells(t2d, kz, ky, w, q3, cut=None):
-    """_level2_cells on the rows (kz, ky, w), z >= 0, n = 2, in two chunks
-    split at cut (default halfway), against sequential Python sums: each
-    cell adds its rows in row order, each cell (y, z) with z > 0 is copied
-    to (y, -z), and each qsum[y] adds its cells in z order, bit for bit.  abs2_num equals the exact sum for int64 rows, and lies within its
-    rounding bound of the exact sum of the same values for float64 rows."""
+    """_level2_cells on the rows of cells (kz, ky), z >= 0, and weights w,
+    n = 2, in two chunks split at cut (default halfway), against sequential
+    Python sums: each cell adds its rows in row order, each cell (y, z) with
+    z > 0 is copied to (y, -z), and each qsum[y] adds its cells in z order,
+    bit for bit.  abs2_num equals the exact sum for int64 rows, and lies
+    within its rounding bound of the exact sum of the same values for
+    float64 rows."""
     n, (sideY, sideZ) = 2, t2d.shape
     Zcells, exact = sideZ**n, w.dtype == np.int64
     cut = w.size // 2 if cut is None else cut
-    rows = [(kz[:cut], ky[:cut], w[:cut]), (kz[cut:], ky[cut:], w[cut:])]
+    cell = (kz - Zcells // 2) * sideY**n + ky
+    rows = [(cell[:cut], w[:cut]), (cell[cut:], w[cut:])]
     keys, parts, qsum, abs2 = pipeline._level2_cells(
-        iter(rows), t2d, n, q3, pipeline._Domain(exact), w.dtype)
+        *pipeline._cell_sums(iter(rows), sideY**n, Zcells - Zcells // 2, w.dtype),
+        t2d, n, q3, pipeline._Domain(exact))
     cells = {}
     assert kz.min() >= Zcells // 2
     for z, y, c in zip(kz.tolist(), ky.tolist(), w.tolist()):
@@ -762,12 +767,12 @@ def test_level2_cells_leave_int64_past_its_bound():
 
 
 def test_level2_cells_carry_a_split_z():
-    """Float rows whose z key 18 runs across both chunks: its cells carry
-    into the second chunk's fold, so they, and their copies at key 6, keep
-    the sequential sums' bits.  Cell (y, z) = (4, 18) gets the rows
-    1.0 | e, e, split at the cut, with e under half an ulp of 1.0: in row
-    order both e vanish, while e + e first, or 1.0 + (e + e), rounds up to
-    1 + 2^-52."""
+    """Float rows whose z key 18 runs across both chunks: its cells stay
+    open in the block into the second chunk, so they, and their copies at
+    key 6, keep the sequential sums' bits.  Cell (y, z) = (4, 18) gets the
+    rows 1.0 | e, e, split at the cut, with e under half an ulp of 1.0: in
+    row order both e vanish, while e + e first, or 1.0 + (e + e), rounds up
+    to 1 + 2^-52."""
     rng = np.random.default_rng(7)
     t2d = rng.random((3, 5))
     kz = np.sort(rng.integers(12, 25, 400))  # z >= 0
@@ -780,6 +785,56 @@ def test_level2_cells_carry_a_split_z():
         (kz, [18] * 3), (ky, [4] * 3), (w, [1.0, e, e])))
     assert kz[at + 1:].tolist().count(18) > 2  # z key 18 goes on past the cut
     check_level2_cells(t2d, kz, ky, w, 13**3, at + 1)
+
+
+# The streaming sort-and-fold that once summed the correlations, level 1
+# and level 2, kept verbatim as the oracle of the scatters that replaced it.
+
+
+def _fold(keys, w, dtype, parts=None):
+    """Sums of w per key, or per (key, part), each adding its rows to zero
+    in arrival order.  Returns (keys, sums), sorted by key and, within a
+    key, in arrival order."""
+    order = _stable_order(keys)
+    ks = keys[order]
+    new = np.ones(ks.size, dtype=bool)
+    new[1:] = ks[1:] != ks[:-1]
+    if parts is not None:
+        parts = parts[order]
+        new[1:] |= parts[1:] != parts[:-1]
+    inv = np.empty(ks.size, dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    sums = np.zeros(int(new.sum()), dtype=dtype)
+    np.add.at(sums, inv, w)
+    return ks[new], sums
+
+
+def _part_sums(chunks, dtype):
+    """Per-key sums of (part, key, weight) rows that arrive in chunks whose
+    part ids are nonnegative and never decrease.
+
+    Each (part, key) sum adds its rows to zero in arrival order, and each
+    key's total adds its part sums to zero in part order, so float totals
+    depend on the parts, not on the chunking.  Each chunk folds at once:
+    its rows before its last part, led by the open sums if their part is
+    now complete, fold by (key, part) into the finished sums; the rest fold
+    by key into the open sums, which lead the next chunk's fold.  Returns
+    (sorted keys, totals).
+    """
+    done, op = [], -1  # the open sums' part
+    ok, osum = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
+    for part, key, w in chunks:
+        cut = int(np.searchsorted(part, part[-1]))  # [cut:] is the last part
+        if op != part[-1]:  # the open part is complete
+            done.append(_fold(np.concatenate([ok, key[:cut]]),
+                              np.concatenate([osum, w[:cut]]), dtype,
+                              np.concatenate([np.full(ok.size, op), part[:cut]])))
+            ok, osum, op = ok[:0], osum[:0], part[-1]
+        ok, osum = _fold(np.concatenate([ok, key[cut:]]),
+                         np.concatenate([osum, w[cut:]]), dtype)
+    done.append((ok, osum))
+    keys, sums = (np.concatenate(v) for v in zip(*done))
+    return _fold(keys, sums, dtype)
 
 
 def part_sums_oracle(part, key, w):
@@ -830,17 +885,108 @@ def part_sums_rows(dtype):
 ], ids=["part-spans-chunks", "chunk-ends-at-part", "parts-in-a-chunk",
         "one-row-chunks"])
 def test_part_sums_matches_sequential_oracle(dtype, cuts):
+    """The fold oracle, and the correlation scatter on the same chunks,
+    against sequential sums; every key 0..6 gets rows."""
     part, key, w = part_sums_rows(dtype)
     bounds = [0] + cuts + [part.size]
     chunks = [(part[a:b], key[a:b], w[a:b]) for a, b in zip(bounds, bounds[1:])]
-    keys, totals = pipeline._part_sums(iter(chunks), w.dtype)
+    keys, totals = _part_sums(iter(chunks), w.dtype)
     want_keys, want = part_sums_oracle(part, key, w)
     assert keys.dtype == np.int64 and totals.dtype == w.dtype
-    assert keys.tolist() == want_keys
+    assert keys.tolist() == want_keys == list(range(7))
     assert totals.tolist() == want
+    dense = pipeline._corr_sums(iter(chunks), 7, 6, w.dtype)
+    assert dense.dtype == w.dtype
+    assert dense.tolist() == want
     if dtype is np.float64:  # the planted keys
         assert [want[want_keys.index(k)] for k in (3, 6, 5, 2)] == [
             1 + 2.0**-52, 1 + 2.0**-52, 1.0, 1.0]
+
+
+SCATTER_VALUES = {  # e = 3 * 2^-55 is under half an ulp of 1.0
+    np.float64: [1.0, 3 * 2.0**-55, 1.5, 2.0**-1074, 0.3],
+    np.int64: [1, 2**50, -3, 2**40 + 7, 5],
+    object: [3**45, 1, -(3**44), 2**70, 5],
+}
+
+
+@st.composite
+def scatter_cases(draw):
+    """Level-2 rows (kz, ky, w) with z >= 0 in nondecreasing order, cut into
+    chunks, for a drawn PAIR_BLOCK and row dtype.  The cell of the last y and
+    z = 1 gets only rows of weight 0, which for float rows are smooth
+    products that underflow; rows at z = per - 1 and z = per of the first y
+    run across the first block boundary when the z range spans more than
+    one block."""
+    dtype = draw(st.sampled_from(list(SCATTER_VALUES)))
+    block = draw(st.sampled_from([1, 7, pipeline.PAIR_BLOCK]))
+    n = draw(st.sampled_from([1, 2]))
+    side_y, side_z = draw(st.sampled_from([1, 3, 5])), draw(st.sampled_from([3, 9]))
+    ycells, zcells = side_y**n, side_z**n
+    zlo = zcells // 2
+    size = draw(st.integers(0, 60))
+    rows = draw(st.lists(st.tuples(
+        st.integers(zlo, zcells - 1), st.integers(0, ycells - 1),
+        st.sampled_from(SCATTER_VALUES[dtype])), min_size=size, max_size=size))
+    rows = [r for r in rows if r[:2] != (zlo + 1, ycells - 1)]
+    per = max(1, 4 * block // ycells)  # z values per block
+    if zlo + per < zcells:
+        rows += [(zlo + per - 1, 0, SCATTER_VALUES[dtype][0]),
+                 (zlo + per, 0, SCATTER_VALUES[dtype][1])]
+    zero = 1e-200 * 1e-200 if dtype is np.float64 else 0
+    rows += [(zlo + 1, ycells - 1, zero)] * 2
+    rows.sort(key=lambda r: r[0])  # stable: equal z keep their draw order
+    kz, ky = (np.array(c, dtype=np.int64) for c in list(zip(*rows))[:2])
+    w = np.array([r[2] for r in rows], dtype=dtype)
+    cuts = sorted(draw(st.sets(st.integers(1, len(rows) - 1), max_size=6)))
+    bounds = [0, *cuts, len(rows)]
+    chunks = [(kz[a:b], ky[a:b], w[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return block, n, side_y, side_z, chunks
+
+
+def same_bits(got, want):
+    if got.dtype == object:
+        return got.dtype == want.dtype and got.tolist() == want.tolist()
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(scatter_cases())
+def test_scatters_match_fold_oracle(case):
+    """The level-2 cells and the correlation sums, bit for bit against the
+    fold oracle on the same chunks: level 2 folds its rows by cell (y, z)
+    with z as the part, copies the z > 0 cells to -z and sorts them; the
+    correlations read z as the part and y as the key.  The cell of weight-0
+    rows and its copy at z = -1 are filled, and their parts are 0."""
+    block, n, side_y, side_z, chunks = case
+    ycells, zcells = side_y**n, side_z**n
+    dtype = chunks[0][2].dtype
+    exact = dtype != np.float64
+    t2d = np.ones((side_y, side_z), dtype=np.float64 if not exact else np.int64)
+    rows = [((kz - zcells // 2) * ycells + ky, w) for kz, ky, w in chunks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "PAIR_BLOCK", block)
+        keys, parts, _, _ = pipeline._level2_cells(
+            *pipeline._cell_sums(iter(rows), ycells, zcells - zcells // 2, dtype),
+            t2d, n, 13**3, pipeline._Domain(exact))
+        corr = pipeline._corr_sums(iter(chunks), ycells, zcells, dtype)
+
+    want_keys, want = _part_sums(
+        ((kz, ky * zcells + kz, w) for kz, ky, w in chunks), dtype)
+    y, z = np.divmod(want_keys, zcells)
+    up = z > zcells // 2
+    want_keys = np.concatenate([want_keys, y[up] * zcells + zcells - 1 - z[up]])
+    want = np.concatenate([want, want[up]])
+    order = np.argsort(want_keys)
+    assert keys.tolist() == want_keys[order].tolist()
+    assert same_bits(parts, want[order])
+    for kz in (zcells // 2 + 1, zcells // 2 - 1):
+        assert parts[keys.tolist().index((ycells - 1) * zcells + kz)] == 0
+
+    k, t = _part_sums(iter(chunks), dtype)
+    want = np.zeros(ycells, dtype=dtype)
+    want[k] = t
+    assert same_bits(corr, want)
 
 
 @pytest.mark.parametrize("weight", ["hat", "smooth"])
@@ -1065,7 +1211,7 @@ def level1_oracle(params):
     pn = p**n
     lkey = ((ycells // 2 - ycode[a_q]) * pn + cls_p[a_q]) * q
     rkey = ycode * pn * q + fq_v
-    k3, v3 = pipeline._part_sums(
+    k3, v3 = _part_sums(
         ((cls_pi[a_q][li], lkey[li] + rkey[ri], wnum[a_q][li] * wnum[ri])
          for li, ri in pairs), wnum.dtype)
     y3 = k3 // (pn * q)
@@ -1134,7 +1280,7 @@ def test_level1_matches_key_fold(case):
         if block is not None:
             mp.setattr(pipeline, "PAIR_BLOCK", block)
         if one_class:
-            mp.setattr(pipeline, "_classes_per_block", lambda ywidth: 1)
+            mp.setattr(pipeline, "_per_block", lambda width: 1)
         led = build_ledger(params)
     assert_level1_matches(led, want, rows)
 
