@@ -16,8 +16,8 @@
 
 2.  The frequency transform of the smooth bump decays faster than any
     power: |What(xi)| <= D_k * |xi|^(-k).  fourier_decay_probe tabulates
-    |What(xi)| * |xi|^k over a frequency grid; the table's maximum is the
-    empirical constant for that k.
+    |What(xi)| * |xi|^k over a frequency grid; the maximum over the rows
+    above the rounding floor is the empirical constant for that k.
 
 Both probes work with the separable weights of the counting module (the
 "smooth" kind only: the bounds need infinitely many derivatives).  Since
@@ -34,14 +34,13 @@ Method notes:
   grid.  A sampled maximum is an under-estimate of the true sup, and the
   difference quotients lose precision as the order grows, so orders above
   MAX_DERIV_ORDER are refused;
-* transforms use composite Simpson on [-2, 2] with a frequency-scaled
-  panel count, accepted only when two successive refinements agree and
-  reported after Richardson extrapolation; disagreement after two
-  refinement levels is an error, never a silent value.  The levels nest
-  (4096 * 2^j panels): a table keeps w1 (counting.smooth_profile) on the
-  finest grid it has reached and views coarser levels in it; w1, cos and
-  sin run on t >= 0 and are mirrored, cos and sin once per frequency, at
-  its second level; the budget is still charged per level.
+* the transform table is one trapezoid pass of step 4/N on [-2, 2], N a
+  power of two with every alias at least ALIAS_GAP from the grid: for a
+  smooth w1 supported there the sum is exact up to those aliases, so no
+  refinement is needed.  w1 is sampled once on t >= 0 (it is even), each
+  row reduces its phase mod 1 before the cos and sums with
+  counting.pairwise_sum, and a proven rounding floor marks the rows that
+  rounding noise alone could produce.
 """
 
 from __future__ import annotations
@@ -52,14 +51,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import Weight, smooth_profile
-from .errors import Budget, InputError, PreconditionError, ensure_budget
+from .counting import Weight, pairwise_sum, smooth_profile
+from .errors import Budget, InputError, ensure_budget
 
 DERIV_GRID_STEP = Fraction(1, 256)
 MAX_DERIV_ORDER = 8
-QUAD_BASE_PANELS = 4096
-QUAD_RTOL = 1e-9
-QUAD_ATOL = 1e-12
+ALIAS_GAP = 128  # least distance from a tabulated xi to its nearest alias
+FLOOR_TERMS = 20  # per-term rounding of the decay table, in eps * l1
+EPS = float(np.finfo(np.float64).eps)
 
 
 def _smooth_weight(phi) -> Weight:
@@ -170,13 +169,18 @@ def poisson_probe(
     vals = w.axis_values(B)[0]
     s1_axis = float(np.sum(vals))
     # inner sum over y for fixed x runs over the class x mod a: accumulate
-    # each class once (identical to the direct double sum, linear cost);
-    # the residues of -H..H repeat those of -H..-H+a-1
-    pattern = np.arange(-H, -H + a, dtype=np.int64) % a
-    reps = -(-vals.size // a)
-    residues = np.tile(pattern, reps)[:vals.size]
-    class_sums = np.bincount(residues, weights=vals, minlength=a)
-    lhs_axis = float(np.sum(vals * np.tile(class_sums[pattern], reps)[:vals.size]))
+    # each class once (identical to the direct double sum, linear cost).
+    # Offset i of -H..H is in column i mod a of rows of a; summing a column,
+    # tail last, adds in bincount's order (cumsum at a = 1, where numpy's
+    # axis-0 sum would pair)
+    full = vals.size - vals.size % a
+    rows = vals[:full].reshape(-1, a)
+    col_sums = rows.sum(axis=0) if a > 1 else np.cumsum(vals)[-1:]
+    col_sums[:vals.size - full] += vals[full:]
+    prod = np.empty_like(vals)
+    np.multiply(rows, col_sums, out=prod[:full].reshape(-1, a))
+    np.multiply(vals[full:], col_sums[:vals.size - full], out=prod[full:])
+    lhs_axis = float(np.sum(prod))
 
     lhs = lhs_axis**n
     main = float(a) ** (-n) * s1_axis ** (2 * n)
@@ -203,10 +207,9 @@ def poisson_probe(
 @dataclass
 class FourierRow:
     xi: float
-    magnitude: float
-    product: float  # |What(xi)| * |xi|^k
-    imag: float
-    panels: int
+    magnitude: float  # |What(xi)|, or the report's floor when below it
+    product: float  # magnitude * |xi|^k
+    below_floor: bool
 
 
 @dataclass
@@ -214,67 +217,11 @@ class FourierDecayReport:
     weight: str
     k: int
     rows: list
-    max_product: float
+    max_product: float | None  # over the rows above the floor; None if none
     l1: float  # integral of |w1|, the k = 0 comparison line
-    max_imag: float
+    panels: int  # N: the trapezoid step is 4/N
+    floor: float  # rounding bound on every row, see fourier_decay_probe
     warnings: list = dc_field(default_factory=list)
-
-
-def _factors(xi: float, N: int, grid: list) -> tuple:
-    """(w1, cos, sin) of 2 pi xi t on the N-panel grid, a view of `grid`'s
-    (nodes, w1) at the finest N so far.  cos and sin run on t >= 0, mirrored:
-    angle(-t) = -angle(t) exactly, and libm's cos is even and sin odd."""
-    if not grid or grid[0].size <= N:
-        grid[:] = np.linspace(-2.0, 2.0, N + 1), smooth_profile(N // 2, N // 4)
-    step, h = (grid[0].size - 1) // N, N // 2
-    t, f = grid[0][::step], grid[1][::step]
-    ang = 2.0 * math.pi * xi * t[h:]
-    c, s = np.empty(N + 1), np.empty(N + 1)
-    np.cos(ang, out=c[h:])
-    np.sin(ang, out=s[h:])
-    c[:h], s[:h] = c[:h:-1], -s[:h:-1]
-    return f, c, s
-
-
-def _simpson(factors: tuple, step: int) -> tuple[float, float]:
-    """Composite Simpson sums of w1*cos and w1*sin over every step-th node."""
-    f, c, s = (v[::step] for v in factors)
-    h = 4.0 / (f.size - 1)
-    acc = [g[0] + g[-1] + 4.0 * np.sum(g[1:-1:2]) + 2.0 * np.sum(g[2:-1:2])
-           for g in (f * c, f * s)]
-    return float(acc[0] * h / 3.0), float(acc[1] * h / 3.0)
-
-
-def _transform_at(xi: float, budget: Budget, grid: list) -> tuple[float, float, int]:
-    """(real part, imaginary part, panels) of the profile transform at xi.
-
-    Composite Simpson on [-2, 2], panel count scaled with the frequency,
-    accepted when two successive doublings agree (Richardson-extrapolated
-    values compared); one further doubling is tried before giving up.
-    """
-    scale = max(1.0, abs(xi) / 16.0)
-    panels = QUAD_BASE_PANELS * (1 << max(0, math.ceil(math.log2(scale))))
-    budget.charge(panels + 1, "quadrature points")
-    budget.charge(2 * panels + 1, "quadrature points")
-    factors = _factors(xi, 2 * panels, grid)
-    prev = _simpson(factors, 2)
-    for attempt in range(2):
-        panels *= 2
-        if attempt:
-            budget.charge(panels + 1, "quadrature points")
-            factors = _factors(xi, panels, grid)
-        cur = _simpson(factors, 1)
-        rich_re = (16.0 * cur[0] - prev[0]) / 15.0
-        rich_im = (16.0 * cur[1] - prev[1]) / 15.0
-        tol = max(QUAD_ATOL, QUAD_RTOL * abs(cur[0]))
-        delta = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
-        if delta <= tol:
-            return rich_re, -rich_im, panels
-        prev = cur
-    raise PreconditionError(
-        "quadrature did not converge after two refinement levels",
-        xi=xi, last_delta=delta,
-    )
 
 
 def fourier_decay_probe(
@@ -285,13 +232,38 @@ def fourier_decay_probe(
 ) -> FourierDecayReport:
     """Tabulate |What(xi)| * |xi|^k for the smooth profile over xi_grid.
 
-    The transform is What(xi) = integral of w1(t) exp(-2 pi i xi t) dt over
-    the support [-2, 2]; the profile is even, so the imaginary part is a
-    quadrature residual and is recorded for inspection.  Frequencies below
-    1 in absolute value are refused (the |xi|^k normalization is the whole
-    point, and it degenerates at 0); the table starts at |xi| = 1.  At
-    k = 0 the rows are |What| itself and every one is bounded by the
-    recorded L1 mass of the profile.
+    What(xi) = integral of w1(t) exp(-2 pi i xi t) dt over the support
+    [-2, 2], real and even as w1 is even.  Frequencies must have 1 <= |xi|
+    (the |xi|^k normalization degenerates at 0).
+
+    One trapezoid pass of step h = 4/N serves the whole table, N the least
+    power of two with N/4 >= max|xi| + ALIAS_GAP.  By Poisson summation its
+    sum is exactly sum_j What(xi + j*N/4), as w1 is smooth with support in
+    [-2, 2]: the only error is aliases, where |What| < 1e-19.  w1 is sampled
+    once at t_j = 4j/N, j = 0..N/2, the t_0 weight halved, and each row is
+    2h * pairwise_sum(w1(t_j) * cos(2 pi phi_j)) with phi_j = |xi|*t_j mod 1,
+    taken as (m*t_j mod 1) + (f*t_j mod 1) mod 1 for |xi| = m + f, m an
+    integer.  l1 is the same sum with cos = 1.
+
+    Every row is within floor = (ceil(log2 M) + FLOOR_TERMS) * eps * l1 of
+    What(xi), M = N/2 + 1, eps = 2^-52.  Proof, with u = eps/2, w~ the
+    sampled w1 and s = 1 - (t/2)^2:
+      * the pairwise sum errs by at most ceil(log2 M) * u times the sum of
+        |terms| <= l1 / 2h, half the floor's first part; the other half,
+        >= 10 u * l1 as M >= 513, covers aliases and second-order terms;
+      * a term errs by at most 14 eps * w~(t_j): the phase by 2u (f*t_j and
+        one sum round; m*t_j, exact while N <= 2^28, and the mods
+        x - floor(x) do not), 2 pi eps in angle; 2 pi in double (0.18 eps
+        relative) and the angle product (u), (1.1 + pi) eps as phi < 1;
+        np.cos, 4 ulp = 2 eps; the product with w~, u;
+      * w~ errs by (1/s^2 + 1/s) u + 4 eps relative (s within u, then -1/s
+        and exp to 4 ulp), and (1/s^2 + 1/s) w1 integrates to 2.69 < 4 l1:
+        6 eps * l1 in all, and 14 + 6 = FLOOR_TERMS.
+    A row with |value| <= floor cannot be told from 0 (|What| <= 2 floor):
+    it is marked below_floor, reports the floor as its magnitude (never 0,
+    at most l1), stays out of max_product, and one warning names such xi.
+    M * (len(xi_grid) + 1) quadrature points are charged before anything
+    is allocated; the pass keeps a few arrays of M float64.
     """
     w = _smooth_weight(phi)
     if not isinstance(k, int) or k < 0:
@@ -299,35 +271,53 @@ def fourier_decay_probe(
     grid = [float(x) for x in xi_grid]
     if not grid:
         raise InputError("xi_grid is empty")
-    low = [x for x in grid if abs(x) < 1.0]
-    if low:
-        raise InputError(
-            "frequencies below 1 are outside the table's domain",
-            offending=low[:4],
-        )
+    bad = [x for x in grid if not 1.0 <= abs(x) < math.inf]
+    if bad:
+        raise InputError("frequencies must have 1 <= |xi| < inf",
+                         offending=bad[:4])
     budget = ensure_budget(budget)
 
-    rows = []
-    max_imag = 0.0
-    nodes: list = []  # the finest (nodes, w1) grid so far, see _factors
-    for xi in grid:
-        re, im, panels = _transform_at(xi, budget, nodes)
-        mag = math.hypot(re, im)
-        rows.append(FourierRow(
-            xi=xi, magnitude=mag, product=mag * abs(xi) ** k,
-            imag=im, panels=panels,
-        ))
-        max_imag = max(max_imag, abs(im))
+    need = math.ceil(4.0 * (max(map(abs, grid)) + ALIAS_GAP))
+    N = 1 << (need - 1).bit_length()  # the least power of two >= need
+    M = N // 2 + 1
+    budget.charge(M * (len(grid) + 1), "quadrature points")
+    h = 4.0 / N
+    t = np.arange(M, dtype=np.float64) * h
+    wt = smooth_profile(N // 2, N // 4)[N // 2:]
+    wt[0] *= 0.5
+    l1 = 2.0 * h * pairwise_sum(wt)
+    floor = ((M - 1).bit_length() + FLOOR_TERMS) * EPS * l1
 
-    l1, l1_im, _ = _transform_at(0.0, budget, nodes)
+    phase, part, scratch = np.empty(M), np.empty(M), np.empty(M)
+
+    def mod1(x):  # in place; x - floor(x) is exact for x >= 0
+        return np.subtract(x, np.floor(x, out=scratch), out=x)
+
+    rows = []
+    for xi in grid:
+        m = math.floor(abs(xi))
+        mod1(np.multiply(t, float(m), out=phase))
+        phase += mod1(np.multiply(t, abs(xi) - m, out=part))
+        mod1(phase)
+        phase *= 2.0 * math.pi
+        np.cos(phase, out=phase)
+        value = 2.0 * h * pairwise_sum(np.multiply(phase, wt, out=phase))
+        below = abs(value) <= floor
+        mag = floor if below else abs(value)
+        rows.append(FourierRow(xi=xi, magnitude=mag,
+                               product=mag * abs(xi) ** k, below_floor=below))
+
+    above = [r.product for r in rows if not r.below_floor]
+    flagged = [r.xi for r in rows if r.below_floor]
     warnings = []
-    if max_imag > 1e-10:
+    if flagged:
         warnings.append(
-            "imaginary part of the transform exceeds 1e-10; the quadrature "
-            "grid is not resolving the integrand"
+            f"|What| is within the rounding floor {floor:.3g} at xi = "
+            f"{', '.join(f'{x:g}' for x in flagged)}; those rows report the "
+            "floor and are left out of max_product"
         )
     return FourierDecayReport(
         weight=w.kind, k=k, rows=rows,
-        max_product=max(r.product for r in rows),
-        l1=abs(l1), max_imag=max_imag, warnings=warnings,
+        max_product=max(above) if above else None,
+        l1=l1, panels=N, floor=floor, warnings=warnings,
     )

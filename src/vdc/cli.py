@@ -25,6 +25,7 @@ budget) with a machine-readable diagnostic on stdout; 1 internal error;
 from __future__ import annotations
 
 import argparse
+import functools
 import platform
 import sys
 import time
@@ -68,6 +69,7 @@ def _csv_ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--workers", type=int, default=1,

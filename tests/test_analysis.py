@@ -1,13 +1,16 @@
 """Checks of the smooth-weight summation and transform-decay probes."""
 import dataclasses
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import vdc.analysis as analysis
 from vdc.analysis import derivative_bounds, fourier_decay_probe, poisson_probe
-from vdc.errors import Budget, BudgetExceeded, InputError, PreconditionError
+from vdc.counting import smooth_profile
+from vdc.errors import Budget, BudgetExceeded, InputError
 
 
 def bump(t):
@@ -96,9 +99,10 @@ def test_poisson_probe_validation():
 
 def test_transform_magnitudes_match_quadrature_oracle():
     rep = fourier_decay_probe("smooth", 2, range(1, 65))
-    assert rep.max_imag <= 1e-10
-    assert not rep.warnings
-    assert all(r.magnitude >= 0 for r in rep.rows)
+    flagged = [r.xi for r in rep.rows if r.below_floor]
+    assert all(x > 32 for x in flagged)
+    assert len(rep.warnings) == (1 if flagged else 0)
+    assert all(r.magnitude > 0 for r in rep.rows)
     t = np.linspace(-2, 2, 2_000_001)
     u = t / 2
     inside = np.abs(u) < 1
@@ -119,13 +123,16 @@ def test_zeroth_order_products_bounded_by_l1_mass():
 def test_decay_grid_rejects_small_frequencies():
     with pytest.raises(InputError):
         fourier_decay_probe("smooth", 2, [0, 1, 2])
+    with pytest.raises(InputError):
+        fourier_decay_probe("smooth", 2, [1, math.inf])
 
 
 # -- slow-path oracles ---------------------------------------------------------
 # Direct copies of the straightforward arithmetic the probes replace: a masked
-# profile on every grid, a fresh linspace and profile for every quadrature
-# level, and np.mod residues with a gathered class-sum lookup.  The probes
-# must agree with them bit for bit, budget charges included.
+# profile on every grid and np.mod residues with a gathered class-sum lookup,
+# which the probes must match bit for bit, budget charges included.  The
+# decay table is checked against a 30-digit contour quadrature instead: its
+# rows must lie within the table's own rounding floor of it.
 
 
 def masked_profile(t):
@@ -175,58 +182,27 @@ def slow_poisson(B, a, k, n, budget):
     )
 
 
-def slow_simpson(fvals, h):
-    acc = fvals[0] + fvals[-1] + 4.0 * np.sum(fvals[1:-1:2]) \
-        + 2.0 * np.sum(fvals[2:-1:2])
-    return float(acc * h / 3.0)
+@functools.cache
+def mp_transform(xi):
+    """What(|xi|) to 30 digits, integrating w1(t) exp(-2 pi i xi t) along
+    -2 -> -1-i -> 1-i -> 2.  w1 is analytic off +-2 and tends to 0 there
+    inside the sector the path leaves them by, so the path gives the
+    real-line integral; on it exp(-2 pi xi |Im t|) damps the oscillation,
+    so quad converges at every xi without cancelling O(1) terms."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(abs(xi))
+        return mpmath.quad(
+            lambda t: mpmath.exp(-1 / (1 - (t / 2) ** 2) - 2j * mpmath.pi * x * t),
+            [-2, -1 - 1j, 1 - 1j, 2]).real
 
 
-def slow_transform(xi, budget):
-    scale = max(1.0, abs(xi) / 16.0)
-    panels = 4096 * (1 << max(0, math.ceil(math.log2(scale))))
-
-    def level(N):
-        budget.charge(N + 1, "quadrature points")
-        t = np.linspace(-2.0, 2.0, N + 1)
-        f = masked_profile(t)
-        ang = 2.0 * math.pi * xi * t
-        h = 4.0 / N
-        return slow_simpson(f * np.cos(ang), h), slow_simpson(f * np.sin(ang), h)
-
-    prev = level(panels)
-    for _ in range(2):
-        panels *= 2
-        cur = level(panels)
-        tol = max(analysis.QUAD_ATOL, analysis.QUAD_RTOL * abs(cur[0]))
-        delta = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
-        if delta <= tol:
-            return ((16.0 * cur[0] - prev[0]) / 15.0,
-                    -(16.0 * cur[1] - prev[1]) / 15.0, panels)
-        prev = cur
-    raise PreconditionError(
-        "quadrature did not converge after two refinement levels",
-        xi=xi, last_delta=delta,
-    )
-
-
-def slow_decay(k, xi_grid, budget):
-    rows = []
-    for xi in (float(x) for x in xi_grid):
-        re, im, panels = slow_transform(xi, budget)
-        mag = math.hypot(re, im)
-        rows.append(analysis.FourierRow(
-            xi=xi, magnitude=mag, product=mag * abs(xi) ** k, imag=im,
-            panels=panels))
-    l1 = slow_transform(0.0, budget)[0]
-    max_imag = max(abs(r.imag) for r in rows)
-    return analysis.FourierDecayReport(
-        weight="smooth", k=k, rows=rows,
-        max_product=max(r.product for r in rows), l1=abs(l1),
-        max_imag=max_imag,
-        warnings=[] if max_imag <= 1e-10 else [
-            "imaginary part of the transform exceeds 1e-10; the quadrature "
-            "grid is not resolving the integrand"],
-    )
+def slow_decay_charge(xi_grid):
+    """M * (len + 1) quadrature points, M = N/2 + 1 with N the least power
+    of two that puts every alias at least 128 from the grid."""
+    N = 1
+    while N / 4 < max(abs(x) for x in xi_grid) + 128:
+        N *= 2
+    return (N // 2 + 1) * (len(xi_grid) + 1)
 
 
 def test_derivative_bounds_match_masked_profile_bit_for_bit():
@@ -250,56 +226,77 @@ DECAY_GRIDS = [
     [1, 2, 4],
     [1, 3, 5, 17, 33, 100, 1000],
     [-1, -2.5, 7.25, 17, -33, 100.3, -129.5],
-    [1000, 1, -17, 3],  # coarser levels after the grid was refined
+    [1000, 1, -17, 3],
     [2049, 1, 4097],
+    [s * 2**i for i in range(13) for s in (1, -1)],
 ]
 
 
 @pytest.mark.parametrize("xi_grid", DECAY_GRIDS, ids=str)
-@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("k", [0, 3, 8])
 def test_fourier_decay_matches_slow_path(xi_grid, k):
-    fast, slow = Budget(), Budget()
-    got = fourier_decay_probe("smooth", k, xi_grid, fast)
-    assert dataclasses.asdict(got) == dataclasses.asdict(
-        slow_decay(k, xi_grid, slow))
-    assert fast.used == slow.used
-
-
-def test_third_level_and_refusal_match_slow_path(monkeypatch):
-    """Tolerances too tight for two levels: at rtol 1e-12 the rows for
-    xi = 6..8 converge only at 4 * QUAD_BASE_PANELS, and at rtol 1e-13
-    xi = 8 refuses; both exactly as in the slow path."""
-    monkeypatch.setattr(analysis, "QUAD_ATOL", 0.0)
-    monkeypatch.setattr(analysis, "QUAD_RTOL", 1e-12)
-    grid = [1, 2, 3, 5, 8, 6]
-    fast, slow = Budget(), Budget()
-    got = fourier_decay_probe("smooth", 2, grid, fast)
-    assert dataclasses.asdict(got) == dataclasses.asdict(
-        slow_decay(2, grid, slow))
-    assert fast.used == slow.used
-    panels = [r.panels for r in got.rows]
-    assert panels == [2 * 4096] * 4 + [4 * 4096] * 2
-
-    monkeypatch.setattr(analysis, "QUAD_RTOL", 1e-13)
-    fast, slow = Budget(), Budget()
-    with pytest.raises(PreconditionError) as err:
-        fourier_decay_probe("smooth", 2, [1, 2, 3, 5, 8], fast)
-    with pytest.raises(PreconditionError) as ref:
-        slow_decay(2, [1, 2, 3, 5, 8], slow)
-    assert err.value.to_json() == ref.value.to_json()
-    assert err.value.details["xi"] == 8.0
-    assert err.value.details["last_delta"] > 0
-    assert fast.used == slow.used
+    """Every row above the rounding floor is within it of the contour
+    quadrature, every row below it has |What| <= 2 floor and stays out of
+    max_product, and every magnitude lies in (0, l1]."""
+    budget = Budget()
+    rep = fourier_decay_probe("smooth", k, xi_grid, budget)
+    assert budget.used == slow_decay_charge(xi_grid)
+    assert abs(rep.l1 - mp_transform(0.0)) <= rep.floor
+    assert [r.xi for r in rep.rows] == [float(x) for x in xi_grid]
+    for r in rep.rows:
+        ref = abs(mp_transform(r.xi))
+        if r.below_floor:
+            assert r.magnitude == rep.floor and ref <= 2 * rep.floor, r
+        else:
+            assert abs(r.magnitude - ref) <= rep.floor, (r, ref)
+        assert 0 < r.magnitude <= rep.l1
+        assert r.product == r.magnitude * abs(r.xi) ** k
+    above = [r.product for r in rep.rows if not r.below_floor]
+    assert rep.max_product == (max(above) if above else None)
+    flagged = [r.xi for r in rep.rows if r.below_floor]
+    assert len(rep.warnings) == (1 if flagged else 0)
+    assert all(f"{x:g}" in rep.warnings[0] for x in flagged)
 
 
 @pytest.mark.parametrize("limit", [1, 4097, 4098, 12289, 12290, 24580, 24581])
-def test_budget_refusals_match_slow_path(limit):
-    """Every level is charged before it is evaluated, in the slow path's
-    order, so a budget runs out at the same charge with the same details."""
+def test_budget_refusals_match_slow_path(limit, monkeypatch):
+    """The poisson command's two probes charge as the slow path does: the
+    probe grids first, then the decay table's M * (len + 1) quadrature
+    points in one charge, refused before the table samples w1.  These
+    limits refuse in the probe (1 to 4098), in the table (12289, 12290)
+    and in neither."""
+    grid = [2**i for i in range(9)]
+    sampled = []
+
+    def spy(K, D):
+        sampled.append((K, D))
+        return smooth_profile(K, D)
+
+    monkeypatch.setattr(analysis, "smooth_profile", spy)
     fast, slow = Budget(limit), Budget(limit)
-    with pytest.raises(BudgetExceeded) as err:
-        fourier_decay_probe("smooth", 1, [1, 2], fast)
-    with pytest.raises(BudgetExceeded) as ref:
-        slow_decay(1, [1, 2], slow)
-    assert err.value.to_json() == ref.value.to_json()
+    try:
+        poisson_probe("smooth", 64, 4, 2, budget=fast)
+        fourier_decay_probe("smooth", 2, grid, fast)
+    except BudgetExceeded as err:
+        got = err.to_json()
+    else:
+        got = None
+    try:
+        slow_poisson(64, 4, 2, 1, slow)
+        slow.charge(slow_decay_charge(grid), "quadrature points")
+    except BudgetExceeded as err:
+        want = err.to_json()
+    else:
+        want = None
+    assert got == want
     assert fast.used == slow.used
+    assert (want is None) == (limit >= 24580)
+    assert ((1024, 512) in sampled) == (want is None)  # the table's w1
+
+
+def test_decay_refusal_precedes_allocation():
+    """A table of N = 2^45 nodes would need 2^47 bytes per array; the
+    charge refuses it first."""
+    with pytest.raises(BudgetExceeded) as err:
+        fourier_decay_probe("smooth", 0, [2.0**42])
+    assert err.value.details["requested"] == 2 * (2**44 + 1)

@@ -255,6 +255,49 @@ def test_poisson_with_decay_grid(capsys):
     assert len(res["decay"]["rows"]) == 3
 
 
+def test_poisson_decay_rows_below_the_floor(capsys):
+    """Past xi = 32 the transform is below the table's rounding floor: those
+    rows are flagged, named in one warning and kept out of max_product."""
+    grid = [2**i for i in range(13)]
+    code, doc = run_cli(
+        ["poisson", "--B", "64", "--a", "4", "--k", "6",
+         "--decay-grid", ",".join(map(str, grid))], capsys=capsys)
+    assert code == 0
+    decay = doc["result"]["decay"]
+    assert [r["below_floor"] for r in decay["rows"]] == [x > 32 for x in grid]
+    assert decay["max_product"] == max(
+        r["product"] for r in decay["rows"] if not r["below_floor"])
+    assert decay["panels"] == 32768 and 0 < decay["floor"] < 1e-14
+    assert len(decay["warnings"]) == 1
+    assert "xi = 64, 128, 256, 512, 1024, 2048, 4096;" in decay["warnings"][0]
+
+
+def test_cached_parser_dispatches_like_a_fresh_one(capsys):
+    """The parser is built once per process; a usage error in between
+    leaves it as a fresh one would be."""
+    runs = [["poisson", "--B", "8", "--a", "2", "--k", "1"],
+            ["poisson", "--B", "8", "--bogus"],
+            ["count", "--poly", "x1^2-x2^2", "--n", "2", "--B", "3"],
+            ["poisson", "--B", "8", "--a", "2", "--k", "1"]]
+
+    def dispatch(argv):
+        try:
+            code = cli.dispatch(argv)
+        except SystemExit as err:
+            code = err.code
+        cap = capsys.readouterr()
+        return code, re.sub(r'"wall_time_ms": \d+', "", cap.out), cap.err
+
+    cached = [dispatch(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(dispatch(argv))
+    assert cached == fresh
+    assert [c for c, _, _ in cached] == [0, 64, 0, 0]
+    assert cached[0] == cached[3]
+
+
 def test_refusal_exit_code_and_error_schema(capsys):
     code, doc = run_cli(
         ["count", "--poly", "x1^+2", "--n", "1", "--B", "1"], capsys=capsys)
