@@ -23,10 +23,10 @@ Every weighted box sum, here and in the pipeline ledger, is formed by the
 rule of this module.  The weight of a point is the separable product
 ``_sep_product``, w(x_n) (... (w(x_2) w(x_1))), over the box in the order
 where x1 varies fastest.  Its sum is taken in a numeric domain
-(``_Domain``): exact kinds sum integer numerators, in int64 only under a
-checked bound and in Python ints beyond it; the smooth kind sums float64 by
-``pairwise_sum``, whose reduction tree depends only on the array length,
-so float results are reproducible bit for bit.
+(``_Domain``): exact kinds sum integer numerators in the one exact
+accumulator, ``_Bins``, in int64 wherever its bound holds; the smooth kind
+sums float64 by ``pairwise_sum``, whose reduction tree depends only on the
+array length, so float results are reproducible bit for bit.
 
 The box counts factor this rule over f's variable blocks (``_box_sum``).
 Two variables are joined when a monomial uses both; the box splits into
@@ -46,6 +46,7 @@ accepted in 1 <= m < 2^63 and refused with InputError outside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -59,6 +60,7 @@ from .mpoly import IntPoly
 
 WEIGHT_KINDS = ("indicator", "hat", "smooth")
 SMOOTH_RTOL = 1e-9
+INT64_LIMIT = 1 << 62  # exact sums and products stay int64 below this
 
 
 def smooth_profile(K: int, D: int) -> np.ndarray:
@@ -131,12 +133,121 @@ def pairwise_sum(arr) -> float:
     return float(x[0]) if x.size else 0.0
 
 
+def _absmax(a: np.ndarray) -> int:
+    """max |a| as a Python int, 0 for an empty array."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _fits(*factors) -> np.ndarray:
+    """Per element, whether the product of the factors is provably below
+    INT64_LIMIT: its float64 shadow, within a relative 1/2, is below half."""
+    shadow = math.prod(np.asarray(f, np.float64) for f in factors)
+    return np.abs(shadow) < INT64_LIMIT / 2
+
+
+def _product(*factors: np.ndarray) -> np.ndarray:
+    """The elementwise product of the factors, left to right, broadcast: for
+    integers int64 when every element is provably below INT64_LIMIT, by the
+    factors' largest magnitudes or else by ``_fits``, Python ints otherwise
+    (int64 products are exact modulo 2^64, so a partial product may wrap)."""
+    out = factors[0]
+    if (out.dtype != np.float64 and math.prod(map(_absmax, factors)) >= INT64_LIMIT
+            and not _fits(*factors).all()):
+        out = out.astype(object)
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
 def _sep_product(arrs: list[np.ndarray]) -> np.ndarray:
-    """Flattened outer product with the first array's index fastest."""
+    """Flattened outer product, first array's index fastest, exact as ``_product``."""
     out = arrs[0]
     for a in arrs[1:]:
-        out = (a[:, None] * out[None, :]).ravel()
+        out = _product(a[:, None], out[None, :]).ravel()
     return out
+
+
+def _at(out: np.ndarray, keys, terms: np.ndarray) -> None:
+    """out[keys[i]] += terms[i] in order; an int key takes terms.sum()."""
+    if isinstance(keys, int):
+        out[keys] += terms.sum()
+    else:
+        np.add.at(out, keys, terms)
+
+
+class _Bins:
+    """Per-bin sums of chunks of terms: every exact sum is one of these.
+
+    Float64 bins add in arrival order.  An integer bin holds hi 2^32 + lo +
+    big: lo and hi int64, |lo| <= room, |hi| <= hroom, big Python ints.  An
+    int64 chunk of k < 2^30 terms adds to lo while room plus a bound on the
+    sum of its |terms| stays below INT64_LIMIT <= 2^62: k max |term|, else
+    1.5 times their float64 sum (at least 2/3 of the exact sum for k < 2^50;
+    int64's spare factor 2 covers rounding).  Otherwise lo carries into hi,
+    then hi takes each term >> 32 and lo each term & (2^32 - 1): lo stays
+    below 2^32 (k + 1), and hi grows by at most room / 2^32 + 1 + 2^31 k,
+    after moving to big if that could take it to INT64_LIMIT.  Python-int
+    terms add to big.  So no int64 wraps, and no term leaves int64 for the
+    size of its bin."""
+
+    def __init__(self, size: int, exact: bool = True):
+        self.exact = exact
+        self.lo = np.zeros(size, dtype=np.int64 if exact else np.float64)
+        self.hi = self.big = None  # made at their first use
+        self.room = self.hroom = 0
+
+    def add(self, keys, terms: np.ndarray) -> "_Bins":
+        """Add terms[i] to bin keys[i]; an int key takes every term."""
+        k = terms.size
+        if self.exact and k and terms.dtype != object:
+            least, most = int(terms.min()), int(terms.max())
+            bound = max(most, -least) * k
+            if self.room + bound >= INT64_LIMIT:  # a float64 sum of the |terms|
+                bound = 1.5 * float((terms if least >= 0 else np.abs(
+                    terms, dtype=np.float64)).sum(dtype=np.float64))
+            if self.room + bound >= INT64_LIMIT:  # carry, then add in halves
+                grow = self.room / 2**32 + 1 + 2**31 * k
+                if self.hi is None:
+                    self.hi = np.zeros(self.lo.size, dtype=np.int64)
+                elif self.hroom + grow >= INT64_LIMIT:
+                    self._big()[:] += self.hi.astype(object) << 32
+                    self.hi[:] = self.hroom = 0
+                self.hi += self.lo >> 32
+                self.lo &= 0xFFFFFFFF
+                _at(self.hi, keys, terms >> 32)
+                terms, bound = terms & 0xFFFFFFFF, 2**32 * k
+                self.room, self.hroom = 2**32, self.hroom + grow
+            self.room += bound
+        _at(self._big() if terms.dtype == object else self.lo, keys, terms)
+        return self
+
+    def _big(self) -> np.ndarray:
+        if self.big is None:
+            self.big = np.zeros(self.lo.size, dtype=object)
+        return self.big
+
+    def total(self, at=slice(None)) -> np.ndarray:
+        """The sums of the bins at (all by default); exact ones in int64 iff
+        every one is below INT64_LIMIT, so that two add in int64."""
+        lo = self.lo[at]
+        if not self.exact or self.hi is None and self.big is None:
+            return lo  # |lo| <= room < INT64_LIMIT
+        hi = lo >> 32 if self.hi is None else (lo >> 32) + self.hi[at]
+        lo = lo & 0xFFFFFFFF
+        if self.big is None and (np.abs(hi) < 2**30).all():
+            out = (hi << 32) + lo  # |out| < 2^62 + 2^32
+        else:
+            out = (hi.astype(object) << 32) + lo
+            if self.big is not None:
+                out += self.big[at]
+        small = (np.abs(out) < INT64_LIMIT).all()
+        return out.astype(np.int64 if small else object, copy=False)
+
+    def clear(self, at=slice(None)) -> None:
+        """Zero the bins at (all by default): every bin added to must be in at."""
+        self.lo[at] = 0
+        self.hi = self.big = None
+        self.room = self.hroom = 0
 
 
 class _Domain:
@@ -162,20 +273,10 @@ class _Domain:
         return arr.astype(object) if self.exact else np.asarray(arr, np.float64)
 
     def total(self, vals: np.ndarray, mask: np.ndarray | None = None):
-        """Sum of vals (where mask holds); exact sums use int64 only under a
-        checked bound."""
+        """Sum of vals (where mask holds): exact by ``_Bins``, float pairwise."""
         if not self.exact:
             return pairwise_sum(vals if mask is None else np.where(mask, vals, 0.0))
-        vals = vals if mask is None else vals[mask]
-        if vals.dtype == np.int64 and vals.size and (
-            int(np.abs(vals).max()) * vals.size < 2**63
-        ):
-            return int(vals.sum())
-        return sum(vals.tolist())
-
-    def fits(self, bound) -> bool:
-        """Whether sums up to bound may accumulate in int64 (float: always)."""
-        return not self.exact or bound < 2**62
+        return int(_Bins(1).add(0, vals if mask is None else vals[mask]).total()[0])
 
     def tol(self, scale) -> float:
         return 0.0 if self.exact else SMOOTH_RTOL * max(1.0, abs(float(scale)))
@@ -295,10 +396,10 @@ def _box_sum(fs: list[IntPoly], H: int, m: int | None, vals=None):
         kA = np.stack([eval_on_axes(g, [axis] * len(A), m) for g in side(A, True)])
         wA = (np.ones(kA.shape[1], dtype=np.int64) if vals is None
               else _sep_product([vals] * len(A)))
-        if wA.dtype == np.int64 and int(wA.max()) * wA.size >= 2**63:
-            wA = wA.astype(object)
-        _, order, starts = _key_codes(kA)
-        keys, sums = kA[:, order[starts]], np.add.reduceat(wA[order], starts)
+        codes, order, starts = _key_codes(kA)
+        keys = kA[:, order[starts]]
+        sums = (_Bins(starts.size).add(codes, wA).total() if exact
+                else np.add.reduceat(wA[order], starts))
     else:
         keys = np.zeros((len(fs), 1), dtype=np.int64)
         sums = np.ones(1, dtype=np.int64 if vals is None else vals.dtype)
@@ -318,11 +419,8 @@ def _box_sum(fs: list[IntPoly], H: int, m: int | None, vals=None):
     table[codes[: keys.shape[1]]] = sums
     per = table[codes[keys.shape[1]:]]  # each point of S: its A partners' sum
     if vals is None:
-        return int(per.sum())
-    wS = _sep_product([vals] * len(S))
-    if per.dtype == np.int64 and int(sums.max()) * int(wS.max()) >= 2**63:
-        per = per.astype(object)
-    return D.total(per * wS)
+        return D.total(per)
+    return D.total(_product(per, _sep_product([vals] * len(S))))
 
 
 def _as_poly_list(fs) -> list[IntPoly]:
@@ -392,12 +490,8 @@ def weighted_count(
     n, H = fs[0].n, weight.halfwidth(B)
     _charge_box(fs, H, m, ensure_budget(budget))
     vals, den = weight.axis_values(B)
-    den = den or 1
-    if den**n >= 2**62:  # a point's weight could overflow int64
-        vals = vals.astype(object)
-    D = _Domain(weight.exact)
-    value = D.frac(_box_sum(fs, H, m, vals), den**n)
-    return CountResult(value, n, B, m, weight.kind, (2 * H + 1) ** n, D.exact)
+    value = _Domain(weight.exact).frac(_box_sum(fs, H, m, vals), (den or 1) ** n)
+    return CountResult(value, n, B, m, weight.kind, (2 * H + 1) ** n, weight.exact)
 
 
 # -- finite-field probes ------------------------------------------------------

@@ -30,9 +30,10 @@ f(v) = f(v + pi y) = 0 mod p.  A second differencing in shifts z with
 with d2f the second difference along (pi y, pz) and W4 the product of the
 four translated weights.  The ledger records every level with exact
 arithmetic for the rational weight kinds (integer numerators over powers
-of 2B) and float64 for the smooth kind, level 2 included: exact weights
-stay exact throughout, with int64 sums only under checked bounds.  The
-ledger verifies the algebraic identities tying the levels together:
+of 2B) and float64 for the smooth kind, level 2 included: exact sums and
+products are int64 wherever the exact accumulator of `counting` (``_Bins``,
+``_product``) proves them below INT64_LIMIT, and Python ints elsewhere.
+The ledger verifies the algebraic identities tying the levels together:
 
   partition            N_W(f,B,pi p q) = S + K * #{zero classes mod pi}
   square_expansion     sum_u inner(u)^2 = sum_y (congruence part of corr)
@@ -52,26 +53,20 @@ separable weight product and the pairwise float sum are those of
 domain checks an identity with tolerance 0; a float64 domain allows
 SMOOTH_RTOL * max(1, |scale|), with scale the size of the compared terms.
 
-The correlations and level 2 are grouped joins (``_pair_join``): the points
-of one set paired with those of another inside equal groups, emitted in
+The correlations and level 2 are grouped joins (``_pair_join``), emitted in
 (group, left, right) order in chunks of at most PAIR_BLOCK pairs.  The
 correlations group by class mod pi.  Level 2 joins the box points once, by
-(class mod p, f mod q): its pairs (u, u + p z) carry the second shift z, and
-those with q | f(u) are the x-pairs (x, x + p z).  The pair table then joins
-the x-pairs with the box-point pairs by (z, class mod pi), which puts
-x + pi y = u.  Each join supplies a part, a key and a weight per pair, and
-``_cell_sums`` adds them per cell (part, key) in a dense block of
-consecutive parts times all keys, at most 4 * PAIR_BLOCK cells or one part,
-harvesting the cells a per-cell flag marks once the rows pass the block; no
-row is sorted by key.  Float sums depend on order, so the parts are fixed:
-the correlations per 32 consecutive classes mod pi, each shift adding its
-part sums in part order (``_corr_sums``), and level 2 per second shift z, so
-that each cell (y, z) is one part.  A cell adds its rows to zero in arrival
-order, so float results do not depend on the chunk size, and one code path
-serves both domains.  Level 1 (``_level1``) keys its sums, shift by shift,
-by the box classes (class mod p, f mod q) of the right points: it scatters
-its rows into a dense block of box classes times shifts, in a fixed row
-order, and reads the sums back per row.
+(class mod p, f mod q), into pairs (u, u + p z), the x-pairs (x, x + p z)
+being those with q | f(u), and then joins the x-pairs with them by (z,
+class mod pi), which puts x + pi y = u.  ``_cell_sums`` adds each join's
+rows (part, key, weight) per cell (part, key), with no sort by key.  Float
+sums depend on order, so the parts are fixed: the correlations per 32
+consecutive classes mod pi, each shift adding its part sums in part order
+(``_corr_sums``), and level 2 per second shift z, each cell (y, z) one
+part.  A cell adds its rows to zero in arrival order, whatever the chunk
+size, in one code path for both domains.  Level 1 (``_level1``) scatters
+its rows, in a fixed order, into a dense block of box classes (class mod
+p, f mod q) times shifts, and reads the sums back per row.
 
 The differencing is symmetric in the shifts, and the passes that can use it
 are triangular: a point pairs only with the points of its group at or after
@@ -90,12 +85,9 @@ weight the copied half therefore carries the computed half's rounding, not
 its own.
 
 Level 2 keeps only the cells (y, z) its join fills, as sorted flat keys and
-congruence parts c(y, z); corr2 reads c = 0 at every other cell.  qsum(y)
-adds the filled cells of y in z order.  The per-y sum of |q^3 c - FS2| over
-all z, with FS2 = prod_i T(pi y_i, p z_i) >= 0 the full sum, also visits
-only the filled cells: an empty cell adds FS2, so the sum is prod_i R(y_i)
-+ sum over filled cells of (|q^3 c - FS2| - FS2), with R(y_i) =
-sum_{z_i} T(pi y_i, p z_i).
+congruence parts c(y, z); corr2 reads c = 0 at every other cell, and qsum
+and the per-y sums of |q^3 c - FS2| visit the filled cells alone
+(``_level2_cells``).
 """
 
 from __future__ import annotations
@@ -106,14 +98,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import Weight, _Domain, _sep_product, eval_on_axes, weighted_count
+from .counting import (Weight, _Bins, _Domain, _fits, _product, _sep_product,
+                       eval_on_axes, weighted_count)
 from .errors import Budget, InputError, PreconditionError, ensure_budget
 from .ffield import field_make, is_prime, reduce_mod
 from .geometry import VarietySpec, r_check, sing_points
 from .mpoly import IntPoly
 
 PAIR_BLOCK = 1 << 18  # pair rows per chunk: the most a pass holds at once
-INT64_LIMIT = 1 << 62  # exact level-1 squares and level-2 terms in int64
 
 
 @dataclass
@@ -327,11 +319,13 @@ def _mirrors(f: IntPoly, w1: np.ndarray) -> bool:
     return len(parities) <= 1 and np.array_equal(w1, w1[::-1])
 
 
-def _mirror(t: np.ndarray) -> None:
+def _mirror(t: np.ndarray) -> np.ndarray:
     """Copy the y >= 0 half of a flat shift table onto its y < 0 half, in
-    place: the flat key of -y is cells - 1 - (the flat key of y)."""
+    place, and return the table: the flat key of -y is cells - 1 - (the
+    flat key of y)."""
     half = t.size // 2
     t[:half] = t[::-1][:half]
+    return t
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -397,18 +391,17 @@ def _per_block(width: int) -> int:
     return max(1, 4 * PAIR_BLOCK // width)
 
 
-def _cell_sums(rows, width: int, height: int, dtype):
+def _cell_sums(rows, width: int, height: int, exact: bool):
     """Per-cell sums of rows (cell, w), cell = h width + k with k < width
     and h < height never decreasing: the touched cells, in order, and their
-    sums, each adding its rows to zero in arrival order in a dense block of
-    consecutive h times all k, at most 4 * PAIR_BLOCK cells or one h.  Once
-    the rows pass a block, the cells its per-cell flag marks are harvested
-    and zeroed: the flag, not the value, says a cell was touched, as a
-    float sum can underflow to 0.0."""
+    sums, each adding its rows to zero in arrival order in a dense block
+    (``_Bins``) of consecutive h times all k, at most 4 * PAIR_BLOCK cells
+    or one h.  Once the rows pass a block, the cells a per-cell flag marks
+    (a float sum can underflow to 0.0) are harvested and zeroed."""
     per = _per_block(width)  # h values per block
     span = per * width  # block b holds the cells [b span, (b + 1) span)
-    blk = np.zeros(min(per, height) * width, dtype=dtype)
-    hit = np.zeros(blk.size, dtype=bool)
+    blk = _Bins(min(per, height) * width, exact)
+    hit = np.zeros(blk.lo.size, dtype=bool)
 
     def pieces():  # each chunk cut where its block changes
         for cell, w in rows:
@@ -417,81 +410,26 @@ def _cell_sums(rows, width: int, height: int, dtype):
             for s, e in zip([0, *cut], [*cut, b.size]):
                 yield int(b[s]), cell[s:e] - b[s] * span, w[s:e]
 
-    cells, sums = [np.zeros(0, dtype=np.int64)], [blk[:0]]
+    cells, sums = [np.zeros(0, dtype=np.int64)], [blk.lo[:0]]
     for b, group in itertools.groupby(pieces(), key=lambda t: t[0]):
         for _, at, w in group:
-            np.add.at(blk, at, w)
+            blk.add(at, w)
             hit[at] = True
         i = np.flatnonzero(hit)
         cells.append(i + b * span)
-        sums.append(blk[i])
-        blk[i] = 0
+        sums.append(blk.total(i))
+        blk.clear(i)
         hit[i] = False
     return np.concatenate(cells), np.concatenate(sums)
 
 
-def _corr_sums(rows, size: int, parts: int, dtype) -> np.ndarray:
+def _corr_sums(rows, size: int, parts: int, exact: bool) -> np.ndarray:
     """Per-key sums over keys [0, size) of rows (part, key, w), part ids in
     [0, parts) and never decreasing: each (part, key) adds its rows to zero
     in arrival order, and each key adds its part sums to zero in part order."""
     cells, sums = _cell_sums(((part * size + key, w) for part, key, w in rows),
-                             size, parts, dtype)
-    total = np.zeros(size, dtype=dtype)
-    np.add.at(total, cells % size, sums)
-    return total
-
-
-def _sq_bincount(keys: np.ndarray, w: np.ndarray, v: np.ndarray, size: int):
-    """Per-bin sums of w * v over rows with |w| <= |v| and w * v >= 0, in
-    v's dtype except that int64 lifts to Python ints unless every bin
-    provably stays below INT64_LIMIT."""
-    # then |v|^2 < INT64_LIMIT makes each product exact; a float64 bin sum
-    # of k < 2^51 nonnegative terms is at least 2/3 of the true sum, so a
-    # float bin below INT64_LIMIT / 2 proves the int64 bin stays below
-    if v.dtype == np.int64 and v.size and (
-        int(np.abs(v).max()) ** 2 >= INT64_LIMIT
-        or np.bincount(keys, w * v, size).max() >= INT64_LIMIT / 2
-    ):
-        w, v = w.astype(object), v.astype(object)
-    out = np.zeros(size, dtype=v.dtype)
-    np.add.at(out, keys, w * v)
-    return out
-
-
-class _SqSums:
-    """Per-bin sums of w * v over rows that arrive in chunks, as in
-    ``_sq_bincount``.
-
-    Float and Python-int rows add to their bins in arrival order.  An int64
-    chunk is binned by ``_sq_bincount``; its int64 bins, below INT64_LIMIT
-    <= 2^62, carry into 32-bit halves, so no total wraps, and its
-    Python-int bins join a Python-int total."""
-
-    def __init__(self, size: int, dtype):
-        self.lo = np.zeros(size, dtype=dtype)
-        self.hi = np.zeros(size, dtype=np.int64) if dtype == np.int64 else None
-        self.big = None
-
-    def add(self, keys, w, v) -> None:
-        if self.hi is None:
-            np.add.at(self.lo, keys, w * v)
-            return
-        bins = _sq_bincount(keys, w, v, self.lo.size)
-        if bins.dtype == object:
-            self.big = bins if self.big is None else self.big + bins
-        else:
-            self.hi += bins >> 32
-            self.lo += bins & 0xFFFFFFFF
-
-    def total(self) -> np.ndarray:
-        """The sums: int64 if every one is provably below INT64_LIMIT."""
-        if self.hi is None:
-            return self.lo
-        if self.big is None and (
-                self.hi * 2.0**32 + self.lo).max(initial=0) < INT64_LIMIT / 2:
-            return (self.hi << 32) + self.lo
-        out = (self.hi.astype(object) << 32) + self.lo.astype(object)
-        return out if self.big is None else out + self.big
+                             size, parts, exact)
+    return _Bins(size, exact).add(cells % size, sums).total()
 
 
 def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, cls_p,
@@ -507,25 +445,25 @@ def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, cls_p,
     is a point of X_y.  A block holds at most 4 * PAIR_BLOCK cells, or one
     box class, and the rows stream in chunks of PAIR_BLOCK.
     """
-    dtype = wnum.dtype
+    exact = wnum.dtype != np.float64
     ylo = Ycells // 2 if mirror else 0  # the mirrored pass emits y >= 0
     ywidth = Ycells - ylo
     ends = np.cumsum(xcnt)
     starts = ends - xcnt
     cg, cw, ca0 = group[order], wnum[order], fq_v[order] == 0
-    cy = ycode[order] + (Ycells // 2 - ylo)  # y = cy - xy, less ylo
+    cy = ycode[order] + Ycells // 2  # y = cy - xy
     xy, xw, xv = ycode[xs], wnum[xs], cls_p[xs]
     per = _per_block(ywidth)
     nclass = int(cg[-1]) + 1
-    V = np.zeros(min(per, nclass) * ywidth, dtype=dtype)
-    t0, t1, sxy = (np.zeros(ywidth, dtype=dtype) for _ in range(3))
-    ss2, ss3 = _SqSums(ywidth, dtype), _SqSums(ywidth, dtype)
+    V = _Bins(min(per, nclass) * ywidth, exact)
+    t0, t1, ss2, ss3, sxy = (_Bins(Ycells, exact) for _ in range(5))
 
     def rows(s, e, g0):
         runs, c, item = _runs(starts, ends, xfirst, s, e)
         y = cy[runs].repeat(c) - xy[item]
-        cell = ((cg[runs] - g0) * ywidth).repeat(c) + y
-        return y, cell, cw[runs].repeat(c) * xw[item], ca0[runs].repeat(c), item
+        cell = ((cg[runs] - g0) * ywidth - ylo).repeat(c) + y
+        w = _product(cw[runs].repeat(c), xw[item])
+        return y, cell, w, ca0[runs].repeat(c), item
 
     bounds = np.searchsorted(cg, np.arange(0, nclass + per, per))
     for g0, (ra, rb) in zip(range(0, nclass, per), zip(bounds, bounds[1:])):
@@ -533,33 +471,26 @@ def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, cls_p,
         spans = [(s, min(s + PAIR_BLOCK, e0)) for s in range(s0, e0, PAIR_BLOCK)]
         for s, e in spans:
             held = rows(s, e, g0)
-            np.add.at(V, held[1], held[2])
+            V.add(held[1], held[2])
         for s, e in spans:
             y, cell, w, a0, item = held if len(spans) == 1 else rows(s, e, g0)
-            v = V[cell]
-            np.add.at(t0, y, w)
-            ss3.add(y, w, v)
+            v = V.total(cell)
+            t0.add(y, w)
+            ss3.add(y, _product(w, v))
             # a0: q | f(c), so the difference residue a is 0
             y, w, v, item = y[a0], w[a0], v[a0], item[a0]
-            np.add.at(t1, y, w)
-            ss2.add(y, w, v)
-            m = member(y + ylo, xv[item])
-            np.add.at(sxy, y[m], w[m])
+            t1.add(y, w)
+            ss2.add(y, _product(w, v))
+            m = member(y, xv[item])
+            sxy.add(y[m], w[m])
         # zero the touched cells; a block of several chunks, whose cells
         # would take another pass over its rows, is cleared whole instead
         if len(spans) == 1:
-            V[held[1]] = 0
+            V.clear(held[1])
         elif spans:
-            V[:] = 0
+            V.clear()
 
-    out = []
-    for t in (t0, t1, ss2.total(), ss3.total(), sxy):
-        full = np.zeros(Ycells, dtype=t.dtype)
-        full[ylo:] = t
-        if mirror:
-            _mirror(full)
-        out.append(full)
-    return out
+    return [_mirror(t.total()) if mirror else t.total() for t in (t0, t1, ss2, ss3, sxy)]
 
 
 # -- the main construction ----------------------------------------------------
@@ -600,30 +531,20 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     count_pq = D.frac(D.total(wnum, solpq), den1)
     K = D.frac(box_total_num, pi**n * p * q * den1)
 
-    # Accumulator dtype: the weights' own, except that exact sums lift to
-    # Python ints when a conservative per-bin bound (total box weight times
-    # one max weight factor) says the pair sums could overflow int64.
-    acc_dtype = w1.dtype if D.fits(box_total_num * w1.max().item() ** n) else object
-
-    def _acc(vals):
-        return vals.astype(object) if acc_dtype is object else vals
-
     # level 0: classes mod pi
     pin = pi**n
     budget.charge(pin, "class grid mod pi")
     gpi = eval_on_axes(f, [np.arange(pi, dtype=np.int64)] * n, pi)
     zero_mask = gpi == 0
     zero_classes = int(np.count_nonzero(zero_mask))
-    inner_num = np.zeros(pin, dtype=acc_dtype)
-    np.add.at(inner_num, cls_pi[solpq], _acc(wnum[solpq]))
+    inner_num = _Bins(pin, D.exact).add(cls_pi[solpq], wnum[solpq]).total()
     S = D.frac(D.total(inner_num, zero_mask), den1) - K * zero_classes
-    inner = D.lift(inner_num)
-    inner_sq = D.total(inner * inner)  # sum_u inner(u)^2
+    inner_sq = D.total(_product(inner_num, inner_num))  # sum_u inner(u)^2
     if D.exact:  # sum (inner - c)^2 from integer power sums, c = K den1
         c = K * den1
-        Sigma = (inner_sq - 2 * c * D.total(inner) + pin * c * c) / den1**2
+        Sigma = (inner_sq - 2 * c * D.total(inner_num) + pin * c * c) / den1**2
     else:
-        Sigma = D.total((inner - K * den1) ** 2) / den1**2
+        Sigma = D.total((inner_num - K * den1) ** 2) / den1**2
     E0 = count_pq - pin * K
 
     # shift tables
@@ -633,7 +554,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     budget.charge(Ycells, "shift table")
     S2 = np.correlate(w1, w1, "full")  # lag c at index c + (L-1)
     lags = pi * np.arange(-Y, Y + 1, dtype=np.int64)
-    fs_axis = np.zeros(sideY, dtype=acc_dtype)
+    fs_axis = np.zeros(sideY, dtype=w1.dtype)
     inrange = np.abs(lags) <= L - 1
     fs_axis[inrange] = S2[lags[inrange] + (L - 1)]
     fs_num = _sep_product([fs_axis] * n)
@@ -686,10 +607,9 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     # congruence part of corr(y); float parts are runs of 32 classes
     corr_part = cls_pi[a_pq] // 32
     lkey, rkey, wpq = Ycells // 2 - ycode[a_pq], ycode[a_pq], wnum[a_pq]
-    rows = ((corr_part[li], lkey[li] + rkey[ri], _acc(wpq[li] * wpq[ri]))
+    rows = ((corr_part[li], lkey[li] + rkey[ri], _product(wpq[li], wpq[ri]))
             for li, ri in corr_pairs)
-    congnum = _corr_sums(rows, Ycells, -(-pin // 32), acc_dtype)
-    _mirror(congnum)
+    congnum = _mirror(_corr_sums(rows, Ycells, -(-pin // 32), D.exact))
 
     # X_y(F_p): pairs of zeros of f mod p at shift pi*y
     pn = p**n
@@ -707,7 +627,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     xcount = rolled.sum(axis=1)[wid_idx].astype(np.int64)
 
     t0_num, t1_num, ss2, ss3, sxy_num = _level1(
-        border, bclass, xfirst[border], xcnt, xs, ycode, _acc(wnum), fq_v,
+        border, bclass, xfirst[border], xcnt, xs, ycode, wnum, fq_v,
         cls_p, Ycells, mirror, lambda y, v: rolled[wid_idx[y], v])
 
     ledger = PipelineLedger(
@@ -817,22 +737,18 @@ def _residuals(led: PipelineLedger, inner_sq) -> dict:
 def _t2d(w1: np.ndarray, pi: int, p: int, Y: int, Z: int, L: int) -> np.ndarray:
     """Per-coordinate quadruple weight sums T(pi*yc, p*zc)."""
     sideY, sideZ = 2 * Y + 1, 2 * Z + 1
-    out = np.zeros((sideY, sideZ), dtype=w1.dtype)
+    out = _Bins(sideY * sideZ, w1.dtype != np.float64)
     H = (L - 1) // 2
+    w = w1.astype(_product(w1, w1, w1, w1).dtype)  # max w1^4 bounds every term
     for iy in range(sideY):
         a = pi * (iy - Y)
         for iz in range(sideZ):
             c = p * (iz - Z)
-            lo = max(-H, -H - a, -H - c, -H - a - c)
-            hi = min(H, H - a, H - c, H - a - c)
-            if lo > hi:
-                continue
-            m = np.arange(lo, hi + 1)
-            out[iy, iz] = np.sum(
-                w1[m + H] * w1[m + a + H] * w1[m + c + H] * w1[m + a + c + H],
-                dtype=object if w1.dtype != np.float64 else np.float64,
-            )
-    return out
+            m = np.arange(max(-H, -H - a, -H - c, -H - a - c),
+                          min(H, H - a, H - c, H - a - c) + 1)  # maybe empty
+            out.add(iy * sideZ + iz,
+                    w[m + H] * w[m + a + H] * w[m + c + H] * w[m + a + c + H])
+    return out.total().reshape(sideY, sideZ)
 
 
 def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, budget):
@@ -865,7 +781,7 @@ def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget):
     """The level-2 cells (y, z), z >= 0, that the joins fill, and their
     congruence parts, as ``_level2_cells`` reads them; the joins' arrays,
     which live only here, are freed before it sorts the cells."""
-    n, D, Ycells = ledger.n, ledger._dom, len(ledger.corr_num)
+    n, exact, Ycells = ledger.n, ledger.exact, len(ledger.corr_num)
     sideZ = 2 * ledger.pair_range + 1
     Zcells = sideZ**n
 
@@ -886,9 +802,7 @@ def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget):
         s += li.size
     zcode = _flat(coords // ledger.params.p, sideZ)  # keys z as ycode keys y
     pz = zcode[pc] - zcode[pa] + Zcells // 2
-    if D.exact and wnum.max().item() ** 2 >= INT64_LIMIT:
-        wnum = wnum.astype(object)  # a pair weight could pass int64
-    pw = wnum[pa] * wnum[pc]
+    pw = _product(wnum[pa], wnum[pc])
 
     isx = fq_v[pa] == 0
     xi, zk, wx = pa[isx], pz[isx], pw[isx]
@@ -902,38 +816,27 @@ def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget):
     classes, cls = np.unique(cls_pi, return_inverse=True)
     lgrp = zk * classes.size + cls[xi]
     rgrp = pz * classes.size + cls[pa]
-    if D.exact:
-        # Weights are nonnegative, so no row weight, cell or qsum[y] passes
-        # the join's total weight sum over groups of (sum of wx) (sum of pw),
-        # doubled as the mirrored cells join qsum[y].  A float sum of fewer
-        # than 2^51 nonnegative terms is at least 2/3 of the true sum; the
-        # bincounts and the dot product lose at most (2/3)^3 > 1/4, so a
-        # float bound below 2^61 puts it below 2^63.
-        size = Zcells * classes.size
-        total = (np.bincount(lgrp, wx.astype(np.float64), size)
-                 @ np.bincount(rgrp, pw.astype(np.float64), size))
-        if not 2 * total < INT64_LIMIT / 2:
-            wx, pw = wx.astype(object), pw.astype(object)
     # a row's cell (kz - Zcells // 2) Ycells + ky, with ky = Ycells // 2
     # - ycode[x] + ycode[u] the flat key of y, splits into an x and a u part
     xcell = (zk - Zcells // 2) * Ycells + Ycells // 2 - ycode[xi]
     ucell = ycode[pa]
     _, pairs = _pair_join(lgrp, rgrp)
-    rows = ((xcell[li] + ucell[ri], wx[li] * pw[ri]) for li, ri in pairs)
-    return _cell_sums(rows, Ycells, Zcells - Zcells // 2, pw.dtype)
+    rows = ((xcell[li] + ucell[ri], _product(wx[li], pw[ri])) for li, ri in pairs)
+    return _cell_sums(rows, Ycells, Zcells - Zcells // 2, exact)
 
 
 def _level2_cells(cells, c, t2d, n, q3, D2):
     """Filled cells (sorted flat keys, congruence parts), qsum and abs2_num
-    of level 2, from the cells h Ycells + ky, with kz = Zcells // 2 + h, that
-    the triangular join fills (z >= 0) and their congruence parts.
+    of level 2, from the cells h Ycells + ky (kz = Zcells // 2 + h) that the
+    triangular join fills, z >= 0, and their congruence parts.
 
-    Each cell with z > 0 is copied to (y, -z), whose flat key is ky Zcells
-    + Zcells - 1 - kz, and all are sorted once by key; the z = 0 cells come
-    full and are not copied.  FS2(y, z) = prod_i T(pi y_i, p z_i) is never
-    negative, so an empty cell adds exactly FS2 to sum_z |q^3 c - FS2|, and
-    that sum is prod_i R(y_i) + sum over filled cells of (|q^3 c - FS2| -
-    FS2), with R(y_i) = sum_{z_i} T(pi y_i, p z_i) a row sum of t2d.
+    Each cell with z > 0 is copied to (y, -z), flat key ky Zcells + Zcells
+    - 1 - kz, and all are sorted once; the z = 0 cells come full.  As FS2(y,
+    z) = prod_i T(pi y_i, p z_i) >= 0, an empty cell adds FS2 to sum_z |q^3
+    c - FS2|, which is so prod_i R(y_i) plus the filled cells' |q^3 c - FS2|
+    - FS2, with R(y_i) = sum_{z_i} T(pi y_i, p z_i) a row sum of t2d.  Such
+    an exact term lies in [-FS2, q^3 c]: int64 holds it where q^3 c and
+    prod_i R(y_i) >= FS2 are provably below INT64_LIMIT (``_fits``).
     """
     sideY, sideZ = t2d.shape
     Ycells, Zcells = sideY**n, sideZ**n
@@ -945,39 +848,41 @@ def _level2_cells(cells, c, t2d, n, q3, D2):
     order = _stable_order(keys)
     keys, c = keys[order], c[order]
     ky, kz = np.divmod(keys, Zcells)  # sorted by y, then z
-    # the join's total weight bounds every cell and every qsum[y] in c's dtype
-    qsum = np.zeros(Ycells, dtype=c.dtype)
-    np.add.at(qsum, ky, c)
-    rsum = _sep_product([D2.lift(t2d).sum(axis=1)] * n)  # prod_i R(y_i)
-    # a filled cell's term lies in [-FS2, q^3 c], and every partial product
-    # of its FS2 is at most max rsum = (max R)^n, so no step passes this
-    # bound; q^3 itself must fit as well
-    cq = c  # the parts keep their dtype; their terms may need Python ints
-    if q3 * max(1, int(c.max(initial=0))) + int(rsum.max()) >= INT64_LIMIT:
-        cq, t2d = D2.lift(c), D2.lift(t2d)
-    fs2 = 1
-    for i in range(n):  # digit 0 first, as corr2 reads them
-        fs2 = fs2 * t2d[ky // sideY**i % sideY, kz // sideZ**i % sideZ]
-    terms = q3 * cq  # |q^3 c - FS2| - FS2, in place
-    terms -= fs2
-    np.abs(terms, out=terms)
-    terms -= fs2
-    extra = np.zeros(Ycells, dtype=rsum.dtype)
-    first = np.flatnonzero(np.diff(ky, prepend=-1))  # each y's first cell
-    if terms.dtype != np.int64:
-        sums = np.add.reduceat(terms, first)
-    else:  # a y's sum may pass int64: add the 32-bit halves apart
-        sums = ((np.add.reduceat(terms >> 32, first).astype(object) << 32)
-                + np.add.reduceat(terms & 0xFFFFFFFF, first).astype(object))
-    extra[ky[first]] = sums
-    return keys, c, qsum, rsum + extra
+    qsum = _Bins(Ycells, D2.exact).add(ky, c).total()
+    R = (_Bins(sideY).add(np.arange(t2d.size) // sideZ, t2d.ravel()).total()
+         if D2.exact else t2d.sum(axis=1))
+    rsum = _sep_product([R] * n)  # prod_i R(y_i)
+    abs2 = _Bins(Ycells, D2.exact).add(np.arange(Ycells), rsum)
+
+    def fs2(t, at):  # FS2 of the cells at, digit 0 first, as corr2 reads them
+        y, z, out = ky[at], kz[at], 1
+        for i in range(n):
+            out = out * t[y // sideY**i % sideY, z // sideZ**i % sideZ]
+        return out
+
+    def term(c, f):  # |q^3 c - FS2| - FS2, in place
+        t = q3 * c
+        t -= f
+        np.abs(t, out=t)
+        t -= f
+        return t
+
+    if D2.exact:  # each term in int64 where it provably fits
+        ok = _fits(q3) & _fits(q3, c) & _fits(rsum)[ky]
+        for at, t in ((ok, t2d), (~ok, t2d.astype(object))):
+            if at.any():
+                abs2.add(ky[at], term(c[at].astype(t.dtype, copy=False), fs2(t, at)))
+    else:  # each y's cells add up first, in z order
+        first = np.flatnonzero(np.diff(ky, prepend=-1))  # each y's first cell
+        abs2.add(ky[first], np.add.reduceat(term(c, fs2(t2d, slice(None))), first))
+    return keys, c, qsum, abs2.total()
 
 
 def _aggregate_from_abs(ledger) -> float:
     """pi^((n-1)/2) p^((n-2)/4) (sum_{y != 0} sqrt(sum_z |corr2|))^(1/2)."""
     pr, n, D = ledger.params, ledger.n, ledger._dom
-    abs2 = ledger.abs2_num
-    # exact sums are Python ints: int / int rounds correctly, as float(Fraction)
+    abs2 = D.lift(ledger.abs2_num)
+    # exact sums as Python ints: int / int rounds correctly, as float(Fraction)
     vals = abs2 / (pr.q**3 * D.den1**4)
     roots = np.delete(np.sqrt(vals.astype(np.float64)), len(abs2) // 2)  # y = 0
     # cumsum adds left to right, as a loop does (np.sum would add pairwise)

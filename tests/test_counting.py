@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vdc import counting
 from vdc.counting import (
     Weight,
     _Domain,
@@ -399,3 +400,104 @@ def test_hooley_deligne_quartic_curve_weil_scale():
 def test_hooley_deligne_refuses_degree_one():
     with pytest.raises(PreconditionError):
         hooley_deligne_probe([parse_poly("x1+x2", 2)], field_make(7))
+
+
+# -- the exact accumulator ------------------------------------------------------
+
+
+@st.composite
+def bins_cases(draw):
+    """Chunks of 1 to 30 signed int64 terms, some near the ends of the int64
+    range, with keys in [0, size) or, for one bin, the scalar key 0; some
+    chunks of Python ints past int64; the limit 2^20, 2^32 or the default."""
+    limit = draw(st.sampled_from([2**20, 2**32, counting.INT64_LIMIT]))
+    size = draw(st.integers(1, 5))
+    term = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-2**20, 2**20),
+                     st.sampled_from([2**63 - 1, -2**63, 2**62, 2**62 - 1,
+                                      -2**62, 2**61 + 1]))
+    chunks = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, 30))
+        terms = np.array(draw(st.lists(term, min_size=k, max_size=k)),
+                         dtype=np.int64)
+        keys = (0 if size == 1 and draw(st.booleans()) else np.array(
+            draw(st.lists(st.integers(0, size - 1), min_size=k, max_size=k))))
+        if draw(st.integers(0, 3)) == 0:
+            terms = terms.astype(object) * 2**40
+        chunks.append((keys, terms))
+    return limit, size, chunks
+
+
+def python_int_bins(chunks, size):
+    out = [0] * size
+    for keys, terms in chunks:
+        for k, t in zip(np.broadcast_to(keys, terms.shape).tolist(), terms.tolist()):
+            out[k] += t
+    return out
+
+
+def assert_bins(got, want, limit):
+    """Equal sums, int64 exactly when every one is below the limit."""
+    assert got.tolist() == want
+    small = all(abs(v) < limit for v in want)
+    assert got.dtype == (np.dtype(np.int64) if small else np.dtype(object))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(bins_cases())
+def test_bins_match_python_int_sums(case):
+    """The accumulator against Python-int sums, over all bins and over every
+    other bin; after a clear it sums the first chunk afresh."""
+    limit, size, chunks = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "INT64_LIMIT", limit)
+        bins = counting._Bins(size)
+        for keys, terms in chunks:
+            bins.add(keys, terms)
+        got, part = bins.total(), bins.total(np.arange(0, size, 2))
+        bins.clear()
+        again = bins.add(*chunks[0]).total()
+    want = python_int_bins(chunks, size)
+    assert_bins(got, want, limit)
+    assert_bins(part, want[::2], limit)
+    assert_bins(again, python_int_bins(chunks[:1], size), limit)
+
+
+@pytest.mark.parametrize("limit", [counting.INT64_LIMIT, 2**32])
+def test_bins_lift_only_the_bins_past_the_limit(monkeypatch, limit):
+    """Bin 0 sums past 2^63 in int64 halves while bins 1 and 2 stay small:
+    read alone they are int64, and only bin 0 is joined in Python ints.  No
+    term is lifted; with the limit at 2^32 the high halves move to Python
+    ints instead."""
+    monkeypatch.setattr(counting, "INT64_LIMIT", limit)
+    bins = counting._Bins(3)
+    for _ in range(3):
+        bins.add(np.array([0, 0, 0, 0, 1, 2]),
+                 np.array([2**62 - 1] * 4 + [5, -7], dtype=np.int64))
+    assert bins.hi is not None and (bins.big is None) == (limit > 2**32)
+    assert_bins(bins.total(), [12 * (2**62 - 1), 15, -21], limit)
+    assert_bins(bins.total(np.array([1, 2])), [15, -21], limit)
+    assert_bins(bins.total(np.array([0])), [12 * (2**62 - 1)], limit)
+
+
+def test_bins_carry_before_each_halves_add():
+    """Chunks that fit in lo alone alternate with chunks that force the
+    32-bit halves: each halves add carries lo into hi first, so lo never
+    wraps."""
+    bins = counting._Bins(1)
+    for t in [3 * 2**60, 2**61] * 4:
+        bins.add(np.array([0]), np.array([t], dtype=np.int64))
+    assert_bins(bins.total(), [4 * (3 * 2**60 + 2**61)], counting.INT64_LIMIT)
+
+
+def test_product_fits_element_by_element():
+    """A product whose factors' maxima pass the limit stays int64 when every
+    element is below it, and comes in Python ints once one is not."""
+    a = np.array([2**40, 1, 3], dtype=np.int64)
+    b = np.array([1, 2**40, 5], dtype=np.int64)
+    out = counting._product(a, b)
+    assert out.dtype == np.int64 and out.tolist() == [2**40, 2**40, 15]
+    out = counting._product(a, b, np.array([2**21, 2**21, 1], dtype=np.int64))
+    assert out.dtype == object and out.tolist() == [2**61, 2**61, 15]
+    f = np.array([0.5, 3.0])
+    assert counting._product(f, f).tolist() == [0.25, 9.0]

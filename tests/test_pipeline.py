@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vdc import cli, geometry, pipeline
+from vdc import cli, counting, geometry, pipeline
 from vdc.counting import Weight, _sep_product, eval_on_axes
 from vdc.errors import Budget, BudgetExceeded, InputError, PreconditionError
 from vdc.mpoly import IntPoly, parse_poly
@@ -680,17 +680,19 @@ def test_exact_level2_matches_scalar_loop(default_ledgers, exact_level2_ledgers,
 @pytest.mark.parametrize("case", ["showcase-hat", "n4-hat"])
 def test_exact_level2_object_sums_match(exact_level2_ledgers, monkeypatch,
                                         case):
-    monkeypatch.setattr(pipeline, "INT64_LIMIT", 0)
+    monkeypatch.setattr(counting, "INT64_LIMIT", 0)
     led = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES[case],
                                       with_pair_table=True))
     assert_same_level2(led, exact_level2_ledgers[case])
 
 
-def test_level2_rows_leave_int64_past_total_weight(exact_level2_ledgers,
-                                                  monkeypatch):
-    """A join whose total weight reaches half the limit feeds level 2 Python
-    ints; the showcase's pair weights (at most 2^18) stay below this limit,
-    so only the total-weight bound lifts them."""
+def test_level2_cells_leave_int64_past_the_limit(exact_level2_ledgers,
+                                                 monkeypatch):
+    """With the limit at 2^19 the showcase's pair weights (at most 2^18)
+    stay int64, while cells past the limit reach level 2 as Python ints;
+    level 2 still equals the int64 build's."""
+    ref = exact_level2_ledgers["showcase-hat"]
+    assert (2 * B) ** (2 * N) <= 2**18 and ref.pair_num.max() >= 2**19
     dtypes = []
     level2 = pipeline._level2_cells
 
@@ -699,11 +701,31 @@ def test_level2_rows_leave_int64_past_total_weight(exact_level2_ledgers,
         return level2(cells, c, *args)
 
     monkeypatch.setattr(pipeline, "_level2_cells", spy)
-    monkeypatch.setattr(pipeline, "INT64_LIMIT", 2**19)
+    monkeypatch.setattr(counting, "INT64_LIMIT", 2**19)
     led = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES["showcase-hat"],
                                       with_pair_table=True))
     assert dtypes == [object]
-    assert_same_level2(led, exact_level2_ledgers["showcase-hat"])
+    assert_same_level2(led, ref)
+
+
+def test_level2_terms_split_at_the_limit(exact_level2_ledgers, monkeypatch):
+    """With the limit between "nothing lifts" and "everything lifts", some
+    level-2 terms q^3 c and FS2 pass half of it and go to Python ints while
+    the others stay int64, and so do some cells, qsum and abs2_num; the
+    table still equals the term-by-term loop."""
+    ref = exact_level2_ledgers["showcase-hat"]
+    limit, q3 = 2**34, Q**3
+    assert (q3 * ref.pair_num).min() < limit // 2 <= (q3 * ref.pair_num).max()
+    assert ref.pair_num.min() < limit <= ref.pair_num.max()
+    monkeypatch.setattr(counting, "INT64_LIMIT", limit)
+    led = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES["showcase-hat"],
+                                      with_pair_table=True))
+    assert led.pair_num.dtype == led.abs2_num.dtype == object
+    table, qsum, abs2, _ = level2_loop(led)
+    assert_cells_match(led, table)
+    assert np.array_equal(led.qsum, qsum)
+    assert np.array_equal(led.abs2_num, abs2)
+    assert_same_level2(led, ref)
 
 
 def check_level2_cells(t2d, kz, ky, w, q3, cut=None):
@@ -720,7 +742,7 @@ def check_level2_cells(t2d, kz, ky, w, q3, cut=None):
     cell = (kz - Zcells // 2) * sideY**n + ky
     rows = [(cell[:cut], w[:cut]), (cell[cut:], w[cut:])]
     keys, parts, qsum, abs2 = pipeline._level2_cells(
-        *pipeline._cell_sums(iter(rows), sideY**n, Zcells - Zcells // 2, w.dtype),
+        *pipeline._cell_sums(iter(rows), sideY**n, Zcells - Zcells // 2, exact),
         t2d, n, q3, pipeline._Domain(exact))
     cells = {}
     assert kz.min() >= Zcells // 2
@@ -762,7 +784,7 @@ def test_level2_cells_leave_int64_past_its_bound():
     w = np.where(kz % 2 == 0, 2**50 + rng.integers(0, 2**20, kz.size),
                  rng.integers(1, 100, kz.size))
     assert q3 * int(w.max()) + int(t2d.sum(axis=1).max()) ** 2 < (
-        pipeline.INT64_LIMIT)
+        counting.INT64_LIMIT)
     check_level2_cells(t2d, kz, ky, w, q3)
 
 
@@ -895,7 +917,7 @@ def test_part_sums_matches_sequential_oracle(dtype, cuts):
     assert keys.dtype == np.int64 and totals.dtype == w.dtype
     assert keys.tolist() == want_keys == list(range(7))
     assert totals.tolist() == want
-    dense = pipeline._corr_sums(iter(chunks), 7, 6, w.dtype)
+    dense = pipeline._corr_sums(iter(chunks), 7, 6, w.dtype != np.float64)
     assert dense.dtype == w.dtype
     assert dense.tolist() == want
     if dtype is np.float64:  # the planted keys
@@ -945,9 +967,13 @@ def scatter_cases(draw):
 
 
 def same_bits(got, want):
-    if got.dtype == object:
-        return got.dtype == want.dtype and got.tolist() == want.tolist()
-    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    """Float sums bit for bit; exact sums value for value, in int64 exactly
+    when every one is below the limit and in Python ints otherwise."""
+    if want.dtype == np.float64:
+        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    small = all(abs(v) < counting.INT64_LIMIT for v in want.tolist())
+    return (got.dtype == (np.int64 if small else object)
+            and got.tolist() == want.tolist())
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -967,9 +993,9 @@ def test_scatters_match_fold_oracle(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "PAIR_BLOCK", block)
         keys, parts, _, _ = pipeline._level2_cells(
-            *pipeline._cell_sums(iter(rows), ycells, zcells - zcells // 2, dtype),
+            *pipeline._cell_sums(iter(rows), ycells, zcells - zcells // 2, exact),
             t2d, n, 13**3, pipeline._Domain(exact))
-        corr = pipeline._corr_sums(iter(chunks), ycells, zcells, dtype)
+        corr = pipeline._corr_sums(iter(chunks), ycells, zcells, exact)
 
     want_keys, want = _part_sums(
         ((kz, ky * zcells + kz, w) for kz, ky, w in chunks), dtype)
@@ -1007,24 +1033,29 @@ def test_exact_level2_builds_no_product_per_z(monkeypatch, weight):
     assert led.exact == (weight == "hat") and level2 <= 1
 
 
-def test_level2_domain_ignores_ss3_dtype(monkeypatch):
-    """Level 2 stays exact whatever dtype _sq_bincount picks from its per-bin
-    bound."""
-    sq = pipeline._sq_bincount
-    monkeypatch.setattr(pipeline, "_sq_bincount",
-                        lambda *args: sq(*args).astype(object))
+def test_level2_domain_ignores_ss3_dtype(exact_level2_ledgers, monkeypatch):
+    """Level 2 stays exact when level 1's sums of squares leave int64: with
+    the limit below the largest ss3 but above every cell, ss3 comes in
+    Python ints and the cells in int64, and level 2 equals the int64
+    build's."""
+    ref = exact_level2_ledgers["showcase-hat"]
+    limit = 2**40
+    assert ref.pair_num.max() < limit <= ref.ss3.max()
+    monkeypatch.setattr(counting, "INT64_LIMIT", limit)
     led = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES["showcase-hat"],
                                       with_pair_table=True))
-    assert led.ss3.dtype == object
+    assert led.ss3.dtype == object and led.pair_num.dtype == np.int64
     rc = led.residuals["refined_square_expansion"]
     assert led.exact and rc.ok and rc.tol == 0
+    assert_same_level2(led, ref)
 
 
 def test_object_level1_keeps_level2_exact(default_ledgers, monkeypatch):
-    """Level 1 in Python ints still feeds an exact level 2, equal to the
-    int64 build's."""
+    """Level 1 and the correlations in Python ints, past a limit of 2^25,
+    still feed an exact level 2, equal to the int64 build's."""
     ref = default_ledgers[("pi5", "hat")]
-    monkeypatch.setattr(pipeline._Domain, "fits", lambda self, bound: False)
+    assert min(ref.corr_num.max(), ref.ss3.max()) >= 2**25
+    monkeypatch.setattr(counting, "INT64_LIMIT", 2**25)
     led = build_ledger(PipelineParams(**CHUNK_CASES["pi5"], weight="hat",
                                       with_pair_table=True))
     assert led.corr_num.dtype == led.ss3.dtype == object
@@ -1050,10 +1081,12 @@ def sq_bins_oracle(keys, vals, size):
     ([2, 0, 1, 2], [7, -3, 0, 12], np.int64),
 ])
 def test_sq_bincount_dtype_follows_bin_bound(keys, vals, dtype):
+    """Bins of squares, each formed by the accumulator's product test: int64
+    exactly when every square and every bin is below the limit."""
     keys = np.array(keys, dtype=np.int64)
     vals = np.array(vals, dtype=np.int64)
     size = int(keys.max()) + 2  # one bin stays empty
-    out = pipeline._sq_bincount(keys, vals, vals, size)
+    out = counting._Bins(size).add(keys, counting._product(vals, vals)).total()
     assert out.dtype == dtype
     assert out.tolist() == sq_bins_oracle(keys, vals, size)
 
@@ -1286,23 +1319,24 @@ def test_level1_matches_key_fold(case):
 
 
 def test_level1_python_int_bins_match_key_fold(monkeypatch):
-    """Past the int64 bound, chunk bins lift to Python ints and the totals
-    leave int64, and they still equal the key fold's Python-int sums; with
-    chunks of 64 rows some chunks stay in int64 and some lift."""
+    """Past the limit, level 1's products leave int64 chunk by chunk and its
+    sums of squares leave int64 as totals, and they still equal the key
+    fold's Python-int sums; with chunks of 64 rows some chunks' products
+    stay int64 and some come in Python ints."""
     params = PipelineParams(f=F, B=B, pi=PI, p=P, q=Q, weight="hat")
     want, rows = level1_oracle(params)
-    limit = 2**32  # ss3 reaches 5.3e12; the median chunk's largest bin 3.3e8
+    limit = 2**32  # ss3 reaches 5.3e12
     assert want[3].max() >= limit
-    dtypes, sq = [], pipeline._sq_bincount
+    dtypes, product = [], pipeline._product
 
     def spy(*args):
-        out = sq(*args)
+        out = product(*args)
         dtypes.append(out.dtype)
         return out
 
-    monkeypatch.setattr(pipeline, "INT64_LIMIT", limit)
+    monkeypatch.setattr(counting, "INT64_LIMIT", limit)
     monkeypatch.setattr(pipeline, "PAIR_BLOCK", 64)  # ~3,400 level-1 chunks
-    monkeypatch.setattr(pipeline, "_sq_bincount", spy)
+    monkeypatch.setattr(pipeline, "_product", spy)
     led = build_ledger(params)
     assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
     assert led.ss2.dtype == led.ss3.dtype == object
