@@ -16,12 +16,17 @@ instead: each field builds its log, exp and digit tables once, on first
 use, from the same convolution run on digit arrays.
 
 Every array evaluation of a polynomial (``counting.eval_on_axes`` on box
-axes, ``geometry.values_on`` on rows of points) runs through
+axes, ``geometry`` on the boxes of P^(n-1) and F_q^n or on rows of
+points) runs through
 :func:`_eval_terms`, in one of three rings: the integers (int64 under a
 checked bound, Python ints above it), Z/m for 1 <= m < 2^63 (int64
 products while (m-1)^2 < 2^63, Python-int products above; the residues
 are int64 either way), and F_{p^k} codes for k > 1.  Larger moduli are
 refused with InputError.
+
+The order of P^(n-1)(F_q) is defined once, by :func:`proj_blocks`, as n
+boxes: :func:`enum_proj` ravels them into point rows, :func:`proj_rows`
+decodes chosen rows, and a scan evaluates each box from its axes.
 """
 
 from __future__ import annotations
@@ -418,30 +423,49 @@ def parse_field(lit: str) -> Field:
     return field_make(p, k)
 
 
-def enum_proj(field: Field, n: int, budget: Budget | None = None) -> np.ndarray:
-    """All points of P^(n-1)(F_q) as an (N, n) array of element codes.
+def proj_blocks(field: Field, n: int) -> list[tuple[list, tuple]]:
+    """The order of enum_proj(field, n) as n boxes, one (cols, shape) each.
 
-    Representatives are normalized so the first nonzero coordinate is 1.
-    Order: by position of that leading 1 (ascending), then the remaining
-    coordinates as a base-q odometer with the last coordinate fastest.
-    N = (q^n - 1)/(q - 1) exactly.
+    Block `lead` holds the points (0, ..., 0, 1, x_(lead+1), ..., x_n), the
+    free coordinates a base-q odometer with the last fastest: cols[i] is
+    x_i shaped to broadcast against shape = (q,) * (n - lead - 1), so the
+    block ravels in order and `_eval_terms` evaluates it from its axes.
     """
     if n < 1:
         raise InputError("need at least one coordinate", n=n)
-    budget = ensure_budget(budget)
-    budget.charge(field.q**n, "projective enumeration")
-    q = field.q
-    blocks = []
-    for lead in range(n):
-        m = n - lead - 1
-        count = q**m
-        block = np.zeros((count, n), dtype=np.int64)
-        block[:, lead] = 1
-        if m:
-            rest = np.indices((q,) * m, dtype=np.int64).reshape(m, -1).T
-            block[:, lead + 1 :] = rest
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
+    q, zero, one = field.q, np.zeros((), np.int64), np.ones((), np.int64)
+    return [([zero] * lead + [one] + _axes(q, n - lead - 1), (q,) * (n - lead - 1))
+            for lead in range(n)]
+
+
+def _axes(q: int, m: int) -> list[np.ndarray]:
+    """The coordinates of F_q^m, each 0..q-1 along its own axis of (q,) * m."""
+    return [np.arange(q, dtype=np.int64).reshape((1,) * i + (q,) + (1,) * (m - 1 - i))
+            for i in range(m)]
+
+
+def enum_proj(field: Field, n: int, budget: Budget | None = None) -> np.ndarray:
+    """All points of P^(n-1)(F_q) as an (N, n) array of element codes.
+
+    Representatives are normalized so the first nonzero coordinate is 1,
+    in the order of :func:`proj_blocks`.  N = (q^n - 1)/(q - 1) exactly.
+    """
+    blocks = proj_blocks(field, n)
+    ensure_budget(budget).charge(field.q**n, "projective enumeration")
+    return np.concatenate([np.stack([np.broadcast_to(c, shape).ravel() for c in cols], axis=1)
+                           for cols, shape in blocks])
+
+
+def proj_rows(field: Field, n: int, idx: np.ndarray) -> np.ndarray:
+    """Rows `idx` of enum_proj(field, n), without building the others."""
+    idx = np.asarray(idx, dtype=np.int64)
+    size = field.q ** np.arange(n - 1, -1, -1, dtype=np.int64)  # of block lead
+    start = np.cumsum(size) - size
+    lead = np.searchsorted(start, idx, side="right") - 1
+    # digit i of the offset in the block is x_i; those up to lead are 0
+    pts = (idx - start[lead])[:, None] // size % field.q
+    pts[np.arange(idx.size), lead] = 1
+    return pts
 
 
 # -- polynomials with coefficients in F_q ------------------------------------
@@ -558,8 +582,13 @@ def _ring(ring, terms: dict, cols: list):
                     z = z | zeros[i]
             return digits[np.where(z, q1, s % q1)]
 
-        pw = ring.p ** np.arange(ring.k)
-        return np.zeros(ring.k, dtype=np.int64), term, lambda s: (s % ring.p) @ pw
+        def finish(s):  # the codes sum_i (s_i mod p) p^i, by Horner
+            out = s[..., -1] % ring.p
+            for i in range(ring.k - 2, -1, -1):
+                out = out * ring.p + s[..., i] % ring.p
+            return out
+
+        return np.zeros(ring.k, dtype=np.int64), term, finish
     if ring is None:
         amax = [int(np.max(np.abs(col))) if col.size else 0 for col in cols]
         bound = 0

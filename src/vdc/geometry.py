@@ -12,11 +12,13 @@ points, so all "dimensions" are estimates derived from point counts:
 Both are evaluated with exact integer comparisons (square both sides).
 The empty set has dimension -1 by convention.
 
-Forms are evaluated on point arrays by `values_on`, which hands the
-point columns to the one evaluator in `ffield`; it accepts every field
-that `ffield.Field` builds (q <= Q_CAP = 2^20).  Over F_{p^k}, k > 1, a
-term there is one table gather at a sum of discrete logarithms, so the R0
-scans over F_{p^2} cost a few array passes per term.
+Scans evaluate forms on boxes: F_q^n is one box and P^(n-1) the n boxes
+of `ffield.proj_blocks`, so the one evaluator in `ffield` keeps its power
+tables and logs q entries long; point rows are built only for the points
+found, and `values_on` evaluates there.  Every field that `ffield.Field`
+builds is accepted (q <= Q_CAP = 2^20).  Over F_{p^k}, k > 1, a term is
+one table gather at a sum of discrete logarithms, so the R0 scans over
+F_{p^2} cost a few array passes per term.
 
 Singularity is the Jacobian criterion at rational points: a point on the
 variety is singular when the r x n Jacobian of the first r defining forms
@@ -62,14 +64,15 @@ condition tested at a point x is linear in the direction, L(x) y = 0:
 The count behind a direction is the number of points whose kernel
 contains it.  All L(x) are row-reduced mod p at once, full-rank points
 drop out, and the projective points of every remaining kernel are
-enumerated and counted by their enum_proj index, in chunks of bounded
-size.  The work is the number of incidences (x, y).  R2 stacks the L(x)
-of many first directions y and counts them in one pass per block of y,
-each row tagged with its y.  A collapsing
-characteristic needs no other path: for FERMAT5 at p = 3 the Hessian
-vanishes, every s and s_tilde fiber is a hyperplane and every R2 fiber
-all of P^(n-1); the worst case, N points times |P^(n-1)| directions, is
-what the sweep's budget check already prices.
+enumerated and counted by their enum_proj index, which one table gives
+from a point's unnormalised base-p code, in chunks of bounded size.  The
+work is the number of incidences (x, y).  R2 stacks the L(x) of many
+first directions y and counts them in one pass per block of y, each row
+tagged with its y.  A collapsing characteristic needs no other path: for
+FERMAT5 at p = 3 the Hessian vanishes, every s and s_tilde fiber is a
+hyperplane and every R2 fiber all of P^(n-1); the worst case, N points
+times |P^(n-1)| directions, is what the sweep's budget check already
+prices.
 
 R0 is *certified* (no enumeration) only for diagonal forms with unit
 coefficients and exponent prime to p; everything else is an empirical scan
@@ -81,12 +84,14 @@ never pass silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .errors import Budget, InputError, PreconditionError, ensure_budget
-from .ffield import Field, FqPoly, _eval_terms, enum_proj, field_make, reduce_mod
+from .ffield import (Field, FqPoly, _axes, _eval_terms, enum_proj, field_make, proj_blocks,
+                     proj_rows, reduce_mod)
 from .mpoly import IntPoly
 
 MAX_WITNESSES = 16
@@ -157,13 +162,6 @@ def values_on(F: FqPoly, pts: np.ndarray) -> np.ndarray:
     """Evaluate F at every row of an (N, n) array of element codes."""
     cols = [pts[:, i] for i in range(F.n)]
     return _eval_terms(F.terms, cols, (pts.shape[0],), F.field)
-
-
-def affine_grid(fld: Field, n: int, budget: Budget | None = None) -> np.ndarray:
-    """All of F_q^n as an (q^n, n) code array, last coordinate fastest."""
-    budget = ensure_budget(budget)
-    budget.charge(fld.q**n, "affine enumeration")
-    return np.indices((fld.q,) * n, dtype=np.int64).reshape(n, -1).T
 
 
 # -- variety specs and singular locus ----------------------------------------
@@ -282,12 +280,17 @@ def sing_points(
     r = expected_codim if expected_codim is not None else len(spec.forms)
     if not 1 <= r <= len(spec.forms):
         raise InputError("expected_codim out of range", r=r, forms=len(spec.forms))
-    pts = enum_proj(fld, n, budget)
-    on = np.ones(pts.shape[0], dtype=bool)
-    for f in spec.forms:
-        on &= values_on(f, pts) == 0
-    total = int(np.count_nonzero(on))
-    vpts = pts[on]
+    blocks = proj_blocks(fld, n)
+    budget.charge(fld.q**n, "projective enumeration")
+    idx, start = [], 0
+    for cols, shape in blocks:
+        on = np.ones(shape, dtype=bool)
+        for f in spec.forms:
+            on &= _eval_terms(f.terms, cols, shape, fld) == 0
+        idx.append(start + np.flatnonzero(on))
+        start += on.size
+    vpts = proj_rows(fld, n, np.concatenate(idx))
+    total = vpts.shape[0]
     grads = [[f.partial(i) for i in range(1, n + 1)] for f in spec.forms[:r]]
     jac = [np.stack([values_on(g, vpts) for g in grow], axis=1) for grow in grads]
     if r == 1 or (fld.k == 1 and r <= 3):
@@ -313,14 +316,14 @@ def sing_points(
 
 def affine_count(forms, fld: Field, n: int, budget: Budget | None = None) -> int:
     """Number of common zeros in F_q^n (zero forms impose nothing)."""
-    budget = ensure_budget(budget)
-    pts = affine_grid(fld, n, budget)
-    on = np.ones(pts.shape[0], dtype=bool)
+    ensure_budget(budget).charge(fld.q**n, "affine enumeration")
+    cols, shape = _axes(fld.q, n), (fld.q,) * n
+    on = np.ones(shape, dtype=bool)
     for f in forms:
         if isinstance(f, IntPoly):
             f = reduce_mod(f, fld)
         if not f.is_zero():
-            on &= values_on(f, pts) == 0
+            on &= _eval_terms(f.terms, cols, shape, fld) == 0
     return int(np.count_nonzero(on))
 
 
@@ -334,6 +337,7 @@ class _PrimeEngine:
     hess[m, i, j]     = d2F/dx_i dx_j
     third[v, i, j, l] = d3F/dx_i dx_j dx_l at point on[v] of V(F) (built
                         lazily: only the second-difference checks read it)
+    index[V @ pw]     = enum_proj index of any nonzero V in F_p^n (lazily)
 
     The directional slices used everywhere:
       first difference form of direction y:   F_y   = grad . y
@@ -363,27 +367,34 @@ class _PrimeEngine:
                 hess[:, j, i] = v
         self.hess = hess
         self._parts = parts
-        self._third: np.ndarray | None = None
         # inv[a] = 1/a mod p, inv[0] = 0
         self.inv = np.array([0] + [pow(a, -1, self.p) for a in range(1, self.p)],
                             dtype=np.int64)
+        self.pw = self.p ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
-    @property
+    @cached_property
     def third(self) -> np.ndarray:
-        if self._third is None:
-            n = self.n
-            vpts = self.pts[self.on]
-            t = np.zeros((vpts.shape[0], n, n, n), dtype=np.int64)
-            for i in range(n):
-                for j in range(i, n):
-                    pij = self._parts[i].partial(j + 1)
-                    for l in range(j, n):
-                        v = values_on(pij.partial(l + 1), vpts)
-                        for perm in {(i, j, l), (i, l, j), (j, i, l),
-                                     (j, l, i), (l, i, j), (l, j, i)}:
-                            t[:, perm[0], perm[1], perm[2]] = v
-            self._third = t
-        return self._third
+        n = self.n
+        vpts = self.pts[self.on]
+        t = np.zeros((vpts.shape[0], n, n, n), dtype=np.int64)
+        for i in range(n):
+            for j in range(i, n):
+                pij = self._parts[i].partial(j + 1)
+                for l in range(j, n):
+                    v = values_on(pij.partial(l + 1), vpts)
+                    for perm in {(i, j, l), (i, l, j), (j, i, l),
+                                 (j, l, i), (l, i, j), (l, j, i)}:
+                        t[:, perm[0], perm[1], perm[2]] = v
+        return t
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """index[v @ pw] = j for v each of the p - 1 nonzero multiples of
+        pts[j]: the enum_proj index of a point from its base-p code."""
+        index = np.zeros(self.p**self.n, dtype=np.min_scalar_type(self.N))
+        for s in range(1, self.p):
+            index[s * self.pts % self.p @ self.pw] = np.arange(self.N)
+        return index
 
 
 _KERNEL_CHUNK = 2**20  # cap on the entries of one kernel-enumeration temporary
@@ -397,9 +408,9 @@ def _kernel_counts(eng: _PrimeEngine, L: np.ndarray, group: np.ndarray | None = 
     group of L[m] (all 0 when not given).  All M are brought to reduced
     row echelon form at once, one column per step; the projective points
     of each nonzero kernel are then enumerated (as combinations of its
-    basis by the points of P^(k-1)) and their enum_proj indices counted
-    per group.  The work is the number of incidences, not M times
-    |P^(n-1)|.
+    basis by the points of P^(k-1)) and their enum_proj indices, read
+    from eng.index, counted per group.  The work is the number of
+    incidences, not M times |P^(n-1)|.
     """
     p, n, pts = eng.p, eng.n, eng.pts
     Ny = pts.shape[0]
@@ -424,10 +435,6 @@ def _kernel_counts(eng: _PrimeEngine, L: np.ndarray, group: np.ndarray | None = 
         prow[has, c] = piv[has]
     free = prow < 0
     k = free.sum(axis=1)
-    # index of a point whose first nonzero coordinate, at `lead`, is 1:
-    # the offset of lead's block plus the base-p value of the rest
-    pw = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    base = np.concatenate(([0], np.cumsum(pw)[:-1])) - pw
     eye = np.eye(n, dtype=np.int64)
     for kk in np.unique(k[k > 0]):
         sel = np.flatnonzero(k == kk)
@@ -443,10 +450,7 @@ def _kernel_counts(eng: _PrimeEngine, L: np.ndarray, group: np.ndarray | None = 
             Cc = C[lo : lo + cc]
             for mlo in range(0, sel.size, mc):
                 V = np.matmul(Cc, basis[mlo : mlo + mc]) % p  # (m, c, n)
-                lead = (V != 0).argmax(axis=2)
-                lv = np.take_along_axis(V, lead[:, :, None], axis=2)[:, :, 0]
-                V = V * eng.inv[lv][:, :, None] % p
-                idx = offset[sel[mlo : mlo + mc], None] + base[lead] + V @ pw
+                idx = offset[sel[mlo : mlo + mc], None] + eng.index[V @ eng.pw]
                 counts += np.bincount(idx.ravel(), minlength=groups * Ny)
     return counts.reshape(groups, Ny)
 

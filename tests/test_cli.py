@@ -174,6 +174,9 @@ GEOMETRY_GOLDENS = [
       "--field", "3^2"], "geom_sing_fermat5_f9_result.json"),
     (["geom", "rcheck", "--form", "x1^4+x2^4+x3^4", "--n", "3", "--p", "5"],
      "geom_rcheck_quartic3_p5_result.json"),
+    # singular points in lead blocks 0 and 2 of enum_proj's order
+    (["geom", "sing", "--form", "x1^4+x2^4+x1*x2*x3^2", "--n", "3", "--field", "2^3"],
+     "geom_sing_f8_result.json"),
 ]
 
 

@@ -22,6 +22,7 @@ from vdc.ffield import (
     next_prime,
     parse_field,
     primes_in_interval,
+    proj_rows,
     reduce_mod,
 )
 from vdc.geometry import values_on
@@ -116,6 +117,17 @@ def test_enum_proj_size_and_normalization():
             assert nz and nz[0] == fld.embed(1)
         # no duplicates
         assert len({tuple(map(int, r)) for r in pts}) == expected
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 1), (7, 1, 3), (2, 3, 3), (3, 2, 4), (5, 1, 5)])
+def test_proj_rows_decode_enum_proj(p, k, n):
+    fld = field_make(p, k)
+    pts = enum_proj(fld, n)
+    rng = np.random.default_rng(p * k * n)
+    idx = np.concatenate([[0, len(pts) - 1], rng.integers(0, len(pts), size=200)])
+    assert np.array_equal(proj_rows(fld, n, idx), pts[idx])
+    assert np.array_equal(proj_rows(fld, n, np.arange(len(pts))), pts)
+    assert proj_rows(fld, n, idx[:0]).shape == (0, n)
 
 
 def test_reduce_mod_and_eval_consistency():
