@@ -15,6 +15,12 @@ The array evaluator multiplies in F_{p^k}, k > 1, by discrete logarithms
 instead: each field builds its log, exp and digit tables once, on first
 use, from the same convolution run on digit arrays.
 
+The array element ops that row reduction needs (``mul_array``,
+``inv_array`` with inv(0) = 0, and ``sub_mul_array``, a - b*c) live on
+Field too, so ``geometry`` eliminates over every F_q without reading codes:
+over F_p they are integer expressions with one ``% p``, over F_{p^k} they
+go through the same log, exp and digit tables.
+
 Every array evaluation of a polynomial (``counting.eval_on_axes`` on box
 axes, ``geometry`` on the boxes of P^(n-1) and F_q^n or on rows of
 points) runs through
@@ -401,6 +407,37 @@ class Field:
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         return log, exp, digits
+
+    # -- array element ops (row reduction) ----------------------------------
+
+    @cached_property
+    def _inv_table(self) -> np.ndarray:
+        """inv[a] = 1/a mod p for a code a of F_p, and inv[0] = 0."""
+        return np.array([0] + [pow(a, -1, self.p) for a in range(1, self.p)], dtype=np.int64)
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise products of code arrays."""
+        if self.k == 1:
+            return a * b % self.p
+        log, exp, _ = self._log_tables
+        la, lb = log[a], log[b]
+        return np.where((la < 0) | (lb < 0), 0, exp[(la + lb) % (self.q - 1)])
+
+    def inv_array(self, a) -> np.ndarray:
+        """Elementwise inverses of a code array, with inv(0) = 0."""
+        if self.k == 1:
+            return self._inv_table[a]
+        log, exp, _ = self._log_tables
+        la = log[a]
+        return np.where(la < 0, 0, exp[-la % (self.q - 1)])
+
+    def sub_mul_array(self, a, b, c) -> np.ndarray:
+        """Elementwise a - b * c of code arrays; over F_p one reduction."""
+        if self.k == 1:
+            return (a - b * c) % self.p
+        log, _, digits = self._log_tables  # digits[log[0]] is row q-1, zero
+        d = digits[log[a]].astype(np.int64) - digits[log[self.mul_array(b, c)]]
+        return d % self.p @ self.p ** np.arange(self.k)
 
 
 @lru_cache(maxsize=None)

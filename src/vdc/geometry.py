@@ -22,9 +22,14 @@ F_{p^2} cost a few array passes per term.
 
 Singularity is the Jacobian criterion at rational points: a point on the
 variety is singular when the r x n Jacobian of the first r defining forms
-has rank < r there.  Note this marks *every* point singular when a
-defining form is identically zero (a non-reduced cut), which is the honest
-reading for difference forms that collapse.
+has rank < r there.  Every rank in this module comes from one batched row
+reduction, `_row_reduce`, which brings a whole (M, r, n) stack of
+matrices to reduced row echelon form with the array field ops of
+`ffield.Field`, so no code here reads the encoding of F_{p^k}.  For r = 1
+rank < 1 is read directly: every Jacobian entry is the zero code.  Note
+this marks *every* point singular when a defining form is identically
+zero (a non-reduced cut), which is the honest reading for difference
+forms that collapse.
 
 The regularity checks (r_check) classify a form F mod p:
 
@@ -62,7 +67,7 @@ condition tested at a point x is linear in the direction, L(x) y = 0:
   [a; H y; A z].
 
 The count behind a direction is the number of points whose kernel
-contains it.  All L(x) are row-reduced mod p at once, full-rank points
+contains it.  All L(x) are row-reduced at once, full-rank points
 drop out, and the projective points of every remaining kernel are
 enumerated and counted by their enum_proj index, which one table gives
 from a point's unnormalised base-p code, in chunks of bounded size.  The
@@ -111,37 +116,28 @@ def proj_space_size(d: int, q: int) -> int:
 
 def dim_est(count: int, q: int) -> int:
     """Projective dimension estimate for a set of `count` rational points."""
-    if count < 0:
-        raise InputError("negative count", count=count)
-    if count == 0:
-        return -1
-    d = 0
-    c2 = count * count
-    while c2 > proj_space_size(d, q) * proj_space_size(d + 1, q):
-        d += 1
-    return d
+    return int(_dim_est_array(count, q))
 
 
 def _dim_est_array(counts, q: int) -> np.ndarray:
     """dim_est of every entry of an integer array, exactly.
 
     The estimate is the number of thresholds |P^d| * |P^(d+1)| below
-    count^2, read by searchsorted in int64; counts whose square could
-    reach 2^63 take the scalar form.
+    count^2, read by searchsorted: in int64, or on Python ints once a
+    square could reach 2^63.
     """
     counts = np.asarray(counts, dtype=np.int64)
     top = int(counts.max(initial=0))
     if counts.size and int(counts.min()) < 0:
         raise InputError("negative count", count=int(counts.min()))
-    if top * top >= 2**63:
-        return np.array([dim_est(int(c), q) for c in counts.ravel()],
-                        dtype=np.int64).reshape(counts.shape)
     thresholds = [proj_space_size(0, q) * proj_space_size(1, q)]
     while thresholds[-1] < top * top:
         d = len(thresholds)
         thresholds.append(proj_space_size(d, q) * proj_space_size(d + 1, q))
     thresholds[-1] = min(thresholds[-1], top * top)
-    d = np.searchsorted(np.array(thresholds, dtype=np.int64), counts * counts)
+    dtype = np.int64 if top * top < 2**63 else object
+    c = counts.astype(dtype, copy=False)
+    d = np.searchsorted(np.array(thresholds, dtype=dtype), c * c)
     return np.where(counts == 0, -1, d)
 
 
@@ -184,6 +180,9 @@ class VarietySpec:
                 raise InputError("forms must be IntPoly or FqPoly")
             if f.n != self.n:
                 raise InputError("form has wrong variable count", n=self.n)
+            if f.field != self.field:
+                raise InputError("form is over another field", form_field=f.field.literal(),
+                                 field=self.field.literal())
             forms.append(f)
         if not all(f.is_homogeneous() for f in forms):
             raise PreconditionError("projective variety needs homogeneous forms")
@@ -204,65 +203,34 @@ class SingReport:
     witnesses: list
 
 
-def _rank_rows(fld: Field, rows: list[list[int]]) -> int:
-    """Exact rank of a small matrix over F_q by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = fld.inv(rows[rank][col])
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                c = fld.mul(rows[i][col], inv)
-                rows[i] = [
-                    fld.sub(a, fld.mul(c, b)) for a, b in zip(rows[i], rows[rank])
-                ]
-        rank += 1
-        col += 1
-    return rank
+def _row_reduce(fld: Field, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix of an (M, r, n) stack of codes.
 
-
-def _minor_mask_lt_rank(p: int, jrows: list[np.ndarray], r: int) -> np.ndarray:
-    """Vectorized `rank < r` over F_p for r <= 3.
-
-    jrows is a list of r arrays of shape (M, n): the Jacobian rows at M
-    points, as reduced codes.  Returns a boolean mask of length M.  For
-    r = 1 the test is "every entry is the zero code", which holds over
-    every F_{p^k} (a code that is a multiple of p is a nonzero element).
+    All M matrices are reduced at once, one column per step, with the
+    array ops of `fld`.  Returns the reduced stack and prow, prow[m, c]
+    the row of matrix m holding column c's pivot (-1 for a free column);
+    the rank of A[m] is its number of pivots.
     """
-    M, n = jrows[0].shape
-    if r == 1:
-        return ~np.any(jrows[0] != 0, axis=1)
-    if r == 2:
-        a, b = jrows
-        ok = np.ones(M, dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                ok &= (a[:, i] * b[:, j] - a[:, j] * b[:, i]) % p == 0
-        return ok
-    if r == 3:
-        a, b, c = jrows
-        ok = np.ones(M, dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                pij = a[:, i] * b[:, j] - a[:, j] * b[:, i]
-                for k in range(j + 1, n):
-                    pik = a[:, i] * b[:, k] - a[:, k] * b[:, i]
-                    pjk = a[:, j] * b[:, k] - a[:, k] * b[:, j]
-                    det = pij * c[:, k] - pik * c[:, j] + pjk * c[:, i]
-                    ok &= det % p == 0
-        return ok
-    raise InputError("minor path only supports r <= 3", r=r)
+    M, r, n = A.shape
+    rows = np.arange(M)
+    used = np.zeros((M, r), dtype=bool)
+    prow = np.full((M, n), -1, dtype=np.int64)
+    for c in range(n):
+        cand = (A[:, :, c] != 0) & ~used
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        pr = A[rows, piv]
+        pr = fld.mul_array(pr, np.where(has, fld.inv_array(pr[:, c]), 0)[:, None])
+        A = fld.sub_mul_array(A, A[:, :, c, None], pr[:, None, :])
+        A[rows[has], piv[has]] = pr[has]
+        used[rows[has], piv[has]] = True
+        prow[has, c] = piv[has]
+    return A, prow
+
+
+def _rank(fld: Field, A: np.ndarray) -> np.ndarray:
+    """Rank of every matrix of an (M, r, n) stack of codes."""
+    return np.count_nonzero(_row_reduce(fld, A)[1] >= 0, axis=1)
 
 
 def sing_points(
@@ -291,15 +259,12 @@ def sing_points(
         start += on.size
     vpts = proj_rows(fld, n, np.concatenate(idx))
     total = vpts.shape[0]
-    grads = [[f.partial(i) for i in range(1, n + 1)] for f in spec.forms[:r]]
-    jac = [np.stack([values_on(g, vpts) for g in grow], axis=1) for grow in grads]
-    if r == 1 or (fld.k == 1 and r <= 3):
-        sing_mask = _minor_mask_lt_rank(fld.p, jac, r)
+    jac = np.stack([np.stack([values_on(f.partial(i), vpts) for i in range(1, n + 1)], axis=1)
+                    for f in spec.forms[:r]], axis=1)  # (points, r, n)
+    if r == 1:  # rank < 1: every entry is the zero code
+        sing_mask = ~jac.any(axis=(1, 2))
     else:
-        sing_mask = np.zeros(vpts.shape[0], dtype=bool)
-        for m in range(vpts.shape[0]):
-            rows = [list(map(int, jv[m])) for jv in jac]
-            sing_mask[m] = _rank_rows(fld, rows) < r
+        sing_mask = _rank(fld, jac) < r
     sing_count = int(np.count_nonzero(sing_mask))
     witnesses = [tuple(map(int, w)) for w in vpts[sing_mask][:MAX_WITNESSES]]
     return SingReport(
@@ -322,6 +287,9 @@ def affine_count(forms, fld: Field, n: int, budget: Budget | None = None) -> int
     for f in forms:
         if isinstance(f, IntPoly):
             f = reduce_mod(f, fld)
+        if f.field != fld:
+            raise InputError("form is over another field", form_field=f.field.literal(),
+                             field=fld.literal())
         if not f.is_zero():
             on &= _eval_terms(f.terms, cols, shape, fld) == 0
     return int(np.count_nonzero(on))
@@ -344,6 +312,9 @@ class _PrimeEngine:
       its gradient:                           (hess . y)
       second difference of directions (y,z):  z . hess . y
       gradient of that:                       (third . y) . z
+
+    Its tensors are reduced residues mod p; the sweeps row-reduce them
+    with `_row_reduce`, whose inverses come from F.field.
     """
 
     def __init__(self, F: FqPoly, budget: Budget | None = None):
@@ -367,9 +338,6 @@ class _PrimeEngine:
                 hess[:, j, i] = v
         self.hess = hess
         self._parts = parts
-        # inv[a] = 1/a mod p, inv[0] = 0
-        self.inv = np.array([0] + [pow(a, -1, self.p) for a in range(1, self.p)],
-                            dtype=np.int64)
         self.pw = self.p ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
     @cached_property
@@ -406,33 +374,20 @@ def _kernel_counts(eng: _PrimeEngine, L: np.ndarray, group: np.ndarray | None = 
 
     L is an (M, r, n) stack of matrices and group[m] in [0, groups) the
     group of L[m] (all 0 when not given).  All M are brought to reduced
-    row echelon form at once, one column per step; the projective points
-    of each nonzero kernel are then enumerated (as combinations of its
-    basis by the points of P^(k-1)) and their enum_proj indices, read
-    from eng.index, counted per group.  The work is the number of
+    row echelon form at once by `_row_reduce`; the projective points of
+    each nonzero kernel are then enumerated (as combinations of its basis
+    by the points of P^(k-1)) and their enum_proj indices, read from
+    eng.index, counted per group.  The work is the number of
     incidences, not M times |P^(n-1)|.
     """
     p, n, pts = eng.p, eng.n, eng.pts
     Ny = pts.shape[0]
     counts = np.zeros(groups * Ny, dtype=np.int64)
-    A = L % p
-    M, r, _ = A.shape
+    M = L.shape[0]
     if M == 0:
         return counts.reshape(groups, Ny)
     offset = (np.zeros(M, dtype=np.int64) if group is None else group) * Ny
-    rows = np.arange(M)
-    used = np.zeros((M, r), dtype=bool)
-    prow = np.full((M, n), -1, dtype=np.int64)  # row holding column c's pivot
-    for c in range(n):
-        cand = (A[:, :, c] != 0) & ~used
-        has = cand.any(axis=1)
-        piv = cand.argmax(axis=1)
-        pr = A[rows, piv]
-        pr = pr * np.where(has, eng.inv[pr[:, c]], 0)[:, None] % p
-        A = (A - A[:, :, c, None] * pr[:, None, :]) % p
-        A[rows[has], piv[has]] = pr[has]
-        used[rows[has], piv[has]] = True
-        prow[has, c] = piv[has]
+    A, prow = _row_reduce(eng.F.field, L % p)
     free = prow < 0
     k = free.sum(axis=1)
     eye = np.eye(n, dtype=np.int64)
@@ -496,13 +451,9 @@ def _sigma_single(eng: _PrimeEngine, y: np.ndarray) -> SigmaReport:
     diff_sing = diff_on & ~np.any(M, axis=1)
     pair_on = (eng.f == 0) & diff_on
     idx = np.nonzero(pair_on)[0]
-    if idx.size:
-        a = eng.grad[idx]
-        b = M[idx]
-        sing_mask = _minor_mask_lt_rank(p, [a, b], 2)
-        pair_sing = int(np.count_nonzero(sing_mask))
-    else:
-        pair_sing = 0
+    # x is in Sing V(F, F_y) iff rank [a; H y] < 2
+    pair = np.stack([eng.grad[idx], M[idx]], axis=1)
+    pair_sing = int(np.count_nonzero(_rank(eng.F.field, pair) < 2))
     dc, dsc = int(np.count_nonzero(diff_on)), int(np.count_nonzero(diff_sing))
     pc = int(idx.size)
     s = dim_est(pair_sing, q)

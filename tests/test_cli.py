@@ -177,6 +177,10 @@ GEOMETRY_GOLDENS = [
     # singular points in lead blocks 0 and 2 of enum_proj's order
     (["geom", "sing", "--form", "x1^4+x2^4+x1*x2*x3^2", "--n", "3", "--field", "2^3"],
      "geom_sing_f8_result.json"),
+    # two forms over F_49: the Jacobian's rank is read by row reduction over
+    # F_{p^2}; singular points in lead blocks 2 and 3
+    (["geom", "sing", "--form", "x1^2+x2*x3", "--form", "x2^2+x1*x4", "--n", "4",
+      "--field", "7^2"], "geom_sing_two_quadrics_f49_result.json"),
 ]
 
 

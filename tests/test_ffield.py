@@ -75,6 +75,28 @@ def test_extension_field_axioms():
         sample_field_axioms(field_make(p, k), random.Random(32), trials=150)
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (5, 1), (73, 1), (2, 3), (3, 2), (7, 2), (5, 3)])
+def test_array_ops_match_scalar_ops(p, k):
+    """mul_array, inv_array (inv(0) = 0) and sub_mul_array on code arrays
+    agree with the scalar ops, zero codes and codes that are multiples of
+    p included."""
+    fld = field_make(p, k)
+    rng = np.random.default_rng(p * 10 + k)
+    a, b, c = rng.integers(0, fld.q, size=(3, 400))
+    a[:20], b[20:40], c[40:60] = 0, 0, 0
+    b[60:80] = p * rng.integers(0, fld.q // p, size=20)
+    al, bl, cl = a.tolist(), b.tolist(), c.tolist()
+    assert fld.mul_array(a, b).tolist() == [fld.mul(x, y) for x, y in zip(al, bl)]
+    assert fld.inv_array(b).tolist() == [fld.inv(y) if y else 0 for y in bl]
+    want = [fld.sub(x, fld.mul(y, z)) for x, y, z in zip(al, bl, cl)]
+    assert fld.sub_mul_array(a, b, c).tolist() == want
+    # broadcasting, as row reduction uses it: (M, r, n) - (M, r, 1) * (M, 1, n)
+    A = rng.integers(0, fld.q, size=(5, 3, 4))
+    got = fld.sub_mul_array(A, A[:, :, :1], A[:, :1, :])
+    assert got.tolist() == [[[fld.sub(x, fld.mul(row[0], mat[0][j])) for j, x in enumerate(row)]
+                             for row in mat] for mat in A.tolist()]
+
+
 def test_frobenius_is_additive_and_fixes_prime_field():
     fld = field_make(5, 3)
     rng = random.Random(33)

@@ -16,10 +16,9 @@ from vdc.geometry import (
     RCheckPolicy,
     VarietySpec,
     _dim_est_array,
-    _minor_mask_lt_rank,
     _PrimeEngine,
     _r2_counts,
-    _rank_rows,
+    _rank,
     _sigma_single,
     affine_count,
     dim_est,
@@ -57,15 +56,31 @@ def test_dim_est_hits_exact_space_sizes():
         dim_est(-1, 7)
 
 
+def _dim_est_scalar(count: int, q: int) -> int:
+    """The threshold rule as a scalar loop: the least d with count^2 <=
+    |P^d| * |P^(d+1)|, and -1 for the empty set."""
+    if count < 0:
+        raise InputError("negative count", count=count)
+    if count == 0:
+        return -1
+    d = 0
+    c2 = count * count
+    while c2 > proj_space_size(d, q) * proj_space_size(d + 1, q):
+        d += 1
+    return d
+
+
 def test_dim_est_array_matches_scalar():
     for p in (2, 3, 5, 7):
         for n in range(1, 6):
             counts = np.arange(proj_space_size(n - 1, p) + 1)
-            want = [dim_est(int(c), p) for c in counts]
+            want = [_dim_est_scalar(int(c), p) for c in counts]
             assert _dim_est_array(counts, p).tolist() == want, (p, n)
-    # squares that could reach 2^63 take the scalar form
-    big = np.array([0, 7, 3 * 10**9, 4 * 10**9, 2**40], dtype=np.int64)
-    assert _dim_est_array(big, 7).tolist() == [dim_est(int(c), 7) for c in big]
+            assert [dim_est(int(c), p) for c in counts[::7]] == want[::7]
+    # squares that reach 2^63 compare as Python ints
+    big = np.array([0, 7, 3 * 10**9, 4 * 10**9, 2**40, 2**62], dtype=np.int64)
+    assert _dim_est_array(big, 7).tolist() == [_dim_est_scalar(int(c), 7) for c in big]
+    assert dim_est(2**40, 2) == _dim_est_scalar(2**40, 2)
     with pytest.raises(InputError):
         _dim_est_array(np.array([3, -1]), 7)
 
@@ -80,41 +95,81 @@ def test_dim_est_affine_thresholds():
     assert dim_est_affine(q * 7 + 1, q) == 2
 
 
+def _rank_rows(fld, rows: list[list[int]]) -> int:
+    """Exact rank of a small matrix over F_q by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        piv = None
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = fld.inv(rows[rank][col])
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                c = fld.mul(rows[i][col], inv)
+                rows[i] = [
+                    fld.sub(a, fld.mul(c, b)) for a, b in zip(rows[i], rows[rank])
+                ]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _degenerate_rows(rng, fld, r, n):
+    """r rows over fld: random, or copies and multiples of one row, or zero."""
+    base = [rng.randrange(fld.q) for _ in range(n)]
+    pick = [list(base), [fld.mul(rng.randrange(fld.q), v) for v in base], [0] * n,
+            [rng.randrange(fld.q) for _ in range(n)]]
+    return [list(pick[rng.randrange(4)]) for _ in range(r)]
+
+
 def test_rank_paths_agree():
-    """The r <= 3 minor shortcut and the generic Gaussian elimination must
-    classify identical matrices identically."""
+    """The batched elimination and the scalar Gaussian elimination give the
+    same rank on random and degenerate matrices over F_73."""
     fld = field_make(73)
     rng = random.Random(44)
     n = 4
     for r in (2, 3):
-        rows_batch = []
-        for _ in range(200):
-            rows_batch.append(
-                [[rng.randrange(73) for _ in range(n)] for _ in range(r)]
-            )
-        # make degenerate cases common: duplicate / scale / zero rows
-        for _ in range(100):
-            base = [rng.randrange(73) for _ in range(n)]
-            lam = rng.randrange(73)
-            extra = [
-                base,
-                [(lam * v) % 73 for v in base],
-                [0, 0, 0, 0],
-            ]
-            rows_batch.append(extra[:r] if r <= 3 else extra)
-        jrows = [
-            np.array([rows[i] for rows in rows_batch], dtype=np.int64)
-            for i in range(r)
-        ]
-        mask = _minor_mask_lt_rank(73, jrows, r)
-        for idx, rows in enumerate(rows_batch):
-            assert mask[idx] == (_rank_rows(fld, rows) < r), rows
+        rows_batch = [[[rng.randrange(73) for _ in range(n)] for _ in range(r)]
+                      for _ in range(200)]
+        rows_batch += [_degenerate_rows(rng, fld, r, n) for _ in range(100)]
+        got = _rank(fld, np.array(rows_batch, dtype=np.int64))
+        assert got.tolist() == [_rank_rows(fld, rows) for rows in rows_batch]
+
+
+@st.composite
+def _rank_stacks(draw):
+    """A field (F_p or F_{p^k}, k <= 3) and a stack of r x n matrices whose
+    rows are random, duplicated, scaled or zero."""
+    p, k = draw(st.sampled_from([(2, 1), (5, 1), (73, 1), (2, 2), (2, 3), (3, 2),
+                                 (3, 3), (7, 2)]))
+    fld = field_make(p, k)
+    r, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return fld, [_degenerate_rows(rng, fld, r, n) for _ in range(draw(st.integers(1, 12)))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_rank_stacks())
+def test_batched_rank_matches_gaussian_elimination(case):
+    fld, stack = case
+    got = _rank(fld, np.array(stack, dtype=np.int64))
+    assert got.tolist() == [_rank_rows(fld, rows) for rows in stack]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_rank_one_mask_matches_gauss_over_extensions(p):
-    """The vectorized rank-1 Jacobian test reads codes, so a code that is
-    a multiple of p (a nonzero element of F_{p^2}) must count as nonzero."""
+    """sing_points reads rank < 1 as every Jacobian entry being the zero
+    code; a code that is a multiple of p is a nonzero element of F_{p^2},
+    so the elimination and the scalar oracle must count it as nonzero."""
     fld = field_make(p, 2)
     forms = [
         parse_poly("x1^4+x2^4+x3^4", 3),  # smooth
@@ -127,19 +182,50 @@ def test_rank_one_mask_matches_gauss_over_extensions(p):
         pts = enum_proj(fld, 3)
         jac = np.stack([values_on(F.partial(i), pts) for i in (1, 2, 3)], axis=1)
         seen_multiple_of_p |= bool(np.any((jac != 0) & (jac % p == 0)))
-        mask = _minor_mask_lt_rank(p, [jac], 1)
         want = [_rank_rows(fld, [list(map(int, row))]) < 1 for row in jac]
-        assert mask.tolist() == want
+        assert (_rank(fld, jac[:, None]) < 1).tolist() == want
         on = values_on(F, pts) == 0
         rep = sing_points(VarietySpec(fld, 3, (F,)))
-        assert rep.sing_points == int(np.count_nonzero(mask & on))
+        assert rep.sing_points == int(np.count_nonzero(np.array(want) & on))
     assert seen_multiple_of_p
     # a form with a coefficient outside F_p
     F = FqPoly(fld, 3, {(4, 0, 0): p, (0, 4, 0): 1, (0, 0, 4): 1, (2, 2, 0): 1})
     pts = enum_proj(fld, 3)
     jac = np.stack([values_on(F.partial(i), pts) for i in (1, 2, 3)], axis=1)
     want = [_rank_rows(fld, [list(map(int, row))]) < 1 for row in jac]
-    assert _minor_mask_lt_rank(p, [jac], 1).tolist() == want
+    assert (_rank(fld, jac[:, None]) < 1).tolist() == want
+
+
+def test_sing_points_rank_matches_gauss_for_two_forms():
+    """With r >= 2 forms sing_points eliminates the Jacobian stack: its
+    singular points are those where the scalar oracle finds rank < r."""
+    for fld, forms in [(field_make(7, 2), ("x1^2+x2*x3", "x2^2+x1*x4")),
+                       (field_make(2, 3), ("x1*x2+x3^2", "x2*x4+x1^2", "x3*x4"))]:
+        F = [reduce_mod(parse_poly(f, 4), fld) for f in forms]
+        for r in range(2, len(F) + 1):
+            rep = sing_points(VarietySpec(fld, 4, tuple(F)), expected_codim=r)
+            pts = enum_proj(fld, 4)
+            vpts = pts[np.all([values_on(f, pts) == 0 for f in F], axis=0)]
+            jac = [[[int(values_on(f.partial(i), vpts[m : m + 1])[0]) for i in range(1, 5)]
+                    for f in F[:r]] for m in range(len(vpts))]
+            sing = [tuple(map(int, v)) for v, rows in zip(vpts, jac) if _rank_rows(fld, rows) < r]
+            assert rep.total_points == len(vpts) and rep.sing_points == len(sing)
+            assert rep.witnesses == sing[: geometry.MAX_WITNESSES]
+
+
+def test_variety_spec_refuses_a_form_over_another_field():
+    # read over F_3, the F_9 coefficient 4 (the element x + 1) would become 1
+    F9 = FqPoly(field_make(3, 2), 3, {(2, 0, 0): 4, (0, 2, 0): 1})
+    with pytest.raises(InputError):
+        VarietySpec(field_make(3), 3, (F9,))
+
+
+def test_affine_count_refuses_a_form_over_another_field():
+    F7 = reduce_mod(parse_poly("x1^2+x2^2-x3^2", 3), field_make(7))
+    with pytest.raises(InputError):
+        affine_count([F7], field_make(5), 3)
+    assert affine_count([F7], field_make(7), 3) == affine_count(
+        [parse_poly("x1^2+x2^2-x3^2", 3)], field_make(7), 3)
 
 
 def test_fermat_quintic_quartic_is_smooth_over_f7():
@@ -419,6 +505,7 @@ def _kernel_counts_by_lead(eng: _PrimeEngine, L: np.ndarray, group: np.ndarray |
     |P^(n-1)|.
     """
     p, n, pts = eng.p, eng.n, eng.pts
+    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
     Ny = pts.shape[0]
     counts = np.zeros(groups * Ny, dtype=np.int64)
     A = L % p
@@ -434,7 +521,7 @@ def _kernel_counts_by_lead(eng: _PrimeEngine, L: np.ndarray, group: np.ndarray |
         has = cand.any(axis=1)
         piv = cand.argmax(axis=1)
         pr = A[rows, piv]
-        pr = pr * np.where(has, eng.inv[pr[:, c]], 0)[:, None] % p
+        pr = pr * np.where(has, inv[pr[:, c]], 0)[:, None] % p
         A = (A - A[:, :, c, None] * pr[:, None, :]) % p
         A[rows[has], piv[has]] = pr[has]
         used[rows[has], piv[has]] = True
@@ -462,7 +549,7 @@ def _kernel_counts_by_lead(eng: _PrimeEngine, L: np.ndarray, group: np.ndarray |
                 V = np.matmul(Cc, basis[mlo : mlo + mc]) % p  # (m, c, n)
                 lead = (V != 0).argmax(axis=2)
                 lv = np.take_along_axis(V, lead[:, :, None], axis=2)[:, :, 0]
-                V = V * eng.inv[lv][:, :, None] % p
+                V = V * inv[lv][:, :, None] % p
                 idx = offset[sel[mlo : mlo + mc], None] + base[lead] + V @ pw
                 counts += np.bincount(idx.ravel(), minlength=groups * Ny)
     return counts.reshape(groups, Ny)
