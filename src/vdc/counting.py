@@ -32,10 +32,10 @@ The box counts factor this rule over f's variable blocks (``_box_sum``).
 Two variables are joined when a monomial uses both; the box splits into
 two sub-boxes along these components, the smaller one is reduced to its
 weight sums per vector of values, and the larger one is scanned against
-them, so a diagonal form costs about the square root of its box.  With
-one component nothing splits and the sum is the whole-box rule above, bit
-for bit; with a split, smooth sums may move in their last bits.  The
-pipeline ledger still sums whole boxes.
+them, so a diagonal form costs, and is charged, about the square root
+of its box.  With one component nothing splits and the sum is the
+whole-box rule above, bit for bit; with a split, smooth sums may move in
+their last bits.  The pipeline ledger still sums whole boxes.
 
 All enumeration is charged against a Budget before any allocation.
 
@@ -304,9 +304,12 @@ def eval_on_axes(
     return _eval_terms(f.terms, cols, shape, m).ravel()
 
 
-def _charge_box(fs: list[IntPoly], H: int, m: int | None, budget: Budget) -> None:
-    """Charge the box |x_i| <= H.  Polynomials of mixed arity and moduli
-    outside 1 <= m < 2^63 are refused before the box is charged."""
+def _charge_box(fs: list[IntPoly], H: int, m: int | None, budget: Budget) -> list[int]:
+    """Charge the points `_box_sum` evaluates on the box |x_i| <= H, and
+    return the side A it splits off (empty: no split).  A split box costs
+    its two sub-boxes, (2H+1)^|A| + (2H+1)^|S|, an unsplit one (2H+1)^n.
+    Polynomials of mixed arity and moduli outside 1 <= m < 2^63 are
+    refused before anything is charged."""
     n = fs[0].n
     if any(f.n != n for f in fs):
         raise InputError("mixed variable counts")
@@ -314,7 +317,15 @@ def _charge_box(fs: list[IntPoly], H: int, m: int | None, budget: Budget) -> Non
         raise InputError("modulus must be >= 1", m=m)
     if m is not None and m >= MODULUS_CAP:
         raise InputError("modulus must be below 2^63", m=m)
-    budget.charge((2 * H + 1) ** n, "box points")
+    A = _side_a(fs, n)
+    # eval_on_axes' coarse bound on |f|: below 2^62 both sides' values and
+    # their negations are int64; exact values past it keep the whole box
+    if m is None and any(sum(abs(c) * max(1, H) ** sum(e) for e, c in f.terms.items())
+                         >= 2**62 for f in fs):
+        A = []
+    side = 2 * H + 1
+    budget.charge(side ** len(A) + side ** (n - len(A)) if A else side**n, "box points")
+    return A
 
 
 def _side_a(fs: list[IntPoly], n: int) -> list[int]:
@@ -358,31 +369,25 @@ def _key_codes(keys: np.ndarray):
     return codes, order, np.flatnonzero(new)
 
 
-def _box_sum(fs: list[IntPoly], H: int, m: int | None, vals=None):
+def _box_sum(fs: list[IntPoly], H: int, m: int | None, A: list[int], vals=None):
     """Sum of prod_i vals[x_i + H] over the points x of the box |x_i| <= H
     where every polynomial is divisible by m (zero when m is None), or
     their number when vals is None: a Python int for exact vals, a float
     for float64 vals.
 
-    The box splits along the polynomials' variable blocks (``_side_a``):
-    each f_j = f_j,A(x_A) + f_j,S(x_S), with the constant term on S.  The
-    points of A are reduced to one weight sum per key, the vector of their
-    values f_j,A; a point of S is a hit for the key whose negation (mod m)
-    equals its values f_j,S, and adds that key's sum times its own weight.
+    The box splits off the variables A (``_charge_box``), a union of the
+    polynomials' variable blocks: each f_j = f_j,A(x_A) + f_j,S(x_S), with
+    the constant term on S.  The points of A are reduced to one weight sum
+    per key, the vector of their values f_j,A; a point of S is a hit for
+    the key whose negation (mod m) equals its values f_j,S, and adds that
+    key's sum times its own weight.
     With one key (one component: A empty, key 0 of weight 1) the hit test
-    is f_j,S == 0, the whole-box mask.  Exact values past int64 (m None)
-    keep the whole box.
+    is f_j,S == 0, the whole-box mask.
     """
     n = fs[0].n
     exact = vals is None or vals.dtype != np.float64
     D = _Domain(exact)
     axis = np.arange(-H, H + 1, dtype=np.int64)
-    A = _side_a(fs, n)
-    # eval_on_axes' coarse bound on |f|: below 2^62 both sides' values and
-    # their negations are int64
-    if m is None and any(sum(abs(c) * max(1, H) ** sum(e) for e, c in f.terms.items())
-                         >= 2**62 for f in fs):
-        A = []
 
     def side(vs, on_a):  # each polynomial's terms on side A (or S), over vs
         return [IntPoly(len(vs), {tuple(e[i] for i in vs): c
@@ -460,8 +465,7 @@ def count_box_mod(fs, B: int, m: int | None, budget: Budget | None = None) -> in
         raise InputError("B must be >= 0", B=B)
     if not fs:
         raise InputError("need at least one polynomial")
-    _charge_box(fs, B, m, ensure_budget(budget))
-    return _box_sum(fs, B, m)
+    return _box_sum(fs, B, m, _charge_box(fs, B, m, ensure_budget(budget)))
 
 
 def weighted_count(
@@ -488,9 +492,9 @@ def weighted_count(
         raise InputError("cannot infer dimension from an empty list; pass a "
                          "zero polynomial of the right arity")
     n, H = fs[0].n, weight.halfwidth(B)
-    _charge_box(fs, H, m, ensure_budget(budget))
+    A = _charge_box(fs, H, m, ensure_budget(budget))
     vals, den = weight.axis_values(B)
-    value = _Domain(weight.exact).frac(_box_sum(fs, H, m, vals), (den or 1) ** n)
+    value = _Domain(weight.exact).frac(_box_sum(fs, H, m, A, vals), (den or 1) ** n)
     return CountResult(value, n, B, m, weight.kind, (2 * H + 1) ** n, weight.exact)
 
 

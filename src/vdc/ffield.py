@@ -10,10 +10,10 @@ non-leading coefficients) is smallest, so x^2+x+1 for F_4, x^2+1 for F_9,
 x^4+x+1 for F_16.  Two Field objects with the same (p, k) are always
 compatible.  This module is the only one that knows the encoding.
 
-Scalar multiplication is schoolbook convolution followed by reduction.
-The array evaluator multiplies in F_{p^k}, k > 1, by discrete logarithms
-instead: each field builds its log, exp and digit tables once, on first
-use, from the same convolution run on digit arrays.
+Every product in F_{p^k}, k > 1, reads discrete logarithms: each field
+builds its log, exp and digit tables once, on first use, from a
+convolution on digit arrays.  Each scalar element op is a one-element
+call of an array op, or one table read for ``pow``.
 
 The array element ops that row reduction needs (``mul_array``,
 ``inv_array`` with inv(0) = 0, and ``sub_mul_array``, a - b*c) live on
@@ -204,7 +204,8 @@ class Field:
     """The finite field F_{p^k} with canonical modulus.
 
     Elements are integer codes in [0, q).  For k = 1 the code is just the
-    residue.  Do not construct directly in hot paths; fields are cached by
+    residue.  The scalar ops are one-element calls of the array ops.  Do
+    not construct directly in hot paths; fields are cached by
     :func:`field_make`.
     """
 
@@ -220,20 +221,10 @@ class Field:
         self.k = k
         self.q = q
         self.modulus = find_irreducible(p, k) if k > 1 else ()
-        # rows[j] = coefficient vector of x^(k+j) reduced mod the modulus
-        if k > 1:
-            rows = []
-            cur = [(-c) % p for c in self.modulus]  # x^k
-            rows.append(list(cur))
-            for _ in range(k - 2):
-                nxt = [0] + cur[:-1]
-                lead = cur[-1]
-                if lead:
-                    for t in range(k):
-                        nxt[t] = (nxt[t] - lead * self.modulus[t]) % p
-                cur = nxt
-                rows.append(list(cur))
-            self._red_rows = rows
+        if k > 1:  # rows[j]: the digits of x^(k+j) mod the modulus
+            mod = [*self.modulus, 1]
+            self._red_rows = [(_pmod([0] * (k + j) + [1], mod, p) + [0] * k)[:k]
+                              for j in range(k - 1)]
 
     def __repr__(self):
         return f"Field({self.literal()})"
@@ -247,93 +238,50 @@ class Field:
     def __hash__(self):
         return hash((self.p, self.k))
 
-    # -- scalar element ops -------------------------------------------------
-
-    def decode(self, a: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.k):
-            digits.append(a % self.p)
-            a //= self.p
-        return tuple(digits)
-
-    def encode(self, digits) -> int:
-        a = 0
-        for d in reversed(list(digits)):
-            a = a * self.p + d % self.p
-        return a
+    # -- scalar element ops: one-element calls of the array ops -----------
 
     def embed(self, c: int) -> int:
         """Image of an integer under Z -> F_p -> F_{p^k}."""
         return c % self.p
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        return self.encode(x + y for x, y in zip(self.decode(a), self.decode(b)))
+        return int(self._codes(self._digits(a) + self._digits(b)))
 
     def sub(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
-        return self.encode(x - y for x, y in zip(self.decode(a), self.decode(b)))
+        return int(self._codes(self._digits(a) - self._digits(b)))
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self.encode(-x for x in self.decode(a))
+        return int(self._codes(-self._digits(a)))
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return a * b % self.p
-        p, k = self.p, self.k
-        da, db = self.decode(a), self.decode(b)
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        for deg in range(2 * k - 2, k - 1, -1):
-            c = conv[deg] % p
-            if c:
-                row = self._red_rows[deg - k]
-                for t in range(k):
-                    conv[t] += c * row[t]
-            conv[deg] = 0
-        return self.encode(conv[:k])
+        return int(self.mul_array(a, b))
 
     def pow(self, a: int, e: int) -> int:
+        """a^e, with 0^0 = 1; a negative e inverts a first."""
         e = int(e)
         if e < 0:
             return self.pow(self.inv(a), -e)
         if self.k == 1:
             return pow(a, e, self.p)
-        r = 1 if self.k == 1 else self.encode([1] + [0] * (self.k - 1))
-        base = a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return r
+        if a == 0:
+            return int(e == 0)
+        log, exp, _ = self._log_tables
+        return int(exp[int(log[a]) * e % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise PreconditionError("inverse of zero", field=self.literal())
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
-
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
-    def elements(self) -> range:
-        return range(self.q)
+        return int(self.inv_array(a))
 
     # -- digit arrays and log tables (the array evaluator, k > 1) -----------
 
     def _digits(self, a) -> np.ndarray:
         """Base-p digits of codes, along a new last axis of length k."""
         return np.asarray(a, dtype=np.int64)[..., None] // self.p ** np.arange(self.k) % self.p
+
+    def _codes(self, d: np.ndarray) -> np.ndarray:
+        """Codes of digit arrays (..., k), each digit taken mod p."""
+        return d % self.p @ self.p ** np.arange(self.k)
 
     def _digit_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Products of digit arrays (..., k): convolution, then x^(k+j)
@@ -398,12 +346,11 @@ class Field:
         block = max(1, 2**20 // (m * k))  # giant steps per product
         digits = np.zeros((q, k), dtype=np.min_scalar_type(p - 1))
         exp = np.empty(q - 1, dtype=np.int64)
-        pw = p ** np.arange(k)
         for j in range(0, len(giant), block):
             lo = j * m
             d = (np.matmul(baby, mats[j : j + block]) % p).reshape(-1, k)[: q - 1 - lo]
             digits[lo : lo + len(d)] = d
-            exp[lo : lo + len(d)] = d @ pw
+            exp[lo : lo + len(d)] = self._codes(d)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         return log, exp, digits
@@ -436,8 +383,7 @@ class Field:
         if self.k == 1:
             return (a - b * c) % self.p
         log, _, digits = self._log_tables  # digits[log[0]] is row q-1, zero
-        d = digits[log[a]].astype(np.int64) - digits[log[self.mul_array(b, c)]]
-        return d % self.p @ self.p ** np.arange(self.k)
+        return self._codes(digits[log[a]].astype(np.int64) - digits[log[self.mul_array(b, c)]])
 
 
 @lru_cache(maxsize=None)

@@ -98,8 +98,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (Weight, _Bins, _Domain, _fits, _product, _sep_product,
-                       eval_on_axes, weighted_count)
+from .counting import (Weight, _Bins, _Domain, _fits, _key_codes, _product,
+                       _sep_product, eval_on_axes, weighted_count)
 from .errors import Budget, InputError, PreconditionError, ensure_budget
 from .ffield import field_make, is_prime, reduce_mod
 from .geometry import VarietySpec, r_check, sing_points
@@ -269,14 +269,12 @@ class PipelineLedger:
         """The two-level correlation at any (y, z); needs the pair table."""
         if self.pair_keys is None:
             raise PreconditionError("pair table was not built")
-        Y, Z, n = self.shift_range, self.pair_range, self.n
+        Z, n = self.pair_range, self.n
         ky, kz = self.shift_key(y), _table_key(z, Z, n, "second shift")
         k = ky * (2 * Z + 1) ** n + kz
         i = int(np.searchsorted(self.pair_keys, k))
         cong = self.pair_num[i] if self.pair_keys[i:i + 1].tolist() == [k] else 0
-        # FS2(y, z) = prod_i T(pi y_i, p z_i), in digit order as _sep_product
-        fs2 = math.prod(self._t2d_table[
-            _digits(ky, 2 * Y + 1, n), _digits(kz, 2 * Z + 1, n)].tolist())
+        fs2 = _fs2(self._t2d_table.astype(object), ky, kz, n)
         D, den4 = self._dom, self.den1**4
         return D.frac(cong, den4) - D.frac(fs2, self.params.q**3 * den4)
 
@@ -292,6 +290,17 @@ def _digits(keys, side: int, n: int, offset: int = 0) -> np.ndarray:
     for i in range(n):
         out[..., i] = t % side - offset
         t //= side
+    return out
+
+
+def _fs2(t2d: np.ndarray, ky, kz, n: int):
+    """FS2(y, z) = prod_i T(pi y_i, p z_i) at the flat keys ky of y and kz
+    of z, in the dtype of the table t2d of T.  The factors multiply digit 0
+    first, in the order of _sep_product."""
+    sideY, sideZ = t2d.shape
+    out = 1
+    for i in range(n):
+        out = out * t2d[ky // sideY**i % sideY, kz // sideZ**i % sideZ]
     return out
 
 
@@ -587,12 +596,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     #   sxy(y) = sum of V(a = 0) over the v in X_y.
     # A float table therefore adds its rows in (b, c, x) order, whatever
     # the chunk size.
-    border = np.lexsort((fq_v, cls_p))  # box points by (b, index)
-    newb = np.ones(M, dtype=bool)
-    newb[1:] = ((cls_p[border][1:] != cls_p[border][:-1])
-                | (fq_v[border][1:] != fq_v[border][:-1]))
-    bclass = np.empty(M, dtype=np.int64)
-    bclass[border] = np.cumsum(newb) - 1
+    bclass, border, _ = _key_codes(np.stack([fq_v, cls_p]))  # border: by (b, index)
     by_pi = _stable_order(cls_pi)  # box points by (class mod pi, index)
     xs = by_pi[solq[by_pi]]  # the q-solutions, in that order
     xfirst = np.searchsorted(cls_pi[xs], cls_pi)
@@ -854,12 +858,6 @@ def _level2_cells(cells, c, t2d, n, q3, D2):
     rsum = _sep_product([R] * n)  # prod_i R(y_i)
     abs2 = _Bins(Ycells, D2.exact).add(np.arange(Ycells), rsum)
 
-    def fs2(t, at):  # FS2 of the cells at, digit 0 first, as corr2 reads them
-        y, z, out = ky[at], kz[at], 1
-        for i in range(n):
-            out = out * t[y // sideY**i % sideY, z // sideZ**i % sideZ]
-        return out
-
     def term(c, f):  # |q^3 c - FS2| - FS2, in place
         t = q3 * c
         t -= f
@@ -871,10 +869,11 @@ def _level2_cells(cells, c, t2d, n, q3, D2):
         ok = _fits(q3) & _fits(q3, c) & _fits(rsum)[ky]
         for at, t in ((ok, t2d), (~ok, t2d.astype(object))):
             if at.any():
-                abs2.add(ky[at], term(c[at].astype(t.dtype, copy=False), fs2(t, at)))
+                abs2.add(ky[at], term(c[at].astype(t.dtype, copy=False),
+                                      _fs2(t, ky[at], kz[at], n)))
     else:  # each y's cells add up first, in z order
         first = np.flatnonzero(np.diff(ky, prepend=-1))  # each y's first cell
-        abs2.add(ky[first], np.add.reduceat(term(c, fs2(t2d, slice(None))), first))
+        abs2.add(ky[first], np.add.reduceat(term(c, _fs2(t2d, ky, kz, n)), first))
     return keys, c, qsum, abs2.total()
 
 

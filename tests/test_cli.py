@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import vdc.cli as cli
+from vdc.errors import DEFAULT_BUDGET
 from vdc.mpoly import parse_poly
 
 
@@ -45,6 +46,19 @@ def test_count_golden(capsys):
     assert "workers" not in run["params"]
     assert set(run["versions"]) == {"vdc", "python", "numpy"}
     assert run["budget"]["used"] <= run["budget"]["limit"]
+
+
+def test_split_count_is_charged_its_sub_boxes(capsys):
+    """An n = 8 diagonal count splits into two 13^4 sub-boxes: it is
+    charged their 2 * 13^4 points, not the 13^8 of its box, so it runs
+    under the default budget."""
+    code, doc = run_cli(
+        ["count", "--poly", "x1^4+x2^4+x3^4+x4^4-x5^4-x6^4-x7^4-x8^4", "--n", "8",
+         "--B", "6", "--modulus", "17"], capsys=capsys)
+    assert code == 0
+    assert doc["result"]["value"] == 54_099_073
+    assert doc["run"]["budget"] == {"limit": DEFAULT_BUDGET, "used": 2 * 13**4}
+    assert DEFAULT_BUDGET < 13**8
 
 
 def _brute_count(polys, n, B, weight):

@@ -341,6 +341,16 @@ def test_weighted_count_budget_refusal():
         weighted_count([f], 50, 3, "hat", Budget(100))
 
 
+def test_box_charge_follows_the_split():
+    """A split box is charged its two sub-boxes, an unsplit one its box;
+    points_scanned reports the box either way."""
+    for poly, n, charged in [("x1^2+x2^2-x3^2-x4^2", 4, 2 * 11**2),
+                             ("x1^2+x2^2+x3+x1*x2*x3", 3, 11**3)]:
+        budget = Budget()
+        res = weighted_count([parse_poly(poly, n)], 3, 5, "hat", budget)
+        assert budget.used == charged and res.points_scanned == 11**n
+
+
 # -- probes ---------------------------------------------------------------------
 
 

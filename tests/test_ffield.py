@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from vdc.counting import eval_on_axes
-from vdc.errors import InputError
+from vdc.errors import InputError, PreconditionError
 from vdc.ffield import (
     Field,
     FqPoly,
@@ -54,7 +54,7 @@ def test_find_irreducible_is_irreducible():
 
 
 def sample_field_axioms(fld, rng, trials=200):
-    els = list(fld.elements())
+    els = range(fld.q)
     for _ in range(trials):
         a, b, c = (rng.choice(els) for _ in range(3))
         assert fld.add(a, b) == fld.add(b, a)
@@ -75,26 +75,98 @@ def test_extension_field_axioms():
         sample_field_axioms(field_make(p, k), random.Random(32), trials=150)
 
 
+class _Reference:
+    """F_{p^k} by sympy, apart from Field's tables: a code is the polynomial
+    of its base-p digits over F_p, and products are reduced modulo
+    fld.modulus (modulo x for k = 1)."""
+
+    def __init__(self, fld):
+        self.fld, x = fld, sympy.symbols("x")
+        mod = x**fld.k + sum(c * x**i for i, c in enumerate(fld.modulus))
+        self.x, self.mod = x, sympy.Poly(mod, x, modulus=fld.p)
+
+    def poly(self, a):
+        p, k = self.fld.p, self.fld.k
+        return sympy.Poly([a // p**i % p for i in reversed(range(k))], self.x, modulus=p)
+
+    def code(self, P):
+        p = self.fld.p
+        return sum(int(c) % p * p**i for (i,), c in P.rem(self.mod).terms())
+
+    def add(self, a, b):
+        return self.code(self.poly(a) + self.poly(b))
+
+    def sub(self, a, b):
+        return self.code(self.poly(a) - self.poly(b))
+
+    def neg(self, a):
+        return self.code(-self.poly(a))
+
+    def mul(self, a, b):
+        return self.code(self.poly(a) * self.poly(b))
+
+    def inv(self, a):
+        return self.code(self.poly(a).invert(self.mod))
+
+    def pow(self, a, e):
+        base, out = self.poly(a if e >= 0 else self.inv(a)), self.poly(1)
+        for _ in range(abs(e)):
+            out = (out * base).rem(self.mod)
+        return self.code(out)
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (5, 1), (73, 1), (2, 3), (3, 2), (7, 2), (5, 3)])
 def test_array_ops_match_scalar_ops(p, k):
     """mul_array, inv_array (inv(0) = 0) and sub_mul_array on code arrays
-    agree with the scalar ops, zero codes and codes that are multiples of
-    p included."""
-    fld = field_make(p, k)
+    agree with the sympy reference, zero codes and codes that are
+    multiples of p included."""
+    fld, ref = field_make(p, k), _Reference(field_make(p, k))
     rng = np.random.default_rng(p * 10 + k)
     a, b, c = rng.integers(0, fld.q, size=(3, 400))
     a[:20], b[20:40], c[40:60] = 0, 0, 0
     b[60:80] = p * rng.integers(0, fld.q // p, size=20)
     al, bl, cl = a.tolist(), b.tolist(), c.tolist()
-    assert fld.mul_array(a, b).tolist() == [fld.mul(x, y) for x, y in zip(al, bl)]
-    assert fld.inv_array(b).tolist() == [fld.inv(y) if y else 0 for y in bl]
-    want = [fld.sub(x, fld.mul(y, z)) for x, y, z in zip(al, bl, cl)]
+    assert fld.mul_array(a, b).tolist() == [ref.mul(x, y) for x, y in zip(al, bl)]
+    assert fld.inv_array(b).tolist() == [ref.inv(y) if y else 0 for y in bl]
+    want = [ref.sub(x, ref.mul(y, z)) for x, y, z in zip(al, bl, cl)]
     assert fld.sub_mul_array(a, b, c).tolist() == want
     # broadcasting, as row reduction uses it: (M, r, n) - (M, r, 1) * (M, 1, n)
     A = rng.integers(0, fld.q, size=(5, 3, 4))
     got = fld.sub_mul_array(A, A[:, :, :1], A[:, :1, :])
-    assert got.tolist() == [[[fld.sub(x, fld.mul(row[0], mat[0][j])) for j, x in enumerate(row)]
+    assert got.tolist() == [[[ref.sub(x, ref.mul(row[0], mat[0][j])) for j, x in enumerate(row)]
                              for row in mat] for mat in A.tolist()]
+
+
+SCALAR_FIELDS = [(2, 1), (5, 1), (73, 1), (2, 2), (2, 3), (3, 2), (3, 3), (7, 2), (2, 10)]
+
+
+@st.composite
+def _scalar_case(draw):
+    fld = field_make(*draw(st.sampled_from(SCALAR_FIELDS)))
+    code = st.one_of(st.just(0), st.just(1), st.integers(0, fld.q - 1))
+    return fld, draw(code), draw(code), draw(st.integers(-3, fld.q + 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_scalar_case())
+def test_scalar_ops_match_reference(case):
+    """add, sub, neg, mul, pow (0^0 = 1, 0^e = 0, negative e) and inv
+    (refusing zero) against the sympy reference."""
+    fld, a, b, e = case
+    ref = _Reference(fld)
+    assert fld.add(a, b) == ref.add(a, b)
+    assert fld.sub(a, b) == ref.sub(a, b)
+    assert fld.neg(a) == ref.neg(a)
+    assert fld.mul(a, b) == ref.mul(a, b)
+    for x in (a, b):
+        if x:
+            assert fld.inv(x) == ref.inv(x)
+        if x or e >= 0:
+            assert fld.pow(x, e) == ref.pow(x, e)
+    assert fld.pow(0, 0) == 1 and fld.pow(0, e + 4) == 0
+    for refused in (lambda: fld.inv(0), lambda: fld.pow(0, min(e, -1))):
+        with pytest.raises(PreconditionError):
+            refused()
 
 
 def test_frobenius_is_additive_and_fixes_prime_field():
@@ -102,12 +174,12 @@ def test_frobenius_is_additive_and_fixes_prime_field():
     rng = random.Random(33)
     for _ in range(100):
         a, b = rng.randrange(fld.q), rng.randrange(fld.q)
-        assert fld.frobenius(fld.add(a, b)) == fld.add(
-            fld.frobenius(a), fld.frobenius(b)
+        assert fld.pow(fld.add(a, b), fld.p) == fld.add(
+            fld.pow(a, fld.p), fld.pow(b, fld.p)
         )
     for c in range(5):
         e = fld.embed(c)
-        assert fld.frobenius(e) == e
+        assert fld.pow(e, fld.p) == e
 
 
 def test_multiplicative_order_divides_group_order():
