@@ -359,8 +359,22 @@ class Field:
 
     @cached_property
     def _inv_table(self) -> np.ndarray:
-        """inv[a] = 1/a mod p for a code a of F_p, and inv[0] = 0."""
-        return np.array([0] + [pow(a, -1, self.p) for a in range(1, self.p)], dtype=np.int64)
+        """inv[a] = 1/a mod p for a code a of F_p, and inv[0] = 0: a^(p-2) by
+        square and multiply on the whole table at once (p <= Q_CAP, so every
+        product is below 2^40)."""
+        p = self.p
+        a = np.arange(p, dtype=np.int64)
+        out = np.ones(p, dtype=np.int64)
+        e = p - 2
+        while e:
+            if e & 1:
+                out *= a
+                out %= p
+            a *= a
+            a %= p
+            e >>= 1
+        out[0] = 0  # 0^0 = 1 over F_2
+        return out
 
     def mul_array(self, a, b) -> np.ndarray:
         """Elementwise products of code arrays."""
@@ -479,21 +493,16 @@ class FqPoly:
         return len({sum(e) for e in self.terms}) <= 1
 
     def partial(self, i: int) -> "FqPoly":
-        F = self.field
-        out: dict[tuple, int] = {}
-        j = i - 1
-        for e, c in self.terms.items():
-            if e[j]:
-                ne = list(e)
-                ne[j] -= 1
-                ne = tuple(ne)
-                inc = F.mul(c, F.embed(e[j]))
-                tot = F.add(out.get(ne, 0), inc)
-                if tot:
-                    out[ne] = tot
-                elif ne in out:
-                    del out[ne]
-        return FqPoly(F, self.n, out)
+        """Partial derivative with respect to x_i (1-based).  Distinct
+        monomials differentiate to distinct monomials, so no two terms
+        merge; a term whose exponent e_i is a multiple of p vanishes."""
+        F, j = self.field, i - 1
+        terms = [(e, c) for e, c in self.terms.items() if e[j]]
+        coef = F.mul_array(np.array([c for _, c in terms], dtype=np.int64),
+                           np.array([F.embed(e[j]) for e, _ in terms],
+                                    dtype=np.int64))
+        return FqPoly(F, self.n, {e[:j] + (e[j] - 1,) + e[j + 1:]: c
+                                  for (e, _), c in zip(terms, coef.tolist())})
 
     def eval(self, point) -> int:
         """Evaluate at a tuple of element codes (scalar, exact)."""

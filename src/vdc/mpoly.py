@@ -159,14 +159,9 @@ class IntPoly:
         """Partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.n:
             raise InputError("variable index out of range", i=i, n=self.n)
-        out: dict[tuple, int] = {}
-        j = i - 1
-        for e, c in self.terms.items():
-            if e[j]:
-                ne = list(e)
-                ne[j] -= 1
-                out[tuple(ne)] = out.get(tuple(ne), 0) + c * e[j]
-        return IntPoly(self.n, out)
+        j = i - 1  # distinct monomials differentiate to distinct monomials
+        return IntPoly(self.n, {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
+                                for e, c in self.terms.items() if e[j]})
 
     def leading_form(self) -> "IntPoly":
         """The homogeneous part of top degree (zero poly for the zero poly)."""

@@ -208,7 +208,6 @@ class PipelineLedger:
     qsum: np.ndarray | None = None  # sum_z of pair congruence parts, per y
     abs2_num: np.ndarray | None = None  # sum_z |q^3 cong - FS2|, per y (den1^4 scale)
     aggregate: float | None = None  # E4-style aggregate from level 2
-    _inner_num: np.ndarray | None = None  # level-0 class sums (den1 scale)
     _t2d_table: np.ndarray | None = None
 
     @property
@@ -658,7 +657,6 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
         xcount=xcount,
         residuals={},
         warnings=warnings,
-        _inner_num=inner_num,
     )
     ledger.residuals = _residuals(ledger, inner_sq)
 

@@ -137,6 +137,27 @@ def test_array_ops_match_scalar_ops(p, k):
                              for row in mat] for mat in A.tolist()]
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 65521, 1048573])
+def test_inverse_table_matches_pow(p):
+    """inv_array over the whole of F_p, the largest prime under Q_CAP
+    included: inv(0) = 0, then Python's modular inverses."""
+    want = [0] + [pow(a, -1, p) for a in range(1, p)]
+    assert field_make(p).inv_array(np.arange(p)).tolist() == want
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2)])
+def test_partial_commutes_with_reduction(p, k):
+    """d/dx_i then reduction into F_{p^k} equals reduction then d/dx_i,
+    over F_3 and F_9 (terms whose exponent 3 or 6 vanish) and F_7 (x2^7,
+    and a coefficient 7 that vanishes before differentiating)."""
+    f = parse_poly("x1^3*x2 + 2*x1^6 - x1*x2^2*x3 + 5*x2^7*x3^4 + 7*x3*x1 - 4"
+                   " + x1^2*x2*x3^3", 3)
+    fld = field_make(p, k)
+    for i in (1, 2, 3):
+        assert (reduce_mod(f.partial(i), fld).terms
+                == reduce_mod(f, fld).partial(i).terms), i
+
+
 SCALAR_FIELDS = [(2, 1), (5, 1), (73, 1), (2, 2), (2, 3), (3, 2), (3, 3), (7, 2), (2, 10)]
 
 

@@ -1,9 +1,10 @@
-"""End-to-end checks of the correlation ledger against brute force.
-
-The showcase instance (a cubic in three variables, B=4, moduli 2/3/5) is
-small enough to recompute every table entry directly over the integer
-box, so each assertion has an independent oracle.
-"""
+"""End-to-end checks of the correlation ledger against one reference,
+``ledger_reference.Reference``: test_ledger_matches_reference compares every
+table of drawn tiny instances with it, the named tests chosen tables of
+fixed ones, the README showcase (a cubic in three variables, B=4, moduli
+2/3/5) among them.  Three oracles check summation order rather than values:
+level2_loop (float level-2 cells, bit for bit), check_level2_cells and
+part_sums_oracle."""
 import dataclasses
 import itertools
 import json
@@ -13,16 +14,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from ledger_reference import DEGREE, Reference, aggregate, flat_key
 from vdc import cli, counting, geometry, pipeline
-from vdc.counting import Weight, _sep_product, eval_on_axes
+from vdc.counting import Weight
 from vdc.errors import Budget, BudgetExceeded, InputError, PreconditionError
 from vdc.mpoly import IntPoly, parse_poly
 from vdc.pipeline import (
     PipelineParams,
     _residuals,
-    _stable_order,
     build_ledger,
     deviation_probe,
 )
@@ -30,27 +31,55 @@ from vdc.pipeline import (
 N = 3
 F = parse_poly("x1^3 + x2^3 + x3^3 - x1*x2*x3", N)
 B, PI, P, Q = 4, 2, 3, 5
-H = 2 * B - 1
-BOX = list(itertools.product(range(-H, H + 1), repeat=N))
+SHOWCASE = dict(f=F, B=B, pi=PI, p=P, q=Q, weight="hat")
+LEVEL1 = ("corr_num", "fs_num", "t0_num", "t1_num", "ss2", "ss3", "sxy_num",
+          "xcount")
+LEVEL2 = ("pair_keys", "pair_num", "qsum", "abs2_num")
 
 
-def wrat(x):
-    """Exact triangular weight on the showcase box."""
-    v = Fraction(1)
-    for c in x:
-        v *= Fraction(max(0, 2 * B - abs(c)), 2 * B)
-    return v
+def gamma(k):
+    """gamma_k = k u / (1 - k u), u = 2^-53: the relative error bound of k
+    successive float64 roundings (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1)."""
+    return Fraction(k, 2**53 - k)
 
 
-def fval(x):
-    return F.eval(list(x))
+def rounding_k(ref, name):
+    """The k of gamma_k for a smooth ledger's table name against ref; the
+    derivation is test_ledger_matches_reference's."""
+    Zcells = len(ref.T[0]) ** ref.n if name in LEVEL2 else 1
+    return 2 * (ref.L**ref.n * Zcells + ref.n * (ref.L + 3)) + 8
+
+
+def assert_within(got, want, size, den, k, what):
+    """Each float got[i] within gamma_k size[i] / den of want[i] / den."""
+    assert len(got) == len(want), what
+    for g, r, s in zip(got, want, size):
+        a, b = float(g).as_integer_ratio()
+        assert abs(a * den - r * b) * (2**53 - k) <= k * s * b, what
+
+
+def assert_tables(led, ref, names):
+    """The named tables of led against ref's: entry for entry for exact
+    weights, and for the smooth weight within gamma_k of ref's relative to
+    their sums of |terms| (``Reference.size``)."""
+    for name in names:
+        got, want = getattr(led, name), getattr(ref, name)
+        if led.exact or name in ("xcount", "pair_keys"):
+            assert np.array_equal(got, want), name
+        else:
+            assert_within(got.tolist(), want.tolist(), ref.size(name).tolist(),
+                          ref.den1 ** DEGREE[name], rounding_k(ref, name), name)
 
 
 @pytest.fixture(scope="module")
 def led():
-    params = PipelineParams(f=F, B=B, pi=PI, p=P, q=Q, weight="hat",
-                            with_pair_table=True)
-    return build_ledger(params)
+    return build_ledger(PipelineParams(**SHOWCASE, with_pair_table=True))
+
+
+@pytest.fixture(scope="module")
+def ref():
+    return Reference(PipelineParams(**SHOWCASE, with_pair_table=True))
 
 
 def test_all_residual_identities_hold(led):
@@ -60,16 +89,11 @@ def test_all_residual_identities_hold(led):
     assert led.exact
 
 
-def test_counts_match_brute_force(led):
-    nw_full = sum(wrat(x) for x in BOX if fval(x) % (PI * P * Q) == 0)
-    nw_pq = sum(wrat(x) for x in BOX if fval(x) % (P * Q) == 0)
-    nw_box = sum(wrat(x) for x in BOX)
-    assert nw_full == Fraction(4337, 128)
-    assert nw_pq == Fraction(5345, 128)
-    assert led.count_full == nw_full
-    assert led.count_pq == nw_pq
-    assert led.box_weight_total == nw_box
-    assert led.expected_per_class == nw_box / (PI**N * P * Q)
+def test_counts_match_brute_force(led, ref):
+    assert (ref.count_full, ref.count_pq) == (Fraction(4337, 128), Fraction(5345, 128))
+    for name in ("count_full", "count_pq", "box_weight_total",
+                 "expected_per_class"):
+        assert getattr(led, name) == getattr(ref, name), name
 
 
 @pytest.mark.parametrize("kw", [
@@ -77,47 +101,36 @@ def test_counts_match_brute_force(led):
     dict(f=F, B=2, pi=11, p=3, q=5),  # pi > 4B: one shift, 1331 classes
 ], ids=["pi5-b4", "pi11-b2"])
 def test_second_moment_matches_class_sum(kw):
-    """Sigma from integer power sums equals the per-class Fraction sum."""
+    """Sigma from integer power sums equals the reference's per-class sum
+    of (inner(u) - K)^2 in Fractions."""
     led = build_ledger(PipelineParams(**kw))
-    c = led.expected_per_class * led.den1
-    want = sum((Fraction(int(v)) - c) ** 2 for v in led._inner_num)
-    assert led.second_moment == want / led.den1**2
+    assert led.second_moment == Reference(PipelineParams(**kw), 0).second_moment
     assert led.residuals["variance_assembly"].ok
 
 
-def test_corr_matches_brute_force(led):
-    sols_pq = [x for x in BOX if fval(x) % (P * Q) == 0]
-    shifts = [(0, 0, 0), (1, 0, 0), (-2, 1, 3), (3, -3, 2), (4, 4, 4),
-              (-7, 0, 0)]
-    for y in shifts:
-        cong = Fraction(0)
-        for x in sols_pq:
-            xy = tuple(x[i] + PI * y[i] for i in range(N))
-            if fval(xy) % (P * Q) == 0:
-                cong += wrat(x) * wrat(xy)
-        fsum = sum(wrat(x) * wrat(tuple(x[i] + PI * y[i] for i in range(N)))
-                   for x in BOX)
-        assert led.corr(y) == cong - Fraction(1, (P * Q) ** 2) * fsum, y
+def test_corr_matches_brute_force(led, ref):
+    Y, den2 = led.shift_range, ref.den1**2
+    for y in itertools.product(range(-Y, Y + 1), repeat=N):
+        k = flat_key(y, Y)
+        assert led.corr(y) == (Fraction(ref.corr_num[k], den2) - Fraction(
+            ref.fs_num[k], (P * Q) ** 2 * den2)), y
 
 
-def test_shift_record_matches_brute_force(led):
+def test_shift_record_matches_brute_force(led, ref):
     y = (1, -1, 0)
     rec = led.shift_record(y)
     shifted = tuple(PI * c for c in y)
-    sols_q = [x for x in BOX if fval(x) % Q == 0]
-
-    inner = defaultdict(Fraction)
-    for x in sols_q:
-        xy = tuple(x[i] + shifted[i] for i in range(N))
-        if fval(xy) % Q == 0:
-            inner[tuple(c % P for c in x)] += wrat(x) * wrat(xy)
-    fs_y = sum(wrat(x) * wrat(tuple(x[i] + shifted[i] for i in range(N)))
-               for x in BOX)
+    den2 = ref.den1**2
+    # the reference's class sums V(y, v, a), and those with a = 0
+    at = tuple(c + ref.shift_range for c in y)
+    inner3 = {va: Fraction(V[at], den2) for va, V in ref.V.items() if V[at]}
+    inner = defaultdict(Fraction, {v: s for (v, a), s in inner3.items() if a == 0})
+    fs_y = Fraction(ref.fs_num[flat_key(y, ref.shift_range)], den2)
     Ky = fs_y / (P**N * Q * Q)
     classes = list(itertools.product(range(P), repeat=N))
     Xy = [v for v in classes
-          if fval(v) % P == 0
-          and fval(tuple(v[i] + shifted[i] for i in range(N))) % P == 0]
+          if F.eval(list(v)) % P == 0
+          and F.eval([v[i] + shifted[i] for i in range(N)]) % P == 0]
 
     assert rec.fs_sum == fs_y
     assert rec.expected == Ky
@@ -129,68 +142,21 @@ def test_shift_record_matches_brute_force(led):
     assert led.corr(y) - rec.first_moment == defect
 
     # refinement: split each class by the residue of the shifted value
-    inner3 = defaultdict(Fraction)
-    for x in sols_q:
-        xy = tuple(x[i] + shifted[i] for i in range(N))
-        inner3[(tuple(c % P for c in x), fval(xy) % Q)] += wrat(x) * wrat(xy)
-    sig3 = sum((inner3[(v, a)] - Ky) ** 2
+    sig3 = sum((inner3.get((v, a), 0) - Ky) ** 2
                for v in classes for a in range(Q))
     assert rec.refined_second_moment == sig3
 
 
-def test_pair_correlation_matches_brute_force(led):
-    sols_q = [x for x in BOX if fval(x) % Q == 0]
+def test_pair_correlation_matches_brute_force(led, ref):
     pairs = [((1, 0, 0), (1, 0, 0)), ((0, 1, -1), (-1, 2, 0)),
              ((2, 2, 2), (0, 0, 0)), ((0, 0, 0), (1, -1, 2))]
     for yy, zz in pairs:
-        sy = tuple(PI * c for c in yy)
-        sz = tuple(P * c for c in zz)
-        cong = Fraction(0)
-        for x in sols_q:
-            x1 = tuple(x[i] + sy[i] for i in range(N))
-            x2 = tuple(x[i] + sz[i] for i in range(N))
-            x3 = tuple(x[i] + sy[i] + sz[i] for i in range(N))
-            if fval(x2) % Q == 0 and (fval(x3) - fval(x1)) % Q == 0:
-                cong += wrat(x) * wrat(x1) * wrat(x2) * wrat(x3)
-        fs2 = sum(wrat(x)
-                  * wrat(tuple(x[i] + sy[i] for i in range(N)))
-                  * wrat(tuple(x[i] + sz[i] for i in range(N)))
-                  * wrat(tuple(x[i] + sy[i] + sz[i] for i in range(N)))
-                  for x in BOX)
-        expect = cong - Fraction(1, Q**3) * fs2
-        assert led.corr2(yy, zz) == expect, (yy, zz)
+        assert led.corr2(yy, zz) == ref.corr2(yy, zz), (yy, zz)
 
 
-def pair_rows(led):
-    """The pair table's rows of congruence parts, y by y, from its cells."""
-    Zcells = (2 * led.pair_range + 1) ** led.n
-    ky, kz = np.divmod(led.pair_keys, Zcells)
-    for y in range(len(led.corr_num)):
-        row = np.zeros(Zcells, dtype=led.pair_num.dtype)
-        at = slice(*np.searchsorted(ky, [y, y + 1]))
-        row[kz[at]] = led.pair_num[at]
-        yield row
-
-
-def abs2_recomputed(led):
-    """An exact ledger's abs2_num recomputed y-major from its pair table's
-    cells, the opposite of the build's cell order: each y's FS2 over every z
-    is one separable product of that y's t2d rows, and every z adds its
-    term.  The terms stay int64 when none can pass it, else Python ints."""
-    D, q3, n = led._dom, led.params.q**3, led.n
-    t2d = led._t2d_table
-    if (q3 * int(led.pair_num.max(initial=0))
-            + int(t2d.astype(object).sum(axis=1).max()) ** n >= 2**63):
-        t2d = t2d.astype(object)
-    ydig = pipeline._digits(np.arange(len(led.corr_num)),
-                            2 * led.shift_range + 1, n)
-    return [D.total(np.abs(q3 * row.astype(t2d.dtype) - pipeline._sep_product(
-                [t2d[d] for d in dig])))
-            for row, dig in zip(pair_rows(led), ydig)]
-
-
-def test_aggregate_recompute_matches(led):
-    assert abs2_recomputed(led) == led.abs2_num.tolist()
+def test_aggregate_recompute_matches(led, ref):
+    assert np.array_equal(led.abs2_num, ref.abs2_num)
+    assert led.aggregate == ref.aggregate
 
 
 def test_shift_outside_table_rejected(led):
@@ -246,10 +212,11 @@ def test_exact_ledger_keeps_level2_exact():
 
 @pytest.mark.parametrize("weight", ["hat", "smooth"])
 def test_residual_checks_can_fail(weight):
-    led_w = build_ledger(PipelineParams(f=F, B=3, pi=2, p=3, q=5,
-                                        weight=weight))
-    inner = led_w._dom.lift(led_w._inner_num)
-    inner_sq = led_w._dom.total(inner * inner)
+    params = PipelineParams(f=F, B=3, pi=2, p=3, q=5, weight=weight)
+    led_w = build_ledger(params)
+    ref_w = Reference(params, 0)
+    inner_sq = (ref_w.inner**2).sum() * Fraction(led_w.den1, ref_w.den1) ** 2
+    inner_sq = int(inner_sq) if led_w.exact else float(inner_sq)  # den1^2 scale
     assert _residuals(led_w, inner_sq)["per_shift_defect"].ok
     sxy = led_w.sxy_num.copy()
     k = int(np.argmax(np.abs(sxy)))
@@ -374,7 +341,7 @@ def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
         n_box[tuple(c % pi for c in x)] += 1
     lvl1 = 0
     for x in box:
-        u, fx = tuple(c % pi for c in x), fval(x)
+        u, fx = tuple(c % pi for c in x), F.eval(list(x))
         if fx % q == 0:
             lvl1 += n_box[u] - before[u]
             n_qp[tuple(c % p for c in x)] += 1
@@ -394,57 +361,14 @@ def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
 
 @pytest.mark.parametrize("weight", ["hat", "indicator"])
 def test_pair_table_matches_brute_force(weight):
-    b, pi, p, q = 3, 2, 3, 5
-    led = build_ledger(PipelineParams(f=F, B=b, pi=pi, p=p, q=q, weight=weight,
-                                      with_pair_table=True))
+    params = PipelineParams(f=F, B=3, pi=2, p=3, q=5, weight=weight,
+                            with_pair_table=True)
+    led, ref_w = build_ledger(params), Reference(params)
     assert led.exact
-    h = 2 * b - 1 if weight == "hat" else b
-    Y, Z = led.shift_range, led.pair_range
-    assert p * Z >= 2 * h + 1  # some z windows are empty
-    fq = {x: fval(x) % q
-          for x in itertools.product(range(-h, h + 1), repeat=N)}
-    wnum = {x: math.prod(2 * b - abs(c) for c in x) if weight == "hat" else 1
-            for x in fq}
-
-    def key(t, R):
-        return sum((c + R) * (2 * R + 1) ** i for i, c in enumerate(t))
-
-    def steps(x, m, R):
-        """Shifts t, |t_i| <= R, with x + m t in the box."""
-        return itertools.product(*[
-            [t for t in range(-R, R + 1) if abs(c + m * t) <= h] for c in x])
-
-    # every quadruple (x, x + pi y, x + p z, x + pi y + p z) in the box
-    expect = defaultdict(int)
-    for x in (x for x in fq if fq[x] == 0):
-        for z in steps(x, p, Z):
-            x2 = tuple(x[i] + p * z[i] for i in range(N))
-            if fq[x2]:
-                continue
-            for y in steps(x, pi, Y):
-                x1 = tuple(x[i] + pi * y[i] for i in range(N))
-                x3 = tuple(x1[i] + p * z[i] for i in range(N))
-                if x3 in fq and fq[x3] == fq[x1]:
-                    expect[key(y, Y), key(z, Z)] += (
-                        wnum[x] * wnum[x1] * wnum[x2] * wnum[x3])
-    assert expect[key((0,) * N, Y), key((0,) * N, Z)] > 0
-    Zcells = (2 * Z + 1) ** N
-    want = sorted((ky * Zcells + kz, v) for (ky, kz), v in expect.items())
-    assert np.array_equal(led.pair_keys, [k for k, _ in want])
-    assert np.array_equal(led.pair_num, [v for _, v in want])
-
-
-def aggregate_loop(led):
-    """The level-2 aggregate summed cell by cell in Python floats."""
-    pr, n, D = led.params, led.n, led._dom
-    Y, sideY = led.shift_range, 2 * led.shift_range + 1
-    key0 = sum(Y * sideY**i for i in range(n))
-    den = pr.q**3 * D.den1**4
-    total = 0.0
-    for k, c in enumerate(led.abs2_num):
-        if k != key0:
-            total += math.sqrt(float(Fraction(c) / den))
-    return pr.pi ** ((n - 1) / 2) * pr.p ** ((n - 2) / 4) * math.sqrt(total)
+    assert 3 * led.pair_range >= ref_w.L  # p Z >= 2H + 1: some z windows are empty
+    Ycells, Zcells = len(led.corr_num), (2 * led.pair_range + 1) ** N
+    assert Ycells // 2 * Zcells + Zcells // 2 in ref_w.pair_keys  # y = z = 0
+    assert_tables(led, ref_w, ("pair_keys", "pair_num"))
 
 
 @pytest.mark.parametrize("case, weight", [
@@ -455,34 +379,24 @@ def test_aggregate_matches_scalar_loop(default_ledgers, case, weight):
     led = default_ledgers.get((case, weight)) or build_ledger(PipelineParams(
         **CHUNK_CASES[case], weight=weight, with_pair_table=True))
     assert led.exact == (weight != "smooth")
-    assert led.aggregate == pipeline._aggregate_from_abs(led) == aggregate_loop(led)
+    assert led.aggregate == pipeline._aggregate_from_abs(led) == aggregate(
+        led.params, led.abs2_num.tolist(), led.den1)
 
 
 def level2_loop(led):
-    """The dense pair table, qsum and abs2_num of level 2, added term by term,
-    and the number of terms of each cell.
-
-    Cell (y, z) adds w(x) w(x + p z) * w(u) w(u + p z), u = x + pi y, to 0
-    over the x-pairs (x, x + p z) ordered by (class mod pi, class mod p, box
-    index of x), box index with x1 fastest; x + p z is fixed by x.  qsum and
-    abs2_num, the numerator sum_z |q^3 c - FS2|, add each y's cells in z
-    order (elementwise across y).  Exact weights are integer numerators in
-    Python ints, float weights float64.
-    """
-    pr, n = led.params, led.n
+    """The dense pair table and qsum of a float level 2, added term by term,
+    and the number of terms of each cell.  Cell (y, z) adds w(x) w(x + p z)
+    * w(u) w(u + p z), u = x + pi y, to 0 over the x-pairs (x, x + p z) in
+    (class mod pi, class mod p, box index of x) order, x1 fastest; qsum adds
+    each y's cells in z order (elementwise across y)."""
+    pr, n, Y, Z = led.params, led.n, led.shift_range, led.pair_range
     pi, p, q = pr.pi, pr.p, pr.q
-    Y, Z = led.shift_range, led.pair_range
-    w1, _ = Weight(pr.weight).axis_values(pr.B)
-    w1 = w1.tolist()  # ints for exact weights, floats for smooth
-    dtype = object if led.exact else np.float64
+    w1 = Weight(pr.weight).axis_values(pr.B)[0].tolist()
     h = (len(w1) - 1) // 2
     pts = [x[::-1] for x in itertools.product(range(-h, h + 1), repeat=n)]
     index = {x: i for i, x in enumerate(pts)}
     w = {x: math.prod(w1[c + h] for c in x) for x in pts}
     fq = {x: pr.f.eval(list(x)) % q for x in pts}
-
-    def key(t, R):
-        return sum((c + R) * (2 * R + 1) ** i for i, c in enumerate(t))
 
     def cls(x, m):
         return sum((c % m) * m**i for i, c in enumerate(x))
@@ -491,9 +405,8 @@ def level2_loop(led):
     # Grouped by (z, class mod pi); those with q | f(u) are the x-pairs.
     Ycells, Zcells = (2 * Y + 1) ** n, (2 * Z + 1) ** n
     groups = defaultdict(list)
-    for x in pts:
-        if w[x] > 0:
-            groups[cls(x, p), fq[x]].append(x)
+    for x in pts:  # every smooth weight is positive on the box
+        groups[cls(x, p), fq[x]].append(x)
     upairs, xpairs = defaultdict(list), defaultdict(list)
     for (_, r), g in groups.items():
         for u, c in itertools.product(g, g):
@@ -501,55 +414,21 @@ def level2_loop(led):
             upairs[z, cls(u, pi)].append((u, w[u] * w[c]))
             if r == 0:
                 xpairs[z].append((u, w[u] * w[c]))
-    table = np.zeros((Ycells, Zcells), dtype=dtype)
+    table = np.zeros((Ycells, Zcells))
     terms = np.zeros((Ycells, Zcells), dtype=np.int64)
     # for u = x mod pi, u - x = pi y has y_i = u_i // pi - x_i // pi
-    code = {x: key([c // pi for c in x], Y) for x in pts}
+    code = {x: flat_key([c // pi for c in x], Y) for x in pts}
     for z, xs in xpairs.items():
-        cells = defaultdict(lambda: 0 * w1[0])
+        cells, kz = defaultdict(float), flat_key(z, Z)
         xs.sort(key=lambda t: (cls(t[0], pi), cls(t[0], p), index[t[0]]))
         for x, wx in xs:
             for u, wu in upairs[z, cls(x, pi)]:
-                cells[code[u] - code[x] + Ycells // 2] += wx * wu
-                terms[code[u] - code[x] + Ycells // 2, key(z, Z)] += 1
+                ky = code[u] - code[x] + Ycells // 2
+                cells[ky] += wx * wu
+                terms[ky, kz] += 1
         for ky, v in cells.items():
-            table[ky, key(z, Z)] = v
-
-    q3, t2d = q**3, led._t2d_table.astype(dtype)
-    ydig = np.array([t[::-1] for t in itertools.product(range(2 * Y + 1), repeat=n)])
-    qsum, abs2 = np.zeros(Ycells, dtype=dtype), np.zeros(Ycells, dtype=dtype)
-    for kz, zd in enumerate(t[::-1] for t in
-                            itertools.product(range(2 * Z + 1), repeat=n)):
-        fs2 = np.ones(Ycells, dtype=dtype)
-        for i in range(n):
-            fs2 = fs2 * t2d[ydig[:, i], zd[i]]
-        qsum = qsum + table[:, kz]
-        abs2 = abs2 + np.abs(q3 * table[:, kz] - fs2)
-    return table, qsum, abs2, terms
-
-
-def assert_cells_match(led, table):
-    """The ledger's filled level-2 cells are the nonzero entries of the
-    dense (Ycells, Zcells) table."""
-    keys = np.flatnonzero(table)
-    assert np.array_equal(led.pair_keys, keys)
-    assert np.array_equal(led.pair_num, table.ravel()[keys])
-
-
-E = 1074  # every finite float64 is an integer multiple of 2^-1074
-
-
-def fixed(v):
-    """The float v as an exact integer multiple of 2^-E."""
-    num, den = float(v).as_integer_ratio()
-    return num * (2**E // den)
-
-
-def gamma(k):
-    """gamma_k = k u / (1 - k u), u = 2^-53: the relative error bound of k
-    successive float64 roundings (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 3.1)."""
-    return Fraction(k, 2**53 - k)
+            table[ky, kz] = v
+    return table, np.cumsum(table, axis=1)[:, -1], terms  # cumsum: left to right
 
 
 def abs2_rounding_k(n, sideZ):
@@ -559,32 +438,6 @@ def abs2_rounding_k(n, sideZ):
     R(y_i) and their product, and a few to spare.  The computed value then
     lies within gamma_k sum_z (q^3 c + FS2) of the exact sum."""
     return sideZ**n + n * sideZ + 2 * n + 8
-
-
-def abs2_exact(led, ys):
-    """sum_z |q^3 c - FS2| and sum_z (q^3 c + FS2) at each y of ys, in exact
-    rationals of the ledger's float64 cells and t2d entries, FS2 their
-    exact product."""
-    n, q3 = led.n, led.params.q**3
-    sideY, sideZ = 2 * led.shift_range + 1, 2 * led.pair_range + 1
-    Zcells = sideZ**n
-    t2d = [[fixed(v) for v in row] for row in led._t2d_table.tolist()]
-    zdig = pipeline._digits(np.arange(Zcells), sideZ, n).tolist()
-    ky, kz = np.divmod(led.pair_keys, Zcells)
-    up, den = 2 ** (E * (n - 1)), 2 ** (E * n)  # a cell to FS2's scale
-    out = []
-    for y in ys:
-        yd = pipeline._digits(y, sideY, n).tolist()
-        at = slice(*np.searchsorted(ky, [y, y + 1]))
-        cells = dict(zip(kz[at].tolist(), led.pair_num[at].tolist()))
-        total = size = 0
-        for z, zd in enumerate(zdig):
-            fs2 = math.prod(t2d[a][b] for a, b in zip(yd, zd))
-            c = q3 * fixed(cells.get(z, 0.0)) * up
-            total += abs(c - fs2)
-            size += c + fs2
-        out.append((Fraction(total, den), Fraction(size, den)))
-    return out
 
 
 def assert_close(got, want, k):
@@ -603,13 +456,13 @@ def test_float_level2_matches_scalar_loop(default_ledgers, case):
     """The computed cells, z > 0 and all of z = 0, equal the term-by-term
     loop bit for bit; each z < 0 cell is a bit copy of its mirror (y, -z)
     and lies, as each qsum[y] does, within the rounding bound of the loop.
-    abs2_num, at 40 sampled shifts and y = 0, the corners and the fullest
-    y, lies within its rounding bound of the exact sum over the same float64
-    cells."""
+    abs2_num lies within its rounding bound of the reference's exact sum
+    over the same float64 cells, with FS2 from the reference's exact T:
+    abs2_rounding_k, and n (L + 3) for the roundings of T."""
     led = default_ledgers[(case, "smooth")]
     assert not led.exact
-    table, qsum, _, terms = level2_loop(led)
-    Ycells, sideZ = len(led.corr_num), 2 * led.pair_range + 1
+    table, qsum, terms = level2_loop(led)
+    sideZ = 2 * led.pair_range + 1
     Zcells = sideZ**N
     keys = np.flatnonzero(table)
     assert np.array_equal(led.pair_keys, keys)
@@ -622,19 +475,18 @@ def test_float_level2_matches_scalar_loop(default_ledgers, case):
     assert np.array_equal(led.pair_num[low], led.pair_num[mirrored])
     assert_close(led.pair_num[low], num[low], int(terms.max()))
     assert_close(led.qsum, qsum, int(terms.max()) + Zcells)
-    fullest = np.bincount(led.pair_keys // sideZ**N, minlength=Ycells).argmax()
-    ys = sorted({0, Ycells // 2, Ycells - 1, int(fullest), *np.random.default_rng(
-        0).choice(Ycells, 40, replace=False).tolist()})
-    bound = gamma(abs2_rounding_k(N, sideZ))
-    for y, (want, size) in zip(ys, abs2_exact(led, ys)):
-        assert abs(Fraction(led.abs2_num[y]) - want) <= bound * size, y
+    ref_s = Reference(led.params, 0)
+    den = ref_s.den1**4
+    ratios = [c.as_integer_ratio() for c in led.pair_num.tolist()]
+    assert all(den % b == 0 for _, b in ratios)  # cells at the reference's scale
+    sums, abs2 = ref_s.level2_sums(led.pair_keys, [a * (den // b) for a, b in ratios])
+    assert_within(led.abs2_num.tolist(), abs2,
+                  led.params.q**3 * sums + 3 * ref_s.fs2_total, den,
+                  abs2_rounding_k(N, sideZ) + N * (ref_s.L + 3), "abs2_num")
 
 
 F4 = parse_poly("-x1^4+2*x1^3*x2-3*x2^4-2*x3^4+x3^3*x4+2*x4^4", 4)
-# level 2 sums only the cells its join fills; its exact oracles sum every
-# (y, z): level2_loop term by term in z order, abs2_recomputed y-major, one
-# dense row of the table at a time.  The n = 4, B = 3 table spans
-# 28561 x 6561 cells, 1.5 GB if dense; its join fills 196,895 of them.
+# the n = 4, B = 3 table spans 28561 x 6561 cells; its join fills 196,895
 EXACT_LEVEL2_CASES = {
     "showcase-hat": dict(f=F, B=B, pi=PI, p=P, q=Q, weight="hat"),
     "pi5-indicator": dict(f=F, B=6, pi=5, p=3, q=29, weight="indicator"),
@@ -657,24 +509,23 @@ def assert_same_level2(led, ref):
 
 @pytest.mark.parametrize("case", EXACT_LEVEL2_CASES)
 def test_exact_level2_matches_dense_loop(exact_level2_ledgers, case):
-    """qsum and abs2_num equal their y-major sums over the dense rows."""
+    """qsum and abs2_num equal the reference's sums over every z of the
+    ledger's filled cells, with the reference's own T."""
     led = exact_level2_ledgers[case]
     assert led.exact and led.pair_keys.size > 0
-    assert [led._dom.total(row) for row in pair_rows(led)] == led.qsum.tolist()
-    assert abs2_recomputed(led) == led.abs2_num.tolist()
+    want = Reference(led.params, 0).level2_sums(led.pair_keys, led.pair_num)
+    assert all(map(np.array_equal, (led.qsum, led.abs2_num), want))
 
 
 @pytest.mark.parametrize("case", ["pi5-hat", "showcase-hat", "pi5-indicator",
                                   "n4-hat"])
 def test_exact_level2_matches_scalar_loop(default_ledgers, exact_level2_ledgers,
-                                          case):
+                                          ref, case):
     led = (default_ledgers[("pi5", "hat")] if case == "pi5-hat"
            else exact_level2_ledgers[case])
     assert led.exact
-    table, qsum, abs2, _ = level2_loop(led)
-    assert_cells_match(led, table)
-    assert np.array_equal(led.qsum, qsum)
-    assert np.array_equal(led.abs2_num, abs2)
+    assert_tables(led, ref if case == "showcase-hat" else Reference(led.params),
+                  LEVEL2)
 
 
 @pytest.mark.parametrize("case", ["showcase-hat", "n4-hat"])
@@ -711,21 +562,18 @@ def test_level2_cells_leave_int64_past_the_limit(exact_level2_ledgers,
 def test_level2_terms_split_at_the_limit(exact_level2_ledgers, monkeypatch):
     """With the limit between "nothing lifts" and "everything lifts", some
     level-2 terms q^3 c and FS2 pass half of it and go to Python ints while
-    the others stay int64, and so do some cells, qsum and abs2_num; the
-    table still equals the term-by-term loop."""
-    ref = exact_level2_ledgers["showcase-hat"]
+    the others stay int64, and so do some cells, qsum and abs2_num; level 2
+    still equals the int64 build's, which
+    test_exact_level2_matches_scalar_loop checks against the reference."""
+    ref_l = exact_level2_ledgers["showcase-hat"]
     limit, q3 = 2**34, Q**3
-    assert (q3 * ref.pair_num).min() < limit // 2 <= (q3 * ref.pair_num).max()
-    assert ref.pair_num.min() < limit <= ref.pair_num.max()
+    assert (q3 * ref_l.pair_num).min() < limit // 2 <= (q3 * ref_l.pair_num).max()
+    assert ref_l.pair_num.min() < limit <= ref_l.pair_num.max()
     monkeypatch.setattr(counting, "INT64_LIMIT", limit)
     led = build_ledger(PipelineParams(**EXACT_LEVEL2_CASES["showcase-hat"],
                                       with_pair_table=True))
     assert led.pair_num.dtype == led.abs2_num.dtype == object
-    table, qsum, abs2, _ = level2_loop(led)
-    assert_cells_match(led, table)
-    assert np.array_equal(led.qsum, qsum)
-    assert np.array_equal(led.abs2_num, abs2)
-    assert_same_level2(led, ref)
+    assert_same_level2(led, ref_l)
 
 
 def check_level2_cells(t2d, kz, ky, w, q3, cut=None):
@@ -809,56 +657,6 @@ def test_level2_cells_carry_a_split_z():
     check_level2_cells(t2d, kz, ky, w, 13**3, at + 1)
 
 
-# The streaming sort-and-fold that once summed the correlations, level 1
-# and level 2, kept verbatim as the oracle of the scatters that replaced it.
-
-
-def _fold(keys, w, dtype, parts=None):
-    """Sums of w per key, or per (key, part), each adding its rows to zero
-    in arrival order.  Returns (keys, sums), sorted by key and, within a
-    key, in arrival order."""
-    order = _stable_order(keys)
-    ks = keys[order]
-    new = np.ones(ks.size, dtype=bool)
-    new[1:] = ks[1:] != ks[:-1]
-    if parts is not None:
-        parts = parts[order]
-        new[1:] |= parts[1:] != parts[:-1]
-    inv = np.empty(ks.size, dtype=np.int64)
-    inv[order] = np.cumsum(new) - 1
-    sums = np.zeros(int(new.sum()), dtype=dtype)
-    np.add.at(sums, inv, w)
-    return ks[new], sums
-
-
-def _part_sums(chunks, dtype):
-    """Per-key sums of (part, key, weight) rows that arrive in chunks whose
-    part ids are nonnegative and never decrease.
-
-    Each (part, key) sum adds its rows to zero in arrival order, and each
-    key's total adds its part sums to zero in part order, so float totals
-    depend on the parts, not on the chunking.  Each chunk folds at once:
-    its rows before its last part, led by the open sums if their part is
-    now complete, fold by (key, part) into the finished sums; the rest fold
-    by key into the open sums, which lead the next chunk's fold.  Returns
-    (sorted keys, totals).
-    """
-    done, op = [], -1  # the open sums' part
-    ok, osum = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
-    for part, key, w in chunks:
-        cut = int(np.searchsorted(part, part[-1]))  # [cut:] is the last part
-        if op != part[-1]:  # the open part is complete
-            done.append(_fold(np.concatenate([ok, key[:cut]]),
-                              np.concatenate([osum, w[:cut]]), dtype,
-                              np.concatenate([np.full(ok.size, op), part[:cut]])))
-            ok, osum, op = ok[:0], osum[:0], part[-1]
-        ok, osum = _fold(np.concatenate([ok, key[cut:]]),
-                         np.concatenate([osum, w[cut:]]), dtype)
-    done.append((ok, osum))
-    keys, sums = (np.concatenate(v) for v in zip(*done))
-    return _fold(keys, sums, dtype)
-
-
 def part_sums_oracle(part, key, w):
     """Sequential per-key totals: each (part, key) adds its rows to zero in
     arrival order, then each key adds its part sums in part order."""
@@ -907,16 +705,13 @@ def part_sums_rows(dtype):
 ], ids=["part-spans-chunks", "chunk-ends-at-part", "parts-in-a-chunk",
         "one-row-chunks"])
 def test_part_sums_matches_sequential_oracle(dtype, cuts):
-    """The fold oracle, and the correlation scatter on the same chunks,
-    against sequential sums; every key 0..6 gets rows."""
+    """The correlation scatter against sequential sums on the same chunks;
+    every key 0..6 gets rows."""
     part, key, w = part_sums_rows(dtype)
     bounds = [0] + cuts + [part.size]
     chunks = [(part[a:b], key[a:b], w[a:b]) for a, b in zip(bounds, bounds[1:])]
-    keys, totals = _part_sums(iter(chunks), w.dtype)
     want_keys, want = part_sums_oracle(part, key, w)
-    assert keys.dtype == np.int64 and totals.dtype == w.dtype
-    assert keys.tolist() == want_keys == list(range(7))
-    assert totals.tolist() == want
+    assert want_keys == list(range(7))
     dense = pipeline._corr_sums(iter(chunks), 7, 6, w.dtype != np.float64)
     assert dense.dtype == w.dtype
     assert dense.tolist() == want
@@ -980,8 +775,8 @@ def same_bits(got, want):
 @given(scatter_cases())
 def test_scatters_match_fold_oracle(case):
     """The level-2 cells and the correlation sums, bit for bit against the
-    fold oracle on the same chunks: level 2 folds its rows by cell (y, z)
-    with z as the part, copies the z > 0 cells to -z and sorts them; the
+    sequential oracle on the same rows: level 2 sums its rows by cell (y,
+    z) with z as the part, copies the z > 0 cells to -z and sorts them; the
     correlations read z as the part and y as the key.  The cell of weight-0
     rows and its copy at z = -1 are filled, and their parts are 0."""
     block, n, side_y, side_z, chunks = case
@@ -997,8 +792,9 @@ def test_scatters_match_fold_oracle(case):
             t2d, n, 13**3, pipeline._Domain(exact))
         corr = pipeline._corr_sums(iter(chunks), ycells, zcells, exact)
 
-    want_keys, want = _part_sums(
-        ((kz, ky * zcells + kz, w) for kz, ky, w in chunks), dtype)
+    kz, ky, w = (np.concatenate(c) for c in zip(*chunks))
+    want_keys, want = (np.array(v, dtype=t) for v, t in zip(
+        part_sums_oracle(kz, ky * zcells + kz, w), (np.int64, dtype)))
     y, z = np.divmod(want_keys, zcells)
     up = z > zcells // 2
     want_keys = np.concatenate([want_keys, y[up] * zcells + zcells - 1 - z[up]])
@@ -1009,7 +805,7 @@ def test_scatters_match_fold_oracle(case):
     for kz in (zcells // 2 + 1, zcells // 2 - 1):
         assert parts[keys.tolist().index((ycells - 1) * zcells + kz)] == 0
 
-    k, t = _part_sums(iter(chunks), dtype)
+    k, t = part_sums_oracle(*(np.concatenate(c) for c in zip(*chunks)))
     want = np.zeros(ycells, dtype=dtype)
     want[k] = t
     assert same_bits(corr, want)
@@ -1111,56 +907,19 @@ def test_showcase_budget_used(capsys):
     assert json.loads(capsys.readouterr().out)["run"]["budget"]["used"] == 4747893
 
 
-def assert_tables_match_brute_force(led, w1):
-    """Every level-1 table entry and corr_num, at every y, against Python-int
-    sums over the box with axis weight numerators w1."""
-    f, b, pi, p, q = (getattr(led.params, a) for a in ("f", "B", "pi", "p", "q"))
-    h = (len(w1) - 1) // 2
-    box = list(itertools.product(range(-h, h + 1), repeat=N))
-    fv = {x: f.eval(list(x)) for x in box}
-    wnum = {x: math.prod(int(w1[c + h]) for c in x) for x in box}
-    sols_q = [x for x in box if fv[x] % q == 0]
-    classes = list(itertools.product(range(p), repeat=N))
-    zero_p = {v for v in classes if f.eval(list(v)) % p == 0}
-
-    def add(x, s):
-        return tuple(x[i] + s[i] for i in range(N))
-
-    Y = led.shift_range
-    for y in itertools.product(range(-Y, Y + 1), repeat=N):
-        k = led.shift_key(y)
-        sy = tuple(pi * c for c in y)
-        corr, inner = 0, defaultdict(int)
-        for x in sols_q:
-            c = add(x, sy)
-            if c not in fv:
-                continue
-            inner[(tuple(t % p for t in x), fv[c] % q)] += wnum[x] * wnum[c]
-            if fv[x] % (p * q) == 0 and fv[c] % (p * q) == 0:
-                corr += wnum[x] * wnum[c]
-        xy = {v for v in zero_p if tuple(t % p for t in add(v, sy)) in zero_p}
-        at0 = {v: s for (v, a), s in inner.items() if a == 0}
-        assert led.corr_num[k] == corr, y
-        assert led.t0_num[k] == sum(inner.values()), y
-        assert led.t1_num[k] == sum(at0.values()), y
-        assert led.ss3[k] == sum(s * s for s in inner.values()), y
-        assert led.ss2[k] == sum(s * s for s in at0.values()), y
-        assert led.sxy_num[k] == sum(s for v, s in at0.items() if v in xy), y
-
-
 def test_tables_match_brute_force_across_class_groups():
     # pi^n = 125 classes mod pi, so the correlation pass spans four groups
-    b, pi, p, q = 4, 5, 3, 7
-    led = build_ledger(PipelineParams(f=F, B=b, pi=pi, p=p, q=q, weight="hat",
-                                      with_pair_table=True))
+    params = PipelineParams(f=F, B=4, pi=5, p=3, q=7, weight="hat",
+                            with_pair_table=True)
+    led, ref_g = build_ledger(params), Reference(params, 1)
     assert led.exact
-    assert_tables_match_brute_force(led, Weight("hat").axis_values(b)[0])
+    assert_tables(led, ref_g, LEVEL1)
 
     cells = [((1, 0, 0), (1, 0, 0)), ((0, 1, -1), (-1, 2, 0)),
              ((1, 1, 1), (0, 0, 0)), ((0, 0, 0), (1, -1, 2)),
              ((-1, 0, 1), (2, 1, -2))]
-    for (yy, zz), want in corr2_brute(led.params, cells).items():
-        assert led.corr2(yy, zz) == want, (yy, zz)
+    for yy, zz in cells:
+        assert led.corr2(yy, zz) == ref_g.corr2(yy, zz), (yy, zz)
 
 
 # monomials of degree 3, 1 and 0: f(-x) is neither f(x) nor -f(x)
@@ -1178,7 +937,6 @@ def test_full_path_matches_brute_force(monkeypatch, case):
         monkeypatch.setattr(Weight, "axis_values", lambda self, B: (
             axis_values(self, B)[0] + (np.arange(4 * B - 1) >= 2 * B),
             2 * B))
-    w1 = Weight("hat").axis_values(4)[0]
     triangular, join = [], pipeline._pair_join
 
     def spy(left, right, own=None):
@@ -1205,128 +963,104 @@ def test_full_path_matches_brute_force(monkeypatch, case):
     for name in ("t0_num", "ss3"):  # not mirror images: y and -y differ
         t = getattr(led, name)
         assert np.any(t != t[::-1]), name
-    assert_tables_match_brute_force(led, w1)
-    table, qsum, abs2, _ = level2_loop(led)
-    assert_cells_match(led, table)
-    assert np.array_equal(led.qsum, qsum)
-    assert np.array_equal(led.abs2_num, abs2)
+    assert_tables(led, Reference(led.params), LEVEL1 + LEVEL2)
     assert all(rc.ok for rc in led.residuals.values())
 
 
-def level1_oracle(params):
-    """The level-1 tables (t0, t1, ss2, ss3, sxy) and the row count, as the
-    key fold computed them: the rows of the join of the q-solutions with
-    the box points by class mod pi fold per key (y, v, a), with a float part
-    per class mod pi, and the tables reduce the key sums V: t0 and t1 add V
-    over every key and over a = 0, ss3 and ss2 add V^2 likewise, and sxy
-    adds V over the keys with a = 0 and v in X_y.  Exact weights sum in
-    Python ints."""
-    f, b, pi, p, q = (getattr(params, a) for a in ("f", "B", "pi", "p", "q"))
-    n, w = f.n, Weight(params.weight)
-    h = w.halfwidth(b)
-    w1 = w.axis_values(b)[0]
-    m = (2 * h + 1) ** n
-    coords = pipeline._digits(np.arange(m), 2 * h + 1, n, h)
-    fq_v = eval_on_axes(f, [np.arange(-h, h + 1)] * n, q)
-    wnum = _sep_product([w1] * n)
-    if w.exact:
-        wnum = wnum.astype(object)
-    cls_pi = pipeline._flat(coords % pi, pi)
-    cls_p = pipeline._flat(coords % p, p)
-    y_range = 4 * b // pi
-    side = 2 * y_range + 1
-    ycells = side**n
-    ycode = pipeline._flat(coords // pi, side)
-    mirror = pipeline._mirrors(f, w1)
-    a_q = np.flatnonzero(fq_v == 0)
-    rows, pairs = pipeline._pair_join(cls_pi[a_q], cls_pi,
-                                      a_q if mirror else None)
-    pn = p**n
-    lkey = ((ycells // 2 - ycode[a_q]) * pn + cls_p[a_q]) * q
-    rkey = ycode * pn * q + fq_v
-    k3, v3 = _part_sums(
-        ((cls_pi[a_q][li], lkey[li] + rkey[ri], wnum[a_q][li] * wnum[ri])
-         for li, ri in pairs), wnum.dtype)
-    y3 = k3 // (pn * q)
-    amask = k3 % q == 0
-    k2, v2 = k3[amask] // q, v3[amask]
-    y2, c2 = k2 // pn, k2 % pn
-    gz = eval_on_axes(f, [np.arange(p)] * n, p) == 0
-    ydig = pipeline._digits(y2, side, n, y_range)
-    shifted = pipeline._flat((pipeline._digits(c2, p, n) + pi * ydig) % p, p)
-    member = gz[c2] & gz[shifted]
-    out = []
-    for keys, vals in ((y3, v3), (y2, v2), (y2, v2 * v2), (y3, v3 * v3),
-                       (y2[member], v2[member])):
-        t = np.zeros(ycells, dtype=wnum.dtype)
-        np.add.at(t, keys, vals)
-        if mirror:
-            pipeline._mirror(t)
-        out.append(t)
-    return out, rows
-
-
-LEVEL1_TABLES = ("t0_num", "t1_num", "ss2", "ss3", "sxy_num")
-
-
-def assert_level1_matches(led, want, rows):
-    """Exact tables equal the oracle's; smooth ones lie within the rounding
-    of either summation order: both add nonnegative terms, each total
-    passing at most 2 rows + 3 roundings."""
-    for name, t in zip(LEVEL1_TABLES, want):
-        got = getattr(led, name)
-        if led.exact:
-            assert np.array_equal(got, t), name
-        else:
-            bound = 2 * float(gamma(2 * rows + 3)) * np.maximum(got, t)
-            assert np.all(np.abs(got - t) <= bound), name
-
-
 @st.composite
-def level1_cases(draw):
+def ledger_cases(draw):
+    """A ledger run with its pair table, and the patches it runs under."""
     n = draw(st.sampled_from([2, 3]))
-    b = draw(st.integers(1, 4 if n == 2 else 3))
+    b = draw(st.integers(1, 4 if n == 2 else 2))
     pi, p, q = draw(st.permutations([2, 3, 5, 7, 11, 13, 17]))[:3]
     monomials = [e for e in itertools.product(range(4), repeat=n)
                  if sum(e) == 3]
     terms = {e: c for e in monomials
              if (c := draw(st.integers(-3, 3)))} or {monomials[0]: 1}
-    if draw(st.booleans()):  # parity-free: f(-x) is neither f(x) nor -f(x)
+    if draw(st.booleans()):  # mixed parity: f(-x) is neither f(x) nor -f(x)
         terms[(1,) + (0,) * (n - 1)] = 1
         terms[(0,) * n] = 2
     weight = draw(st.sampled_from(["hat", "indicator", "smooth"]))
-    block = draw(st.sampled_from([1, 7, None] if n == 2 else [7, None]))
     return (PipelineParams(f=IntPoly(n, terms), B=b, pi=pi, p=p, q=q,
-                           weight=weight), block, draw(st.booleans()))
+                           weight=weight, with_pair_table=True),
+            draw(st.sampled_from([1, 7, None] if n == 2 else [7, None])),
+            draw(st.booleans()), draw(st.sampled_from([None, 2**12, 2**24])),
+            weight != "smooth" and draw(st.booleans()))
+
+
+def widen(mp, n):
+    """Exact axis numerators and their denominator times one s: the same
+    weights, with pair products just under 2^61."""
+    values = Weight.axis_values
+
+    def wide(self, B):
+        w1, den = values(self, B)
+        s = int(2 ** (60.5 / (2 * n)) / w1.max())
+        return w1 * s, den * s
+    mp.setattr(Weight, "axis_values", wide)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(level1_cases())
-def test_level1_matches_key_fold(case):
-    """The scatter pass of level 1 against the key fold, over mirror and
-    parity-free f, pi past 4B (one shift), every weight kind, PAIR_BLOCK 1,
-    7 and default, and blocks of one box class."""
-    params, block, one_class = case
-    want, rows = level1_oracle(params)
+@given(ledger_cases())
+@example((PipelineParams(f=parse_poly("x1^3+x2^3", 2), B=4, pi=3, p=5, q=2,
+                         with_pair_table=True), 1, False, None, True))
+def test_ledger_matches_reference(case):
+    """Every table, scalar and residual value of build_ledger against the
+    reference, over f of uniform and mixed parity, n = 2, 3, pi past 4B (one
+    shift), every weight kind, PAIR_BLOCK 1 (n = 2), 7 and default, blocks
+    of one box class, INT64_LIMIT lowered or not, and widened exact
+    numerators, whose int64 sums pass 2^63 (t0 reaches 2^64 in the explicit
+    example).  Exact: entry for entry, the aggregate bit for bit, and the
+    accumulator's tables int64 exactly when their entries lie below
+    INT64_LIMIT.  Smooth: each entry is a sum of products of the float64
+    axis weights.  A product of at most 4n weights passes 4n - 1 roundings;
+    fs and T are products of n axis sums of at most L products of 4, n (L +
+    3); a sum of at most m terms, nested or not, in any order, adds m - 1,
+    and no entry sums more than M Zcells terms (one per box point x and
+    second shift z; Zcells = 1 at level 1); ss2 and ss3 multiply a term by a
+    sum, and abs2_num adds 4 operations.  So no term passes k = 2 (M Zcells + n (L + 3)) + 8
+    roundings, and each entry lies within gamma_k of the exact value times
+    its sum of |terms| (Higham, section 3.1).  A scalar or residual
+    multiplies at most two such sums: gamma_(2k + 8)."""
+    params, block, one_class, limit, wide = case
     with pytest.MonkeyPatch.context() as mp:
-        if block is not None:
-            mp.setattr(pipeline, "PAIR_BLOCK", block)
-        if one_class:
-            mp.setattr(pipeline, "_per_block", lambda width: 1)
-        led = build_ledger(params)
-    assert_level1_matches(led, want, rows)
+        for obj, name, value in ((pipeline, "PAIR_BLOCK", block),
+                                 (pipeline, "_per_block", one_class and (lambda w: 1)),
+                                 (counting, "INT64_LIMIT", limit)):
+            if value:
+                mp.setattr(obj, name, value)
+        if wide:
+            widen(mp, params.f.n)
+        led, ref_c = build_ledger(params), Reference(params)
+        k = rounding_k(ref_c, "abs2_num")
+        assert led.zero_classes == ref_c.zero_classes
+        assert_tables(led, ref_c, LEVEL1 + LEVEL2)
+        values = ref_c.values()
+        assert set(led.residuals) < set(values)
+        for name, (v, size, deg) in values.items():
+            got = (Fraction(led.residuals[name].value) / led.den1**deg
+                   if name in led.residuals else getattr(led, name))
+            assert (got == v if led.exact else
+                    abs(Fraction(got) - v) <= gamma(2 * k + 8) * size), name
+        if not led.exact:
+            assert led.aggregate == aggregate(params, led.abs2_num.tolist(), 1)
+            return
+        assert led.aggregate == ref_c.aggregate
+        for name in ("corr_num", "t0_num", "t1_num", "ss2", "ss3", "sxy_num",
+                     "qsum", "abs2_num"):  # the accumulator's totals
+            big = max(map(abs, getattr(ref_c, name))) >= counting.INT64_LIMIT
+            assert getattr(led, name).dtype == (object if big else np.int64)
 
 
-def test_level1_python_int_bins_match_key_fold(monkeypatch):
+def test_level1_python_int_bins_match_reference(monkeypatch, ref):
     """Past the limit, level 1's products leave int64 chunk by chunk and its
-    sums of squares leave int64 as totals, and they still equal the key
-    fold's Python-int sums; with chunks of 64 rows some chunks' products
-    stay int64 and some come in Python ints."""
-    params = PipelineParams(f=F, B=B, pi=PI, p=P, q=Q, weight="hat")
-    want, rows = level1_oracle(params)
+    sums of squares leave int64 as totals, and they still equal the
+    reference's; with chunks of 64 rows some chunks' products stay int64
+    and some come in Python ints."""
+    params = PipelineParams(**SHOWCASE)
     limit = 2**32  # ss3 reaches 5.3e12
-    assert want[3].max() >= limit
+    assert max(ref.ss3) >= limit
     dtypes, product = [], pipeline._product
 
     def spy(*args):
@@ -1340,7 +1074,7 @@ def test_level1_python_int_bins_match_key_fold(monkeypatch):
     led = build_ledger(params)
     assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
     assert led.ss2.dtype == led.ss3.dtype == object
-    assert_level1_matches(led, want, rows)
+    assert_tables(led, ref, LEVEL1)
 
 
 HALF_CASES = {**{(c, w): dict(**kw, weight=w) for c, kw in CHUNK_CASES.items()
@@ -1374,30 +1108,6 @@ def test_half_path_equals_full_path(default_ledgers, exact_level2_ledgers,
         assert np.array_equal(getattr(half, name), getattr(full, name)), name
 
 
-def corr2_brute(params, cells):
-    """corr2 at each (y, z) of cells, summed in Python ints over every hat-box
-    quadruple (x, x + pi y, x + p z, x + pi y + p z)."""
-    f, b, pi, p, q = params.f, params.B, params.pi, params.p, params.q
-    h = 2 * b - 1
-    fq = {x: f.eval(list(x)) % q
-          for x in itertools.product(range(-h, h + 1), repeat=f.n)}
-    wnum = {x: math.prod(2 * b - abs(c) for c in x) for x in fq}
-    out = {}
-    for yy, zz in cells:
-        cong = full = 0
-        for x in fq:
-            x1 = tuple(c + pi * t for c, t in zip(x, yy))
-            x2 = tuple(c + p * t for c, t in zip(x, zz))
-            x3 = tuple(c + p * t for c, t in zip(x1, zz))
-            if x1 in fq and x2 in fq and x3 in fq:
-                w4 = wnum[x] * wnum[x1] * wnum[x2] * wnum[x3]
-                full += w4
-                if fq[x] == fq[x2] == 0 and fq[x3] == fq[x1]:
-                    cong += w4
-        out[yy, zz] = Fraction(q**3 * cong - full, q**3 * (2 * b) ** (4 * f.n))
-    return out
-
-
 def test_corr2_matches_brute_force_at_n4(exact_level2_ledgers):
     """corr2 on the n = 4, B = 3 build, filled cells or not, reads the box."""
     led = exact_level2_ledgers["n4-hat-b3"]
@@ -1410,7 +1120,8 @@ def test_corr2_matches_brute_force_at_n4(exact_level2_ledgers):
     Zcells = (2 * Z + 1) ** 4
     kz = pipeline._table_key(empty[1], Z, 4, "second shift")
     assert led.shift_key(empty[0]) * Zcells + kz not in led.pair_keys
-    want = corr2_brute(led.params, cells)
+    ref_n4 = Reference(led.params, 0)
+    want = {yz: ref_n4.corr2(*yz) for yz in cells}
     assert want[empty] < 0 < want[o, o]
     for yz in cells:
         assert led.corr2(*yz) == want[yz], yz
