@@ -451,14 +451,6 @@ def prime_select(
             )
         chosen[role] = picked
 
-    if len(set(chosen.values())) != 3:
-        raise PreconditionError("selected primes are not distinct",
-                                chosen=chosen)
-    for role in roles:
-        for k, v in checks[role].items():
-            if k != "geometry" and v == "fails":
-                raise PreconditionError("post-hoc verification failed",
-                                        role=role, check=k)
     return ParamChoice(
         n=n,
         B=B,

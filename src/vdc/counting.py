@@ -26,7 +26,10 @@ where x1 varies fastest.  Its sum is taken in a numeric domain
 (``_Domain``): exact kinds sum integer numerators in the one exact
 accumulator, ``_Bins``, in int64 wherever its bound holds; the smooth kind
 sums float64 by ``pairwise_sum``, whose reduction tree depends only on the
-array length, so float results are reproducible bit for bit.
+array length, so float results are reproducible bit for bit.  A sum per
+key, here (``_box_sum``'s per-key weight sums) and in the pipeline ledger,
+is one ``_Bins`` accumulation in both domains: each key adds its terms in
+the order they arrive, however they are cut into chunks.
 
 The box counts factor this rule over f's variable blocks (``_box_sum``).
 Two variables are joined when a monomial uses both; the box splits into
@@ -176,9 +179,13 @@ def _at(out: np.ndarray, keys, terms: np.ndarray) -> None:
 
 
 class _Bins:
-    """Per-bin sums of chunks of terms: every exact sum is one of these.
+    """Per-bin sums of chunks of terms: every exact sum and every per-key
+    float64 sum is one of these.
 
-    Float64 bins add in arrival order.  An integer bin holds hi 2^32 + lo +
+    Keyed by an array, each bin adds its terms to zero in arrival order,
+    chunk after chunk (an int key adds the chunk's total), so a float64 sum
+    depends on the order its caller emits the terms and not on how it cuts
+    them into chunks.  An integer bin holds hi 2^32 + lo +
     big: lo and hi int64, |lo| <= room, |hi| <= hroom, big Python ints.  An
     int64 chunk of k < 2^30 terms adds to lo while room plus a bound on the
     sum of its |terms| stays below INT64_LIMIT <= 2^62: k max |term|, else
@@ -403,8 +410,7 @@ def _box_sum(fs: list[IntPoly], H: int, m: int | None, A: list[int], vals=None):
               else _sep_product([vals] * len(A)))
         codes, order, starts = _key_codes(kA)
         keys = kA[:, order[starts]]
-        sums = (_Bins(starts.size).add(codes, wA).total() if exact
-                else np.add.reduceat(wA[order], starts))
+        sums = _Bins(starts.size, exact).add(codes, wA).total()
     else:
         keys = np.zeros((len(fs), 1), dtype=np.int64)
         sums = np.ones(1, dtype=np.int64 if vals is None else vals.dtype)

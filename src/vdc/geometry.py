@@ -443,6 +443,19 @@ class SigmaSweep:
     _engine: _PrimeEngine | None = dc_field(default=None, repr=False, compare=False)
 
 
+def _form_over(F, p: int | None) -> FqPoly:
+    """F as a form over F_p: an IntPoly reduced mod p, which p must then
+    name; an FqPoly as it is, which must be over F_p when p is given."""
+    if isinstance(F, IntPoly):
+        if p is None:
+            raise InputError("pass p when F is an integer polynomial")
+        return reduce_mod(F, field_make(p))
+    if p is not None and F.field != field_make(p):
+        raise InputError("form is over another field", form_field=F.field.literal(),
+                         field=field_make(p).literal())
+    return F
+
+
 def _sigma_single(eng: _PrimeEngine, y: np.ndarray) -> SigmaReport:
     p, q = eng.p, eng.p
     G = eng.grad @ y % p
@@ -472,11 +485,7 @@ def _sigma_single(eng: _PrimeEngine, y: np.ndarray) -> SigmaReport:
 
 def sigma_y(F, y, p: int | None = None, budget: Budget | None = None) -> SigmaReport:
     """Degeneracy report for one direction (prime fields)."""
-    if isinstance(F, IntPoly):
-        if p is None:
-            raise InputError("pass p when F is an integer polynomial")
-        F = reduce_mod(F, field_make(p))
-    eng = _PrimeEngine(F, budget)
+    eng = _PrimeEngine(_form_over(F, p), budget)
     y = np.asarray(list(y), dtype=np.int64) % eng.p
     if not np.any(y):
         raise PreconditionError("direction y must be nonzero mod p")
@@ -488,12 +497,8 @@ def sigma_sweep(F, p: int | None = None, budget: Budget | None = None) -> SigmaS
 
     The directions are the engine's points, in enum_proj order.
     """
-    if isinstance(F, IntPoly):
-        if p is None:
-            raise InputError("pass p when F is an integer polynomial")
-        F = reduce_mod(F, field_make(p))
     budget = ensure_budget(budget)
-    eng = _PrimeEngine(F, budget)
+    eng = _PrimeEngine(_form_over(F, p), budget)
     p, n = eng.p, eng.n
     budget.charge(eng.N * n * n, "direction sweep tensor cells")
     # x is in Sing V(F_y) iff [grad F(x); H(x)] y = 0
@@ -653,8 +658,7 @@ def r_check(
         raise InputError("no checks requested")
     policy = policy or RCheckPolicy()
     budget = ensure_budget(budget)
-    fld = field_make(p)
-    Fq = reduce_mod(F, fld) if isinstance(F, IntPoly) else F
+    Fq = _form_over(F, p)
     n = Fq.n
     warnings: list[str] = []
     if Fq.is_zero():

@@ -58,15 +58,15 @@ The correlations and level 2 are grouped joins (``_pair_join``), emitted in
 correlations group by class mod pi.  Level 2 joins the box points once, by
 (class mod p, f mod q), into pairs (u, u + p z), the x-pairs (x, x + p z)
 being those with q | f(u), and then joins the x-pairs with them by (z,
-class mod pi), which puts x + pi y = u.  ``_cell_sums`` adds each join's
-rows (part, key, weight) per cell (part, key), with no sort by key.  Float
-sums depend on order, so the parts are fixed: the correlations per 32
-consecutive classes mod pi, each shift adding its part sums in part order
-(``_corr_sums``), and level 2 per second shift z, each cell (y, z) one
-part.  A cell adds its rows to zero in arrival order, whatever the chunk
-size, in one code path for both domains.  Level 1 (``_level1``) scatters
-its rows, in a fixed order, into a dense block of box classes (class mod
-p, f mod q) times shifts, and reads the sums back per row.
+class mod pi), which puts x + pi y = u.  Every per-key sum is one
+``_Bins`` accumulation, in one code path for both domains: each key adds
+its terms to zero in the order its pass emits them, whatever PAIR_BLOCK
+is.  So the correlations add per shift in the join's order, level 2 per
+cell (y, z) (``_cell_sums``) and then per y in z order, and the per-axis
+tables fs and T per entry in axis order (``_lag_sums``).  Level 1
+(``_level1``) scatters its rows, in a fixed order, into a dense block of
+box classes (class mod p, f mod q) times shifts, and reads the sums back
+per row.  Whole-box totals are ``_Domain.total``'s, pairwise for floats.
 
 The differencing is symmetric in the shifts, and the passes that can use it
 are triangular: a point pairs only with the points of its group at or after
@@ -431,13 +431,20 @@ def _cell_sums(rows, width: int, height: int, exact: bool):
     return np.concatenate(cells), np.concatenate(sums)
 
 
-def _corr_sums(rows, size: int, parts: int, exact: bool) -> np.ndarray:
-    """Per-key sums over keys [0, size) of rows (part, key, w), part ids in
-    [0, parts) and never decreasing: each (part, key) adds its rows to zero
-    in arrival order, and each key adds its part sums to zero in part order."""
-    cells, sums = _cell_sums(((part * size + key, w) for part, key, w in rows),
-                             size, parts, exact)
-    return _Bins(size, exact).add(cells % size, sums).total()
+def _lag_sums(w1: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """sum_m w(m + s_1) ... w(m + s_k) for each row (s_1, ..., s_k) of shifts,
+    over the axis m = -H..H, with w the axis weight w1 there and 0 off it:
+    the per-axis tables fs, shifts (0, pi y), and T, (0, a, c, a + c).  The
+    products come in m order, in blocks of at most PAIR_BLOCK terms on a
+    zero-padded axis, and each row adds its own to zero in one ``_Bins``."""
+    L, (rows, k) = w1.size, shifts.shape
+    pad = np.zeros(int(np.abs(shifts).max(initial=0)), dtype=w1.dtype)
+    w = np.concatenate([pad, w1, pad])
+    out = _Bins(rows, w1.dtype != np.float64)
+    for s in range(0, rows * L, PAIR_BLOCK):
+        row, m = np.divmod(np.arange(s, min(s + PAIR_BLOCK, rows * L)), L)
+        out.add(row, _product(*(w[m + pad.size + shifts[row, j]] for j in range(k))))
+    return out.total()
 
 
 def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, cls_p,
@@ -560,11 +567,8 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     sideY = 2 * Y + 1
     Ycells = sideY**n
     budget.charge(Ycells, "shift table")
-    S2 = np.correlate(w1, w1, "full")  # lag c at index c + (L-1)
     lags = pi * np.arange(-Y, Y + 1, dtype=np.int64)
-    fs_axis = np.zeros(sideY, dtype=w1.dtype)
-    inrange = np.abs(lags) <= L - 1
-    fs_axis[inrange] = S2[lags[inrange] + (L - 1)]
+    fs_axis = _lag_sums(w1, np.stack([0 * lags, lags], axis=1))
     fs_num = _sep_product([fs_axis] * n)
 
     # the two pair passes, both inside classes mod pi: pq-solutions with each
@@ -607,12 +611,12 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     xcnt = (xend - xfirst)[border]
     budget.charge(npairs_corr + int(xcnt.sum()), "correlation pairs")
 
-    # congruence part of corr(y); float parts are runs of 32 classes
-    corr_part = cls_pi[a_pq] // 32
+    # congruence part of corr(y), each shift in the join's order
     lkey, rkey, wpq = Ycells // 2 - ycode[a_pq], ycode[a_pq], wnum[a_pq]
-    rows = ((corr_part[li], lkey[li] + rkey[ri], _product(wpq[li], wpq[ri]))
-            for li, ri in corr_pairs)
-    congnum = _mirror(_corr_sums(rows, Ycells, -(-pin // 32), D.exact))
+    corr = _Bins(Ycells, D.exact)
+    for li, ri in corr_pairs:
+        corr.add(lkey[li] + rkey[ri], _product(wpq[li], wpq[ri]))
+    congnum = _mirror(corr.total())
 
     # X_y(F_p): pairs of zeros of f mod p at shift pi*y
     pn = p**n
@@ -736,23 +740,6 @@ def _residuals(led: PipelineLedger, inner_sq) -> dict:
     return out
 
 
-def _t2d(w1: np.ndarray, pi: int, p: int, Y: int, Z: int, L: int) -> np.ndarray:
-    """Per-coordinate quadruple weight sums T(pi*yc, p*zc)."""
-    sideY, sideZ = 2 * Y + 1, 2 * Z + 1
-    out = _Bins(sideY * sideZ, w1.dtype != np.float64)
-    H = (L - 1) // 2
-    w = w1.astype(_product(w1, w1, w1, w1).dtype)  # max w1^4 bounds every term
-    for iy in range(sideY):
-        a = pi * (iy - Y)
-        for iz in range(sideZ):
-            c = p * (iz - Z)
-            m = np.arange(max(-H, -H - a, -H - c, -H - a - c),
-                          min(H, H - a, H - c, H - a - c) + 1)  # maybe empty
-            out.add(iy * sideZ + iz,
-                    w[m + H] * w[m + a + H] * w[m + c + H] * w[m + a + c + H])
-    return out.total().reshape(sideY, sideZ)
-
-
 def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, budget):
     """Second differencing: corr2(y, z) tables and their per-y aggregates."""
     pr = ledger.params
@@ -761,7 +748,10 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, bud
     budget.charge((2 * Z + 1) ** n * L**n, "pair-table windows")
 
     D = ledger._dom
-    t2d = _t2d(w1, pi, p, Y, Z, L)
+    # per-coordinate quadruple weight sums T(pi y_i, p z_i)
+    a = np.repeat(pi * np.arange(-Y, Y + 1, dtype=np.int64), 2 * Z + 1)
+    c = np.tile(p * np.arange(-Z, Z + 1, dtype=np.int64), 2 * Y + 1)
+    t2d = _lag_sums(w1, np.stack([0 * a, a, c, a + c], axis=1)).reshape(2 * Y + 1, -1)
     ledger._t2d_table = t2d
     ledger.pair_range = Z
     cells = _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget)
@@ -851,8 +841,7 @@ def _level2_cells(cells, c, t2d, n, q3, D2):
     keys, c = keys[order], c[order]
     ky, kz = np.divmod(keys, Zcells)  # sorted by y, then z
     qsum = _Bins(Ycells, D2.exact).add(ky, c).total()
-    R = (_Bins(sideY).add(np.arange(t2d.size) // sideZ, t2d.ravel()).total()
-         if D2.exact else t2d.sum(axis=1))
+    R = _Bins(sideY, D2.exact).add(np.arange(t2d.size) // sideZ, t2d.ravel()).total()
     rsum = _sep_product([R] * n)  # prod_i R(y_i)
     abs2 = _Bins(Ycells, D2.exact).add(np.arange(Ycells), rsum)
 
@@ -863,15 +852,17 @@ def _level2_cells(cells, c, t2d, n, q3, D2):
         t -= f
         return t
 
-    if D2.exact:  # each term in int64 where it provably fits
-        ok = _fits(q3) & _fits(q3, c) & _fits(rsum)[ky]
-        for at, t in ((ok, t2d), (~ok, t2d.astype(object))):
-            if at.any():
-                abs2.add(ky[at], term(c[at].astype(t.dtype, copy=False),
-                                      _fs2(t, ky[at], kz[at], n)))
-    else:  # each y's cells add up first, in z order
-        first = np.flatnonzero(np.diff(ky, prepend=-1))  # each y's first cell
-        abs2.add(ky[first], np.add.reduceat(term(c, _fs2(t2d, ky, kz, n)), first))
+    # each y adds its cells in z order; an exact term in int64 where it
+    # provably fits, in Python ints elsewhere
+    ok = (_fits(q3) & _fits(q3, c) & _fits(rsum)[ky] if D2.exact
+          else np.ones(ky.size, dtype=bool))
+    for at, t in ((ok, t2d), (~ok, t2d.astype(object))):
+        if at.all():  # the cells as they are, not copies
+            at = slice(None)
+        elif not at.any():
+            continue
+        k = ky[at]
+        abs2.add(k, term(c[at].astype(t.dtype, copy=False), _fs2(t, k, kz[at], n)))
     return keys, c, qsum, abs2.total()
 
 

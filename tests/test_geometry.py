@@ -228,6 +228,23 @@ def test_affine_count_refuses_a_form_over_another_field():
         [parse_poly("x1^2+x2^2-x3^2", 3)], field_make(7), 3)
 
 
+def test_sweeps_refuse_a_form_over_another_field():
+    """r_check, sigma_sweep and sigma_y take an FqPoly over F_p only, and it
+    reads as the IntPoly it reduces."""
+    f = parse_poly("x1^4+x2^4+x3^4+x1*x2*x3^2", 3)
+    F5, F7 = (reduce_mod(f, field_make(m)) for m in (5, 7))
+
+    def sweep(F):
+        out = sigma_sweep(F, 7)
+        return out.p, [a.tolist() for a in (out.directions, out.s, out.s_tilde, out.sigma)]
+
+    for run in (lambda F: r_check(F, 7), lambda F: r_check(F, 7, which=("r0", "r1")),
+                lambda F: sigma_y(F, [1, 2, 6], p=7), sweep):
+        with pytest.raises(InputError, match="another field"):
+            run(F5)
+        assert run(F7) == run(f)
+
+
 def test_fermat_quintic_quartic_is_smooth_over_f7():
     rep = sing_points(VarietySpec(field_make(7), 5, (FERMAT5,)))
     assert rep.total_points == 400

@@ -2,8 +2,9 @@
 ``ledger_reference.Reference``: test_ledger_matches_reference compares every
 table of drawn tiny instances with it, the named tests chosen tables of
 fixed ones, the README showcase (a cubic in three variables, B=4, moduli
-2/3/5) among them.  Three oracles check summation order rather than values:
-level2_loop (float level-2 cells, bit for bit), check_level2_cells and
+2/3/5) among them.  Five oracles check summation order rather than values:
+corr_loop (float correlations, bit for bit), lag_loop (the per-axis tables
+fs and T), level2_loop (float level-2 cells), check_level2_cells and
 part_sums_oracle."""
 import dataclasses
 import itertools
@@ -226,8 +227,7 @@ def test_residual_checks_can_fail(weight):
     assert not bad["per_shift_defect"].ok
 
 
-# the README showcase, and two instances with pi^n = 125 classes (four
-# groups of 32 in the correlation pass)
+# the README showcase, and two instances with pi^n = 125 classes mod pi
 CHUNK_CASES = {
     "showcase": dict(f=F, B=B, pi=PI, p=P, q=Q),
     "pi5": dict(f=F, B=6, pi=5, p=3, q=29),
@@ -256,8 +256,8 @@ def default_ledgers():
 def test_pair_block_does_not_change_results(default_ledgers, monkeypatch,
                                             case, block, weight):
     ref = default_ledgers[(case, weight)]
-    if case == "pi5-b4":  # more than one correlation part, some level-2 cells
-        assert -(-CHUNK_CASES[case]["pi"] ** N // 32) > 1
+    if case == "pi5-b4":  # more than 32 classes mod pi, some level-2 cells
+        assert CHUNK_CASES[case]["pi"] ** N > 32
         assert ref.pair_keys.size > 0
     monkeypatch.setattr(pipeline, "PAIR_BLOCK", block)
     led = build_ledger(PipelineParams(**CHUNK_CASES[case], weight=weight,
@@ -266,6 +266,124 @@ def test_pair_block_does_not_change_results(default_ledgers, monkeypatch,
         assert np.array_equal(getattr(led, name), getattr(ref, name)), name
     assert led.aggregate == ref.aggregate
     assert led.exact == ref.exact == (weight == "hat")
+
+
+def box_weights(params):
+    """The box points in box order (x1 fastest) and each one's weight,
+    w1(x_n) (... (w1(x_2) w1(x_1))) as the ledger forms it."""
+    w1 = Weight(params.weight).axis_values(params.B)[0].tolist()
+    h = (len(w1) - 1) // 2
+    pts = [x[::-1] for x in itertools.product(range(-h, h + 1),
+                                              repeat=params.f.n)]
+    w = []
+    for x in pts:
+        wx = w1[x[0] + h]
+        for c in x[1:]:
+            wx = w1[c + h] * wx
+        w.append(wx)
+    return pts, w
+
+
+def corr_loop(params):
+    """corr_num added pair by pair: over the pq-solutions x, x' = x + pi y
+    of one class mod pi, x' at or after x in box order, each shift y >= 0
+    adds w(x) w(x') to 0 in (class mod pi, x, x') order; the y < 0 half is
+    a copy of its mirror."""
+    pi, Y = params.pi, 4 * params.B // params.pi
+    groups = defaultdict(list)
+    for x, wx in zip(*box_weights(params)):
+        if params.f.eval(list(x)) % (params.p * params.q) == 0:
+            groups[sum((c % pi) * pi**i for i, c in enumerate(x))].append((x, wx))
+    corr = [0.0] * (2 * Y + 1) ** params.f.n
+    for cls in sorted(groups):
+        g = groups[cls]
+        for i, (x, wx) in enumerate(g):
+            for x2, wx2 in g[i:]:
+                corr[flat_key([(b - a) // pi for a, b in zip(x, x2)], Y)] += wx * wx2
+    half = len(corr) // 2
+    return np.array(corr[::-1][:half] + corr[half:])
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_smooth_corr_matches_pair_loop(default_ledgers, monkeypatch, block):
+    """The smooth correlations bit for bit against corr_loop, on 125 classes
+    mod pi, whatever PAIR_BLOCK is."""
+    params = PipelineParams(**CHUNK_CASES["pi5-b4"], weight="smooth")
+    assert params.pi ** N > 32
+    if block:
+        monkeypatch.setattr(pipeline, "PAIR_BLOCK", block)
+        led = build_ledger(params)
+    else:
+        led = default_ledgers[("pi5-b4", "smooth")]
+    want = corr_loop(params)
+    assert led.corr_num.tobytes() == want.tobytes()
+    assert np.count_nonzero(want) > 1
+
+
+def lag_loop(w1, shifts):
+    """sum_m w(m + s_1) ... w(m + s_k), per entry, the product left to right
+    and added to 0 in m order over the m whose k points lie on the axis."""
+    vals, h = w1.tolist(), (len(w1) - 1) // 2
+    out = []
+    for s in shifts:
+        total = 0
+        for m in range(-h, h + 1):
+            if all(abs(m + j) <= h for j in s):
+                term = vals[m + s[0] + h]
+                for j in s[1:]:
+                    term = term * vals[m + j + h]
+                total = total + term
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("weight", ["hat", "indicator", "smooth", "wide-hat"])
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_lag_sums_match_per_entry_loop(monkeypatch, weight, block):
+    """fs and T against lag_loop: equal for exact weights, in Python ints
+    where wide hat numerators (2^15 times the hat's) take T's terms past
+    int64, and bit for bit for smooth.  PAIR_BLOCK 1 and 7 cut an entry's
+    terms across blocks, and no factor holds more than PAIR_BLOCK terms."""
+    B, pi, p = 4, 2, 3
+    w1 = Weight(weight.removeprefix("wide-")).axis_values(B)[0]
+    if weight == "wide-hat":
+        w1 = w1 * 2**15
+    Y, Z = 4 * B // pi, 4 * B // p
+    fs = [(0, pi * y) for y in range(-Y, Y + 1)]
+    T = [(0, pi * y, p * z, pi * y + p * z)
+         for y in range(-Y, Y + 1) for z in range(-Z, Z + 1)]
+    sizes, product = [], pipeline._product
+
+    def spy(*factors):
+        sizes.extend(f.size for f in factors)
+        return product(*factors)
+
+    monkeypatch.setattr(pipeline, "_product", spy)
+    if block:
+        monkeypatch.setattr(pipeline, "PAIR_BLOCK", block)
+    for shifts in (fs, T):
+        got = pipeline._lag_sums(w1, np.array(shifts, dtype=np.int64))
+        want = lag_loop(w1, shifts)
+        if weight == "smooth":
+            assert got.tobytes() == np.array(want).tobytes()
+        else:
+            assert got.tolist() == want
+    assert max(sizes) <= pipeline.PAIR_BLOCK
+    if weight == "wide-hat":
+        assert got.dtype == object
+
+
+def test_ledger_lag_tables_match_per_entry_loop(default_ledgers):
+    """The smooth ledger's fs_num and its table of T are the loop's, bit for
+    bit: fs_num as the separable product of the loop's axis sums."""
+    led = default_ledgers[("showcase", "smooth")]
+    w1 = Weight("smooth").axis_values(B)[0]
+    Y, Z = led.shift_range, led.pair_range
+    fs = lag_loop(w1, [(0, PI * y) for y in range(-Y, Y + 1)])
+    T = lag_loop(w1, [(0, PI * y, P * z, PI * y + P * z)
+                      for y in range(-Y, Y + 1) for z in range(-Z, Z + 1)])
+    assert led.fs_num.tobytes() == counting._sep_product([np.array(fs)] * N).tobytes()
+    assert led._t2d_table.tobytes() == np.array(T).tobytes()
 
 
 class RecordingBudget(Budget):
@@ -657,67 +775,62 @@ def test_level2_cells_carry_a_split_z():
     check_level2_cells(t2d, kz, ky, w, 13**3, at + 1)
 
 
-def part_sums_oracle(part, key, w):
-    """Sequential per-key totals: each (part, key) adds its rows to zero in
-    arrival order, then each key adds its part sums in part order."""
-    cells = {}
-    for p, k, v in zip(part.tolist(), key.tolist(), w.tolist()):
-        cells[p, k] = cells.get((p, k), 0) + v
+def part_sums_oracle(key, w):
+    """Sequential per-key totals: each key adds its rows to zero in arrival
+    order."""
     totals = {}
-    for p, k in sorted(cells):
-        totals[k] = totals.get(k, 0) + cells[p, k]
+    for k, v in zip(key.tolist(), w.tolist()):
+        totals[k] = totals.get(k, 0) + v
     return sorted(totals), [totals[k] for k in sorted(totals)]
 
 
 def part_sums_rows(dtype):
-    """Rows in 6 parts; part 2 holds 24 rows.  Four keys get 1.0 and then
-    e, e, with e under half an ulp of 1.0, so only the right order gives
-    each total: key 3 as part 1's last row and part 2's first rows (1.0 +
-    (e + e) = 1 + 2^-52; a fold that runs parts 1 and 2 together gives
-    1.0), key 6 likewise in parts 4 and 5, the last, key 5 inside part 2
-    (1.0 in arrival order; with the open sum added last, 1 + 2^-52), key 2
-    in parts 0, 3 and 4 (1.0 in part order; in reverse, 1 + 2^-52)."""
+    """52 rows (key, w).  Four keys get 1.0 and then e, e, with e under half
+    an ulp of 1.0, so only arrival order gives each total, 1.0; adding e + e
+    first gives 1 + 2^-52: key 3 at rows 10-12, key 6 at rows 41, 47 and
+    50, key 5 at rows 15, 21 and 22, key 2 at rows 0, 35 and 36."""
     rng = np.random.default_rng(11)
-    part = np.repeat(np.arange(6), [5, 6, 24, 1, 7, 9])
-    key = rng.choice([0, 1, 4], part.size)
+    key = rng.choice([0, 1, 4], 52)
     e = 3 * 2.0**-55
     if dtype is np.float64:
-        w = np.where(rng.random(part.size) < 0.5, e, 1.0 + rng.random(part.size))
+        w = np.where(rng.random(key.size) < 0.5, e, 1.0 + rng.random(key.size))
     elif dtype is np.int64:
-        w = rng.integers(-2**40, 2**40, part.size)
+        w = rng.integers(-2**40, 2**40, key.size)
     else:
-        w = np.array([3**45 * int(v) for v in rng.integers(-99, 99, part.size)],
+        w = np.array([3**45 * int(v) for v in rng.integers(-99, 99, key.size)],
                      dtype=object)
     for k, rows in ((3, [10, 11, 12]), (6, [41, 47, 50]), (5, [15, 21, 22]),
                     (2, [0, 35, 36])):
         key[rows] = k
         if dtype is np.float64:
             w[rows] = [1.0, e, e]
-    return part, key, w.astype(dtype)
+    return key, w.astype(dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
 @pytest.mark.parametrize("cuts", [
-    [13, 20, 27],  # part 2 (rows 11..34) runs across four chunks
-    [11, 35, 36],  # each chunk ends where a part ends
-    [3, 11, 40, 41],  # a chunk of parts 0-1, one of parts 2-4, more of 4
+    [13, 20, 27],  # key 5's 1.0 in one chunk, its e, e in the next
+    [11, 35, 36],  # key 2's rows in three chunks
+    [3, 11, 40, 41],  # key 3's 1.0 ends a chunk, its e, e start the next
     list(range(1, 52)),  # one row per chunk
 ], ids=["part-spans-chunks", "chunk-ends-at-part", "parts-in-a-chunk",
         "one-row-chunks"])
 def test_part_sums_matches_sequential_oracle(dtype, cuts):
-    """The correlation scatter against sequential sums on the same chunks;
-    every key 0..6 gets rows."""
-    part, key, w = part_sums_rows(dtype)
-    bounds = [0] + cuts + [part.size]
-    chunks = [(part[a:b], key[a:b], w[a:b]) for a, b in zip(bounds, bounds[1:])]
-    want_keys, want = part_sums_oracle(part, key, w)
+    """Per-key sums of rows streamed in chunks into one ``_Bins``, as the
+    correlations add theirs, against sequential sums; every key 0..6 gets
+    rows."""
+    key, w = part_sums_rows(dtype)
+    bounds = [0] + cuts + [key.size]
+    bins = counting._Bins(7, w.dtype != np.float64)
+    for a, b in zip(bounds, bounds[1:]):
+        bins.add(key[a:b], w[a:b])
+    want_keys, want = part_sums_oracle(key, w)
     assert want_keys == list(range(7))
-    dense = pipeline._corr_sums(iter(chunks), 7, 6, w.dtype != np.float64)
+    dense = bins.total()
     assert dense.dtype == w.dtype
     assert dense.tolist() == want
     if dtype is np.float64:  # the planted keys
-        assert [want[want_keys.index(k)] for k in (3, 6, 5, 2)] == [
-            1 + 2.0**-52, 1 + 2.0**-52, 1.0, 1.0]
+        assert [want[k] for k in (3, 6, 5, 2)] == [1.0] * 4
 
 
 SCATTER_VALUES = {  # e = 3 * 2^-55 is under half an ulp of 1.0
@@ -774,11 +887,10 @@ def same_bits(got, want):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(scatter_cases())
 def test_scatters_match_fold_oracle(case):
-    """The level-2 cells and the correlation sums, bit for bit against the
-    sequential oracle on the same rows: level 2 sums its rows by cell (y,
-    z) with z as the part, copies the z > 0 cells to -z and sorts them; the
-    correlations read z as the part and y as the key.  The cell of weight-0
-    rows and its copy at z = -1 are filled, and their parts are 0."""
+    """The level-2 cells, bit for bit against the sequential oracle on the
+    same rows: level 2 sums its rows by cell (y, z), copies the z > 0 cells
+    to -z and sorts them.  The cell of weight-0 rows and its copy at z = -1
+    are filled, and their parts are 0."""
     block, n, side_y, side_z, chunks = case
     ycells, zcells = side_y**n, side_z**n
     dtype = chunks[0][2].dtype
@@ -790,11 +902,10 @@ def test_scatters_match_fold_oracle(case):
         keys, parts, _, _ = pipeline._level2_cells(
             *pipeline._cell_sums(iter(rows), ycells, zcells - zcells // 2, exact),
             t2d, n, 13**3, pipeline._Domain(exact))
-        corr = pipeline._corr_sums(iter(chunks), ycells, zcells, exact)
 
     kz, ky, w = (np.concatenate(c) for c in zip(*chunks))
     want_keys, want = (np.array(v, dtype=t) for v, t in zip(
-        part_sums_oracle(kz, ky * zcells + kz, w), (np.int64, dtype)))
+        part_sums_oracle(ky * zcells + kz, w), (np.int64, dtype)))
     y, z = np.divmod(want_keys, zcells)
     up = z > zcells // 2
     want_keys = np.concatenate([want_keys, y[up] * zcells + zcells - 1 - z[up]])
@@ -804,11 +915,6 @@ def test_scatters_match_fold_oracle(case):
     assert same_bits(parts, want[order])
     for kz in (zcells // 2 + 1, zcells // 2 - 1):
         assert parts[keys.tolist().index((ycells - 1) * zcells + kz)] == 0
-
-    k, t = part_sums_oracle(*(np.concatenate(c) for c in zip(*chunks)))
-    want = np.zeros(ycells, dtype=dtype)
-    want[k] = t
-    assert same_bits(corr, want)
 
 
 @pytest.mark.parametrize("weight", ["hat", "smooth"])
@@ -908,7 +1014,7 @@ def test_showcase_budget_used(capsys):
 
 
 def test_tables_match_brute_force_across_class_groups():
-    # pi^n = 125 classes mod pi, so the correlation pass spans four groups
+    # the correlation pass spans pi^n = 125 classes mod pi
     params = PipelineParams(f=F, B=4, pi=5, p=3, q=7, weight="hat",
                             with_pair_table=True)
     led, ref_g = build_ledger(params), Reference(params, 1)
@@ -988,14 +1094,16 @@ def ledger_cases(draw):
             weight != "smooth" and draw(st.booleans()))
 
 
-def widen(mp, n):
+def widen(mp, params):
     """Exact axis numerators and their denominator times one s: the same
-    weights, with pair products just under 2^61."""
-    values = Weight.axis_values
+    weights, with the largest bin of the pair sums, max t0 (t1, sxy and
+    corr each sum a part of t0's terms), near 2^64."""
+    values, n = Weight.axis_values, params.f.n
+    top = max(1, max(Reference(params, 1).t0_num))
+    s = int((2**64 / top) ** (1 / (2 * n)))
 
     def wide(self, B):
         w1, den = values(self, B)
-        s = int(2 ** (60.5 / (2 * n)) / w1.max())
         return w1 * s, den * s
     mp.setattr(Weight, "axis_values", wide)
 
@@ -1010,8 +1118,8 @@ def test_ledger_matches_reference(case):
     reference, over f of uniform and mixed parity, n = 2, 3, pi past 4B (one
     shift), every weight kind, PAIR_BLOCK 1 (n = 2), 7 and default, blocks
     of one box class, INT64_LIMIT lowered or not, and widened exact
-    numerators, whose int64 sums pass 2^63 (t0 reaches 2^64 in the explicit
-    example).  Exact: entry for entry, the aggregate bit for bit, and the
+    numerators, whose largest bins pass 2^63 in int64 terms (``widen``).
+    Exact: entry for entry, the aggregate bit for bit, and the
     accumulator's tables int64 exactly when their entries lie below
     INT64_LIMIT.  Smooth: each entry is a sum of products of the float64
     axis weights.  A product of at most 4n weights passes 4n - 1 roundings;
@@ -1031,7 +1139,7 @@ def test_ledger_matches_reference(case):
             if value:
                 mp.setattr(obj, name, value)
         if wide:
-            widen(mp, params.f.n)
+            widen(mp, params)
         led, ref_c = build_ledger(params), Reference(params)
         k = rounding_k(ref_c, "abs2_num")
         assert led.zero_classes == ref_c.zero_classes
