@@ -363,11 +363,37 @@ def _side_a(fs: list[IntPoly], n: int) -> list[int]:
     return sorted(reach[max(s for s in reach if 2 * s <= n)])
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable").  Nonnegative int64 keys that leave
+    room pack with their index into one int64 (key * size + index), whose
+    plain sort is several times faster and breaks ties by index."""
+    size = keys.size
+    if (keys.dtype == np.int64 and size and int(keys.min()) >= 0
+            and (int(keys.max()) + 1) * size <= 2**63):
+        return np.sort(keys * size + np.arange(size)) % size
+    return np.argsort(keys, kind="stable")
+
+
 def _key_codes(keys: np.ndarray):
     """(codes, order, starts) for the columns of an (r, N) int64 key array:
     codes 0, 1, ... of the distinct columns in sorted key order, a stable
-    order sorting the columns, and each code's first place in that order."""
-    order = np.lexsort(keys)
+    order sorting the columns (the last row primary, as np.lexsort), and
+    each code's first place in that order.  When the rows' spans times N
+    fit 2^62, the rows pack into one int64 key, row j weighing the product
+    of the spans below it, and ``_stable_order`` sorts that."""
+    r, size = keys.shape
+    order = None
+    if size:
+        lo = keys.min(axis=1).tolist()
+        spans = [h - a + 1 for h, a in zip(keys.max(axis=1).tolist(), lo)]
+        if math.prod(spans) * size <= 2**62:
+            packed = keys[-1] - lo[-1]
+            for j in range(r - 2, -1, -1):
+                packed *= spans[j]
+                packed += keys[j] - lo[j]
+            order = _stable_order(packed)
+    if order is None:
+        order = np.lexsort(keys)
     ks = keys[:, order]
     new = np.ones(order.size, dtype=bool)
     new[1:] = (ks[:, 1:] != ks[:, :-1]).any(axis=0)

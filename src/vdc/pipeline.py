@@ -52,21 +52,31 @@ separable weight product and the pairwise float sum are those of
 `counting`, which forms every weighted box sum by one rule.  An exact
 domain checks an identity with tolerance 0; a float64 domain allows
 SMOOTH_RTOL * max(1, |scale|), with scale the size of the compared terms.
+The two per-shift inequalities report their least margin over the shifts,
+and an exact domain reports it exactly without evaluating every shift in
+Python ints: it evaluates the margins C in float64, as the float domain
+does, and the same expression over the |tables| as a bound e = 2^-40 E on
+each shift's rounding error.  Only a shift with C - e <= min(C + e) and e
+> 0 can hold the minimum without being an exact 0, and only those are
+evaluated again exactly (``_least_margins``).
 
 The correlations and level 2 are grouped joins (``_pair_join``), emitted in
-(group, left, right) order in chunks of at most PAIR_BLOCK pairs.  The
-correlations group by class mod pi.  Level 2 joins the box points once, by
-(class mod p, f mod q), into pairs (u, u + p z), the x-pairs (x, x + p z)
-being those with q | f(u), and then joins the x-pairs with them by (z,
-class mod pi), which puts x + pi y = u.  Every per-key sum is one
-``_Bins`` accumulation, in one code path for both domains: each key adds
-its terms to zero in the order its pass emits them, whatever PAIR_BLOCK
-is.  So the correlations add per shift in the join's order, level 2 per
-cell (y, z) (``_cell_sums``) and then per y in z order, and the per-axis
-tables fs and T per entry in axis order (``_lag_sums``).  Level 1
-(``_level1``) scatters its rows, in a fixed order, into a dense block of
-box classes (class mod p, f mod q) times shifts, and reads the sums back
-per row.  Whole-box totals are ``_Domain.total``'s, pairwise for floats.
+(group, left, right) order in chunks of at most PAIR_BLOCK pairs.  A join
+hands back its two sort orders and each chunk as places in them, so its
+caller gathers the columns it reads once, in join order, and reads them
+forward instead of at random.  The correlations group by class mod pi.
+Level 2 joins the box points once, by (class mod p, f mod q), into pairs
+(u, u + p z), the x-pairs (x, x + p z) being those with q | f(u), and then
+joins the x-pairs with them by (z, class mod pi), which puts x + pi y = u.
+Every per-key sum is one ``_Bins`` accumulation, in one code path for both
+domains: each key adds its terms to zero in the order its pass emits them,
+whatever PAIR_BLOCK is.  So the correlations add per shift in the join's
+order, level 2 per cell (y, z) (``_cell_sums``) and then per y in z order,
+and the per-axis tables fs and T per entry in axis order (``_lag_sums``).
+Level 1 (``_level1``) scatters its rows, in a fixed order, into a dense
+block of box classes (class mod p, f mod q) times shifts, and reads the
+sums back per row.  Whole-box totals are ``_Domain.total``'s, pairwise for
+floats.
 
 The differencing is symmetric in the shifts, and the passes that can use it
 are triangular: a point pairs only with the points of its group at or after
@@ -99,13 +109,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import (Weight, _Bins, _Domain, _fits, _key_codes, _product,
-                       _sep_product, eval_on_axes, weighted_count)
+                       _sep_product, _stable_order, eval_on_axes,
+                       weighted_count)
 from .errors import Budget, InputError, PreconditionError, ensure_budget
 from .ffield import field_make, is_prime, reduce_mod
 from .geometry import VarietySpec, r_check, sing_points
 from .mpoly import IntPoly
 
 PAIR_BLOCK = 1 << 18  # pair rows per chunk: the most a pass holds at once
+RESIDUAL_SLACK = 2.0**-40  # error bound / |expression| (``_least_margins``)
 
 
 @dataclass
@@ -294,12 +306,22 @@ def _digits(keys, side: int, n: int, offset: int = 0) -> np.ndarray:
 
 def _fs2(t2d: np.ndarray, ky, kz, n: int):
     """FS2(y, z) = prod_i T(pi y_i, p z_i) at the flat keys ky of y and kz
-    of z, in the dtype of the table t2d of T.  The factors multiply digit 0
-    first, in the order of _sep_product."""
+    of z (scalars or arrays), in the dtype of the table t2d of T.  Axis i
+    reads its factor at the flat place row[i][ky] + col[i][kz] of t2d, from
+    digit tables built once by _digits (for array keys over every key, for
+    scalar keys over the one key); the factors multiply digit 0 first, in
+    the order of _sep_product."""
     sideY, sideZ = t2d.shape
-    out = 1
-    for i in range(n):
-        out = out * t2d[ky // sideY**i % sideY, kz // sideZ**i % sideZ]
+    if np.ndim(ky):
+        ys, zs = np.arange(sideY**n), np.arange(sideZ**n)
+    else:
+        ys, zs, ky, kz = [ky], [kz], 0, 0
+    row = (_digits(ys, sideY, n) * sideZ).T.copy()
+    col = _digits(zs, sideZ, n).T.copy()
+    flat = t2d.ravel()
+    out = flat[row[0][ky] + col[0][kz]]
+    for i in range(1, n):
+        out = out * flat[row[i][ky] + col[i][kz]]
     return out
 
 
@@ -336,17 +358,6 @@ def _mirror(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """np.argsort(keys, kind="stable").  Nonnegative int64 keys that leave
-    room pack with their index into one int64 (key * size + index), whose
-    plain sort is several times faster and breaks ties by index."""
-    size = keys.size
-    if (keys.dtype == np.int64 and size and int(keys.min()) >= 0
-            and (int(keys.max()) + 1) * size <= 2**63):
-        return np.sort(keys * size + np.arange(size)) % size
-    return np.argsort(keys, kind="stable")
-
-
 def _runs(starts, ends, first, s: int, e: int):
     """Rows [s, e) of runs laid end to end: run i holds rows [starts[i],
     ends[i]) and reads the items first[i], first[i] + 1, ...  Returns the
@@ -361,9 +372,13 @@ def _runs(starts, ends, first, s: int, e: int):
 def _pair_join(left: np.ndarray, right: np.ndarray, own=None):
     """All pairs (i, j) with left[i] == right[j], grouped by that key.
 
-    Returns (npairs, chunks).  chunks yields (li, ri) index arrays of at most
-    PAIR_BLOCK pairs, in (key, i, j) order; npairs = sum over keys of the
-    product of the two group sizes.
+    Returns (npairs, lo, ro, chunks).  lo and ro sort the left and right
+    rows stably by key (one sort when right is left), and chunks yields
+    (li, ri) of at most PAIR_BLOCK pairs, as places in those orders: the
+    pairs (lo[li], ro[ri]), in (key, i, j) order.  So a caller gathers each
+    column once in join order, col[lo], and reads it at li and ri, which
+    run forward.  npairs = sum over keys of the product of the two group
+    sizes.
 
     Triangular mode: with own given, left row i is right row own[i], and it
     pairs only with the right rows of its group at or after own[i] in index
@@ -371,26 +386,25 @@ def _pair_join(left: np.ndarray, right: np.ndarray, own=None):
     m (m + 1) / 2 pairs instead of m^2.  The left order is the same.
     """
     lo = _stable_order(left)
-    ro = _stable_order(right)
-    rs = right[ro]
+    ro = lo if right is left else _stable_order(right)
+    ls, rs = left[lo], right[ro]
     if own is None:
-        first = np.searchsorted(rs, left[lo], "left")  # each left row's group
+        first = np.searchsorted(rs, ls, "left")  # each left row's group
     else:  # each left row's own place in the right order
         at = np.empty_like(ro)
         at[ro] = np.arange(ro.size)
         first = at[own[lo]]
-    cnt = np.searchsorted(rs, left[lo], "right") - first
+    cnt = np.searchsorted(rs, ls, "right") - first
     ends = np.cumsum(cnt)
     starts = ends - cnt
     npairs = int(ends[-1]) if ends.size else 0
 
     def chunks():
         for s in range(0, npairs, PAIR_BLOCK):
-            runs, c, item = _runs(starts, ends, first, s,
-                                  min(s + PAIR_BLOCK, npairs))
-            yield lo[runs].repeat(c), ro[item]
+            runs, c, ri = _runs(starts, ends, first, s, min(s + PAIR_BLOCK, npairs))
+            yield np.arange(runs.start, runs.stop).repeat(c), ri
 
-    return npairs, chunks()
+    return npairs, lo, ro, chunks()
 
 
 def _per_block(width: int) -> int:
@@ -582,8 +596,8 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     mirror = _mirrors(f, w1)
     a_pq = np.flatnonzero(solpq)
     ycode = _flat(coords // pi, sideY)
-    npairs_corr, corr_pairs = _pair_join(cls_pi[a_pq], cls_pi[a_pq],
-                                         np.arange(a_pq.size))
+    key = cls_pi[a_pq]
+    npairs_corr, order, _, corr_pairs = _pair_join(key, key, np.arange(key.size))
     # Level 1 splits each shift y by the class v mod p of x and the
     # difference residue a = f(c) mod q, under the key (y, v, a).  For a
     # fixed y, (y, v, a) is in bijection with (y, b), where b = (c mod p,
@@ -611,8 +625,11 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     xcnt = (xend - xfirst)[border]
     budget.charge(npairs_corr + int(xcnt.sum()), "correlation pairs")
 
-    # congruence part of corr(y), each shift in the join's order
-    lkey, rkey, wpq = Ycells // 2 - ycode[a_pq], ycode[a_pq], wnum[a_pq]
+    # congruence part of corr(y), each shift in the join's order; one key
+    # sorts both sides, so one gather serves both
+    a_pq = a_pq[order]
+    rkey, wpq = ycode[a_pq], wnum[a_pq]
+    lkey = Ycells // 2 - rkey
     corr = _Bins(Ycells, D.exact)
     for li, ri in corr_pairs:
         corr.add(lkey[li] + rkey[ri], _product(wpq[li], wpq[ri]))
@@ -724,20 +741,65 @@ def _residuals(led: PipelineLedger, inner_sq) -> dict:
         np.max(np.abs(congnum - led.sxy_num)), np.max(np.abs(congnum)))
 
     # per_shift_cauchy and refinement_monotone, as scaled numerators
-    fs, t0, t1, ss2, ss3, sxy, xc = (
-        D.lift(a) for a in (led.fs_num, led.t0_num, led.t1_num, led.ss2,
-                            led.ss3, led.sxy_num, led.xcount)
-    )
-    c1 = pn * q * q
-    snum = c1 * sxy - xc * fs
-    sig_scaled = pn * pn * q**4 * ss2 - 2 * c1 * fs * t1 + pn * fs**2
-    sigp_scaled = pn * pn * q**4 * ss3 - 2 * c1 * fs * t0 + pn * q * fs**2
-    sc = float(np.max(np.abs(sig_scaled)))
-    put("per_shift_cauchy", "inequality", np.min(xc * sig_scaled - snum * snum),
+    tables = (led.fs_num, led.t0_num, led.t1_num, led.ss2, led.ss3,
+              led.sxy_num, led.xcount)
+    if D.exact:
+        cauchy, monotone = _least_margins(pn, q, tables)
+        put("per_shift_cauchy", "inequality", cauchy)
+        put("refinement_monotone", "inequality", monotone)
+        return out
+    cauchy, monotone, sig = _margins(pn, q, *(D.lift(a) for a in tables))
+    sc = float(np.max(np.abs(sig)))
+    put("per_shift_cauchy", "inequality", np.min(cauchy),
         sc * max(1.0, float(np.max(led.xcount, initial=1))))
-    put("refinement_monotone", "inequality", np.min(sigp_scaled - sig_scaled),
-        sc)
+    put("refinement_monotone", "inequality", np.min(monotone), sc)
     return out
+
+
+def _margins(pn: int, q: int, fs, t0, t1, ss2, ss3, sxy, xc, s=-1):
+    """Per shift, the margins of per_shift_cauchy, xc Sigma - S^2, and of
+    refinement_monotone, Sigma' - Sigma, and Sigma, all scaled by
+    (p^n q^2 den1^2)^2: from the tables' numerators, in their dtype.  With
+    s = +1 and |tables| it is the same expression with every difference a
+    sum, the bound of ``_least_margins``."""
+    c1 = pn * q * q
+    snum = c1 * sxy + s * (xc * fs)
+    sig = pn * pn * q**4 * ss2 + s * (2 * c1 * fs * t1) + pn * fs**2
+    sigp = pn * pn * q**4 * ss3 + s * (2 * c1 * fs * t0) + pn * q * fs**2
+    return xc * sig + s * (snum * snum), sigp + s * sig, sig
+
+
+def _least_margins(pn: int, q: int, tables) -> list:
+    """The exact least margin of each inequality of ``_margins`` over the
+    shifts, as a Python int, from exact tables.
+
+    Both margins are evaluated in float64, C, and so is the same expression
+    over the |tables| with every difference a sum, E.  C is a sum of signed
+    monomials in the tables and constants, and each monomial passes through
+    at most 10 roundings, the conversion of each table and constant to
+    float64 included.  So |C - exact| <= gamma_10 E0, with E0 the exact
+    value of E (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.3), and E >= (1 - gamma_10) E0, as no nonzero term is below
+    1.  The bound e = RESIDUAL_SLACK E = 2^-40 E is about 2^9 gamma_16
+    E > gamma_10 E0, which also covers the roundings of C - e and C + e.  A
+    shift whose C - e is above min(C + e) cannot hold the minimum, and e = 0
+    means E = 0, so its C is an exact 0; only the other shifts are evaluated
+    again in Python ints.  A value past float64 makes e inf or nan, which
+    leaves its shift undecided."""
+    shadow = [np.asarray(a, np.float64) for a in tables]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _margins(pn, q, *shadow)[:2]
+        bars = _margins(pn, q, *(np.abs(a) for a in shadow), s=1)[:2]
+    least = []
+    for j, (c, bar) in enumerate(zip(vals, bars)):
+        e = RESIDUAL_SLACK * bar
+        undecided = ~(c - e > np.min(c + e))
+        at = np.flatnonzero(undecided & (e != 0))
+        exact = _margins(pn, q, *(a[at].astype(object) for a in tables))[j].tolist()
+        if (undecided & (e == 0)).any():  # an exact 0
+            exact.append(0)
+        least.append(min(exact))
+    return least
 
 
 def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, budget):
@@ -760,10 +822,13 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, bud
 
     # refined_square_expansion: sum over (v, a) of squared bin sums equals
     # the z-sum of pair congruence parts (both at the den1^4 scale)
+    # (int64 entries are below INT64_LIMIT, so their difference is int64)
+    ss3, qsum = ledger.ss3, ledger.qsum
+    if object in (ss3.dtype, qsum.dtype):
+        ss3, qsum = D.lift(ss3), D.lift(qsum)
     ledger.residuals["refined_square_expansion"] = _check(
         D, "refined_square_expansion", "identity",
-        np.max(np.abs(D.lift(ledger.ss3) - D.lift(ledger.qsum))),
-        np.max(np.abs(ledger.ss3)),
+        np.max(np.abs(ss3 - qsum)), np.max(np.abs(ledger.ss3)),
     )
 
     ledger.aggregate = _aggregate_from_abs(ledger)
@@ -786,19 +851,7 @@ def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget):
     # class, and _level2_cells mirrors the rest.
     live = np.flatnonzero(wnum > 0)  # weights are nonnegative in every kind
     key = bclass[live]
-    npairs, box_pairs = _pair_join(key, key, np.arange(live.size))
-    pa, pc = np.empty(npairs, dtype=np.int64), np.empty(npairs, dtype=np.int64)
-    s = 0
-    for li, ri in box_pairs:
-        pa[s:s + li.size], pc[s:s + li.size] = live[li], live[ri]
-        s += li.size
-    zcode = _flat(coords // ledger.params.p, sideZ)  # keys z as ycode keys y
-    pz = zcode[pc] - zcode[pa] + Zcells // 2
-    pw = _product(wnum[pa], wnum[pc])
-
-    isx = fq_v[pa] == 0
-    xi, zk, wx = pa[isx], pz[isx], pw[isx]
-    budget.charge(xi.size, "second-difference pairs")
+    npairs, order, _, box_pairs = _pair_join(key, key, np.arange(live.size))
 
     # x-pairs (x, x + p z) joined with box-point pairs (u, u + p z) of the
     # same z inside classes mod pi, so u = x + pi y.  One x meets each y at
@@ -806,13 +859,26 @@ def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget):
     # The classes the box meets are numbered in order, so the group keys
     # (z, class) stay below Zcells * L^n.
     classes, cls = np.unique(cls_pi, return_inverse=True)
-    lgrp = zk * classes.size + cls[xi]
-    rgrp = pz * classes.size + cls[pa]
+    zcode = _flat(coords // ledger.params.p, sideZ)  # keys z as ycode keys y
+    live = live[order]  # the columns of the pairs (a, c) read in join order
+    li, ri = (np.concatenate(t) for t in zip(*box_pairs))
+    zs, ws = zcode[live], wnum[live]
+    pz = zs[ri] - zs[li] + Zcells // 2
+    pw = _product(ws[li], ws[ri])
+    rgrp = pz * classes.size + cls[live][li]
     # a row's cell (kz - Zcells // 2) Ycells + ky, with ky = Ycells // 2
     # - ycode[x] + ycode[u] the flat key of y, splits into an x and a u part
-    xcell = (zk - Zcells // 2) * Ycells + Ycells // 2 - ycode[xi]
-    ucell = ycode[pa]
-    _, pairs = _pair_join(lgrp, rgrp)
+    ucell = ycode[live][li]
+    isx = (fq_v[live] == 0)[li]
+    del li, ri
+    lgrp, wx = rgrp[isx], pw[isx]
+    xcell = (pz[isx] - Zcells // 2) * Ycells + Ycells // 2 - ucell[isx]
+    del pz, isx
+    budget.charge(lgrp.size, "second-difference pairs")
+
+    _, lo, ro, pairs = _pair_join(lgrp, rgrp)
+    del lgrp, rgrp
+    xcell, wx, ucell, pw = xcell[lo], wx[lo], ucell[ro], pw[ro]
     rows = ((xcell[li] + ucell[ri], _product(wx[li], pw[ri])) for li, ri in pairs)
     return _cell_sums(rows, Ycells, Zcells - Zcells // 2, exact)
 

@@ -511,3 +511,33 @@ def test_product_fits_element_by_element():
     assert out.dtype == object and out.tolist() == [2**61, 2**61, 15]
     f = np.array([0.5, 3.0])
     assert counting._product(f, f).tolist() == [0.25, 9.0]
+
+
+@pytest.mark.parametrize("keys, packs", [
+    (np.array([[3, -2, 3, -2, 0, 3], [-1, -1, 5, -1, 5, -1]]), True),  # negative
+    (np.array([[4, -7, 4, 0, -7]]), True),  # a single row
+    (np.zeros((2, 0), dtype=np.int64), False),  # empty input
+    (np.random.default_rng(3).integers(-9, 9, (3, 400)), True),
+    (np.array([[2**30 - 1, 0, 5, 0], [2**29, 0, 0, 2**29]]), True),  # 2^59 * 4
+    (np.array([[2**61, -2**61, 0, 2**61], [1, 0, 1, 1]]), False),  # past 2^62
+])
+def test_key_codes_match_lexsort(monkeypatch, keys, packs):
+    """The packed stable sort puts the columns in np.lexsort's order (last
+    row primary, ties by index); codes rank the distinct columns in that
+    order and starts hold each code's first place.  Rows whose spans times
+    the size pass 2^62, and empty input, take np.lexsort itself."""
+    calls = []
+    stable = counting._stable_order
+
+    def spy(k):
+        calls.append(k.size)
+        return stable(k)
+    monkeypatch.setattr(counting, "_stable_order", spy)
+    codes, order, starts = counting._key_codes(keys)
+    assert bool(calls) == packs
+    assert order.tolist() == np.lexsort(keys).tolist()
+    cols = [tuple(c) for c in keys.T.tolist()]
+    distinct = sorted(set(cols), key=lambda c: c[::-1])
+    assert codes.tolist() == [distinct.index(c) for c in cols]
+    assert starts.tolist() == [[cols[i] for i in order.tolist()].index(c)
+                               for c in distinct]

@@ -5,8 +5,10 @@ fixed ones, the README showcase (a cubic in three variables, B=4, moduli
 2/3/5) among them.  Five oracles check summation order rather than values:
 corr_loop (float correlations, bit for bit), lag_loop (the per-axis tables
 fs and T), level2_loop (float level-2 cells), check_level2_cells and
-part_sums_oracle."""
+part_sums_oracle.  margins_oracle gives the two per-shift inequalities'
+exact least margins with every table in Python ints."""
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -227,6 +229,94 @@ def test_residual_checks_can_fail(weight):
     assert not bad["per_shift_defect"].ok
 
 
+def margins_oracle(pn, q, tables):
+    """The least margins of per_shift_cauchy and refinement_monotone with
+    every table lifted to Python ints first, the ledger's expression before
+    its float64 shadow."""
+    fs, t0, t1, ss2, ss3, sxy, xc = (np.asarray(a).astype(object) for a in tables)
+    c1 = pn * q * q
+    snum = c1 * sxy - xc * fs
+    sig_scaled = pn * pn * q**4 * ss2 - 2 * c1 * fs * t1 + pn * fs**2
+    sigp_scaled = pn * pn * q**4 * ss3 - 2 * c1 * fs * t0 + pn * q * fs**2
+    return np.min(xc * sig_scaled - snum * snum), np.min(sigp_scaled - sig_scaled)
+
+
+MARGIN_TABLES = ("fs_num", "t0_num", "t1_num", "ss2", "ss3", "sxy_num", "xcount")
+# n = 2, B = 1, pi = 3: a ledger of 9 shifts whose tables the draws replace
+TINY = PipelineParams(f=parse_poly("x1^2 + 2*x2^2", 2), B=1, pi=3, p=2, q=5)
+
+
+@functools.cache
+def tiny_ledger():
+    return build_ledger(TINY)
+
+
+@st.composite
+def margin_cases(draw):
+    """Tables over 9 shifts, each shift at its own scale: int64 below 2^62,
+    or Python ints past it, of either sign or all nonnegative, with some
+    shifts all zero, some whose ss3 and t0 sit within a few units of ss2
+    and t1, and, at random, a copy of one shift with one entry moved by 1.
+    Past 2^53 float64 cannot resolve such differences."""
+    p, q = draw(st.sampled_from([(2, 5), (3, 2), (5, 3)]))
+    low = 0 if draw(st.booleans()) else -1
+    tops = [2 ** draw(st.sampled_from([10, 40, 61, 90])) for _ in range(9)]
+    cols = [[draw(st.integers(low * t, t)) for t in tops] for _ in range(6)]
+    cols.append([draw(st.integers(0, p * p)) for _ in range(9)])  # xcount
+    _, t0, t1, ss2, ss3, _, _ = cols
+    for k in draw(st.sets(st.integers(0, 8), max_size=4)):  # near-cancelling
+        ss3[k] = ss2[k] + draw(st.integers(-3, 3))
+        t0[k] = t1[k] + draw(st.integers(-3, 3))
+    for k in draw(st.sets(st.integers(0, 8), max_size=3)):  # zero shifts
+        for c in cols:
+            c[k] = 0
+    if draw(st.booleans()):  # a near-tie between shifts
+        i, j = draw(st.permutations(range(9)))[:2]
+        for c in cols:
+            c[j] = c[i]
+        t = draw(st.integers(0, 5))
+        cols[t][j] += draw(st.sampled_from([-1, 1]))
+    tables = [np.array(c, dtype=np.int64 if max(map(abs, c)) < 2**62 else object)
+              for c in cols]
+    return p, q, tables
+
+
+def near_tie(fs, t0, t1, ss2, ss3):
+    """p = 2, q = 5 tables over 9 shifts, shift 0 given, the others with
+    refinement margin 16 * 625 (ss3 - ss2 = 1) and xcount 1."""
+    rest = [(0, 0, 0, 1, 2)] * 8
+    cols = [np.array(c, dtype=object) for c in zip((fs, t0, t1, ss2, ss3), *rest)]
+    return 2, 5, cols + [np.zeros(9, dtype=np.int64), np.ones(9, dtype=np.int64)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(margin_cases(), st.booleans())
+# shift 0's refinement margin 3 * 16 * 625 (ss3 = 2^60 + 3 against ss2 =
+# 2^60) reads 0 in float64, below the other shifts' 16 * 625, read exactly
+@example(near_tie(0, 0, 0, 2**60, 2**60 + 3), False)
+# shift 0's refinement margin -2 q^2 p^2 + p^2 (q - 1) = -184 reads 0 in
+# float64 (t0 = 2^60 + 1 against t1 = 2^60): the exact least margin fails
+@example(near_tie(1, 2**60 + 1, 2**60, 0, 0), False)
+def test_exact_margins_match_lifted_oracle(case, undecided):
+    """_residuals' two inequalities on TINY's ledger with the drawn tables:
+    the float64 shadow and its error bound pick the shifts evaluated in
+    Python ints, and the value is margins_oracle's exact least margin, a
+    Python int, ok when at least 0.  With the slack at 4, every shift whose
+    bound is nonzero is undecided."""
+    p, q, tables = case
+    led = dataclasses.replace(tiny_ledger(), **dict(zip(MARGIN_TABLES, tables)),
+                              params=dataclasses.replace(TINY, p=p, q=q))
+    with pytest.MonkeyPatch.context() as mp:
+        if undecided:
+            mp.setattr(pipeline, "RESIDUAL_SLACK", 4.0)
+        got = _residuals(led, 0)
+    want = margins_oracle(p * p, q, tables)
+    for name, w in zip(("per_shift_cauchy", "refinement_monotone"), want):
+        rc = got[name]
+        assert type(rc.value) is int and rc.value == w, name
+        assert rc.ok == (w >= 0) and rc.tol == 0, name
+
+
 # the README showcase, and two instances with pi^n = 125 classes mod pi
 CHUNK_CASES = {
     "showcase": dict(f=F, B=B, pi=PI, p=P, q=Q),
@@ -428,7 +518,7 @@ def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
     join = pipeline._pair_join
 
     def counting_join(left, right, own=None):
-        npairs, chunks = join(left, right, own)
+        npairs, lo, ro, chunks = join(left, right, own)
         emitted.append(0)
         slot = len(emitted) - 1
 
@@ -436,7 +526,7 @@ def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
             for li, ri in chunks:
                 emitted[slot] += li.size
                 yield li, ri
-        return npairs, counted()
+        return npairs, lo, ro, counted()
 
     monkeypatch.setattr(pipeline, "_pair_join", counting_join)
     level1 = spy_level1(monkeypatch)
@@ -1005,6 +1095,61 @@ def test_stable_order_matches_stable_argsort(keys):
                           np.argsort(keys, kind="stable"))
 
 
+def pair_join_oracle(left, right, triangular):
+    """The pairs (i, j) with left[i] == right[j] (and j >= i when
+    triangular), in (key, i, j) order."""
+    pairs = [(i, j) for i in range(left.size) for j in range(right.size)
+             if left[i] == right[j] and (not triangular or j >= i)]
+    return sorted(pairs, key=lambda t: (left[t[0]], t[0], t[1]))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 18])
+def test_pair_join_places_match_brute_force(monkeypatch, block):
+    """The chunks name each pair by its places in the two sort orders: read
+    through lo and ro they are the oracle's pairs in its order, li never
+    decreases, and a triangular join of one array sorts it once."""
+    monkeypatch.setattr(pipeline, "PAIR_BLOCK", block)
+    rng = np.random.default_rng(block)
+    left, right = rng.integers(-3, 4, 40), rng.integers(-3, 4, 30)
+    for a, b, own in ((left, right, None), (left, left, np.arange(left.size))):
+        npairs, lo, ro, chunks = pipeline._pair_join(a, b, own)
+        got = []
+        for li, ri in chunks:
+            assert 0 < li.size <= block and np.all(np.diff(li) >= 0)
+            got += zip(lo[li].tolist(), ro[ri].tolist())
+        want = pair_join_oracle(a, b, own is not None)
+        assert got == want and npairs == len(want)
+        assert (ro is lo) == (own is not None)
+
+
+def fs2_per_digit(t2d, ky, kz, n):
+    """FS2 by decoding each digit of ky and kz with // and %."""
+    sideY, sideZ = t2d.shape
+    out = 1
+    for i in range(n):
+        out = out * t2d[ky // sideY**i % sideY, kz // sideZ**i % sideZ]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object, np.float64])
+@pytest.mark.parametrize("n", [1, 3])
+def test_fs2_digit_tables_match_per_digit_decode(dtype, n):
+    """_fs2 reads digit tables; the per-digit decode gives the same values,
+    dtype and float bits, for array and scalar keys (object entries near
+    2^40 make the products pass int64)."""
+    rng = np.random.default_rng(n)
+    top = 2**40 if dtype is object else 2**20
+    t2d = rng.integers(0, top, (5, 3)).astype(dtype)
+    if dtype is np.float64:
+        t2d /= 3.0
+    ky, kz = rng.integers(0, 5**n, 200), rng.integers(0, 3**n, 200)
+    got, want = pipeline._fs2(t2d, ky, kz, n), fs2_per_digit(t2d, ky, kz, n)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    for y, z in zip(ky[:10].tolist(), kz[:10].tolist()):
+        got, want = pipeline._fs2(t2d, y, z, n), fs2_per_digit(t2d, y, z, n)
+        assert type(got) is type(want) and got == want
+
+
 def test_showcase_budget_used(capsys):
     code = cli.dispatch(["pipeline", "--poly", "x1^3+x2^3+x3^3-x1*x2*x3",
                          "--n", "3", "--B", "4", "--pi", "2", "--p", "3",
@@ -1047,7 +1192,13 @@ def test_full_path_matches_brute_force(monkeypatch, case):
 
     def spy(left, right, own=None):
         triangular.append(own is not None)
-        return join(left, right, own)
+        npairs, lo, ro, chunks = join(left, right, own)
+
+        def checked():  # every pair the chunks name joins equal keys
+            for li, ri in chunks:
+                assert np.array_equal(left[lo[li]], right[ro[ri]])
+                yield li, ri
+        return npairs, lo, ro, checked()
 
     monkeypatch.setattr(pipeline, "_pair_join", spy)
     level1 = spy_level1(monkeypatch)
