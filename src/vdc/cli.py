@@ -12,10 +12,9 @@ One executable, `vdc`, with a subcommand per capability:
     poly diff   difference polynomials
 
 Every run prints a single JSON document: {"schema", "run", "result"}.
-The run manifest echoes the semantic parameters (never --workers, which
-is accepted and ignored), the versions in play, the seed, the budget
-spent, and the wall time; with wall_time_ms normalized, re-running a
-command is byte-identical.
+The run manifest echoes the semantic parameters, the versions in play,
+the seed, the budget spent, and the wall time; with wall_time_ms
+normalized, re-running a command is byte-identical.
 
 Exit codes: 0 success; 2 clean refusal (bad input, failed precondition,
 budget) with a machine-readable diagnostic on stdout; 1 internal error;
@@ -72,8 +71,6 @@ def _csv_ints(text: str) -> list[int]:
 @functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--workers", type=int, default=1,
-                        help="accepted and ignored; every command runs single-threaded")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="max points enumerated before refusing")
     common.add_argument("--seed", type=int, default=0,

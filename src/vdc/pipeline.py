@@ -89,15 +89,17 @@ corr(-y) = corr(y), as (x, x') and (x', x) are both pairs, and corr2(y, -z)
 weight product and q | d2f.  Level 1 is triangular when f(-x) = +-f(x)
 (every monomial of f has the degree parity of the first) and the axis
 weight is even: then t(-y) = t(y) for its tables (``_mirrors``, checked on
-the input at run time); otherwise it emits both halves.  Each -y entry,
-and each cell (y, z) with z < 0, is a copy of its mirror; for the smooth
-weight the copied half therefore carries the computed half's rounding, not
-its own.
+the input at run time); otherwise it emits both halves.  Each -y entry is
+a copy of its mirror; for the smooth weight the copied half therefore
+carries the computed half's rounding, not its own.
 
-Level 2 keeps only the cells (y, z) its join fills, as sorted flat keys and
-congruence parts c(y, z); corr2 reads c = 0 at every other cell, and qsum
-and the per-y sums of |q^3 c - FS2| visit the filled cells alone
-(``_level2_cells``).
+Level 2 keeps only the half of its table that its join computes: the cells
+(y, z), z >= 0, it fills, as sorted keys h Ycells + ky (kz = Zcells // 2 +
+h) and congruence parts c(y, z).  corr2(y, z) reads the cell of whichever
+of z and -z is >= 0, h = |kz - Zcells // 2|, and c = 0 at every cell the
+join leaves empty.  qsum and the per-y sums of |q^3 c - FS2| visit the
+filled cells alone, counting each one with z > 0 twice, for itself and its
+mirror (y, -z) (``_level2_cells``).
 """
 
 from __future__ import annotations
@@ -146,7 +148,8 @@ class PipelineParams:
                 primes=[self.pi, self.p, self.q],
             )
         Weight(self.weight)  # refuses unknown kinds
-        # level 2 keys its cells (y, z) as ky * Zcells + kz in one int64
+        # level 2 keys its cells (y, z), z >= 0, as h * Ycells + ky in one
+        # int64 (h = kz - Zcells // 2), below the table's Ycells * Zcells
         n = self.f.n
         cells = ((2 * (4 * self.B // self.pi) + 1)
                  * (2 * (4 * self.B // self.p) + 1)) ** n
@@ -215,7 +218,7 @@ class PipelineLedger:
     residuals: dict
     warnings: list
     pair_range: int | None = None  # Z
-    pair_keys: np.ndarray | None = None  # filled cells, sorted ky * Zcells + kz
+    pair_keys: np.ndarray | None = None  # filled z >= 0 cells, sorted h * Ycells + ky
     pair_num: np.ndarray | None = None  # their congruence parts (den1^4 scale)
     qsum: np.ndarray | None = None  # sum_z of pair congruence parts, per y
     abs2_num: np.ndarray | None = None  # sum_z |q^3 cong - FS2|, per y (den1^4 scale)
@@ -282,7 +285,8 @@ class PipelineLedger:
             raise PreconditionError("pair table was not built")
         Z, n = self.pair_range, self.n
         ky, kz = self.shift_key(y), _table_key(z, Z, n, "second shift")
-        k = ky * (2 * Z + 1) ** n + kz
+        # the cell of z or -z, whichever is >= 0 (key of -z: Zcells - 1 - kz)
+        k = abs(kz - (2 * Z + 1) ** n // 2) * len(self.corr_num) + ky
         i = int(np.searchsorted(self.pair_keys, k))
         cong = self.pair_num[i] if self.pair_keys[i:i + 1].tolist() == [k] else 0
         fs2 = _fs2(self._t2d_table.astype(object), ky, kz, n)
@@ -461,8 +465,8 @@ def _lag_sums(w1: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return out.total()
 
 
-def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, cls_p,
-            Ycells: int, mirror: bool, member):
+def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, solpq,
+            Ycells: int, mirror: bool):
     """The level-1 tables (t0, t1, ss2, ss3, sxy) over the shifts.
 
     The rows are (c, x): box point c and a q-solution x of its class mod pi,
@@ -470,8 +474,9 @@ def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, cls_p,
     class ``group[c]``; c reads the xcnt[i] solutions xs[xfirst[i]:] (i its
     place in order).  A dense block of whole box classes times the shifts
     holds the class sums V(y, b); each block first scatters its rows into V
-    and then reads V back at each row.  ``member(y, v)`` says whether v mod p
-    is a point of X_y.  A block holds at most 4 * PAIR_BLOCK cells, or one
+    and then reads V back at each row.  x mod p is a point of X_y exactly
+    when p | f(x) and p | f(c), that is when solpq[x] and solpq[c], as x is
+    a q-solution.  A block holds at most 4 * PAIR_BLOCK cells, or one
     box class, and the rows stream in chunks of PAIR_BLOCK.
     """
     exact = wnum.dtype != np.float64
@@ -479,9 +484,9 @@ def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, cls_p,
     ywidth = Ycells - ylo
     ends = np.cumsum(xcnt)
     starts = ends - xcnt
-    cg, cw, ca0 = group[order], wnum[order], fq_v[order] == 0
+    cg, cw, ca0, cpq = group[order], wnum[order], fq_v[order] == 0, solpq[order]
     cy = ycode[order] + Ycells // 2  # y = cy - xy
-    xy, xw, xv = ycode[xs], wnum[xs], cls_p[xs]
+    xy, xw, xpq = ycode[xs], wnum[xs], solpq[xs]
     per = _per_block(ywidth)
     nclass = int(cg[-1]) + 1
     V = _Bins(min(per, nclass) * ywidth, exact)
@@ -492,7 +497,7 @@ def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, cls_p,
         y = cy[runs].repeat(c) - xy[item]
         cell = ((cg[runs] - g0) * ywidth - ylo).repeat(c) + y
         w = _product(cw[runs].repeat(c), xw[item])
-        return y, cell, w, ca0[runs].repeat(c), item
+        return y, cell, w, ca0[runs].repeat(c), cpq[runs].repeat(c) & xpq[item]
 
     bounds = np.searchsorted(cg, np.arange(0, nclass + per, per))
     for g0, (ra, rb) in zip(range(0, nclass, per), zip(bounds, bounds[1:])):
@@ -502,16 +507,15 @@ def _level1(order, group, xfirst, xcnt, xs, ycode, wnum, fq_v, cls_p,
             held = rows(s, e, g0)
             V.add(held[1], held[2])
         for s, e in spans:
-            y, cell, w, a0, item = held if len(spans) == 1 else rows(s, e, g0)
+            y, cell, w, a0, pq = held if len(spans) == 1 else rows(s, e, g0)
             v = V.total(cell)
             t0.add(y, w)
             ss3.add(y, _product(w, v))
+            sxy.add(y[pq], w[pq])  # the rows of a0 whose x mod p is in X_y
             # a0: q | f(c), so the difference residue a is 0
-            y, w, v, item = y[a0], w[a0], v[a0], item[a0]
+            y, w, v = y[a0], w[a0], v[a0]
             t1.add(y, w)
             ss2.add(y, _product(w, v))
-            m = member(y, xv[item])
-            sxy.add(y[m], w[m])
         # zero the touched cells; a block of several chunks, whose cells
         # would take another pass over its rows, is cleared whole instead
         if len(spans) == 1:
@@ -638,21 +642,18 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     # X_y(F_p): pairs of zeros of f mod p at shift pi*y
     pn = p**n
     budget.charge(pn, "zero grid mod p")
-    gp = eval_on_axes(f, [np.arange(p, dtype=np.int64)] * n, p)
-    gz = gp == 0
-    gz_nd = gz.reshape((p,) * n)  # axis n-1-i <-> coordinate i (0-based)
+    gz = eval_on_axes(f, [np.arange(p, dtype=np.int64)] * n, p) == 0
+    gz = gz.reshape((p,) * n)  # axis n-1-i <-> coordinate i (0-based)
     wid = _flat(pi * _digits(np.arange(Ycells), sideY, n, Y) % p, p)
     uniq_wid, wid_idx = np.unique(wid, return_inverse=True)
     budget.charge(uniq_wid.size * pn, "shifted zero grids mod p")
-    rolled = np.empty((uniq_wid.size, pn), dtype=bool)
-    for t_i, d in enumerate(_digits(uniq_wid, p, n)):
-        r = np.roll(gz_nd, tuple(-d[::-1]), axis=tuple(range(n)))
-        rolled[t_i] = r.ravel() & gz
-    xcount = rolled.sum(axis=1)[wid_idx].astype(np.int64)
+    xcount = np.array([
+        np.count_nonzero(gz & np.roll(gz, tuple(-d[::-1]), axis=tuple(range(n))))
+        for d in _digits(uniq_wid, p, n)], dtype=np.int64)[wid_idx]
 
     t0_num, t1_num, ss2, ss3, sxy_num = _level1(
         border, bclass, xfirst[border], xcnt, xs, ycode, wnum, fq_v,
-        cls_p, Ycells, mirror, lambda y, v: rolled[wid_idx[y], v])
+        solpq, Ycells, mirror)
 
     ledger = PipelineLedger(
         params=params,
@@ -816,9 +817,10 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, bud
     t2d = _lag_sums(w1, np.stack([0 * a, a, c, a + c], axis=1)).reshape(2 * Y + 1, -1)
     ledger._t2d_table = t2d
     ledger.pair_range = Z
-    cells = _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget)
-    (ledger.pair_keys, ledger.pair_num, ledger.qsum,
-     ledger.abs2_num) = _level2_cells(*cells, t2d, n, q**3, D)
+    ledger.pair_keys, ledger.pair_num = _pair_cells(
+        ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget)
+    ledger.qsum, ledger.abs2_num = _level2_cells(
+        ledger.pair_keys, ledger.pair_num, t2d, n, q**3, D)
 
     # refined_square_expansion: sum over (v, a) of squared bin sums equals
     # the z-sum of pair congruence parts (both at the den1^4 scale)
@@ -835,9 +837,9 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, bud
 
 
 def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget):
-    """The level-2 cells (y, z), z >= 0, that the joins fill, and their
-    congruence parts, as ``_level2_cells`` reads them; the joins' arrays,
-    which live only here, are freed before it sorts the cells."""
+    """The level-2 cells (y, z), z >= 0, that the joins fill, as sorted
+    keys h Ycells + ky (kz = Zcells // 2 + h), and their congruence parts;
+    the joins' arrays live only here."""
     n, exact, Ycells = ledger.n, ledger.exact, len(ledger.corr_num)
     sideZ = 2 * ledger.pair_range + 1
     Zcells = sideZ**n
@@ -848,7 +850,7 @@ def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget):
     # u-side pairs (u, u + p z).  As corr2(y, -z) = corr2(y, z), the join is
     # triangular and keeps z >= 0: index order is zcode order inside a class
     # mod p.  The z = 0 cells stay full, as (x, x) meets every (u, u) of its
-    # class, and _level2_cells mirrors the rest.
+    # class, and the ledger keeps only this half.
     live = np.flatnonzero(wnum > 0)  # weights are nonnegative in every kind
     key = bclass[live]
     npairs, order, _, box_pairs = _pair_join(key, key, np.arange(live.size))
@@ -884,43 +886,35 @@ def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget):
 
 
 def _level2_cells(cells, c, t2d, n, q3, D2):
-    """Filled cells (sorted flat keys, congruence parts), qsum and abs2_num
-    of level 2, from the cells h Ycells + ky (kz = Zcells // 2 + h) that the
-    triangular join fills, z >= 0, and their congruence parts.
-
-    Each cell with z > 0 is copied to (y, -z), flat key ky Zcells + Zcells
-    - 1 - kz, and all are sorted once; the z = 0 cells come full.  As FS2(y,
-    z) = prod_i T(pi y_i, p z_i) >= 0, an empty cell adds FS2 to sum_z |q^3
-    c - FS2|, which is so prod_i R(y_i) plus the filled cells' |q^3 c - FS2|
-    - FS2, with R(y_i) = sum_{z_i} T(pi y_i, p z_i) a row sum of t2d.  Such
-    an exact term lies in [-FS2, q^3 c]: int64 holds it where q^3 c and
-    prod_i R(y_i) >= FS2 are provably below INT64_LIMIT (``_fits``).
-    """
+    """qsum and abs2_num of level 2 from its sorted cells h Ycells + ky (kz
+    = Zcells // 2 + h), z >= 0, and their congruence parts c.  As corr2(y,
+    -z) = corr2(y, z) and FS2(y, -z) = FS2(y, z), a cell with z > 0 counts
+    twice, for itself and for (y, -z); doubling is exact.  Each y adds its
+    cells in z order.  As FS2(y, z) = prod_i T(pi y_i, p z_i) >= 0, an empty
+    cell adds FS2 to sum_z |q^3 c - FS2|, which is so prod_i R(y_i) plus the
+    filled cells' |q^3 c - FS2| - FS2, with R(y_i) = sum_{z_i} T(pi y_i, p
+    z_i) a row sum of t2d.  Such an exact term, doubled, lies in [-2 FS2, 2
+    q^3 c]: int64 holds it where 2 q^3 c and 2 prod_i R(y_i) >= 2 FS2 are
+    provably below INT64_LIMIT (``_fits``)."""
     sideY, sideZ = t2d.shape
     Ycells, Zcells = sideY**n, sideZ**n
     h, ky = np.divmod(cells, Ycells)
-    up = h > 0
-    keys = np.concatenate([ky * Zcells + Zcells // 2 + h,
-                           (ky * Zcells + Zcells // 2 - h)[up]])
-    c = np.concatenate([c, c[up]])
-    order = _stable_order(keys)
-    keys, c = keys[order], c[order]
-    ky, kz = np.divmod(keys, Zcells)  # sorted by y, then z
-    qsum = _Bins(Ycells, D2.exact).add(ky, c).total()
+    kz, m = Zcells // 2 + h, 1 + (h > 0)  # m: the cells (y, +-z) it stands for
+    qsum = _Bins(Ycells, D2.exact).add(ky, m * c).total()
     R = _Bins(sideY, D2.exact).add(np.arange(t2d.size) // sideZ, t2d.ravel()).total()
     rsum = _sep_product([R] * n)  # prod_i R(y_i)
     abs2 = _Bins(Ycells, D2.exact).add(np.arange(Ycells), rsum)
 
-    def term(c, f):  # |q^3 c - FS2| - FS2, in place
+    def term(c, f, m):  # m (|q^3 c - FS2| - FS2), in place
         t = q3 * c
         t -= f
         np.abs(t, out=t)
         t -= f
+        t *= m
         return t
 
-    # each y adds its cells in z order; an exact term in int64 where it
-    # provably fits, in Python ints elsewhere
-    ok = (_fits(q3) & _fits(q3, c) & _fits(rsum)[ky] if D2.exact
+    # an exact term in int64 where it provably fits, in Python ints elsewhere
+    ok = (_fits(q3) & _fits(2 * q3, c) & _fits(2 * rsum)[ky] if D2.exact
           else np.ones(ky.size, dtype=bool))
     for at, t in ((ok, t2d), (~ok, t2d.astype(object))):
         if at.all():  # the cells as they are, not copies
@@ -928,8 +922,9 @@ def _level2_cells(cells, c, t2d, n, q3, D2):
         elif not at.any():
             continue
         k = ky[at]
-        abs2.add(k, term(c[at].astype(t.dtype, copy=False), _fs2(t, k, kz[at], n)))
-    return keys, c, qsum, abs2.total()
+        abs2.add(k, term(c[at].astype(t.dtype, copy=False), _fs2(t, k, kz[at], n),
+                         m[at]))
+    return qsum, abs2.total()
 
 
 def _aggregate_from_abs(ledger) -> float:

@@ -9,6 +9,11 @@ exact sums of these inputs: an exact ledger's tables, and the values a float
 ledger rounds.  Box and shift arrays have axis i for x_i (y_i); their
 Fortran-order ravel is the ledger's flat order.  A sum over pairs (x, x + m t)
 reads the x + m t as a strided slice of a box array (``_strided``).
+
+Level 2 sums every cell (y, z) from its definition, z < 0 included, keyed
+ky Zcells + kz, and checks that each equals its mirror (y, -z) before it
+keeps the ledger's half (``Reference.half``); qsum and abs2_num add every
+cell.
 """
 import itertools
 import math
@@ -189,14 +194,44 @@ class Reference:
             nums.append(c[filled])
             live[at], g[at] = False, 0
         order = np.argsort(keys := np.concatenate(keys))
-        self.pair_keys, self.pair_num = keys[order], np.concatenate(nums)[order]
-        self.qsum, self.abs2_num = self.level2_sums(self.pair_keys, self.pair_num)
+        keys, nums = keys[order], np.concatenate(nums)[order]
+        self.pair_keys, self.pair_num = self.half(keys, nums)
+        self.qsum, self.abs2_num = self.level2_sums(keys, nums)
         self.aggregate = aggregate(pr, self.abs2_num.tolist(), self.den1)
+
+    def _cells(self):
+        return ((2 * self.shift_range + 1) ** self.n,
+                (2 * self.pair_range + 1) ** self.n)
+
+    def half(self, keys, nums):
+        """The ledger's layout of a whole level-2 table, keys ky Zcells + kz
+        holding nums: the cells z >= 0, as sorted keys h Ycells + ky (kz =
+        Zcells // 2 + h), once every cell is checked to equal its mirror
+        (y, -z), key ky Zcells + Zcells - 1 - kz."""
+        Ycells, Zcells = self._cells()
+        ky, kz = np.divmod(np.asarray(keys, dtype=np.int64), Zcells)
+        cells = dict(zip(np.asarray(keys).tolist(), list(nums)))
+        for k, y, z in zip(cells, ky.tolist(), kz.tolist()):
+            assert cells.get(y * Zcells + Zcells - 1 - z) == cells[k], (y, z)
+        up = kz >= Zcells // 2
+        hkeys = (kz[up] - Zcells // 2) * Ycells + ky[up]
+        order = np.argsort(hkeys, kind="stable")
+        return hkeys[order], np.asarray(nums)[up][order]
+
+    def unfold(self, keys, nums):
+        """The whole table of the ledger's half (keys h Ycells + ky holding
+        nums): each cell with z > 0 also at (y, -z), as keys ky Zcells + kz."""
+        Ycells, Zcells = self._cells()
+        h, ky = np.divmod(np.asarray(keys, dtype=np.int64), Ycells)
+        up = h > 0
+        return (np.concatenate([ky * Zcells + Zcells // 2 + h,
+                                (ky * Zcells + Zcells // 2 - h)[up]]),
+                np.concatenate([nums, np.asarray(nums)[up]]))
 
     def level2_sums(self, keys, nums):
         """qsum and abs2_num, sum_z |q^3 c - FS2|, of cells keys (ky Zcells +
-        kz) holding nums and 0 elsewhere: the empty cells add sum_z FS2(y, z)
-        less the filled cells' FS2."""
+        kz, over every z) holding nums and 0 elsewhere: the empty cells add
+        sum_z FS2(y, z) less the filled cells' FS2."""
         n, q3 = self.n, self.params.q**3
         sideY, sideZ = len(self.T), len(self.T[0])
         T = np.array(self.T, dtype=object)
@@ -214,6 +249,13 @@ class Reference:
         """corr2(y, z): over the x with x, x + pi y, x + p z, x + pi y + p z
         in the box, the weight products where q | f(x), f(x + p z) and the
         second difference, less q^-3 times all of them."""
+        cong, total = self.corr2_sums(y, z)
+        q3 = self.params.q**3
+        return Fraction(q3 * cong - total, q3 * self.den1**4)
+
+    def corr2_sums(self, y, z):
+        """The numerators behind corr2(y, z): the sum of the weight products
+        where the congruences hold, and the sum of all of them."""
         pr, L, fq = self.params, self.L, self.fq
         axes = []  # per axis, the x_i range of each of the four points
         for a, b in zip(y, z):
@@ -223,8 +265,7 @@ class Reference:
         x0, x1, x2, x3 = (tuple(ax[j] for ax in axes) for j in range(4))
         w4 = self.w[x0] * self.w[x1] * self.w[x2] * self.w[x3]
         cong = (fq[x0] == 0) & (fq[x2] == 0) & (fq[x3] == fq[x1])
-        q3 = pr.q**3
-        return Fraction(q3 * w4[cong].sum() - w4.sum(), q3 * self.den1**4)
+        return w4[cong].sum(), w4.sum()
 
     def size(self, name) -> np.ndarray:
         """The sums of |terms| of a table's nonnegative terms, its entries;

@@ -459,18 +459,17 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 
 def test_worker_count_byte_identity(capsys):
-    base = ["pipeline", "--poly", "x1^3+x2^3+x3^3-x1*x2*x3", "--n", "3",
-            "--B", "4", "--pi", "2", "--p", "3", "--q", "5",
-            "--weight", "smooth", "--pair-table"]
-    one = run_bytes(base + ["--workers", "1"], capsys)
-    four = run_bytes(base + ["--workers", "4"], capsys)
-    assert one == four
-
-    base = ["count", "--poly", "x1^4+x2^4+x3^4", "--n", "3", "--B", "6",
-            "--modulus", "13"]
-    one = run_bytes(base + ["--workers", "1"], capsys)
-    four = run_bytes(base + ["--workers", "4"], capsys)
-    assert one == four
+    """There is no --workers flag: every command runs single-threaded, and
+    the flag is a usage error."""
+    for base in (["pipeline", "--poly", "x1^3+x2^3+x3^3-x1*x2*x3", "--n", "3",
+                  "--B", "4", "--pi", "2", "--p", "3", "--q", "5",
+                  "--weight", "smooth", "--pair-table"],
+                 ["count", "--poly", "x1^4+x2^4+x3^4", "--n", "3", "--B", "6",
+                  "--modulus", "13"]):
+        with pytest.raises(SystemExit) as ei:
+            cli.dispatch(base + ["--workers", "4"])
+        assert ei.value.code == 64, base
+        capsys.readouterr()
 
 
 def test_emit_writes_file(tmp_path, capsys):

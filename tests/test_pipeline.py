@@ -574,8 +574,8 @@ def test_pair_table_matches_brute_force(weight):
     led, ref_w = build_ledger(params), Reference(params)
     assert led.exact
     assert 3 * led.pair_range >= ref_w.L  # p Z >= 2H + 1: some z windows are empty
-    Ycells, Zcells = len(led.corr_num), (2 * led.pair_range + 1) ** N
-    assert Ycells // 2 * Zcells + Zcells // 2 in ref_w.pair_keys  # y = z = 0
+    Ycells = len(led.corr_num)
+    assert Ycells // 2 in ref_w.pair_keys  # y = z = 0: h = 0
     assert_tables(led, ref_w, ("pair_keys", "pair_num"))
 
 
@@ -661,33 +661,34 @@ def assert_close(got, want, k):
 
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_float_level2_matches_scalar_loop(default_ledgers, case):
-    """The computed cells, z > 0 and all of z = 0, equal the term-by-term
-    loop bit for bit; each z < 0 cell is a bit copy of its mirror (y, -z)
-    and lies, as each qsum[y] does, within the rounding bound of the loop.
-    abs2_num lies within its rounding bound of the reference's exact sum
-    over the same float64 cells, with FS2 from the reference's exact T:
+    """The ledger keeps the loop's cells with z >= 0, bit for bit; the
+    loop's cells with z < 0, which it adds from their own terms, are the
+    mirrors (y, -z) of its cells with z > 0 within their rounding bound, and
+    so is each qsum[y], which counts a cell with z > 0 for both.  abs2_num
+    lies within its rounding bound of the reference's exact sum over every
+    z of the same float64 cells, with FS2 from the reference's exact T:
     abs2_rounding_k, and n (L + 3) for the roundings of T."""
     led = default_ledgers[(case, "smooth")]
     assert not led.exact
     table, qsum, terms = level2_loop(led)
     sideZ = 2 * led.pair_range + 1
-    Zcells = sideZ**N
-    keys = np.flatnonzero(table)
+    Ycells, Zcells = len(led.corr_num), sideZ**N
+    low, mirror = table[:, :Zcells // 2], table[:, ::-1][:, :Zcells // 2]
+    filled = low != 0  # the cells with z < 0, and at each its mirror (y, -z)
+    assert np.array_equal(filled, mirror != 0)
+    assert_close(low[filled], mirror[filled], int(terms.max()))
+    half = table[:, Zcells // 2:].T.ravel()  # keys h Ycells + ky
+    keys = np.flatnonzero(half)
+    assert keys.max() >= Ycells  # some cells with z > 0
     assert np.array_equal(led.pair_keys, keys)
-    num = table.ravel()[keys]
-    low = keys % Zcells < Zcells // 2  # the cells with z < 0
-    assert np.array_equal(led.pair_num[~low], num[~low])
-    ky, kz = np.divmod(keys[low], Zcells)
-    mirrored = np.searchsorted(keys, ky * Zcells + Zcells - 1 - kz)
-    assert np.array_equal(keys[mirrored], ky * Zcells + Zcells - 1 - kz)
-    assert np.array_equal(led.pair_num[low], led.pair_num[mirrored])
-    assert_close(led.pair_num[low], num[low], int(terms.max()))
+    assert np.array_equal(led.pair_num, half[keys])
     assert_close(led.qsum, qsum, int(terms.max()) + Zcells)
     ref_s = Reference(led.params, 0)
     den = ref_s.den1**4
     ratios = [c.as_integer_ratio() for c in led.pair_num.tolist()]
     assert all(den % b == 0 for _, b in ratios)  # cells at the reference's scale
-    sums, abs2 = ref_s.level2_sums(led.pair_keys, [a * (den // b) for a, b in ratios])
+    sums, abs2 = ref_s.level2_sums(*ref_s.unfold(
+        led.pair_keys, [a * (den // b) for a, b in ratios]))
     assert_within(led.abs2_num.tolist(), abs2,
                   led.params.q**3 * sums + 3 * ref_s.fs2_total, den,
                   abs2_rounding_k(N, sideZ) + N * (ref_s.L + 3), "abs2_num")
@@ -718,10 +719,12 @@ def assert_same_level2(led, ref):
 @pytest.mark.parametrize("case", EXACT_LEVEL2_CASES)
 def test_exact_level2_matches_dense_loop(exact_level2_ledgers, case):
     """qsum and abs2_num equal the reference's sums over every z of the
-    ledger's filled cells, with the reference's own T."""
+    ledger's filled cells, each with z > 0 also at (y, -z), with the
+    reference's own T."""
     led = exact_level2_ledgers[case]
-    assert led.exact and led.pair_keys.size > 0
-    want = Reference(led.params, 0).level2_sums(led.pair_keys, led.pair_num)
+    assert led.exact and led.pair_keys.max() >= len(led.corr_num)  # some z > 0
+    ref_d = Reference(led.params, 0)
+    want = ref_d.level2_sums(*ref_d.unfold(led.pair_keys, led.pair_num))
     assert all(map(np.array_equal, (led.qsum, led.abs2_num), want))
 
 
@@ -785,41 +788,49 @@ def test_level2_terms_split_at_the_limit(exact_level2_ledgers, monkeypatch):
 
 
 def check_level2_cells(t2d, kz, ky, w, q3, cut=None):
-    """_level2_cells on the rows of cells (kz, ky), z >= 0, and weights w,
-    n = 2, in two chunks split at cut (default halfway), against sequential
-    Python sums: each cell adds its rows in row order, each cell (y, z) with
-    z > 0 is copied to (y, -z), and each qsum[y] adds its cells in z order,
-    bit for bit.  abs2_num equals the exact sum for int64 rows, and lies
-    within its rounding bound of the exact sum of the same values for
-    float64 rows."""
+    """_cell_sums and _level2_cells on the rows of cells (kz, ky), z >= 0,
+    and weights w, n = 2, in two chunks split at cut (default halfway),
+    against sequential Python sums: each cell (y, z) adds its rows in row
+    order and is kept at key h Ycells + ky (h = kz - Zcells // 2), and each
+    qsum[y] adds its cells in z order, twice each one with z > 0, bit for
+    bit.  abs2_num equals the exact sum over every z, each cell with z > 0
+    also at (y, -z), for int64 rows, and lies within its rounding bound of
+    the exact sum of the same values for float64 rows.  t2d holds T(a, c)
+    = T(a, -c), as T does (``mirrored``)."""
     n, (sideY, sideZ) = 2, t2d.shape
-    Zcells, exact = sideZ**n, w.dtype == np.int64
+    assert np.array_equal(t2d, t2d[:, ::-1])
+    Ycells, Zcells, exact = sideY**n, sideZ**n, w.dtype == np.int64
     cut = w.size // 2 if cut is None else cut
-    cell = (kz - Zcells // 2) * sideY**n + ky
+    cell = (kz - Zcells // 2) * Ycells + ky
     rows = [(cell[:cut], w[:cut]), (cell[cut:], w[cut:])]
-    keys, parts, qsum, abs2 = pipeline._level2_cells(
-        *pipeline._cell_sums(iter(rows), sideY**n, Zcells - Zcells // 2, exact),
-        t2d, n, q3, pipeline._Domain(exact))
-    cells = {}
+    keys, parts = pipeline._cell_sums(iter(rows), Ycells, Zcells - Zcells // 2,
+                                      exact)
+    qsum, abs2 = pipeline._level2_cells(keys, parts, t2d, n, q3,
+                                        pipeline._Domain(exact))
+    cells = {}  # (h, y) -> the sequential sum of its rows
     assert kz.min() >= Zcells // 2
     for z, y, c in zip(kz.tolist(), ky.tolist(), w.tolist()):
-        cells[y * Zcells + z] = cells.get(y * Zcells + z, 0) + c
-    for k, c in list(cells.items()):
-        if k % Zcells > Zcells // 2:
-            cells[k + Zcells - 1 - 2 * (k % Zcells)] = c
+        cells[z - Zcells // 2, y] = cells.get((z - Zcells // 2, y), 0) + c
     assert parts.dtype == w.dtype  # the terms' lift leaves the parts as built
-    assert keys.tolist() == sorted(cells)
-    assert parts.tolist() == [cells[k] for k in sorted(cells)]
+    assert keys.tolist() == sorted(h * Ycells + y for h, y in cells)
+    assert parts.tolist() == [cells[hy] for hy in sorted(cells)]
     t = [[Fraction(v) for v in r] for r in t2d.tolist()]
     slack = Fraction(0) if exact else gamma(abs2_rounding_k(n, sideZ))
-    for y in range(sideY**n):
-        row = [cells.get(y * Zcells + z, 0) for z in range(Zcells)]
+    for y in range(Ycells):
+        row = [cells.get((abs(z - Zcells // 2), y), 0) for z in range(Zcells)]
         fs2 = [t[y % sideY][z % sideZ] * t[y // sideY][z // sideZ]
                for z in range(Zcells)]
-        assert qsum[y] == sum(row)
+        assert qsum[y] == sum((1 + (h > 0)) * c
+                              for (h, k), c in sorted(cells.items()) if k == y)
         want = sum(abs(q3 * Fraction(c) - f) for c, f in zip(row, fs2))
         size = sum(q3 * Fraction(c) + f for c, f in zip(row, fs2))
         assert abs(Fraction(abs2[y]) - want) <= slack * size
+
+
+def mirrored(half):
+    """A table of T over the second shifts c = -k..k from its columns c =
+    -k..0: T(a, -c) = T(a, c)."""
+    return np.hstack([half, half[:, -2::-1]])
 
 
 def test_level2_cells_leave_int64_past_its_bound():
@@ -828,31 +839,32 @@ def test_level2_cells_leave_int64_past_its_bound():
     q3 = 13**3
     rng = np.random.default_rng(5)
     # t2d entries ~2^33, so FS2 passes 2^63
-    t2d = rng.integers(2**33, 2**34, size=(3, 5))
+    t2d = mirrored(rng.integers(2**33, 2**34, size=(3, 3)))
     kz = np.sort(rng.integers(12, 25, 40))  # z >= 0
     check_level2_cells(t2d, kz, rng.integers(0, 9, 40),
                        rng.integers(1, 2**20, 40), q3)
-    # every cell filled once, z < 0 by its copy; on even z, q^3 c ~ 2^61.1,
-    # so each y's 13 such terms sum past 2^63; on odd z, c is small and its
-    # term is negative
-    t2d = rng.integers(1, 2**20, size=(3, 5))
+    # every cell with z >= 0 filled once; on even z, 2 q^3 c ~ 2^60.7 fits
+    # int64 doubled, and each y's six such z > 0 terms sum past 2^63; on odd
+    # z, c is small and its term is negative
+    t2d = mirrored(rng.integers(1, 2**20, size=(3, 3)))
     kz, ky = np.divmod(np.arange(12 * 9, 25 * 9), 9)
-    w = np.where(kz % 2 == 0, 2**50 + rng.integers(0, 2**20, kz.size),
+    w = np.where(kz % 2 == 0, 3 * 2**47 + rng.integers(0, 2**20, kz.size),
                  rng.integers(1, 100, kz.size))
-    assert q3 * int(w.max()) + int(t2d.sum(axis=1).max()) ** 2 < (
-        counting.INT64_LIMIT)
+    assert 2 * q3 * int(w.max()) < counting.INT64_LIMIT // 2
+    assert 2 * int(t2d.sum(axis=1).max()) ** 2 < counting.INT64_LIMIT // 2
+    assert 6 * 2 * (q3 * 3 * 2**47 - 2 * int(t2d.max()) ** 2) > 2**63
     check_level2_cells(t2d, kz, ky, w, q3)
 
 
 def test_level2_cells_carry_a_split_z():
     """Float rows whose z key 18 runs across both chunks: its cells stay
-    open in the block into the second chunk, so they, and their copies at
-    key 6, keep the sequential sums' bits.  Cell (y, z) = (4, 18) gets the
-    rows 1.0 | e, e, split at the cut, with e under half an ulp of 1.0: in
-    row order both e vanish, while e + e first, or 1.0 + (e + e), rounds up
-    to 1 + 2^-52."""
+    open in the block into the second chunk, so they, and the qsum that
+    counts them for z keys 18 and 6, keep the sequential sums' bits.  Cell
+    (y, z) = (4, 18) gets the rows 1.0 | e, e, split at the cut, with e
+    under half an ulp of 1.0: in row order both e vanish, while e + e
+    first, or 1.0 + (e + e), rounds up to 1 + 2^-52."""
     rng = np.random.default_rng(7)
-    t2d = rng.random((3, 5))
+    t2d = mirrored(rng.random((3, 3)))
     kz = np.sort(rng.integers(12, 25, 400))  # z >= 0
     ky = rng.integers(0, 9, 400)
     w = rng.random(400)
@@ -978,9 +990,10 @@ def same_bits(got, want):
 @given(scatter_cases())
 def test_scatters_match_fold_oracle(case):
     """The level-2 cells, bit for bit against the sequential oracle on the
-    same rows: level 2 sums its rows by cell (y, z), copies the z > 0 cells
-    to -z and sorts them.  The cell of weight-0 rows and its copy at z = -1
-    are filled, and their parts are 0."""
+    same rows: level 2 sums its rows by cell (y, z), z >= 0, and keeps them
+    sorted by key h Ycells + ky (h = kz - Zcells // 2); qsum counts each
+    cell with z > 0 twice, in z order.  The cell of weight-0 rows is
+    filled, and its part is 0."""
     block, n, side_y, side_z, chunks = case
     ycells, zcells = side_y**n, side_z**n
     dtype = chunks[0][2].dtype
@@ -989,22 +1002,21 @@ def test_scatters_match_fold_oracle(case):
     rows = [((kz - zcells // 2) * ycells + ky, w) for kz, ky, w in chunks]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "PAIR_BLOCK", block)
-        keys, parts, _, _ = pipeline._level2_cells(
-            *pipeline._cell_sums(iter(rows), ycells, zcells - zcells // 2, exact),
-            t2d, n, 13**3, pipeline._Domain(exact))
+        keys, parts = pipeline._cell_sums(iter(rows), ycells, zcells - zcells // 2,
+                                          exact)
+        qsum, _ = pipeline._level2_cells(keys, parts, t2d, n, 13**3,
+                                         pipeline._Domain(exact))
 
     kz, ky, w = (np.concatenate(c) for c in zip(*chunks))
     want_keys, want = (np.array(v, dtype=t) for v, t in zip(
-        part_sums_oracle(ky * zcells + kz, w), (np.int64, dtype)))
-    y, z = np.divmod(want_keys, zcells)
-    up = z > zcells // 2
-    want_keys = np.concatenate([want_keys, y[up] * zcells + zcells - 1 - z[up]])
-    want = np.concatenate([want, want[up]])
-    order = np.argsort(want_keys)
-    assert keys.tolist() == want_keys[order].tolist()
-    assert same_bits(parts, want[order])
-    for kz in (zcells // 2 + 1, zcells // 2 - 1):
-        assert parts[keys.tolist().index((ycells - 1) * zcells + kz)] == 0
+        part_sums_oracle((kz - zcells // 2) * ycells + ky, w), (np.int64, dtype)))
+    assert keys.tolist() == want_keys.tolist()
+    assert same_bits(parts, want)
+    assert parts[keys.tolist().index(ycells + ycells - 1)] == 0  # h = 1
+    h, y = np.divmod(want_keys, ycells)
+    twice = np.where(h > 0, 2, 1).astype(dtype)
+    want_q = [sum(twice[y == k] * want[y == k], 0) for k in range(ycells)]
+    assert same_bits(qsum, np.array(want_q, dtype=dtype))
 
 
 @pytest.mark.parametrize("weight", ["hat", "smooth"])
@@ -1377,13 +1389,43 @@ def test_corr2_matches_brute_force_at_n4(exact_level2_ledgers):
              ((Y, 0, 0, 0), o), ((0, 1, 0, 0), (0, 0, -Z, 0)),
              ((-Y,) * 4, (-Z,) * 4), ((Y,) * 4, (Z,) * 4)]  # first, last key
     Zcells = (2 * Z + 1) ** 4
-    kz = pipeline._table_key(empty[1], Z, 4, "second shift")
-    assert led.shift_key(empty[0]) * Zcells + kz not in led.pair_keys
+    h = pipeline._table_key(empty[1], Z, 4, "second shift") - Zcells // 2
+    assert h > 0
+    assert h * len(led.corr_num) + led.shift_key(empty[0]) not in led.pair_keys
     ref_n4 = Reference(led.params, 0)
     want = {yz: ref_n4.corr2(*yz) for yz in cells}
     assert want[empty] < 0 < want[o, o]
     for yz in cells:
         assert led.corr2(*yz) == want[yz], yz
+
+
+# 326 level-2 cells at B = 3, 205 of them with z > 0
+F2 = parse_poly("x1^3 - x2^3 + x1*x2^2 + x2", 2)
+
+
+@pytest.mark.parametrize("weight", ["hat", "smooth"])
+def test_corr2_matches_brute_force_at_every_cell(weight):
+    """corr2 at every in-range (y, z), z < 0 included, which the ledger
+    reads from the cell of -z, against the reference's sums over the box:
+    equal for the hat weight, and for smooth within gamma_k of their sum of
+    |terms|, with k = rounding_k for the pair table."""
+    params = PipelineParams(f=F2, B=3, pi=2, p=3, q=5, weight=weight,
+                            with_pair_table=True)
+    led, ref_c = build_ledger(params), Reference(params, 0)
+    Y, Z, q3 = led.shift_range, led.pair_range, params.q**3
+    den, slack = q3 * ref_c.den1**4, gamma(rounding_k(ref_c, "pair_num"))
+    below = 0  # the cells with z < 0 whose congruence sum is not 0
+    for y in itertools.product(range(-Y, Y + 1), repeat=2):
+        for z in itertools.product(range(-Z, Z + 1), repeat=2):
+            cong, total = ref_c.corr2_sums(y, z)
+            want, got = Fraction(q3 * cong - total, den), led.corr2(y, z)
+            if led.exact:
+                assert got == want, (y, z)
+            else:
+                size = Fraction(q3 * cong + total, den)
+                assert abs(Fraction(got) - want) <= slack * size, (y, z)
+            below += cong != 0 and flat_key(z, Z) < (2 * Z + 1) ** 2 // 2
+    assert below > 0
 
 
 def test_params_validation():
