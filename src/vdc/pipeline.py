@@ -86,20 +86,27 @@ class mod p.  Two symmetries hold for every f and weight, so the
 correlations and the level-2 box-point join are always triangular:
 corr(-y) = corr(y), as (x, x') and (x', x) are both pairs, and corr2(y, -z)
 = corr2(y, z), as swapping x with x + p z and u with u + p z keeps y, the
-weight product and q | d2f.  Level 1 is triangular when f(-x) = +-f(x)
-(every monomial of f has the degree parity of the first) and the axis
-weight is even: then t(-y) = t(y) for its tables (``_mirrors``, checked on
-the input at run time); otherwise it emits both halves.  Each -y entry is
-a copy of its mirror; for the smooth weight the copied half therefore
+weight product and q | d2f.  When f(-x) = +-f(x) (every monomial of f has
+the degree parity of the first) and the axis weight is even, x -> -x also
+gives t(-y) = t(y) for the level-1 tables and corr2(-y, -z) = corr2(y, z)
+(``_mirrors``, checked on the input at run time).  Then level 1 and the
+second level-2 join are triangular too: the second join takes its pairs in
+box order of their first point, so an x-pair meets only the u-pairs at or
+after itself, y >= 0.  Otherwise both emit both halves of y.  Each -y entry
+is a copy of its mirror; for the smooth weight the copied half therefore
 carries the computed half's rounding, not its own.
 
-Level 2 keeps only the half of its table that its join computes: the cells
-(y, z), z >= 0, it fills, as sorted keys h Ycells + ky (kz = Zcells // 2 +
-h) and congruence parts c(y, z).  corr2(y, z) reads the cell of whichever
-of z and -z is >= 0, h = |kz - Zcells // 2|, and c = 0 at every cell the
-join leaves empty.  qsum and the per-y sums of |q^3 c - FS2| visit the
-filled cells alone, counting each one with z > 0 twice, for itself and its
-mirror (y, -z) (``_level2_cells``).
+Level 2 keeps only the part of its table that its joins compute: the cells
+(y, z) they fill, z >= 0 and under the mirror y >= 0, as sorted keys h
+Ycells + ky (kz = Zcells // 2 + h) and congruence parts c(y, z).  corr2(y,
+z) reads the cell of whichever of z and -z is >= 0, h = |kz - Zcells // 2|,
+and under the mirror likewise of y and -y; c = 0 at every cell the join
+leaves empty.  It reads FS2 at that cell too, from a table of T summed for
+z_i >= 0 and mirrored, as T(a, -c) = T(a, c) for every weight; so a smooth
+corr2 is one float under the sign flips of y and z that the ledger folds.
+qsum and the per-y sums of |q^3 c - FS2| visit the filled cells alone,
+counting each one with z > 0 twice, for itself and its mirror (y, -z), and
+under the mirror are copied from y to -y (``_level2_cells``).
 """
 
 from __future__ import annotations
@@ -218,7 +225,8 @@ class PipelineLedger:
     residuals: dict
     warnings: list
     pair_range: int | None = None  # Z
-    pair_keys: np.ndarray | None = None  # filled z >= 0 cells, sorted h * Ycells + ky
+    pair_quarter: bool = False  # level 2 keeps y >= 0 only (``_mirrors``)
+    pair_keys: np.ndarray | None = None  # filled cells, sorted h * Ycells + ky
     pair_num: np.ndarray | None = None  # their congruence parts (den1^4 scale)
     qsum: np.ndarray | None = None  # sum_z of pair congruence parts, per y
     abs2_num: np.ndarray | None = None  # sum_z |q^3 cong - FS2|, per y (den1^4 scale)
@@ -280,13 +288,19 @@ class PipelineLedger:
         return [self._record_at(k) for k in range(take)]
 
     def corr2(self, y, z) -> object:
-        """The two-level correlation at any (y, z); needs the pair table."""
+        """The two-level correlation at any (y, z); needs the pair table.
+        It reads its stored cell: that of z or -z, whichever is >= 0, and of
+        y or -y likewise when level 2 keeps y >= 0 only; the key of -z is
+        Zcells - 1 - kz, and of -y Ycells - 1 - ky."""
         if self.pair_keys is None:
             raise PreconditionError("pair table was not built")
         Z, n = self.pair_range, self.n
+        Ycells, Zcells = len(self.corr_num), (2 * Z + 1) ** n
         ky, kz = self.shift_key(y), _table_key(z, Z, n, "second shift")
-        # the cell of z or -z, whichever is >= 0 (key of -z: Zcells - 1 - kz)
-        k = abs(kz - (2 * Z + 1) ** n // 2) * len(self.corr_num) + ky
+        kz = max(kz, Zcells - 1 - kz)
+        if self.pair_quarter:
+            ky = max(ky, Ycells - 1 - ky)
+        k = (kz - Zcells // 2) * Ycells + ky
         i = int(np.searchsorted(self.pair_keys, k))
         cong = self.pair_num[i] if self.pair_keys[i:i + 1].tolist() == [k] else 0
         fs2 = _fs2(self._t2d_table.astype(object), ky, kz, n)
@@ -345,9 +359,9 @@ def _table_key(v, R: int, n: int, what: str) -> int:
 
 
 def _mirrors(f: IntPoly, w1: np.ndarray) -> bool:
-    """Whether the level-1 tables are mirror images, t(-y) = t(y): every
-    monomial of f has the degree parity of the first, so f(-x) = +-f(x), and
-    the axis weight is even.  Every current weight kind is even; the weight
+    """Whether the level-1 tables are mirror images, t(-y) = t(y), and
+    corr2(-y, -z) = corr2(y, z): every monomial of f has the degree parity
+    of the first, so f(-x) = +-f(x), and the axis weight is even.  Every current weight kind is even; the weight
     half guards a future uneven kind."""
     parities = {sum(e) % 2 for e in f.terms}
     return len(parities) <= 1 and np.array_equal(w1, w1[::-1])
@@ -596,7 +610,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     # Inside a class, index order is ycode order, so a triangular pass (c at
     # or after a) emits the shifts y >= 0, y = 0 once as (a, a).  The
     # correlations are always triangular, since corr(-y) = corr(y); level 1
-    # only when the tables mirror.
+    # and level 2's second join only when the tables mirror.
     mirror = _mirrors(f, w1)
     a_pq = np.flatnonzero(solpq)
     ycode = _flat(coords // pi, sideY)
@@ -683,7 +697,8 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     ledger.residuals = _residuals(ledger, inner_sq)
 
     if params.with_pair_table:
-        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, budget)
+        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode,
+                          mirror, budget)
     return ledger
 
 
@@ -803,7 +818,8 @@ def _least_margins(pn: int, q: int, tables) -> list:
     return least
 
 
-def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, budget):
+def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode,
+                      mirror, budget):
     """Second differencing: corr2(y, z) tables and their per-y aggregates."""
     pr = ledger.params
     B, pi, p, q, n = pr.B, pr.pi, pr.p, pr.q, ledger.n
@@ -811,16 +827,19 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, bud
     budget.charge((2 * Z + 1) ** n * L**n, "pair-table windows")
 
     D = ledger._dom
-    # per-coordinate quadruple weight sums T(pi y_i, p z_i)
-    a = np.repeat(pi * np.arange(-Y, Y + 1, dtype=np.int64), 2 * Z + 1)
-    c = np.tile(p * np.arange(-Z, Z + 1, dtype=np.int64), 2 * Y + 1)
-    t2d = _lag_sums(w1, np.stack([0 * a, a, c, a + c], axis=1)).reshape(2 * Y + 1, -1)
+    # per-coordinate quadruple weight sums T(pi y_i, p z_i), summed for z_i
+    # >= 0: T(a, -c) = T(a, c) for every weight (m -> m + c), so the columns
+    # z_i < 0 are copies
+    a = np.repeat(pi * np.arange(-Y, Y + 1, dtype=np.int64), Z + 1)
+    c = np.tile(p * np.arange(Z + 1, dtype=np.int64), 2 * Y + 1)
+    half = _lag_sums(w1, np.stack([0 * a, a, c, a + c], axis=1)).reshape(2 * Y + 1, -1)
+    t2d = np.hstack([half[:, :0:-1], half])
     ledger._t2d_table = t2d
-    ledger.pair_range = Z
+    ledger.pair_range, ledger.pair_quarter = Z, mirror
     ledger.pair_keys, ledger.pair_num = _pair_cells(
-        ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget)
+        ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, mirror, budget)
     ledger.qsum, ledger.abs2_num = _level2_cells(
-        ledger.pair_keys, ledger.pair_num, t2d, n, q**3, D)
+        ledger.pair_keys, ledger.pair_num, t2d, n, q**3, D, mirror)
 
     # refined_square_expansion: sum over (v, a) of squared bin sums equals
     # the z-sum of pair congruence parts (both at the den1^4 scale)
@@ -836,13 +855,16 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode, bud
     ledger.aggregate = _aggregate_from_abs(ledger)
 
 
-def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget):
-    """The level-2 cells (y, z), z >= 0, that the joins fill, as sorted
-    keys h Ycells + ky (kz = Zcells // 2 + h), and their congruence parts;
-    the joins' arrays live only here."""
+def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, mirror,
+                budget):
+    """The level-2 cells (y, z) that the joins fill, z >= 0 and, when the
+    tables mirror, y >= 0, as sorted keys h Ycells + ky (kz = Zcells // 2 +
+    h), and their congruence parts; the joins' arrays live only here."""
     n, exact, Ycells = ledger.n, ledger.exact, len(ledger.corr_num)
     sideZ = 2 * ledger.pair_range + 1
     Zcells = sideZ**n
+    ylo = Ycells // 2 if mirror else 0  # the mirrored join emits y >= 0
+    width = Ycells - ylo
 
     # box-point pairs: live points a and c = a + p z with f(a) = f(c) mod q,
     # from one join on the box class (class mod p, f mod q), numbered as in
@@ -856,54 +878,69 @@ def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, budget):
     npairs, order, _, box_pairs = _pair_join(key, key, np.arange(live.size))
 
     # x-pairs (x, x + p z) joined with box-point pairs (u, u + p z) of the
-    # same z inside classes mod pi, so u = x + pi y.  One x meets each y at
-    # most once, so each cell (y, z) adds its rows in x order.
+    # same z inside classes mod pi, so u = x + pi y.  The pairs run in box
+    # order of their first point, so inside a group (z, class mod pi) index
+    # order is ycode order, and one x meets each y at most once: each cell
+    # (y, z) adds its rows in x order.  When the tables mirror, corr2(-y,
+    # -z) = corr2(y, z) too, and the join is triangular: an x-pair meets the
+    # u-pairs at or after itself, the rows with y >= 0.
     # The classes the box meets are numbered in order, so the group keys
     # (z, class) stay below Zcells * L^n.
     classes, cls = np.unique(cls_pi, return_inverse=True)
     zcode = _flat(coords // ledger.params.p, sideZ)  # keys z as ycode keys y
     live = live[order]  # the columns of the pairs (a, c) read in join order
     li, ri = (np.concatenate(t) for t in zip(*box_pairs))
+    by_u = _stable_order(live[li])
+    li, ri = li[by_u], ri[by_u]
+    del by_u
     zs, ws = zcode[live], wnum[live]
     pz = zs[ri] - zs[li] + Zcells // 2
     pw = _product(ws[li], ws[ri])
     rgrp = pz * classes.size + cls[live][li]
-    # a row's cell (kz - Zcells // 2) Ycells + ky, with ky = Ycells // 2
+    # a row's cell (kz - Zcells // 2) width + ky - ylo, with ky = Ycells // 2
     # - ycode[x] + ycode[u] the flat key of y, splits into an x and a u part
     ucell = ycode[live][li]
     isx = (fq_v[live] == 0)[li]
     del li, ri
     lgrp, wx = rgrp[isx], pw[isx]
-    xcell = (pz[isx] - Zcells // 2) * Ycells + Ycells // 2 - ucell[isx]
+    xcell = (pz[isx] - Zcells // 2) * width + Ycells // 2 - ylo - ucell[isx]
+    own = np.flatnonzero(isx) if mirror else None
     del pz, isx
     budget.charge(lgrp.size, "second-difference pairs")
 
-    _, lo, ro, pairs = _pair_join(lgrp, rgrp)
-    del lgrp, rgrp
+    _, lo, ro, pairs = _pair_join(lgrp, rgrp, own)
+    del lgrp, rgrp, own
     xcell, wx, ucell, pw = xcell[lo], wx[lo], ucell[ro], pw[ro]
     rows = ((xcell[li] + ucell[ri], _product(wx[li], pw[ri])) for li, ri in pairs)
-    return _cell_sums(rows, Ycells, Zcells - Zcells // 2, exact)
+    cells, sums = _cell_sums(rows, width, Zcells - Zcells // 2, exact)
+    if ylo:  # from h width + ky - ylo to h Ycells + ky
+        h, k = np.divmod(cells, width)
+        cells = h * Ycells + k + ylo
+    return cells, sums
 
 
-def _level2_cells(cells, c, t2d, n, q3, D2):
+def _level2_cells(cells, c, t2d, n, q3, D2, mirror: bool):
     """qsum and abs2_num of level 2 from its sorted cells h Ycells + ky (kz
-    = Zcells // 2 + h), z >= 0, and their congruence parts c.  As corr2(y,
-    -z) = corr2(y, z) and FS2(y, -z) = FS2(y, z), a cell with z > 0 counts
-    twice, for itself and for (y, -z); doubling is exact.  Each y adds its
-    cells in z order.  As FS2(y, z) = prod_i T(pi y_i, p z_i) >= 0, an empty
-    cell adds FS2 to sum_z |q^3 c - FS2|, which is so prod_i R(y_i) plus the
-    filled cells' |q^3 c - FS2| - FS2, with R(y_i) = sum_{z_i} T(pi y_i, p
-    z_i) a row sum of t2d.  Such an exact term, doubled, lies in [-2 FS2, 2
-    q^3 c]: int64 holds it where 2 q^3 c and 2 prod_i R(y_i) >= 2 FS2 are
-    provably below INT64_LIMIT (``_fits``)."""
+    = Zcells // 2 + h), z >= 0, and their congruence parts c; with mirror,
+    the cells hold y >= 0 only, and the sums at -y are copies of those at y
+    (``_mirror``).  As corr2(y, -z) = corr2(y, z) and FS2(y, -z) = FS2(y,
+    z), a cell with z > 0 counts twice, for itself and for (y, -z);
+    doubling is exact.  Each y adds its cells in z order.  As FS2(y, z) =
+    prod_i T(pi y_i, p z_i) >= 0, an empty cell adds FS2 to sum_z |q^3 c -
+    FS2|, which is so prod_i R(y_i) plus the filled cells' |q^3 c - FS2| -
+    FS2, with R(y_i) = sum_{z_i} T(pi y_i, p z_i) a row sum of t2d.  Such an
+    exact term, doubled, lies in [-2 FS2, 2 q^3 c]: int64 holds it where 2
+    q^3 c and 2 prod_i R(y_i) >= 2 FS2 are provably below INT64_LIMIT
+    (``_fits``)."""
     sideY, sideZ = t2d.shape
     Ycells, Zcells = sideY**n, sideZ**n
+    ylo = Ycells // 2 if mirror else 0  # the y the cells cover
     h, ky = np.divmod(cells, Ycells)
     kz, m = Zcells // 2 + h, 1 + (h > 0)  # m: the cells (y, +-z) it stands for
     qsum = _Bins(Ycells, D2.exact).add(ky, m * c).total()
     R = _Bins(sideY, D2.exact).add(np.arange(t2d.size) // sideZ, t2d.ravel()).total()
     rsum = _sep_product([R] * n)  # prod_i R(y_i)
-    abs2 = _Bins(Ycells, D2.exact).add(np.arange(Ycells), rsum)
+    abs2 = _Bins(Ycells, D2.exact).add(np.arange(ylo, Ycells), rsum[ylo:])
 
     def term(c, f, m):  # m (|q^3 c - FS2| - FS2), in place
         t = q3 * c
@@ -924,6 +961,8 @@ def _level2_cells(cells, c, t2d, n, q3, D2):
         k = ky[at]
         abs2.add(k, term(c[at].astype(t.dtype, copy=False), _fs2(t, k, kz[at], n),
                          m[at]))
+    if mirror:
+        return _mirror(qsum), _mirror(abs2.total())
     return qsum, abs2.total()
 
 

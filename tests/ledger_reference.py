@@ -10,10 +10,11 @@ ledger rounds.  Box and shift arrays have axis i for x_i (y_i); their
 Fortran-order ravel is the ledger's flat order.  A sum over pairs (x, x + m t)
 reads the x + m t as a strided slice of a box array (``_strided``).
 
-Level 2 sums every cell (y, z) from its definition, z < 0 included, keyed
-ky Zcells + kz, and checks that each equals its mirror (y, -z) before it
-keeps the ledger's half (``Reference.half``); qsum and abs2_num add every
-cell.
+Level 2 sums every cell (y, z) from its definition, y < 0 and z < 0
+included, keyed ky Zcells + kz, and checks that each equals its mirror (y,
+-z), and (-y, z) too when f(-x) = +-f(x) and the weight is even
+(``Reference.mirror``), before it keeps the ledger's layout
+(``Reference.half``); qsum and abs2_num add every cell.
 """
 import itertools
 import math
@@ -76,6 +77,10 @@ class Reference:
             d = max(Fraction(v).denominator for v in w1.tolist())
             a1 = [int(Fraction(v) * d) for v in w1.tolist()]
         self.a1, self.den1 = a1, d**n
+        # every monomial of the degree parity of the first and an even weight:
+        # corr2(-y, z) = corr2(y, z), and level 2 keeps y >= 0 only
+        self.mirror = (len({sum(e) % 2 for e in f.terms}) <= 1
+                       and a1 == a1[::-1])
         shape = (self.L,) * n
         self.fv = _grid(f, [range(-H, H + 1)] * n)
         self.w = _outer([a1] * n)
@@ -205,28 +210,39 @@ class Reference:
 
     def half(self, keys, nums):
         """The ledger's layout of a whole level-2 table, keys ky Zcells + kz
-        holding nums: the cells z >= 0, as sorted keys h Ycells + ky (kz =
-        Zcells // 2 + h), once every cell is checked to equal its mirror
-        (y, -z), key ky Zcells + Zcells - 1 - kz."""
+        holding nums: the cells z >= 0, and y >= 0 under the mirror, as
+        sorted keys h Ycells + ky (kz = Zcells // 2 + h), once every cell is
+        checked to equal its mirror (y, -z), key ky Zcells + Zcells - 1 - kz,
+        and under the mirror (-y, z), key (Ycells - 1 - ky) Zcells + kz."""
         Ycells, Zcells = self._cells()
         ky, kz = np.divmod(np.asarray(keys, dtype=np.int64), Zcells)
         cells = dict(zip(np.asarray(keys).tolist(), list(nums)))
         for k, y, z in zip(cells, ky.tolist(), kz.tolist()):
             assert cells.get(y * Zcells + Zcells - 1 - z) == cells[k], (y, z)
-        up = kz >= Zcells // 2
+            if self.mirror:
+                assert cells.get((Ycells - 1 - y) * Zcells + z) == cells[k], (y, z)
+        up = (kz >= Zcells // 2) & (ky >= (Ycells // 2 if self.mirror else 0))
         hkeys = (kz[up] - Zcells // 2) * Ycells + ky[up]
         order = np.argsort(hkeys, kind="stable")
         return hkeys[order], np.asarray(nums)[up][order]
 
-    def unfold(self, keys, nums):
-        """The whole table of the ledger's half (keys h Ycells + ky holding
-        nums): each cell with z > 0 also at (y, -z), as keys ky Zcells + kz."""
+    def unfold(self, keys, nums, quarter=None):
+        """The whole table of the ledger's layout (keys h Ycells + ky holding
+        nums), as keys ky Zcells + kz in key order: each cell with z > 0 also
+        at (y, -z), and for a quarter (default: under the mirror) each cell
+        with y > 0 also at (-y, z) and (-y, -z)."""
         Ycells, Zcells = self._cells()
+        quarter = self.mirror if quarter is None else quarter
         h, ky = np.divmod(np.asarray(keys, dtype=np.int64), Ycells)
-        up = h > 0
-        return (np.concatenate([ky * Zcells + Zcells // 2 + h,
-                                (ky * Zcells + Zcells // 2 - h)[up]]),
-                np.concatenate([nums, np.asarray(nums)[up]]))
+        nums, every = np.asarray(nums), np.ones(h.size, dtype=bool)
+        out = {}
+        for y, ym in ((ky, every), (Ycells - 1 - ky, quarter & (ky > Ycells // 2))):
+            for z, zm in ((Zcells // 2 + h, every), (Zcells // 2 - h, h > 0)):
+                at = ym & zm
+                out.update(zip((y * Zcells + z)[at].tolist(), nums[at]))
+        order = sorted(out)
+        return np.array(order, dtype=np.int64), np.array([out[k] for k in order],
+                                                         dtype=nums.dtype)
 
     def level2_sums(self, keys, nums):
         """qsum and abs2_num, sum_z |q^3 c - FS2|, of cells keys (ky Zcells +

@@ -465,15 +465,18 @@ def test_lag_sums_match_per_entry_loop(monkeypatch, weight, block):
 
 def test_ledger_lag_tables_match_per_entry_loop(default_ledgers):
     """The smooth ledger's fs_num and its table of T are the loop's, bit for
-    bit: fs_num as the separable product of the loop's axis sums."""
+    bit: fs_num as the separable product of the loop's axis sums, and T at
+    z >= 0, whose columns z < 0 are their mirrors, T(a, -c) = T(a, c)."""
     led = default_ledgers[("showcase", "smooth")]
     w1 = Weight("smooth").axis_values(B)[0]
     Y, Z = led.shift_range, led.pair_range
     fs = lag_loop(w1, [(0, PI * y) for y in range(-Y, Y + 1)])
     T = lag_loop(w1, [(0, PI * y, P * z, PI * y + P * z)
-                      for y in range(-Y, Y + 1) for z in range(-Z, Z + 1)])
+                      for y in range(-Y, Y + 1) for z in range(Z + 1)])
     assert led.fs_num.tobytes() == counting._sep_product([np.array(fs)] * N).tobytes()
-    assert led._t2d_table.tobytes() == np.array(T).tobytes()
+    t2d = led._t2d_table
+    assert t2d[:, Z:].tobytes() == np.array(T).reshape(2 * Y + 1, Z + 1).tobytes()
+    assert t2d.tobytes() == t2d[:, ::-1].tobytes()
 
 
 class RecordingBudget(Budget):
@@ -595,8 +598,8 @@ def level2_loop(led):
     """The dense pair table and qsum of a float level 2, added term by term,
     and the number of terms of each cell.  Cell (y, z) adds w(x) w(x + p z)
     * w(u) w(u + p z), u = x + pi y, to 0 over the x-pairs (x, x + p z) in
-    (class mod pi, class mod p, box index of x) order, x1 fastest; qsum adds
-    each y's cells in z order (elementwise across y)."""
+    (class mod pi, box index of x) order, x1 fastest; qsum adds each y's
+    cells in z order (elementwise across y)."""
     pr, n, Y, Z = led.params, led.n, led.shift_range, led.pair_range
     pi, p, q = pr.pi, pr.p, pr.q
     w1 = Weight(pr.weight).axis_values(pr.B)[0].tolist()
@@ -628,7 +631,7 @@ def level2_loop(led):
     code = {x: flat_key([c // pi for c in x], Y) for x in pts}
     for z, xs in xpairs.items():
         cells, kz = defaultdict(float), flat_key(z, Z)
-        xs.sort(key=lambda t: (cls(t[0], pi), cls(t[0], p), index[t[0]]))
+        xs.sort(key=lambda t: (cls(t[0], pi), index[t[0]]))
         for x, wx in xs:
             for u, wu in upairs[z, cls(x, pi)]:
                 ky = code[u] - code[x] + Ycells // 2
@@ -656,32 +659,36 @@ def assert_close(got, want, k):
     got, want = (np.asarray(v).tolist() for v in (got, want))
     bound = gamma(2 * k)
     for a, b in zip(got, want):
-        assert abs(Fraction(a) - Fraction(b)) <= bound * (Fraction(a) + Fraction(b))
+        if a != b:
+            assert abs(Fraction(a) - Fraction(b)) <= bound * (Fraction(a) + Fraction(b))
 
 
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_float_level2_matches_scalar_loop(default_ledgers, case):
-    """The ledger keeps the loop's cells with z >= 0, bit for bit; the
-    loop's cells with z < 0, which it adds from their own terms, are the
-    mirrors (y, -z) of its cells with z > 0 within their rounding bound, and
-    so is each qsum[y], which counts a cell with z > 0 for both.  abs2_num
-    lies within its rounding bound of the reference's exact sum over every
-    z of the same float64 cells, with FS2 from the reference's exact T:
-    abs2_rounding_k, and n (L + 3) for the roundings of T."""
+    """The ledger keeps the loop's cells with y >= 0 and z >= 0, bit for
+    bit; the loop's other cells, which it adds from their own terms, are the
+    mirrors (y, -z), (-y, z) and (-y, -z) of its cells within their rounding
+    bound, and so is each qsum[y], which counts a cell with z > 0 for both z
+    and -z and is copied to -y.  abs2_num lies within its rounding bound of
+    the reference's exact sum over every cell of the same float64 cells,
+    with FS2 from the reference's exact T: abs2_rounding_k, and n (L + 3)
+    for the roundings of T."""
     led = default_ledgers[(case, "smooth")]
-    assert not led.exact
+    assert not led.exact and led.pair_quarter
     table, qsum, terms = level2_loop(led)
     sideZ = 2 * led.pair_range + 1
     Ycells, Zcells = len(led.corr_num), sideZ**N
-    low, mirror = table[:, :Zcells // 2], table[:, ::-1][:, :Zcells // 2]
-    filled = low != 0  # the cells with z < 0, and at each its mirror (y, -z)
-    assert np.array_equal(filled, mirror != 0)
-    assert_close(low[filled], mirror[filled], int(terms.max()))
-    half = table[:, Zcells // 2:].T.ravel()  # keys h Ycells + ky
-    keys = np.flatnonzero(half)
+    filled = table != 0
+    for mirror in (table[:, ::-1], table[::-1], table[::-1, ::-1]):
+        assert np.array_equal(filled, mirror != 0)
+        assert_close(table[filled], mirror[filled], int(terms.max()))
+    quarter = np.zeros((Zcells - Zcells // 2, Ycells))  # keys h Ycells + ky
+    quarter[:, Ycells // 2:] = table[Ycells // 2:, Zcells // 2:].T
+    quarter = quarter.ravel()
+    keys = np.flatnonzero(quarter)
     assert keys.max() >= Ycells  # some cells with z > 0
     assert np.array_equal(led.pair_keys, keys)
-    assert np.array_equal(led.pair_num, half[keys])
+    assert np.array_equal(led.pair_num, quarter[keys])
     assert_close(led.qsum, qsum, int(terms.max()) + Zcells)
     ref_s = Reference(led.params, 0)
     den = ref_s.den1**4
@@ -806,7 +813,7 @@ def check_level2_cells(t2d, kz, ky, w, q3, cut=None):
     keys, parts = pipeline._cell_sums(iter(rows), Ycells, Zcells - Zcells // 2,
                                       exact)
     qsum, abs2 = pipeline._level2_cells(keys, parts, t2d, n, q3,
-                                        pipeline._Domain(exact))
+                                        pipeline._Domain(exact), False)
     cells = {}  # (h, y) -> the sequential sum of its rows
     assert kz.min() >= Zcells // 2
     for z, y, c in zip(kz.tolist(), ky.tolist(), w.tolist()):
@@ -875,6 +882,42 @@ def test_level2_cells_carry_a_split_z():
         (kz, [18] * 3), (ky, [4] * 3), (w, [1.0, e, e])))
     assert kz[at + 1:].tolist().count(18) > 2  # z key 18 goes on past the cut
     check_level2_cells(t2d, kz, ky, w, 13**3, at + 1)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_level2_cells_quarter_equals_full_y(monkeypatch, planted):
+    """_level2_cells on cells (y, z), y >= 0 and z >= 0, with mirror equals
+    it on the same cells unfolded to every y without: qsum and abs2_num
+    value for value and in the same dtype.  t2d is symmetric in both
+    shifts, as T is.  Planted: every cell of the quarter has q^3 c = FS2,
+    so abs2_num is 0 at every y while prod_i R(y_i) passes a lowered
+    INT64_LIMIT; a y < 0 bin seeded with it alone would leave int64."""
+    n, rng = 2, np.random.default_rng(13)
+    t2d = mirrored(rng.integers(1, 2**20, size=(2, 2)))
+    t2d = np.vstack([t2d, t2d[-2::-1]])
+    Ycells = Zcells = 9
+    h, ky = np.divmod(np.arange(5 * Ycells), Ycells)
+    keep = ky >= Ycells // 2
+    if not planted:
+        keep &= rng.random(keep.size) < 0.5
+    h, ky = h[keep], ky[keep]
+    q3, c = 7, rng.integers(1, 2**30, ky.size)
+    if planted:
+        q3, c = 1, pipeline._fs2(t2d, ky, Zcells // 2 + h, n)
+        limit = 2**40
+        assert int(t2d.sum(axis=1).max()) ** 2 >= limit > int(c.max())
+        monkeypatch.setattr(counting, "INT64_LIMIT", limit)
+    down = ky > Ycells // 2  # their mirrors (-y, z)
+    full = np.concatenate([h * Ycells + ky, (h * Ycells + Ycells - 1 - ky)[down]])
+    order = np.argsort(full)
+    dom = pipeline._Domain(True)
+    got = pipeline._level2_cells(h * Ycells + ky, c, t2d, n, q3, dom, True)
+    want = pipeline._level2_cells(full[order], np.concatenate([c, c[down]])[order],
+                                  t2d, n, q3, dom, False)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+    if planted:
+        assert not got[1].any()
 
 
 def part_sums_oracle(key, w):
@@ -1005,7 +1048,7 @@ def test_scatters_match_fold_oracle(case):
         keys, parts = pipeline._cell_sums(iter(rows), ycells, zcells - zcells // 2,
                                           exact)
         qsum, _ = pipeline._level2_cells(keys, parts, t2d, n, 13**3,
-                                         pipeline._Domain(exact))
+                                         pipeline._Domain(exact), False)
 
     kz, ky, w = (np.concatenate(c) for c in zip(*chunks))
     want_keys, want = (np.array(v, dtype=t) for v, t in zip(
@@ -1356,27 +1399,38 @@ HALF_CASES = {**{(c, w): dict(**kw, weight=w) for c, kw in CHUNK_CASES.items()
 @pytest.mark.parametrize("case", HALF_CASES, ids="-".join)
 def test_half_path_equals_full_path(default_ledgers, exact_level2_ledgers,
                                     monkeypatch, case):
-    """The mirrored level-1 tables equal the full path's: entry for entry
-    for exact weights; for smooth, bit for bit on the half the triangular
-    pass computes, y >= 0, and within rounding of the full path's sums on
-    the mirrored half.  Level 2 does not depend on the level-1 path."""
+    """The mirrored paths equal the full ones.  Level 1 and the unfolded
+    level-2 quarter (``Reference.unfold``) equal the full path's tables
+    entry for entry for exact weights; for smooth they are bit for bit on
+    the half the triangular passes compute, y >= 0, and within rounding of
+    the full path's sums on the mirrored half."""
     half = (exact_level2_ledgers["n4-hat-b3"] if case[0] == "n4-hat-b3"
             else default_ledgers[case])
     monkeypatch.setattr(pipeline, "_mirrors", lambda f, w1: False)
     full = build_ledger(PipelineParams(**HALF_CASES[case], with_pair_table=True))
+    assert half.pair_quarter and not full.pair_quarter
+    Ycells = len(half.corr_num)
+    ref_u = Reference(half.params, 0)
+    got = ref_u.unfold(half.pair_keys, half.pair_num)
+    want = ref_u.unfold(full.pair_keys, full.pair_num, quarter=False)
     if half.exact:
-        for name in CHUNKED_ARRAYS:
+        for name in ("corr_num", "t0_num", "t1_num", "ss2", "ss3", "sxy_num",
+                     "qsum", "abs2_num"):
             assert np.array_equal(getattr(half, name), getattr(full, name)), name
+        assert all(map(np.array_equal, got, want))
         assert half.aggregate == full.aggregate
         return
-    up = slice(len(half.corr_num) // 2, None)
+    up = slice(Ycells // 2, None)
     assert np.array_equal(half.corr_num, full.corr_num)
-    for name in ("t0_num", "t1_num", "ss2", "ss3", "sxy_num"):
+    for name in ("t0_num", "t1_num", "ss2", "ss3", "sxy_num", "qsum", "abs2_num"):
         h, f = getattr(half, name), getattr(full, name)
         assert np.array_equal(h[up], f[up]), name
         assert np.allclose(h, f, rtol=1e-12, atol=0), name
-    for name in ("pair_keys", "pair_num", "qsum", "abs2_num"):
-        assert np.array_equal(getattr(half, name), getattr(full, name)), name
+    upper = full.pair_keys % Ycells >= Ycells // 2
+    assert np.array_equal(half.pair_keys, full.pair_keys[upper])
+    assert half.pair_num.tobytes() == full.pair_num[upper].tobytes()
+    assert np.array_equal(got[0], want[0])
+    assert np.allclose(got[1], want[1], rtol=1e-12, atol=0)
 
 
 def test_corr2_matches_brute_force_at_n4(exact_level2_ledgers):
@@ -1388,10 +1442,11 @@ def test_corr2_matches_brute_force_at_n4(exact_level2_ledgers):
     cells = [(o, o), (y, (0, -1, 1, 0)), (y, (2, 0, 0, 0)), empty,
              ((Y, 0, 0, 0), o), ((0, 1, 0, 0), (0, 0, -Z, 0)),
              ((-Y,) * 4, (-Z,) * 4), ((Y,) * 4, (Z,) * 4)]  # first, last key
-    Zcells = (2 * Z + 1) ** 4
+    Ycells, Zcells = len(led.corr_num), (2 * Z + 1) ** 4
     h = pipeline._table_key(empty[1], Z, 4, "second shift") - Zcells // 2
-    assert h > 0
-    assert h * len(led.corr_num) + led.shift_key(empty[0]) not in led.pair_keys
+    ky = led.shift_key(empty[0])
+    assert h > 0 and ky < Ycells // 2  # corr2 reads the stored cell (-y, z)
+    assert h * Ycells + Ycells - 1 - ky not in led.pair_keys
     ref_n4 = Reference(led.params, 0)
     want = {yz: ref_n4.corr2(*yz) for yz in cells}
     assert want[empty] < 0 < want[o, o]
@@ -1426,6 +1481,85 @@ def test_corr2_matches_brute_force_at_every_cell(weight):
                 assert abs(Fraction(got) - want) <= slack * size, (y, z)
             below += cong != 0 and flat_key(z, Z) < (2 * Z + 1) ** 2 // 2
     assert below > 0
+
+
+def second_join_rows(params, triangular):
+    """The rows of level 2's second join, by brute force over the box: the
+    box-point pairs (u, u + p z), both live, u + p z at or after u in box
+    order, f(u) = f(u + p z) mod q, grouped by (z, class of u mod pi); each
+    x-pair among them, q | f(x), meets every pair of its group, or when
+    triangular those with u at or after x in box order."""
+    pr, (pts, w) = params, box_weights(params)
+    fq = [pr.f.eval(list(x)) % pr.q for x in pts]
+    boxes, groups = defaultdict(list), defaultdict(list)
+    for i, x in enumerate(pts):
+        if w[i] > 0:
+            boxes[tuple(c % pr.p for c in x), fq[i]].append(i)
+    for members in boxes.values():
+        for at, i in enumerate(members):
+            for j in members[at:]:
+                z = tuple((b - a) // pr.p for a, b in zip(pts[i], pts[j]))
+                groups[z, tuple(c % pr.pi for c in pts[i])].append(i)
+    rows = 0
+    for g in groups.values():
+        g.sort()
+        for at, i in enumerate(g):
+            if fq[i] == 0:
+                rows += len(g) - at if triangular else len(g)
+    return rows
+
+
+@pytest.mark.parametrize("f, mirror", [(F, True), (F_ODD_EVEN, False)],
+                         ids=["mirrored", "mixed-parity"])
+def test_second_join_rows_match_brute_force(monkeypatch, f, mirror):
+    """Level 2's second join emits the brute-force count of its rows: under
+    the mirror only the u-pairs at or after each x-pair, y >= 0, about half
+    of the full count the mixed-parity polynomial's join keeps."""
+    joins, join = [], pipeline._pair_join
+
+    def spy(left, right, own=None):
+        npairs, lo, ro, chunks = join(left, right, own)
+        joins.append([own is not None, npairs, 0])
+
+        def counted():
+            for li, ri in chunks:
+                joins[-1][2] += li.size
+                yield li, ri
+        return npairs, lo, ro, counted()
+
+    monkeypatch.setattr(pipeline, "_pair_join", spy)
+    params = (PipelineParams(**SHOWCASE, with_pair_table=True) if mirror else
+              PipelineParams(f=f, B=4, pi=5, p=3, q=7, with_pair_table=True))
+    led = build_ledger(params)
+    assert led.pair_quarter == mirror
+    triangular, npairs, emitted = joins[2]  # correlations, box pairs, second
+    assert triangular == mirror and emitted == npairs
+    assert npairs == second_join_rows(params, mirror)
+    if mirror:
+        assert 2 * npairs > second_join_rows(params, False) > npairs
+
+
+def test_smooth_corr2_is_bit_symmetric(default_ledgers):
+    """Under the mirror, smooth corr2(+-y, +-z) are one float, bit for bit,
+    at 200 filled cells and 100 drawn ones: each reads its congruence part
+    and FS2 at the one stored cell, and T is bit-symmetric in z."""
+    led = default_ledgers[("showcase", "smooth")]
+    assert not led.exact and led.pair_quarter
+    Y, Z, Ycells = led.shift_range, led.pair_range, len(led.corr_num)
+    rng = np.random.default_rng(3)
+    h, ky = np.divmod(rng.choice(led.pair_keys, 200, replace=False), Ycells)
+    ys = pipeline._digits(ky, 2 * Y + 1, N, Y).tolist()
+    zs = pipeline._digits((2 * Z + 1) ** N // 2 + h, 2 * Z + 1, N, Z).tolist()
+    ys += rng.integers(-Y, Y + 1, (100, N)).tolist()
+    zs += rng.integers(-Z, Z + 1, (100, N)).tolist()
+    nonzero = 0
+    for y, z in zip(ys, zs):
+        want = led.corr2(y, z)
+        neg_y, neg_z = [-c for c in y], [-c for c in z]
+        for yy, zz in ((y, neg_z), (neg_y, z), (neg_y, neg_z)):
+            assert led.corr2(yy, zz).hex() == want.hex(), (y, z)
+        nonzero += want != 0
+    assert nonzero > 200
 
 
 def test_params_validation():
