@@ -21,8 +21,8 @@ Integer support of hat and smooth is |x_i| <= 2B-1.
 
 Every weighted box sum, here and in the pipeline ledger, is formed by the
 rule of this module.  The weight of a point is the separable product
-``_sep_product``, w(x_n) (... (w(x_2) w(x_1))), over the box in the order
-where x1 varies fastest.  Its sum is taken in a numeric domain
+``_outer(_product, ...)``, w(x_n) (... (w(x_2) w(x_1))), over the box in the
+order where x1 varies fastest.  Its sum is taken in a numeric domain
 (``_Domain``): exact kinds sum integer numerators in the one exact
 accumulator, ``_Bins``, in int64 wherever its bound holds; the smooth kind
 sums float64 by ``pairwise_sum``, whose reduction tree depends only on the
@@ -162,11 +162,12 @@ def _product(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sep_product(arrs: list[np.ndarray]) -> np.ndarray:
-    """Flattened outer product, first array's index fastest, exact as ``_product``."""
+def _outer(op, arrs: list[np.ndarray]) -> np.ndarray:
+    """Flattened outer op of per-axis arrays, first array's index fastest:
+    op(a_n[x_n], ... op(a_2[x_2], a_1[x_1])) over the grid in box order."""
     out = arrs[0]
     for a in arrs[1:]:
-        out = _product(a[:, None], out[None, :]).ravel()
+        out = op(a[:, None], out[None, :]).ravel()
     return out
 
 
@@ -433,7 +434,7 @@ def _box_sum(fs: list[IntPoly], H: int, m: int | None, A: list[int], vals=None):
     if A:
         kA = np.stack([eval_on_axes(g, [axis] * len(A), m) for g in side(A, True)])
         wA = (np.ones(kA.shape[1], dtype=np.int64) if vals is None
-              else _sep_product([vals] * len(A)))
+              else _outer(_product, [vals] * len(A)))
         codes, order, starts = _key_codes(kA)
         keys = kA[:, order[starts]]
         sums = _Bins(starts.size, exact).add(codes, wA).total()
@@ -449,7 +450,7 @@ def _box_sum(fs: list[IntPoly], H: int, m: int | None, A: list[int], vals=None):
         lead = int(sums[0]) if exact else float(sums[0])
         if vals is None:
             return lead * int(np.count_nonzero(mask))
-        return lead * D.total(_sep_product([vals] * len(S)), mask)
+        return lead * D.total(_outer(_product, [vals] * len(S)), mask)
     kS = np.stack([eval_on_axes(g, [axis] * len(S), m) for g in fS])
     codes, _, _ = _key_codes(np.concatenate([neg(keys), kS], axis=1))
     table = np.zeros(int(codes.max()) + 1, dtype=sums.dtype)
@@ -457,7 +458,7 @@ def _box_sum(fs: list[IntPoly], H: int, m: int | None, A: list[int], vals=None):
     per = table[codes[keys.shape[1]:]]  # each point of S: its A partners' sum
     if vals is None:
         return D.total(per)
-    return D.total(_product(per, _sep_product([vals] * len(S))))
+    return D.total(_product(per, _outer(_product, [vals] * len(S))))
 
 
 def _as_poly_list(fs) -> list[IntPoly]:

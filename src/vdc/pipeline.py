@@ -52,14 +52,17 @@ separable weight product and the pairwise float sum are those of
 `counting`, which forms every weighted box sum by one rule.  An exact
 domain checks an identity with tolerance 0; a float64 domain allows
 SMOOTH_RTOL * max(1, |scale|), with scale the size of the compared terms.
-The two per-shift inequalities report their least margin over the shifts,
-and an exact domain reports it exactly without evaluating every shift in
-Python ints: it evaluates the margins C in float64, as the float domain
-does, and the same expression over the |tables| as a bound e = 2^-40 E on
-each shift's rounding error.  Only a shift with C - e <= min(C + e) and e
-> 0 can hold the minimum without being an exact 0, and only those are
-evaluated again exactly (``_least_margins``).
+The two per-shift inequalities report their least margin over the shifts
+by one path in both domains (``_least_margins``): the margins C in
+float64, and the same expression over the |tables| as a bound e = 2^-40 E
+on each shift's rounding error.  Only a shift with C - e <= min(C + e)
+and e > 0 can hold the minimum without being an exact 0, and only those,
+with one exact 0, are evaluated again in Python ints or floats.
 
+The box and the shift grids are products of n axes, and each separable
+array over one is formed from n per-axis arrays, x1 fastest (``_outer``):
+the weights and fs as products, the class and shift codes, such as sum_i
+(x_i mod pi) pi^i, as sums (``_code``).  No array holds the box's digits.
 The correlations and level 2 are grouped joins (``_pair_join``), emitted in
 (group, left, right) order in chunks of at most PAIR_BLOCK pairs.  A join
 hands back its two sort orders and each chunk as places in them, so its
@@ -117,9 +120,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (Weight, _Bins, _Domain, _fits, _key_codes, _product,
-                       _sep_product, _stable_order, eval_on_axes,
-                       weighted_count)
+from .counting import (Weight, _Bins, _Domain, _fits, _key_codes, _outer,
+                       _product, _stable_order, eval_on_axes, weighted_count)
 from .errors import Budget, InputError, PreconditionError, ensure_budget
 from .ffield import field_make, is_prime, reduce_mod
 from .geometry import VarietySpec, r_check, sing_points
@@ -313,7 +315,8 @@ class PipelineLedger:
 
 def _digits(keys, side: int, n: int, offset: int = 0) -> np.ndarray:
     """The n base-side digits of flat keys, digit 0 first, each minus offset:
-    shape (n,) for a scalar key, (len(keys), n) for an array of keys."""
+    shape (n,) for a scalar key, (len(keys), n) for an array of keys.  The
+    codes over a whole grid, in its order, are ``_code``'s instead."""
     t = np.array(keys, dtype=np.int64)
     out = np.empty(t.shape + (n,), dtype=np.int64)
     for i in range(n):
@@ -328,7 +331,7 @@ def _fs2(t2d: np.ndarray, ky, kz, n: int):
     reads its factor at the flat place row[i][ky] + col[i][kz] of t2d, from
     digit tables built once by _digits (for array keys over every key, for
     scalar keys over the one key); the factors multiply digit 0 first, in
-    the order of _sep_product."""
+    the order of ``_outer``."""
     sideY, sideZ = t2d.shape
     if np.ndim(ky):
         ys, zs = np.arange(sideY**n), np.arange(sideZ**n)
@@ -343,9 +346,10 @@ def _fs2(t2d: np.ndarray, ky, kz, n: int):
     return out
 
 
-def _flat(digits: np.ndarray, side: int):
-    """The flat key sum_i digits[..., i] side^i, inverse of _digits."""
-    return digits @ side ** np.arange(digits.shape[-1], dtype=np.int64)
+def _code(axis: np.ndarray, side: int, n: int) -> np.ndarray:
+    """The flat codes sum_i axis[x_i] side^i over the grid of n copies of
+    axis, x1 fastest (``_outer``): a class or shift key of every point."""
+    return _outer(np.add, [axis * side**i for i in range(n)])
 
 
 def _table_key(v, R: int, n: int, what: str) -> int:
@@ -355,14 +359,15 @@ def _table_key(v, R: int, n: int, what: str) -> int:
             isinstance(c, (int, np.integer)) and not isinstance(c, bool)
             and abs(int(c)) <= R for c in d):
         raise InputError(f"{what} not in table", shift=repr(v), n=n, R=R)
-    return int(_flat(np.array(d, dtype=np.int64) + R, 2 * R + 1))
+    return sum((int(c) + R) * (2 * R + 1) ** i for i, c in enumerate(d))
 
 
 def _mirrors(f: IntPoly, w1: np.ndarray) -> bool:
     """Whether the level-1 tables are mirror images, t(-y) = t(y), and
     corr2(-y, -z) = corr2(y, z): every monomial of f has the degree parity
-    of the first, so f(-x) = +-f(x), and the axis weight is even.  Every current weight kind is even; the weight
-    half guards a future uneven kind."""
+    of the first, so f(-x) = +-f(x), and the axis weight is even.  Every
+    current weight kind is even; the weight half guards a future uneven
+    kind."""
     parities = {sum(e) % 2 for e in f.terms}
     return len(parities) <= 1 and np.array_equal(w1, w1[::-1])
 
@@ -560,14 +565,10 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     den = den if den is not None else 1
     den1 = den**n
     D = _Domain(w.exact, den1)
-    axes = [np.arange(-H, H + 1, dtype=np.int64)] * n
-    fpi_v = eval_on_axes(f, axes, pi)
-    fp_v = eval_on_axes(f, axes, p)
-    fq_v = eval_on_axes(f, axes, q)
-    wnum = _sep_product([w1] * n)
-    coords = _digits(np.arange(M), L, n, H)
-    cls_pi = _flat(coords % pi, pi)
-    cls_p = _flat(coords % p, p)
+    ax = np.arange(-H, H + 1, dtype=np.int64)
+    fpi_v, fp_v, fq_v = (eval_on_axes(f, [ax] * n, m) for m in (pi, p, q))
+    wnum = _outer(_product, [w1] * n)
+    cls_pi = _code(ax % pi, pi, n)
     solq = fq_v == 0
     solpq = solq & (fp_v == 0)
     solfull = solpq & (fpi_v == 0)
@@ -601,7 +602,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     budget.charge(Ycells, "shift table")
     lags = pi * np.arange(-Y, Y + 1, dtype=np.int64)
     fs_axis = _lag_sums(w1, np.stack([0 * lags, lags], axis=1))
-    fs_num = _sep_product([fs_axis] * n)
+    fs_num = _outer(_product, [fs_axis] * n)
 
     # the two pair passes, both inside classes mod pi: pq-solutions with each
     # other, and q-solutions x with the box points c = x + pi y.  For x_a,
@@ -613,7 +614,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     # and level 2's second join only when the tables mirror.
     mirror = _mirrors(f, w1)
     a_pq = np.flatnonzero(solpq)
-    ycode = _flat(coords // pi, sideY)
+    ycode = _code(ax // pi, sideY, n)
     key = cls_pi[a_pq]
     npairs_corr, order, _, corr_pairs = _pair_join(key, key, np.arange(key.size))
     # Level 1 splits each shift y by the class v mod p of x and the
@@ -630,8 +631,8 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     #   t1(y) = sum_v V(a = 0),   ss2(y) = sum_v V(a = 0)^2,
     #   sxy(y) = sum of V(a = 0) over the v in X_y.
     # A float table therefore adds its rows in (b, c, x) order, whatever
-    # the chunk size.
-    bclass, border, _ = _key_codes(np.stack([fq_v, cls_p]))  # border: by (b, index)
+    # the chunk size.  border sorts the box points by (b, index).
+    bclass, border, _ = _key_codes(np.stack([fq_v, _code(ax % p, p, n)]))
     by_pi = _stable_order(cls_pi)  # box points by (class mod pi, index)
     xs = by_pi[solq[by_pi]]  # the q-solutions, in that order
     xfirst = np.searchsorted(cls_pi[xs], cls_pi)
@@ -658,7 +659,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     budget.charge(pn, "zero grid mod p")
     gz = eval_on_axes(f, [np.arange(p, dtype=np.int64)] * n, p) == 0
     gz = gz.reshape((p,) * n)  # axis n-1-i <-> coordinate i (0-based)
-    wid = _flat(pi * _digits(np.arange(Ycells), sideY, n, Y) % p, p)
+    wid = _code(lags % p, p, n)
     uniq_wid, wid_idx = np.unique(wid, return_inverse=True)
     budget.charge(uniq_wid.size * pn, "shifted zero grids mod p")
     xcount = np.array([
@@ -697,7 +698,7 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     ledger.residuals = _residuals(ledger, inner_sq)
 
     if params.with_pair_table:
-        _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode,
+        _build_pair_table(ledger, ax, wnum, w1, fq_v, cls_pi, bclass, ycode,
                           mirror, budget)
     return ledger
 
@@ -745,9 +746,8 @@ def _residuals(led: PipelineLedger, inner_sq) -> dict:
         led.zero_classes * Sigma)
 
     # support_vanishing: corr(y) = 0 outside the weight support
-    Y = led.shift_range
-    ydigits = _digits(np.arange(len(congnum)), 2 * Y + 1, n, Y)
-    dead = np.max(np.abs(pr.pi * ydigits), axis=1) >= 4 * pr.B
+    lags = np.abs(pr.pi * np.arange(-led.shift_range, led.shift_range + 1))
+    dead = _outer(np.maximum, [lags] * n) >= 4 * pr.B  # max_i |pi y_i| >= 4B
     put("support_vanishing", "identity",
         max(np.abs(congnum[dead]).max(initial=0),
             np.abs(led.fs_num[dead]).max(initial=0)))
@@ -757,18 +757,12 @@ def _residuals(led: PipelineLedger, inner_sq) -> dict:
         np.max(np.abs(congnum - led.sxy_num)), np.max(np.abs(congnum)))
 
     # per_shift_cauchy and refinement_monotone, as scaled numerators
-    tables = (led.fs_num, led.t0_num, led.t1_num, led.ss2, led.ss3,
-              led.sxy_num, led.xcount)
-    if D.exact:
-        cauchy, monotone = _least_margins(pn, q, tables)
-        put("per_shift_cauchy", "inequality", cauchy)
-        put("refinement_monotone", "inequality", monotone)
-        return out
-    cauchy, monotone, sig = _margins(pn, q, *(D.lift(a) for a in tables))
-    sc = float(np.max(np.abs(sig)))
-    put("per_shift_cauchy", "inequality", np.min(cauchy),
+    cauchy, monotone, sc = _least_margins(pn, q, (
+        led.fs_num, led.t0_num, led.t1_num, led.ss2, led.ss3, led.sxy_num,
+        led.xcount))
+    put("per_shift_cauchy", "inequality", cauchy,
         sc * max(1.0, float(np.max(led.xcount, initial=1))))
-    put("refinement_monotone", "inequality", np.min(monotone), sc)
+    put("refinement_monotone", "inequality", monotone, sc)
     return out
 
 
@@ -786,8 +780,9 @@ def _margins(pn: int, q: int, fs, t0, t1, ss2, ss3, sxy, xc, s=-1):
 
 
 def _least_margins(pn: int, q: int, tables) -> list:
-    """The exact least margin of each inequality of ``_margins`` over the
-    shifts, as a Python int, from exact tables.
+    """The least margin of each inequality of ``_margins`` over the shifts,
+    exact from exact tables, and max |Sigma| over the shifts in float64, the
+    scale of a float tolerance.
 
     Both margins are evaluated in float64, C, and so is the same expression
     over the |tables| with every difference a sum, E.  C is a sum of signed
@@ -799,26 +794,27 @@ def _least_margins(pn: int, q: int, tables) -> list:
     1.  The bound e = RESIDUAL_SLACK E = 2^-40 E is about 2^9 gamma_16
     E > gamma_10 E0, which also covers the roundings of C - e and C + e.  A
     shift whose C - e is above min(C + e) cannot hold the minimum, and e = 0
-    means E = 0, so its C is an exact 0; only the other shifts are evaluated
-    again in Python ints.  A value past float64 makes e inf or nan, which
-    leaves its shift undecided."""
+    means E = 0, so its C is an exact 0; only the other shifts, and one
+    exact 0, are evaluated again in Python ints, or floats for float64
+    tables.  A value past float64 makes e inf or nan, which leaves its
+    shift undecided.  For float64 tables the shadow is the tables, the least
+    shift is always undecided, and Python floats round as float64, so the
+    result is np.min(C)."""
     shadow = [np.asarray(a, np.float64) for a in tables]
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _margins(pn, q, *shadow)[:2]
+        *vals, sig = _margins(pn, q, *shadow)
         bars = _margins(pn, q, *(np.abs(a) for a in shadow), s=1)[:2]
     least = []
     for j, (c, bar) in enumerate(zip(vals, bars)):
         e = RESIDUAL_SLACK * bar
         undecided = ~(c - e > np.min(c + e))
-        at = np.flatnonzero(undecided & (e != 0))
-        exact = _margins(pn, q, *(a[at].astype(object) for a in tables))[j].tolist()
-        if (undecided & (e == 0)).any():  # an exact 0
-            exact.append(0)
-        least.append(min(exact))
-    return least
+        zero = np.flatnonzero(undecided & (e == 0))[:1]  # one stands for all
+        at = np.concatenate([np.flatnonzero(undecided & (e != 0)), zero])
+        least.append(min(_margins(pn, q, *(a[at].astype(object) for a in tables))[j]))
+    return [*least, float(np.max(np.abs(sig)))]
 
 
-def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode,
+def _build_pair_table(ledger, ax, wnum, w1, fq_v, cls_pi, bclass, ycode,
                       mirror, budget):
     """Second differencing: corr2(y, z) tables and their per-y aggregates."""
     pr = ledger.params
@@ -837,7 +833,7 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode,
     ledger._t2d_table = t2d
     ledger.pair_range, ledger.pair_quarter = Z, mirror
     ledger.pair_keys, ledger.pair_num = _pair_cells(
-        ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, mirror, budget)
+        ledger, ax, wnum, fq_v, cls_pi, bclass, ycode, mirror, budget)
     ledger.qsum, ledger.abs2_num = _level2_cells(
         ledger.pair_keys, ledger.pair_num, t2d, n, q**3, D, mirror)
 
@@ -855,7 +851,7 @@ def _build_pair_table(ledger, coords, wnum, w1, fq_v, cls_pi, bclass, ycode,
     ledger.aggregate = _aggregate_from_abs(ledger)
 
 
-def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, mirror,
+def _pair_cells(ledger, ax, wnum, fq_v, cls_pi, bclass, ycode, mirror,
                 budget):
     """The level-2 cells (y, z) that the joins fill, z >= 0 and, when the
     tables mirror, y >= 0, as sorted keys h Ycells + ky (kz = Zcells // 2 +
@@ -887,7 +883,7 @@ def _pair_cells(ledger, coords, wnum, fq_v, cls_pi, bclass, ycode, mirror,
     # The classes the box meets are numbered in order, so the group keys
     # (z, class) stay below Zcells * L^n.
     classes, cls = np.unique(cls_pi, return_inverse=True)
-    zcode = _flat(coords // ledger.params.p, sideZ)  # keys z as ycode keys y
+    zcode = _code(ax // ledger.params.p, sideZ, n)  # keys z as ycode keys y
     live = live[order]  # the columns of the pairs (a, c) read in join order
     li, ri = (np.concatenate(t) for t in zip(*box_pairs))
     by_u = _stable_order(live[li])
@@ -939,7 +935,7 @@ def _level2_cells(cells, c, t2d, n, q3, D2, mirror: bool):
     kz, m = Zcells // 2 + h, 1 + (h > 0)  # m: the cells (y, +-z) it stands for
     qsum = _Bins(Ycells, D2.exact).add(ky, m * c).total()
     R = _Bins(sideY, D2.exact).add(np.arange(t2d.size) // sideZ, t2d.ravel()).total()
-    rsum = _sep_product([R] * n)  # prod_i R(y_i)
+    rsum = _outer(_product, [R] * n)  # prod_i R(y_i)
     abs2 = _Bins(Ycells, D2.exact).add(np.arange(ylo, Ycells), rsum[ylo:])
 
     def term(c, f, m):  # m (|q^3 c - FS2| - FS2), in place

@@ -14,7 +14,8 @@ from vdc import counting
 from vdc.counting import (
     Weight,
     _Domain,
-    _sep_product,
+    _outer,
+    _product,
     count_box_mod,
     eval_on_axes,
     hooley_deligne_probe,
@@ -291,7 +292,7 @@ def _whole_box_sum(fs, B, m, kind=None):
     if den**n >= 2**62:
         vals = vals.astype(object)
     D = _Domain(kind != "smooth")
-    return D.frac(D.total(_sep_product([vals] * n), mask), den**n)
+    return D.frac(D.total(_outer(_product, [vals] * n), mask), den**n)
 
 
 @st.composite

@@ -317,6 +317,26 @@ def test_exact_margins_match_lifted_oracle(case, undecided):
         assert rc.ok == (w >= 0) and rc.tol == 0, name
 
 
+@pytest.mark.parametrize("case", ["showcase", "pi5", "pi5-b4"])
+def test_float_margins_match_lifted_expression(default_ledgers, case):
+    """A smooth ledger's two per-shift inequalities, value and tolerance bit
+    for bit, against np.min of _margins over the float64 tables and a
+    tolerance scaled by max |Sigma| over the shifts (times max(1, max
+    xcount) for per_shift_cauchy): in the float domain, ``_least_margins``
+    reduces to that plain float64 expression."""
+    led = default_ledgers[case, "smooth"]
+    tables = [np.asarray(getattr(led, name), np.float64) for name in MARGIN_TABLES]
+    cauchy, monotone, sig = pipeline._margins(led.params.p**led.n, led.params.q,
+                                              *tables)
+    sc = float(np.max(np.abs(sig)))
+    scales = (sc * max(1.0, float(np.max(led.xcount))), sc)
+    for name, margin, scale in zip(("per_shift_cauchy", "refinement_monotone"),
+                                   (cauchy, monotone), scales):
+        rc, want = led.residuals[name], np.min(margin).item()
+        assert type(rc.value) is float and rc.value.hex() == want.hex(), name
+        assert rc.tol == counting.SMOOTH_RTOL * max(1.0, scale), name
+
+
 # the README showcase, and two instances with pi^n = 125 classes mod pi
 CHUNK_CASES = {
     "showcase": dict(f=F, B=B, pi=PI, p=P, q=Q),
@@ -473,7 +493,8 @@ def test_ledger_lag_tables_match_per_entry_loop(default_ledgers):
     fs = lag_loop(w1, [(0, PI * y) for y in range(-Y, Y + 1)])
     T = lag_loop(w1, [(0, PI * y, P * z, PI * y + P * z)
                       for y in range(-Y, Y + 1) for z in range(Z + 1)])
-    assert led.fs_num.tobytes() == counting._sep_product([np.array(fs)] * N).tobytes()
+    sep = counting._outer(counting._product, [np.array(fs)] * N)
+    assert led.fs_num.tobytes() == sep.tobytes()
     t2d = led._t2d_table
     assert t2d[:, Z:].tobytes() == np.array(T).reshape(2 * Y + 1, Z + 1).tobytes()
     assert t2d.tobytes() == t2d[:, ::-1].tobytes()
@@ -1065,13 +1086,13 @@ def test_scatters_match_fold_oracle(case):
 @pytest.mark.parametrize("weight", ["hat", "smooth"])
 def test_exact_level2_builds_no_product_per_z(monkeypatch, weight):
     calls = [0]
-    sep = pipeline._sep_product
+    outer = pipeline._outer
 
-    def counted(arrs):
-        calls[0] += 1
-        return sep(arrs)
+    def counted(op, arrs):
+        calls[0] += op is counting._product
+        return outer(op, arrs)
 
-    monkeypatch.setattr(pipeline, "_sep_product", counted)
+    monkeypatch.setattr(pipeline, "_outer", counted)
     kw = dict(f=F, B=B, pi=PI, p=P, q=Q, weight=weight)
     build_ledger(PipelineParams(**kw))
     before = calls[0]
@@ -1203,6 +1224,62 @@ def test_fs2_digit_tables_match_per_digit_decode(dtype, n):
     for y, z in zip(ky[:10].tolist(), kz[:10].tolist()):
         got, want = pipeline._fs2(t2d, y, z, n), fs2_per_digit(t2d, y, z, n)
         assert type(got) is type(want) and got == want
+
+
+@st.composite
+def grid_cases(draw):
+    """A ledger with its pair table over n <= 4 axes, H, Y and Z set by the
+    weight and B, and three distinct primes."""
+    n = draw(st.integers(1, 4))
+    weight = draw(st.sampled_from(["hat", "indicator", "smooth"]))
+    b = draw(st.integers(1, 1 if n == 4 else 3 if n < 3 else 2))
+    pi, p, q = draw(st.permutations([2, 3, 5, 7, 11]))[:3]
+    f = parse_poly("+".join(f"x{i}^3" for i in range(1, n + 1)), n)
+    return PipelineParams(f=f, B=b, pi=pi, p=p, q=q, weight=weight,
+                          with_pair_table=True)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(grid_cases())
+def test_grid_codes_match_per_point_decode(params):
+    """The ledger's codes over the box and the shift grid, each an outer
+    sum (or max) of n per-axis arrays, against per-point values in
+    x1-fastest order.  In the order the ledger forms them: over the box x,
+    cls_pi sum_i (x_i mod pi) pi^i, ycode sum_i (x_i // pi) (2Y + 1)^i and
+    cls_p sum_i (x_i mod p) p^i; over the shifts y, wid sum_i (pi y_i mod
+    p) p^i and max_i |pi y_i|, which support_vanishing compares with 4B;
+    and last, in the level-2 join, zcode sum_i (x_i // p) (2Z + 1)^i.  The
+    weight products, also outer, are not codes and are skipped."""
+    made = []
+    outer = pipeline._outer
+
+    def spied(op, arrs):
+        out = outer(op, arrs)
+        if op is not counting._product:
+            made.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_outer", spied)
+        led = build_ledger(params)
+    n, pi, p = led.n, params.pi, params.p
+    H = Weight(params.weight).halfwidth(params.B)
+    Y, Z = led.shift_range, led.pair_range
+
+    def code(v, digit, side):
+        return sum(digit(c) * side**i for i, c in enumerate(v))
+
+    box = [x[::-1] for x in itertools.product(range(-H, H + 1), repeat=n)]
+    shifts = [y[::-1] for y in itertools.product(range(-Y, Y + 1), repeat=n)]
+    want = [
+        [code(x, lambda c: c % pi, pi) for x in box],
+        [code(x, lambda c: c // pi, 2 * Y + 1) for x in box],
+        [code(x, lambda c: c % p, p) for x in box],
+        [code(y, lambda c: pi * c % p, p) for y in shifts],
+        [max(abs(pi * c) for c in y) for y in shifts],
+        [code(x, lambda c: c // p, 2 * Z + 1) for x in box],
+    ]
+    assert [a.tolist() for a in made] == want
 
 
 def test_showcase_budget_used(capsys):
