@@ -29,6 +29,11 @@ Method notes:
 * the inner sum over y, for fixed x, runs over exactly the residue class
   of x mod a, so it is accumulated once per class and looked up -- the
   value is identical to the direct double summation, at linear cost;
+* the probe holds one axis of weights: counting.smooth_profile fills it
+  in cache-sized blocks, mirrored as they are made, and the products with
+  the class sums are written over it once both sums are read.  Neither
+  moves a bit: each entry takes the same IEEE operations as in one pass
+  over the axis, and np.sum of a contiguous array pairs by its length;
 * D_k comes from central finite differences of w1 on a grid of step 1/256
   (half-step samples so odd orders stay centered), maximized over the
   grid.  A sampled maximum is an under-estimate of the true sup, and the
@@ -177,10 +182,11 @@ def poisson_probe(
     rows = vals[:full].reshape(-1, a)
     col_sums = rows.sum(axis=0) if a > 1 else np.cumsum(vals)[-1:]
     col_sums[:vals.size - full] += vals[full:]
-    prod = np.empty_like(vals)
-    np.multiply(rows, col_sums, out=prod[:full].reshape(-1, a))
-    np.multiply(vals[full:], col_sums[:vals.size - full], out=prod[full:])
-    lhs_axis = float(np.sum(prod))
+    # each weight times its class sum, written over the weight once both
+    # sums are read (see the method notes)
+    np.multiply(rows, col_sums, out=rows)
+    np.multiply(vals[full:], col_sums[:vals.size - full], out=vals[full:])
+    lhs_axis = float(np.sum(vals))
 
     lhs = lhs_axis**n
     main = float(a) ** (-n) * s1_axis ** (2 * n)

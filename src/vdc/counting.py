@@ -64,17 +64,33 @@ from .mpoly import IntPoly
 WEIGHT_KINDS = ("indicator", "hat", "smooth")
 SMOOTH_RTOL = 1e-9
 INT64_LIMIT = 1 << 62  # exact sums and products stay int64 below this
+_PROFILE_BLOCK = 1 << 16  # smooth_profile's entries per pass: 512 KiB
 
 
 def smooth_profile(K: int, D: int) -> np.ndarray:
     """The smooth w1(k/D) for k = -K..K, 0 where 1 - (k/2D)^2 <= 0.  exp runs
-    on k >= 0 only; the mirror image is exact, as u*u ignores u's sign."""
-    u = np.arange(K + 1, dtype=np.float64) / (2.0 * D)
-    np.subtract(1.0, u * u, out=u)  # in place: fresh arrays cost page faults
+    on k >= 0 only; the mirror image is exact, as u*u ignores u's sign.
+
+    The k >= 0 half is filled in blocks of _PROFILE_BLOCK entries, each
+    worked in place in its slot of the output and mirrored while it is
+    still in cache, so no pass runs over the whole axis.  The bits are
+    those of one pass over k = 0..K: every entry takes the same IEEE
+    operations, k (exact in float64) / 2D, u*u, 1 - ., max(., 0), -1/.,
+    exp, each elementwise on contiguous float64, and the mirror is a copy.
+    """
     out = np.empty(2 * K + 1)
+    ks = np.arange(min(K + 1, _PROFILE_BLOCK), dtype=np.float64)
     with np.errstate(divide="ignore"):
-        np.exp(np.divide(-1.0, np.maximum(u, 0.0, out=u), out=u), out=out[K:])
-    out[:K] = out[:K:-1]
+        for lo in range(0, K + 1, _PROFILE_BLOCK):
+            u = out[K + lo:K + min(K + 1, lo + _PROFILE_BLOCK)]
+            np.add(ks[:u.size], lo, out=u)
+            np.divide(u, 2.0 * D, out=u)
+            np.multiply(u, u, out=u)
+            np.subtract(1.0, u, out=u)
+            np.maximum(u, 0.0, out=u)
+            np.divide(-1.0, u, out=u)
+            np.exp(u, out=u)
+            out[K - lo - u.size + 1:K - lo + 1] = u[::-1]
     return out
 
 

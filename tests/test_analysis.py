@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -211,15 +212,34 @@ def test_derivative_bounds_match_masked_profile_bit_for_bit():
 
 
 @pytest.mark.parametrize("B,a", [(1, 1), (5, 1), (5, 3), (999, 10),
-                                 (999, 999), (4097, 64), (4097, 4097)])
+                                 (999, 999), (4097, 64), (4097, 4097),
+                                 (32769, 64), (98305, 1000), (98305, 1)])
 @pytest.mark.parametrize("k", [0, 3])
 @pytest.mark.parametrize("n", [1, 2])
 def test_poisson_probe_matches_slow_path(B, a, k, n):
+    """The last three grids span two and four profile blocks, and their
+    4B - 1 offsets leave a tail of 3 and 219 past the last row of a."""
     fast, slow = Budget(), Budget()
     got = poisson_probe("smooth", B, a, k, n=n, budget=fast)
     assert dataclasses.asdict(got) == dataclasses.asdict(
         slow_poisson(B, a, k, n, slow))
     assert fast.used == slow.used
+
+
+@pytest.mark.parametrize("a", [64, 1000])
+def test_poisson_probe_peak_memory_is_one_axis(a):
+    """The probe holds one axis of 4B - 1 float64 weights, and multiplies
+    the class sums into it in place.  a = 1 is left out: its class sum is
+    the full-length np.cumsum that fixes its sequential order, a second
+    axis."""
+    B = 2**18
+    tracemalloc.start()
+    try:
+        poisson_probe("smooth", B, a, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (4 * B - 1) * 8
 
 
 DECAY_GRIDS = [

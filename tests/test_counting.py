@@ -197,21 +197,48 @@ def test_smooth_weighted_count_matches_scalar_oracle(poly, n, B, m):
     assert abs(res.value - ref) <= 1e-12 * ref
 
 
+def _masked_profile(K, D):
+    """exp(-1/(1-(t/2)^2)) at t = m/D, m = -K..K, in one pass over the
+    entries inside the support and 0 outside it."""
+    m = np.arange(-K, K + 1, dtype=np.int64)
+    u = (m / float(D)) / 2.0
+    masked = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    masked[inside] = np.exp(-1.0 / (1.0 - u[inside] * u[inside]))
+    return masked
+
+
 def test_smooth_axis_values_match_masked_formula_bit_for_bit():
     """The mirrored profile equals the masked exp(-1/(1-(t/2)^2)) at t = m/B
     and the unmasked form at u = m/2B, in every bit."""
     for B in list(range(1, 201)) + [2**20]:
         vals, den = Weight("smooth").axis_values(B)
         H = 2 * B - 1
-        m = np.arange(-H, H + 1, dtype=np.int64)
-        u = (m / float(B)) / 2.0
-        masked = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        masked[inside] = np.exp(-1.0 / (1.0 - u[inside] * u[inside]))
-        w = m.astype(np.float64) / (2.0 * B)
+        w = np.arange(-H, H + 1, dtype=np.float64) / (2.0 * B)
         unmasked = np.exp(-1.0 / (1.0 - w * w))
         assert den is None
-        assert vals.tobytes() == masked.tobytes() == unmasked.tobytes(), B
+        assert vals.tobytes() == _masked_profile(H, B).tobytes(), B
+        assert vals.tobytes() == unmasked.tobytes(), B
+
+
+_BLOCK = counting._PROFILE_BLOCK
+
+
+@pytest.mark.parametrize("K", [0, _BLOCK - 2, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 4])
+@pytest.mark.parametrize("D", [
+    1,  # support's end k = 2D inside the first block
+    _BLOCK // 2,  # on the first block edge
+    _BLOCK // 2 + 3,  # inside the second block
+    _BLOCK,  # on the second block edge
+    3 * _BLOCK // 2 + 1,  # inside the last, partial block
+    2 * _BLOCK + 1,  # past K: no entry is cut off
+])
+def test_smooth_profile_blocks_match_masked_formula_bit_for_bit(K, D):
+    """K + 1 entries of k >= 0: one, a block less one, a block, a block and
+    one, and three blocks and five (a partial last block), each against the
+    one-pass masked formula; the support's end k = 2D falls where noted
+    when K reaches it, and past K otherwise."""
+    assert smooth_profile(K, D).tobytes() == _masked_profile(K, D).tobytes()
 
 
 def test_smooth_profile_vanishes_off_support():
