@@ -18,8 +18,13 @@ call of an array op, or one table read for ``pow``.
 The array element ops that row reduction needs (``mul_array``,
 ``inv_array`` with inv(0) = 0, and ``sub_mul_array``, a - b*c) live on
 Field too, so ``geometry`` eliminates over every F_q without reading codes:
-over F_p they are integer expressions with one ``% p``, over F_{p^k} they
-go through the same log, exp and digit tables.
+over F_p they are integer expressions with one reduction, over F_{p^k} they
+go through the same log, exp and digit tables.  An int64 array is reduced
+by :func:`_reduce`, a - (a // m) * m, not by ``%``: numpy's integer ``//``
+by a scalar is vectorised and its ``%`` is not, so with numpy 2.4.6 on an
+x86-64 Xeon ``%`` costs about 4 ns an entry, and 8-12 ns on negative
+entries, against 2 ns for the floor division, which gives the same residue
+on either sign.
 
 Every array evaluation of a polynomial (``counting.eval_on_axes`` on box
 axes, ``geometry`` on the boxes of P^(n-1) and F_q^n or on rows of
@@ -28,7 +33,10 @@ points) runs through
 checked bound, Python ints above it), Z/m for 1 <= m < 2^63 (int64
 products while (m-1)^2 < 2^63, Python-int products above; the residues
 are int64 either way), and F_{p^k} codes for k > 1.  Larger moduli are
-refused with InputError.
+refused with InputError.  Each term is added in place into a total
+allocated at the output shape; over F_{p^k} that total holds the k digit
+sums digit-major, (k, *shape), in the smallest unsigned dtype that holds
+them.
 
 The order of P^(n-1)(F_q) is defined once, by :func:`proj_blocks`, as n
 boxes: :func:`enum_proj` ravels them into point rows, :func:`proj_rows`
@@ -92,6 +100,15 @@ def primes_in_interval(lo: int, hi: int) -> list[int]:
             out.append(m)
         m += 1
     return out
+
+
+def _reduce(a, m: int):
+    """a mod m in [0, m) for an int64 array (or an int), by floor division.
+
+    Equal to a % m for every sign of a, and about twice as fast on arrays
+    (see the module notes).  |a| + m must stay below 2^63.
+    """
+    return a - a // m * m
 
 
 # -- polynomial arithmetic over F_p (coefficient lists, low to high) ---------
@@ -379,7 +396,7 @@ class Field:
     def mul_array(self, a, b) -> np.ndarray:
         """Elementwise products of code arrays."""
         if self.k == 1:
-            return a * b % self.p
+            return _reduce(a * b, self.p)
         log, exp, _ = self._log_tables
         la, lb = log[a], log[b]
         return np.where((la < 0) | (lb < 0), 0, exp[(la + lb) % (self.q - 1)])
@@ -395,7 +412,7 @@ class Field:
     def sub_mul_array(self, a, b, c) -> np.ndarray:
         """Elementwise a - b * c of code arrays; over F_p one reduction."""
         if self.k == 1:
-            return (a - b * c) % self.p
+            return _reduce(a - b * c, self.p)
         log, _, digits = self._log_tables  # digits[log[0]] is row q-1, zero
         return self._codes(digits[log[a]].astype(np.int64) - digits[log[self.mul_array(b, c)]])
 
@@ -548,23 +565,25 @@ def reduce_mod(f, field: Field) -> FqPoly:
 MODULUS_CAP = 2**63  # residues are int64
 
 
-def _ring(ring, terms: dict, cols: list):
-    """(zero, term, finish) of the ring that `ring` names.
+def _ring(ring, terms: dict, cols: list, shape: tuple):
+    """(total, term, finish) of the ring that `ring` names.
 
     term(c, exps) is c * prod_i x_i^(e_i) over the columns as the ring
-    carries it, the terms are summed from zero with `+`, and finish turns
-    the sum into the output array.  Every product is reduced; sums are
-    reduced once, by finish, within the bounds checked here.
+    carries it, each term is added in place into total, zero at the output
+    shape, and finish turns the sum into the output array.  Every product
+    is reduced; sums are reduced once, by finish, within the bounds checked
+    here.
     """
     if isinstance(ring, Field) and ring.k > 1:
         # a column is carried as its logs to base g (-1 for the zero code).
-        # A term is one gather of base-p digits: of g^(log c + sum e_i
-        # log x_i mod q-1), or of 0 (row q-1) where a coordinate it uses is
-        # 0.  Digit sums stay below len(terms) * p until finish reduces them
+        # A term is one gather of base-p digits, digit-major: of g^(log c +
+        # sum e_i log x_i mod q-1), or of 0 (row q-1) where a coordinate it
+        # uses is 0.  Digit sums stay at most top until finish reduces them
         log, _, digits = ring._log_tables
-        q1 = ring.q - 1
+        p, q1 = ring.p, ring.q - 1
         logs = [log[c] for c in cols]
         zeros = [lc < 0 for lc in logs]
+        top = len(terms) * (p - 1)
 
         def term(c, exps):
             s, z = log[c], False
@@ -572,15 +591,19 @@ def _ring(ring, terms: dict, cols: list):
                 if e:
                     s = s + e % q1 * logs[i]
                     z = z | zeros[i]
-            return digits[np.where(z, q1, s % q1)]
+            at = np.where(z, q1, _reduce(s, q1))
+            at = at.reshape((1,) * (len(shape) - at.ndim) + at.shape)  # output axes
+            return np.take(digits.T, at, axis=1)  # several times faster than digits.T[:, at]
 
         def finish(s):  # the codes sum_i (s_i mod p) p^i, by Horner
-            out = s[..., -1] % ring.p
-            for i in range(ring.k - 2, -1, -1):
-                out = out * ring.p + s[..., i] % ring.p
+            modp = np.arange(top + 1, dtype=np.int64) % p
+            out = np.take(modp, s[-1])
+            for d in s[-2::-1]:
+                out *= p
+                out += np.take(modp, d)
             return out
 
-        return np.zeros(ring.k, dtype=np.int64), term, finish
+        return np.zeros((ring.k, *shape), dtype=np.min_scalar_type(top)), term, finish
     if ring is None:
         amax = [int(np.max(np.abs(col))) if col.size else 0 for col in cols]
         bound = 0
@@ -594,7 +617,7 @@ def _ring(ring, terms: dict, cols: list):
         def lift(a):
             return np.asarray(a, dtype=dtype)
 
-        return lift(0), _power_term(lift, np.multiply, cols), lambda s: s
+        return np.zeros(shape, dtype), _power_term(lift, np.multiply, cols), lambda s: s
     m = ring.p if isinstance(ring, Field) else ring
     if m < 1:
         raise InputError("modulus must be >= 1", m=m)
@@ -608,11 +631,11 @@ def _ring(ring, terms: dict, cols: list):
         return np.asarray(a % m, dtype=dtype)
 
     def mul(a, b):
-        return a * b % m
+        return _reduce(a * b, m) if dtype is np.int64 else a * b % m
 
-    # np.asarray: on a 0-d object sum (no terms) `%` returns a Python int
-    return lift(0), _power_term(lift, mul, cols), lambda s: np.asarray(s % m).astype(
-        np.int64, copy=False)
+    # np.asarray: on a 0-d object sum `%` returns a Python int
+    return np.zeros(shape, dtype), _power_term(lift, mul, cols), lambda s: np.asarray(
+        s % m).astype(np.int64, copy=False)
 
 
 def _power_term(lift, mul, cols):
@@ -646,8 +669,7 @@ def _eval_terms(terms: dict, cols: list, shape: tuple, ring) -> np.ndarray:
     `ring` is None for Z, an int m for Z/m, or a Field (element codes in
     and out).
     """
-    total, term, finish = _ring(ring, terms, cols)
+    total, term, finish = _ring(ring, terms, cols, shape)
     for exps, c in terms.items():
-        total = total + term(c, exps)
-    out = finish(total)
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+        total += term(c, exps)
+    return finish(total)

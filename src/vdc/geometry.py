@@ -70,8 +70,12 @@ The count behind a direction is the number of points whose kernel
 contains it.  All L(x) are row-reduced at once, full-rank points
 drop out, and the projective points of every remaining kernel are
 enumerated and counted by their enum_proj index, which one table gives
-from a point's unnormalised base-p code, in chunks of bounded size.  The
-work is the number of incidences (x, y).  R2 stacks the L(x) of many
+from a point's unnormalised base-p code, in chunks of bounded size.  A
+kernel point is read off the reduced row echelon form: its free
+coordinates are the coefficients c of the combination, so their part of
+the code is c . pw at no cost, and only the pivot coordinates take a
+product and a reduction mod p.  The work is the number of incidences
+(x, y).  R2 stacks the L(x) of many
 first directions y and counts them in one pass per block of y, each row
 tagged with its y.  A collapsing characteristic needs no other path: for
 FERMAT5 at p = 3 the Hessian vanishes, every s and s_tilde fiber is a
@@ -95,8 +99,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import Budget, InputError, PreconditionError, ensure_budget
-from .ffield import (Field, FqPoly, _axes, _eval_terms, enum_proj, field_make, proj_blocks,
-                     proj_rows, reduce_mod)
+from .ffield import (Field, FqPoly, _axes, _eval_terms, _reduce, enum_proj, field_make,
+                     proj_blocks, proj_rows, reduce_mod)
 from .mpoly import IntPoly
 
 MAX_WITNESSES = 16
@@ -212,17 +216,20 @@ def _row_reduce(fld: Field, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the rank of A[m] is its number of pivots.
     """
     M, r, n = A.shape
+    A = A.copy()
     rows = np.arange(M)
     used = np.zeros((M, r), dtype=bool)
     prow = np.full((M, n), -1, dtype=np.int64)
     for c in range(n):
+        # the pivot row is unused, and unused rows are zero left of c, so
+        # columns < c cannot change
         cand = (A[:, :, c] != 0) & ~used
         has = cand.any(axis=1)
         piv = cand.argmax(axis=1)
-        pr = A[rows, piv]
-        pr = fld.mul_array(pr, np.where(has, fld.inv_array(pr[:, c]), 0)[:, None])
-        A = fld.sub_mul_array(A, A[:, :, c, None], pr[:, None, :])
-        A[rows[has], piv[has]] = pr[has]
+        pr = A[rows, piv, c:]
+        pr = fld.mul_array(pr, np.where(has, fld.inv_array(pr[:, 0]), 0)[:, None])
+        A[:, :, c:] = fld.sub_mul_array(A[:, :, c:], A[:, :, c, None], pr[:, None, :])
+        A[rows[has], piv[has], c:] = pr[has]
         used[rows[has], piv[has]] = True
         prow[has, c] = piv[has]
     return A, prow
@@ -376,8 +383,9 @@ def _kernel_counts(eng: _PrimeEngine, L: np.ndarray, group: np.ndarray | None = 
     group of L[m] (all 0 when not given).  All M are brought to reduced
     row echelon form at once by `_row_reduce`; the projective points of
     each nonzero kernel are then enumerated (as combinations of its basis
-    by the points of P^(k-1)) and their enum_proj indices, read from
-    eng.index, counted per group.  The work is the number of
+    by the points of P^(k-1)), coded from their free and pivot
+    coordinates, and their enum_proj indices, read from eng.index,
+    counted per group.  The work is the number of
     incidences, not M times |P^(n-1)|.
     """
     p, n, pts = eng.p, eng.n, eng.pts
@@ -387,25 +395,28 @@ def _kernel_counts(eng: _PrimeEngine, L: np.ndarray, group: np.ndarray | None = 
     if M == 0:
         return counts.reshape(groups, Ny)
     offset = (np.zeros(M, dtype=np.int64) if group is None else group) * Ny
-    A, prow = _row_reduce(eng.F.field, L % p)
+    A, prow = _row_reduce(eng.F.field, _reduce(L, p))
     free = prow < 0
     k = free.sum(axis=1)
-    eye = np.eye(n, dtype=np.int64)
     for kk in np.unique(k[k > 0]):
         sel = np.flatnonzero(k == kk)
-        # basis vector of free column f: 1 at f, -A[pivot row of c, f] at
-        # each pivot column c, 0 at the other free columns
-        P = np.take_along_axis(A[sel], np.maximum(prow[sel], 0)[:, :, None], axis=1)
-        full = np.where(free[sel][:, None, :], eye, -P.transpose(0, 2, 1) % p)
-        basis = full[free[sel]].reshape(sel.size, kk, n)
+        # the point sum_t c_t b_t, b_t the basis vector of free column f_t,
+        # is c_t at f_t and sum_t -A[pivot row of col, f_t] c_t at each
+        # pivot column col: only these n - kk coordinates need reducing
+        fcol = np.nonzero(free[sel])[1].reshape(sel.size, kk)
+        pcol = np.nonzero(~free[sel])[1].reshape(sel.size, n - kk)
+        prows = A[sel[:, None], prow[sel[:, None], pcol]]  # (m, n - kk, n)
+        neg = -np.take_along_axis(prows, fcol[:, None, :], axis=2)  # (m, n - kk, kk)
+        pw_free, pw_piv = eng.pw[fcol], eng.pw[pcol][:, None, :]
         C = pts[Ny - proj_space_size(kk - 1, p):, n - kk:]  # P^(kk-1)
         cc = min(C.shape[0], max(1, _KERNEL_CHUNK // n))
         mc = max(1, _KERNEL_CHUNK // (cc * n))
         for lo in range(0, C.shape[0], cc):
-            Cc = C[lo : lo + cc]
+            Ct = C[lo : lo + cc].T
             for mlo in range(0, sel.size, mc):
-                V = np.matmul(Cc, basis[mlo : mlo + mc]) % p  # (m, c, n)
-                idx = offset[sel[mlo : mlo + mc], None] + eng.index[V @ eng.pw]
+                ms = slice(mlo, mlo + mc)
+                code = pw_free[ms] @ Ct + (pw_piv[ms] @ _reduce(neg[ms] @ Ct, p))[:, 0]
+                idx = offset[sel[ms], None] + np.take(eng.index, code)  # (m, c)
                 counts += np.bincount(idx.ravel(), minlength=groups * Ny)
     return counts.reshape(groups, Ny)
 
@@ -524,17 +535,20 @@ def sigma_sweep(F, p: int | None = None, budget: Budget | None = None) -> SigmaS
     )
 
 
-def _t_rows(values: np.ndarray, base: int, n: int, q: int) -> list[tuple]:
-    """Rows (s, count, dim, bound, ok) for s = -1..n-1.
+def _t_rows(values: np.ndarray, bases: np.ndarray, n: int, q: int) -> tuple:
+    """(counts, dims, fail) of the rows s = -1..n-1 of every row of values.
 
-    count is the number of values >= base + 1 + s, dim its dim_est, bound
-    n - 2 - s and ok whether dim <= bound.  R1 reads T_s from sigma_y with
-    base -1; R2 reads s(y, z) with base sigma_y.
+    values is (Y, N) and bases (Y,).  counts[y, s + 1] is the number of
+    entries of values[y] >= bases[y] + 1 + s, dims its dim_est and fail
+    whether dims passes the bound n - 2 - s; each is a (Y, n + 1) array
+    from one comparison and one _dim_est_array call.  R1 reads T_s from
+    sigma_y in one row with base -1; R2 reads s(y, z) with base sigma_y,
+    one row per tested y.
     """
-    counts = values.size - np.searchsorted(np.sort(values), base + np.arange(n + 1))
-    dims = _dim_est_array(counts, q).tolist()
-    return [(s, c, d, n - 2 - s, d <= n - 2 - s)
-            for s, c, d in zip(range(-1, n), counts.tolist(), dims)]
+    s = np.arange(-1, n)
+    counts = np.count_nonzero(values[:, None, :] >= (bases[:, None] + 1 + s)[:, :, None], axis=2)
+    dims = _dim_est_array(counts, q)
+    return counts, dims, dims > n - 2 - s
 
 
 def _r2_counts(eng: _PrimeEngine, ys: np.ndarray) -> np.ndarray:
@@ -553,7 +567,7 @@ def _r2_counts(eng: _PrimeEngine, ys: np.ndarray) -> np.ndarray:
     ys = np.asarray(ys)
     stack = ys.reshape(-1, n)
     i, j, l = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3).T
-    on_dir = eng.grad[eng.on] @ stack.T % p == 0  # (|V(F)|, Y): x on V(F_y)
+    on_dir = _reduce(eng.grad[eng.on] @ stack.T, p) == 0  # (|V(F)|, Y): x on V(F_y)
     per_y = max(1, eng.on.size) * n * max(1 + i.size, n * n)
     block = max(1, _KERNEL_CHUNK // per_y)
     counts = np.zeros((stack.shape[0], Ny), dtype=np.int64)
@@ -562,9 +576,9 @@ def _r2_counts(eng: _PrimeEngine, ys: np.ndarray) -> np.ndarray:
         y = stack[lo + g]
         R = v.size
         a = eng.grad[eng.on[v]]
-        b = (eng.hess[eng.on[v]] @ y[:, :, None])[:, :, 0] % p
-        A = (y[:, None, :] @ eng.third[v].reshape(R, n, n * n)).reshape(R, n, n) % p
-        pm = (a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None]) % p
+        b = _reduce((eng.hess[eng.on[v]] @ y[:, :, None])[:, :, 0], p)
+        A = _reduce((y[:, None, :] @ eng.third[v].reshape(R, n, n * n)).reshape(R, n, n), p)
+        pm = _reduce(a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None], p)
         minors = (pm[:, i, j, None] * A[:, l] - pm[:, i, l, None] * A[:, j]
                   + pm[:, j, l, None] * A[:, i])
         L = np.concatenate([b[:, None], minors], axis=1)
@@ -709,7 +723,9 @@ def r_check(
     else:
         sweep = sigma_sweep(Fq, budget=budget)
         if "r1" in which:
-            table = _t_rows(sweep.sigma, -1, n, p)
+            counts, dims, fail = _t_rows(sweep.sigma[None], np.array([-1]), n, p)
+            table = [(s, c, d, n - 2 - s, not f) for s, c, d, f
+                     in zip(range(-1, n), counts[0].tolist(), dims[0].tolist(), fail[0].tolist())]
             failures = [(s, [tuple(map(int, y))
                              for y in sweep.directions[sweep.sigma >= s][:4]])
                         for s, _, _, _, ok in table if not ok]
@@ -737,15 +753,15 @@ def r_check(
         else:
             budget.charge(cost, "second-difference sweep")
             syz = _dim_est_array(_r2_counts(sweep._engine, sweep.directions[chosen]), p)
-            failures = []
-            for yi, row in zip(chosen, syz):
-                failures += [(tuple(map(int, sweep.directions[yi])), s, dim, bound, count)
-                             for s, count, dim, bound, ok
-                             in _t_rows(row, int(sweep.sigma[yi]), n, p) if not ok]
+            counts, dims, fail = _t_rows(syz, sweep.sigma[chosen], n, p)
+            yi, si = np.nonzero(fail)  # in (y, s) order
+            failures = [(tuple(map(int, sweep.directions[chosen[a]])), b - 1, int(dims[a, b]),
+                         n - 1 - b, int(counts[a, b]))
+                        for a, b in zip(yi[:MAX_WITNESSES].tolist(), si.tolist())]
             r2 = R2Result(
                 "fails" if failures else "holds_empirically",
                 sampled=sampled,
                 y_tested=len(chosen),
-                failures=failures[:MAX_WITNESSES],
+                failures=failures,
             )
     return RReport(p, n, r0, r1, r2, warnings)

@@ -2,6 +2,7 @@
 enumeration."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -12,9 +13,13 @@ from hypothesis import given, settings, strategies as st
 from vdc.counting import eval_on_axes
 from vdc.errors import InputError, PreconditionError
 from vdc.ffield import (
+    MODULUS_CAP,
+    Q_CAP,
     Field,
     FqPoly,
     _eval_terms,
+    _reduce,
+    _ring,
     enum_proj,
     field_make,
     find_irreducible,
@@ -22,6 +27,7 @@ from vdc.ffield import (
     next_prime,
     parse_field,
     primes_in_interval,
+    proj_blocks,
     proj_rows,
     reduce_mod,
 )
@@ -135,6 +141,25 @@ def test_array_ops_match_scalar_ops(p, k):
     got = fld.sub_mul_array(A, A[:, :, :1], A[:, :1, :])
     assert got.tolist() == [[[ref.sub(x, ref.mul(row[0], mat[0][j])) for j, x in enumerate(row)]
                              for row in mat] for mat in A.tolist()]
+
+
+def test_reduce_equals_mod_on_int64():
+    """_reduce(a, m) = a % m on int64 arrays of either sign, 0-d arrays,
+    numpy and Python scalars, up to the largest operand each caller passes:
+    (p - 1)^2 and a - (p - 1)^2 in mul_array and sub_mul_array for p up to
+    Q_CAP, and products below 2^63 in the Z/m ring's int64 path."""
+    rng = np.random.default_rng(7)
+    p_top = primes_in_interval(Q_CAP - 64, Q_CAP)[-1]
+    m_top = math.isqrt(MODULUS_CAP - 1) + 1  # the largest m with (m - 1)^2 < 2^63
+    for m, top in [(2, 4), (7, 36), (1021, 1020**2), (p_top, (p_top - 1) ** 2),
+                   (2**20 - 2, 2**40), (m_top, (m_top - 1) ** 2)]:
+        a = np.concatenate([[0, 1, m - 1, m, m + 1, top, top - 1, -1, -m, -(m - 1), 1 - top],
+                            rng.integers(-top, top, size=500, endpoint=True)]).astype(np.int64)
+        got = _reduce(a, m)
+        assert got.dtype == np.int64 and np.array_equal(got, a % m), m
+        assert got.min() >= 0 and got.max() < m
+        for x in (a[-1], a[8], np.array(a[-2]), int(a[-3]), -(2**62)):
+            assert _reduce(x, m) == x % m and np.ndim(_reduce(x, m)) == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 65521, 1048573])
@@ -439,3 +464,54 @@ def test_log_evaluator_matches_digit_ring_and_scalar_eval(case):
         assert got.dtype == np.int64 and got.shape == (len(pts),)
         assert got.tolist() == [poly.eval([int(x) for x in pt]) for pt in pts]
         assert got.tolist() == _digit_eval(fld, form, cols, got.shape).tolist()
+
+
+def test_log_evaluator_digit_sums_past_uint8():
+    """Every monomial of degree <= 6 in 3 variables over F_49: 84 terms, so
+    a digit sum reaches 84 * 6 = 504 and the total is uint16.  Points draw
+    0 often, so zero coordinates mask terms; FqPoly.eval is the oracle."""
+    fld = field_make(7, 2)
+    rng = random.Random(49)
+    terms = {e: rng.randrange(1, fld.q) for e in itertools.product(range(7), repeat=3)
+             if sum(e) <= 6}
+    assert len(terms) == 84
+    pts = np.array([[rng.choice([0, 0, 1, rng.randrange(fld.q)]) for _ in range(3)]
+                    for _ in range(300)], dtype=np.int64)
+    cols = [pts[:, i] for i in range(3)]
+    total, term, _ = _ring(fld, terms, cols, (len(pts),))
+    for e, c in terms.items():
+        total += term(c, e)
+    assert total.dtype == np.uint16 and total.max() > 255
+    poly = FqPoly(fld, 3, terms)
+    assert values_on(poly, pts).tolist() == [poly.eval(list(map(int, pt))) for pt in pts]
+
+
+@pytest.mark.parametrize("ring_id", ["Z-int64", "Z/12", "F_7", "F_4", "F_9"])
+def test_evaluator_on_projective_blocks(ring_id):
+    """The zero form, a constant, a term on the leading coordinate alone and
+    a random form on the boxes of proj_blocks, whose columns include 0-d
+    arrays and whose last block has the 0-d shape (): the total is
+    allocated at each block's shape, and the blocks, raveled, match the
+    scalar oracle on the rows of enum_proj."""
+    ring, _ = EVAL_RINGS[ring_id]
+    fld = ring if isinstance(ring, Field) else field_make(3)
+    rng = random.Random(ring_id)
+    n = 3
+    top = fld.q if isinstance(ring, Field) else 9  # coefficients are codes over a field
+    forms = {"zero": {}, "constant": {(0, 0, 0): rng.randrange(1, top)},
+             "x1^2": {(2, 0, 0): rng.randrange(1, top)},
+             "random": {tuple(rng.randint(0, 3) for _ in range(n)): rng.randrange(1, top)
+                        for _ in range(6)}}
+    pts = enum_proj(fld, n).tolist()
+    for name, terms in forms.items():
+        got = []
+        for cols, shape in proj_blocks(fld, n):
+            out = _eval_terms(terms, cols, shape, ring)
+            assert np.shape(out) == shape, name
+            got += np.ravel(out).tolist()
+        if isinstance(ring, Field):
+            oracle = FqPoly(fld, n, terms).eval
+        else:
+            poly = IntPoly(n, terms)
+            oracle = poly.eval if ring is None else (lambda pt: poly.eval(pt) % ring)
+        assert got == [oracle(pt) for pt in pts], name

@@ -13,6 +13,7 @@ from vdc import geometry
 from vdc.ffield import FqPoly, enum_proj, field_make, proj_blocks, reduce_mod
 from vdc.geometry import (
     _KERNEL_CHUNK,
+    MAX_WITNESSES,
     RCheckPolicy,
     VarietySpec,
     _dim_est_array,
@@ -145,6 +146,36 @@ def test_rank_paths_agree():
         assert got.tolist() == [_rank_rows(fld, rows) for rows in rows_batch]
 
 
+def _row_reduce_full_width(fld, A):
+    """_row_reduce as it was before it skipped the columns left of the
+    pivot: every step updates the whole (M, r, n) stack."""
+    M, r, n = A.shape
+    rows = np.arange(M)
+    used = np.zeros((M, r), dtype=bool)
+    prow = np.full((M, n), -1, dtype=np.int64)
+    for c in range(n):
+        cand = (A[:, :, c] != 0) & ~used
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        pr = A[rows, piv]
+        pr = fld.mul_array(pr, np.where(has, fld.inv_array(pr[:, c]), 0)[:, None])
+        A = fld.sub_mul_array(A, A[:, :, c, None], pr[:, None, :])
+        A[rows[has], piv[has]] = pr[has]
+        used[rows[has], piv[has]] = True
+        prow[has, c] = piv[has]
+    return A, prow
+
+
+def _assert_row_reduce_matches_full_width(fld, A):
+    """The whole reduced stack and prow, not just the rank: _kernel_counts
+    reads A's entries.  The input stack is left as it was."""
+    before = A.copy()
+    got, prow = geometry._row_reduce(fld, A)
+    want, want_prow = _row_reduce_full_width(fld, before)
+    assert np.array_equal(A, before)
+    assert np.array_equal(got, want) and np.array_equal(prow, want_prow)
+
+
 @st.composite
 def _rank_stacks(draw):
     """A field (F_p or F_{p^k}, k <= 3) and a stack of r x n matrices whose
@@ -163,6 +194,7 @@ def test_batched_rank_matches_gaussian_elimination(case):
     fld, stack = case
     got = _rank(fld, np.array(stack, dtype=np.int64))
     assert got.tolist() == [_rank_rows(fld, rows) for rows in stack]
+    _assert_row_reduce_matches_full_width(fld, np.array(stack, dtype=np.int64))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -458,6 +490,50 @@ def test_r2_counts_stacked_match_one_direction_at_a_time(form, p, monkeypatch):
     assert len(calls) == -(-len(ys) // 3)
 
 
+def _t_rows_one(values, base, n, q):
+    """One row of _t_rows as it was before the table was batched: (s,
+    count, dim, bound, ok) for s = -1..n-1, counts by sort and searchsorted."""
+    counts = values.size - np.searchsorted(np.sort(values), base + np.arange(n + 1))
+    dims = _dim_est_array(counts, q).tolist()
+    return [(s, c, d, n - 2 - s, d <= n - 2 - s)
+            for s, c, d in zip(range(-1, n), counts.tolist(), dims)]
+
+
+def _t_rows_per_y(values, bases, n, q):
+    """_t_rows by a loop over the rows of values, one _t_rows_one each."""
+    rows = [_t_rows_one(v, int(b), n, q) for v, b in zip(values, bases)]
+    counts, dims, fail = (np.array([[row[i] for row in t] for t in rows], dtype=np.int64)
+                          .reshape(len(rows), n + 1) for i in (1, 2, 4))
+    return counts, dims, fail == 0
+
+
+@pytest.mark.parametrize("form,p", [
+    (FERMAT5, 7), (QUARTIC5, 5),
+    (parse_poly("-x1^4+3*x2^4+x3^4+x3^2*x4^2-3*x3*x4^3+3*x4^4", 4), 7),
+], ids=["fermat5-7-sampled", "quartic5-5", "quartic4-7-r2-failures"])
+def test_r2_table_batched_matches_per_y_loop(form, p, monkeypatch):
+    """The R2 verdict table in one batch against a loop over the tested y,
+    one sort and searchsorted each: the same R2Result, with the failures
+    in (y, s) order and cut at MAX_WITNESSES, all of them Python ints."""
+    got = r_check(form, p)
+    monkeypatch.setattr(geometry, "_t_rows", _t_rows_per_y)
+    want = r_check(form, p)
+    assert got.r1 == want.r1 and got.r2 == want.r2
+    assert got.r2.sampled == (proj_space_size(form.n - 1, p) > geometry.R2_EXHAUSTIVE_LIMIT)
+    assert all(type(v) is int for f in got.r2.failures for v in (*f[0], *f[1:]))
+    # every failure, uncut, from the per-y rows in the order R2 tests the y
+    sweep = sigma_sweep(form, p)
+    rng = np.random.default_rng(RCheckPolicy().seed)
+    chosen = np.sort(rng.choice(sweep._engine.N, size=64, replace=False))
+    syz = _dim_est_array(_r2_counts(sweep._engine, sweep.directions[chosen]), p)
+    every = [(tuple(map(int, sweep.directions[yi])), s, dim, bound, count)
+             for yi, row in zip(chosen, syz)
+             for s, count, dim, bound, ok in _t_rows_one(row, int(sweep.sigma[yi]), form.n, p)
+             if not ok]
+    assert got.r2.failures == every[:MAX_WITNESSES]
+    assert every and (len(every) > MAX_WITNESSES or form is QUARTIC5)  # 17, 2 and 17
+
+
 def test_t_set_monotone_in_s():
     f = parse_poly("x1^4+x2^4+x3^4", 3)
     table = r_check(f, 5, which=("r1",)).r1.table
@@ -572,13 +648,51 @@ def _kernel_counts_by_lead(eng: _PrimeEngine, L: np.ndarray, group: np.ndarray |
     return counts.reshape(groups, Ny)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_kernel_counts_by_table_match_lead_normalising(p):
-    """The code-table lookup against the kernel count that normalised each
-    point by its leading coordinate, on random stacks of every kernel
-    dimension (low-rank rows drawn as combinations, zero matrices included)."""
+def _kernel_counts_by_matmul(eng: _PrimeEngine, L: np.ndarray, group: np.ndarray | None = None,
+                             groups: int = 1) -> np.ndarray:
+    """_kernel_counts as it was before it coded kernel points from their
+    pivot columns: each point is a matmul of P^(k-1) by the kernel's basis,
+    reduced mod p in all n coordinates and coded by V @ pw."""
+    p, n, pts = eng.p, eng.n, eng.pts
+    Ny = pts.shape[0]
+    counts = np.zeros(groups * Ny, dtype=np.int64)
+    M = L.shape[0]
+    if M == 0:
+        return counts.reshape(groups, Ny)
+    offset = (np.zeros(M, dtype=np.int64) if group is None else group) * Ny
+    A, prow = _row_reduce_full_width(eng.F.field, L % p)
+    free = prow < 0
+    k = free.sum(axis=1)
+    eye = np.eye(n, dtype=np.int64)
+    for kk in np.unique(k[k > 0]):
+        sel = np.flatnonzero(k == kk)
+        # basis vector of free column f: 1 at f, -A[pivot row of c, f] at
+        # each pivot column c, 0 at the other free columns
+        P = np.take_along_axis(A[sel], np.maximum(prow[sel], 0)[:, :, None], axis=1)
+        full = np.where(free[sel][:, None, :], eye, -P.transpose(0, 2, 1) % p)
+        basis = full[free[sel]].reshape(sel.size, kk, n)
+        C = pts[Ny - proj_space_size(kk - 1, p):, n - kk:]  # P^(kk-1)
+        cc = min(C.shape[0], max(1, _KERNEL_CHUNK // n))
+        mc = max(1, _KERNEL_CHUNK // (cc * n))
+        for lo in range(0, C.shape[0], cc):
+            Cc = C[lo : lo + cc]
+            for mlo in range(0, sel.size, mc):
+                V = np.matmul(Cc, basis[mlo : mlo + mc]) % p  # (m, c, n)
+                idx = offset[sel[mlo : mlo + mc], None] + eng.index[V @ eng.pw]
+                counts += np.bincount(idx.ravel(), minlength=groups * Ny)
+    return counts.reshape(groups, Ny)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_kernel_counts_by_table_match_lead_normalising(p, monkeypatch):
+    """The pivot-column coding against the matmul enumeration and the kernel
+    count that normalised each point by its leading coordinate, on random
+    stacks of every kernel dimension (low-rank rows drawn as combinations,
+    zero matrices included), with groups and without.  A chunk of n p^2
+    entries takes p^2 points of P^(k-1) and one matrix at a time, so for
+    k >= 3 the chunks split both the points and the matrices."""
     rng = np.random.default_rng(p)
-    for n in range(1, 5):
+    for n in range(1, 6):
         eng = _PrimeEngine(FqPoly(field_make(p), n, {(2,) + (0,) * (n - 1): 1}))
         for r in range(1, n + 2):
             M, groups = 40, int(rng.integers(1, 5))
@@ -587,9 +701,14 @@ def test_kernel_counts_by_table_match_lead_normalising(p):
             L[np.arange(r) >= rank[:, None]] = 0  # rank[m] nonzero rows
             L = rng.integers(0, p, size=(M, r, r)) @ L  # mixed, rank <= rank[m]
             group = rng.integers(0, groups, size=M)
-            got = geometry._kernel_counts(eng, L, group, groups)
-            assert np.array_equal(got, _kernel_counts_by_lead(eng, L, group, groups))
-            assert np.array_equal(geometry._kernel_counts(eng, L), _kernel_counts_by_lead(eng, L))
+            _assert_row_reduce_matches_full_width(eng.F.field, L % p)
+            want = _kernel_counts_by_matmul(eng, L, group, groups)
+            assert np.array_equal(want, _kernel_counts_by_lead(eng, L, group, groups))
+            want_one = _kernel_counts_by_matmul(eng, L)
+            for chunk in (_KERNEL_CHUNK, n * p * p):
+                monkeypatch.setattr(geometry, "_KERNEL_CHUNK", chunk)
+                assert np.array_equal(geometry._kernel_counts(eng, L, group, groups), want)
+                assert np.array_equal(geometry._kernel_counts(eng, L), want_one)
 
 
 def test_r_check_char_divides_exponent_fails_r0():
