@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Budget, InputError, PreconditionError, ensure_budget
-from .ffield import MODULUS_CAP, Field, _eval_terms, reduce_mod
+from .ffield import Field, _check_modulus, _eval_terms, _int64_exact, reduce_mod
 from .geometry import VarietySpec, affine_count, dim_est_affine, sing_points
 from .mpoly import IntPoly
 
@@ -123,13 +123,6 @@ class Weight:
         if self.kind == "smooth":
             return smooth_profile(H, B), None
         return 2 * B - np.abs(np.arange(-H, H + 1, dtype=np.int64)), 2 * B
-
-    def value_1d_exact(self, t: Fraction) -> Fraction:
-        if self.kind == "indicator":
-            return Fraction(1) if abs(t) <= 1 else Fraction(0)
-        if self.kind == "hat":
-            return max(Fraction(0), 1 - abs(t) / 2)
-        raise PreconditionError("smooth weight is not exact")
 
 
 # -- weighted box sums ----------------------------------------------------------
@@ -337,15 +330,11 @@ def _charge_box(fs: list[IntPoly], H: int, m: int | None, budget: Budget) -> lis
     n = fs[0].n
     if any(f.n != n for f in fs):
         raise InputError("mixed variable counts")
-    if m is not None and m < 1:
-        raise InputError("modulus must be >= 1", m=m)
-    if m is not None and m >= MODULUS_CAP:
-        raise InputError("modulus must be below 2^63", m=m)
+    if m is not None:
+        _check_modulus(m)
     A = _side_a(fs, n)
-    # eval_on_axes' coarse bound on |f|: below 2^62 both sides' values and
-    # their negations are int64; exact values past it keep the whole box
-    if m is None and any(sum(abs(c) * max(1, H) ** sum(e) for e, c in f.terms.items())
-                         >= 2**62 for f in fs):
+    # exact values past eval_on_axes' int64 bound keep the whole box
+    if m is None and not all(_int64_exact(f.terms, [H] * n) for f in fs):
         A = []
     side = 2 * H + 1
     budget.charge(side ** len(A) + side ** (n - len(A)) if A else side**n, "box points")

@@ -565,6 +565,22 @@ def reduce_mod(f, field: Field) -> FqPoly:
 MODULUS_CAP = 2**63  # residues are int64
 
 
+def _check_modulus(m: int) -> None:
+    """Refuse a modulus outside 1 <= m < MODULUS_CAP."""
+    if m < 1:
+        raise InputError("modulus must be >= 1", m=m)
+    if m >= MODULUS_CAP:
+        raise InputError("modulus must be below 2^63", m=m)
+
+
+def _int64_exact(terms: dict, amax) -> bool:
+    """Whether the exact values of terms at |x_i| <= amax[i] stay in int64:
+    their coarse bound sum |c| prod_i max(1, amax[i])^(e_i) is below 2^62,
+    so the values, their negations and every partial sum are int64."""
+    return sum(abs(c) * math.prod(max(1, a) ** e for a, e in zip(amax, exps))
+               for exps, c in terms.items()) < 2**62
+
+
 def _ring(ring, terms: dict, cols: list, shape: tuple):
     """(total, term, finish) of the ring that `ring` names.
 
@@ -606,23 +622,14 @@ def _ring(ring, terms: dict, cols: list, shape: tuple):
         return np.zeros((ring.k, *shape), dtype=np.min_scalar_type(top)), term, finish
     if ring is None:
         amax = [int(np.max(np.abs(col))) if col.size else 0 for col in cols]
-        bound = 0
-        for exps, c in terms.items():
-            t = abs(c)
-            for a, e in zip(amax, exps):
-                t *= max(1, a) ** e
-            bound += t
-        dtype = np.int64 if bound < 2**62 else object
+        dtype = np.int64 if _int64_exact(terms, amax) else object
 
         def lift(a):
             return np.asarray(a, dtype=dtype)
 
         return np.zeros(shape, dtype), _power_term(lift, np.multiply, cols), lambda s: s
     m = ring.p if isinstance(ring, Field) else ring
-    if m < 1:
-        raise InputError("modulus must be >= 1", m=m)
-    if m >= MODULUS_CAP:
-        raise InputError("modulus must be below 2^63", m=m)
+    _check_modulus(m)
     # products below m^2, sums of reduced terms below m * len(terms)
     big = max((m - 1) ** 2, (m - 1) * len(terms))
     dtype = np.int64 if big < MODULUS_CAP else object

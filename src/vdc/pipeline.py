@@ -64,13 +64,15 @@ array over one is formed from n per-axis arrays, x1 fastest (``_outer``):
 the weights and fs as products, the class and shift codes, such as sum_i
 (x_i mod pi) pi^i, as sums (``_code``).  No array holds the box's digits.
 The correlations and level 2 are grouped joins (``_pair_join``), emitted in
-(group, left, right) order in chunks of at most PAIR_BLOCK pairs.  A join
-hands back its two sort orders and each chunk as places in them, so its
-caller gathers the columns it reads once, in join order, and reads them
-forward instead of at random.  The correlations group by class mod pi.
-Level 2 joins the box points once, by (class mod p, f mod q), into pairs
-(u, u + p z), the x-pairs (x, x + p z) being those with q | f(u), and then
-joins the x-pairs with them by (z, class mod pi), which puts x + pi y = u.
+chunks of at most PAIR_BLOCK pairs in the order of the left rows the caller
+passes, each meeting its group's right rows in key order.  A join sorts
+only its right side and hands back that order, so its caller gathers each
+right column once in it and reads it forward instead of at random.  The
+correlations join the pq-solutions, already sorted by class mod pi, with
+themselves.  Level 2 joins the box points in box order by (class mod p,
+f mod q) into pairs (u, u + p z) in box order of u, the x-pairs (x, x + p
+z) being those with q | f(u), and then joins the x-pairs, sorted by (z,
+class mod pi), with them by that key, which puts x + pi y = u.
 Every per-key sum is one ``_Bins`` accumulation, in one code path for both
 domains: each key adds its terms to zero in the order its pass emits them,
 whatever PAIR_BLOCK is.  So the correlations add per shift in the join's
@@ -393,31 +395,29 @@ def _runs(starts, ends, first, s: int, e: int):
 
 
 def _pair_join(left: np.ndarray, right: np.ndarray, own=None):
-    """All pairs (i, j) with left[i] == right[j], grouped by that key.
+    """All pairs (i, j) with left[i] == right[j], in the left rows' order.
 
-    Returns (npairs, lo, ro, chunks).  lo and ro sort the left and right
-    rows stably by key (one sort when right is left), and chunks yields
-    (li, ri) of at most PAIR_BLOCK pairs, as places in those orders: the
-    pairs (lo[li], ro[ri]), in (key, i, j) order.  So a caller gathers each
-    column once in join order, col[lo], and reads it at li and ri, which
-    run forward.  npairs = sum over keys of the product of the two group
-    sizes.
+    Returns (npairs, ro, chunks).  ro sorts the right rows stably by key,
+    and chunks yields (li, ri) of at most PAIR_BLOCK pairs: the pairs (li,
+    ro[ri]), in (i, j) order, li indexing the left as passed.  So a caller
+    gathers each right column once in key order, col[ro], and reads it at
+    ri, which runs forward within each left row.  npairs = sum over keys of
+    the product of the two group sizes.
 
     Triangular mode: with own given, left row i is right row own[i], and it
     pairs only with the right rows of its group at or after own[i] in index
     order, itself included, so a group of size m on both sides emits
-    m (m + 1) / 2 pairs instead of m^2.  The left order is the same.
+    m (m + 1) / 2 pairs instead of m^2.
     """
-    lo = _stable_order(left)
-    ro = lo if right is left else _stable_order(right)
-    ls, rs = left[lo], right[ro]
+    ro = _stable_order(right)
+    rs = right[ro]
     if own is None:
-        first = np.searchsorted(rs, ls, "left")  # each left row's group
+        first = np.searchsorted(rs, left, "left")  # each left row's group
     else:  # each left row's own place in the right order
         at = np.empty_like(ro)
         at[ro] = np.arange(ro.size)
-        first = at[own[lo]]
-    cnt = np.searchsorted(rs, ls, "right") - first
+        first = at[own]
+    cnt = np.searchsorted(rs, left, "right") - first
     ends = np.cumsum(cnt)
     starts = ends - cnt
     npairs = int(ends[-1]) if ends.size else 0
@@ -427,7 +427,7 @@ def _pair_join(left: np.ndarray, right: np.ndarray, own=None):
             runs, c, ri = _runs(starts, ends, first, s, min(s + PAIR_BLOCK, npairs))
             yield np.arange(runs.start, runs.stop).repeat(c), ri
 
-    return npairs, lo, ro, chunks()
+    return npairs, ro, chunks()
 
 
 def _per_block(width: int) -> int:
@@ -560,31 +560,30 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     L = 2 * H + 1
     M = L**n
     budget.charge(4 * M, "box grids")
+    # level 0: classes mod pi; f mod pi on the box is f on its class
+    pin = pi**n
+    budget.charge(pin, "class grid mod pi")
+    zero_mask = eval_on_axes(f, [np.arange(pi, dtype=np.int64)] * n, pi) == 0
+    zero_classes = int(np.count_nonzero(zero_mask))
 
     w1, den = w.axis_values(B)
     den = den if den is not None else 1
     den1 = den**n
     D = _Domain(w.exact, den1)
     ax = np.arange(-H, H + 1, dtype=np.int64)
-    fpi_v, fp_v, fq_v = (eval_on_axes(f, [ax] * n, m) for m in (pi, p, q))
+    fp_v, fq_v = (eval_on_axes(f, [ax] * n, m) for m in (p, q))
     wnum = _outer(_product, [w1] * n)
     cls_pi = _code(ax % pi, pi, n)
     solq = fq_v == 0
     solpq = solq & (fp_v == 0)
-    solfull = solpq & (fpi_v == 0)
+    solfull = solpq & zero_mask[cls_pi]
 
     box_total_num = D.total(w1) ** n
     box_weight_total = D.frac(box_total_num, den1)
     count_full = D.frac(D.total(wnum, solfull), den1)
     count_pq = D.frac(D.total(wnum, solpq), den1)
-    K = D.frac(box_total_num, pi**n * p * q * den1)
+    K = D.frac(box_total_num, pin * p * q * den1)
 
-    # level 0: classes mod pi
-    pin = pi**n
-    budget.charge(pin, "class grid mod pi")
-    gpi = eval_on_axes(f, [np.arange(pi, dtype=np.int64)] * n, pi)
-    zero_mask = gpi == 0
-    zero_classes = int(np.count_nonzero(zero_mask))
     inner_num = _Bins(pin, D.exact).add(cls_pi[solpq], wnum[solpq]).total()
     S = D.frac(D.total(inner_num, zero_mask), den1) - K * zero_classes
     inner_sq = D.total(_product(inner_num, inner_num))  # sum_u inner(u)^2
@@ -601,8 +600,6 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     Ycells = sideY**n
     budget.charge(Ycells, "shift table")
     lags = pi * np.arange(-Y, Y + 1, dtype=np.int64)
-    fs_axis = _lag_sums(w1, np.stack([0 * lags, lags], axis=1))
-    fs_num = _outer(_product, [fs_axis] * n)
 
     # the two pair passes, both inside classes mod pi: pq-solutions with each
     # other, and q-solutions x with the box points c = x + pi y.  For x_a,
@@ -613,10 +610,11 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     # correlations are always triangular, since corr(-y) = corr(y); level 1
     # and level 2's second join only when the tables mirror.
     mirror = _mirrors(f, w1)
-    a_pq = np.flatnonzero(solpq)
+    by_pi = _stable_order(cls_pi)  # box points by (class mod pi, index)
+    a_pq = by_pi[solpq[by_pi]]  # the pq-solutions, in that order
     ycode = _code(ax // pi, sideY, n)
     key = cls_pi[a_pq]
-    npairs_corr, order, _, corr_pairs = _pair_join(key, key, np.arange(key.size))
+    npairs_corr, _, corr_pairs = _pair_join(key, key, np.arange(key.size))
     # Level 1 splits each shift y by the class v mod p of x and the
     # difference residue a = f(c) mod q, under the key (y, v, a).  For a
     # fixed y, (y, v, a) is in bijection with (y, b), where b = (c mod p,
@@ -633,7 +631,6 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     # A float table therefore adds its rows in (b, c, x) order, whatever
     # the chunk size.  border sorts the box points by (b, index).
     bclass, border, _ = _key_codes(np.stack([fq_v, _code(ax % p, p, n)]))
-    by_pi = _stable_order(cls_pi)  # box points by (class mod pi, index)
     xs = by_pi[solq[by_pi]]  # the q-solutions, in that order
     xfirst = np.searchsorted(cls_pi[xs], cls_pi)
     if mirror:  # the q-solutions of c's class up to c itself
@@ -643,10 +640,11 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
         xend = np.searchsorted(cls_pi[xs], cls_pi, "right")
     xcnt = (xend - xfirst)[border]
     budget.charge(npairs_corr + int(xcnt.sum()), "correlation pairs")
+    fs_axis = _lag_sums(w1, np.stack([0 * lags, lags], axis=1))
+    fs_num = _outer(_product, [fs_axis] * n)
 
-    # congruence part of corr(y), each shift in the join's order; one key
-    # sorts both sides, so one gather serves both
-    a_pq = a_pq[order]
+    # congruence part of corr(y), each shift in the join's order; key is
+    # sorted, so the right order is the identity and one gather serves both
     rkey, wpq = ycode[a_pq], wnum[a_pq]
     lkey = Ycells // 2 - rkey
     corr = _Bins(Ycells, D.exact)
@@ -659,12 +657,13 @@ def build_ledger(params: PipelineParams, budget: Budget | None = None) -> Pipeli
     budget.charge(pn, "zero grid mod p")
     gz = eval_on_axes(f, [np.arange(p, dtype=np.int64)] * n, p) == 0
     gz = gz.reshape((p,) * n)  # axis n-1-i <-> coordinate i (0-based)
-    wid = _code(lags % p, p, n)
-    uniq_wid, wid_idx = np.unique(wid, return_inverse=True)
-    budget.charge(uniq_wid.size * pn, "shifted zero grids mod p")
+    # pi y mod p, the shift's class, is the grid of the axis residues res
+    res, inv = np.unique(lags % p, return_inverse=True)
+    budget.charge(res.size**n * pn, "shifted zero grids mod p")
     xcount = np.array([
-        np.count_nonzero(gz & np.roll(gz, tuple(-d[::-1]), axis=tuple(range(n))))
-        for d in _digits(uniq_wid, p, n)], dtype=np.int64)[wid_idx]
+        np.count_nonzero(gz & np.roll(gz, tuple(-res[d[::-1]]), axis=tuple(range(n))))
+        for d in _digits(np.arange(res.size**n), res.size, n)],
+        dtype=np.int64)[_code(inv, res.size, n)]
 
     t0_num, t1_num, ss2, ss3, sxy_num = _level1(
         border, bclass, xfirst[border], xcnt, xs, ycode, wnum, fq_v,
@@ -871,7 +870,7 @@ def _pair_cells(ledger, ax, wnum, fq_v, cls_pi, bclass, ycode, mirror,
     # class, and the ledger keeps only this half.
     live = np.flatnonzero(wnum > 0)  # weights are nonnegative in every kind
     key = bclass[live]
-    npairs, order, _, box_pairs = _pair_join(key, key, np.arange(live.size))
+    _, ro, box_pairs = _pair_join(key, key, np.arange(live.size))
 
     # x-pairs (x, x + p z) joined with box-point pairs (u, u + p z) of the
     # same z inside classes mod pi, so u = x + pi y.  The pairs run in box
@@ -884,27 +883,25 @@ def _pair_cells(ledger, ax, wnum, fq_v, cls_pi, bclass, ycode, mirror,
     # (z, class) stay below Zcells * L^n.
     classes, cls = np.unique(cls_pi, return_inverse=True)
     zcode = _code(ax // ledger.params.p, sideZ, n)  # keys z as ycode keys y
-    live = live[order]  # the columns of the pairs (a, c) read in join order
     li, ri = (np.concatenate(t) for t in zip(*box_pairs))
-    by_u = _stable_order(live[li])
-    li, ri = li[by_u], ri[by_u]
-    del by_u
-    zs, ws = zcode[live], wnum[live]
-    pz = zs[ri] - zs[li] + Zcells // 2
-    pw = _product(ws[li], ws[ri])
-    rgrp = pz * classes.size + cls[live][li]
+    a, c = live[li], live[ro[ri]]  # the pairs (a, c) in box order of a
+    del li, ri
+    pz = zcode[c] - zcode[a] + Zcells // 2
+    pw = _product(wnum[a], wnum[c])
+    rgrp = pz * classes.size + cls[a]
     # a row's cell (kz - Zcells // 2) width + ky - ylo, with ky = Ycells // 2
     # - ycode[x] + ycode[u] the flat key of y, splits into an x and a u part
-    ucell = ycode[live][li]
-    isx = (fq_v[live] == 0)[li]
-    del li, ri
+    ucell = ycode[a]
+    isx = fq_v[a] == 0
+    del a, c
     lgrp, wx = rgrp[isx], pw[isx]
     xcell = (pz[isx] - Zcells // 2) * width + Ycells // 2 - ylo - ucell[isx]
     own = np.flatnonzero(isx) if mirror else None
     del pz, isx
     budget.charge(lgrp.size, "second-difference pairs")
 
-    _, lo, ro, pairs = _pair_join(lgrp, rgrp, own)
+    lo = _stable_order(lgrp)  # the x-pairs by group, in box order inside one
+    _, ro, pairs = _pair_join(lgrp[lo], rgrp, None if own is None else own[lo])
     del lgrp, rgrp, own
     xcell, wx, ucell, pw = xcell[lo], wx[lo], ucell[ro], pw[ro]
     rows = ((xcell[li] + ucell[ri], _product(wx[li], pw[ri])) for li, ri in pairs)

@@ -319,6 +319,25 @@ def test_cached_parser_dispatches_like_a_fresh_one(capsys):
     assert cached[0] == cached[3]
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--poly", "x1^4+2*x2^4-x3^4", "--n", "3", "--B", "2", "--modulus", "5"],
+    ["geom", "rcheck", "--form", "x1^4+2*x2^4-x3^4", "--n", "3", "--p", "5"],
+], ids=["poly", "form"])
+def test_leading_minus_value_in_equals_spelling(capsys, argv):
+    """A --poly or --form value that starts with "-" is written with "=":
+    -f has the zeros of f, so the result is f's.  As a word of its own the
+    value reads as an option, which exits 64."""
+    at = argv.index("--n") - 2
+    flag, neg = argv[at], "-x1^4-2*x2^4+x3^4"
+    code, want = run_cli(argv, capsys=capsys)
+    got_code, got = run_cli([*argv[:at], f"{flag}={neg}", *argv[at + 2:]],
+                            capsys=capsys)
+    assert code == got_code == 0 and got["result"] == want["result"]
+    with pytest.raises(SystemExit) as err:
+        cli.dispatch([*argv[:at], flag, neg, *argv[at + 2:]])
+    assert err.value.code == 64
+
+
 def test_refusal_exit_code_and_error_schema(capsys):
     code, doc = run_cli(
         ["count", "--poly", "x1^+2", "--n", "1", "--B", "1"], capsys=capsys)

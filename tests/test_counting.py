@@ -28,6 +28,14 @@ from vdc.ffield import field_make
 from vdc.mpoly import IntPoly, parse_poly
 
 
+def weight_1d(kind, t):
+    """The exact weight of one axis at t = x / B."""
+    if kind == "indicator":
+        return Fraction(1) if abs(t) <= 1 else Fraction(0)
+    assert kind == "hat"
+    return max(Fraction(0), 1 - abs(t) / 2)
+
+
 def brute_count(f, B, m=None):
     n = f.n
     total = 0
@@ -108,7 +116,7 @@ def test_large_moduli_match_python_int_brute_force(m, t, a, b, c):
     assert (a, b) in zeros
     assert count_box_mod([f], 3, m) == len(zeros)
     w = Weight("hat")  # B = 2: support |x_i| <= 3, the same box
-    expected = sum(w.value_1d_exact(Fraction(x1, 2)) * w.value_1d_exact(Fraction(x2, 2))
+    expected = sum(weight_1d("hat", Fraction(x1, 2)) * weight_1d("hat", Fraction(x2, 2))
                    for x1, x2 in zeros)
     assert weighted_count([f], 2, m, w).value == expected
 
@@ -158,13 +166,12 @@ def test_hat_weighted_count_oracle():
     f = parse_poly("x1^2-x2", 2)
     B, m = 2, 3
     res = weighted_count([f], B, m, "hat")
-    w = Weight("hat")
     expected = Fraction(0)
     for x1 in range(-2 * B + 1, 2 * B):
         for x2 in range(-2 * B + 1, 2 * B):
             if f.eval([x1, x2]) % m == 0:
-                expected += (w.value_1d_exact(Fraction(x1, B))
-                             * w.value_1d_exact(Fraction(x2, B)))
+                expected += (weight_1d("hat", Fraction(x1, B))
+                             * weight_1d("hat", Fraction(x2, B)))
     assert res.value == expected
     assert res.value.denominator == (2 * B) ** 2 // math.gcd(
         (2 * B) ** 2, res.value.numerator) or res.exact
@@ -262,8 +269,7 @@ def _brute_weighted(fs, B, m, kind):
             if kind == "smooth":
                 terms.append(math.prod(_smooth_1d(c / B) for c in x))
             else:
-                terms.append(math.prod(w.value_1d_exact(Fraction(c, B))
-                                       for c in x))
+                terms.append(math.prod(weight_1d(kind, Fraction(c, B)) for c in x))
     return (math.fsum(terms) if kind == "smooth" else sum(terms)), len(terms)
 
 

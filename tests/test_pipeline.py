@@ -22,7 +22,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from ledger_reference import DEGREE, Reference, aggregate, flat_key
 from vdc import cli, counting, geometry, pipeline
 from vdc.counting import Weight
-from vdc.errors import Budget, BudgetExceeded, InputError, PreconditionError
+from vdc.errors import (DEFAULT_BUDGET, Budget, BudgetExceeded, InputError,
+                        PreconditionError)
 from vdc.mpoly import IntPoly, parse_poly
 from vdc.pipeline import (
     PipelineParams,
@@ -542,7 +543,7 @@ def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
     join = pipeline._pair_join
 
     def counting_join(left, right, own=None):
-        npairs, lo, ro, chunks = join(left, right, own)
+        npairs, ro, chunks = join(left, right, own)
         emitted.append(0)
         slot = len(emitted) - 1
 
@@ -550,7 +551,7 @@ def test_pair_charges_equal_emitted_pairs(monkeypatch, case):
             for li, ri in chunks:
                 emitted[slot] += li.size
                 yield li, ri
-        return npairs, lo, ro, counted()
+        return npairs, ro, counted()
 
     monkeypatch.setattr(pipeline, "_pair_join", counting_join)
     level1 = spy_level1(monkeypatch)
@@ -1171,31 +1172,72 @@ def test_stable_order_matches_stable_argsort(keys):
                           np.argsort(keys, kind="stable"))
 
 
-def pair_join_oracle(left, right, triangular):
-    """The pairs (i, j) with left[i] == right[j] (and j >= i when
-    triangular), in (key, i, j) order."""
-    pairs = [(i, j) for i in range(left.size) for j in range(right.size)
-             if left[i] == right[j] and (not triangular or j >= i)]
-    return sorted(pairs, key=lambda t: (left[t[0]], t[0], t[1]))
+def pair_join_oracle(left, right, own):
+    """The pairs (i, j) with left[i] == right[j] (and j >= own[i] when own
+    is given), in (i, j) order."""
+    return [(i, j) for i in range(left.size) for j in range(right.size)
+            if left[i] == right[j] and (own is None or j >= own[i])]
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 18])
 def test_pair_join_places_match_brute_force(monkeypatch, block):
-    """The chunks name each pair by its places in the two sort orders: read
-    through lo and ro they are the oracle's pairs in its order, li never
-    decreases, and a triangular join of one array sorts it once."""
+    """On an unsorted left, plain and triangular, the chunks name each pair
+    as (li, ro[ri]), li a row of the left as passed: they are the oracle's
+    pairs in its order, li never decreases, and ro sorts the right rows
+    stably by key.  Triangular: the left is the right itself, or a shuffled
+    part of it (own a permutation's first rows)."""
     monkeypatch.setattr(pipeline, "PAIR_BLOCK", block)
     rng = np.random.default_rng(block)
-    left, right = rng.integers(-3, 4, 40), rng.integers(-3, 4, 30)
-    for a, b, own in ((left, right, None), (left, left, np.arange(left.size))):
-        npairs, lo, ro, chunks = pipeline._pair_join(a, b, own)
+    left, right = rng.integers(-3, 4, 40), rng.integers(0, 7, 30)
+    own = rng.permutation(right.size)[:20]
+    for a, b, o in ((left, right, None), (right, right, np.arange(right.size)),
+                    (right[own], right, own)):
+        npairs, ro, chunks = pipeline._pair_join(a, b, o)
+        assert np.array_equal(ro, np.argsort(b, kind="stable"))
         got = []
         for li, ri in chunks:
             assert 0 < li.size <= block and np.all(np.diff(li) >= 0)
-            got += zip(lo[li].tolist(), ro[ri].tolist())
-        want = pair_join_oracle(a, b, own is not None)
+            got += zip(li.tolist(), ro[ri].tolist())
+        want = pair_join_oracle(a, b, o)
         assert got == want and npairs == len(want)
-        assert (ro is lo) == (own is not None)
+
+
+def test_box_pair_join_emits_box_order(monkeypatch):
+    """Level 2's first join takes the live box points in box order and
+    emits its rows (a, c), c = a + p z, in box order of a and then of c,
+    the order the second join reads its x-pairs in: each row joins a box
+    class (a = c mod p, f(a) = f(c) mod q), c is at or after a, and there
+    are m (m + 1) / 2 rows to a class of m points."""
+    joins, join = [], pipeline._pair_join
+
+    def spy(left, right, own=None):
+        npairs, ro, chunks = join(left, right, own)
+        rows = []
+        joins.append((left, right, own, npairs, rows))
+
+        def kept():
+            for li, ri in chunks:
+                rows.append(np.stack([li, ro[ri]]))
+                yield li, ri
+        return npairs, ro, kept()
+
+    monkeypatch.setattr(pipeline, "_pair_join", spy)
+    monkeypatch.setattr(pipeline, "PAIR_BLOCK", 1000)
+    build_ledger(PipelineParams(**SHOWCASE, with_pair_table=True))
+    left, right, own, npairs, rows = joins[1]  # correlations, box pairs, second
+    assert left is right and np.array_equal(own, np.arange(left.size))
+    a, c = np.concatenate(rows, axis=1)
+    assert a.size == npairs > 1000
+    assert np.all((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (c[1:] > c[:-1])))
+    # the hat weight is positive on the whole box, so every point is live
+    h = 2 * B - 1
+    pts = np.array([x[::-1] for x in itertools.product(range(-h, h + 1), repeat=N)])
+    assert left.size == len(pts)
+    fq = np.array([F.eval(x) % Q for x in pts.tolist()])
+    assert np.all(c >= a) and np.all(fq[a] == fq[c])
+    assert np.all(pts[a] % P == pts[c] % P)
+    sizes = np.unique(np.column_stack([pts % P, fq]), axis=0, return_counts=True)[1]
+    assert npairs == int(np.sum(sizes * (sizes + 1) // 2))
 
 
 def fs2_per_digit(t2d, ky, kz, n):
@@ -1246,10 +1288,12 @@ def test_grid_codes_match_per_point_decode(params):
     sum (or max) of n per-axis arrays, against per-point values in
     x1-fastest order.  In the order the ledger forms them: over the box x,
     cls_pi sum_i (x_i mod pi) pi^i, ycode sum_i (x_i // pi) (2Y + 1)^i and
-    cls_p sum_i (x_i mod p) p^i; over the shifts y, wid sum_i (pi y_i mod
-    p) p^i and max_i |pi y_i|, which support_vanishing compares with 4B;
-    and last, in the level-2 join, zcode sum_i (x_i // p) (2Z + 1)^i.  The
-    weight products, also outer, are not codes and are skipped."""
+    cls_p sum_i (x_i mod p) p^i; over the shifts y, the class of X_y, sum_i
+    r(pi y_i mod p) s^i with r the place of a residue among the s residues
+    that pi y_i mod p takes on one axis, and max_i |pi y_i|, which
+    support_vanishing compares with 4B; and last, in the level-2 join,
+    zcode sum_i (x_i // p) (2Z + 1)^i.  The weight products, also outer,
+    are not codes and are skipped."""
     made = []
     outer = pipeline._outer
 
@@ -1271,15 +1315,105 @@ def test_grid_codes_match_per_point_decode(params):
 
     box = [x[::-1] for x in itertools.product(range(-H, H + 1), repeat=n)]
     shifts = [y[::-1] for y in itertools.product(range(-Y, Y + 1), repeat=n)]
+    res = sorted({pi * c % p for c in range(-Y, Y + 1)})
     want = [
         [code(x, lambda c: c % pi, pi) for x in box],
         [code(x, lambda c: c // pi, 2 * Y + 1) for x in box],
         [code(x, lambda c: c % p, p) for x in box],
-        [code(y, lambda c: pi * c % p, p) for y in shifts],
+        [code(y, lambda c: res.index(pi * c % p), len(res)) for y in shifts],
         [max(abs(pi * c) for c in y) for y in shifts],
         [code(x, lambda c: c // p, 2 * Z + 1) for x in box],
     ]
     assert [a.tolist() for a in made] == want
+
+
+def xcount_whole_grid(f, n, pi, p, Y):
+    """#X_y over the shift grid from a whole-grid np.unique, the oracle of
+    the ledger's per-axis classes: a code sum_i (pi y_i mod p) p^i for every
+    shift, one np.unique over all of them, and one shifted zero grid per
+    distinct code.  Returns the number of codes and the counts."""
+    lags = pi * np.arange(-Y, Y + 1, dtype=np.int64)
+    gz = counting.eval_on_axes(f, [np.arange(p, dtype=np.int64)] * n, p) == 0
+    gz = gz.reshape((p,) * n)
+    wid = pipeline._code(lags % p, p, n)
+    uniq_wid, wid_idx = np.unique(wid, return_inverse=True)
+    counts = np.array([
+        np.count_nonzero(gz & np.roll(gz, tuple(-d[::-1]), axis=tuple(range(n))))
+        for d in pipeline._digits(uniq_wid, p, n)], dtype=np.int64)
+    return uniq_wid.size, counts[wid_idx]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("pi", [2, 3, 11])
+@pytest.mark.parametrize("B", [1, 2])
+def test_xy_classes_match_whole_grid_unique(p, pi, B):
+    """The classes of X_y, read from the residues of one axis, give the
+    counts and the "shifted zero grids mod p" charge of a whole-grid
+    np.unique; the axis takes 1 to p residues across these cases."""
+    if pi == p:
+        pi = 5
+    budget = RecordingBudget()
+    led = build_ledger(PipelineParams(f=F, B=B, pi=pi, p=p, q=13), budget)
+    classes, want = xcount_whole_grid(F, N, pi, p, led.shift_range)
+    assert budget.charges["shifted zero grids mod p"] == classes * p**N
+    assert led.xcount.dtype == want.dtype and np.array_equal(led.xcount, want)
+
+
+CHARGE_LABELS = ("box grids", "class grid mod pi", "shift table",
+                 "correlation pairs", "zero grid mod p",
+                 "shifted zero grids mod p", "pair-table windows",
+                 "second-difference pairs")
+SHOWCASE_POLY, P4_POLY = "x1^3+x2^3+x3^3-x1*x2*x3", "x1^4+x2^4-x3^4+2*x4^4+x1*x2^3"
+P4_ARGS = ["--n", "4", "--B", "4", "--pi", "2", "--p", "3", "--q", "17",
+           "--pair-table", "--budget", "4000000000"]
+# the README and CI ledgers, and the amounts they charge, in CHARGE_LABELS
+# order; a charge moved, dropped or resized changes the budget a run reports
+# and where it refuses
+CI_LEDGER_CHARGES = {
+    "showcase": ([SHOWCASE_POLY, "--n", "3", "--B", "4", "--pi", "2", "--p", "3",
+                  "--q", "5", "--pair-table"],
+                 [13500, 8, 4913, 217610, 27, 729, 4492125, 18981]),
+    "parity-free": ([SHOWCASE_POLY + "+x1+2", "--n", "3", "--B", "4", "--pi", "5",
+                     "--p", "3", "--q", "7", "--pair-table"],
+                    [13500, 125, 343, 11150, 27, 729, 4492125, 3364]),
+    "b12": (["x1^3+2*x2^3-x3^3+x1*x2*x3+x2", "--n", "3", "--B", "12", "--pi", "2",
+             "--p", "3", "--q", "53"], [415292, 8, 117649, 13066303, 27, 729]),
+    "n4": ([P4_POLY, *P4_ARGS],
+           [202500, 16, 83521, 5092353, 81, 6561, 741200625, 66139]),
+    "n4-mixed": ([P4_POLY + "+x1", *P4_ARGS],
+                 [202500, 16, 83521, 9728532, 81, 6561, 741200625, 58653]),
+    "n6-p5": (["x1^4+x2^4+x3^4-x4^4-x5^4-2*x6^4", "--n", "6", "--B", "1", "--pi", "2",
+               "--p", "5", "--q", "13"], [2916, 64, 15625, 3266, 15625, 244140625]),
+    "n8-refusal": (["x1^4+x2^4+x3^4+x4^4-x5^4-x6^4-x7^4-x8^4", "--n", "8", "--B", "2",
+                    "--pi", "2", "--p", "3", "--q", "17"],
+                   [23059204, 256, 43046721, 6309636962]),
+}
+
+
+@pytest.mark.parametrize("case, weight", [
+    *((c, "hat") for c in CI_LEDGER_CHARGES),
+    ("showcase", "smooth"), ("parity-free", "smooth"), ("n4", "smooth")])
+def test_ci_ledger_charges_are_pinned(monkeypatch, capsys, case, weight):
+    """The README and CI ledgers charge the pinned (label, amount) sequence,
+    the smooth weight as the hat; the n = 8 ledger is refused on its
+    correlation pairs, having used the charges before them."""
+    (poly, *args), amounts = CI_LEDGER_CHARGES[case]
+    made, charge = [], Budget.charge
+
+    def recorded(self, amount, what="points"):
+        made.append((what, int(amount)))
+        return charge(self, amount, what)
+
+    monkeypatch.setattr(Budget, "charge", recorded)
+    code = cli.dispatch(["pipeline", f"--poly={poly}", *args, "--weight", weight])
+    doc = json.loads(capsys.readouterr().out)
+    assert made == list(zip(CHARGE_LABELS, amounts))
+    if case == "n8-refusal":
+        assert code == 2 and doc["error"]["details"] == {
+            "limit": DEFAULT_BUDGET, "requested": amounts[-1],
+            "used": sum(amounts[:-1]), "what": "correlation pairs"}
+    else:
+        assert code == 0 and doc["run"]["budget"]["used"] == sum(amounts)
 
 
 def test_showcase_budget_used(capsys):
@@ -1324,13 +1458,13 @@ def test_full_path_matches_brute_force(monkeypatch, case):
 
     def spy(left, right, own=None):
         triangular.append(own is not None)
-        npairs, lo, ro, chunks = join(left, right, own)
+        npairs, ro, chunks = join(left, right, own)
 
         def checked():  # every pair the chunks name joins equal keys
             for li, ri in chunks:
-                assert np.array_equal(left[lo[li]], right[ro[ri]])
+                assert np.array_equal(left[li], right[ro[ri]])
                 yield li, ri
-        return npairs, lo, ro, checked()
+        return npairs, ro, checked()
 
     monkeypatch.setattr(pipeline, "_pair_join", spy)
     level1 = spy_level1(monkeypatch)
@@ -1595,14 +1729,14 @@ def test_second_join_rows_match_brute_force(monkeypatch, f, mirror):
     joins, join = [], pipeline._pair_join
 
     def spy(left, right, own=None):
-        npairs, lo, ro, chunks = join(left, right, own)
+        npairs, ro, chunks = join(left, right, own)
         joins.append([own is not None, npairs, 0])
 
         def counted():
             for li, ri in chunks:
                 joins[-1][2] += li.size
                 yield li, ri
-        return npairs, lo, ro, counted()
+        return npairs, ro, counted()
 
     monkeypatch.setattr(pipeline, "_pair_join", spy)
     params = (PipelineParams(**SHOWCASE, with_pair_table=True) if mirror else
