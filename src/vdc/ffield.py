@@ -11,8 +11,11 @@ x^4+x+1 for F_16.  Two Field objects with the same (p, k) are always
 compatible.  This module is the only one that knows the encoding.
 
 Every product in F_{p^k}, k > 1, reads discrete logarithms: each field
-builds its log, exp and digit tables once, on first use, from a
-convolution on digit arrays.  Each scalar element op is a one-element
+builds its log, exp and digit tables once, on first use.  Building a field
+uses one product, :func:`_digit_mul` (a convolution of base-p digit arrays
+reduced by the modulus's rows), and one square-and-multiply,
+:func:`_power`: the modulus search (Rabin's test), the generator search
+and the tables all run on them.  Each scalar element op is a one-element
 call of an array op, or one table read for ``pow``.
 
 The array element ops that row reduction needs (``mul_array``,
@@ -47,7 +50,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import zip_longest
 
 import numpy as np
 
@@ -83,16 +85,8 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def next_prime(m: int) -> int:
-    """Smallest prime >= m."""
-    m = max(2, int(m))
-    while not is_prime(m):
-        m += 1
-    return m
-
-
 def primes_in_interval(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], ascending (segmented trial scan)."""
+    """All primes in [lo, hi], ascending: :func:`is_prime` on each integer."""
     out = []
     m = max(2, int(lo))
     while m <= hi:
@@ -111,62 +105,51 @@ def _reduce(a, m: int):
     return a - a // m * m
 
 
-# -- polynomial arithmetic over F_p (coefficient lists, low to high) ---------
+# -- F_p[x]/(f) on base-p digit arrays (one product, one power) --------------
 
 
-def _pstrip(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _digits(codes, p: int, k: int) -> np.ndarray:
+    """Base-p digits of codes, along a new last axis of length k."""
+    return np.asarray(codes, dtype=np.int64)[..., None] // p ** np.arange(k) % p
 
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pstrip(out)
-
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        c = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        _pstrip(a)
-    return a
+def _red_rows(low, p: int) -> np.ndarray:
+    """rows[..., j, :], j < k - 1: the digits of x^(k+j) modulo the monic
+    x^k + sum_i low_i x^i, for digit arrays low (..., k), k >= 2.  Row 0 is
+    -low; row j + 1 is row j times x, shifted up one digit with its top
+    digit times row 0 added."""
+    low = np.asarray(low, dtype=np.int64)
+    k = low.shape[-1]
+    rows = np.zeros(low.shape[:-1] + (k - 1, k), dtype=np.int64)
+    rows[..., 0, :] = -low % p
+    for j in range(1, k - 1):
+        rows[..., j, 1:] = rows[..., j - 1, :-1]
+        rows[..., j, :] = (rows[..., j, :] + rows[..., j - 1, -1:] * rows[..., 0, :]) % p
+    return rows
 
 
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
+def _digit_mul(a, b, rows: np.ndarray, p: int) -> np.ndarray:
+    """Products of digit arrays (..., k) modulo the modulus whose reduction
+    rows are `rows` (see :func:`_red_rows`): convolution, then each x^(k+j)
+    replaced by rows[..., j, :], all in one matrix product."""
+    k = rows.shape[-1]
+    a, b = np.broadcast_arrays(a, b)
+    conv = np.zeros(a.shape[:-1] + (2 * k - 1,), dtype=np.int64)
+    for i in range(k):
+        conv[..., i : i + k] += a[..., i, None] * b
+    return (conv[..., :k] + np.matmul(conv[..., None, k:] % p, rows)[..., 0, :]) % p
 
 
-def _ppow_xq(e: int, m: list[int], p: int) -> list[int]:
-    """x^(p^e) mod m, by e-fold Frobenius (repeated p-th powering)."""
-    r = [0, 1]  # x
-    for _ in range(e):
-        # r <- r^p mod m by square-and-multiply on the exponent p
-        base, out, exp = r, [1], p
-        while exp:
-            if exp & 1:
-                out = _pmod(_pmul(out, base, p), m, p)
-            exp >>= 1
-            if exp:
-                base = _pmod(_pmul(base, base, p), m, p)
-        r = out
-    return r
-
-
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
-    return _pstrip([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+def _power(a, e: int, mul, one):
+    """a^e for e >= 0 by square and multiply under `mul`, with a^0 = one."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return out
 
 
 def _prime_divisors(m: int) -> list[int]:
@@ -184,36 +167,40 @@ def _prime_divisors(m: int) -> list[int]:
     return out
 
 
-def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Rabin's test for a monic polynomial over F_p."""
-    k = len(coeffs) - 1
-    if k < 1:
-        return False
-    x = [0, 1]
-    if _psub(_ppow_xq(k, coeffs, p), x, p):
-        return False
+def _is_irreducible(low, p: int) -> np.ndarray:
+    """Rabin's test for the monic x^k + sum_i low_i x^i over F_p, k >= 2,
+    on digit arrays low (..., k); a bool array of shape low.shape[:-1].
+
+    f is irreducible iff x^(p^k) = x mod f and gcd(x^(p^(k/t)) - x, f) = 1
+    for each prime t | k.  Once the first holds, F_p[x]/(f) is a product of
+    fields F_(p^d) with d | k, so the gcd is 1 exactly when h = x^(p^(k/t))
+    - x is a unit, that is when h^(p^k - 1) = 1: the test is all products.
+    """
+    low = np.asarray(low, dtype=np.int64)
+    k, rows = low.shape[-1], _red_rows(low, p)
+
+    def mul(a, b):
+        return _digit_mul(a, b, rows, p)
+
+    x, one = np.zeros_like(low), np.zeros_like(low)
+    x[..., 1] = one[..., 0] = 1
+    ok = (_power(x, p**k, mul, one) == x).all(axis=-1)
     for t in _prime_divisors(k):
-        diff = _psub(_ppow_xq(k // t, coeffs, p), x, p)
-        if not diff:
-            return False
-        if len(_pgcd(list(coeffs), diff, p)) > 1:
-            return False
-    return True
+        h = (_power(x, p ** (k // t), mul, one) - x) % p
+        ok &= (_power(h, p**k - 1, mul, one) == one).all(axis=-1)
+    return ok
 
 
 @lru_cache(maxsize=None)
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Non-leading coefficients (c_0..c_{k-1}) of the canonical degree-k
-    monic irreducible over F_p: the one with the smallest integer code."""
-    for low in range(p**k):
-        digits = []
-        v = low
-        for _ in range(k):
-            digits.append(v % p)
-            v //= p
-        coeffs = digits + [1]
-        if _is_irreducible(coeffs, p):
-            return tuple(digits)
+    monic irreducible over F_p, k >= 2: the one with the smallest integer
+    code.  Candidates are tested 32 at a time."""
+    for lo in range(0, p**k, 32):
+        low = _digits(np.arange(lo, min(lo + 32, p**k)), p, k)
+        ok = _is_irreducible(low, p)
+        if ok.any():
+            return tuple(low[ok.argmax()].tolist())
     raise PreconditionError("no irreducible found", p=p, k=k)  # pragma: no cover
 
 
@@ -239,9 +226,7 @@ class Field:
         self.q = q
         self.modulus = find_irreducible(p, k) if k > 1 else ()
         if k > 1:  # rows[j]: the digits of x^(k+j) mod the modulus
-            mod = [*self.modulus, 1]
-            self._red_rows = [(_pmod([0] * (k + j) + [1], mod, p) + [0] * k)[:k]
-                              for j in range(k - 1)]
+            self._red_rows = _red_rows(self.modulus, p)
 
     def __repr__(self):
         return f"Field({self.literal()})"
@@ -294,23 +279,15 @@ class Field:
 
     def _digits(self, a) -> np.ndarray:
         """Base-p digits of codes, along a new last axis of length k."""
-        return np.asarray(a, dtype=np.int64)[..., None] // self.p ** np.arange(self.k) % self.p
+        return _digits(a, self.p, self.k)
 
     def _codes(self, d: np.ndarray) -> np.ndarray:
         """Codes of digit arrays (..., k), each digit taken mod p."""
         return d % self.p @ self.p ** np.arange(self.k)
 
     def _digit_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Products of digit arrays (..., k): convolution, then x^(k+j)
-        replaced by its reduction rows[j]."""
-        p, k, rows = self.p, self.k, np.array(self._red_rows, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
-        conv = np.zeros(a.shape[:-1] + (2 * k - 1,), dtype=np.int64)
-        for i in range(k):
-            conv[..., i : i + k] += a[..., i, None] * b
-        for deg in range(2 * k - 2, k - 1, -1):
-            conv[..., :k] += conv[..., deg, None] % p * rows[deg - k]
-        return conv[..., :k] % p
+        """Products of digit arrays (..., k) in this field."""
+        return _digit_mul(a, b, self._red_rows, self.p)
 
     def _digit_powers(self, g: np.ndarray, count: int) -> np.ndarray:
         """g^0, ..., g^(count-1) as a (count, k) digit array, by doubling."""
@@ -330,13 +307,7 @@ class Field:
             cand = self._digits(np.arange(lo, min(lo + 256, q)))
             ok = np.ones(len(cand), dtype=bool)
             for r in rs:
-                e, base, acc = (q - 1) // r, cand, one
-                while e:
-                    if e & 1:
-                        acc = self._digit_mul(acc, base)
-                    e >>= 1
-                    base = self._digit_mul(base, base)
-                ok &= (acc != one).any(axis=-1)
+                ok &= (_power(cand, (q - 1) // r, self._digit_mul, one) != one).any(axis=-1)
             if ok.any():
                 return cand[ok.argmax()]
         raise PreconditionError("no generator found", field=self.literal())  # pragma: no cover
@@ -378,20 +349,11 @@ class Field:
     def _inv_table(self) -> np.ndarray:
         """inv[a] = 1/a mod p for a code a of F_p, and inv[0] = 0: a^(p-2) by
         square and multiply on the whole table at once (p <= Q_CAP, so every
-        product is below 2^40)."""
+        product is below 2^40).  Starting from sign(a) keeps inv[0] = 0 over
+        F_2 too, where p - 2 = 0."""
         p = self.p
         a = np.arange(p, dtype=np.int64)
-        out = np.ones(p, dtype=np.int64)
-        e = p - 2
-        while e:
-            if e & 1:
-                out *= a
-                out %= p
-            a *= a
-            a %= p
-            e >>= 1
-        out[0] = 0  # 0^0 = 1 over F_2
-        return out
+        return _power(a, p - 2, lambda u, v: u * v % p, np.sign(a))
 
     def mul_array(self, a, b) -> np.ndarray:
         """Elementwise products of code arrays."""

@@ -600,6 +600,8 @@ class RCheckPolicy:
     def __post_init__(self):
         if self.r2_samples < 1:
             raise InputError("r2_samples must be >= 1", r2_samples=self.r2_samples)
+        if self.seed < 0:
+            raise InputError("seed must be >= 0", seed=self.seed)
 
 
 @dataclass

@@ -456,8 +456,10 @@ def test_common_flags_before_a_nested_subcommand_exit_64(capsys):
      "--checks", ""],
     ["geom", "rcheck", "--form", "x1^4+x2^4+x3^4", "--n", "3", "--p", "5",
      "--checks", ","],
+    ["geom", "rcheck", "--form", "x1^4+x2^4+x3^4+x4^4", "--n", "4", "--p", "11",
+     "--seed", "-1", "--checks", "r2"],
 ], ids=["r2-samples-0", "r2-samples-negative", "unknown-check-zero-form", "no-checks",
-        "no-checks-comma"])
+        "no-checks-comma", "seed-negative"])
 def test_rcheck_bad_options_refuse(argv, capsys):
     code, doc = run_cli(argv, capsys=capsys)
     assert code == 2

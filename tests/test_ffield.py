@@ -17,14 +17,15 @@ from vdc.ffield import (
     Q_CAP,
     Field,
     FqPoly,
+    _digits,
     _eval_terms,
+    _is_irreducible,
     _reduce,
     _ring,
     enum_proj,
     field_make,
     find_irreducible,
     is_prime,
-    next_prime,
     parse_field,
     primes_in_interval,
     proj_blocks,
@@ -45,18 +46,109 @@ def test_is_prime_against_sympy():
 def test_prime_intervals():
     assert primes_in_interval(10, 30) == [11, 13, 17, 19, 23, 29]
     assert primes_in_interval(24, 28) == []
-    assert next_prime(13) == 13  # smallest prime >= m
-    assert next_prime(14) == 17
-    assert next_prime(1) == 2
 
 
 def test_find_irreducible_is_irreducible():
+    """The chosen modulus is irreducible and every smaller code is not."""
     x = sympy.symbols("x")
-    for p, k in [(2, 3), (3, 2), (5, 4), (7, 2), (13, 3)]:
+    for p, k in [(2, 3), (3, 2), (5, 4), (7, 2), (13, 3), (101, 3), (3, 12), (2, 20)]:
         low = find_irreducible(p, k)  # c_0..c_{k-1}, leading 1 implicit
         assert len(low) == k
         poly = sympy.Poly([1] + list(reversed(low)), x, modulus=p)
         assert poly.is_irreducible, (p, k, low)
+        below = _digits(range(sum(c * p**i for i, c in enumerate(low))), p, k).tolist()
+        for d in below:
+            assert not sympy.Poly([1] + d[::-1], x, modulus=p).is_irreducible, (p, k, d)
+
+
+# -- the list-polynomial Rabin test, with polynomial gcds: the oracle for
+# ffield._is_irreducible (coefficient lists over F_p, low to high)
+
+
+def _pstrip(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _pstrip(out)
+
+
+def _pmod(a, m, p):
+    a = list(a)
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], p - 2, p)
+    while len(a) - 1 >= dm and a:
+        c = a[-1] * inv_lead % p
+        shift = len(a) - 1 - dm
+        for i, mi in enumerate(m):
+            a[shift + i] = (a[shift + i] - c * mi) % p
+        _pstrip(a)
+    return a
+
+
+def _pgcd(a, b, p):
+    while b:
+        a, b = b, _pmod(a, b, p)
+    return a
+
+
+def _ppow_xq(e, m, p):
+    """x^(p^e) mod m, by e-fold Frobenius (repeated p-th powering)."""
+    r = [0, 1]  # x
+    for _ in range(e):
+        base, out, exp = r, [1], p
+        while exp:
+            if exp & 1:
+                out = _pmod(_pmul(out, base, p), m, p)
+            exp >>= 1
+            if exp:
+                base = _pmod(_pmul(base, base, p), m, p)
+        r = out
+    return r
+
+
+def _psub(a, b, p):
+    return _pstrip([(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _rabin_on_lists(coeffs, p):
+    """Rabin's test for a monic polynomial over F_p."""
+    k = len(coeffs) - 1
+    x = [0, 1]
+    if _psub(_ppow_xq(k, coeffs, p), x, p):
+        return False
+    for t in sympy.primefactors(k):
+        diff = _psub(_ppow_xq(k // t, coeffs, p), x, p)
+        if not diff:
+            return False
+        if len(_pgcd(list(coeffs), diff, p)) > 1:
+            return False
+    return True
+
+
+RABIN_FIELDS = [(2, k) for k in range(2, 9)] + [(3, k) for k in range(2, 6)] + [
+    (5, 2), (5, 3), (7, 2), (13, 2)]
+
+
+@pytest.mark.parametrize("p,k", RABIN_FIELDS, ids=[f"F_{p}^{k}" for p, k in RABIN_FIELDS])
+def test_is_irreducible_matches_list_rabin(p, k):
+    """The test by products gives the gcd test's verdict on every monic
+    candidate of degree k, irreducible or not."""
+    low = _digits(np.arange(p**k), p, k)
+    got = _is_irreducible(low, p)
+    assert got.shape == (p**k,)
+    assert got.tolist() == [_rabin_on_lists(d + [1], p) for d in low.tolist()]
+    # Gauss: k * #irreducibles = sum over d | k of mobius(d) p^(k/d)
+    assert k * got.sum() == sum(sympy.mobius(d) * p ** (k // d) for d in sympy.divisors(k))
 
 
 def sample_field_axioms(fld, rng, trials=200):
@@ -369,6 +461,26 @@ def test_eval_terms_takes_exponents_past_the_recursion_limit(ring):
 # -- discrete-log tables against the digit-convolution ring -------------------
 
 LOG_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (1021, 2), (2, 20)]
+# (modulus, generator) of each: the non-leading coefficients and exp[1]
+LOG_FIELDS_PINNED = {
+    (2, 2): ((1, 1), 2), (2, 3): ((1, 1, 0), 2), (3, 2): ((1, 0), 4),
+    (2, 4): ((1, 1, 0, 0), 2), (5, 2): ((2, 0), 6), (3, 3): ((1, 2, 0), 3),
+    (7, 2): ((1, 0), 9), (1021, 2): ((2, 0), 1035),
+    (2, 20): ((1, 0, 0, 1) + (0,) * 16, 2),  # x^20 + x^3 + 1
+}
+
+
+@pytest.mark.parametrize("p,k", LOG_FIELDS, ids=[f"F_{p}^{k}" for p, k in LOG_FIELDS])
+def test_log_fields_pinned(p, k):
+    """The modulus and the generator are pinned, and row j of the
+    reduction rows is x^(k+j) mod the modulus."""
+    fld = field_make(p, k)
+    assert (fld.modulus, int(fld._log_tables[1][1])) == LOG_FIELDS_PINNED[p, k]
+    x = sympy.symbols("x")
+    mod = sympy.Poly([1, *fld.modulus[::-1]], x, modulus=p)
+    for j, row in enumerate(fld._red_rows.tolist()):
+        rem = sympy.Poly(x ** (k + j), x, modulus=p).rem(mod)
+        assert row == [int(rem.coeff_monomial(x**i)) % p for i in range(k)], j
 
 
 @pytest.mark.parametrize("p,k", LOG_FIELDS, ids=[f"F_{p}^{k}" for p, k in LOG_FIELDS])

@@ -749,6 +749,9 @@ def test_r2_samples_must_be_positive():
         with pytest.raises(InputError):
             RCheckPolicy(r2_samples=bad)
     assert RCheckPolicy(r2_samples=1).r2_samples == 1
+    with pytest.raises(InputError):  # np.random.default_rng refuses it
+        RCheckPolicy(seed=-1)
+    assert RCheckPolicy(seed=0).seed == 0
 
 
 def test_r_check_budget_refusal_is_explicit():
