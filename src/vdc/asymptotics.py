@@ -60,13 +60,6 @@ class ExponentVector:
             self.q + t * other.q,
         )
 
-    def __str__(self) -> str:
-        parts = []
-        for sym, e in (("B", self.b), ("pi", self.pi), ("p", self.p), ("q", self.q)):
-            if e:
-                parts.append(f"{sym}^({e})")
-        return " ".join(parts) if parts else "1"
-
 
 def _vec(b, pi, p, q) -> ExponentVector:
     return ExponentVector(_fr(b), _fr(pi), _fr(p), _fr(q))

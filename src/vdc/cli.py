@@ -43,7 +43,7 @@ from .asymptotics import (
     thm_exponent,
 )
 from .counting import count_box_mod, weighted_count
-from .errors import DEFAULT_BUDGET, Budget, VdcError
+from .errors import DEFAULT_BUDGET, Budget, InputError, VdcError
 from .ffield import parse_field
 from .geometry import RCheckPolicy, VarietySpec, r_check, sing_points
 from .jsonio import frac_dict, mixed_str, render_json
@@ -339,6 +339,8 @@ def dispatch(argv) -> int:
     t0 = time.monotonic()
     try:
         budget = Budget(args.budget)
+        if args.seed < 0:
+            raise InputError("seed must be >= 0", seed=args.seed)
         params, result = _HANDLERS[slug](args, budget)
     except VdcError as err:
         _emit(render_json({

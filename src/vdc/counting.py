@@ -325,11 +325,8 @@ def _charge_box(fs: list[IntPoly], H: int, m: int | None, budget: Budget) -> lis
     """Charge the points `_box_sum` evaluates on the box |x_i| <= H, and
     return the side A it splits off (empty: no split).  A split box costs
     its two sub-boxes, (2H+1)^|A| + (2H+1)^|S|, an unsplit one (2H+1)^n.
-    Polynomials of mixed arity and moduli outside 1 <= m < 2^63 are
-    refused before anything is charged."""
+    Moduli outside 1 <= m < 2^63 are refused before anything is charged."""
     n = fs[0].n
-    if any(f.n != n for f in fs):
-        raise InputError("mixed variable counts")
     if m is not None:
         _check_modulus(m)
     A = _side_a(fs, n)
@@ -467,12 +464,20 @@ def _box_sum(fs: list[IntPoly], H: int, m: int | None, A: list[int], vals=None):
 
 
 def _as_poly_list(fs) -> list[IntPoly]:
-    if isinstance(fs, IntPoly):
-        return [fs]
-    out = list(fs)
-    for f in out:
-        if not isinstance(f, IntPoly):
-            raise InputError("expected integer polynomials")
+    """One IntPoly, or an iterable of them, as a nonempty list of integer
+    polynomials in one number of variables: the one check of the
+    polynomial lists that enter this module."""
+    try:
+        out = [fs] if isinstance(fs, IntPoly) else list(fs)
+    except TypeError:  # None, or another non-iterable
+        out = [fs]
+    if not all(isinstance(f, IntPoly) for f in out):
+        raise InputError("expected integer polynomials")
+    if not out:
+        raise InputError("need at least one polynomial; pass a zero polynomial "
+                         "of the right arity, which imposes nothing")
+    if any(f.n != out[0].n for f in out):
+        raise InputError("mixed variable counts")
     return out
 
 
@@ -501,8 +506,6 @@ def count_box_mod(fs, B: int, m: int | None, budget: Budget | None = None) -> in
     fs = _as_poly_list(fs)
     if B < 0:
         raise InputError("B must be >= 0", B=B)
-    if not fs:
-        raise InputError("need at least one polynomial")
     return _box_sum(fs, B, m, _charge_box(fs, B, m, ensure_budget(budget)))
 
 
@@ -521,14 +524,11 @@ def weighted_count(
     Exact kinds return a Fraction; smooth returns a float computed with a
     fixed reduction tree.
     """
-    fs = _as_poly_list(fs) if fs else []
+    fs = _as_poly_list(fs)
     if isinstance(weight, str):
         weight = Weight(weight)
     if B < 1:
         raise InputError("B must be >= 1", B=B)
-    if not fs:
-        raise InputError("cannot infer dimension from an empty list; pass a "
-                         "zero polynomial of the right arity")
     n, H = fs[0].n, weight.halfwidth(B)
     A = _charge_box(fs, H, m, ensure_budget(budget))
     vals, den = weight.axis_values(B)
@@ -566,8 +566,6 @@ def trivial_bound_probe(
     affine estimate from the full F_q^n count.
     """
     fs = _as_poly_list(forms)
-    if not fs:
-        raise InputError("need at least one polynomial")
     if fld.k != 1:
         raise PreconditionError("box probe needs a prime field", field=fld.literal())
     n = fs[0].n
@@ -638,8 +636,6 @@ def hooley_deligne_probe(
     projective points over F_5, and x1^4+x2^4+x3^4 has none over F_29.
     """
     fs = _as_poly_list(forms)
-    if not fs:
-        raise InputError("need at least one polynomial")
     n, r = fs[0].n, len(fs)
     budget = ensure_budget(budget)
     for f in fs:

@@ -18,6 +18,12 @@ reduced by the modulus's rows), and one square-and-multiply,
 and the tables all run on them.  Each scalar element op is a one-element
 call of an array op, or one table read for ``pow``.
 
+Two inputs have one way in each.  :func:`reduce_mod` is the one way a
+form enters F_q: it reduces an integer polynomial, passes an FqPoly over
+the same field as it is, and refuses anything else.  :func:`_digits` is
+the one decoder of flat keys, base-p element codes here and the shift
+keys of ``pipeline``'s tables alike.
+
 The array element ops that row reduction needs (``mul_array``,
 ``inv_array`` with inv(0) = 0, and ``sub_mul_array``, a - b*c) live on
 Field too, so ``geometry`` eliminates over every F_q without reading codes:
@@ -54,6 +60,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import Budget, InputError, PreconditionError, ensure_budget
+from .mpoly import IntPoly
 
 Q_CAP = 2**20
 
@@ -109,7 +116,9 @@ def _reduce(a, m: int):
 
 
 def _digits(codes, p: int, k: int) -> np.ndarray:
-    """Base-p digits of codes, along a new last axis of length k."""
+    """Base-p digits of codes, digit 0 first, along a new last axis of
+    length k.  With p the side of a table over k coordinates, these are
+    the coordinates of its flat keys."""
     return np.asarray(codes, dtype=np.int64)[..., None] // p ** np.arange(k) % p
 
 
@@ -247,13 +256,13 @@ class Field:
         return c % self.p
 
     def add(self, a: int, b: int) -> int:
-        return int(self._codes(self._digits(a) + self._digits(b)))
+        return int(self._codes(_digits(a, self.p, self.k) + _digits(b, self.p, self.k)))
 
     def sub(self, a: int, b: int) -> int:
-        return int(self._codes(self._digits(a) - self._digits(b)))
+        return int(self._codes(_digits(a, self.p, self.k) - _digits(b, self.p, self.k)))
 
     def neg(self, a: int) -> int:
-        return int(self._codes(-self._digits(a)))
+        return int(self._codes(-_digits(a, self.p, self.k)))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_array(a, b))
@@ -277,10 +286,6 @@ class Field:
 
     # -- digit arrays and log tables (the array evaluator, k > 1) -----------
 
-    def _digits(self, a) -> np.ndarray:
-        """Base-p digits of codes, along a new last axis of length k."""
-        return _digits(a, self.p, self.k)
-
     def _codes(self, d: np.ndarray) -> np.ndarray:
         """Codes of digit arrays (..., k), each digit taken mod p."""
         return d % self.p @ self.p ** np.arange(self.k)
@@ -291,7 +296,7 @@ class Field:
 
     def _digit_powers(self, g: np.ndarray, count: int) -> np.ndarray:
         """g^0, ..., g^(count-1) as a (count, k) digit array, by doubling."""
-        out, step = self._digits([1]), g
+        out, step = _digits([1], self.p, self.k), g
         while len(out) < count:
             out = np.concatenate([out, self._digit_mul(out, step)])
             step = self._digit_mul(step, step)
@@ -302,9 +307,9 @@ class Field:
         prime r dividing q - 1, i.e. a generator of the unit group.  The
         search starts at p: the codes below it form the prime field, whose
         units have order dividing p - 1 < q - 1 (k > 1)."""
-        q, one, rs = self.q, self._digits(1), _prime_divisors(self.q - 1)
+        q, one, rs = self.q, _digits(1, self.p, self.k), _prime_divisors(self.q - 1)
         for lo in range(self.p, q, 256):
-            cand = self._digits(np.arange(lo, min(lo + 256, q)))
+            cand = _digits(np.arange(lo, min(lo + 256, q)), self.p, self.k)
             ok = np.ones(len(cand), dtype=bool)
             for r in rs:
                 ok &= (_power(cand, (q - 1) // r, self._digit_mul, one) != one).any(axis=-1)
@@ -510,10 +515,19 @@ class FqPoly:
 
 
 def reduce_mod(f, field: Field) -> FqPoly:
-    """Reduce an integer polynomial coefficientwise into F_{p^k}.
+    """f as a polynomial over `field`: the one way a form enters F_q.
 
-    Integer coefficients land in the prime subfield via c mod p.
+    An IntPoly is reduced coefficientwise, its integer coefficients landing
+    in the prime subfield via c mod p; an FqPoly over `field` is returned
+    as it is.  An FqPoly over another field, or anything else, is refused.
     """
+    if isinstance(f, FqPoly):
+        if f.field != field:
+            raise InputError("form is over another field", form_field=f.field.literal(),
+                             field=field.literal())
+        return f
+    if not isinstance(f, IntPoly):
+        raise InputError("forms must be IntPoly or FqPoly")
     terms = {}
     for e, c in f.terms.items():
         cc = field.embed(c)

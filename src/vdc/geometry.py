@@ -176,18 +176,9 @@ class VarietySpec:
     forms: tuple
 
     def __post_init__(self):
-        forms = []
-        for f in self.forms:
-            if isinstance(f, IntPoly):
-                f = reduce_mod(f, self.field)
-            if not isinstance(f, FqPoly):
-                raise InputError("forms must be IntPoly or FqPoly")
-            if f.n != self.n:
-                raise InputError("form has wrong variable count", n=self.n)
-            if f.field != self.field:
-                raise InputError("form is over another field", form_field=f.field.literal(),
-                                 field=self.field.literal())
-            forms.append(f)
+        forms = [reduce_mod(f, self.field) for f in self.forms]
+        if any(f.n != self.n for f in forms):
+            raise InputError("form has wrong variable count", n=self.n)
         if not all(f.is_homogeneous() for f in forms):
             raise PreconditionError("projective variety needs homogeneous forms")
         self.forms = tuple(forms)
@@ -259,9 +250,7 @@ def sing_points(
     budget.charge(fld.q**n, "projective enumeration")
     idx, start = [], 0
     for cols, shape in blocks:
-        on = np.ones(shape, dtype=bool)
-        for f in spec.forms:
-            on &= _eval_terms(f.terms, cols, shape, fld) == 0
+        on = _zeros_of(spec.forms, cols, shape)
         idx.append(start + np.flatnonzero(on))
         start += on.size
     vpts = proj_rows(fld, n, np.concatenate(idx))
@@ -289,17 +278,17 @@ def sing_points(
 def affine_count(forms, fld: Field, n: int, budget: Budget | None = None) -> int:
     """Number of common zeros in F_q^n (zero forms impose nothing)."""
     ensure_budget(budget).charge(fld.q**n, "affine enumeration")
-    cols, shape = _axes(fld.q, n), (fld.q,) * n
+    on = _zeros_of([reduce_mod(f, fld) for f in forms], _axes(fld.q, n), (fld.q,) * n)
+    return int(np.count_nonzero(on))
+
+
+def _zeros_of(forms, cols, shape) -> np.ndarray:
+    """Mask, of the given shape, of the points of one box (its coordinate
+    columns cols) where every form over F_q vanishes."""
     on = np.ones(shape, dtype=bool)
     for f in forms:
-        if isinstance(f, IntPoly):
-            f = reduce_mod(f, fld)
-        if f.field != fld:
-            raise InputError("form is over another field", form_field=f.field.literal(),
-                             field=fld.literal())
-        if not f.is_zero():
-            on &= _eval_terms(f.terms, cols, shape, fld) == 0
-    return int(np.count_nonzero(on))
+        on &= _eval_terms(f.terms, cols, shape, f.field) == 0
+    return on
 
 
 # -- first/second difference degeneracy sweeps (prime fields) ----------------
@@ -455,15 +444,12 @@ class SigmaSweep:
 
 
 def _form_over(F, p: int | None) -> FqPoly:
-    """F as a form over F_p: an IntPoly reduced mod p, which p must then
-    name; an FqPoly as it is, which must be over F_p when p is given."""
-    if isinstance(F, IntPoly):
-        if p is None:
-            raise InputError("pass p when F is an integer polynomial")
+    """F as a form over F_p (``reduce_mod``); without p, F must be an
+    FqPoly, and is taken over its own field."""
+    if p is not None:
         return reduce_mod(F, field_make(p))
-    if p is not None and F.field != field_make(p):
-        raise InputError("form is over another field", form_field=F.field.literal(),
-                         field=field_make(p).literal())
+    if isinstance(F, IntPoly):
+        raise InputError("pass p when F is an integer polynomial")
     return F
 
 
@@ -644,7 +630,7 @@ def _is_unit_diagonal(F: FqPoly) -> bool:
     dividing d: the gradient then vanishes only at the origin, so the
     projective hypersurface is certifiably non-singular."""
     d = F.degree()
-    if d < 1 or F.field.p == 0 or d % F.field.p == 0:
+    if d < 1 or d % F.field.p == 0:
         return False
     seen = set()
     for e, c in F.terms.items():

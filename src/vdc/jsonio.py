@@ -15,9 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import Field, FqPoly
-from .mpoly import IntPoly, format_poly
-
 
 def frac_dict(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
@@ -45,13 +42,6 @@ def to_jsonable(obj):
         return float(obj)
     if isinstance(obj, Fraction):
         return frac_dict(obj)
-    if isinstance(obj, IntPoly):
-        return format_poly(obj)
-    if isinstance(obj, FqPoly):
-        return {"field": obj.field.literal(), "n": obj.n,
-                "terms": [[list(e), int(c)] for e, c in sorted(obj.terms.items())]}
-    if isinstance(obj, Field):
-        return obj.literal()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name))
@@ -64,8 +54,6 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(to_jsonable(v) for v in obj)
     raise TypeError(f"no JSON rendering for {type(obj).__name__}")
 
 

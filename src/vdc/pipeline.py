@@ -122,10 +122,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (Weight, _Bins, _Domain, _fits, _key_codes, _outer,
-                       _product, _stable_order, eval_on_axes, weighted_count)
+from .counting import (Weight, _as_poly_list, _Bins, _Domain, _fits, _key_codes,
+                       _outer, _product, _stable_order, eval_on_axes, weighted_count)
 from .errors import Budget, InputError, PreconditionError, ensure_budget
-from .ffield import field_make, is_prime, reduce_mod
+from .ffield import _digits, field_make, is_prime, reduce_mod
 from .geometry import VarietySpec, r_check, sing_points
 from .mpoly import IntPoly
 
@@ -265,7 +265,7 @@ class PipelineLedger:
         den2 = self.den1**2
         xc = int(self.xcount[k])
         expected = D.frac(self.fs_num[k], p**n * q * q * den2)
-        y = tuple(_digits(k, 2 * Y + 1, n, Y).tolist())
+        y = tuple((_digits(k, 2 * Y + 1, n) - Y).tolist())
         return ShiftRecord(
             y=y,
             corr=self.corr(y),
@@ -313,18 +313,6 @@ class PipelineLedger:
 
 
 # -- small structural helpers -------------------------------------------------
-
-
-def _digits(keys, side: int, n: int, offset: int = 0) -> np.ndarray:
-    """The n base-side digits of flat keys, digit 0 first, each minus offset:
-    shape (n,) for a scalar key, (len(keys), n) for an array of keys.  The
-    codes over a whole grid, in its order, are ``_code``'s instead."""
-    t = np.array(keys, dtype=np.int64)
-    out = np.empty(t.shape + (n,), dtype=np.int64)
-    for i in range(n):
-        out[..., i] = t % side - offset
-        t //= side
-    return out
 
 
 def _fs2(t2d: np.ndarray, ky, kz, n: int):
@@ -1017,16 +1005,10 @@ def deviation_probe(
     reductions cut out non-singular codimension-r sets, so that is checked
     first and failure refuses the run.
     """
-    if isinstance(forms, IntPoly):
-        forms = [forms]
-    forms = list(forms)
-    if not forms:
-        raise InputError("need at least one form")
+    forms = _as_poly_list(forms)
     n = forms[0].n
     r = len(forms)
     for f in forms:
-        if f.n != n:
-            raise InputError("mixed variable counts")
         if f.degree() < 1 or not f.is_homogeneous():
             raise InputError("deviation probe needs homogeneous forms of "
                              "positive degree")

@@ -16,6 +16,7 @@ import pytest
 
 import vdc.cli as cli
 from vdc.errors import DEFAULT_BUDGET
+from vdc.jsonio import mixed_str
 from vdc.mpoly import parse_poly
 
 
@@ -127,6 +128,16 @@ def test_exponents_golden(capsys):
     assert res["aggregate_terms"]["argmax"] == [1, 2, 9]
     assert res["aggregate_terms"]["matches_main"] is True
     assert res["error_terms"]["scale"]["first_difference"] == "variance"
+
+
+def test_exponent_displays(capsys):
+    """A whole number displays without a fraction, a proper fraction
+    without a whole part."""
+    code, doc = run_cli(["exponents", "--n", "7"], capsys=capsys)
+    assert code == 0
+    assert doc["result"]["dimension_growth"]["display"] == "5"
+    assert mixed_str(Fraction(-3, 7)) == "-3/7"
+    assert mixed_str(Fraction(-12, 1)) == "-12"
 
 
 def test_pipeline_showcase(capsys):
@@ -464,6 +475,22 @@ def test_rcheck_bad_options_refuse(argv, capsys):
     code, doc = run_cli(argv, capsys=capsys)
     assert code == 2
     assert doc["error"]["code"] == "input"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--poly", "x1^4+x2^4-2*x3^4", "--n", "3", "--B", "1", "--modulus", "3"],
+    ["geom", "sing", "--form", "x1^4+x2^4+x3^4+x4^4+x5^4", "--n", "5", "--field", "7"],
+    ["pipeline", "--poly", "x1^3+x2^3+x3^3-x1*x2*x3", "--n", "3", "--B", "4",
+     "--pi", "2", "--p", "3", "--q", "5"],
+    ["exponents", "--n", "7"],
+    ["poisson", "--B", "64", "--a", "2", "--k", "1"],
+    ["poly", "diff", "--poly", "x1^3", "--n", "1", "--y", "1"],
+], ids=["count", "geom-sing", "pipeline", "exponents", "poisson", "poly-diff"])
+def test_negative_seed_refused_by_every_subcommand(argv, capsys):
+    code, doc = run_cli(argv + ["--seed", "-1"], capsys=capsys)
+    assert code == 2
+    assert doc["error"] == {"code": "input", "message": "seed must be >= 0",
+                            "details": {"seed": -1}}
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

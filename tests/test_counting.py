@@ -26,6 +26,7 @@ from vdc.counting import (
 from vdc.errors import Budget, BudgetExceeded, InputError, PreconditionError
 from vdc.ffield import field_make
 from vdc.mpoly import IntPoly, parse_poly
+from vdc.pipeline import deviation_probe
 
 
 def weight_1d(kind, t):
@@ -129,6 +130,34 @@ def test_moduli_past_int64_refused():
         with pytest.raises(InputError):
             weighted_count([f], 3, m, "hat")
     assert count_box_mod([f], 3, 2**63 - 25) == 2  # the largest prime below
+
+
+def test_exact_values_past_int64_keep_the_whole_box():
+    """40^12 > 2^63: x1^12 - x2^12 is not split into its two one-variable
+    parts, and its 81^2 values are compared as Python ints.  Its zeros
+    are x1 = +-x2."""
+    f = parse_poly("x1^12-x2^12", 2)
+    budget = Budget()
+    assert count_box_mod([f], 40, None, budget) == 161
+    assert budget.used == 81**2
+
+
+@pytest.mark.parametrize("call", [
+    lambda fs: count_box_mod(fs, 1, None),
+    lambda fs: weighted_count(fs, 1, None, "hat"),
+    lambda fs: trivial_bound_probe(fs, field_make(7), [1]),
+    lambda fs: hooley_deligne_probe(fs, field_make(7)),
+    lambda fs: deviation_probe(fs, 2, 3, 5),
+], ids=["count_box_mod", "weighted_count", "trivial_bound_probe",
+        "hooley_deligne_probe", "deviation_probe"])
+def test_polynomial_lists_are_checked_once(call):
+    for fs, message in [([], "need at least one polynomial"),
+                        ([parse_poly("x1^2", 1), parse_poly("x1^2+x2^2", 2)],
+                         "mixed variable counts"),
+                        (["x1^2"], "expected integer polynomials"),
+                        (None, "expected integer polynomials")]:
+        with pytest.raises(InputError, match=message):
+            call(fs)
 
 
 # -- weights -------------------------------------------------------------------

@@ -373,6 +373,18 @@ def test_reduce_mod_and_eval_consistency():
         assert fq.eval(pt) == f.eval(pt) % 5
 
 
+def test_reduce_mod_takes_intpoly_and_fqpoly_over_its_field_only():
+    f = parse_poly("3*x1^2*x2 - 7*x2^3 + 11", 2)
+    fq = reduce_mod(f, field_make(5))
+    assert reduce_mod(fq, field_make(5)) is fq
+    with pytest.raises(InputError, match="another field") as ei:
+        reduce_mod(fq, field_make(5, 2))
+    assert ei.value.details == {"form_field": "5", "field": "5^2"}
+    for other in ("x1^2", None, 3):
+        with pytest.raises(InputError, match="forms must be IntPoly or FqPoly"):
+            reduce_mod(other, field_make(5))
+
+
 # -- the array evaluator --------------------------------------------------------
 
 # ring argument of _eval_terms, and the coordinate values drawn for it; the

@@ -258,6 +258,10 @@ def test_affine_count_refuses_a_form_over_another_field():
         affine_count([F7], field_make(5), 3)
     assert affine_count([F7], field_make(7), 3) == affine_count(
         [parse_poly("x1^2+x2^2-x3^2", 3)], field_make(7), 3)
+    # a zero form imposes nothing
+    assert affine_count([FqPoly(field_make(7), 3), F7], field_make(7), 3) == affine_count(
+        [F7], field_make(7), 3)
+    assert affine_count([parse_poly("7*x1", 3)], field_make(7), 3) == 7**3
 
 
 def test_sweeps_refuse_a_form_over_another_field():
@@ -760,6 +764,22 @@ def test_r_check_budget_refusal_is_explicit():
     assert rep.r1.verdict == "skipped_budget"
     assert rep.r2.verdict == "skipped_budget"
     assert rep.warnings
+
+
+def test_r0_and_r2_skip_for_budget():
+    """R0 over F_7 needs 7^4 points and is skipped under a 2,000 budget.
+    Under 500,000, R1's sweep charges 8,801 and the R2 sweep that follows
+    does not fit."""
+    f = parse_poly("x1^4+x1*x2^3+x2^4+x3^4+x4^4-x1^2*x3^2", 4)
+    rep = r_check(f, 7, which=("r0",), budget=Budget(2000))
+    assert rep.r0.verdict == "skipped_budget"
+    assert rep.warnings == ["R0 scan skipped: budget"]
+    budget = Budget(500_000)
+    rep = r_check(f, 7, which=("r1", "r2"), budget=budget)
+    assert budget.used == 8801
+    assert rep.r2.verdict == "skipped_budget"
+    assert rep.r2.note == "second-difference sweep over budget"
+    assert rep.r2.y_tested == 0
 
 
 def test_budget_stops_enumeration_before_work():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ledger_reference import DEGREE, Reference, aggregate, flat_key
-from vdc import cli, counting, geometry, pipeline
+from vdc import cli, counting, ffield, geometry, pipeline
 from vdc.counting import Weight
 from vdc.errors import (DEFAULT_BUDGET, Budget, BudgetExceeded, InputError,
                         PreconditionError)
@@ -1339,7 +1339,7 @@ def xcount_whole_grid(f, n, pi, p, Y):
     uniq_wid, wid_idx = np.unique(wid, return_inverse=True)
     counts = np.array([
         np.count_nonzero(gz & np.roll(gz, tuple(-d[::-1]), axis=tuple(range(n))))
-        for d in pipeline._digits(uniq_wid, p, n)], dtype=np.int64)
+        for d in ffield._digits(uniq_wid, p, n)], dtype=np.int64)
     return uniq_wid.size, counts[wid_idx]
 
 
@@ -1759,8 +1759,8 @@ def test_smooth_corr2_is_bit_symmetric(default_ledgers):
     Y, Z, Ycells = led.shift_range, led.pair_range, len(led.corr_num)
     rng = np.random.default_rng(3)
     h, ky = np.divmod(rng.choice(led.pair_keys, 200, replace=False), Ycells)
-    ys = pipeline._digits(ky, 2 * Y + 1, N, Y).tolist()
-    zs = pipeline._digits((2 * Z + 1) ** N // 2 + h, 2 * Z + 1, N, Z).tolist()
+    ys = (ffield._digits(ky, 2 * Y + 1, N) - Y).tolist()
+    zs = (ffield._digits((2 * Z + 1) ** N // 2 + h, 2 * Z + 1, N) - Z).tolist()
     ys += rng.integers(-Y, Y + 1, (100, N)).tolist()
     zs += rng.integers(-Z, Z + 1, (100, N)).tolist()
     nonzero = 0
@@ -1799,6 +1799,16 @@ def test_deviation_probe_within_bound():
     rep = deviation_probe(g, B=8, p=5, q=37)
     assert rep.within
     assert rep.measured <= rep.bound
+
+
+def test_deviation_probe_two_forms():
+    """Two quadrics: their reductions mod 5 and mod 37 are read by
+    sing_points as a codimension-2 intersection."""
+    fs = [parse_poly("x1^2+x2^2+x3^2+x4^2", 4), parse_poly("x1^2+2*x2^2+3*x3^2+4*x4^2", 4)]
+    rep = deviation_probe(fs, B=8, p=5, q=37)
+    assert rep.r == 2
+    assert rep.geometry == {"5": "holds_empirically", "37": "holds_empirically"}
+    assert rep.within
 
 
 def test_deviation_probe_runs_no_direction_sweep(monkeypatch):
